@@ -260,49 +260,18 @@ def cmd_show_dictionary(args):
     of one column chunk of a parquet FILE (plaintext or encrypted)."""
     import numpy as np
 
-    from .parquet_compat import _decode_plain, read_page_header
-    from . import parquet_crypto as pcrypt
-    import pyarrow as pa
+    from .parquet_read_enc import read_dictionary_page
 
     f = _enc_file(args)
     for rg in range(len(f.row_groups)):
         for ci, leaf in enumerate(f.leaves):
             if args.column and leaf.dotted != args.column:
                 continue
-            md = f.chunk_meta(rg, ci)
-            dict_off = md.get(11)
-            if dict_off is None or dict_off < 0:
+            page = read_dictionary_page(f, rg, ci)
+            if page is None:
                 print(f"rg {rg} {leaf.dotted}: no dictionary page")
                 continue
-            key = f._chunk_key(rg, ci)
-            if key is None:
-                h = read_page_header(
-                    np.frombuffer(f.raw[dict_off : dict_off + 65536], np.uint8), 0
-                )
-                body = np.frombuffer(
-                    f.raw[dict_off + h.header_len : dict_off + h.header_len + h.compressed_size],
-                    np.uint8,
-                )
-            else:
-                hdr_pt, end = pcrypt.decrypt_module(
-                    key, f.raw, dict_off,
-                    pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE_HEADER, rg, ci),
-                )
-                h = read_page_header(np.frombuffer(hdr_pt, np.uint8), 0)
-                body_pt, _ = pcrypt.decrypt_module(
-                    key, f.raw, end,
-                    pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE, rg, ci),
-                )
-                body = np.frombuffer(body_pt, np.uint8)
-            codec_id = md.get(4, 0)
-            if codec_id:
-                from .parquet_read_enc import _resolve_codec
-
-                codec = _resolve_codec(codec_id)
-                body = np.frombuffer(
-                    codec.decompress(body.tobytes(), h.uncompressed_size), np.uint8
-                )
-            vals = _decode_plain(body, h.num_values, leaf.ptype, leaf.type_length)
+            h, vals = page
             if isinstance(vals, tuple):
                 offs, dat = vals
                 shown = [
@@ -379,28 +348,18 @@ def cmd_validate_index(args):
 def cmd_show_column_index(args):
     """show-column-index analog (ShowColumnIndexCommand.java): print the
     ColumnIndex/OffsetIndex structures of a parquet FILE."""
-    from . import parquet_crypto as pcrypt
-    from .parquet_read_enc import _read_struct_full
+    from .parquet_read_enc import _parse_index
 
     f = _enc_file(args)
     for rg in range(len(f.row_groups)):
         for ci, leaf in enumerate(f.leaves):
             if args.column and leaf.dotted != args.column:
                 continue
-            cc = f.row_groups[rg][1][ci]
-            if 6 not in cc:
+            idx = _parse_index(f, rg, ci)
+            if idx is None:
                 print(f"rg {rg} {leaf.dotted}: no column index")
                 continue
-            key = f._chunk_key(rg, ci)
-            def grab(off, length, mtype):
-                region = f.raw[off : off + length]
-                if key is None:
-                    return _read_struct_full(region, 0)[0]
-                aad = pcrypt.module_aad(f.file_aad, mtype, rg, ci)
-                pt, _ = pcrypt.decrypt_module(key, region, 0, aad)
-                return _read_struct_full(pt, 0)[0]
-            cidx = grab(cc[6], cc[7], pcrypt.M_COLUMN_INDEX)
-            oidx = grab(cc[4], cc[5], pcrypt.M_OFFSET_INDEX)
+            cidx, oidx = idx
             nulls = cidx.get(1, [])
             mins = cidx.get(2, [])
             maxs = cidx.get(3, [])

@@ -1,4 +1,4 @@
-"""Read real parquet pages with rayenc decoders (format conformance).
+"""Parquet page decoding with rayenc kernels, and the conformance read.
 
 SURVEY.md §5(c): cross-validation against parquet-format ground truth — pages
 written by an independent implementation (pyarrow's C++ writer, configured
@@ -6,20 +6,22 @@ with explicit column encodings) are parsed and decoded by OUR kernels, which
 proves byte-level compatibility with the formats the reference emits
 (`Encoding.java:62-256` dispatch; page layout `ColumnWriterV1.java:61-81`).
 
-Only the page-level plumbing lives here: a minimal thrift *compact protocol*
-struct reader (the parquet PageHeader is compact-thrift,
-`parquet-format-structures`), the V1/V2 data-page layout (rep/def levels +
-values), and the encoding dispatch into rayenc.codecs. Column chunk offsets
-come from pyarrow's own metadata API — we only refuse to use its value
-decoders.
+This module holds the format plumbing every Parquet read shares: the one
+thrift *compact protocol* parser (footer, page headers, page indexes and
+bloom headers are all compact-thrift, `parquet-format-structures`), the
+V1/V2 data-page layout (rep/def levels + values), the encoding dispatch into
+rayenc.codecs, and Dremel record assembly. Files are opened, footers parsed
+and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext and
+encrypted alike); ``read_table_conformance`` / ``read_column_chunk`` are thin
+entry points over it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import pyarrow.parquet as pq
 
 from .codecs import (
     bytestream_split,
@@ -51,71 +53,87 @@ DATA_PAGE_V2 = 3
 # --------------------------------------------------- thrift compact protocol
 
 
-def _read_zigzag(buf, i):
-    u, i = read_uvarint(buf, i)
-    return (u >> 1) ^ -(u & 1), i
-
-
-def _skip_field(buf, i, ftype):
-    if ftype in (1, 2):  # bool true/false encoded in the type nibble
-        return i
+def _read_value(buf, i, ftype):
+    if ftype in (4, 5, 6):  # i16/i32/i64 zigzag varints
+        v = buf[i]
+        if v < 0x80:  # one-byte varint: most footer ints
+            return (v >> 1) ^ -(v & 1), i + 1
+        v, i = read_uvarint(buf, i)
+        return (v >> 1) ^ -(v & 1), i
+    if ftype in (1, 2):  # bool as a LIST element: one byte, 1=true
+        return buf[i] == 1, i + 1
     if ftype == 3:  # byte
-        return i + 1
-    if ftype in (4, 5, 6):  # i16/i32/i64 zigzag varint
-        _, i = read_uvarint(buf, i)
-        return i
+        v = buf[i]
+        return (v - 256 if v > 127 else v), i + 1
     if ftype == 7:  # double
-        return i + 8
+        return struct.unpack_from("<d", buf, i)[0], i + 8
     if ftype == 8:  # binary
-        ln, i = read_uvarint(buf, i)
-        return i + ln
-    if ftype in (9, 10):  # list/set
+        n, i = read_uvarint(buf, i)
+        if i + n > len(buf):
+            raise ValueError(f"thrift binary of {n} bytes runs past the buffer")
+        return bytes(buf[i : i + n]), i + n
+    if ftype in (9, 10):  # list / set
         head = buf[i]
         i += 1
         size = head >> 4
         etype = head & 0x0F
         if size == 15:
             size, i = read_uvarint(buf, i)
+        if size > len(buf) - i:  # every element takes at least one byte
+            raise ValueError(f"thrift list of {size} elements runs past the buffer")
+        out = []
         for _ in range(size):
-            i = _skip_field(buf, i, etype)
-        return i
-    if ftype == 12:  # struct
-        _, i = _read_struct(buf, i)
-        return i
-    raise ValueError(f"unsupported thrift compact type {ftype}")
+            v, i = _read_value(buf, i, etype)
+            out.append(v)
+        return out, i
+    if ftype == 11:  # map: varint size, then (ktype<<4|vtype), then pairs
+        size, i = read_uvarint(buf, i)
+        if size > len(buf) - i:
+            raise ValueError(f"thrift map of {size} entries runs past the buffer")
+        out = {}
+        if size:
+            kv = buf[i]
+            i += 1
+            for _ in range(size):
+                k, i = _read_value(buf, i, kv >> 4)
+                v, i = _read_value(buf, i, kv & 0x0F)
+                out[k] = v
+        return out, i
+    if ftype == 12:
+        return _read_struct(buf, i)
+    raise ValueError(f"unknown thrift compact type {ftype}")
 
 
-def _read_struct(buf, i):
-    """Parse a compact-protocol struct -> ({field_id: value}, next_offset).
-    Values kept for ints/bools/structs; other types skipped."""
+def _read_struct(buf, i=0):
+    """Parse a compact-protocol struct at ``buf[i:]`` -> ({field_id: value},
+    next_offset), keeping every field type (bools, ints, doubles, binary,
+    lists, maps, structs). ``buf`` is anything whose indexing yields ints
+    (bytes, mmap, memoryview). Truncated or malformed input raises
+    ValueError."""
     fields = {}
-    last_id = 0
-    while True:
-        byte = buf[i]
-        i += 1
-        if byte == 0:  # stop
-            return fields, i
-        delta = byte >> 4
-        ftype = byte & 0x0F
-        if delta == 0:
-            fid_z, i = _read_zigzag(buf, i)
-            fid = int(fid_z)
-        else:
-            fid = last_id + delta
-        last_id = fid
-        if ftype == 1:
-            fields[fid] = True
-        elif ftype == 2:
-            fields[fid] = False
-        elif ftype in (4, 5, 6):
-            v, i = _read_zigzag(buf, i)
-            fields[fid] = int(v)
-        elif ftype == 12:
-            v, i = _read_struct(buf, i)
-            fields[fid] = v
-        else:
-            i = _skip_field(buf, i, ftype)
-    return fields, i
+    last = 0
+    try:
+        while True:
+            byte = buf[i]
+            i += 1
+            if byte == 0:  # stop
+                return fields, i
+            delta = byte >> 4
+            ftype = byte & 0x0F
+            if delta == 0:
+                z, i = read_uvarint(buf, i)
+                fid = (z >> 1) ^ -(z & 1)
+            else:
+                fid = last + delta
+            last = fid
+            if ftype == 1:
+                fields[fid] = True
+            elif ftype == 2:
+                fields[fid] = False
+            else:
+                fields[fid], i = _read_value(buf, i, ftype)
+    except (IndexError, struct.error, RecursionError) as ex:
+        raise ValueError(f"truncated thrift struct at offset {i}") from ex
 
 
 @dataclass
@@ -137,36 +155,47 @@ class PageHeader:
 
 
 def read_page_header(buf, i=0) -> PageHeader:
+    """PageHeader at ``buf[i:]``; ValueError when it is truncated or lacks a
+    required field."""
+    if isinstance(buf, np.ndarray):
+        buf = memoryview(buf)  # int indexing for the thrift parser
     fields, end = _read_struct(buf, i)
-    ptype = fields[1]
-    h = PageHeader(
-        type=ptype,
-        uncompressed_size=fields[2],
-        compressed_size=fields[3],
-        num_values=0,
-        encoding=PLAIN,
-        header_len=end - i,
-        crc=fields.get(4),
-    )
-    if ptype == DATA_PAGE:
-        d = fields[5]
-        h.num_values = d[1]
-        h.encoding = d[2]
-        h.def_level_encoding = d[3]
-        h.rep_level_encoding = d.get(4)
-    elif ptype == DICTIONARY_PAGE:
-        d = fields[7]
-        h.num_values = d[1]
-        h.encoding = d[2]
-    elif ptype == DATA_PAGE_V2:
-        d = fields[8]
-        h.num_values = d[1]
-        h.encoding = d[4]
-        h.v2_def_bytes = d[5]
-        h.v2_rep_bytes = d[6]
-        h.v2_is_compressed = d.get(7, True)
-        h.v2_num_nulls = d.get(2, 0)
-        h.v2_num_rows = d.get(3, h.num_values)
+    try:
+        ptype = fields[1]
+        h = PageHeader(
+            type=ptype,
+            uncompressed_size=fields[2],
+            compressed_size=fields[3],
+            num_values=0,
+            encoding=PLAIN,
+            header_len=end - i,
+            crc=fields.get(4),
+        )
+        if ptype == DATA_PAGE:
+            d = fields[5]
+            h.num_values = d[1]
+            h.encoding = d[2]
+            h.def_level_encoding = d[3]
+            h.rep_level_encoding = d.get(4)
+        elif ptype == DICTIONARY_PAGE:
+            d = fields[7]
+            h.num_values = d[1]
+            h.encoding = d[2]
+        elif ptype == DATA_PAGE_V2:
+            d = fields[8]
+            h.num_values = d[1]
+            h.encoding = d[4]
+            h.v2_def_bytes = d[5]
+            h.v2_rep_bytes = d[6]
+            h.v2_is_compressed = d.get(7, True)
+            h.v2_num_nulls = d.get(2, 0)
+            h.v2_num_rows = d.get(3, h.num_values)
+        bad = min(h.compressed_size, h.uncompressed_size, h.num_values,
+                  h.v2_def_bytes, h.v2_rep_bytes) < 0
+    except (KeyError, TypeError, AttributeError) as ex:
+        raise ValueError(f"malformed page header at offset {i}") from ex
+    if bad:
+        raise ValueError(f"negative size in page header at offset {i}")
     return h
 
 
@@ -177,80 +206,14 @@ _PHYS = {"INT32": "INT32", "INT64": "INT64", "FLOAT": "FLOAT", "DOUBLE": "DOUBLE
 
 def read_column_chunk(path: str, column: str, row_group: int = 0,
                       raw_levels: bool = False):
-    """Decode one flat column chunk of an (uncompressed) parquet file using
-    ONLY rayenc decoders for levels and values. Returns a numpy array for
-    fixed types or (offsets, data) for BYTE_ARRAY."""
-    f = pq.ParquetFile(path)
-    meta = f.metadata.row_group(row_group)
-    col_idx = None
-    for ci in range(meta.num_columns):
-        if meta.column(ci).path_in_schema == column:
-            col_idx = ci
-            break
-    assert col_idx is not None, column
-    cmeta = meta.column(col_idx)
-    schema_col = f.schema.column(col_idx)
-    max_def = schema_col.max_definition_level
-    max_rep = schema_col.max_repetition_level
-    type_length = getattr(schema_col, "length", 0) or 0
-    codec = None
-    if cmeta.compression != "UNCOMPRESSED":
-        import pyarrow as pa
+    """Decode one column chunk (leaf ``column``, dotted path) using ONLY
+    rayenc decoders for levels and values. Returns a numpy array for fixed
+    types or (offsets, data) for BYTE_ARRAY; nullable flat chunks with nulls
+    add a validity array, repeated leaves their rep/def levels."""
+    from .parquet_read_enc import _open_cached
 
-        name = cmeta.compression.lower()
-        # pyarrow's metadata API has no name for LZ4_HADOOP (codec id 5)
-        # and reports "UNKNOWN"; only that codec maps to it in this pyarrow
-        if name in ("lz4", "unknown"):
-            # legacy codec id 5: Hadoop-framed (parquet-mr) or raw-block
-            # (old parquet-cpp) dialect — Lz4HadoopCodec handles both
-            from .codecs.lz4hadoop import Lz4HadoopCodec
-
-            codec = Lz4HadoopCodec()
-        elif name == "lzo":
-            # legacy codec id 3: Hadoop framing around raw LZO1X blocks —
-            # clean-room decoder (codecs/lzo.py), same framing as LZ4
-            from .codecs.lzo import LzoHadoopCodec
-
-            codec = LzoHadoopCodec()
-        else:
-            codec = pa.Codec(name)
-    ptype = cmeta.physical_type
-    start = cmeta.dictionary_page_offset
-    if start is None or start < 0:
-        start = cmeta.data_page_offset
-    total = cmeta.total_compressed_size
-
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        raw = np.frombuffer(fh.read(total), np.uint8)
-
-    return _decode_page_stream(
-        _plain_page_iter(raw, cmeta.num_values, path, column),
-        cmeta.num_values, max_rep, max_def, ptype, type_length, codec,
-        raw_levels=raw_levels,
-    )
-
-
-def _plain_page_iter(raw, num_values, path="", column=""):
-    """Yield (PageHeader, body) pairs from an unencrypted page stream,
-    verifying page CRCs (ParquetFileWriter CRC semantics: CRC-32 over the
-    on-disk page body)."""
-    pos = 0
-    remaining = num_values
-    while remaining > 0 and pos < len(raw):
-        h = read_page_header(raw, pos)
-        body = raw[pos + h.header_len : pos + h.header_len + h.compressed_size]
-        pos += h.header_len + h.compressed_size
-        if h.crc is not None:
-            import zlib
-
-            if zlib.crc32(body.tobytes()) != (h.crc & 0xFFFFFFFF):
-                raise ValueError(
-                    f"page CRC mismatch in {path!r} column {column!r}"
-                )
-        yield h, body
-        if h.type != DICTIONARY_PAGE:
-            remaining -= h.num_values
+    f = _open_cached(path, None)
+    return f.decode_leaf(row_group, f.leaf_index(column), raw_levels=raw_levels)
 
 
 def _decode_page_stream(
@@ -380,113 +343,27 @@ def int96_to_timestamp_ns(vals: np.ndarray) -> np.ndarray:
 
 
 def read_list_column(path: str, field_name: str, row_group: int = 0):
-    """Decode a one-level list column (the 3-level LIST shape of
-    `parquet-arrow/.../schema/List3Levels.java`) from real rep/def levels
-    using rayenc decoders only; returns a pa.ListArray equal to pyarrow's
-    read. Handles null lists, empty lists and null elements."""
-    import pyarrow as pa
+    """Decode one list (or any nested) column of one row group from real
+    rep/def levels using rayenc decoders only; returns an array equal to
+    pyarrow's read. Handles null lists, empty lists and null elements."""
+    from .parquet_read_enc import _open_cached
 
-    f = pq.ParquetFile(path)
-    arrow_field = f.schema_arrow.field(field_name)
-    t = arrow_field.type
-    assert pa.types.is_list(t) or pa.types.is_large_list(t), t
-    # locate the leaf path ("name.list.element" / legacy namings)
-    leaf = None
-    meta = f.metadata.row_group(row_group)
-    for ci in range(meta.num_columns):
-        p = meta.column(ci).path_in_schema
-        if p.split(".")[0] == field_name:
-            leaf = p
-            break
-    assert leaf is not None, field_name
-    sc = f.schema.column([c.path_in_schema for c in
-                          (meta.column(i) for i in range(meta.num_columns))
-                          ].index(leaf))
-    max_def = sc.max_definition_level
-    vals, rep, deflev = read_column_chunk(path, leaf, row_group)
-    return assemble_list(vals, rep, deflev, arrow_field, max_def)
-
-
-def assemble_list(vals, rep, deflev, arrow_field, max_def):
-    """Rebuild a one-level list array from decoded dense values + levels
-    (shared by the plaintext and modular-encryption read paths)."""
-    import pyarrow as pa
-
-    t = arrow_field.type
-    d_list = 1 if arrow_field.nullable else 0
-    d_nonempty = d_list + 1
-    n_rec = int((rep == 0).sum())
-    rec_id = np.cumsum(rep == 0) - 1
-    elem_slot = deflev >= d_nonempty
-    counts = np.bincount(rec_id[elem_slot], minlength=n_rec)
-    offsets = np.zeros(n_rec + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    elem_def = deflev[elem_slot]
-    elem_valid = elem_def == max_def
-    # child array: dense decoded values scattered over element slots
-    n_elem = int(elem_slot.sum())
-    take = np.full(n_elem, -1, np.int64)
-    take[elem_valid] = np.arange(int(elem_valid.sum()))
-    take_arr = pa.array(take, pa.int64(), mask=take < 0)
-    elem_t = t.value_type
-    if isinstance(vals, tuple):  # BYTE_ARRAY
-        from .codecs.dictionary import binary_array
-
-        dense = binary_array(*vals)
-        if not pa.types.is_string(elem_t) and not pa.types.is_large_string(elem_t):
-            dense = dense.cast(pa.large_binary())
-    else:
-        v = np.asarray(vals)
-        dense = pa.array(v.reshape(len(v), -1).tolist()) if v.ndim == 2 else pa.array(v)
-    child = dense.take(take_arr).cast(elem_t)
-    rec_first_def = deflev[rep == 0]
-    mask = pa.array(rec_first_def < d_list) if d_list else None
-    out = pa.LargeListArray.from_arrays(pa.array(offsets, pa.int64()), child, mask=mask)
-    return out.cast(t)
+    f = _open_cached(path, None)
+    leaves = [
+        f.decode_leaf(row_group, i, raw_levels=True)
+        for i, leaf in enumerate(f.leaves)
+        if leaf.path[0] == field_name
+    ]
+    return assemble_tree(f.arrow_schema().field(field_name), leaves)
 
 
 def assemble_flat(r, t):
-    """read_column_chunk result for a flat column + arrow type -> pa.Array
-    (nulls restored, logical type cast applied). Shared with the
-    modular-encryption read path."""
-    import pyarrow as pa
-
-    from .schema import _restore_nulls
-
-    mask = None
+    """Decoded flat leaf chunk + arrow type -> pa.Array (nulls restored,
+    logical type cast applied)."""
     if isinstance(r, tuple) and len(r) == 2 and r[1].dtype == bool:
-        r, valid = r
-        mask = ~valid
-    if pa.types.is_decimal(t):
-        arr = _decimal_dense(np.asarray(r), t)
-        return _restore_nulls(arr, mask, t)
-    if isinstance(r, tuple):  # BYTE_ARRAY
-        from .codecs.dictionary import binary_array
-
-        arr = binary_array(*r)
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            arr = arr.cast(pa.large_binary())
-    else:
-        v = np.asarray(r)
-        if v.ndim == 2 and v.shape[1] == 12 and pa.types.is_timestamp(t):
-            arr = pa.array(int96_to_timestamp_ns(v), pa.timestamp("ns"))
-        elif v.ndim == 2 and pa.types.is_float16(t):
-            # FLOAT16 logical type: FLBA(2) bytes ARE little-endian halves
-            arr = pa.array(np.ascontiguousarray(v).view("<f2").ravel())
-        elif v.ndim == 2:
-            arr = pa.array([bytes(row) for row in v], pa.binary(v.shape[1]))
-        elif pa.types.is_temporal(t):
-            arr = pa.array(v, pa.int64() if v.dtype == np.int64 else pa.int32())
-        elif pa.types.is_boolean(t):
-            arr = pa.array(v.astype(bool))
-        elif pa.types.is_unsigned_integer(t) and v.dtype.kind == "i":
-            # UINT logical types store the same bit pattern in signed
-            # physical ints — reassemble by view, not value cast
-            arr = pa.array(v.view(v.dtype.str.replace("i", "u")))
-        else:
-            arr = pa.array(v)
-    arr = _restore_nulls(arr, mask, arr.type)
-    return arr.cast(t)
+        dense, valid = r
+        return _scatter_dense(_to_dense_arrow(dense, t), valid, t)
+    return _to_dense_arrow(r, t).cast(t)
 
 
 def _decimal_dense(v: np.ndarray, t) -> "pa.Array":
@@ -511,14 +388,6 @@ def _decimal_dense(v: np.ndarray, t) -> "pa.Array":
     return pa.Array.from_buffers(t, n, [None, pa.py_buffer(out.tobytes())])
 
 
-def _leaf_paths_under(meta, root: str) -> list[str]:
-    return [
-        meta.column(ci).path_in_schema
-        for ci in range(meta.num_columns)
-        if meta.column(ci).path_in_schema.split(".")[0] == root
-    ]
-
-
 def _scatter_dense(dense, elem_valid: np.ndarray, elem_t):
     """Scatter dense leaf values over element slots (None where absent)."""
     import pyarrow as pa
@@ -529,27 +398,38 @@ def _scatter_dense(dense, elem_valid: np.ndarray, elem_t):
     return dense.take(pa.array(take, pa.int64(), mask=take < 0)).cast(elem_t)
 
 
-def _to_dense_arrow(vals, elem_t):
+def _to_dense_arrow(vals, t):
+    """Dense decoded leaf values -> pa.Array in the storage ``t`` casts
+    from: INT96 rows become ns timestamps, FLBA(2) FLOAT16 halves, other
+    FLBA fixed-size binary; unsigned logical ints reinterpret their signed
+    physical bits."""
     import pyarrow as pa
 
-    if isinstance(vals, tuple):
+    if isinstance(vals, tuple):  # BYTE_ARRAY
         from .codecs.dictionary import binary_array
 
         dense = binary_array(*vals)
-        if not (pa.types.is_string(elem_t) or pa.types.is_large_string(elem_t)):
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
             dense = dense.cast(pa.large_binary())
         return dense
     v = np.asarray(vals)
-    if pa.types.is_decimal(elem_t):
-        return _decimal_dense(v, elem_t)
-    if v.ndim == 2 and pa.types.is_float16(elem_t):
+    if pa.types.is_decimal(t):
+        return _decimal_dense(v, t)
+    if v.ndim == 2 and v.shape[1] == 12 and pa.types.is_timestamp(t):
+        return pa.array(int96_to_timestamp_ns(v), pa.timestamp("ns"))
+    if v.ndim == 2 and pa.types.is_float16(t):
+        # FLOAT16 logical type: FLBA(2) bytes ARE little-endian halves
         return pa.array(np.ascontiguousarray(v).view("<f2").ravel())
     if v.ndim == 2:
         return pa.array([bytes(row) for row in v], pa.binary(v.shape[1]))
-    if pa.types.is_boolean(elem_t):
+    if pa.types.is_boolean(t):
         return pa.array(v.astype(bool))
-    if pa.types.is_temporal(elem_t):
+    if pa.types.is_temporal(t):
         return pa.array(v, pa.int64() if v.dtype == np.int64 else pa.int32())
+    if pa.types.is_unsigned_integer(t) and v.dtype.kind == "i":
+        # UINT logical types store the same bit pattern in signed
+        # physical ints — reassemble by view, not value cast
+        return pa.array(v.view(v.dtype.str.replace("i", "u")))
     return pa.array(v)
 
 
@@ -683,44 +563,19 @@ def assemble_tree(field, leaves: list):
 
 
 def read_table_conformance(path: str, columns: "list[str] | None" = None) -> "pa.Table":
-    """Decode a whole parquet file — flat (incl. decimal), one-level list
-    (primitive or struct elements), map, and flat-struct columns, all row
-    groups — with rayenc decoders only, returning a pa.Table equal to
-    pyarrow's read: the file-level conformance gate. ``columns`` prunes at
-    the chunk level: unlisted columns' pages are never read (column names
-    the file lacks are ignored so evolved-schema callers can pass the
-    union's names)."""
-    import pyarrow as pa
+    """Decode a whole parquet file — flat, decimal and any nested columns,
+    all row groups — with rayenc decoders only, returning a pa.Table equal
+    to pyarrow's read: the file-level conformance gate. ``columns`` prunes
+    at the chunk level: unlisted columns' pages are never read (column
+    names the file lacks are ignored so evolved-schema callers can pass the
+    union's names). The no-predicate case of
+    ``parquet_read_enc.read_table_filtered``."""
+    from .parquet_read_enc import _open_cached, read_table_filtered
 
-    from .schema import _restore_nulls
-
-    f = pq.ParquetFile(path)
-    schema = f.schema_arrow
     if columns is not None:
-        schema = pa.schema(
-            [schema.field(c) for c in columns if schema.get_field_index(c) >= 0]
-        )
-    parts = []
-    for rg in range(f.metadata.num_row_groups):
-        cols = []
-        meta = f.metadata.row_group(rg)
-        for field in schema:
-            t = field.type
-            if pa.types.is_nested(t):
-                # any nesting shape through the general Dremel assembler
-                leaf_paths = _leaf_paths_under(meta, field.name)
-                triples = [
-                    read_column_chunk(path, lp, rg, raw_levels=True)
-                    for lp in leaf_paths
-                ]
-                cols.append(assemble_tree(field, triples))
-                continue
-            r = read_column_chunk(path, field.name, rg)
-            cols.append(assemble_flat(r, t))
-        parts.append(pa.Table.from_arrays(cols, schema=schema))
-    if not parts:  # schema-only file (zero row groups)
-        return schema.empty_table()
-    return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+        have = set(_open_cached(path, None).arrow_schema().names)
+        columns = [c for c in columns if c in have]
+    return read_table_filtered(path, None, columns=columns)
 
 
 def _decode_plain(body, n, ptype, type_length=0):
@@ -986,7 +841,9 @@ def read_tables_evolved(paths, strict: bool = True, columns=None):
     distributed variant is pipeline.read_parquet_evolved."""
     import pyarrow as pa
 
-    schemas = [pq.ParquetFile(p).schema_arrow for p in paths]
+    from .parquet_read_enc import _open_cached
+
+    schemas = [_open_cached(p, None).arrow_schema() for p in paths]
     uni = union_schemas(schemas, strict)
     if columns is not None:
         uni = pa.schema([uni.field(c) for c in columns])

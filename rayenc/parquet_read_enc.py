@@ -1,16 +1,23 @@
-"""Read modular-encrypted parquet files with rayenc decoders.
+"""The Parquet file reader: footer, schema, pages — plaintext or encrypted.
 
-pyarrow's metadata API cannot open an encrypted footer without a KMS-backed
-CryptoFactory, so this module carries its own *full* thrift compact-protocol
-parser (the minimal one in parquet_compat keeps only ints/structs) and
-rebuilds the file metadata from bytes: FileCryptoMetaData + encrypted
-FileMetaData behind the ``PARE`` magic (`ParquetFileWriter.
-serializeFooter:2162-2170`), or a plaintext footer whose 28-byte GCM
-signature is verified (`:2127-2158`). Page streams are walked module by
-module (`InternalFileDecryptor.java` / `ModuleCipherFactory.java` AAD
-semantics: header and body are separate GCM modules; the page ordinal counts
-data pages only), decrypted, and handed to the shared
+``EncryptedFile`` is the one way rayenc opens a Parquet file
+(`ParquetFileReader.java:129` shape: read the footer once, then pages per
+row group). It parses the footer with the shared thrift compact parser
+(``parquet_compat._read_struct``) — a plaintext ``PAR1`` footer, a plaintext
+footer of an encrypted file whose 28-byte GCM signature is verified
+(`ParquetFileWriter.serializeFooter:2127-2158`), or FileCryptoMetaData +
+encrypted FileMetaData behind the ``PARE`` magic (`:2162-2170`) — and
+derives the Arrow schema from the footer alone. ``EncryptedFile.read_page``
+is the one page-at-offset reader: it decrypts header and body modules
+(`InternalFileDecryptor.java` / `ModuleCipherFactory.java` AAD semantics;
+the page ordinal counts data pages only) and verifies page CRCs; whole
+chunks and page-index-selected pages both go through it into the shared
 ``parquet_compat._decode_page_stream`` decoders.
+
+``read_table_filtered`` is the one table read: with a predicate it prunes
+row groups (stats, bloom, dictionary) and pages (ColumnIndex/OffsetIndex);
+without one it decodes every selected chunk whole, which is what
+``parquet_compat.read_table_conformance`` and ``read_table_encrypted`` are.
 
 Key resolution: explicit keys on ``FileDecryption`` win; otherwise, if the
 file carries pyarrow/parquet-mr "key material" JSON key_metadata
@@ -25,105 +32,24 @@ from __future__ import annotations
 
 import base64
 import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
 
 from . import parquet_crypto as pcrypt
 from .parquet_compat import (
+    DATA_PAGE_V2,
+    DICTIONARY_PAGE,
+    _count_leaves,
     _decode_page_stream,
-    _plain_page_iter,
+    _decode_plain,
+    _read_struct,
     assemble_flat,
+    assemble_tree,
     read_page_header,
 )
 from .parquet_crypto import FileDecryption
-
-# --------------------------------------------------- full compact protocol
-
-
-def _uvarint(buf, i):
-    v = shift = 0
-    while True:
-        b = buf[i]
-        i += 1
-        v |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return v, i
-        shift += 7
-
-
-def _zigzag(v):
-    return (v >> 1) ^ -(v & 1)
-
-
-def _read_value(buf, i, ftype):
-    if ftype in (1, 2):  # bool as a LIST element: one byte, 1=true
-        return buf[i] == 1, i + 1
-    if ftype == 3:  # byte
-        v = buf[i] - 256 if buf[i] > 127 else buf[i]
-        return v, i + 1
-    if ftype in (4, 5, 6):  # i16/i32/i64 zigzag varints
-        v, i = _uvarint(buf, i)
-        return _zigzag(v), i
-    if ftype == 7:  # double
-        return struct.unpack_from("<d", buf, i)[0], i + 8
-    if ftype == 8:  # binary
-        n, i = _uvarint(buf, i)
-        return bytes(buf[i : i + n]), i + n
-    if ftype in (9, 10):  # list / set
-        head = buf[i]
-        i += 1
-        size = head >> 4
-        etype = head & 0x0F
-        if size == 15:
-            size, i = _uvarint(buf, i)
-        out = []
-        for _ in range(size):
-            v, i = _read_value(buf, i, etype)
-            out.append(v)
-        return out, i
-    if ftype == 11:  # map: varint size, then (ktype<<4|vtype), then pairs
-        size, i = _uvarint(buf, i)
-        out = {}
-        if size:
-            kv = buf[i]
-            i += 1
-            for _ in range(size):
-                k, i = _read_value(buf, i, kv >> 4)
-                v, i = _read_value(buf, i, kv & 0x0F)
-                out[k] = v
-        return out, i
-    if ftype == 12:
-        return _read_struct_full(buf, i)
-    raise NotImplementedError(f"thrift compact type {ftype}")
-
-
-def _read_struct_full(buf, i):
-    """Parse a compact-protocol struct keeping every field type
-    (bools/ints/doubles/binary/lists/structs) -> ({fid: value}, end)."""
-    fields = {}
-    last = 0
-    while True:
-        byte = buf[i]
-        i += 1
-        if byte == 0:
-            return fields, i
-        delta = byte >> 4
-        ftype = byte & 0x0F
-        if delta == 0:
-            z, i = _uvarint(buf, i)
-            fid = _zigzag(z)
-        else:
-            fid = last + delta
-        last = fid
-        if ftype == 1:
-            fields[fid] = True
-        elif ftype == 2:
-            fields[fid] = False
-        else:
-            fields[fid], i = _read_value(buf, i, ftype)
-    return fields, i
-
 
 # ------------------------------------------------------------ footer model
 
@@ -187,8 +113,14 @@ def _leaf_is_unsigned(e: dict) -> bool:
     return False
 
 
+def _name(e: dict) -> str:
+    n = e.get(4, "")
+    return n.decode() if isinstance(n, bytes) else n
+
+
 def _walk_schema(elems):
-    """SchemaElement list -> LeafInfo per leaf (depth-first order).
+    """SchemaElement list -> (LeafInfo per leaf in depth-first order, one
+    (element, children | None, LeafInfo | None) node per top-level field).
     repetition_type: 0 required, 1 optional, 2 repeated."""
     leaves = []
     pos = 1  # skip root
@@ -198,7 +130,7 @@ def _walk_schema(elems):
         e = elems[pos]
         pos += 1
         rep = e.get(3, 0)
-        name = e[4].decode() if isinstance(e.get(4), bytes) else e.get(4, "")
+        name = _name(e)
         if rep == 1:
             max_def += 1
         elif rep == 2:
@@ -206,26 +138,94 @@ def _walk_schema(elems):
             max_def += 1
         nchild = e.get(5, 0)
         if nchild:
-            for _ in range(nchild):
-                walk(path + [name], max_rep, max_def)
-        else:
-            lt = e.get(10)
-            leaves.append(
-                LeafInfo(
-                    path + [name], _PTYPE_NAME[e[1]], e.get(2, 0), max_rep,
-                    max_def, unsigned=_leaf_is_unsigned(e),
-                    f16=isinstance(lt, dict) and 15 in lt,  # FLOAT16
-                    # ConvertedType UTF8 (0) or LogicalType STRING (union 1)
-                    utf8=e.get(6) == 0
-                    or (isinstance(lt, dict) and 1 in lt),
-                    elem=e,
-                )
-            )
+            kids = [walk(path + [name], max_rep, max_def) for _ in range(nchild)]
+            return e, kids, None
+        lt = e.get(10)
+        leaf = LeafInfo(
+            path + [name], _PTYPE_NAME[e[1]], e.get(2, 0), max_rep,
+            max_def, unsigned=_leaf_is_unsigned(e),
+            f16=isinstance(lt, dict) and 15 in lt,  # FLOAT16
+            # ConvertedType UTF8 (0) or LogicalType STRING (union 1)
+            utf8=e.get(6) == 0
+            or (isinstance(lt, dict) and 1 in lt),
+            elem=e,
+        )
+        leaves.append(leaf)
+        return e, None, leaf
 
-    root = elems[0]
-    for _ in range(root.get(5, 0)):
-        walk([], 0, 0)
-    return leaves
+    nodes = [walk([], 0, 0) for _ in range(elems[0].get(5, 0))]
+    return leaves, nodes
+
+
+def _node_field(node, element: bool = False) -> pa.Field:
+    """One schema node -> the Arrow field pyarrow derives for it
+    (parquet-cpp `arrow/schema.cc` rules): LIST- and MAP-annotated groups,
+    legacy two-level lists (the parquet-format LogicalTypes.md
+    backward-compatibility rules), and unannotated repeated nodes as lists
+    of required elements. ``element`` reads a repeated node as the list
+    element itself."""
+    e, kids, leaf = node
+    name = _name(e)
+    if kids is None:
+        t = _leaf_arrow_type(leaf)
+    else:
+        lt = e.get(10) if isinstance(e.get(10), dict) else {}
+        ct = e.get(6)
+        if (3 in lt or ct == 3) and len(kids) == 1:  # LIST
+            rep_node = kids[0]
+            lkids = rep_node[1]
+            legacy = (
+                lkids is None
+                or len(lkids) > 1
+                or _name(rep_node[0]) in ("array", name + "_tuple")
+            )
+            t = pa.list_(
+                _node_field(rep_node, element=True) if legacy
+                else _node_field(lkids[0])
+            )
+        elif (2 in lt or ct in (1, 2)) and len(kids) == 1 and len(kids[0][1] or ()) == 2:
+            key, value = kids[0][1]  # MAP -> repeated key_value group
+            t = pa.map_(_node_field(key), _node_field(value))
+        else:
+            t = pa.struct([_node_field(k) for k in kids])
+    if element:
+        return pa.field(name, t, False)
+    if e.get(3, 0) == 2:
+        return pa.field(name, pa.list_(pa.field(name, t, False)), False)
+    return pa.field(name, t, e.get(3, 0) == 1)
+
+
+def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
+    """An ``ARROW:schema`` type with each timestamp's unit taken from its
+    Parquet leaf (the stored unit is the writer's pre-coercion type, not
+    what the pages hold); the stored time zone survives on UTC-adjusted
+    leaves — pyarrow's ApplyOriginalStorageMetadata rule. ``leaves``
+    iterates the Parquet leaves in depth-first order."""
+    if pa.types.is_struct(t):
+        fields = [f.with_type(_restore_units(f.type, leaves)) for f in t]
+        return t if all(a.type.equals(b.type) for a, b in zip(fields, t)) else pa.struct(fields)
+    if pa.types.is_map(t):
+        k = _restore_units(t.key_type, leaves)
+        v = _restore_units(t.item_type, leaves)
+        if k.equals(t.key_type) and v.equals(t.item_type):
+            return t
+        return pa.map_(t.key_field.with_type(k), t.item_field.with_type(v), t.keys_sorted)
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        vt = _restore_units(t.value_type, leaves)
+        if vt.equals(t.value_type):
+            return t
+        vf = t.value_field.with_type(vt)
+        if pa.types.is_fixed_size_list(t):
+            return pa.list_(vf, t.list_size)
+        return pa.large_list(vf) if pa.types.is_large_list(t) else pa.list_(vf)
+    leaf = next(leaves)
+    if not pa.types.is_timestamp(t):
+        return t
+    leaf_t = _leaf_arrow_type(leaf)
+    if not pa.types.is_timestamp(leaf_t):
+        return t
+    tz = t.tz if (leaf_t.tz == "UTC" and t.tz) else leaf_t.tz
+    return pa.timestamp(leaf_t.unit, tz)
 
 
 _TIME_UNIT_ARROW = {1: "ms", 2: "us", 3: "ns"}
@@ -235,8 +235,8 @@ def _leaf_arrow_type(leaf: "LeafInfo") -> "pa.DataType":
     """Flat-leaf SchemaElement -> the Arrow type pyarrow would derive
     (parquet-cpp SchemaField conversion): logicalType union preferred,
     legacy ConvertedType fallback. assemble_flat's final ``cast(t)`` turns
-    the raw physical decode into this type, so filtered reads of files
-    without ARROW:schema metadata match pyarrow's schema."""
+    the raw physical decode into this type, so reads of files without
+    ARROW:schema metadata match pyarrow's schema."""
     e = leaf.elem or {}
     base = {
         "BOOLEAN": pa.bool_(), "INT32": pa.int32(), "INT64": pa.int64(),
@@ -421,12 +421,19 @@ def _unwrap_key_material(
         return None
 
 
+class PageCrcError(ValueError):
+    """A page's bytes do not match the CRC-32 its header declares."""
+
+
 class EncryptedFile:
-    """Parsed (and, where needed, decrypted) metadata of one parquet file."""
+    """Parsed (and, where needed, decrypted) metadata of one parquet file,
+    plus the page and chunk readers over its bytes."""
 
     def __init__(self, path: str, decryption: FileDecryption | None = None):
         self.path = path
         self.dec = decryption or FileDecryption()
+        self._keys: dict = {}
+        self._schema = None
         # mmap, not read(): decode tasks are planned one per (file, row
         # group), so each task touches only its row group's byte ranges —
         # a full read() would re-read and re-fault the whole file per task
@@ -437,22 +444,28 @@ class EncryptedFile:
                 self.raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):  # zero-length or special file
                 self.raw = f.read()
+        if len(self.raw) < 12:
+            raise ValueError(f"not a parquet file ({len(self.raw)} bytes): {path}")
         tail = self.raw[-8:]
         (flen,) = struct.unpack("<i", tail[:4])
         magic = tail[4:]
+        if magic not in (b"PAR1", pcrypt.MAGIC_ENCRYPTED):
+            raise ValueError(f"not a parquet file (magic {magic!r}): {path}")
+        if not 0 < flen <= len(self.raw) - 12:
+            raise ValueError(f"footer length {flen} out of range: {path}")
         region = self.raw[len(self.raw) - 8 - flen : len(self.raw) - 8]
         self.file_aad = b""
         self.algorithm = None
         if magic == pcrypt.MAGIC_ENCRYPTED:
-            crypto_md, end = _read_struct_full(region, 0)
+            crypto_md, end = _read_struct(region, 0)
             self._load_algorithm(crypto_md[1])
             key = self._footer_key(crypto_md.get(2))
             footer_aad = pcrypt.module_aad(self.file_aad, pcrypt.M_FOOTER)
             footer_bytes, _ = pcrypt.decrypt_module(key, region, end, footer_aad)
-            self.md, _ = _read_struct_full(footer_bytes, 0)
+            self.md, _ = _read_struct(footer_bytes, 0)
             self.footer_key = key
-        elif magic == b"PAR1":
-            self.md, end = _read_struct_full(region, 0)
+        else:
+            self.md, end = _read_struct(region, 0)
             self.footer_key = None
             if 8 in self.md:  # plaintext footer of an encrypted file
                 self._load_algorithm(self.md[8])
@@ -468,17 +481,19 @@ class EncryptedFile:
                         pcrypt.module_aad(self.file_aad, pcrypt.M_FOOTER),
                     ):
                         raise ValueError(f"footer signature verification failed: {path}")
-        else:
-            raise ValueError(f"not a parquet file (magic {magic!r}): {path}")
-        self.schema_elems = self.md[2]
-        self.leaves = _walk_schema(self.schema_elems)
-        self.num_rows = self.md.get(3, 0)
-        self.row_groups = self.md.get(4, [])
-        self.kv = {
-            e[1].decode(): e[2].decode()
-            for e in self.md.get(5, [])
-            if 1 in e and 2 in e
-        }
+        try:
+            self.schema_elems = self.md[2]
+            self.leaves, self._nodes = _walk_schema(self.schema_elems)
+            self.num_rows = self.md.get(3, 0)
+            self.row_groups = self.md.get(4, [])
+            self.kv = {
+                e[1].decode(): e[2].decode()
+                for e in self.md.get(5, [])
+                if 1 in e and 2 in e
+            }
+        except (KeyError, IndexError, TypeError, AttributeError,
+                UnicodeDecodeError) as ex:
+            raise ValueError(f"malformed footer: {path}") from ex
         cb = self.md.get(6)
         self.created_by = cb.decode(errors="replace") if cb else None
 
@@ -525,25 +540,43 @@ class EncryptedFile:
     # -- schema -------------------------------------------------------------
 
     def arrow_schema(self) -> pa.Schema:
+        """The Arrow schema pyarrow would read, from the footer alone:
+        names, nullability and nesting from the Parquet schema; types from
+        ``ARROW:schema`` when the file stores one, with timestamp units
+        from the leaves (``_restore_units``)."""
+        if self._schema is not None:
+            return self._schema
+        origin = metadata = None
         b64 = self.kv.get("ARROW:schema")
         if b64:
-            return pa.ipc.read_schema(pa.BufferReader(base64.b64decode(b64)))
-        if any(len(leaf.path) != 1 for leaf in self.leaves):
-            if self.algorithm is None:
-                # plaintext nested file without ARROW:schema (e.g. written by
-                # parquet-mr): derive the Arrow schema the same way the
-                # conformance reader does
-                import pyarrow.parquet as pq
+            try:
+                origin = pa.ipc.read_schema(pa.BufferReader(base64.b64decode(b64)))
+            except (ValueError, pa.ArrowException):
+                pass  # unreadable: the derived schema stands
+        try:
+            if (
+                origin is not None
+                and len(origin) == len(self._nodes)
+                and sum(_count_leaves(o.type) for o in origin) == len(self.leaves)
+            ):
+                leaves = iter(self.leaves)
+                fields = [
+                    pa.field(_name(e), _restore_units(o.type, leaves), e.get(3, 0) == 1)
+                    for (e, _, _), o in zip(self._nodes, origin)
+                ]
+                metadata = origin.metadata
+            else:
+                fields = [_node_field(n) for n in self._nodes]
+        except (AttributeError, KeyError, TypeError, StopIteration) as ex:
+            raise ValueError(f"malformed schema in footer: {self.path}") from ex
+        self._schema = pa.schema(fields, metadata=metadata)
+        return self._schema
 
-                return pq.ParquetFile(self.path).schema_arrow
-            raise NotImplementedError(
-                "nested schema without ARROW:schema metadata"
-            )
-        fields = [
-            pa.field(leaf.path[0], _leaf_arrow_type(leaf), leaf.max_def > 0)
-            for leaf in self.leaves
-        ]
-        return pa.schema(fields)
+    def leaf_index(self, dotted: str) -> int:
+        for i, leaf in enumerate(self.leaves):
+            if leaf.dotted == dotted:
+                return i
+        raise ValueError(f"no column {dotted!r} in {self.path}")
 
     # -- chunks -------------------------------------------------------------
 
@@ -560,113 +593,109 @@ class EncryptedFile:
                 self.file_aad, pcrypt.M_COLUMN_METADATA, rg_ord, col_ord
             )
             plain, _ = pcrypt.decrypt_module(key, cc[9], 0, aad)
-            md, _ = _read_struct_full(plain, 0)
+            md, _ = _read_struct(plain, 0)
         if md is None:
             raise ValueError(f"no readable ColumnMetaData for column {col_ord}")
         return md
 
     def _chunk_key(self, rg_ord: int, col_ord: int) -> bytes | None:
-        """Key for the chunk's page modules, or None when unencrypted."""
-        cc = self.row_groups[rg_ord][1][col_ord]
-        crypto = cc.get(8)
+        """Key for the chunk's page modules, or None when unencrypted
+        (memoized: key-material unwrapping goes through the KMS)."""
+        if (rg_ord, col_ord) in self._keys:
+            return self._keys[rg_ord, col_ord]
+        crypto = self.row_groups[rg_ord][1][col_ord].get(8)
         if crypto is None:
-            return None
-        if 2 in crypto:
-            return self._column_key(self.leaves[col_ord].dotted, crypto[2].get(2))
-        if self.footer_key is None:
+            key = None
+        elif 2 in crypto:
+            key = self._column_key(self.leaves[col_ord].dotted, crypto[2].get(2))
+        elif self.footer_key is None:
             raise ValueError("footer key required for footer-key column")
-        return self.footer_key
+        else:
+            key = self.footer_key
+        self._keys[rg_ord, col_ord] = key
+        return key
+
+    def read_page(self, rg_ord: int, col_ord: int, pos: int, page_ord=None,
+                  check_crc: bool = True):
+        """The page at file offset ``pos`` of chunk (rg_ord, col_ord) ->
+        (PageHeader, body, end offset). ``body`` is the page as stored,
+        decrypted but still compressed; its CRC, when the header carries one,
+        is checked over the on-disk bytes (ParquetFileWriter page checksum
+        semantics). ``page_ord`` is the data-page ordinal within the chunk,
+        None for the dictionary page; encrypted pages bind it into the
+        header and body module AADs. A V2 page's levels stay plaintext
+        between its header module and its values module. ``check_crc=False``
+        is for the ColumnIndex validator only, which reports a mismatch and
+        still checks the page contents."""
+        if not 0 < pos < len(self.raw):
+            raise ValueError(f"page offset {pos} outside {self.path}")
+        key = self._chunk_key(rg_ord, col_ord)
+        if key is None:
+            h = read_page_header(self.raw, pos)
+            start = pos + h.header_len
+            end = start + h.compressed_size
+            if end > len(self.raw):
+                raise ValueError(f"page at offset {pos} runs past end of file")
+            stored = self.raw[start:end]
+            body = np.frombuffer(stored, np.uint8)
+        else:
+            is_dict = page_ord is None
+            aad_ord = -1 if is_dict else page_ord
+            hdr_type = pcrypt.M_DICT_PAGE_HEADER if is_dict else pcrypt.M_DATA_PAGE_HEADER
+            try:
+                hdr, start = pcrypt.decrypt_module(
+                    key, self.raw, pos,
+                    pcrypt.module_aad(self.file_aad, hdr_type, rg_ord, col_ord, aad_ord),
+                )
+                h = read_page_header(hdr)
+                lv = h.v2_rep_bytes + h.v2_def_bytes if h.type == DATA_PAGE_V2 else 0
+                if self.algorithm == "AES_GCM_CTR_V1":
+                    vals, end = pcrypt.decrypt_module_ctr(key, self.raw, start + lv)
+                else:
+                    body_type = pcrypt.M_DICT_PAGE if is_dict else pcrypt.M_DATA_PAGE
+                    vals, end = pcrypt.decrypt_module(
+                        key, self.raw, start + lv,
+                        pcrypt.module_aad(self.file_aad, body_type, rg_ord, col_ord, aad_ord),
+                    )
+            except struct.error as ex:
+                raise ValueError(f"truncated page module at offset {pos}") from ex
+            stored = self.raw[start:end]
+            body = np.frombuffer(stored[:lv] + vals, np.uint8)
+        if check_crc and h.crc is not None and zlib.crc32(stored) != (h.crc & 0xFFFFFFFF):
+            raise PageCrcError(
+                f"page CRC mismatch in {self.path!r} column "
+                f"{self.leaves[col_ord].dotted!r} at offset {pos}"
+            )
+        return h, body, end
+
+    def _chunk_pages(self, rg_ord: int, col_ord: int, md: dict):
+        """Yield (PageHeader, body) for every page of one chunk in order."""
+        # offset 0 holds the magic: writers that store 0 mean "no dictionary"
+        dict_off = md.get(11) or 0
+        pos = dict_off if dict_off > 0 else md[9]
+        end = pos + md[7]
+        expect_dict = pos == dict_off
+        data_ord = 0
+        remaining = md[5]
+        while remaining > 0 and pos < end:
+            h, body, pos = self.read_page(
+                rg_ord, col_ord, pos, None if expect_dict else data_ord
+            )
+            expect_dict = False
+            if h.type != DICTIONARY_PAGE:
+                data_ord += 1
+                remaining -= h.num_values
+            yield h, body
 
     def decode_leaf(self, rg_ord: int, col_ord: int, raw_levels: bool = False):
         """Decode one leaf chunk with rayenc kernels (any encryption state)."""
         leaf = self.leaves[col_ord]
         md = self.chunk_meta(rg_ord, col_ord)
-        start = md.get(11, None)
-        if start is None or start < 0:
-            start = md[9]
-        has_dict = 11 in md and md[11] is not None and md[11] >= 0
-        total = md[7]
-        num_values = md[5]
-        raw = np.frombuffer(self.raw[start : start + total], np.uint8)
-        codec = _resolve_codec(md.get(4, 0))
-        key = self._chunk_key(rg_ord, col_ord)
-        if key is None:
-            pages = _plain_page_iter(raw, num_values, self.path, leaf.dotted)
-        else:
-            pages = _encrypted_page_iter(
-                raw, key, self.file_aad, rg_ord, col_ord, num_values,
-                has_dict, ctr_pages=self.algorithm == "AES_GCM_CTR_V1",
-            )
         return _decode_page_stream(
-            pages, num_values, leaf.max_rep, leaf.max_def, leaf.ptype,
-            leaf.type_length, codec, raw_levels=raw_levels,
+            self._chunk_pages(rg_ord, col_ord, md), md[5], leaf.max_rep,
+            leaf.max_def, leaf.ptype, leaf.type_length,
+            _resolve_codec(md.get(4, 0)), raw_levels=raw_levels,
         )
-
-
-def _encrypted_page_iter(raw, key, file_aad, rg, col, num_values, has_dict,
-                         ctr_pages=False):
-    """Walk an encrypted chunk: each page is [header module][body module]
-    (V1/dict) or [header module][plaintext levels][values module] (V2).
-    AAD mismatches surface as InvalidTag — the GCM tag doubles as the
-    module-type/ordinal check. With ``ctr_pages`` (AES_GCM_CTR_V1) page
-    BODIES decrypt in CTR without tags; headers remain GCM."""
-    import zlib
-
-    def body_module(buf, off, aad):
-        if ctr_pages:
-            return pcrypt.decrypt_module_ctr(key, buf, off)
-        return pcrypt.decrypt_module(key, buf, off, aad)
-
-    pos = 0
-    remaining = num_values
-    page_ord = -1
-    expect_dict = has_dict
-    while remaining > 0 and pos < len(raw):
-        if expect_dict:
-            hdr_aad = pcrypt.module_aad(file_aad, pcrypt.M_DICT_PAGE_HEADER, rg, col)
-        else:
-            page_ord += 1
-            hdr_aad = pcrypt.module_aad(
-                file_aad, pcrypt.M_DATA_PAGE_HEADER, rg, col, page_ord
-            )
-        hdr_bytes, pos = pcrypt.decrypt_module(key, raw, pos, hdr_aad)
-        h = read_page_header(np.frombuffer(hdr_bytes, np.uint8), 0)
-        if h.type == 3:  # DATA_PAGE_V2: plaintext levels + encrypted values
-            lv = h.v2_rep_bytes + h.v2_def_bytes
-            levels = raw[pos : pos + lv]
-            body_start = pos
-            vals_pt, pos = body_module(
-                raw,
-                pos + lv,
-                pcrypt.module_aad(file_aad, pcrypt.M_DATA_PAGE, rg, col, page_ord),
-            )
-            if h.crc is not None:
-                stored = raw[body_start:pos].tobytes()
-                if zlib.crc32(stored) != (h.crc & 0xFFFFFFFF):
-                    raise ValueError("encrypted page CRC mismatch")
-                h.crc = None
-            body = np.concatenate([levels, np.frombuffer(vals_pt, np.uint8)])
-        else:
-            mt = pcrypt.M_DICT_PAGE if expect_dict else pcrypt.M_DATA_PAGE
-            body_start = pos
-            body_pt, pos = body_module(
-                raw, pos,
-                pcrypt.module_aad(
-                    file_aad, mt, rg, col, -1 if expect_dict else page_ord
-                ),
-            )
-            if h.crc is not None:
-                stored = raw[body_start:pos].tobytes()
-                if zlib.crc32(stored) != (h.crc & 0xFFFFFFFF):
-                    raise ValueError("encrypted page CRC mismatch")
-                h.crc = None
-            body = np.frombuffer(body_pt, np.uint8)
-        if expect_dict:
-            expect_dict = False
-            page_ord = -1  # dict page consumed no data-page ordinal
-        else:
-            remaining -= h.num_values
-        yield h, body
 
 
 def _parse_index(f: "EncryptedFile", rg_ord: int, col_ord: int):
@@ -681,10 +710,10 @@ def _parse_index(f: "EncryptedFile", rg_ord: int, col_ord: int):
     def grab(off, length, mtype):
         region = f.raw[off : off + length]
         if key is None:
-            return _read_struct_full(region, 0)[0]
+            return _read_struct(region, 0)[0]
         aad = pcrypt.module_aad(f.file_aad, mtype, rg_ord, col_ord)
         pt, _ = pcrypt.decrypt_module(key, region, 0, aad)
-        return _read_struct_full(pt, 0)[0]
+        return _read_struct(pt, 0)[0]
 
     return (
         grab(cc[6], cc[7], pcrypt.M_COLUMN_INDEX),
@@ -774,57 +803,43 @@ def _all_pages_dict_encoded(md: dict) -> bool:
     return saw_data
 
 
+def read_dictionary_page(f: "EncryptedFile", rg_ord: int, col_ord: int):
+    """(PageHeader, PLAIN-decoded values) of one chunk's dictionary page, or
+    None when the chunk has no dictionary."""
+    md = f.chunk_meta(rg_ord, col_ord)
+    dict_off = md.get(11) or 0
+    if dict_off <= 0:
+        return None
+    h, body, _ = f.read_page(rg_ord, col_ord, dict_off)
+    if h.type != DICTIONARY_PAGE:
+        return None
+    codec = _resolve_codec(md.get(4, 0))
+    if codec is not None:
+        body = np.frombuffer(
+            codec.decompress(body.tobytes(), h.uncompressed_size), np.uint8
+        )
+    leaf = f.leaves[col_ord]
+    return h, _decode_plain(body, h.num_values, leaf.ptype, leaf.type_length)
+
+
 def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
     """Decode ONE chunk's dictionary page into a pyarrow array of its
     distinct non-null values, or None when the chunk has no dictionary.
     This is the read half of `filter2/dictionarylevel/DictionaryFilter.java`:
     the dictionary is tiny (<=1 MiB) next to the data pages, so reading it
     to veto a row group is the cheapest inconclusive-stats fallback."""
-    from .parquet_compat import _decode_plain
-
+    page = read_dictionary_page(f, rg_ord, col_ord)
+    if page is None:
+        return None
+    h, vals = page
     leaf = f.leaves[col_ord]
-    md = f.chunk_meta(rg_ord, col_ord)
-    dict_off = md.get(11)
-    if dict_off is None or dict_off < 0:
-        return None
-    codec = _resolve_codec(md.get(4, 0))
-    key = f._chunk_key(rg_ord, col_ord)
-    if key is None:
-        h = read_page_header(
-            np.frombuffer(f.raw[dict_off : dict_off + 65536], np.uint8), 0
-        )
-        body = np.frombuffer(
-            f.raw[
-                dict_off + h.header_len : dict_off + h.header_len + h.compressed_size
-            ],
-            np.uint8,
-        )
-    else:
-        hdr_pt, end = pcrypt.decrypt_module(
-            key, f.raw, dict_off,
-            pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE_HEADER, rg_ord, col_ord),
-        )
-        h = read_page_header(np.frombuffer(hdr_pt, np.uint8), 0)
-        body_pt, _ = pcrypt.decrypt_module(
-            key, f.raw, end,
-            pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE, rg_ord, col_ord),
-        )
-        body = np.frombuffer(body_pt, np.uint8)
-    if h.type != 2:
-        return None
-    if codec is not None:
-        body = np.frombuffer(
-            codec.decompress(body.tobytes(), h.uncompressed_size), np.uint8
-        )
-    vals = _decode_plain(body, h.num_values, leaf.ptype, leaf.type_length)
     if leaf.ptype == "BYTE_ARRAY":
         offsets, data = vals
-        arr = pa.Array.from_buffers(
+        return pa.Array.from_buffers(
             pa.large_binary(), h.num_values,
             [None, pa.py_buffer(np.ascontiguousarray(offsets, np.int64)),
              pa.py_buffer(np.ascontiguousarray(data))],
         )
-        return arr
     if leaf.ptype == "FIXED_LEN_BYTE_ARRAY":
         v = np.ascontiguousarray(vals, np.uint8)
         return pa.Array.from_buffers(
@@ -906,17 +921,18 @@ _FILE_CACHE: dict = {}
 def _open_cached(path: str, decryption) -> "EncryptedFile":
     """Per-process EncryptedFile reuse: pipeline.read_parquet_filtered plans
     one task per (file, row group), and Ray's long-lived workers would
-    otherwise re-parse the same footer once per row group. Keyed on file
-    mtime so rewrites invalidate; the mmap is read-only and shares pages
-    across tasks. Bounded (reset at 8 files) — workers touch few distinct
-    files at a time."""
+    otherwise re-parse the same footer once per row group. Keyed on the
+    file's identity (inode, size, mtime) so rewrites invalidate; the mmap is
+    read-only and shares pages across tasks. Bounded (reset at 8 files) —
+    workers touch few distinct files at a time."""
     import os as _os
 
     try:
-        mt = _os.path.getmtime(path)
+        st = _os.stat(path)
+        ident = (st.st_ino, st.st_size, st.st_mtime_ns)
     except OSError:
-        mt = None
-    key = (path, mt, id(decryption) if decryption is not None else None)
+        ident = None
+    key = (path, ident, id(decryption) if decryption is not None else None)
     f = _FILE_CACHE.get(key)
     if f is None:
         if len(_FILE_CACHE) >= 8:
@@ -949,7 +965,9 @@ def read_table_filtered(
     RowRanges calculus (And intersects, Or unions per-branch intervals);
     the exact filter runs after decode. Predicate columns excluded from
     ``columns`` are decoded for the mask and dropped from the result.
-    Flat predicate columns; plaintext or encrypted files."""
+    Flat predicate columns; plaintext or encrypted files. ``predicate=None``
+    prunes nothing and decodes every selected chunk whole: the
+    conformance and encrypted reads."""
     from . import predicate as P
 
     tree = P.normalize(predicate)
@@ -1141,26 +1159,11 @@ def read_table_filtered(
             continue
         cols = []
         for field in dec_schema:
-            if pa.types.is_nested(field.type):
-                # nested SELECTED columns (predicates stay flat): decode the
-                # whole chunk set via the general assembler, slice record
-                # intervals — page skipping still applies to the flat
-                # predicate columns driving `intervals`
-                from .parquet_compat import assemble_tree
-
-                triples = [
-                    f.decode_leaf(rg_ord, i, raw_levels=True)
-                    for i, leaf in enumerate(f.leaves)
-                    if leaf.path[0] == field.name
-                ]
-                arr = assemble_tree(field, triples)
-                picked = pa.concat_arrays(
-                    [arr.slice(a, b - a) for a, b in intervals]
-                )
-                cols.append(picked)
-                continue
-            ci = leaf_ord[field.name]
-            parsed = idx_cache.get(field.name) or _parse_index(f, rg_ord, ci)
+            nested = pa.types.is_nested(field.type)
+            parsed = None
+            if tree is not None and not nested:
+                ci = leaf_ord[field.name]
+                parsed = idx_cache.get(field.name) or _parse_index(f, rg_ord, ci)
             if parsed is not None:
                 # PARQUET-246: pre-1.8 parquet-mr DELTA_BYTE_ARRAY pages
                 # share prefix state — page-selected decode would be garbage;
@@ -1171,12 +1174,25 @@ def read_table_filtered(
                 if 7 in encs and requires_sequential_reads(f.created_by, 7):
                     parsed = None
             if parsed is None:
-                r = f.decode_leaf(rg_ord, ci)
-                arr = assemble_flat(r, field.type)
-                picked = pa.concat_arrays(
-                    [arr.slice(a, b - a).combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr.slice(a, b - a) for a, b in intervals]
-                )
-                cols.append(picked)
+                # whole chunks: every column without a predicate, nested
+                # SELECTED columns (predicates stay flat; page skipping still
+                # applies to the flat predicate columns driving
+                # `intervals`), and chunks without a page index
+                if nested:
+                    arr = assemble_tree(field, [
+                        f.decode_leaf(rg_ord, i, raw_levels=True)
+                        for i, leaf in enumerate(f.leaves)
+                        if leaf.path[0] == field.name
+                    ])
+                else:
+                    arr = assemble_flat(
+                        f.decode_leaf(rg_ord, leaf_ord[field.name]), field.type
+                    )
+                if tree is not None:
+                    if isinstance(arr, pa.ChunkedArray):
+                        arr = arr.combine_chunks()
+                    arr = pa.concat_arrays([arr.slice(a, b - a) for a, b in intervals])
+                cols.append(arr)
                 continue
             _, oidx = parsed
             locs = oidx.get(1, [])
@@ -1212,105 +1228,33 @@ def read_table_filtered(
     return table
 
 
-def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t):
+def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t,
+                           check_crc=True):
     """Decode only the selected data pages of one flat chunk (dictionary
     page always decoded first when present)."""
-    from .parquet_compat import _decode_page_stream
-
     leaf = f.leaves[col_ord]
     md = f.chunk_meta(rg_ord, col_ord)
-    codec = _resolve_codec(md.get(4, 0))
-    key = f._chunk_key(rg_ord, col_ord)
-    dict_off = md.get(11)
-    has_dict = dict_off is not None and dict_off >= 0
-    if not has_dict and key is None:
+    pages = []
+    dict_off = md.get(11) or 0
+    if dict_off > 0:
+        pages.append(f.read_page(rg_ord, col_ord, dict_off, None, check_crc)[:2])
+    elif f._chunk_key(rg_ord, col_ord) is None and {2, 8} & set(md.get(2) or []):
         # parquet-mr quirk: dictionary_page_offset is often unset even for
         # dictionary-encoded chunks — the dict page sits at data_page_offset
         # and the OffsetIndex lists only data pages (ParquetMetadataConverter
-        # keeps the field optional). Peek the header at the chunk start and
+        # keeps the field optional). Read the page at the chunk start and
         # claim it as the dictionary when its type says so.
-        encodings = md.get(2) or []
-        if 2 in encodings or 8 in encodings:  # PLAIN_DICTIONARY / RLE_DICTIONARY
-            start = md.get(9)
-            if start is not None and start >= 0:
-                h0 = read_page_header(
-                    np.frombuffer(f.raw[start : start + 65536], np.uint8), 0
-                )
-                if h0.type == 2:
-                    dict_off = start
-                    has_dict = True
-
-    def pages():
-        if has_dict:
-            pos = dict_off
-            if key is None:
-                h = read_page_header(np.frombuffer(f.raw[pos : pos + 65536], np.uint8), 0)
-                body = np.frombuffer(
-                    f.raw[pos + h.header_len : pos + h.header_len + h.compressed_size],
-                    np.uint8,
-                )
-                h.crc = None
-                yield h, body
-            else:
-                hdr_pt, end = pcrypt.decrypt_module(
-                    key, f.raw, pos,
-                    pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE_HEADER,
-                                      rg_ord, col_ord),
-                )
-                h = read_page_header(np.frombuffer(hdr_pt, np.uint8), 0)
-                body_pt, _ = pcrypt.decrypt_module(
-                    key, f.raw, end,
-                    pcrypt.module_aad(f.file_aad, pcrypt.M_DICT_PAGE,
-                                      rg_ord, col_ord),
-                )
-                h.crc = None
-                yield h, np.frombuffer(body_pt, np.uint8)
-        for p in page_sel:
-            pos = locs[p][1]
-            if key is None:
-                h = read_page_header(
-                    np.frombuffer(f.raw[pos : pos + 65536], np.uint8), 0
-                )
-                body = np.frombuffer(
-                    f.raw[pos + h.header_len : pos + h.header_len + h.compressed_size],
-                    np.uint8,
-                )
-                h.crc = None
-                yield h, body
-            else:
-                hdr_pt, end = pcrypt.decrypt_module(
-                    key, f.raw, pos,
-                    pcrypt.module_aad(f.file_aad, pcrypt.M_DATA_PAGE_HEADER,
-                                      rg_ord, col_ord, p),
-                )
-                h = read_page_header(np.frombuffer(hdr_pt, np.uint8), 0)
-                if h.type == 3:
-                    lv = h.v2_rep_bytes + h.v2_def_bytes
-                    levels = f.raw[end : end + lv]
-                    vals_pt, _ = pcrypt.decrypt_module(
-                        key, f.raw, end + lv,
-                        pcrypt.module_aad(f.file_aad, pcrypt.M_DATA_PAGE,
-                                          rg_ord, col_ord, p),
-                    )
-                    body = np.concatenate(
-                        [np.frombuffer(levels, np.uint8),
-                         np.frombuffer(vals_pt, np.uint8)]
-                    )
-                else:
-                    body_pt, _ = pcrypt.decrypt_module(
-                        key, f.raw, end,
-                        pcrypt.module_aad(f.file_aad, pcrypt.M_DATA_PAGE,
-                                          rg_ord, col_ord, p),
-                    )
-                    body = np.frombuffer(body_pt, np.uint8)
-                h.crc = None
-                yield h, body
-
+        h, body, _ = f.read_page(rg_ord, col_ord, md[9], None, check_crc)
+        if h.type == DICTIONARY_PAGE:
+            pages.append((h, body))
+    pages += [
+        f.read_page(rg_ord, col_ord, locs[p][1], p, check_crc)[:2] for p in page_sel
+    ]
     # num_values budget: selected page value counts are unknown before the
-    # headers are read; pass a large bound — the iterator is finite
+    # headers are read; pass a large bound — the page list is finite
     r = _decode_page_stream(
-        pages(), 1 << 62, f.leaves[col_ord].max_rep, f.leaves[col_ord].max_def,
-        leaf.ptype, leaf.type_length, codec,
+        pages, 1 << 62, leaf.max_rep, leaf.max_def, leaf.ptype,
+        leaf.type_length, _resolve_codec(md.get(4, 0)),
     )
     return assemble_flat(r, arrow_t)
 
@@ -1327,7 +1271,7 @@ def read_bloom_filter(f: "EncryptedFile", rg_ord: int, col_ord: int):
         return None
     key = f._chunk_key(rg_ord, col_ord)
     if key is None:
-        hdr, end = _read_struct_full(f.raw, off)
+        hdr, end = _read_struct(f.raw, off)
         num_bytes = hdr[1]
         bitset = f.raw[end : end + num_bytes]
     else:
@@ -1335,7 +1279,7 @@ def read_bloom_filter(f: "EncryptedFile", rg_ord: int, col_ord: int):
             key, f.raw, off,
             pcrypt.module_aad(f.file_aad, pcrypt.M_BLOOM_HEADER, rg_ord, col_ord),
         )
-        hdr, _ = _read_struct_full(hdr_pt, 0)
+        hdr, _ = _read_struct(hdr_pt, 0)
         num_bytes = hdr[1]
         bitset, _ = pcrypt.decrypt_module(
             key, f.raw, end,
@@ -1356,9 +1300,7 @@ def bloom_might_contain(
     from .bloom import spec_value_hash
 
     f = EncryptedFile(path, decryption)
-    col_ord = next(
-        i for i, leaf in enumerate(f.leaves) if leaf.dotted == column
-    )
+    col_ord = f.leaf_index(column)
     ptype = f.leaves[col_ord].ptype
     h = spec_value_hash(value, "INT64" if ptype == "INT96" else ptype)
     out = []
@@ -1373,39 +1315,10 @@ def read_table_encrypted(
     decryption: FileDecryption | None = None,
     row_groups: list[int] | None = None,
 ) -> pa.Table:
-    """Decode a (possibly encrypted) parquet file — flat and one-level-list
-    columns — using rayenc decoders and our own footer parser; pass
+    """Decode a (possibly encrypted) parquet file with rayenc decoders; pass
     ``row_groups`` to read a subset (e.g. after bloom-filter skipping). The
-    encrypted counterpart of parquet_compat.read_table_conformance."""
-    f = EncryptedFile(path, decryption)
-    schema = f.arrow_schema()
-    leaf_by_root: dict[str, int] = {}
-    for ord_, leaf in enumerate(f.leaves):
-        leaf_by_root.setdefault(leaf.path[0], ord_)
-    parts = []
-    for rg_ord in row_groups if row_groups is not None else range(len(f.row_groups)):
-        cols = []
-        for field in schema:
-            t = field.type
-            col_ord = leaf_by_root[field.name]
-            if pa.types.is_nested(t):
-                # any nesting shape through the general Dremel assembler,
-                # fed by the decrypting leaf decoder
-                from .parquet_compat import assemble_tree
-
-                triples = [
-                    f.decode_leaf(rg_ord, i, raw_levels=True)
-                    for i, leaf in enumerate(f.leaves)
-                    if leaf.path[0] == field.name
-                ]
-                cols.append(assemble_tree(field, triples))
-                continue
-            r = f.decode_leaf(rg_ord, col_ord)
-            cols.append(assemble_flat(r, t))
-        parts.append(pa.Table.from_arrays(cols, schema=schema))
-    if not parts:
-        return schema.empty_table()
-    return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+    no-predicate case of ``read_table_filtered``."""
+    return read_table_filtered(path, None, decryption=decryption, row_groups=row_groups)
 
 
 def geospatial_statistics(

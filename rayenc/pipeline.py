@@ -1165,9 +1165,11 @@ def read_parquet_evolved(
     (Kleene null verdicts drop the rows) instead of erroring."""
     from . import predicate as P
 
+    from .parquet_read_enc import _open_cached
+
     tree = P.normalize(predicate) if predicate is not None else None
     uni_full = parquet_compat.union_schemas(
-        [pq.ParquetFile(p).schema_arrow for p in sorted(paths)], strict
+        [_open_cached(p, None).arrow_schema() for p in sorted(paths)], strict
     )
     uni = uni_full
     if columns is not None:
@@ -1199,7 +1201,7 @@ def read_parquet_evolved(
                     schema,
                 )
                 continue
-            avail = {f.name for f in pq.ParquetFile(str(p)).schema_arrow}
+            avail = set(_open_cached(str(p), None).arrow_schema().names)
             if all(c in avail for c in pred_cols):
                 t = read_table_filtered(
                     str(p), tree,

@@ -305,13 +305,13 @@ def _stash_chunk_extras(f, cc: dict, md: dict, shift: int) -> None:
     (ColumnChunk fields 4..7). The ColumnIndex bytes copy verbatim (bounds
     are layout-independent); OffsetIndex page offsets rebase by ``shift``
     because the pages themselves moved exactly that far."""
-    from .parquet_read_enc import _read_struct_full
+    from .parquet_compat import _read_struct
 
     if 14 in md:
         md["_bloom"] = bytes(f.raw[md[14] : md[14] + md.get(15, 0)])
     if 6 in cc and 4 in cc:
         ci_raw = bytes(f.raw[cc[6] : cc[6] + cc[7]])
-        oidx = _read_struct_full(f.raw[cc[4] : cc[4] + cc[5]], 0)[0]
+        oidx = _read_struct(f.raw[cc[4] : cc[4] + cc[5]], 0)[0]
         locs = [
             (loc[1] + shift, loc[2], loc[3]) for loc in oidx.get(1, [])
         ]
@@ -613,7 +613,8 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
     import pyarrow as pa
 
     from . import selector as sel
-    from .parquet_read_enc import EncryptedFile, _read_struct_full
+    from .parquet_compat import _read_struct
+    from .parquet_read_enc import EncryptedFile
     from .parquet_write import (
         _W,
         _Column,
@@ -675,7 +676,7 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
                 )
             mw = _W()
             _emit_column_meta_fields(mw, meta)
-            md, _ = _read_struct_full(mw.stop(), 0)
+            md, _ = _read_struct(mw.stop(), 0)
             new_ccs.append(md)
         merged_rgs.append((new_ccs, rg.get(3, 0)))
     _place_chunk_extras(out, merged_rgs)
@@ -734,7 +735,6 @@ def transcompress_parquet_raw(
 
     import pyarrow as pa
 
-    from .parquet_compat import read_page_header
     from .parquet_read_enc import EncryptedFile
     from .parquet_write import (
         _W,
@@ -770,17 +770,17 @@ def transcompress_parquet_raw(
             start = md.get(11, md[9])
             if md.get(10):
                 start = min(start, md[10])
-            raw = f.raw[start : start + md[7]]
+            chunk_end = start + md[7]
             chunk_start = len(out)
             new_dict_off = new_data_off = None
             new_pages: list = []  # (offset, header+body size) per data page
-            pos = 0
+            pos = start
             consumed = 0
             has_dict = 11 in md and md[11] is not None and md[11] >= 0
             expect_dict = has_dict
-            while consumed < md[5] and pos < len(raw):
-                h = read_page_header(raw, pos)
-                body = bytes(raw[pos + h.header_len : pos + h.header_len + h.compressed_size])
+            while consumed < md[5] and pos < chunk_end:
+                h, body, pos = f.read_page(rg_ord, ci, pos)
+                body = body.tobytes()
                 if h.type == 3:  # V2: levels stay plain, values recompress
                     lv = h.v2_rep_bytes + h.v2_def_bytes
                     vals = body[lv:]
@@ -845,7 +845,6 @@ def transcompress_parquet_raw(
                 if h.type in (0, 3):
                     consumed += h.num_values
                     new_pages.append((page_off, len(out) - page_off))
-                pos += h.header_len + h.compressed_size
             md[4] = new_codec_id
             md[7] = len(out) - chunk_start
             md[9] = new_data_off if new_data_off is not None else chunk_start

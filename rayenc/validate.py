@@ -6,8 +6,10 @@ check the written ColumnIndex/OffsetIndex against the actual page contents
 — null_pages flags, per-page null counts, bound containment in the column's
 comparator domain (unsigned ints, IEEE half floats, bytewise strings with
 truncate/increment uppers), and that a declared ASCENDING/DESCENDING
-boundary_order is actually monotone. Returns human-readable violations
-instead of throwing, so the CLI can report all of them at once.
+boundary_order is actually monotone. A page whose CRC does not match is
+reported as a violation and its contents are still checked. Returns
+human-readable violations instead of throwing, so the CLI can report all of
+them at once.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ import pyarrow.compute as pc
 from .parquet_read_enc import (
     EncryptedFile,
     FileDecryption,
+    PageCrcError,
     _bounds_fmt,
     _decode_selected_pages,
     _parse_index,
 )
-
-
-def _page_values(f: EncryptedFile, rg: int, ci: int, locs, p: int, arrow_t):
-    """Arrow array of ONE data page's values (nulls included)."""
-    return _decode_selected_pages(f, rg, ci, locs, [p], arrow_t)
 
 
 def _actual_bounds(arr: pa.Array, leaf):
@@ -95,7 +93,14 @@ def validate_column_index(
                 continue
             written = []
             for p in range(len(locs)):
-                arr = _page_values(f, rg, ci, locs, p, arrow_t)
+                try:
+                    arr = _decode_selected_pages(f, rg, ci, locs, [p], arrow_t)
+                except PageCrcError as ex:
+                    # report it, then still check what the page holds
+                    issues.append(f"{where} page {p}: {ex}")
+                    arr = _decode_selected_pages(
+                        f, rg, ci, locs, [p], arrow_t, check_crc=False
+                    )
                 if isinstance(arr, pa.ChunkedArray):
                     arr = arr.combine_chunks()
                 defined = len(arr) - arr.null_count

@@ -3,6 +3,8 @@
 bitset serialization referenced from ColumnMetaData, and read-side probing —
 plain and encrypted (modules 8/9)."""
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -171,6 +173,37 @@ def test_cli_show_dictionary(tmp_path, capsys):
     cli.cmd_show_dictionary(A())
     out = capsys.readouterr().out
     assert "dictionary entries" in out and "'A'" in out and "'R'" in out
+
+
+def test_cli_page_commands_same_output_encrypted(tmp_path, capsys):
+    """show-dictionary and show-column-index read pages and page indexes
+    through the shared decrypting readers: an encrypted copy of a file
+    prints the same dictionary and the same index bounds."""
+    from rayenc import cli
+    from rayenc.parquet_crypto import FileEncryption
+
+    t = pq.read_table(f"{SF}/lineitem.parquet").slice(0, 3000)
+    key = bytes(range(16))
+    outs = []
+    for name, enc in (("p", None), ("e", FileEncryption(footer_key=key))):
+        path = str(tmp_path / f"{name}.parquet")
+        parquet_write.write_table(
+            t, path, EncodeConfig(page_rows=1000), encryption=enc
+        )
+
+        class A:
+            file = path
+            column = "l_returnflag"
+            key = None if enc is None else bytes(range(16)).hex()
+            n = 10
+
+        cli.cmd_show_dictionary(A())
+        A.column = "l_orderkey"
+        cli.cmd_show_column_index(A())
+        # page offsets differ (module framing); the rest must not
+        outs.append(re.sub(r"offset=\d+ size=\d+", "", capsys.readouterr().out))
+    assert "3 dictionary entries" in outs[0] and "3 pages" in outs[0]
+    assert outs[0] == outs[1]
 
 
 # --------------------------------- adaptive sizing (candidate elimination)

@@ -12,10 +12,23 @@ import pytest
 
 from rayenc import parquet_write
 from rayenc.parquet_compat import read_table_conformance
+from rayenc.parquet_read_enc import read_table_filtered
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bitflip_never_silently_wrong(seed):
+def _read_all_filtered(path):
+    # an all-rows predicate: row groups and pages go through stats and
+    # ColumnIndex pruning, and the selected pages through the page reader
+    return read_table_filtered(path, [("a", ">=", 0)])
+
+
+# the conformance read keeps the bare seed ids it has always had
+@pytest.mark.parametrize(
+    "seed,read",
+    [(s, read_table_conformance) for s in (0, 1, 2)]
+    + [(s, _read_all_filtered) for s in (0, 1, 2)],
+    ids=["0", "1", "2", "filtered-0", "filtered-1", "filtered-2"],
+)
+def test_bitflip_never_silently_wrong(seed, read):
     rng = np.random.default_rng(seed)
     t = pa.table(
         {
@@ -33,7 +46,7 @@ def test_bitflip_never_silently_wrong(seed):
         p2 = tempfile.mktemp(suffix=".parquet", dir="/tmp")
         open(p2, "wb").write(bytes(b))
         try:
-            got = read_table_conformance(p2)
+            got = read(p2)
         except Exception:
             raised += 1
             continue

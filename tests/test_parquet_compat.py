@@ -317,6 +317,10 @@ def test_read_table_conformance_all_tables():
     d = "/root/testdata/sf0.001"
     import os
 
+    import pyarrow.compute  # noqa: F401
+
+    from rayenc.parquet_read_enc import read_table_encrypted, read_table_filtered
+
     for name in [
         "region", "nation", "customer", "supplier", "part",
         "orders", "lineitem", "events", "documents", "embeddings",
@@ -328,6 +332,20 @@ def test_read_table_conformance_all_tables():
             assert got.column(c).combine_chunks().equals(
                 want.column(c).combine_chunks()
             ), (name, c)
+        # the encrypted and filtered entry points share the body, and the
+        # schema comes from the footer: timestamp units follow the leaf,
+        # not the writer's ARROW:schema (sf0.001 stores timestamp[s]/[ns]
+        # there over microsecond pages)
+        first_int = next(
+            f.name for f in want.schema if pa.types.is_integer(f.type)
+        )
+        lo = pa.compute.min(want.column(first_int)).as_py()
+        for read in (
+            parquet_compat.read_table_conformance,
+            read_table_encrypted,
+            lambda p: read_table_filtered(p, [(first_int, ">=", lo)]),
+        ):
+            assert read(p).equals(want), (name, read)
 
 
 def test_struct_column_conformance():
@@ -826,3 +844,72 @@ def test_empty_table_and_zero_row_row_groups(tmp_path):
     assert pq.ParquetFile(p2).metadata.num_row_groups == 2
     got2 = parquet_compat.read_table_conformance(p2)
     assert got2.num_rows == 1 and got2["a"].to_pylist() == [1]
+
+
+def test_thrift_parser_raises_value_error_on_bad_input():
+    """The one compact-protocol parser is total: truncated page headers and
+    footers, and unknown field types, raise ValueError — never IndexError
+    or NotImplementedError."""
+    import struct
+
+    from rayenc import parquet_write
+    from rayenc.parquet_compat import _read_struct, read_page_header
+    from rayenc.parquet_read_enc import EncryptedFile
+
+    path = tempfile.mktemp(suffix=".parquet")
+    parquet_write.write_table(pa.table({"v": pa.array(np.arange(100))}), path)
+    raw = open(path, "rb").read()
+    h = read_page_header(raw, 4)
+    for cut in range(h.header_len):
+        with pytest.raises(ValueError):
+            read_page_header(raw[4 : 4 + cut], 0)
+    with pytest.raises(ValueError, match="unknown thrift compact type"):
+        _read_struct(bytes([0x1D, 0x00]), 0)  # field 1 of type 13
+    # a truncated footer: the length word claims fewer bytes than the
+    # FileMetaData struct spans
+    (flen,) = struct.unpack("<i", raw[-8:-4])
+    start = len(raw) - 8 - flen
+    for keep in (1, flen // 2, flen - 1):
+        bad = tempfile.mktemp(suffix=".parquet")
+        open(bad, "wb").write(raw[: start + keep] + struct.pack("<i", keep) + b"PAR1")
+        with pytest.raises(ValueError):
+            EncryptedFile(bad)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"store_schema": False},
+     {"store_schema": False, "use_compliant_nested_type": False}],
+    ids=["arrow-schema", "no-arrow-schema", "legacy-list-names"],
+)
+def test_footer_schema_matches_pyarrow(tmp_path, kw):
+    """The Arrow schema comes from the footer alone: nesting and
+    nullability from the Parquet schema, types from ARROW:schema when
+    stored, timestamp units from the leaf with the stored time zone kept."""
+    import datetime
+    import decimal
+
+    from rayenc.parquet_read_enc import EncryptedFile
+
+    t = pa.table({
+        "u32": pa.array([1, None], pa.uint32()),
+        "ts_s": pa.array([1, 2], pa.timestamp("s")),
+        "ts_tz": pa.array([1, 2], pa.timestamp("s", tz="America/New_York")),
+        "ts_ns": pa.array([1000, 2000], pa.timestamp("ns")),
+        "dec": pa.array([decimal.Decimal("1.23"), None], pa.decimal128(5, 2)),
+        "l": pa.array([[1, None], None], pa.list_(pa.int32())),
+        "ll": pa.array([[[1], [2, 3]], []], pa.list_(pa.list_(pa.int64()))),
+        "m": pa.array([[("k", 1)], None], pa.map_(pa.string(), pa.int32())),
+        "st": pa.array(
+            [{"x": 1, "t": datetime.datetime(2020, 1, 1)}, None],
+            pa.struct([("x", pa.int64()), ("t", pa.timestamp("us"))]),
+        ),
+    })
+    path = str(tmp_path / "s.parquet")
+    pq.write_table(t, path, **kw)
+    want = pq.ParquetFile(path).schema_arrow
+    got = EncryptedFile(path).arrow_schema()
+    assert [f.name for f in got] == want.names
+    for g, w in zip(got, want):
+        assert g.equals(w), (g, w)
+    assert parquet_compat.read_table_conformance(path).equals(pq.read_table(path))

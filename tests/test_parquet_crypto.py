@@ -637,10 +637,22 @@ def test_gcm_ctr_our_roundtrip(tmp_path):
             algorithm="AES_GCM_CTR_V1",
         ),
     )
-    got = read_table_encrypted(
-        path, FileDecryption(footer_key=FK, column_keys={"o_orderpriority": CK})
-    )
+    dec = FileDecryption(footer_key=FK, column_keys={"o_orderpriority": CK})
+    got = read_table_encrypted(path, dec)
     assert got.cast(t.schema).equals(t)
+    # filtered reads decrypt page-index-selected pages and dictionary pages
+    # through the same page reader: CTR bodies there too
+    import pyarrow.compute as pc
+
+    from rayenc.parquet_read_enc import read_table_filtered
+
+    k = t.column("o_orderkey")[1000].as_py()
+    got = read_table_filtered(path, [("o_orderkey", ">=", k)], decryption=dec)
+    assert got.equals(t.filter(pc.greater_equal(t["o_orderkey"], k)))
+    got = read_table_filtered(
+        path, [("o_orderpriority", "==", "1-URGENT")], decryption=dec
+    )
+    assert got.equals(t.filter(pc.equal(t["o_orderpriority"], "1-URGENT")))
     # wrong footer key still fails loudly (footer module stays GCM)
     with pytest.raises(Exception):
         read_table_encrypted(path, FileDecryption(footer_key=b"X" * 16))
