@@ -69,6 +69,17 @@ def _resolve_codec(codec_id: int):
     return codec_for_id(codec_id)
 
 
+def chunk_range(md: dict) -> tuple[int, int]:
+    """(start, end) file offsets of one column chunk's pages, from its
+    ColumnMetaData dict: the chunk starts at the dictionary page when it
+    has one, else at the first data page
+    (ParquetMetadataConverter.getOffset). Offset 0 holds the magic, so a
+    dictionary_page_offset of 0 means "no dictionary"."""
+    d = md.get(11) or 0
+    start = d if 0 < d < md[9] else md[9]
+    return start, start + md[7]
+
+
 _PTYPE_NAME = {
     0: "BOOLEAN", 1: "INT32", 2: "INT64", 3: "INT96",
     4: "FLOAT", 5: "DOUBLE", 6: "BYTE_ARRAY", 7: "FIXED_LEN_BYTE_ARRAY",
@@ -670,11 +681,8 @@ class EncryptedFile:
 
     def _chunk_pages(self, rg_ord: int, col_ord: int, md: dict):
         """Yield (PageHeader, body) for every page of one chunk in order."""
-        # offset 0 holds the magic: writers that store 0 mean "no dictionary"
-        dict_off = md.get(11) or 0
-        pos = dict_off if dict_off > 0 else md[9]
-        end = pos + md[7]
-        expect_dict = pos == dict_off
+        pos, end = chunk_range(md)
+        expect_dict = pos == md.get(11)
         data_ord = 0
         remaining = md[5]
         while remaining > 0 and pos < end:
@@ -848,21 +856,6 @@ def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
     return pa.array(np.asarray(vals))
 
 
-def _intersect_intervals(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def _matching_pages(node, bounds, boundary_order: int) -> list[int]:
     """Page ordinals whose bounds may satisfy one predicate leaf.
 
@@ -969,6 +962,7 @@ def read_table_filtered(
     prunes nothing and decodes every selected chunk whole: the
     conformance and encrypted reads."""
     from . import predicate as P
+    from .blocks import _intersect_intervals, _merge_intervals
 
     tree = P.normalize(predicate)
     f = _open_cached(path, decryption)
@@ -1098,8 +1092,6 @@ def read_table_filtered(
         return fn
 
     def page_intervals(node, rg_ord, rg_rows, idx_cache):
-        from .blocks import _merge_intervals
-
         if isinstance(node, P.And):
             iv = [(0, rg_rows)]
             for k in node.preds:
@@ -1367,11 +1359,7 @@ def plan_byte_splits(
     out: dict[int, list[int]] = {}
     for rg_ord in range(len(f.row_groups)):
         ncols = len(f.row_groups[rg_ord][1])
-        md0 = f.chunk_meta(rg_ord, 0)
-        start = md0.get(9, 0)
-        dict_off = md0.get(11)
-        if dict_off and 0 < dict_off < start:
-            start = dict_off
+        start = chunk_range(f.chunk_meta(rg_ord, 0))[0]
         total = sum(
             f.chunk_meta(rg_ord, c).get(7, 0) for c in range(ncols)
         )

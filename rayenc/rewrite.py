@@ -1,22 +1,34 @@
-"""Container rewriter: prune / mask / re-compress / re-encode without a full
-decode-encode round trip.
+"""Rewriters: change a container or a Parquet file without a full
+decode-encode round trip (`parquet-hadoop/.../rewrite/ParquetRewriter.java:99-127`).
 
-Mirrors `parquet-hadoop/.../rewrite/ParquetRewriter.java:99-127` (the
-reference's own read->transform->write pipeline): untouched column chunks are
-stitched into the new blob as raw bytes (no value re-encode, like the
-rewriter's row-group stitching), pages are re-compressed when the codec
-changes (`ParquetRewriter.java:845`), and masked columns are decoded,
-transformed and re-encoded through the normal selector.
+Container (``rewrite_partition`` / ``rewrite_job``): untouched column chunks
+are stitched into the new blob as raw bytes, pages are re-compressed when
+the codec changes (`ParquetRewriter.java:845`), and masked columns are
+decoded, transformed and re-encoded through the normal selector. Runs as a
+Ray Data job over partitions (one task per blob), same resume/atomic-write
+discipline as the encode job.
 
-Runs as a Ray Data job over partitions (one task per blob), same
-resume/atomic-write discipline as the encode job.
+Parquet files: merge, prune, mask, rename and trans-compression are one
+chunk-stitch body, ``_stitch``. It walks (row group, kept column) of the
+plaintext input(s); each chunk is copied verbatim with its offsets shifted,
+or handed to the operation's per-chunk function (mask re-encodes hashed
+values, trans-compression recompresses page by page). Bloom filters and page
+indexes are placed once after the last row group. The footer is the
+source's own FileMetaData dict with the operation's edits, re-emitted
+through one thrift compact spec (``_FILE_META``, ``_thrift``), so the
+schema, key-value metadata and created_by of the input are kept exactly.
+``merge_parquet`` / ``reencrypt_parquet`` instead decode and re-write
+through ``parquet_write`` (any encryption state).
 """
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import os
+import zlib
+from itertools import takewhile
 
 import numpy as np
 import pyarrow as pa
@@ -24,9 +36,26 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from . import blocks
+from . import blocks, parquet_write
 from .codecs import dictionary as dict_codec
-from .schema import PhysicalColumn
+from .parquet_compat import DATA_PAGE_V2, DICTIONARY_PAGE, _read_struct, assemble_flat
+from .parquet_read_enc import (
+    EncryptedFile,
+    _name,
+    _resolve_codec,
+    chunk_range,
+    read_table_encrypted,
+)
+from .parquet_write import (
+    _W,
+    _Column,
+    _emit_column_meta_fields,
+    _encode_column_pages,
+    _page_codec,
+    _wvarint,
+    _zigzag,
+)
+from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
 
 
@@ -230,27 +259,6 @@ def rewrite_job(
     return ds.map_batches(do, batch_size=1, concurrency=min(concurrency, len(manifests)), num_cpus=1)
 
 
-def reencrypt_parquet(
-    path_in: str,
-    path_out: str,
-    decryption=None,
-    encryption=None,
-    config=None,
-):
-    """Single-file (re-)encryption rewrite: decode ``path_in`` (plaintext or
-    modular-encrypted, with ``decryption`` keys) through our readers and
-    re-write with ``encryption`` (None -> decrypt to plaintext) — the
-    ParquetRewriter re-encryption path
-    (`rewrite/ParquetRewriter.java:127` masks/keys swap). Row-group count
-    collapses to one (values are re-encoded, not page-copied)."""
-    from . import parquet_write
-    from .parquet_read_enc import read_table_encrypted
-
-    table = read_table_encrypted(path_in, decryption)
-    parquet_write.write_table(table, path_out, config, encryption=encryption)
-    return path_out
-
-
 def merge_parquet(
     paths_in: list[str],
     path_out: str,
@@ -263,9 +271,6 @@ def merge_parquet(
     (`rewrite/ParquetRewriter.java:99-127`). Inputs may be plaintext or
     modular-encrypted (``decryption``); the output re-encodes through our
     writers and can re-encrypt (``encryption``)."""
-    from . import parquet_write
-    from .parquet_read_enc import read_table_encrypted
-
     tables = [read_table_encrypted(p, decryption) for p in paths_in]
     schema = tables[0].schema
     tables = [t.cast(schema) for t in tables]
@@ -273,335 +278,297 @@ def merge_parquet(
     return path_out
 
 
-# ---------------------- zero-re-encode parquet merge (raw chunk stitching)
+def reencrypt_parquet(
+    path_in: str,
+    path_out: str,
+    decryption=None,
+    encryption=None,
+    config=None,
+):
+    """Single-file (re-)encryption rewrite: a one-input ``merge_parquet``
+    that decodes ``path_in`` (plaintext or modular-encrypted, with
+    ``decryption`` keys) and re-writes it with ``encryption`` (None ->
+    decrypt to plaintext) — the ParquetRewriter re-encryption path
+    (`rewrite/ParquetRewriter.java:127` masks/keys swap). Row-group count
+    collapses to one (values are re-encoded, not page-copied)."""
+    return merge_parquet([path_in], path_out, decryption, encryption, config)
 
-# thrift compact field types of ColumnMetaData (parquet.thrift), used to
-# re-emit a parsed {fid: value} dict byte-compatibly. ("i32"/"i64" differ
-# only in the type nibble; values are zigzag varints either way.)
-_STATISTICS_SPEC = {1: "bin", 2: "bin", 3: "i64", 4: "i64", 5: "bin",
-                    6: "bin", 7: "bool", 8: "bool"}
-_PAGE_ENC_SPEC = {1: "i32", 2: "i32", 3: "i32"}
-_SIZE_STATS_SPEC = {1: "i64", 2: ("list", "i64"), 3: ("list", "i64")}
-_BBOX_SPEC = {i: "dbl" for i in range(1, 9)}
-_GEO_SPEC = {1: ("struct", _BBOX_SPEC), 2: ("list", "i32")}
-_COLUMN_META_SPEC = {
-    1: "i32", 2: ("list", "i32"), 3: ("list", "bin"), 4: "i32", 5: "i64",
-    6: "i64", 7: "i64", 9: "i64", 10: "i64", 11: "i64",
-    12: ("struct", _STATISTICS_SPEC),
-    13: ("list", ("struct", _PAGE_ENC_SPEC)),
-    14: "i64", 15: "i32",
-    16: ("struct", _SIZE_STATS_SPEC),
-    17: ("struct", _GEO_SPEC),
+
+# ------------------------------ raw Parquet rewrites (verbatim chunk stitch)
+
+# The plaintext footer structs of parquet.thrift as {field id: type} specs,
+# so a FileMetaData dict parsed by parquet_compat._read_struct re-emits byte
+# for byte through _thrift: a dict is a struct (a union is a struct with one
+# member set), a one-element list is a list of that element type. Fields a
+# spec does not name are dropped.
+_EMPTY: dict = {}
+_KEY_VALUE = {1: "bin", 2: "bin"}
+_TIMESTAMP = {1: "bool", 2: {1: _EMPTY, 2: _EMPTY, 3: _EMPTY}}  # TIME too
+_LOGICAL_TYPE = {
+    1: _EMPTY, 2: _EMPTY, 3: _EMPTY, 4: _EMPTY, 5: {1: "i32", 2: "i32"},
+    6: _EMPTY, 7: _TIMESTAMP, 8: _TIMESTAMP, 10: {1: "i8", 2: "bool"},
+    11: _EMPTY, 12: _EMPTY, 13: _EMPTY, 14: _EMPTY, 15: _EMPTY,
+    16: {1: "i8"}, 17: {1: "bin"}, 18: {1: "bin", 2: "i32"},
 }
-# ColumnMetaData fields holding absolute file offsets to shift on copy
-_CM_OFFSET_FIELDS = (9, 10, 11)  # bloom (14) is outside the chunk byte
-# range: its bytes must be stashed and re-placed, never offset-shifted
+_SCHEMA_ELEMENT = {
+    1: "i32", 2: "i32", 3: "i32", 4: "bin", 5: "i32", 6: "i32", 7: "i32",
+    8: "i32", 9: "i32", 10: _LOGICAL_TYPE,
+}
+_STATISTICS = {
+    1: "bin", 2: "bin", 3: "i64", 4: "i64", 5: "bin", 6: "bin", 7: "bool",
+    8: "bool",
+}
+_COLUMN_META = {
+    1: "i32", 2: ["i32"], 3: ["bin"], 4: "i32", 5: "i64", 6: "i64", 7: "i64",
+    8: [_KEY_VALUE], 9: "i64", 10: "i64", 11: "i64", 12: _STATISTICS,
+    13: [{1: "i32", 2: "i32", 3: "i32"}], 14: "i64", 15: "i32",
+    16: {1: "i64", 2: ["i64"], 3: ["i64"]},
+    17: {1: {i: "dbl" for i in range(1, 9)}, 2: ["i32"]},
+}
+_COLUMN_CHUNK = {
+    1: "bin", 2: "i64", 3: _COLUMN_META, 4: "i64", 5: "i32", 6: "i64", 7: "i32",
+}
+_ROW_GROUP = {
+    1: [_COLUMN_CHUNK], 2: "i64", 3: "i64", 4: [{1: "i32", 2: "bool", 3: "bool"}],
+    5: "i64", 6: "i64", 7: "i16",
+}
+_FILE_META = {
+    1: "i32", 2: [_SCHEMA_ELEMENT], 3: "i64", 4: [_ROW_GROUP], 5: [_KEY_VALUE],
+    6: "bin", 7: [{1: _EMPTY}],
+}
+_OFFSET_INDEX = {1: [{1: "i64", 2: "i32", 3: "i64"}], 2: ["i64"]}
+_PAGE_HEADER = {
+    1: "i32", 2: "i32", 3: "i32", 4: "i32",
+    5: {1: "i32", 2: "i32", 3: "i32", 4: "i32", 5: _STATISTICS},
+    6: _EMPTY, 7: {1: "i32", 2: "i32", 3: "bool"},
+    8: {1: "i32", 2: "i32", 3: "i32", 4: "i32", 5: "i32", 6: "i32", 7: "bool",
+        8: _STATISTICS},
+}
+_COMPACT_TYPE = {"bool": 1, "i8": 3, "i16": 4, "i32": 5, "i64": 6, "dbl": 7, "bin": 8}
 
 
-def _stash_chunk_extras(f, cc: dict, md: dict, shift: int) -> None:
-    """Capture the chunk-external regions of a verbatim-copied chunk so the
-    writer can re-place them: split-block bloom bytes (ColumnMetaData
-    fields 14/15 point OUTSIDE the chunk range) and the page-index regions
-    (ColumnChunk fields 4..7). The ColumnIndex bytes copy verbatim (bounds
-    are layout-independent); OffsetIndex page offsets rebase by ``shift``
-    because the pages themselves moved exactly that far."""
-    from .parquet_compat import _read_struct
+def _thrift(spec: dict, values: dict) -> bytes:
+    """One compact-protocol struct holding the fields of ``values`` that
+    ``spec`` names, in field-id order."""
+    w = _W()
+    for fid in sorted(k for k in values if k in spec):
+        t, v = spec[fid], values[fid]
+        if isinstance(t, dict):
+            w._field(fid, 12)
+            w.out += _thrift(t, v)
+        elif isinstance(t, list):
+            et = t[0]
+            w.begin_list(fid, 12 if isinstance(et, dict) else _COMPACT_TYPE[et], len(v))
+            for x in v:
+                if isinstance(et, dict):
+                    w.out += _thrift(et, x)
+                elif et == "bin":
+                    _wvarint(w.out, len(x))
+                    w.out += x
+                else:
+                    _wvarint(w.out, _zigzag(int(x)))
+        elif t == "bool":
+            w.boolean(fid, v)
+        elif t == "bin":
+            w.binary(fid, v)
+        elif t == "dbl":
+            w.dbl(fid, v)
+        elif t == "i8":
+            w._field(fid, 3)
+            w.out.append(v & 0xFF)
+        else:
+            w._field(fid, _COMPACT_TYPE[t])
+            _wvarint(w.out, _zigzag(int(v)))
+    return w.stop()
 
-    if 14 in md:
-        md["_bloom"] = bytes(f.raw[md[14] : md[14] + md.get(15, 0)])
-    if 6 in cc and 4 in cc:
-        ci_raw = bytes(f.raw[cc[6] : cc[6] + cc[7]])
-        oidx = _read_struct(f.raw[cc[4] : cc[4] + cc[5]], 0)[0]
-        locs = [
-            (loc[1] + shift, loc[2], loc[3]) for loc in oidx.get(1, [])
+
+def _open_plaintext(path: str, op: str) -> EncryptedFile:
+    # AAD module ordinals bind encrypted pages to their place in the file,
+    # so an encrypted chunk cannot move: use reencrypt_parquet
+    f = EncryptedFile(path)
+    if f.algorithm:
+        raise ValueError(f"{op} requires plaintext input")
+    return f
+
+
+def _carry(f: EncryptedFile, src: dict, md: dict, relocate) -> dict:
+    """ColumnChunk for the chunk ``md`` now describes, stashing the source
+    chunk ``src``'s bloom filter and page index for _place_chunk_extras.
+    Bloom and ColumnIndex bytes are layout-independent and copy verbatim;
+    ``relocate`` maps the OffsetIndex page locations to the new ones (None
+    drops the page index)."""
+    cc = {2: chunk_range(md)[0], 3: md}
+    old = src[3]
+    if 14 in old:
+        off, n = old[14], old.get(15)
+        if n is None:  # bloom_filter_length is optional: header + bitset
+            hdr, end = _read_struct(f.raw, off)
+            n = end - off + hdr.get(1, 0)
+        cc["_bloom"] = bytes(f.raw[off : off + n])
+    if 4 in src and 6 in src:
+        oi = _read_struct(f.raw[src[4] : src[4] + src[5]])[0]
+        locs = relocate(oi.get(1, []))
+        if locs is not None:
+            cc["_index"] = (bytes(f.raw[src[6] : src[6] + src[7]]), {**oi, 1: locs})
+    return cc
+
+
+def _copy_raw_chunk(f: EncryptedFile, rg_ord: int, col_ord: int, out: bytearray) -> dict:
+    """Copy one chunk's pages verbatim to the end of ``out``, shifting its
+    page offsets (the ParquetRewriter no-transform path)."""
+    src = f.row_groups[rg_ord][1][col_ord]
+    md = dict(src[3])
+    start, end = chunk_range(md)
+    shift = len(out) - start
+    out += f.raw[start:end]
+    for fid in (9, 10, 11):
+        if md.get(fid):  # 0 is "none", not an offset
+            md[fid] += shift
+    return _carry(f, src, md, lambda locs: [{**loc, 1: loc[1] + shift} for loc in locs])
+
+
+def _place_chunk_extras(out: bytearray, row_groups: list) -> None:
+    """Write the stashed page indexes, then the bloom filters, between the
+    last row group and the footer (ParquetFileWriter layout) and point the
+    footer at them."""
+    ccs = [cc for rg in row_groups for cc in rg[1]]
+    for cc in ccs:
+        if "_index" in cc:
+            ci, oi = cc.pop("_index")
+            oi = _thrift(_OFFSET_INDEX, oi)
+            cc[6], cc[7] = len(out), len(ci)
+            out += ci
+            cc[4], cc[5] = len(out), len(oi)
+            out += oi
+    for cc in ccs:
+        if "_bloom" in cc:
+            cc[3][14] = len(out)
+            out += cc.pop("_bloom")
+
+
+def _stitch(files: list, path_out: str, footer: dict, chunk=_copy_raw_chunk, cols=None) -> str:
+    """The one raw rewrite body: write chunks ``cols`` (leaf ordinals, all
+    by default) of every row group of ``files`` to ``path_out`` through
+    ``chunk(f, rg_ord, col_ord, out) -> ColumnChunk dict`` (a verbatim copy
+    unless the operation transforms that chunk), place the carried blooms
+    and page indexes, and emit ``footer`` — the source FileMetaData dict
+    with the operation's edits — over the new row groups."""
+    if cols is None:
+        cols = range(len(files[0].leaves))
+    out = bytearray(b"PAR1")
+    new_ord = {c: i for i, c in enumerate(cols)}
+    row_groups = []
+    for f in files:
+        for rg_ord, rg in enumerate(f.row_groups):
+            ccs = [chunk(f, rg_ord, c, out) for c in cols]
+            new = {**rg, 1: ccs, 2: sum(cc[3][6] for cc in ccs)}
+            if 4 in rg:  # a sort order holds up to its first dropped column
+                keys = list(takewhile(lambda s: s[1] in new_ord, rg[4]))
+                new[4] = [{**s, 1: new_ord[s[1]]} for s in keys]
+                if not keys:
+                    del new[4]
+            if 5 in rg:
+                new[5] = ccs[0][2]
+            if 6 in rg:
+                new[6] = sum(cc[3][7] for cc in ccs)
+            if 7 in rg:
+                new[7] = len(row_groups)
+            row_groups.append(new)
+    _place_chunk_extras(out, row_groups)
+    footer = {**footer, 3: sum(rg.get(3, 0) for rg in row_groups), 4: row_groups}
+    meta = _thrift(_FILE_META, footer)
+    out += meta + len(meta).to_bytes(4, "little") + b"PAR1"
+    with open(path_out, "wb") as fo:
+        fo.write(out)
+    return path_out
+
+
+def _top_level_spans(elems: list) -> list:
+    """[start, end) SchemaElement index range of each top-level field's
+    subtree (elements are stored depth-first after the root)."""
+    spans, pos = [], 1
+    for _ in range(elems[0].get(5, 0)):
+        start, todo = pos, 1
+        while todo:
+            todo += elems[pos].get(5, 0) - 1
+            pos += 1
+        spans.append((start, pos))
+    return spans
+
+
+def _edit_footer(f: EncryptedFile, drop=(), renames=None) -> dict:
+    """The source FileMetaData minus the top-level fields ``drop`` and with
+    top-level fields renamed per ``renames``: schema subtrees, column
+    orders and the stored ARROW:schema follow; all else stays verbatim."""
+    renames = renames or {}
+    elems = f.md[2]
+    spans = _top_level_spans(elems)
+    keep = [i for i, (a, _) in enumerate(spans) if _name(elems[a]) not in drop]
+    schema = [{**elems[0], 5: len(keep)}]
+    for a, b in (spans[i] for i in keep):
+        name = _name(elems[a])
+        schema += [{**elems[a], 4: renames.get(name, name).encode()}, *elems[a + 1 : b]]
+    footer = {**f.md, 2: schema}
+    if len(f.md.get(7, [])) == len(f.leaves):
+        footer[7] = [o for o, lf in zip(f.md[7], f.leaves) if lf.path[0] not in drop]
+    if 5 in f.md:
+        footer[5] = [
+            {**kv, 2: _edit_arrow_schema(kv[2], len(spans), keep, renames)}
+            if kv.get(1) == b"ARROW:schema" and 2 in kv else kv
+            for kv in f.md[5]
         ]
-        md["_idx"] = (ci_raw, locs)
+    return footer
 
 
-def _place_chunk_extras(out: bytearray, merged_rgs) -> None:
-    """Write stashed index + bloom regions between the last row group and
-    the footer (ParquetFileWriter layout) and stamp the new locations."""
-    from .parquet_write import _W
-
-    for ccs, _ in merged_rgs:
-        for md in ccs:
-            idx = md.pop("_idx", None)
-            if idx is not None:
-                ci_raw, locs = idx
-                md["_ci"] = (len(out), len(ci_raw))
-                out += ci_raw
-                oi = _W()
-                oi.begin_list(1, 12, len(locs))
-                for off, size, first in locs:
-                    pl = _W()
-                    pl.i64(1, off)
-                    pl.i(2, size)
-                    pl.i64(3, first)
-                    oi.out += pl.stop()
-                b = oi.stop()
-                md["_oi"] = (len(out), len(b))
-                out += b
-    for ccs, _ in merged_rgs:
-        for md in ccs:
-            bloom = md.pop("_bloom", None)
-            if bloom is not None:
-                md[14] = len(out)
-                out += bloom
-
-
-def _emit_cc(md: dict) -> bytes:
-    """One footer ColumnChunk: file_offset + metadata + (when carried)
-    offset/column-index locations (fields 4..7)."""
-    from .parquet_write import _W
-
-    cc = _W()
-    cc.i64(2, md.get(11, md[9]))
-    cc.begin_struct(3)
-    _emit_struct_fields(
-        cc, _COLUMN_META_SPEC,
-        {k: v for k, v in md.items() if isinstance(k, int)},
-    )
-    cc.end_struct()
-    if "_oi" in md:
-        cc.i64(4, md["_oi"][0])
-        cc.i(5, md["_oi"][1])
-        cc.i64(6, md["_ci"][0])
-        cc.i(7, md["_ci"][1])
-    return cc.stop()
-
-
-def _emit_typed(w, fid, ftype, val):
-    from .parquet_write import _W, _wvarint, _zigzag
-
-    if ftype == "i32":
-        w.i(fid, val)
-    elif ftype == "i64":
-        w.i64(fid, val)
-    elif ftype == "bin":
-        w.binary(fid, val if isinstance(val, bytes) else str(val).encode())
-    elif ftype == "bool":
-        w.boolean(fid, bool(val))
-    elif ftype == "dbl":
-        w.dbl(fid, val)
-    elif isinstance(ftype, tuple) and ftype[0] == "list":
-        et = ftype[1]
-        etype = (
-            {"i32": 5, "i64": 6, "bin": 8}[et] if isinstance(et, str) else 12
-        )
-        w.begin_list(fid, etype, len(val))
-        for v in val:
-            if et in ("i32", "i64"):
-                _wvarint(w.out, _zigzag(int(v)))
-            elif et == "bin":
-                b = v if isinstance(v, bytes) else str(v).encode()
-                _wvarint(w.out, len(b))
-                w.out += b
-            else:  # struct element
-                sw = _W()
-                _emit_struct_fields(sw, ftype[1][1], v)
-                w.out += sw.stop()
-    elif isinstance(ftype, tuple) and ftype[0] == "struct":
-        w.begin_struct(fid)
-        _emit_struct_fields(w, ftype[1], val)
-        w.end_struct()
-    else:
-        raise ValueError(ftype)
-
-
-def _emit_struct_fields(w, spec: dict, values: dict) -> None:
-    for fid in sorted(values):
-        if fid in spec:
-            _emit_typed(w, fid, spec[fid], values[fid])
+def _edit_arrow_schema(b64: bytes, n_fields: int, keep: list, renames: dict) -> bytes:
+    """A stored ARROW:schema with only the top-level fields ``keep``,
+    renamed per ``renames``; left as is when it does not describe the
+    file's top-level fields one to one."""
+    try:
+        schema = pa.ipc.read_schema(pa.BufferReader(base64.b64decode(b64)))
+    except (ValueError, pa.ArrowException):
+        return b64
+    if len(schema) != n_fields:
+        return b64
+    fields = [schema.field(i) for i in keep]
+    fields = [fl.with_name(renames.get(fl.name, fl.name)) for fl in fields]
+    schema = pa.schema(fields, metadata=schema.metadata)
+    return base64.b64encode(schema.serialize().to_pybytes())
 
 
 def merge_parquet_raw(paths_in: "list[str]", path_out: str) -> str:
     """Merge parquet files WITHOUT re-encoding: every column chunk's raw
     bytes are copied verbatim and only the footer offsets shift — the
     actual `rewrite/ParquetRewriter.java` stitching (its no-transform path
-    copies chunks wholesale). Statistics, encodings, size statistics and
-    geospatial statistics carry over untouched; bloom filters and page
-    indexes carry too (ColumnIndex bytes verbatim, OffsetIndex page
-    offsets rebased by each chunk's displacement).
-    Requires plaintext files with identical schemas (AAD module ordinals
-    make encrypted chunk copy a re-encrypt job: use ``reencrypt_parquet``).
-    """
-    from .parquet_read_enc import EncryptedFile
-    from .parquet_write import _W
-
-    files = [EncryptedFile(p) for p in paths_in]
-    if any(f.algorithm for f in files):
-        raise ValueError("merge_parquet_raw requires plaintext inputs")
+    copies chunks wholesale). Statistics, encodings, size statistics,
+    geospatial statistics, bloom filters and page indexes carry over. The
+    footer is the first input's with the row groups concatenated; it keeps
+    ``created_by`` only when every input has the same one. Requires
+    plaintext files with identical schemas."""
+    files = [_open_plaintext(p, "merge_parquet_raw") for p in paths_in]
     base = files[0]
-    for f in files[1:]:
-        if [lf.path for lf in f.leaves] != [lf.path for lf in base.leaves]:
-            raise ValueError("all inputs must share one schema")
-
-    out = bytearray(b"PAR1")
-    merged_rgs = []  # (list of (cc fields dict ready), rows)
-    for f in files:
-        for rg_ord, (rg_fields, ccs) in enumerate(
-            (rg, rg[1]) for rg in f.row_groups
-        ):
-            new_ccs = []
-            for ci, cc in enumerate(ccs):
-                md = dict(cc[3])  # plaintext ColumnMetaData
-                # chunk byte range: dictionary (or first data) page .. end
-                start = md.get(11, md[9])
-                if md.get(10):
-                    start = min(start, md[10])
-                length = md[7]
-                shift = len(out) - start
-                _stash_chunk_extras(f, cc, md, shift)
-                out += f.raw[start : start + length]
-                for fid in _CM_OFFSET_FIELDS:
-                    if fid in md:
-                        md[fid] = md[fid] + shift
-                new_ccs.append(md)
-            merged_rgs.append((new_ccs, f.row_groups[rg_ord].get(3, 0)))
-    _place_chunk_extras(out, merged_rgs)
-
-    # footer: schema elements re-emitted from the FIRST input's raw footer
-    # region is not possible generically, so rebuild via parquet_write on
-    # the shared arrow schema (identical by construction) + raw row groups
-    schema = base.arrow_schema()
-    from .parquet_write import _schema_body
-
-    w = _W()
-    w.i(1, 2)
-    body = []
-    for fld in schema:
-        body += _schema_body(fld)
-    elems = [{"name": "schema", "children": len(schema.names)}] + body
-    w.begin_list(2, 12, len(elems))
-    from .parquet_write import _emit_schema_elem
-
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, sum(rows for _, rows in merged_rgs))
-    w.begin_list(4, 12, len(merged_rgs))
-    for ccs, rows in merged_rgs:
-        rg = _W()
-        rg.begin_list(1, 12, len(ccs))
-        for md in ccs:
-            rg.out += _emit_cc(md)
-        rg.i64(2, sum(m[6] for m in ccs))
-        rg.i64(3, rows)
-        w.out += rg.stop()
-    from .parquet_write import _arrow_schema_b64
-
-    kv = _W()
-    w.begin_list(5, 12, 1)
-    kv.string(1, "ARROW:schema")
-    kv.string(2, _arrow_schema_b64(schema))
-    w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
-    if merged_rgs:
-        w.begin_list(7, 12, len(merged_rgs[0][0]))
-        for _ in merged_rgs[0][0]:
-            co = _W()
-            co.begin_struct(1)
-            co.end_struct()
-            w.out += co.stop()
-    footer = w.stop()
-    out += footer
-    out += len(footer).to_bytes(4, "little")
-    out += b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
-    return path_out
+    if any(f.md[2][1:] != base.md[2][1:] for f in files[1:]):
+        raise ValueError("all inputs must share one schema")
+    footer = dict(base.md)
+    if len({f.md.get(6) for f in files}) > 1:
+        footer.pop(6, None)  # no writer vouches for all statistics
+    return _stitch(files, path_out, footer)
 
 
 def prune_parquet_raw(path_in: str, path_out: str, drop: "list[str]") -> str:
-    """Drop top-level columns from a parquet file WITHOUT re-encoding
-    (PruneColumnsCommand / ParquetRewriter prune): kept chunks copy
-    verbatim, the footer rewrites with the surviving schema and shifted
-    offsets. Flat top-level drops on plaintext files."""
-    import pyarrow as pa
-
-    from .parquet_read_enc import EncryptedFile
-    from .parquet_write import (
-        _W,
-        _arrow_schema_b64,
-        _emit_schema_elem,
-        _schema_body,
-    )
-
-    f = EncryptedFile(path_in)
-    if f.algorithm:
-        raise ValueError("prune_parquet_raw requires a plaintext input")
+    """Drop top-level columns (flat or nested) from a parquet file WITHOUT
+    re-encoding (PruneColumnsCommand / ParquetRewriter prune): kept chunks
+    copy verbatim, the footer loses the dropped schema subtrees, chunks and
+    column orders."""
+    f = _open_plaintext(path_in, "prune_parquet_raw")
     dropset = set(drop)
     missing = dropset - {lf.path[0] for lf in f.leaves}
     if missing:
         raise ValueError(f"no such columns: {sorted(missing)}")
-    keep = [i for i, lf in enumerate(f.leaves) if lf.path[0] not in dropset]
-    if not keep:
+    cols = [i for i, lf in enumerate(f.leaves) if lf.path[0] not in dropset]
+    if not cols:
         raise ValueError("cannot drop every column")
-    for i in keep:
-        if len(f.leaves[i].path) > 1:
-            raise ValueError("nested schemas need the re-encode rewriter")
-
-    schema = f.arrow_schema()
-    kept_schema = pa.schema(
-        [schema.field(n) for n in schema.names if n not in dropset],
-        metadata=None,
-    )
-    out = bytearray(b"PAR1")
-    merged_rgs = []
-    for rg in f.row_groups:
-        new_ccs = []
-        for ci in keep:
-            md = dict(rg[1][ci][3])
-            start = md.get(11, md[9])
-            if md.get(10):
-                start = min(start, md[10])
-            shift = len(out) - start
-            _stash_chunk_extras(f, rg[1][ci], md, shift)
-            out += f.raw[start : start + md[7]]
-            for fid in _CM_OFFSET_FIELDS:
-                if fid in md:
-                    md[fid] = md[fid] + shift
-            new_ccs.append(md)
-        merged_rgs.append((new_ccs, rg.get(3, 0)))
-    _place_chunk_extras(out, merged_rgs)
-
-    w = _W()
-    w.i(1, 2)
-    body = []
-    for fld in kept_schema:
-        body += _schema_body(fld)
-    elems = [{"name": "schema", "children": len(kept_schema.names)}] + body
-    w.begin_list(2, 12, len(elems))
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, f.num_rows)
-    w.begin_list(4, 12, len(merged_rgs))
-    for ccs, rows in merged_rgs:
-        rg = _W()
-        rg.begin_list(1, 12, len(ccs))
-        for md in ccs:
-            rg.out += _emit_cc(md)
-        rg.i64(2, sum(m[6] for m in ccs))
-        rg.i64(3, rows)
-        w.out += rg.stop()
-    kv = _W()
-    w.begin_list(5, 12, 1)
-    kv.string(1, "ARROW:schema")
-    kv.string(2, _arrow_schema_b64(kept_schema))
-    w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
-    w.begin_list(7, 12, len(keep))
-    for _ in keep:
-        co = _W()
-        co.begin_struct(1)
-        co.end_struct()
-        w.out += co.stop()
-    footer = w.stop()
-    out += footer
-    out += len(footer).to_bytes(4, "little")
-    out += b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
-    return path_out
+    return _stitch([f], path_out, _edit_footer(f, drop=dropset), cols=cols)
 
 
 def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
@@ -610,115 +577,35 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
     (`mask_hash` semantics); every OTHER chunk copies verbatim with
     shifted offsets — masking cost scales with the masked columns only.
     Plaintext inputs; masked columns must be flat strings."""
-    import pyarrow as pa
-
-    from . import selector as sel
-    from .parquet_compat import _read_struct
-    from .parquet_read_enc import EncryptedFile
-    from .parquet_write import (
-        _W,
-        _Column,
-        _arrow_schema_b64,
-        _emit_column_meta_fields,
-        _emit_schema_elem,
-        _encode_column_pages,
-        _schema_body,
-    )
-    from .parquet_compat import assemble_flat
-    from .schema import shred
-
-    f = EncryptedFile(path_in)
-    if f.algorithm:
-        raise ValueError("mask_parquet_raw requires a plaintext input")
+    f = _open_plaintext(path_in, "mask_parquet_raw")
     maskset = set(mask)
-    names = [lf.path[0] for lf in f.leaves]
-    missing = maskset - set(names)
+    missing = maskset - {lf.path[0] for lf in f.leaves}
     if missing:
         raise ValueError(f"no such columns: {sorted(missing)}")
-    schema = f.arrow_schema()
-    for c in maskset:
-        t = schema.field(c).type
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            raise ValueError(f"hash masking is defined for string columns: {c}")
+    for lf in f.leaves:
+        if lf.path[0] in maskset and not (
+            len(lf.path) == 1 and lf.ptype == "BYTE_ARRAY" and lf.utf8
+        ):
+            raise ValueError(f"hash masking is defined for string columns: {lf.path[0]}")
 
-    cfg = sel.EncodeConfig()
-    out = bytearray(b"PAR1")
-    merged_rgs = []
-    for rg_ord, rg in enumerate(f.row_groups):
-        new_ccs = []
-        for ci, lf in enumerate(f.leaves):
-            if lf.path[0] not in maskset:
-                md = dict(rg[1][ci][3])
-                start = md.get(11, md[9])
-                if md.get(10):
-                    start = min(start, md[10])
-                shift = len(out) - start
-                _stash_chunk_extras(f, rg[1][ci], md, shift)
-                out += f.raw[start : start + md[7]]
-                for fid in _CM_OFFSET_FIELDS:
-                    if fid in md:
-                        md[fid] = md[fid] + shift
-                new_ccs.append(md)
-                continue
-            # masked column: decode this chunk, hash, re-encode in place
-            r = f.decode_leaf(rg_ord, ci)
-            arr = assemble_flat(r, schema.field(lf.path[0]).type)
-            col = shred(lf.path[0], arr)[0]
-            col = mask_hash(col)
-            meta = _Column([lf.path[0]], "BINARY", lf.max_rep, lf.max_def)
-            if lf.max_def == 0:
-                _encode_column_pages(col, out, meta, cfg)
-            else:
-                dfv = (~(col.null_mask if col.null_mask is not None
-                         else np.zeros(col.logical_count, bool))).astype(np.uint8)
-                _encode_column_pages(
-                    col, out, meta, cfg, def_levels=dfv, max_def=1
-                )
-            mw = _W()
-            _emit_column_meta_fields(mw, meta)
-            md, _ = _read_struct(mw.stop(), 0)
-            new_ccs.append(md)
-        merged_rgs.append((new_ccs, rg.get(3, 0)))
-    _place_chunk_extras(out, merged_rgs)
+    def masked(f, rg_ord, col_ord, out):
+        lf = f.leaves[col_ord]
+        if lf.path[0] not in maskset:
+            return _copy_raw_chunk(f, rg_ord, col_ord, out)
+        arr = assemble_flat(f.decode_leaf(rg_ord, col_ord), pa.large_string())
+        col = mask_hash(shred(lf.path[0], arr)[0])
+        meta = _Column(lf.path, "BINARY", lf.max_rep, lf.max_def)
+        levels = {}
+        if lf.max_def:
+            nulls = col.null_mask if col.null_mask is not None else np.zeros(col.logical_count, bool)
+            levels = {"def_levels": (~nulls).astype(np.uint8), "max_def": 1}
+        _encode_column_pages(col, out, meta, EncodeConfig(), **levels)
+        mw = _W()
+        _emit_column_meta_fields(mw, meta)
+        md = _read_struct(mw.stop())[0]
+        return {2: chunk_range(md)[0], 3: md}  # the old index and bloom are void
 
-    w = _W()
-    w.i(1, 2)
-    body = []
-    for fld in schema:
-        body += _schema_body(fld)
-    elems = [{"name": "schema", "children": len(schema.names)}] + body
-    w.begin_list(2, 12, len(elems))
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, f.num_rows)
-    w.begin_list(4, 12, len(merged_rgs))
-    for ccs, rows in merged_rgs:
-        rg = _W()
-        rg.begin_list(1, 12, len(ccs))
-        for md in ccs:
-            rg.out += _emit_cc(md)
-        rg.i64(2, sum(m[6] for m in ccs))
-        rg.i64(3, rows)
-        w.out += rg.stop()
-    kv = _W()
-    w.begin_list(5, 12, 1)
-    kv.string(1, "ARROW:schema")
-    kv.string(2, _arrow_schema_b64(schema))
-    w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
-    w.begin_list(7, 12, len(f.leaves))
-    for _ in f.leaves:
-        co = _W()
-        co.begin_struct(1)
-        co.end_struct()
-        w.out += co.stop()
-    footer = w.stop()
-    out += footer
-    out += len(footer).to_bytes(4, "little")
-    out += b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
-    return path_out
+    return _stitch([f], path_out, f.md, masked)
 
 
 def transcompress_parquet_raw(
@@ -730,304 +617,74 @@ def transcompress_parquet_raw(
     (and refreshed CRCs), and the footer carries the original statistics
     and encodings with only codec/size/offset fields updated
     (`rewrite/ParquetRewriter.java` recompress path, `:845`). Plaintext
-    flat-or-nested files; V1, V2 and dictionary pages."""
-    import zlib
-
-    import pyarrow as pa
-
-    from .parquet_read_enc import EncryptedFile
-    from .parquet_write import (
-        _W,
-        _arrow_schema_b64,
-        _emit_schema_elem,
-        _schema_body,
-    )
-
-    from .parquet_read_enc import _parse_index
-
-    f = EncryptedFile(path_in)
-    if f.algorithm:
-        raise ValueError("transcompress_parquet_raw requires plaintext input")
-    from .parquet_write import _page_codec
-
+    flat-or-nested files; V1, V2 and dictionary pages. Bloom filters and
+    ColumnIndex bytes are codec-independent and carry over; the OffsetIndex
+    gets the new page locations."""
+    f = _open_plaintext(path_in, "transcompress_parquet_raw")
     # _page_codec handles lz4_hadoop (codec 5) and validates the name
-    new_codec_id, new_codec = _page_codec(compression)
+    codec_id, codec = _page_codec(compression)
 
-    out = bytearray(b"PAR1")
-    merged_rgs = []
-    for rg_ord, rg in enumerate(f.row_groups):
-        new_ccs = []
-        for ci, lf in enumerate(f.leaves):
-            orig_cc = rg[1][ci]
-            orig_idx = _parse_index(f, rg_ord, ci)
-            md = dict(rg[1][ci][3])
-            # _resolve_codec decodes the legacy ids too (5 = LZ4 hadoop/raw,
-            # 3 = LZO) — id 5 used to map to None here, which silently
-            # treated compressed pages as UNCOMPRESSED
-            from .parquet_read_enc import _resolve_codec
-
-            old_codec = _resolve_codec(md.get(4, 0))
-            start = md.get(11, md[9])
-            if md.get(10):
-                start = min(start, md[10])
-            chunk_end = start + md[7]
-            chunk_start = len(out)
-            new_dict_off = new_data_off = None
-            new_pages: list = []  # (offset, header+body size) per data page
-            pos = start
-            consumed = 0
-            has_dict = 11 in md and md[11] is not None and md[11] >= 0
-            expect_dict = has_dict
-            while consumed < md[5] and pos < chunk_end:
-                h, body, pos = f.read_page(rg_ord, ci, pos)
-                body = body.tobytes()
-                if h.type == 3:  # V2: levels stay plain, values recompress
-                    lv = h.v2_rep_bytes + h.v2_def_bytes
-                    vals = body[lv:]
-                    if old_codec and h.v2_is_compressed:
-                        vals = old_codec.decompress(
-                            vals, h.uncompressed_size - lv
-                        ).to_pybytes()
-                    new_vals = (
-                        new_codec.compress(vals).to_pybytes()
-                        if new_codec
-                        else vals
-                    )
-                    new_body = body[:lv] + new_vals
-                else:
-                    plain_body = (
-                        old_codec.decompress(body, h.uncompressed_size).to_pybytes()
-                        if old_codec
-                        else body
-                    )
-                    new_body = (
-                        new_codec.compress(plain_body).to_pybytes()
-                        if new_codec
-                        else plain_body
-                    )
-                crc = (zlib.crc32(new_body) & 0xFFFFFFFF) if h.crc is not None else None
-                hw = _W()
-                hw.i(1, h.type)
-                hw.i(2, h.uncompressed_size)
-                hw.i(3, len(new_body))
-                if crc is not None:
-                    hw.i(4, crc - (1 << 32) if crc >= (1 << 31) else crc)
-                if h.type == 0:
-                    hw.begin_struct(5)
-                    hw.i(1, h.num_values)
-                    hw.i(2, h.encoding)
-                    hw.i(3, h.def_level_encoding)
-                    hw.i(4, h.rep_level_encoding if h.rep_level_encoding is not None else h.def_level_encoding)
-                    hw.end_struct()
-                elif h.type == 2:
-                    hw.begin_struct(7)
-                    hw.i(1, h.num_values)
-                    hw.i(2, h.encoding)
-                    hw.end_struct()
-                else:  # V2
-                    hw.begin_struct(8)
-                    hw.i(1, h.num_values)
-                    hw.i(2, h.v2_num_nulls)
-                    hw.i(3, h.v2_num_rows)
-                    hw.i(4, h.encoding)
-                    hw.i(5, h.v2_def_bytes)
-                    hw.i(6, h.v2_rep_bytes)
-                    hw.boolean(7, new_codec is not None)
-                    hw.end_struct()
-                if expect_dict and h.type == 2:
-                    new_dict_off = len(out)
-                    expect_dict = False
-                elif new_data_off is None and h.type in (0, 3):
-                    new_data_off = len(out)
-                page_off = len(out)
-                out += hw.stop()
-                out += new_body
-                if h.type in (0, 3):
-                    consumed += h.num_values
-                    new_pages.append((page_off, len(out) - page_off))
-            md[4] = new_codec_id
-            md[7] = len(out) - chunk_start
-            md[9] = new_data_off if new_data_off is not None else chunk_start
-            if new_dict_off is not None:
-                md[11] = new_dict_off
+    def recompress(f, rg_ord, col_ord, out):
+        src = f.row_groups[rg_ord][1][col_ord]
+        md = {k: v for k, v in src[3].items() if k not in (10, 11)}
+        # _resolve_codec decodes the legacy ids too (5 = LZ4 hadoop/raw,
+        # 3 = LZO)
+        old = _resolve_codec(md.get(4, 0))
+        pos, end = chunk_range(src[3])
+        chunk_start = len(out)
+        pages = []  # (offset, header + body size) of each data page
+        remaining = md[5]
+        while remaining > 0 and pos < end:
+            hdr = _read_struct(f.raw, pos)[0]
+            h, body, pos = f.read_page(rg_ord, col_ord, pos)
+            body = body.tobytes()
+            v2 = h.type == DATA_PAGE_V2  # V2 levels stay plain
+            lv = h.v2_rep_bytes + h.v2_def_bytes if v2 else 0
+            vals = body[lv:]
+            if old and (h.v2_is_compressed or not v2):
+                vals = old.decompress(vals, h.uncompressed_size - lv).to_pybytes()
+            if codec:
+                vals = codec.compress(vals).to_pybytes()
+            body = body[:lv] + vals
+            hdr[3] = len(body)
+            if 4 in hdr:
+                crc = zlib.crc32(body)
+                hdr[4] = crc - (crc >> 31 << 32)  # thrift i32 is signed
+            if v2:
+                hdr[8][7] = codec is not None
+            off = len(out)
+            out += _thrift(_PAGE_HEADER, hdr) + body
+            if h.type == DICTIONARY_PAGE:
+                md[11] = off
             else:
-                md.pop(11, None)
-            md.pop(10, None)
-            if 14 in md:  # bloom bytes are codec-independent: carry them
-                md["_bloom"] = bytes(f.raw[md[14] : md[14] + md.get(15, 0)])
-                md.pop(14)
-            # page-index carry-over (CompressionConverter keeps indexes):
-            # ColumnIndex bytes are codec-independent and copy verbatim;
-            # the OffsetIndex re-emits below with the new page locations
-            if orig_idx is not None:
-                _, oidx = orig_idx
-                firsts = [loc[3] for loc in oidx.get(1, [])]
-                if len(firsts) == len(new_pages):
-                    md["_ci_region"] = (orig_cc[6], orig_cc[7])
-                    md["_new_pages"] = new_pages
-                    md["_first_rows"] = firsts
-            new_ccs.append(md)
-        merged_rgs.append((new_ccs, rg.get(3, 0)))
+                pages.append((off, len(out) - off))
+                remaining -= h.num_values
+        md.update({4: codec_id, 7: len(out) - chunk_start,
+                   9: pages[0][0] if pages else chunk_start})
 
-    # index region between the last row group and the footer
-    # (ParquetFileWriter layout)
-    for ccs, _ in merged_rgs:
-        for md in ccs:
-            if "_ci_region" not in md:
-                continue
-            off, ln = md["_ci_region"]
-            md["_ci"] = (len(out), ln)
-            out += f.raw[off : off + ln]
-            oi = _W()
-            oi.begin_list(1, 12, len(md["_new_pages"]))
-            for (p_off, p_size), first in zip(
-                md["_new_pages"], md["_first_rows"]
-            ):
-                pl = _W()
-                pl.i64(1, p_off)
-                pl.i(2, p_size)
-                pl.i64(3, first)
-                oi.out += pl.stop()
-            oi_b = oi.stop()
-            md["_oi"] = (len(out), len(oi_b))
-            out += oi_b
-    for ccs, _ in merged_rgs:
-        for md in ccs:
-            bloom = md.pop("_bloom", None)
-            if bloom is not None:
-                md[14] = len(out)
-                out += bloom
+        def relocate(locs):
+            if len(locs) != len(pages):
+                return None
+            return [{**loc, 1: o, 2: n} for loc, (o, n) in zip(locs, pages)]
 
-    schema = f.arrow_schema()
-    w = _W()
-    w.i(1, 2)
-    body = []
-    for fld in schema:
-        body += _schema_body(fld)
-    elems = [{"name": "schema", "children": len(schema.names)}] + body
-    w.begin_list(2, 12, len(elems))
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, f.num_rows)
-    w.begin_list(4, 12, len(merged_rgs))
-    for ccs, rows in merged_rgs:
-        rgw = _W()
-        rgw.begin_list(1, 12, len(ccs))
-        for md in ccs:
-            rgw.out += _emit_cc(md)
-        rgw.i64(2, sum(m[6] for m in ccs))
-        rgw.i64(3, rows)
-        w.out += rgw.stop()
-    kv = _W()
-    w.begin_list(5, 12, 1)
-    kv.string(1, "ARROW:schema")
-    kv.string(2, _arrow_schema_b64(schema))
-    w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
-    w.begin_list(7, 12, len(f.leaves))
-    for _ in f.leaves:
-        co = _W()
-        co.begin_struct(1)
-        co.end_struct()
-        w.out += co.stop()
-    footer = w.stop()
-    out += footer
-    out += len(footer).to_bytes(4, "little")
-    out += b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
-    return path_out
+        return _carry(f, src, md, relocate)
+
+    return _stitch([f], path_out, f.md, recompress)
 
 
 def rename_parquet_raw(path_in: str, path_out: str, renames: "dict[str, str]") -> str:
     """Rename top-level columns WITHOUT re-encoding (ParquetRewriter
     rename): chunks copy verbatim; only SchemaElement names, the
-    path_in_schema lists and the embedded Arrow schema change."""
-    import pyarrow as pa
-
-    from .parquet_read_enc import EncryptedFile
-    from .parquet_write import (
-        _W,
-        _arrow_schema_b64,
-        _emit_schema_elem,
-        _schema_body,
-    )
-
-    f = EncryptedFile(path_in)
-    if f.algorithm:
-        raise ValueError("rename_parquet_raw requires a plaintext input")
-    names = [lf.path[0] for lf in f.leaves]
-    missing = set(renames) - set(names)
+    path_in_schema lists and the stored Arrow schema change."""
+    f = _open_plaintext(path_in, "rename_parquet_raw")
+    missing = set(renames) - {lf.path[0] for lf in f.leaves}
     if missing:
         raise ValueError(f"no such columns: {sorted(missing)}")
-    schema = f.arrow_schema()
-    new_schema = pa.schema(
-        [
-            pa.field(renames.get(fl.name, fl.name), fl.type, fl.nullable)
-            for fl in schema
-        ],
-        metadata=None,
-    )
-    out = bytearray(b"PAR1")
-    merged_rgs = []
-    for rg in f.row_groups:
-        new_ccs = []
-        for ci, lf in enumerate(f.leaves):
-            md = dict(rg[1][ci][3])
-            start = md.get(11, md[9])
-            if md.get(10):
-                start = min(start, md[10])
-            shift = len(out) - start
-            _stash_chunk_extras(f, rg[1][ci], md, shift)
-            out += f.raw[start : start + md[7]]
-            for fid in _CM_OFFSET_FIELDS:
-                if fid in md:
-                    md[fid] = md[fid] + shift
-            if lf.path[0] in renames:
-                new_path = [renames[lf.path[0]].encode()] + [
-                    p.encode() if isinstance(p, str) else p
-                    for p in lf.path[1:]
-                ]
-                md[3] = new_path
-            new_ccs.append(md)
-        merged_rgs.append((new_ccs, rg.get(3, 0)))
-    _place_chunk_extras(out, merged_rgs)
 
-    w = _W()
-    w.i(1, 2)
-    body = []
-    for fld in new_schema:
-        body += _schema_body(fld)
-    elems = [{"name": "schema", "children": len(new_schema.names)}] + body
-    w.begin_list(2, 12, len(elems))
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, f.num_rows)
-    w.begin_list(4, 12, len(merged_rgs))
-    for ccs, rows in merged_rgs:
-        rgw = _W()
-        rgw.begin_list(1, 12, len(ccs))
-        for md in ccs:
-            rgw.out += _emit_cc(md)
-        rgw.i64(2, sum(m[6] for m in ccs))
-        rgw.i64(3, rows)
-        w.out += rgw.stop()
-    kv = _W()
-    w.begin_list(5, 12, 1)
-    kv.string(1, "ARROW:schema")
-    kv.string(2, _arrow_schema_b64(new_schema))
-    w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
-    w.begin_list(7, 12, len(f.leaves))
-    for _ in f.leaves:
-        co = _W()
-        co.begin_struct(1)
-        co.end_struct()
-        w.out += co.stop()
-    footer = w.stop()
-    out += footer
-    out += len(footer).to_bytes(4, "little")
-    out += b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
-    return path_out
+    def renamed(f, rg_ord, col_ord, out):
+        cc = _copy_raw_chunk(f, rg_ord, col_ord, out)
+        top, *rest = cc[3][3]
+        cc[3][3] = [renames.get(top.decode(), top.decode()).encode(), *rest]
+        return cc
+
+    return _stitch([f], path_out, _edit_footer(f, renames=renames), renamed)
