@@ -6,19 +6,17 @@ with explicit column encodings) are parsed and decoded by OUR kernels, which
 proves byte-level compatibility with the formats the reference emits
 (`Encoding.java:62-256` dispatch; page layout `ColumnWriterV1.java:61-81`).
 
-This module holds the format plumbing every Parquet read shares: the one
-thrift *compact protocol* parser (footer, page headers, page indexes and
-bloom headers are all compact-thrift, `parquet-format-structures`), the
-V1/V2 data-page layout (rep/def levels + values), the encoding dispatch into
-rayenc.codecs, and Dremel record assembly. Files are opened, footers parsed
-and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext and
-encrypted alike); ``read_table_conformance`` / ``read_column_chunk`` are thin
-entry points over it.
+This module holds the format plumbing every Parquet read shares: page
+headers (parsed by the one thrift compact parser, ``thrift._read_struct``),
+the V1/V2 data-page layout (rep/def levels + values), the encoding dispatch
+into rayenc.codecs, and Dremel record assembly. Files are opened, footers
+parsed and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext
+and encrypted alike); ``read_table_conformance`` / ``read_column_chunk``
+are thin entry points over it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,7 @@ from .codecs import (
     plain,
     rle_hybrid,
 )
-from .codecs.varint import read_uvarint
+from .thrift import _read_struct
 
 # parquet-format Encoding enum
 PLAIN = 0
@@ -48,92 +46,6 @@ DATA_PAGE = 0
 INDEX_PAGE = 1
 DICTIONARY_PAGE = 2
 DATA_PAGE_V2 = 3
-
-
-# --------------------------------------------------- thrift compact protocol
-
-
-def _read_value(buf, i, ftype):
-    if ftype in (4, 5, 6):  # i16/i32/i64 zigzag varints
-        v = buf[i]
-        if v < 0x80:  # one-byte varint: most footer ints
-            return (v >> 1) ^ -(v & 1), i + 1
-        v, i = read_uvarint(buf, i)
-        return (v >> 1) ^ -(v & 1), i
-    if ftype in (1, 2):  # bool as a LIST element: one byte, 1=true
-        return buf[i] == 1, i + 1
-    if ftype == 3:  # byte
-        v = buf[i]
-        return (v - 256 if v > 127 else v), i + 1
-    if ftype == 7:  # double
-        return struct.unpack_from("<d", buf, i)[0], i + 8
-    if ftype == 8:  # binary
-        n, i = read_uvarint(buf, i)
-        if i + n > len(buf):
-            raise ValueError(f"thrift binary of {n} bytes runs past the buffer")
-        return bytes(buf[i : i + n]), i + n
-    if ftype in (9, 10):  # list / set
-        head = buf[i]
-        i += 1
-        size = head >> 4
-        etype = head & 0x0F
-        if size == 15:
-            size, i = read_uvarint(buf, i)
-        if size > len(buf) - i:  # every element takes at least one byte
-            raise ValueError(f"thrift list of {size} elements runs past the buffer")
-        out = []
-        for _ in range(size):
-            v, i = _read_value(buf, i, etype)
-            out.append(v)
-        return out, i
-    if ftype == 11:  # map: varint size, then (ktype<<4|vtype), then pairs
-        size, i = read_uvarint(buf, i)
-        if size > len(buf) - i:
-            raise ValueError(f"thrift map of {size} entries runs past the buffer")
-        out = {}
-        if size:
-            kv = buf[i]
-            i += 1
-            for _ in range(size):
-                k, i = _read_value(buf, i, kv >> 4)
-                v, i = _read_value(buf, i, kv & 0x0F)
-                out[k] = v
-        return out, i
-    if ftype == 12:
-        return _read_struct(buf, i)
-    raise ValueError(f"unknown thrift compact type {ftype}")
-
-
-def _read_struct(buf, i=0):
-    """Parse a compact-protocol struct at ``buf[i:]`` -> ({field_id: value},
-    next_offset), keeping every field type (bools, ints, doubles, binary,
-    lists, maps, structs). ``buf`` is anything whose indexing yields ints
-    (bytes, mmap, memoryview). Truncated or malformed input raises
-    ValueError."""
-    fields = {}
-    last = 0
-    try:
-        while True:
-            byte = buf[i]
-            i += 1
-            if byte == 0:  # stop
-                return fields, i
-            delta = byte >> 4
-            ftype = byte & 0x0F
-            if delta == 0:
-                z, i = read_uvarint(buf, i)
-                fid = (z >> 1) ^ -(z & 1)
-            else:
-                fid = last + delta
-            last = fid
-            if ftype == 1:
-                fields[fid] = True
-            elif ftype == 2:
-                fields[fid] = False
-            else:
-                fields[fid], i = _read_value(buf, i, ftype)
-    except (IndexError, struct.error, RecursionError) as ex:
-        raise ValueError(f"truncated thrift struct at offset {i}") from ex
 
 
 @dataclass

@@ -3,7 +3,7 @@
 ``EncryptedFile`` is the one way rayenc opens a Parquet file
 (`ParquetFileReader.java:129` shape: read the footer once, then pages per
 row group). It parses the footer with the shared thrift compact parser
-(``parquet_compat._read_struct``) — a plaintext ``PAR1`` footer, a plaintext
+(``thrift._read_struct``) — a plaintext ``PAR1`` footer, a plaintext
 footer of an encrypted file whose 28-byte GCM signature is verified
 (`ParquetFileWriter.serializeFooter:2127-2158`), or FileCryptoMetaData +
 encrypted FileMetaData behind the ``PARE`` magic (`:2162-2170`) — and
@@ -44,12 +44,12 @@ from .parquet_compat import (
     _count_leaves,
     _decode_page_stream,
     _decode_plain,
-    _read_struct,
     assemble_flat,
     assemble_tree,
     read_page_header,
 )
 from .parquet_crypto import FileDecryption
+from .thrift import _read_struct
 
 # ------------------------------------------------------------ footer model
 

@@ -1,38 +1,55 @@
 """Write real parquet files using rayenc encoders only.
 
 The inverse of rayenc.parquet_compat: values are encoded by our kernels
-(selector-chosen among the parquet-legal encodings), pages are laid out in
-the V1 format (`ColumnWriterV1.java:61-81`: framed RLE rep/def levels +
-values), headers and the footer are serialized with a minimal thrift
-*compact protocol* writer (PageHeader / FileMetaData from parquet.thrift),
-and the file carries the `PAR1` magic framing
-(`ParquetFileWriter.java:110-113,596,1874`). Output is readable by pyarrow
-and DuckDB — independent-reader proof that our encoded bytes are
-format-true.
+(selector-chosen among the parquet-legal encodings), arrow columns of any
+nesting are shredded into leaves with repetition/definition levels
+(Dremel, `MessageColumnIO.java:508`), and pages are laid out as V1
+(`ColumnWriterV1.java:61-81`: framed RLE levels + values) or V2 data pages
+(`ColumnWriterV2.java`: unframed levels before the compressed values), with
+CRC-32 checksums, page compression, page indexes, bloom filters and modular
+encryption. A table is written as one or more row groups inside the `PAR1`
+framing (`ParquetFileWriter.java:110-113,596,1874`).
 
-Supported: flat INT32/INT64/FLOAT/DOUBLE/BYTE_ARRAY/BOOLEAN/
-FIXED_LEN_BYTE_ARRAY(+DECIMAL) columns (required or optional) and non-null
-list<primitive> (the tokenized-table shape); one row group per call site
-decision.
+Every thrift structure (page headers, page indexes, bloom headers, column,
+file and crypto metadata) is a ``{field id: value}`` dict emitted through
+``thrift._thrift``, the spec the reader and the rewriter share. Output is
+readable by pyarrow and DuckDB — independent-reader proof that our encoded
+bytes are format-true.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
 
+from . import __version__
 from . import parquet_crypto as pcrypt
 from . import selector as sel
 from . import stats as stats_mod
 from .blocks import _plan_candidate, page_ranges
 from .codecs import rle_hybrid
 from .codecs.dictionary import dict_page_binary, dict_page_fixed, encode_ids
+from .parquet_compat import DATA_PAGE, DATA_PAGE_V2, DICTIONARY_PAGE
 from .schema import PhysicalColumn, shred
+from .thrift import (
+    BLOOM_HEADER,
+    COLUMN_INDEX,
+    COLUMN_META,
+    FILE_CRYPTO_META,
+    FILE_META,
+    OFFSET_INDEX,
+    PAGE_HEADER,
+    _thrift,
+)
 
 MAGIC = b"PAR1"
+# FileMetaData.created_by in the reference's "<app> version <semver>" form
+# (VersionParser.FORMAT): parquet-java ignores the binary min/max of any file
+# whose created_by does not parse (CorruptStatistics.shouldIgnoreStatistics)
+CREATED_BY = f"rayenc version {__version__}"
 
 
 class _ChunkCrypto:
@@ -69,6 +86,11 @@ class _ChunkCrypto:
         mt = pcrypt.M_DICT_PAGE if dict_page else pcrypt.M_DATA_PAGE
         return pcrypt.encrypt_module(self.key, body, self._aad(mt, not dict_page))
 
+    def module(self, data: bytes, mtype: int) -> bytes:
+        """A GCM module of this chunk that is not a page: page index, bloom
+        header or bitset, column metadata."""
+        return pcrypt.encrypt_module(self.key, data, self._aad(mtype, False))
+
 
 def _converted_type(t: "pa.DataType"):
     """ConvertedType enum for logical annotations we emit
@@ -95,26 +117,15 @@ def _converted_type(t: "pa.DataType"):
     return None
 
 
+_TIME_UNIT = {"ms": 1, "us": 2, "ns": 3}  # MILLIS / MICROS / NANOS union members
+
+
 def _logical_type(t: "pa.DataType"):
-    """SchemaElement.logicalType (field 10) writer closure, or None.
-    Timestamps need the LogicalType union (TimestampType{isAdjustedToUTC,
-    unit}) — ConvertedType alone implies UTC-adjusted semantics."""
+    """SchemaElement.logicalType (field 10) dict, or None. Timestamps need
+    the LogicalType union (TimestampType{isAdjustedToUTC, unit}) —
+    ConvertedType alone implies UTC-adjusted semantics."""
     if pa.types.is_timestamp(t):
-        unit_field = {"ms": 1, "us": 2, "ns": 3}[t.unit]
-        utc = t.tz is not None
-
-        def emit(w: "_W"):
-            w.begin_struct(10)  # logicalType
-            w.begin_struct(8)  # TIMESTAMP
-            w.boolean(1, utc)
-            w.begin_struct(2)  # unit union
-            w.begin_struct(unit_field)  # MILLIS/MICROS/NANOS empty struct
-            w.end_struct()
-            w.end_struct()
-            w.end_struct()
-            w.end_struct()
-
-        return emit
+        return {8: {1: t.tz is not None, 2: {_TIME_UNIT[t.unit]: {}}}}
     if pa.types.is_time32(t) or pa.types.is_time64(t):
         # TimeType{isAdjustedToUTC, unit} — LogicalType union field 7
         # (LogicalTypeAnnotation.TimeLogicalTypeAnnotation). We stamp
@@ -122,29 +133,9 @@ def _logical_type(t: "pa.DataType"):
         # flavor to arrow time32/time64, but DuckDB maps true to TIMETZ and
         # then rejects the 4/8-byte column statistics, so false is the
         # interoperable choice
-        t_unit_field = {"ms": 1, "us": 2, "ns": 3}[t.unit]
-
-        def emit_time(w: "_W"):
-            w.begin_struct(10)  # logicalType
-            w.begin_struct(7)  # TIME
-            w.boolean(1, False)
-            w.begin_struct(2)  # unit union
-            w.begin_struct(t_unit_field)
-            w.end_struct()
-            w.end_struct()
-            w.end_struct()
-            w.end_struct()
-
-        return emit_time
+        return {7: {1: False, 2: {_TIME_UNIT[t.unit]: {}}}}
     if pa.types.is_float16(t):
-
-        def emit_f16(w: "_W"):
-            w.begin_struct(10)  # logicalType
-            w.begin_struct(15)  # FLOAT16 (Float16Type, empty struct)
-            w.end_struct()
-            w.end_struct()
-
-        return emit_f16
+        return {15: {}}  # FLOAT16 (Float16Type, empty struct)
     return None
 
 # thrift parquet enums
@@ -172,82 +163,6 @@ _ENC_CODE = {
 }
 # encodings that exist in the parquet format (no FSST / RLE_FOR in files)
 PARQUET_LEGAL = set(_ENC_CODE) | {"PLAIN"}
-
-
-# ----------------------------------------------------- thrift compact writer
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63)
-
-
-def _wvarint(out: bytearray, v: int) -> None:
-    while v > 0x7F:
-        out.append((v & 0x7F) | 0x80)
-        v >>= 7
-    out.append(v)
-
-
-class _W:
-    """Compact-protocol struct writer."""
-
-    def __init__(self):
-        self.out = bytearray()
-        self._stack = []
-        self._last = 0
-
-    def _field(self, fid: int, ftype: int) -> None:
-        delta = fid - self._last
-        if 0 < delta <= 15:
-            self.out.append((delta << 4) | ftype)
-        else:
-            self.out.append(ftype)
-            _wvarint(self.out, _zigzag(fid))
-        self._last = fid
-
-    def i(self, fid: int, v: int) -> None:  # i32 (zigzag varint, type 5)
-        self._field(fid, 5)
-        _wvarint(self.out, _zigzag(int(v)))
-
-    def i64(self, fid: int, v: int) -> None:  # i64 (zigzag varint, type 6)
-        self._field(fid, 6)
-        _wvarint(self.out, _zigzag(int(v)))
-
-    def boolean(self, fid: int, v: bool) -> None:
-        self._field(fid, 1 if v else 2)
-
-    def dbl(self, fid: int, v: float) -> None:  # double (type 7, 8-byte LE)
-        self._field(fid, 7)
-        self.out += struct.pack("<d", float(v))
-
-    def binary(self, fid: int, b: bytes) -> None:
-        self._field(fid, 8)
-        _wvarint(self.out, len(b))
-        self.out += b
-
-    def string(self, fid: int, s: str) -> None:
-        self.binary(fid, s.encode())
-
-    def begin_struct(self, fid: int) -> None:
-        self._field(fid, 12)
-        self._stack.append(self._last)
-        self._last = 0
-
-    def end_struct(self) -> None:
-        self.out.append(0)
-        self._last = self._stack.pop()
-
-    def begin_list(self, fid: int, etype: int, size: int) -> None:
-        self._field(fid, 9)
-        if size < 15:
-            self.out.append((size << 4) | etype)
-        else:
-            self.out.append(0xF0 | etype)
-            _wvarint(self.out, size)
-
-    def stop(self) -> bytes:
-        self.out.append(0)
-        return bytes(self.out)
 
 
 # parquet CompressionCodec enum (CompressionCodecName.java:26-33); "lz4" maps
@@ -278,75 +193,6 @@ def _page_codec(name: str | None):
 
         return 3, LzoHadoopCodec()
     return _CODEC_ID[key], pa.Codec("lz4_raw" if key == "lz4" else key)
-
-
-def _page_header(
-    ptype_page: int, unc: int, comp: int, body_fields, crc: int | None = None
-) -> bytes:
-    w = _W()
-    w.i(1, ptype_page)
-    w.i(2, unc)
-    w.i(3, comp)
-    if crc is not None:
-        w.i(4, crc - (1 << 32) if crc >= (1 << 31) else crc)  # thrift i32
-    body_fields(w)
-    return w.stop()
-
-
-def data_page_header(
-    num_values: int, encoding: int, unc: int, comp: int | None = None,
-    crc: int | None = None, level_enc: int = ENC_RLE,
-) -> bytes:
-    def body(w: _W):
-        w.begin_struct(5)
-        w.i(1, num_values)
-        w.i(2, encoding)
-        w.i(3, level_enc)  # definition level encoding
-        w.i(4, level_enc)  # repetition level encoding
-        w.end_struct()
-
-    return _page_header(0, unc, comp if comp is not None else unc, body, crc)
-
-
-def data_page_header_v2(
-    num_values: int,
-    num_nulls: int,
-    num_rows: int,
-    encoding: int,
-    def_len: int,
-    rep_len: int,
-    unc: int,
-    comp: int,
-    is_compressed: bool,
-    crc: int | None = None,
-) -> bytes:
-    """DataPageHeaderV2 (parquet.thrift; ColumnWriterV2.java:43-112): levels
-    sit unframed and uncompressed before the (optionally compressed) values."""
-
-    def body(w: _W):
-        w.begin_struct(8)
-        w.i(1, num_values)
-        w.i(2, num_nulls)
-        w.i(3, num_rows)
-        w.i(4, encoding)
-        w.i(5, def_len)
-        w.i(6, rep_len)
-        w.boolean(7, is_compressed)
-        w.end_struct()
-
-    return _page_header(3, unc, comp, body, crc)
-
-
-def dict_page_header(
-    num_values: int, unc: int, comp: int | None = None, crc: int | None = None
-) -> bytes:
-    def body(w: _W):
-        w.begin_struct(7)
-        w.i(1, num_values)
-        w.i(2, ENC_PLAIN)
-        w.end_struct()
-
-    return _page_header(2, unc, comp if comp is not None else unc, body, crc)
 
 
 # ---------------------------------------------------- Dremel record shredding
@@ -523,10 +369,8 @@ class _Column:
         self.def_hist = None
         self.unenc_bytes = None
         # modular-encryption state (set when the file is encrypted)
-        self.crypto_key = None
+        self.crypto: _ChunkCrypto | None = None
         self.uses_col_key = False
-        self.rg_ord = None
-        self.col_ord = None
         # GeospatialStatistics (ColumnMetaData field 17) for GEOMETRY leaves
         self.geo = None
         # split-block bloom (SpecBloom) pending serialization + its location
@@ -667,9 +511,10 @@ def _encode_column_pages(
             # after encryption); CRC is over the stored (encrypted) bytes
             dict_comp = crypto.page(dict_comp, dict_page=True)
         meta.dict_offset = len(out)
-        hdr = dict_page_header(
-            len(dic), len(dict_payload), len(dict_comp), crc=zlib.crc32(dict_comp)
-        )
+        hdr = _thrift(PAGE_HEADER, {
+            1: DICTIONARY_PAGE, 2: len(dict_payload), 3: len(dict_comp),
+            4: zlib.crc32(dict_comp), 7: {1: len(dic), 2: ENC_PLAIN},
+        })
         if crypto is not None:
             hdr = crypto.header(hdr, dict_page=True)
         out += hdr
@@ -710,15 +555,14 @@ def _encode_column_pages(
                 crypto.next_page()
                 vals = crypto.page(vals)
             body = rep_b + def_b + vals
-            hdr = data_page_header_v2(
-                nv, nnulls, nrows, enc_code,
-                len(def_b), len(rep_b),
-                unc=len(rep_b) + len(def_b) + len(payload),
-                comp=len(body),
-                is_compressed=codec is not None,
-                crc=zlib.crc32(body),
-            )
             unc_len = len(rep_b) + len(def_b) + len(payload)
+            # DataPageHeaderV2 (ColumnWriterV2.java:43-112): levels sit
+            # unframed and uncompressed before the (maybe compressed) values
+            hdr = _thrift(PAGE_HEADER, {
+                1: DATA_PAGE_V2, 2: unc_len, 3: len(body), 4: zlib.crc32(body),
+                8: {1: nv, 2: nnulls, 3: nrows, 4: enc_code, 5: len(def_b),
+                    6: len(rep_b), 7: codec is not None},
+            })
         else:
             lv = b""
             legacy = getattr(config, "level_encoding", "RLE") == "BIT_PACKED"
@@ -739,10 +583,11 @@ def _encode_column_pages(
                 # V1 pages encrypt levels+values as one module
                 crypto.next_page()
                 body = crypto.page(body)
-            hdr = data_page_header(
-                nv, enc_code, len(raw), len(body), crc=zlib.crc32(body),
-                level_enc=ENC_BIT_PACKED if legacy else ENC_RLE,
-            )
+            level_enc = ENC_BIT_PACKED if legacy else ENC_RLE
+            hdr = _thrift(PAGE_HEADER, {
+                1: DATA_PAGE, 2: len(raw), 3: len(body), 4: zlib.crc32(body),
+                5: {1: nv, 2: enc_code, 3: level_enc, 4: level_enc},
+            })
             unc_len = len(raw)
         if crypto is not None:
             hdr = crypto.header(hdr)
@@ -924,9 +769,8 @@ def _write_row_group(
                     key, file_aad, rg_ord, col_ord,
                     ctr_pages=props.algorithm == "AES_GCM_CTR_V1",
                 )
-                meta.crypto_key = key
+                meta.crypto = crypto
                 meta.uses_col_key = uses_col_key
-                meta.rg_ord, meta.col_ord = rg_ord, col_ord
             if leaf.max_def == 0:
                 _encode_column_pages(col, out, meta, config, crypto=crypto)
             else:
@@ -969,20 +813,6 @@ def _write_row_group(
     return columns
 
 
-def _bloom_header_bytes(num_bytes: int) -> bytes:
-    """BloomFilterHeader (parquet.thrift): numBytes + XXHASH + BLOCK +
-    UNCOMPRESSED unions (Util.writeBloomFilterHeader / BlockSplitBloomFilter
-    serialization)."""
-    w = _W()
-    w.i(1, num_bytes)
-    for fid in (2, 3, 4):  # hash / algorithm / compression unions, member 1
-        w.begin_struct(fid)
-        w.begin_struct(1)
-        w.end_struct()
-        w.end_struct()
-    return w.stop()
-
-
 def _page_indexes_bytes(meta: _Column):
     """(ColumnIndex bytes, OffsetIndex bytes) for one chunk
     (`internal/column/columnindex/ColumnIndexBuilder.java` /
@@ -994,20 +824,6 @@ def _page_indexes_bytes(meta: _Column):
     for p in pages:
         if p["defined"] > 0 and p["bounds"] is None:
             return None
-    ci = _W()
-    ci.begin_list(1, 1, len(pages))  # null_pages (bool bytes: 1 true, 2 false)
-    for p in pages:
-        ci.out.append(1 if p["defined"] == 0 else 2)
-    ci.begin_list(2, 8, len(pages))  # min_values
-    for p in pages:
-        b = p["bounds"][0] if p["defined"] else b""
-        _wvarint(ci.out, len(b))
-        ci.out += b
-    ci.begin_list(3, 8, len(pages))  # max_values
-    for p in pages:
-        b = p["bounds"][1] if p["defined"] else b""
-        _wvarint(ci.out, len(b))
-        ci.out += b
     # boundary_order (ColumnIndexBuilder.calculateBoundaryOrder): ASCENDING /
     # DESCENDING when both the min and max lists of non-null pages are
     # monotone under the column comparator; vacuously ASCENDING for <=1 page
@@ -1024,21 +840,16 @@ def _page_indexes_bytes(meta: _Column):
             a >= b for a, b in zip(maxs, maxs[1:])
         ):
             order = 2
-    ci.i(4, order)
-    ci.begin_list(5, 6, len(pages))  # null_counts
-    for p in pages:
-        _wvarint(ci.out, _zigzag(p["nulls"]))
-    oi = _W()
-    oi.begin_list(1, 12, len(pages))  # page_locations
-    first = 0
-    for p in pages:
-        pl = _W()
-        pl.i64(1, p["offset"])
-        pl.i(2, p["size"])
-        pl.i64(3, first)
-        oi.out += pl.stop()
-        first += p["rows"]
-    return ci.stop(), oi.stop()
+    ci = {
+        1: [p["defined"] == 0 for p in pages],  # null_pages
+        2: [p["bounds"][0] if p["defined"] else b"" for p in pages],
+        3: [p["bounds"][1] if p["defined"] else b"" for p in pages],
+        4: order,
+        5: [p["nulls"] for p in pages],
+    }
+    firsts = accumulate((p["rows"] for p in pages[:-1]), initial=0)
+    oi = {1: [{1: p["offset"], 2: p["size"], 3: first} for p, first in zip(pages, firsts)]}
+    return _thrift(COLUMN_INDEX, ci), _thrift(OFFSET_INDEX, oi)
 
 
 def _row_byte_sizes(table: pa.Table) -> "np.ndarray":
@@ -1210,6 +1021,12 @@ def write_tables(
         # flat timestamps -> deprecated INT96 physical (opt-in legacy
         # interop; PrimitiveTypeName.INT96). Nested timestamps keep INT64.
         slices = [_timestamps_to_int96(s, int96_map) for s in slices]
+        for name in int96_map:
+            enc = config.column_encodings.get(name)
+            if enc in ("BYTE_STREAM_SPLIT", "DELTA_BYTE_ARRAY"):
+                # the 12-byte values are FLBA storage, but the footer says
+                # INT96, for which the spec allows neither encoding
+                raise ValueError(f"{enc} cannot encode INT96 column {name!r}")
     if any(_has_time32s(f.type) for f in slices[0].schema):
         # parquet TIME has no seconds unit — coerce time32[s] to ms up
         # front (pyarrow's write-side coercion), so stats, ARROW:schema
@@ -1253,17 +1070,9 @@ def write_tables(
             if res is None:
                 continue
             ci_b, oi_b = res
-            if meta.crypto_key is not None:
-                ci_b = pcrypt.encrypt_module(
-                    meta.crypto_key, ci_b,
-                    pcrypt.module_aad(crypto[1], pcrypt.M_COLUMN_INDEX,
-                                      meta.rg_ord, meta.col_ord),
-                )
-                oi_b = pcrypt.encrypt_module(
-                    meta.crypto_key, oi_b,
-                    pcrypt.module_aad(crypto[1], pcrypt.M_OFFSET_INDEX,
-                                      meta.rg_ord, meta.col_ord),
-                )
+            if meta.crypto is not None:
+                ci_b = meta.crypto.module(ci_b, pcrypt.M_COLUMN_INDEX)
+                oi_b = meta.crypto.module(oi_b, pcrypt.M_OFFSET_INDEX)
             meta.ci_offset = len(out)
             meta.ci_len = len(ci_b)
             out += ci_b
@@ -1278,18 +1087,11 @@ def write_tables(
             if meta.bloom is None:
                 continue
             bitset = meta.bloom.bitset_bytes()
-            hdr = _bloom_header_bytes(len(bitset))
-            if meta.crypto_key is not None:
-                hdr = pcrypt.encrypt_module(
-                    meta.crypto_key, hdr,
-                    pcrypt.module_aad(crypto[1], pcrypt.M_BLOOM_HEADER,
-                                      meta.rg_ord, meta.col_ord),
-                )
-                bitset = pcrypt.encrypt_module(
-                    meta.crypto_key, bitset,
-                    pcrypt.module_aad(crypto[1], pcrypt.M_BLOOM_BITSET,
-                                      meta.rg_ord, meta.col_ord),
-                )
+            # numBytes + BLOCK / XXHASH / UNCOMPRESSED (Util.writeBloomFilterHeader)
+            hdr = _thrift(BLOOM_HEADER, {1: len(bitset), 2: {1: {}}, 3: {1: {}}, 4: {1: {}}})
+            if meta.crypto is not None:
+                hdr = meta.crypto.module(hdr, pcrypt.M_BLOOM_HEADER)
+                bitset = meta.crypto.module(bitset, pcrypt.M_BLOOM_BITSET)
             meta.bloom_offset = len(out)
             out += hdr
             out += bitset
@@ -1325,11 +1127,10 @@ def write_tables(
     else:
         # encrypted footer: plaintext FileCryptoMetaData, then the footer as
         # a GCM module; combined length + PARE (serializeFooter:2162-2170)
-        cw = _W()
-        _emit_encryption_algorithm(cw, 1, encryption, crypto[2])
+        fcm = {1: _encryption_algorithm(encryption, crypto[2])}
         if encryption.footer_key_metadata:
-            cw.binary(2, encryption.footer_key_metadata)
-        crypto_md = cw.stop()
+            fcm[2] = encryption.footer_key_metadata
+        crypto_md = _thrift(FILE_CRYPTO_META, fcm)
         footer_aad = pcrypt.module_aad(crypto[1], pcrypt.M_FOOTER)
         enc_footer = pcrypt.encrypt_module(
             encryption.footer_key, footer, footer_aad
@@ -1389,172 +1190,110 @@ def _decimal_flba_len(precision: int) -> int:
 
 
 def _schema_body(field: pa.Field) -> list[dict]:
-    """SchemaElement dicts for one (possibly nested) field, depth-first in the
-    same order `_dremel_leaves` emits leaves (MessageType tree of
-    `schema/MessageType.java`, LIST/MAP shapes per the parquet logical-type
-    spec / `parquet-arrow List3Levels.java`)."""
+    """SchemaElement dicts (parquet.thrift field ids) for one (possibly
+    nested) field, depth-first in the same order `_dremel_leaves` emits
+    leaves (MessageType tree of `schema/MessageType.java`, LIST/MAP shapes
+    per the parquet logical-type spec / `parquet-arrow List3Levels.java`)."""
     t = field.type
     if pa.types.is_dictionary(t):
         t = t.value_type  # shredded as the value type
     rep = 1 if field.nullable else 0
-    name = field.name
+    name = field.name.encode()
+    # 1 type, 2 type_length, 3 repetition, 4 name, 5 num_children,
+    # 6 converted_type, 7 scale, 8 precision, 10 logicalType
     if pa.types.is_map(t):
         return (
-            [{"name": name, "rep": rep, "children": 1, "converted": 1},  # MAP
-             {"name": "key_value", "rep": 2, "children": 2}]
+            [{3: rep, 4: name, 5: 1, 6: 1},  # MAP
+             {3: 2, 4: b"key_value", 5: 2}]
             + _schema_body(pa.field("key", t.key_type, False))
             + _schema_body(pa.field("value", t.item_type, True))
         )
     if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
         elem = t.value_field
         return (
-            [{"name": name, "rep": rep, "children": 1, "converted": 3},  # LIST
-             {"name": "list", "rep": 2, "children": 1}]
+            [{3: rep, 4: name, 5: 1, 6: 3},  # LIST
+             {3: 2, 4: b"list", 5: 1}]
             + _schema_body(pa.field("element", t.value_type, elem.nullable))
         )
     if pa.types.is_struct(t):
-        out = [{"name": name, "rep": rep, "children": t.num_fields}]
+        out = [{3: rep, 4: name, 5: t.num_fields}]
         for child in t:
             out += _schema_body(child)
         return out
     from .schema import physical_type
 
     ptype = physical_type(t)
-    e = {"name": name, "type": _PARQUET_TYPE[ptype], "rep": rep}
+    e = {1: _PARQUET_TYPE[ptype], 3: rep, 4: name}
     if ptype == "FIXED_LEN_BYTE_ARRAY":
-        e["type_length"] = (
-            _decimal_flba_len(t.precision) if pa.types.is_decimal(t) else t.byte_width
-        )
+        e[2] = _decimal_flba_len(t.precision) if pa.types.is_decimal(t) else t.byte_width
     conv = _converted_type(t)
     if conv is not None:
-        e["converted"] = conv
+        e[6] = conv
     if pa.types.is_decimal(t):
-        e["precision"], e["scale"] = t.precision, t.scale
+        e[7], e[8] = t.scale, t.precision
     logical = _logical_type(t)
     if logical is not None:
-        e["logical"] = logical
+        e[10] = logical
     return [e]
 
 
-def _emit_column_meta_fields(cc: _W, meta: _Column, redact: bool = False) -> None:
-    """ColumnMetaData fields (parquet.thrift), written into an open struct.
-    ``redact`` drops Statistics and PageEncodingStats — the plaintext copy
-    kept next to an encrypted column in plaintext-footer files
+def _column_meta(meta: _Column, redact: bool = False) -> dict:
+    """ColumnMetaData dict (parquet.thrift field ids). ``redact`` drops
+    Statistics, PageEncodingStats and GeospatialStatistics — the plaintext
+    copy kept next to an encrypted column in plaintext-footer files
     (ParquetMetadataConverter.java:687-692)."""
-    cc.i(1, _PARQUET_TYPE[meta.ptype])
-    cc.begin_list(2, 5, len(meta.encodings) + 1)
-    for enc in sorted(meta.encodings):
-        _wvarint(cc.out, _zigzag(enc))
-    _wvarint(cc.out, _zigzag(ENC_RLE))  # levels
-    cc.begin_list(3, 8, len(meta.path))
-    for part in meta.path:
-        _wvarint(cc.out, len(part.encode()))
-        cc.out += part.encode()
-    cc.i(4, meta.codec)
-    cc.i64(5, meta.num_values)
-    cc.i64(6, meta.total_unc)
-    cc.i64(7, meta.total_bytes)
-    cc.i64(9, meta.data_offset)
+    md = {
+        1: _PARQUET_TYPE[meta.ptype],
+        2: [*sorted(meta.encodings), ENC_RLE],  # + the level encoding
+        3: [part.encode() for part in meta.path],
+        4: meta.codec,
+        5: meta.num_values,
+        6: meta.total_unc,
+        7: meta.total_bytes,
+        9: meta.data_offset,
+    }
     if meta.dict_offset is not None:
-        cc.i64(11, meta.dict_offset)
+        md[11] = meta.dict_offset
     if not redact and (meta.min_bytes is not None or meta.null_count):
-        cc.begin_struct(12)  # Statistics
-        cc.i64(3, meta.null_count)
+        stats = {3: meta.null_count}
         if meta.max_bytes is not None:
-            cc.binary(5, meta.max_bytes)
-            cc.binary(6, meta.min_bytes)
-            cc.boolean(7, meta.stats_exact)  # is_max_value_exact
-            cc.boolean(8, meta.stats_exact)  # is_min_value_exact
-        cc.end_struct()
+            # max_value, min_value, is_max_value_exact, is_min_value_exact
+            stats.update({5: meta.max_bytes, 6: meta.min_bytes,
+                          7: meta.stats_exact, 8: meta.stats_exact})
+        md[12] = stats
     if not redact and meta.page_stats:
-        cc.begin_list(13, 12, len(meta.page_stats))  # encoding_stats
-        for (pt, enc), cnt in sorted(meta.page_stats.items()):
-            pes = _W()
-            pes.i(1, pt)
-            pes.i(2, enc)
-            pes.i(3, cnt)
-            cc.out += pes.stop()
+        md[13] = [  # PageEncodingStats
+            {1: pt, 2: enc, 3: cnt} for (pt, enc), cnt in sorted(meta.page_stats.items())
+        ]
     if meta.bloom_offset is not None:
-        cc.i64(14, meta.bloom_offset)  # bloom_filter_offset
-        cc.i(15, meta.bloom_len)  # bloom_filter_length
-    if (
-        meta.rep_hist is not None
-        or meta.def_hist is not None
-        or meta.unenc_bytes is not None
-    ):
-        cc.begin_struct(16)  # SizeStatistics
-        if meta.unenc_bytes is not None:
-            cc.i64(1, meta.unenc_bytes)
-        for fid, hist in ((2, meta.rep_hist), (3, meta.def_hist)):
-            if hist is not None:
-                cc.begin_list(fid, 6, len(hist))
-                for h in hist:
-                    _wvarint(cc.out, _zigzag(int(h)))
-        cc.end_struct()
+        md[14], md[15] = meta.bloom_offset, meta.bloom_len
+    size = {}  # SizeStatistics
+    if meta.unenc_bytes is not None:
+        size[1] = meta.unenc_bytes
+    for fid, hist in ((2, meta.rep_hist), (3, meta.def_hist)):
+        if hist is not None:
+            size[fid] = hist.tolist()
+    if size:
+        md[16] = size
     if not redact and meta.geo is not None:
         from . import geo as geo_mod
 
-        gd = geo_mod.to_footer_dict(meta.geo)
+        gd = geo_mod.to_footer_dict(meta.geo)  # GeospatialStatistics
         if gd is not None:
-            cc.begin_struct(17)  # GeospatialStatistics
-            if 1 in gd:
-                cc.begin_struct(1)  # BoundingBox
-                for fid in sorted(gd[1]):
-                    cc.dbl(fid, gd[1][fid])
-                cc.end_struct()
-            if 2 in gd:
-                cc.begin_list(2, 5, len(gd[2]))  # geospatial_types
-                for code in gd[2]:
-                    _wvarint(cc.out, _zigzag(code))
-            cc.end_struct()
+            md[17] = gd
+    return md
 
 
-def _emit_encryption_algorithm(
-    w: _W, fid: int, props: "pcrypt.FileEncryption", aad_file_unique: bytes
-) -> None:
+def _encryption_algorithm(props: "pcrypt.FileEncryption", aad_file_unique: bytes) -> dict:
     """EncryptionAlgorithm union: AesGcmV1 (member 1) or AesGcmCtrV1
     (member 2, same field shape)."""
-    w.begin_struct(fid)
-    w.begin_struct(2 if props.algorithm == "AES_GCM_CTR_V1" else 1)
-    if props.aad_prefix is not None and props.store_aad_prefix:
-        w.binary(1, props.aad_prefix)
-    w.binary(2, aad_file_unique)
-    if props.aad_prefix is not None and not props.store_aad_prefix:
-        w.boolean(3, True)  # supply_aad_prefix
-    w.end_struct()
-    w.end_struct()
-
-
-def _emit_schema_elem(w: "_W", e: dict) -> None:
-    """One SchemaElement from the _schema_body dict shape."""
-    ew = _W()
-    if "type" in e:
-        ew.i(1, e["type"])
-    if "type_length" in e:
-        ew.i(2, e["type_length"])
-    if "rep" in e:
-        ew.i(3, e["rep"])
-    ew.string(4, e["name"])
-    if "children" in e:
-        ew.i(5, e["children"])
-    if e.get("converted") is not None:
-        ew.i(6, e["converted"])
-    if "scale" in e:
-        ew.i(7, e["scale"])
-        ew.i(8, e["precision"])
-    if e.get("logical") is not None:
-        e["logical"](ew)
-    if e.get("geo") is not None:
-        spec = e["geo"]
-        ew.begin_struct(10)  # logicalType
-        ew.begin_struct(17 if spec.kind == "geometry" else 18)
-        if spec.crs:
-            ew.string(1, spec.crs)
-        if spec.kind == "geography" and spec.algorithm is not None:
-            ew.i(2, spec.algorithm)  # EdgeInterpolationAlgorithm
-        ew.end_struct()
-        ew.end_struct()
-    w.out += ew.stop()
+    alg = {2: aad_file_unique}
+    if props.aad_prefix is not None:
+        if props.store_aad_prefix:
+            alg[1] = props.aad_prefix
+        else:
+            alg[3] = True  # supply_aad_prefix
+    return {2 if props.algorithm == "AES_GCM_CTR_V1" else 1: alg}
 
 
 # declared annotations (EncodeConfig.logical_annotations): name ->
@@ -1573,33 +1312,25 @@ _DECLARED_LOGICAL = {
 def _apply_declared_annotation(fb: list, name: str, kind: str) -> None:
     if kind not in _DECLARED_LOGICAL:
         raise ValueError(f"unknown logical annotation {kind!r} for {name}")
-    if len(fb) != 1 or "type" not in fb[0]:
+    if len(fb) != 1 or 1 not in fb[0]:
         raise ValueError(f"logical annotation {kind} needs a flat leaf: {name}")
     e = fb[0]
     want_phys, conv, logical_field = _DECLARED_LOGICAL[kind]
-    if e["type"] != want_phys:
+    if e[1] != want_phys:
         raise ValueError(
             f"{kind} annotation on {name} requires physical type "
             f"{'FLBA' if want_phys == T_FLBA else 'BYTE_ARRAY'}"
         )
-    if kind == "UUID" and e.get("type_length") != 16:
+    if kind == "UUID" and e.get(2) != 16:
         raise ValueError(f"UUID column {name} must be fixed_size_binary(16)")
-    if kind == "INTERVAL" and e.get("type_length") != 12:
+    if kind == "INTERVAL" and e.get(2) != 12:
         raise ValueError(f"INTERVAL column {name} must be fixed_size_binary(12)")
+    e.pop(6, None)
+    e.pop(10, None)
     if conv is not None:
-        e["converted"] = conv
-    else:
-        e.pop("converted", None)
+        e[6] = conv
     if logical_field is not None:
-        def emit_declared(w: "_W", f=logical_field):
-            w.begin_struct(10)  # logicalType
-            w.begin_struct(f)  # empty-struct union member
-            w.end_struct()
-            w.end_struct()
-
-        e["logical"] = emit_declared
-    else:
-        e["logical"] = None
+        e[10] = {logical_field: {}}  # empty-struct union member
 
 
 def _decimals_to_ints(table: pa.Table, decimal_ints: dict) -> pa.Table:
@@ -1675,41 +1406,67 @@ def _timestamps_to_int96(table: pa.Table, int96_map: dict) -> pa.Table:
     return pa.table(cols, schema=pa.schema(fields))
 
 
+def _column_chunk(meta: _Column, props: "pcrypt.FileEncryption | None") -> dict:
+    """ColumnChunk dict for one written chunk."""
+    cc = {2: meta.start_offset}  # file_offset
+    # column-key columns (and every encrypted column when the footer is
+    # plaintext) carry their ColumnMetaData separately encrypted in field 9
+    # (ParquetMetadataConverter.java:664-693); plaintext footers keep a
+    # redacted copy with stats stripped
+    plaintext_footer = props is not None and props.plaintext_footer
+    encrypt_md = meta.crypto is not None and (meta.uses_col_key or plaintext_footer)
+    if not encrypt_md or plaintext_footer:
+        cc[3] = _column_meta(meta, redact=encrypt_md)
+    if meta.oi_offset is not None:
+        cc[4], cc[5] = meta.oi_offset, meta.oi_len
+        cc[6], cc[7] = meta.ci_offset, meta.ci_len
+    if meta.crypto is not None:
+        if meta.uses_col_key:  # ColumnCryptoMetaData ENCRYPTION_WITH_COLUMN_KEY
+            with_key = {1: [part.encode() for part in meta.path]}
+            km = props.column_key_metadata.get(".".join(meta.path))
+            if km:
+                with_key[2] = km
+            cc[8] = {2: with_key}
+        else:
+            cc[8] = {1: {}}  # ENCRYPTION_WITH_FOOTER_KEY
+        if encrypt_md:
+            cc[9] = meta.crypto.module(
+                _thrift(COLUMN_META, _column_meta(meta)), pcrypt.M_COLUMN_METADATA
+            )
+    return cc
+
+
 def _file_metadata(
     table: pa.Table, row_groups, crypto=None, geo=None,
     sorting=None, extra_kv=None, annotations=None, decimal_ints=None,
     int96_map=None,
 ) -> bytes:
-    w = _W()
-    w.i(1, 2)  # version
-
     body: list[dict] = []
     for field in table.schema:
         fb = _schema_body(field)
         # GEOMETRY/GEOGRAPHY logical type on flat binary leaves
         # (LogicalTypeAnnotation geometry/geography; union fields 17/18)
-        if geo and field.name in geo and len(fb) == 1 and "type" in fb[0]:
-            fb[0]["geo"] = geo[field.name]
+        if geo and field.name in geo and len(fb) == 1 and 1 in fb[0]:
+            spec = geo[field.name]
+            g = {}
+            if spec.crs:
+                g[1] = spec.crs.encode()
+            if spec.kind == "geography" and spec.algorithm is not None:
+                g[2] = spec.algorithm  # EdgeInterpolationAlgorithm
+            fb[0][10] = {17 if spec.kind == "geometry" else 18: g}
         if annotations and field.name in annotations:
             _apply_declared_annotation(fb, field.name, annotations[field.name])
         if decimal_ints and field.name in decimal_ints and len(fb) == 1:
             p, s = decimal_ints[field.name]
-            fb[0]["converted"] = 5  # DECIMAL on INT32/INT64 physical
-            fb[0]["precision"], fb[0]["scale"] = p, s
+            fb[0][6] = 5  # DECIMAL on INT32/INT64 physical
+            fb[0][7], fb[0][8] = s, p
         if int96_map and field.name in int96_map and len(fb) == 1:
             # deprecated INT96 physical: no type_length, no logical type
-            fb[0]["type"] = T_INT96
-            for k in ("type_length", "converted", "logical"):
+            fb[0][1] = T_INT96
+            for k in (2, 6, 10):
                 fb[0].pop(k, None)
         body += fb
-    elems = [{"name": "schema", "children": table.num_columns}] + body
 
-    w.begin_list(2, 12, len(elems))
-    for e in elems:
-        _emit_schema_elem(w, e)
-    w.i64(3, table.num_rows)
-
-    w.begin_list(4, 12, len(row_groups))
     kv_schema = table.schema
     if decimal_ints:
         # advertise the original decimal arrow types, not the transformed
@@ -1731,100 +1488,40 @@ def _file_metadata(
                 for f in kv_schema
             ]
         )
+    # ARROW:schema key-value metadata: readers restore the exact arrow types
+    # (fixed-size lists, timestamp timezones) like pyarrow's own files
     kv_pairs = [("ARROW:schema", _arrow_schema_b64(kv_schema))]
     if extra_kv:
         kv_pairs += list(extra_kv.items())
+    rgs = []
     for columns, rg_rows in row_groups:
-        rg = _W()
-        rg.begin_list(1, 12, len(columns))
-        for meta in columns:
-            cc = _W()
-            cc.i64(2, meta.start_offset)  # file_offset
-            # column-key columns (and every encrypted column when the footer
-            # is plaintext) carry their ColumnMetaData separately encrypted
-            # in field 9 (ParquetMetadataConverter.java:664-693); plaintext
-            # footers keep a redacted copy with stats stripped
-            encrypt_md = meta.crypto_key is not None and (
-                meta.uses_col_key or (crypto is not None and crypto[0].plaintext_footer)
-            )
-            if not encrypt_md:
-                cc.begin_struct(3)
-                _emit_column_meta_fields(cc, meta)
-                cc.end_struct()
-            elif crypto is not None and crypto[0].plaintext_footer:
-                cc.begin_struct(3)
-                _emit_column_meta_fields(cc, meta, redact=True)
-                cc.end_struct()
-            if meta.oi_offset is not None:
-                cc.i64(4, meta.oi_offset)
-                cc.i(5, meta.oi_len)
-                cc.i64(6, meta.ci_offset)
-                cc.i(7, meta.ci_len)
-            if meta.crypto_key is not None:
-                props, file_aad = crypto[0], crypto[1]
-                cc.begin_struct(8)  # ColumnCryptoMetaData union
-                if meta.uses_col_key:
-                    cc.begin_struct(2)  # ENCRYPTION_WITH_COLUMN_KEY
-                    cc.begin_list(1, 8, len(meta.path))
-                    for part in meta.path:
-                        _wvarint(cc.out, len(part.encode()))
-                        cc.out += part.encode()
-                    km = props.column_key_metadata.get(".".join(meta.path))
-                    if km:
-                        cc.binary(2, km)
-                    cc.end_struct()
-                else:
-                    cc.begin_struct(1)  # ENCRYPTION_WITH_FOOTER_KEY (empty)
-                    cc.end_struct()
-                cc.end_struct()
-                if encrypt_md:
-                    mw = _W()
-                    _emit_column_meta_fields(mw, meta)
-                    aad = pcrypt.module_aad(
-                        file_aad, pcrypt.M_COLUMN_METADATA,
-                        meta.rg_ord, meta.col_ord,
-                    )
-                    cc.binary(
-                        9, pcrypt.encrypt_module(meta.crypto_key, mw.stop(), aad)
-                    )
-            rg.out += cc.stop()
-        rg.i64(2, sum(m.total_unc for m in columns))  # spec: UNCOMPRESSED size
-        rg.i64(3, rg_rows)
+        rg = {
+            1: [_column_chunk(meta, crypto[0] if crypto else None) for meta in columns],
+            2: sum(m.total_unc for m in columns),  # spec: UNCOMPRESSED size
+            3: rg_rows,
+        }
         if sorting:
             # SortingColumn list (parquet.thrift RowGroup field 4; written
             # by ParquetFileWriter from ParquetProperties.sortingColumns)
-            rg.begin_list(4, 12, len(sorting))
-            for leaf_idx, desc, nulls_first in sorting:
-                sc = _W()
-                sc.i(1, leaf_idx)
-                sc.boolean(2, desc)
-                sc.boolean(3, nulls_first)
-                rg.out += sc.stop()
-        w.out += rg.stop()
-    # ARROW:schema key-value metadata: readers restore the exact arrow types
-    # (fixed-size lists, timestamp timezones) like pyarrow's own files
-    w.begin_list(5, 12, len(kv_pairs))
-    for key, val in kv_pairs:
-        kv = _W()
-        kv.string(1, key)
-        kv.string(2, val)
-        w.out += kv.stop()
-    w.string(6, "rayenc 0.1")
+            rg[4] = [{1: i, 2: desc, 3: nulls_first} for i, desc, nulls_first in sorting]
+        rgs.append(rg)
+    md = {
+        1: 2,  # version
+        2: [{4: b"schema", 5: table.num_columns}, *body],
+        3: table.num_rows,
+        4: rgs,
+        5: [{1: k.encode(), 2: v.encode()} for k, v in kv_pairs],
+        6: CREATED_BY.encode(),
+    }
     # column_orders: readers only honor min_value/max_value when the order
     # is declared TYPE_DEFINED_ORDER (parquet.thrift ColumnOrder union)
-    num_leaves = len(row_groups[0][0]) if row_groups else 0
-    if num_leaves:
-        w.begin_list(7, 12, num_leaves)
-        for _ in range(num_leaves):
-            co = _W()
-            co.begin_struct(1)  # TYPE_ORDER (empty struct)
-            co.end_struct()
-            w.out += co.stop()
+    if row_groups and row_groups[0][0]:
+        md[7] = [{1: {}}] * len(row_groups[0][0])
     if crypto is not None and crypto[0].plaintext_footer:
         # plaintext-footer encrypted file: algorithm + signing-key metadata
         # live in FileMetaData itself (serializeFooter:2127-2134)
         props, _, aad_unique = crypto
-        _emit_encryption_algorithm(w, 8, props, aad_unique)
+        md[8] = _encryption_algorithm(props, aad_unique)
         if props.footer_key_metadata:
-            w.binary(9, props.footer_key_metadata)
-    return w.stop()
+            md[9] = props.footer_key_metadata
+    return _thrift(FILE_META, md)

@@ -15,8 +15,10 @@ or handed to the operation's per-chunk function (mask re-encodes hashed
 values, trans-compression recompresses page by page). Bloom filters and page
 indexes are placed once after the last row group. The footer is the
 source's own FileMetaData dict with the operation's edits, re-emitted
-through one thrift compact spec (``_FILE_META``, ``_thrift``), so the
-schema, key-value metadata and created_by of the input are kept exactly.
+through the thrift compact spec the reader and writer share
+(``thrift.FILE_META``, ``thrift._thrift``), so the schema, key-value
+metadata and created_by of the input are kept exactly; a masked chunk's
+ColumnMetaData is the writer's own ``parquet_write._column_meta`` dict.
 ``merge_parquet`` / ``reencrypt_parquet`` instead decode and re-write
 through ``parquet_write`` (any encryption state).
 """
@@ -38,7 +40,7 @@ import ray.data
 
 from . import blocks, parquet_write
 from .codecs import dictionary as dict_codec
-from .parquet_compat import DATA_PAGE_V2, DICTIONARY_PAGE, _read_struct, assemble_flat
+from .parquet_compat import DATA_PAGE_V2, DICTIONARY_PAGE, assemble_flat
 from .parquet_read_enc import (
     EncryptedFile,
     _name,
@@ -46,17 +48,10 @@ from .parquet_read_enc import (
     chunk_range,
     read_table_encrypted,
 )
-from .parquet_write import (
-    _W,
-    _Column,
-    _emit_column_meta_fields,
-    _encode_column_pages,
-    _page_codec,
-    _wvarint,
-    _zigzag,
-)
+from .parquet_write import _Column, _column_meta, _encode_column_pages, _page_codec
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
+from .thrift import FILE_META, OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
 
 
 def _copy_chunk(entry: dict, blob: bytes, out: io.BytesIO) -> dict:
@@ -296,92 +291,6 @@ def reencrypt_parquet(
 
 # ------------------------------ raw Parquet rewrites (verbatim chunk stitch)
 
-# The plaintext footer structs of parquet.thrift as {field id: type} specs,
-# so a FileMetaData dict parsed by parquet_compat._read_struct re-emits byte
-# for byte through _thrift: a dict is a struct (a union is a struct with one
-# member set), a one-element list is a list of that element type. Fields a
-# spec does not name are dropped.
-_EMPTY: dict = {}
-_KEY_VALUE = {1: "bin", 2: "bin"}
-_TIMESTAMP = {1: "bool", 2: {1: _EMPTY, 2: _EMPTY, 3: _EMPTY}}  # TIME too
-_LOGICAL_TYPE = {
-    1: _EMPTY, 2: _EMPTY, 3: _EMPTY, 4: _EMPTY, 5: {1: "i32", 2: "i32"},
-    6: _EMPTY, 7: _TIMESTAMP, 8: _TIMESTAMP, 10: {1: "i8", 2: "bool"},
-    11: _EMPTY, 12: _EMPTY, 13: _EMPTY, 14: _EMPTY, 15: _EMPTY,
-    16: {1: "i8"}, 17: {1: "bin"}, 18: {1: "bin", 2: "i32"},
-}
-_SCHEMA_ELEMENT = {
-    1: "i32", 2: "i32", 3: "i32", 4: "bin", 5: "i32", 6: "i32", 7: "i32",
-    8: "i32", 9: "i32", 10: _LOGICAL_TYPE,
-}
-_STATISTICS = {
-    1: "bin", 2: "bin", 3: "i64", 4: "i64", 5: "bin", 6: "bin", 7: "bool",
-    8: "bool",
-}
-_COLUMN_META = {
-    1: "i32", 2: ["i32"], 3: ["bin"], 4: "i32", 5: "i64", 6: "i64", 7: "i64",
-    8: [_KEY_VALUE], 9: "i64", 10: "i64", 11: "i64", 12: _STATISTICS,
-    13: [{1: "i32", 2: "i32", 3: "i32"}], 14: "i64", 15: "i32",
-    16: {1: "i64", 2: ["i64"], 3: ["i64"]},
-    17: {1: {i: "dbl" for i in range(1, 9)}, 2: ["i32"]},
-}
-_COLUMN_CHUNK = {
-    1: "bin", 2: "i64", 3: _COLUMN_META, 4: "i64", 5: "i32", 6: "i64", 7: "i32",
-}
-_ROW_GROUP = {
-    1: [_COLUMN_CHUNK], 2: "i64", 3: "i64", 4: [{1: "i32", 2: "bool", 3: "bool"}],
-    5: "i64", 6: "i64", 7: "i16",
-}
-_FILE_META = {
-    1: "i32", 2: [_SCHEMA_ELEMENT], 3: "i64", 4: [_ROW_GROUP], 5: [_KEY_VALUE],
-    6: "bin", 7: [{1: _EMPTY}],
-}
-_OFFSET_INDEX = {1: [{1: "i64", 2: "i32", 3: "i64"}], 2: ["i64"]}
-_PAGE_HEADER = {
-    1: "i32", 2: "i32", 3: "i32", 4: "i32",
-    5: {1: "i32", 2: "i32", 3: "i32", 4: "i32", 5: _STATISTICS},
-    6: _EMPTY, 7: {1: "i32", 2: "i32", 3: "bool"},
-    8: {1: "i32", 2: "i32", 3: "i32", 4: "i32", 5: "i32", 6: "i32", 7: "bool",
-        8: _STATISTICS},
-}
-_COMPACT_TYPE = {"bool": 1, "i8": 3, "i16": 4, "i32": 5, "i64": 6, "dbl": 7, "bin": 8}
-
-
-def _thrift(spec: dict, values: dict) -> bytes:
-    """One compact-protocol struct holding the fields of ``values`` that
-    ``spec`` names, in field-id order."""
-    w = _W()
-    for fid in sorted(k for k in values if k in spec):
-        t, v = spec[fid], values[fid]
-        if isinstance(t, dict):
-            w._field(fid, 12)
-            w.out += _thrift(t, v)
-        elif isinstance(t, list):
-            et = t[0]
-            w.begin_list(fid, 12 if isinstance(et, dict) else _COMPACT_TYPE[et], len(v))
-            for x in v:
-                if isinstance(et, dict):
-                    w.out += _thrift(et, x)
-                elif et == "bin":
-                    _wvarint(w.out, len(x))
-                    w.out += x
-                else:
-                    _wvarint(w.out, _zigzag(int(x)))
-        elif t == "bool":
-            w.boolean(fid, v)
-        elif t == "bin":
-            w.binary(fid, v)
-        elif t == "dbl":
-            w.dbl(fid, v)
-        elif t == "i8":
-            w._field(fid, 3)
-            w.out.append(v & 0xFF)
-        else:
-            w._field(fid, _COMPACT_TYPE[t])
-            _wvarint(w.out, _zigzag(int(v)))
-    return w.stop()
-
-
 def _open_plaintext(path: str, op: str) -> EncryptedFile:
     # AAD module ordinals bind encrypted pages to their place in the file,
     # so an encrypted chunk cannot move: use reencrypt_parquet
@@ -435,7 +344,7 @@ def _place_chunk_extras(out: bytearray, row_groups: list) -> None:
     for cc in ccs:
         if "_index" in cc:
             ci, oi = cc.pop("_index")
-            oi = _thrift(_OFFSET_INDEX, oi)
+            oi = _thrift(OFFSET_INDEX, oi)
             cc[6], cc[7] = len(out), len(ci)
             out += ci
             cc[4], cc[5] = len(out), len(oi)
@@ -476,7 +385,7 @@ def _stitch(files: list, path_out: str, footer: dict, chunk=_copy_raw_chunk, col
             row_groups.append(new)
     _place_chunk_extras(out, row_groups)
     footer = {**footer, 3: sum(rg.get(3, 0) for rg in row_groups), 4: row_groups}
-    meta = _thrift(_FILE_META, footer)
+    meta = _thrift(FILE_META, footer)
     out += meta + len(meta).to_bytes(4, "little") + b"PAR1"
     with open(path_out, "wb") as fo:
         fo.write(out)
@@ -600,9 +509,7 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
             nulls = col.null_mask if col.null_mask is not None else np.zeros(col.logical_count, bool)
             levels = {"def_levels": (~nulls).astype(np.uint8), "max_def": 1}
         _encode_column_pages(col, out, meta, EncodeConfig(), **levels)
-        mw = _W()
-        _emit_column_meta_fields(mw, meta)
-        md = _read_struct(mw.stop())[0]
+        md = _column_meta(meta)
         return {2: chunk_range(md)[0], 3: md}  # the old index and bloom are void
 
     return _stitch([f], path_out, f.md, masked)
@@ -648,12 +555,11 @@ def transcompress_parquet_raw(
             body = body[:lv] + vals
             hdr[3] = len(body)
             if 4 in hdr:
-                crc = zlib.crc32(body)
-                hdr[4] = crc - (crc >> 31 << 32)  # thrift i32 is signed
+                hdr[4] = zlib.crc32(body)
             if v2:
                 hdr[8][7] = codec is not None
             off = len(out)
-            out += _thrift(_PAGE_HEADER, hdr) + body
+            out += _thrift(PAGE_HEADER, hdr) + body
             if h.type == DICTIONARY_PAGE:
                 md[11] = off
             else:

@@ -1,6 +1,8 @@
 """created_by parsing + PARQUET-251 corrupt-statistics gate
 (CorruptStatistics.java / VersionParser.java / SemanticVersion.java)."""
 
+import re
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -66,6 +68,24 @@ def test_should_ignore_statistics(created_by, ptype, ignore):
     assert should_ignore_statistics(created_by, ptype) is ignore
 
 
+# VersionParser.FORMAT, matched whole (Matcher.matches)
+# (parquet-common/src/main/java/org/apache/parquet/VersionParser.java); a miss
+# makes CorruptStatistics.shouldIgnoreStatistics distrust every binary column
+_VERSION_PARSER_FORMAT = r"(.*?)\s+version\s*(?:([^(]*?)\s*(?:\(\s*build\s*([^)]*?)\s*\))?)?"
+
+
+def test_written_created_by_parses_in_the_reference(tmp_path):
+    from rayenc import parquet_write
+
+    path = str(tmp_path / "cb.parquet")
+    parquet_write.write_table(pa.table({"s": ["a", "b"]}), path)
+    written = pq.read_metadata(path).created_by
+    m = re.fullmatch(_VERSION_PARSER_FORMAT, written)
+    assert m is not None and m.group(1) == "rayenc", written
+    assert written == parquet_write.CREATED_BY
+    assert not should_ignore_statistics(written, "BYTE_ARRAY")
+
+
 def test_filtered_read_ignores_legacy_binary_stats(tmp_path, monkeypatch):
     """A file whose created_by marks PARQUET-251 corruption must not prune
     row groups from binary min/max — the filtered read still returns every
@@ -105,7 +125,7 @@ def test_cli_check_stats(tmp_path, capsys):
     parquet_write.write_table(t, path)
     main(["check-stats", path])
     out = capsys.readouterr().out
-    assert "rayenc 0.1" in out and "OK" in out
+    assert parquet_write.CREATED_BY in out and "OK" in out
 
 
 def test_requires_sequential_reads_delta_byte_array():

@@ -8,6 +8,7 @@ against pyarrow, DuckDB and our own conformance reader.
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from rayenc import parquet_write
 from rayenc.parquet_compat import read_table_conformance
@@ -120,3 +121,13 @@ def test_filtered_read_alongside_int96(tmp_path):
     assert _epoch_ns(got.sort_by("k").column("b")) == _epoch_ns(
         t.filter(pa.compute.field("k") >= 3).column("b")
     )
+
+
+@pytest.mark.parametrize("encoding", ["DELTA_BYTE_ARRAY", "BYTE_STREAM_SPLIT"])
+def test_int96_refuses_flba_only_encoding(tmp_path, encoding):
+    """INT96 values are stored as FLBA(12), but an FLBA-only encoding under
+    an INT96 footer type is a file no other reader accepts."""
+    cfg = EncodeConfig(int96_timestamps=True, column_encodings={"a": encoding})
+    path = str(tmp_path / "x.parquet")
+    with pytest.raises(ValueError, match="'a'"):
+        parquet_write.write_table(_fixture(), path, cfg)

@@ -80,7 +80,7 @@ def test_plaintext_footer_signed(tmp_path):
     assert got.cast(t.schema).equals(t)
     # flip a bit inside a string payload of the footer (keeps the thrift
     # structure parseable) -> signature verification fails
-    idx = bytes(raw).rindex(b"rayenc 0.1")
+    idx = bytes(raw).rindex(parquet_write.CREATED_BY.encode())
     raw[idx] ^= 0x01
     bad = str(path) + ".tampered"
     open(bad, "wb").write(bytes(raw))

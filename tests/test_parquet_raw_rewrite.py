@@ -13,11 +13,8 @@ import pytest
 
 from rayenc import parquet_write
 from rayenc.created_by import should_ignore_statistics
-from rayenc.parquet_compat import _read_struct
 from rayenc.parquet_read_enc import EncryptedFile, read_table_encrypted
 from rayenc.rewrite import (
-    _FILE_META,
-    _thrift,
     mask_parquet_raw,
     merge_parquet_raw,
     prune_parquet_raw,
@@ -25,6 +22,7 @@ from rayenc.rewrite import (
     transcompress_parquet_raw,
 )
 from rayenc.selector import EncodeConfig
+from rayenc.thrift import FILE_META, _read_struct, _thrift
 
 SF = "/root/testdata/sf0.001"
 
@@ -42,7 +40,7 @@ def _refooter(src: str, dst: str, edit) -> str:
     body, footer = _footer(src)
     md, _ = _read_struct(footer, 0)
     edit(md)
-    meta = _thrift(_FILE_META, md)
+    meta = _thrift(FILE_META, md)
     with open(dst, "wb") as fo:
         fo.write(body + meta + len(meta).to_bytes(4, "little") + b"PAR1")
     return dst
@@ -52,7 +50,7 @@ def _refooter(src: str, dst: str, edit) -> str:
 def test_footer_reemits_byte_identical(path):
     _, footer = _footer(path)
     md, end = _read_struct(footer, 0)
-    assert _thrift(_FILE_META, md) == footer[:end]
+    assert _thrift(FILE_META, md) == footer[:end]
 
 
 def _fixture(tmp_path, kind: str) -> str:
