@@ -16,11 +16,13 @@ so a resumed driver can scan it cheaply.
 
 from __future__ import annotations
 
+import functools
 import io
 
 import numpy as np
 import pyarrow as pa
 
+from . import predicate as P
 from . import selector as sel
 from . import stats as stats_mod
 from .codecs import (
@@ -660,32 +662,80 @@ def page_mask_for_predicate(entry: dict, predicate) -> list[bool] | None:
     (page-level min/max skipping; None when stats are unavailable).
     ``predicate`` is anything predicate.normalize accepts — a legacy
     conjunction list or an And/Or/Not tree; leaves on other columns are
-    treated as satisfiable (sound: Or across columns prunes only through
-    `_kept_row_intervals`' per-branch interval union)."""
-    from . import predicate as P
-
+    treated as satisfiable."""
     tree = P.normalize(predicate)
     pages = entry["pages"]
     if tree is None or not pages or "min" not in pages[0]:
         return None
-    name = entry["name"]
-    mask = []
-    for p in pages:
+    ranges = _entry_page_ranges(entry)
+    kept = P.row_ranges(
+        tree, ranges[-1][1],
+        lambda leaf: _page_rows(entry, leaf) if leaf.col == entry["name"] else None,
+    )
+    return P.page_slices(ranges, kept)[0]
+
+
+def _page_rows(entry: dict, leaf, t=None):
+    """Rows of the chunk's pages whose min/max may satisfy ``leaf`` (None
+    when the chunk has no page bounds). ``t`` is the column's Arrow type."""
+    pages = entry["pages"]
+    if not pages or "min" not in pages[0]:
+        return None
+    kept = []
+    for r, p in zip(_entry_page_ranges(entry), pages):
         lo, hi = p.get("min"), p.get("max")
         if isinstance(lo, str):
             # string bounds are stored latin-1 (bytewise order, truncated
             # max incremented — ColumnIndexBuilder semantics)
             lo, hi = lo.encode("latin-1"), hi.encode("latin-1")
+        # a None bound is an unbounded (NaN-bearing) page; page skipping
+        # only runs on chunks without nulls
+        if P.leaf_may_match(leaf, P.Granule(lo, hi, 0, p["num_values"], t)):
+            kept.append(r)
+    return kept
 
-        def leaf_fn(leaf, lo=lo, hi=hi):
-            if leaf.col != name:
-                return True
-            if lo is None:  # unbounded page (NaN-bearing floats): keep
-                return True
-            return P.leaf_vs_bounds(leaf, lo, hi)
 
-        mask.append(P.may_match(tree, leaf_fn))
-    return mask
+@functools.lru_cache(maxsize=64)
+def _column_types(schema_hex: str) -> dict:
+    """Arrow type of each top-level column of a manifest's schema."""
+    schema = pa.ipc.read_schema(pa.py_buffer(bytes.fromhex(schema_hex)))
+    return {f.name: f.type for f in schema}
+
+
+def partition_granules(manifest: dict):
+    """``predicate.Granule`` of each column of one container partition, from
+    its manifest's chunk statistics and bloom filters: the lookup that
+    ``predicate.may_match`` prunes the partition with."""
+    chunks = {c["name"]: c for c in manifest["chunks"]}
+    types = _column_types(manifest["schema"])
+
+    @functools.cache
+    def granule(col: str):
+        entry = chunks.get(col)
+        if entry is None:
+            return None
+        st = entry.get("stats") or {}
+        lo, hi = st.get("min"), st.get("max")
+        if isinstance(lo, str):
+            # binary bounds are stored latin-1 (bytewise order, truncated
+            # max incremented — ColumnIndexBuilder semantics); before
+            # stats_v=2 they were lossy utf-8-replace strings, not bounds
+            valid = st.get("stats_v", 1) >= 2
+            lo, hi = (lo.encode("latin-1"), hi.encode("latin-1")) if valid else (None, None)
+        g = P.Granule(lo, hi, st.get("null_count"), st.get("num_values"), types.get(col))
+        if entry.get("bloom"):
+            g.bloom = functools.partial(_bloom_may_contain, entry)
+        return g
+
+    return granule
+
+
+def _bloom_may_contain(entry: dict, values) -> bool:
+    from . import bloom
+
+    filt = bloom.BloomFilter.deserialize(entry["bloom"])
+    hashes = np.concatenate([bloom.value_hash(v, entry["ptype"]) for v in values] or [[]])
+    return bool(filt.might_contain_hashes(hashes.astype(np.uint64)).any())
 
 
 def decode_chunk(
@@ -806,31 +856,6 @@ def encode_block(table: pa.Table, config: sel.EncodeConfig | None = None) -> tup
     return blob, manifest
 
 
-def _merge_intervals(iv):
-    out: list[tuple[int, int]] = []
-    for a, b in iv:
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
-
-
-def _intersect_intervals(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def _entry_page_ranges(entry):
     counts = np.array([p["num_values"] for p in entry["pages"]], np.int64)
     ends = np.cumsum(counts)
@@ -838,49 +863,25 @@ def _entry_page_ranges(entry):
     return [(int(s), int(e)) for s, e in zip(starts, ends)]
 
 
-def _pred_intervals(pred, by_name, nrows):
-    """Row intervals that may satisfy one NNF predicate node, from per-page
-    min/max: And intersects, Or unions per-branch intervals (the RowRanges
-    calculus of `internal/filter2/columnindex/ColumnIndexFilter.java`),
-    leaves map to their column's surviving page ranges."""
-    from . import predicate as P
-
-    if isinstance(pred, P.And):
-        iv = [(0, nrows)]
-        for k in pred.preds:
-            iv = _intersect_intervals(iv, _pred_intervals(k, by_name, nrows))
-            if not iv:
-                break
-        return iv
-    if isinstance(pred, P.Or):
-        out = []
-        for k in pred.preds:
-            out = _merge_intervals(out + _pred_intervals(k, by_name, nrows))
-        return out
-    e = by_name.get(pred.col)
-    if e is not None and e.get("alias"):
-        e = by_name.get(e["alias"])
-    if e is None or e["validity"] is not None:
-        return [(0, nrows)]
-    mask = page_mask_for_predicate(e, pred)
-    if mask is None:
-        return [(0, nrows)]
-    return _merge_intervals(
-        [r for r, k in zip(_entry_page_ranges(e), mask) if k]
-    )
-
-
 def _kept_row_intervals(manifest, by_name, page_predicate, nrows):
     """Rows that can satisfy the predicate, from per-page min/max of every
     predicate column — the offset-index row-alignment of
     `internal/column/columnindex/` generalized to And/Or/Not trees across
     any number of columns. None when nothing was pruned."""
-    from . import predicate as P
-
     tree = P.normalize(page_predicate)
     if tree is None:
         return None
-    kept = _pred_intervals(tree, by_name, nrows)
+    types = _column_types(manifest["schema"])
+
+    def leaf_rows(leaf):
+        e = by_name.get(leaf.col)
+        if e is not None and e.get("alias"):
+            e = by_name.get(e["alias"])
+        if e is None or e["validity"] is not None:
+            return None
+        return _page_rows(e, leaf, types.get(leaf.col))
+
+    kept = P.row_ranges(tree, nrows, leaf_rows)
     if kept == [(0, nrows)]:
         return None
     return kept
@@ -995,22 +996,9 @@ def decode_block(
                 continue
         fast = _dict_eligible(entry, target)
         if kept is not None:
-            ranges = _entry_page_ranges(target)
-            sel = [
-                any(a < e and s < b for a, b in kept) for s, e in ranges
-            ]
-            idx_parts = []
-            base = 0
-            for (s, e), k in zip(ranges, sel):
-                if not k:
-                    continue
-                for a, b in kept:
-                    lo, hi = max(s, a), min(e, b)
-                    if lo < hi:
-                        idx_parts.append(np.arange(base + lo - s, base + hi - s))
-                base += e - s
-            idx = (
-                np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
+            sel, local = P.page_slices(_entry_page_ranges(target), kept)
+            idx = np.concatenate(
+                [np.arange(s, s + n) for s, n in local] or [np.empty(0, np.int64)]
             )
             if fast:
                 arr = decode_chunk_dictionary(blob, target, page_mask=sel)

@@ -128,18 +128,24 @@ def build_for_column(col, ndv_hint: int | None = None, fpp: float = DEFAULT_FPP)
     return f
 
 
-def value_hash(value) -> np.ndarray:
-    """Hash one lookup value the same way the filters were built."""
+def value_hash(value, ptype: str = "BINARY") -> np.ndarray:
+    """Hash one stats-domain value of physical type ``ptype`` the way
+    ``hashes_for_column`` hashed the chunk (an unsigned int wraps to the
+    signed storage the filter hashed)."""
     from .ops.dedup import hash_strings
     import pyarrow as pa
 
-    if isinstance(value, str):
-        return _hash64(hash_strings(pa.array([value], pa.large_string())))
-    if isinstance(value, (int, np.integer)):
-        return _hash64(np.array([value], np.int64).view(np.uint64))
-    if isinstance(value, float):
+    if ptype == "BINARY":
+        if isinstance(value, str):
+            value = value.encode()
+        return _hash64(hash_strings(pa.array([value], pa.large_binary())))
+    if ptype in ("INT32", "INT64"):
+        if ptype == "INT32":  # the filter hashed int32 storage sign-extended
+            value = ((int(value) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+        return _hash64(np.array([int(value) & 0xFFFFFFFFFFFFFFFF], np.uint64))
+    if ptype in ("FLOAT", "DOUBLE"):
         return _hash64(np.array([value], np.float64).view(np.uint64))
-    raise TypeError(type(value))
+    raise TypeError(ptype)
 
 
 # ------------------------------------------------ parquet-file (spec) blooms
@@ -207,9 +213,11 @@ def spec_value_hash(value, ptype: str) -> np.ndarray:
     if isinstance(value, bytes):
         return np.array([xxh.xxh64(value)], np.uint64)
     dt = {
-        "INT32": np.int32, "INT64": np.int64,
+        "INT32": np.uint32, "INT64": np.uint64,
         "FLOAT": np.float32, "DOUBLE": np.float64,
     }[ptype]
+    if dt in (np.uint32, np.uint64):  # signed plain encoding, unsigned wraps
+        value = int(value) & int(np.iinfo(dt).max)
     return np.array([xxh.xxh64(np.array([value], dt).tobytes())], np.uint64)
 
 

@@ -289,7 +289,7 @@ def cmd_show_bloom(args):
     """show-bloom-filter analog (ShowBloomFilterCommand.java): parse the
     BloomFilterHeader+bitset of each chunk of a parquet FILE; with
     --test-value, probe membership."""
-    from .parquet_read_enc import read_bloom_filter
+    from .parquet_read_enc import _bloom_probe, read_bloom_filter
 
     f = _enc_file(args)
     for rg in range(len(f.row_groups)):
@@ -303,14 +303,13 @@ def cmd_show_bloom(args):
             nbytes = filt.words.nbytes
             line = f"rg {rg} {leaf.dotted}: BLOCK/XXHASH {nbytes} bytes ({filt.num_blocks} blocks)"
             if args.test_value is not None:
-                from .bloom import spec_value_hash
-
                 v = args.test_value
                 if leaf.ptype in ("INT32", "INT64"):
                     v = int(v)
                 elif leaf.ptype in ("FLOAT", "DOUBLE"):
                     v = float(v)
-                hit = bool(filt.might_contain_hashes(spec_value_hash(v, leaf.ptype))[0])
+                probe = _bloom_probe(f, rg, ci)
+                hit = probe is None or probe([v])
                 line += f" value={args.test_value!r} -> {'maybe' if hit else 'NO'}"
             print(line)
 

@@ -37,6 +37,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from . import predicate as P
 from . import parquet_crypto as pcrypt
 from .parquet_compat import (
     DATA_PAGE_V2,
@@ -747,46 +748,47 @@ def _bounds_fmt(leaf):
     return _MINMAX_FMT.get(leaf.ptype)
 
 
-def _page_bounds(cidx, leaf):
-    """Decode ColumnIndex min/max byte arrays into comparable values
-    (None per page when the page is all-null)."""
-    nulls = cidx.get(1, [])
-    mins, maxs = cidx.get(2, []), cidx.get(3, [])
+def _bound_decoder(leaf):
+    """``raw -> value`` (None if malformed) for one leaf's ColumnIndex and
+    Statistics bounds, or None for INT96 (no defined order). Byte-array
+    DECIMALs are big-endian unscaled ints; other byte arrays are bytes."""
     fmt = _bounds_fmt(leaf)
+    if fmt is not None:
+        size = struct.calcsize(fmt)
+        return lambda raw: struct.unpack(fmt, raw)[0] if len(raw) == size else None
+    if leaf.ptype == "BOOLEAN":
+        return lambda raw: bool(raw[0]) if len(raw) == 1 else None
+    if leaf.ptype == "INT96":
+        return None
+    if pa.types.is_decimal(_leaf_arrow_type(leaf)):
+        return lambda raw: int.from_bytes(raw, "big", signed=True) if raw else None
+    return bytes
+
+
+def _page_bounds(cidx, leaf):
+    """Decode ColumnIndex min/max into comparable ``(lo, hi)`` per page
+    (None when the page is all-null), or None when the chunk's bounds are
+    not decoded."""
+    nulls, dec = cidx.get(1, []), _bound_decoder(leaf)
+    if dec is None:
+        return None
     out = []
-    for p in range(len(mins)):
-        if p < len(nulls) and nulls[p]:
-            out.append(None)
-            continue
-        if fmt is not None:
-            lo = struct.unpack(fmt, mins[p])[0]
-            hi = struct.unpack(fmt, maxs[p])[0]
-        else:  # BINARY: bytewise order; truncated max was incremented
-            lo, hi = bytes(mins[p]), bytes(maxs[p])
-        out.append((lo, hi))
+    for p, (mn, mx) in enumerate(zip(cidx.get(2, []), cidx.get(3, []))):
+        b = None if p < len(nulls) and nulls[p] else (dec(mn), dec(mx))
+        if b is not None and None in b:
+            return None
+        out.append(b)
     return out
 
 
 def _chunk_stat_bounds(md: dict, leaf) -> tuple | None:
     """(lo, hi) from ColumnMetaData.statistics min_value/max_value (fields
-    6/5), or None when absent/unusable. BYTE_ARRAY bounds are raw bytes
-    (truncated-with-increment upper bound — still valid bounds)."""
-    st = md.get(12)
-    if not isinstance(st, dict):
+    6/5), or None when absent/unusable."""
+    st, dec = md.get(12), _bound_decoder(leaf)
+    if not isinstance(st, dict) or st.get(6) is None or st.get(5) is None or dec is None:
         return None
-    mn, mx = st.get(6), st.get(5)
-    if mn is None or mx is None:
-        return None
-    fmt = _bounds_fmt(leaf)
-    if fmt is not None:
-        if len(mn) != struct.calcsize(fmt) or len(mx) != struct.calcsize(fmt):
-            return None
-        return struct.unpack(fmt, mn)[0], struct.unpack(fmt, mx)[0]
-    if leaf.ptype == "BYTE_ARRAY":
-        return bytes(mn), bytes(mx)
-    if leaf.ptype == "BOOLEAN" and len(mn) == 1 and len(mx) == 1:
-        return bool(mn[0]), bool(mx[0])
-    return None
+    b = dec(st[6]), dec(st[5])
+    return None if None in b else b
 
 
 # PageEncodingStats page types / encodings for the dictionary-filter check
@@ -853,7 +855,10 @@ def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
         return pa.Array.from_buffers(
             pa.binary(leaf.type_length), h.num_values, [None, pa.py_buffer(v)]
         )
-    return pa.array(np.asarray(vals))
+    v = np.asarray(vals)
+    if leaf.unsigned and v.dtype.kind == "i":
+        v = v.view(v.dtype.str.replace("i", "u"))  # stored sign-wrapped
+    return pa.array(v)
 
 
 def _matching_pages(node, bounds, boundary_order: int) -> list[int]:
@@ -866,8 +871,6 @@ def _matching_pages(node, bounds, boundary_order: int) -> list[int]:
     excluded from the search coordinates). Falls back to the linear scan
     for UNORDERED indexes, set/udp leaves, and mixed-type bounds."""
     from bisect import bisect_left, bisect_right
-
-    from . import predicate as P
 
     op = getattr(node, "op", None)
     if boundary_order in (1, 2) and op in ("==", "<", "<=", ">", ">="):
@@ -906,6 +909,55 @@ def _matching_pages(node, bounds, boundary_order: int) -> list[int]:
         for p, b in enumerate(bounds)
         if (b is not None and P.leaf_vs_bounds(node, b[0], b[1]))
     ]
+
+
+def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
+                    use_dictionary_filter: bool = True) -> list[int]:
+    """Ordinals of the row groups of ``f`` (all, or ``row_groups``) that may
+    hold a row matching NNF ``tree``, for ``read_table_filtered`` and
+    ``summary.plan_from_summary``. Each chunk's ``predicate.Granule`` holds
+    its statistics (binary bounds only if the PARQUET-251 gate trusts the
+    writer) and, when the chunk's data is in ``f`` (no ColumnChunk
+    ``file_path``, which `_metadata` sets to the part holding it), its
+    bloom filter and — when every data page is dictionary-encoded — its
+    dictionary."""
+    import functools
+
+    from .created_by import should_ignore_statistics
+
+    ords = list(range(len(f.row_groups)) if row_groups is None else row_groups)
+    if tree is None:
+        return ords
+    leaf_ord = {leaf.dotted: i for i, leaf in enumerate(f.leaves)}
+    distrust_binary = should_ignore_statistics(f.created_by, "BYTE_ARRAY")
+
+    def granule_of(rg_ord):
+        @functools.cache
+        def granule(col):
+            ci = leaf_ord.get(col)
+            if ci is None:
+                return None
+            lf = f.leaves[ci]
+            md = f.chunk_meta(rg_ord, ci)
+            st = md.get(12)
+            nulls = st.get(3) if isinstance(st, dict) else None
+            bounds = None
+            if not (distrust_binary and lf.ptype in ("BYTE_ARRAY", "FIXED_LEN_BYTE_ARRAY")):
+                bounds = _chunk_stat_bounds(md, lf)
+            g = P.Granule(
+                *(bounds or (None, None)), nulls,
+                None if nulls is None else md.get(5, 0) - nulls, _leaf_arrow_type(lf),
+            )
+            if f.row_groups[rg_ord][1][ci].get(1):
+                return g
+            g.bloom = _bloom_probe(f, rg_ord, ci)
+            if use_dictionary_filter and _all_pages_dict_encoded(md):
+                g.dictionary = functools.cache(lambda: read_dictionary_values(f, rg_ord, ci))
+            return g
+
+        return granule
+
+    return [g for g in ords if P.may_match(tree, granule_of(g))]
 
 
 _FILE_CACHE: dict = {}
@@ -950,20 +1002,13 @@ def read_table_filtered(
     ``predicate`` is anything predicate.normalize accepts: the legacy
     ``[(col, op, value), ...]`` conjunction list or a full And/Or/Not tree
     with In/NotIn/UserPredicate leaves (`filter2/predicate/Operators.java`
-    algebra). Row groups are vetoed by chunk statistics, then bloom filters
-    (equality leaves), then — when stats are inconclusive and
-    PageEncodingStats prove the chunk fully dictionary-encoded — by reading
-    the dictionary page itself (`filter2/dictionarylevel/
-    DictionaryFilter.java`). Surviving row groups prune pages through the
-    RowRanges calculus (And intersects, Or unions per-branch intervals);
-    the exact filter runs after decode. Predicate columns excluded from
+    algebra). ``plan_row_groups`` prunes row groups, ``predicate.row_ranges``
+    the pages of the survivors, and the exact filter runs after decode.
+    Predicate columns excluded from
     ``columns`` are decoded for the mask and dropped from the result.
     Flat predicate columns; plaintext or encrypted files. ``predicate=None``
     prunes nothing and decodes every selected chunk whole: the
     conformance and encrypted reads."""
-    from . import predicate as P
-    from .blocks import _intersect_intervals, _merge_intervals
-
     tree = P.normalize(predicate)
     f = _open_cached(path, decryption)
     schema = f.arrow_schema()
@@ -1010,143 +1055,40 @@ def read_table_filtered(
     for c in pred_cols:
         _pred_field(c)  # validates flat / non-repeated
     parts = []
-    rg_iter = (
-        [(i, f.row_groups[i]) for i in row_groups]
-        if row_groups is not None
-        else list(enumerate(f.row_groups))
-    )
-    dict_cache: dict = {}
-
-    # PARQUET-251 gate: binary min/max from parquet-mr < 1.8.0 (or files
-    # with missing/unparseable created_by) are corrupt and must not prune
-    # (CorruptStatistics.shouldIgnoreStatistics)
-    from .created_by import should_ignore_statistics
-
-    distrust_binary = should_ignore_statistics(f.created_by, "BYTE_ARRAY")
-
-    def rg_leaf_fn(rg_ord):
-        def fn(leaf: P.Leaf) -> bool:
-            ci = leaf_ord[leaf.col]
-            lf = f.leaves[ci]
-            md = f.chunk_meta(rg_ord, ci)
-            if leaf.op in ("is_null", "not_null"):
-                # Statistics.null_count (field 3) vs ColumnMetaData
-                # num_values (field 5, nulls included)
-                st = md.get(12)
-                nulls = st.get(3) if isinstance(st, dict) else None
-                if nulls is None:
-                    return True
-                if leaf.op == "is_null":
-                    return nulls > 0
-                return md.get(5, 0) - nulls > 0
-            if distrust_binary and lf.ptype in (
-                "BYTE_ARRAY", "FIXED_LEN_BYTE_ARRAY"
-            ):
-                b = None
-            else:
-                b = _chunk_stat_bounds(md, lf)
-            if b is not None and not P.leaf_vs_bounds(leaf, b[0], b[1]):
-                return False
-            if leaf.op in ("==", "in"):
-                filt = read_bloom_filter(f, rg_ord, ci)
-                if filt is not None:
-                    from .bloom import spec_value_hash
-
-                    vals = leaf.value if leaf.op == "in" else [leaf.value]
-                    if not any(
-                        bool(
-                            filt.might_contain_hashes(
-                                spec_value_hash(v, lf.ptype)
-                            )[0]
-                        )
-                        for v in vals
-                    ):
-                        return False
-            if use_dictionary_filter and _all_pages_dict_encoded(md):
-                key = (rg_ord, ci)
-                if key not in dict_cache:
-                    try:
-                        dict_cache[key] = read_dictionary_values(f, rg_ord, ci)
-                    except Exception:
-                        dict_cache[key] = None
-                dvals = dict_cache[key]
-                if dvals is not None:
-                    try:
-                        arr = dvals
-                        if pa.types.is_binary(arr.type) or pa.types.is_large_binary(
-                            arr.type
-                        ):
-                            vals = (
-                                leaf.value
-                                if isinstance(leaf.value, tuple)
-                                else (leaf.value,)
-                            )
-                            if any(isinstance(v, str) for v in vals):
-                                arr = arr.cast(pa.large_string())
-                        if not P.leaf_vs_values(leaf, arr):
-                            return False
-                    except Exception:
-                        pass
-            return True
-
-        return fn
-
-    def page_intervals(node, rg_ord, rg_rows, idx_cache):
-        if isinstance(node, P.And):
-            iv = [(0, rg_rows)]
-            for k in node.preds:
-                iv = _intersect_intervals(
-                    iv, page_intervals(k, rg_ord, rg_rows, idx_cache)
-                )
-                if not iv:
-                    break
-            return iv
-        if isinstance(node, P.Or):
-            out = []
-            for k in node.preds:
-                out = _merge_intervals(
-                    out + page_intervals(k, rg_ord, rg_rows, idx_cache)
-                )
-            return out
-        ci = leaf_ord[node.col]
-        parsed = idx_cache.get(node.col)
-        if parsed is None:
-            parsed = _parse_index(f, rg_ord, ci)
-            idx_cache[node.col] = parsed
-        if parsed is None:
-            return [(0, rg_rows)]
-        cidx, oidx = parsed
-        locs = oidx.get(1, [])
-        firsts = [loc[3] for loc in locs] + [rg_rows]
-        if node.op in ("is_null", "not_null"):
-            # ColumnIndex null_pages (field 1) + null_counts (field 5)
-            null_pages = cidx.get(1, [])
-            counts = cidx.get(5, None)
-            keep = []
-            for p in range(len(locs)):
-                if node.op == "not_null":
-                    k = not (p < len(null_pages) and null_pages[p])
-                else:
-                    k = counts[p] > 0 if (counts and p < len(counts)) else True
-                if k:
-                    keep.append(p)
-            return _merge_intervals(
-                [(firsts[p], firsts[p + 1]) for p in keep]
-            )
-        bounds = _page_bounds(cidx, f.leaves[ci])
-        keep = _matching_pages(node, bounds, cidx.get(4, 0))
-        return _merge_intervals([(firsts[p], firsts[p + 1]) for p in keep])
-
-    for rg_ord, rg in rg_iter:
-        rg_rows = rg.get(3)
-        if tree is not None and not P.may_match(tree, rg_leaf_fn(rg_ord)):
-            continue
+    for rg_ord in plan_row_groups(f, tree, row_groups, use_dictionary_filter=use_dictionary_filter):
+        rg_rows = f.row_groups[rg_ord].get(3)
         idx_cache = {}
-        intervals = (
-            page_intervals(tree, rg_ord, rg_rows, idx_cache)
-            if tree is not None
-            else [(0, rg_rows)]
-        )
+
+        def leaf_rows(leaf):
+            """Rows of the pages whose ColumnIndex entry may satisfy
+            ``leaf`` (None without a page index)."""
+            ci = leaf_ord[leaf.col]
+            parsed = idx_cache.get(leaf.col)
+            if parsed is None:
+                parsed = _parse_index(f, rg_ord, ci)
+                idx_cache[leaf.col] = parsed
+            if parsed is None:
+                return None
+            cidx, oidx = parsed
+            firsts = [loc[3] for loc in oidx.get(1, [])] + [rg_rows]
+            if leaf.op in ("is_null", "not_null"):
+                # ColumnIndex null_pages (field 1) + null_counts (field 5)
+                null_pages = cidx.get(1) or [False] * (len(firsts) - 1)
+                counts = cidx.get(5) or [None] * len(null_pages)
+                keep = [
+                    p for p, (null_page, nulls) in enumerate(zip(null_pages, counts))
+                    if P.leaf_may_match(leaf, P.Granule(nulls=nulls, count=0 if null_page else None))
+                ]
+            else:
+                lf = f.leaves[ci]
+                dleaf = P.in_domain(leaf, _leaf_arrow_type(lf))[0]
+                bounds = _page_bounds(cidx, lf)
+                if dleaf is None or bounds is None:
+                    return None
+                keep = _matching_pages(dleaf, bounds, cidx.get(4, 0))
+            return [(firsts[p], firsts[p + 1]) for p in keep]
+
+        intervals = P.row_ranges(tree, rg_rows, leaf_rows)
         if not intervals:
             continue
         cols = []
@@ -1189,24 +1131,11 @@ def read_table_filtered(
             _, oidx = parsed
             locs = oidx.get(1, [])
             firsts = [loc[3] for loc in locs] + [rg_rows]
-            page_sel = [
-                p
-                for p in range(len(locs))
-                if _intersect_intervals(
-                    [(firsts[p], firsts[p + 1])], intervals
-                )
-            ]
-            arr = _decode_selected_pages(f, rg_ord, ci, locs, page_sel, field.type)
-            # map final intervals to local offsets within decoded pages
-            local = []
-            base = 0
-            for p in page_sel:
-                a, b = firsts[p], firsts[p + 1]
-                for lo, hi in _intersect_intervals([(a, b)], intervals):
-                    local.append((base + lo - a, hi - lo))
-                base += b - a
-            picked = pa.concat_arrays([arr.slice(s, n) for s, n in local])
-            cols.append(picked)
+            sel, local = P.page_slices(list(zip(firsts, firsts[1:])), intervals)
+            arr = _decode_selected_pages(
+                f, rg_ord, ci, locs, [p for p, k in enumerate(sel) if k], field.type
+            )
+            cols.append(pa.concat_arrays([arr.slice(s, n) for s, n in local]))
         tbl = pa.Table.from_arrays(cols, schema=dec_schema)
         parts.append(tbl)
     table = (
@@ -1284,22 +1213,34 @@ def read_bloom_filter(f: "EncryptedFile", rg_ord: int, col_ord: int):
     return SpecBloom.from_bitset(bytes(bitset))
 
 
+def _bloom_probe(f: "EncryptedFile", rg_ord: int, col_ord: int):
+    """``values -> bool``: may the chunk hold any of these values, by its
+    bloom filter (read once, on the first probe); None without a filter or
+    for a leaf whose values the probe cannot hash (INT96, BOOLEAN,
+    FLOAT16)."""
+    import functools
+
+    from .bloom import spec_value_hash
+
+    leaf = f.leaves[col_ord]
+    ptype = leaf.ptype
+    if f.chunk_meta(rg_ord, col_ord).get(14) is None or leaf.f16 or ptype in ("BOOLEAN", "INT96"):
+        return None
+    filt = functools.cache(lambda: read_bloom_filter(f, rg_ord, col_ord))
+    return lambda values: any(
+        bool(filt().might_contain_hashes(spec_value_hash(v, ptype))[0]) for v in values
+    )
+
+
 def bloom_might_contain(
     path: str, column: str, value, decryption: FileDecryption | None = None
 ) -> list[bool]:
     """Per-row-group bloom verdicts for ``column == value`` (True = row
     group may contain it). Row groups without a bloom return True."""
-    from .bloom import spec_value_hash
-
     f = EncryptedFile(path, decryption)
     col_ord = f.leaf_index(column)
-    ptype = f.leaves[col_ord].ptype
-    h = spec_value_hash(value, "INT64" if ptype == "INT96" else ptype)
-    out = []
-    for rg in range(len(f.row_groups)):
-        filt = read_bloom_filter(f, rg, col_ord)
-        out.append(True if filt is None else bool(filt.might_contain_hashes(h)[0]))
-    return out
+    probes = [_bloom_probe(f, rg, col_ord) for rg in range(len(f.row_groups))]
+    return [probe is None or probe([value]) for probe in probes]
 
 
 def read_table_encrypted(

@@ -37,6 +37,7 @@ import ray
 import ray.data
 
 from . import blocks, parquet_compat
+from . import predicate as P
 from .selector import EncodeConfig
 
 DEFAULT_TARGET_BLOCK_BYTES = 64 << 20  # raw bytes per encode partition
@@ -226,7 +227,6 @@ class DecodeWorker:
                  bad_block_threshold: float | None = None,
                  total_partitions: int | None = None):
         from .memtune import tune_process_memory
-        from . import predicate as P
 
         tune_process_memory()
         self.out_dir = out_dir
@@ -248,54 +248,13 @@ class DecodeWorker:
         self._bad = 0
 
     def _skip_by_stats(self, manifest: dict) -> bool:
-        from . import predicate as P
-
+        """True when the manifest's chunk statistics and blooms prove that
+        no row of the partition matches ``self.pred``."""
         if self.pred is None:
             return False
-        chunks = {c["name"]: c for c in manifest["chunks"]}
-
-        def leaf_fn(leaf: P.Leaf) -> bool:
-            entry = chunks.get(leaf.col)
-            if entry is None:
-                return True
-            # bloom veto for equality-style leaves before stats
-            if leaf.op in ("==", "in") and entry.get("bloom"):
-                from . import bloom
-
-                filt = bloom.BloomFilter.deserialize(entry["bloom"])
-                vals = leaf.value if leaf.op == "in" else [leaf.value]
-                if not any(
-                    bool(filt.might_contain_hashes(bloom.value_hash(v))[0])
-                    for v in vals
-                ):
-                    return False
-            st = entry.get("stats")
-            if leaf.op in ("is_null", "not_null"):
-                # exact null-count veto (stats carry defined + null counts)
-                if not st:
-                    return True
-                if leaf.op == "is_null":
-                    return st.get("null_count", 1) > 0
-                return st.get("num_values", 1) > 0
-            if not st or st.get("min") is None:
-                return True
-            lo, hi = st["min"], st["max"]
-            if isinstance(lo, str):
-                # binary min/max are stored latin-1 (bytewise order
-                # preserved, max truncated-with-increment —
-                # ColumnIndexBuilder semantics). Manifests from before
-                # stats_v=2 stored lossy utf-8-replace strings that are NOT
-                # valid bounds — never skip on those.
-                if st.get("stats_v", 1) < 2:
-                    return True
-                lo, hi = lo.encode("latin-1"), hi.encode("latin-1")
-            return P.leaf_vs_bounds(leaf, lo, hi)
-
-        return not P.may_match(self.pred, leaf_fn)
+        return not P.may_match(self.pred, blocks.partition_granules(manifest))
 
     def __call__(self, batch: dict):
-        from . import predicate as P
-
         for name in batch["manifest"]:
             self._seen += 1
             try:
@@ -853,8 +812,6 @@ def decode_dataset(
     if (predicate is not None or columns is not None) and manifests:
         # fail at PLAN time on unknown columns — not as a KeyError from deep
         # inside a Ray task after work has launched
-        from . import predicate as _P
-
         def _names(manifest: str) -> set:
             with open(os.path.join(out_dir, manifest)) as f:
                 chunk_names = {c["name"] for c in json.load(f)["chunks"]}
@@ -863,7 +820,7 @@ def decode_dataset(
             return chunk_names | {n.split("#", 1)[0] for n in chunk_names}
 
         known = _names(manifests[0])
-        requested = _P.columns(_P.normalize(predicate)) if predicate else set()
+        requested = P.columns(P.normalize(predicate)) if predicate else set()
         if columns is not None:
             requested |= set(columns)
         missing = requested - known
@@ -1163,8 +1120,6 @@ def read_parquet_evolved(
     skipping via read_table_filtered); files that predate a predicate
     column align it to null first, so comparison leaves fail there
     (Kleene null verdicts drop the rows) instead of erroring."""
-    from . import predicate as P
-
     from .parquet_read_enc import _open_cached
 
     tree = P.normalize(predicate) if predicate is not None else None

@@ -7,10 +7,11 @@ three ways:
 
 - ``mask(pred, table)``  — exact row-level evaluation via pyarrow.compute
   (SQL three-valued logic: Kleene and/or, nulls fail the filter);
-- ``may_match(pred, leaf_fn)`` — sound pruning verdict over whatever
-  metadata the call site has (row-group stats, page bounds, blooms,
-  dictionary pages): ``leaf_fn(leaf) -> bool`` answers "can any row in this
-  granule satisfy this LEAF"; the tree combines answers (And=all, Or=any);
+- ``may_match(pred, granule_of)`` — sound pruning verdict for one granule
+  from the per-column ``Granule`` records each surface builds from its
+  metadata; ``leaf_may_match`` is the one veto, And=all, Or=any;
+- ``row_ranges(pred, nrows, leaf_ranges)`` — the rows of a granule that
+  page-level metadata cannot rule out (And intersects, Or unions);
 - ``normalize(...)`` — accepts the legacy ``[(col, op, value), ...]``
   conjunction lists every rayenc surface used through round 3 and returns an
   NNF tree (Not pushed to the leaves, flipping operators the way
@@ -33,6 +34,7 @@ them, because the NNF leaf `f > x` is false for NaN). Filter NaN explicitly
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -320,20 +322,212 @@ def filter_table(pred, table):
 # ----------------------------------------------------------------- pruning
 
 
-def may_match(pred, leaf_fn: Callable[[Leaf], bool]) -> bool:
+@dataclass
+class Granule:
+    """What a container partition or page, Parquet row group or page, or
+    `_metadata` row group records about one column; None is "unknown".
+    ``lo``/``hi`` bound the non-null values in the stats domain (physical
+    values: epoch units, unsigned ints, bytes); ``nulls``/``count`` are the
+    null and non-null counts; ``type`` is the Arrow type that maps literals
+    into that domain. ``bloom(values) -> bool`` (may the chunk hold any of
+    these values) and ``dictionary() -> pa.Array | None`` (every distinct
+    non-null value) are lazy probes."""
+
+    lo: Any = None
+    hi: Any = None
+    nulls: int | None = None
+    count: int | None = None
+    type: Any = None
+    bloom: Callable | None = None
+    dictionary: Callable | None = None
+
+
+def may_match(pred, granule_of: Callable[[str], Granule | None]) -> bool:
     """Sound three-valued pruning: False only when NO row in the granule can
-    satisfy ``pred``. ``leaf_fn`` answers the same question for one leaf
-    given the call site's metadata; return True when unsure. ``pred`` must
-    be NNF (from normalize())."""
+    satisfy NNF ``pred``; ``granule_of(col)`` is the granule's record of a
+    column (None when it has none). And=all, Or=any."""
     if pred is None:
         return True
     if isinstance(pred, Leaf):
-        return bool(leaf_fn(pred))
+        return leaf_may_match(pred, granule_of(pred.col))
     if isinstance(pred, And):
-        return all(may_match(k, leaf_fn) for k in pred.preds)
+        return all(may_match(k, granule_of) for k in pred.preds)
     if isinstance(pred, Or):
-        return any(may_match(k, leaf_fn) for k in pred.preds)
+        return any(may_match(k, granule_of) for k in pred.preds)
     raise TypeError(f"normalize() first: unexpected node {pred!r}")
+
+
+def leaf_may_match(leaf: Leaf, g: Granule | None) -> bool:
+    """The one granule veto (`filter2/compat/RowGroupFilter.java`): null
+    counts decide is_null/not_null and an all-null granule fails the rest;
+    then the bounds, the bloom (== and in) and the dictionary may each veto,
+    cheapest first. The bloom and dictionary only see literals with an
+    exact value in the column's stats domain."""
+    if g is None:
+        return True
+    if leaf.op == "is_null":
+        return g.nulls is None or g.nulls > 0
+    if leaf.op == "not_null":
+        return g.count is None or g.count > 0
+    if g.count == 0:
+        return False
+    dleaf, exact = in_domain(leaf, g.type)
+    if dleaf is None:  # neither the bounds nor the probes can judge it
+        return True
+    if g.lo is not None and not leaf_vs_bounds(dleaf, g.lo, g.hi):
+        return False
+    if exact and g.bloom is not None and leaf.op in ("==", "in"):
+        if not g.bloom(dleaf.value if leaf.op == "in" else (dleaf.value,)):
+            return False
+    try:
+        values = g.dictionary() if exact and g.dictionary is not None else None
+        return values is None or leaf_vs_values(dleaf, values)
+    except Exception:  # an unreadable dictionary vetoes nothing
+        return True
+
+
+def row_ranges(tree, nrows: int, leaf_ranges) -> list[tuple[int, int]]:
+    """Rows ``[(start, end), ...]`` of an ``nrows``-row granule that may
+    satisfy NNF ``tree`` (the RowRanges calculus of
+    `internal/filter2/columnindex/ColumnIndexFilter.java`): And intersects,
+    Or unions, ``leaf_ranges(leaf)`` gives a leaf's rows (None: all)."""
+    if isinstance(tree, And):
+        iv = [(0, nrows)]
+        for k in tree.preds:
+            iv = _intersect_intervals(iv, row_ranges(k, nrows, leaf_ranges))
+            if not iv:
+                break
+        return iv
+    if isinstance(tree, Or):
+        out: list[tuple[int, int]] = []
+        for k in tree.preds:
+            out = _merge_intervals(sorted(out + row_ranges(k, nrows, leaf_ranges)))
+        return out
+    iv = leaf_ranges(tree) if tree is not None else None
+    return [(0, nrows)] if iv is None else _merge_intervals(iv)
+
+
+def page_slices(pages, kept) -> tuple[list[bool], list[tuple[int, int]]]:
+    """Map kept rows onto page-aligned decoding: which of ``pages`` (row
+    ``(start, end)`` per page) overlap ``kept``, and the ``(offset,
+    length)`` of each kept run within the concatenated selected pages."""
+    mask, local, base = [], [], 0
+    for a, b in pages:
+        runs = _intersect_intervals([(a, b)], kept)
+        mask.append(bool(runs))
+        if runs:
+            local += [(base + lo - a, hi - lo) for lo, hi in runs]
+            base += b - a
+    return mask, local
+
+
+def _merge_intervals(iv):
+    out: list[tuple[int, int]] = []
+    for a, b in iv:
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+def _intersect_intervals(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def in_domain(leaf: Leaf, t) -> tuple[Leaf | None, bool]:
+    """``leaf`` with its literal(s) in the stats domain of Arrow type ``t``
+    (None when even the bounds cannot judge it), and whether all of them are
+    exact there for the bloom and dictionary. Memoized per (leaf, type)."""
+    try:
+        return _in_domain(leaf, t)
+    except TypeError:  # an unhashable literal
+        return _in_domain.__wrapped__(leaf, t)
+
+
+@functools.lru_cache(maxsize=256)
+def _in_domain(leaf: Leaf, t) -> tuple[Leaf | None, bool]:
+    import pyarrow as pa
+
+    if t is not None and pa.types.is_dictionary(t):
+        t = t.value_type
+    dec = t is not None and pa.types.is_decimal(t)
+    if leaf.op == "udp":  # unscaled decimal ints are not its values
+        return (None if dec else leaf), True
+    many = leaf.op in ("in", "not_in")
+    old = leaf.value if many else (leaf.value,)
+    new = [_stats_value(v, t) for v in old]
+    if _UNBOUNDED in new:
+        return None, False
+    # inexact literals stay as they are, for the bounds; decimals are
+    # bounds-only (a FIXED_LEN_BYTE_ARRAY bloom hashes the stored bytes)
+    exact = _INEXACT not in new and not dec
+    new = [o if v is _INEXACT else v for v, o in zip(new, old)]
+    return Leaf(leaf.col, leaf.op, new if many else new[0]), exact
+
+
+_INEXACT, _UNBOUNDED = object(), object()
+
+
+def _stats_value(v, t):
+    """Literal ``v`` in Arrow type ``t``'s stats domain (epoch units, days,
+    UTF-8 bytes, unscaled decimal ints); ``_INEXACT`` when ``t`` has no value
+    Arrow finds equal to ``v`` (700.5 on int64, a naive datetime on a
+    tz-aware column); ``_UNBOUNDED`` for a decimal literal other than an int
+    or Decimal exact at the scale (Arrow compares floats as floats)."""
+    import decimal
+
+    import pyarrow as pa
+
+    from .schema import physical_type
+
+    if t is None:
+        return _INEXACT
+    try:
+        if pa.types.is_decimal(t):
+            if isinstance(v, bool) or not isinstance(v, (int, decimal.Decimal)):
+                return _UNBOUNDED
+            d = decimal.Decimal(v).scaleb(t.scale)
+            return int(d) if d == d.to_integral_value() else _UNBOUNDED
+        if physical_type(t) == "BINARY":
+            if isinstance(v, (bytes, bytearray)):
+                return bytes(v)
+            return v.encode() if isinstance(v, str) else _INEXACT
+        if pa.types.is_fixed_size_binary(t):
+            ok = isinstance(v, (bytes, bytearray)) and len(v) == t.byte_width
+            return bytes(v) if ok else _INEXACT
+        if isinstance(v, (str, bytes, bool)) and not pa.types.is_boolean(t):
+            return _INEXACT
+        try:
+            s = pa.scalar(v)
+        except (OverflowError, pa.ArrowException):
+            s = pa.scalar(v, t)  # ints beyond int64 on uint64 columns
+        if s.type != t:
+            if pa.types.is_timestamp(s.type) and pa.types.is_timestamp(t) and (
+                (s.type.tz is None) != (t.tz is None)
+            ):
+                return _INEXACT
+            c = s.cast(t)  # a safe cast raises when the value would change
+            if not c.cast(s.type).equals(s):
+                return _INEXACT
+            s = c
+        if pa.types.is_temporal(t):
+            s = s.cast(pa.int64() if t.bit_width == 64 else pa.int32())
+        return s.as_py()
+    except (pa.ArrowException, ValueError, TypeError, OverflowError, NotImplementedError,
+            decimal.InvalidOperation):
+        return _INEXACT
 
 
 def leaf_vs_bounds(leaf: Leaf, lo, hi, all_null: bool = False) -> bool:
@@ -389,12 +583,7 @@ def leaf_vs_values(leaf: Leaf, arr) -> bool:
 
     if leaf.op in ("is_null", "not_null"):
         return True  # dictionaries carry no null info
-    if leaf.op in ("!=", "not_in"):
-        # any dictionary value outside the excluded set satisfies it
-        return bool(pc.any(_as_bool_array(leaf_mask(leaf, arr))).as_py() or False)
-    m = leaf_mask(leaf, arr)
-    got = pc.any(_as_bool_array(m)).as_py()
-    return bool(got) if got is not None else False
+    return bool(pc.any(_as_bool_array(leaf_mask(leaf, arr))).as_py())
 
 
 def _comparable(lo, v) -> bool:

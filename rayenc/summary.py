@@ -89,76 +89,44 @@ def read_summary(dir_path: str):
     return pq.read_metadata(os.path.join(dir_path, METADATA))
 
 
-def _rg_bounds(rg_meta, name_to_idx: dict[str, int], col: str):
-    """(min, max, null_count) of one column in one summary row group, or
-    None components when statistics are absent."""
-    i = name_to_idx.get(col)
-    if i is None:
-        return None, None, None
-    st = rg_meta.column(i).statistics
-    if st is None:
-        return None, None, None
-    mn = st.min if st.has_min_max else None
-    mx = st.max if st.has_min_max else None
-    nulls = st.null_count if st.has_null_count else None
-    return mn, mx, nulls
-
-
 def plan_from_summary(
     dir_path: str, predicate=None
 ) -> list[tuple[str, int]]:
     """(part path, row-group ordinal WITHIN its part) for every row group
     that may match ``predicate``, planned purely from `_metadata` — no part
-    footer is opened.  Pruning runs the same three-valued stats veto the
-    per-file path uses (predicate.leaf_vs_bounds over And/Or/Not trees)."""
+    footer is opened, except for parts rewritten or added after the summary,
+    which are planned from their live footers. Both run the row-group loop
+    of the per-file read (``parquet_read_enc.plan_row_groups``); `_metadata`
+    chunks point into the parts, so the summary plans on statistics alone."""
     from . import predicate as P
+    from .parquet_read_enc import EncryptedFile, plan_row_groups
 
-    md = read_summary(dir_path)
-    tree = P.normalize(predicate) if predicate is not None else None
+    md = EncryptedFile(os.path.join(dir_path, METADATA))
+    tree = P.normalize(predicate)
+
+    def live(rel):
+        p = os.path.join(dir_path, rel)
+        return [(p, g) for g in plan_row_groups(EncryptedFile(p), tree)]
+
     changed = _changed_parts(dir_path)
-    name_to_idx: dict[str, int] = {}
-    if md.num_row_groups:
-        rg0 = md.row_group(0)
-        name_to_idx = {
-            rg0.column(i).path_in_schema: i for i in range(rg0.num_columns)
-        }
+    keep = set(plan_row_groups(md, tree))
     out: list[tuple[str, int]] = []
     local_ord: dict[str, int] = {}
-    replanned: set[str] = set()
-    for g in range(md.num_row_groups):
-        rg = md.row_group(g)
-        fp = rg.column(0).file_path
+    for g, rg in enumerate(md.row_groups):
+        fp = rg[1][0].get(1, b"").decode()
+        ordn = local_ord[fp] = local_ord.get(fp, -1) + 1
         if fp in changed:
             # the part was rewritten after the summary: its summary stats
             # are stale and pruning on them is silently wrong — replan this
-            # file from its LIVE footer (same three-valued veto)
-            if fp not in replanned:
-                replanned.add(fp)
-                out.extend(_plan_live_file(dir_path, fp, tree))
-            continue
-        ordn = local_ord.get(fp, 0)
-        local_ord[fp] = ordn + 1
-        if tree is not None:
-
-            def leaf_fn(leaf) -> bool:
-                mn, mx, nulls = _rg_bounds(rg, name_to_idx, leaf.col)
-                if leaf.op == "is_null":
-                    return nulls is None or nulls > 0
-                if leaf.op == "not_null":
-                    if nulls is None:
-                        return True
-                    return rg.num_rows - nulls > 0
-                if mn is None or mx is None:
-                    return True
-                return P.leaf_vs_bounds(leaf, mn, mx)
-
-            if not P.may_match(tree, leaf_fn):
-                continue
-        out.append((os.path.join(dir_path, fp), ordn))
+            # file from its LIVE footer
+            if ordn == 0:
+                out.extend(live(fp))
+        elif g in keep:
+            out.append((os.path.join(dir_path, fp), ordn))
     # parts ADDED after the summary have no summary row groups at all —
     # the loop above never visits them; plan them live too
-    for rel in sorted(changed - replanned):
-        out.extend(_plan_live_file(dir_path, rel, tree))
+    for rel in sorted(changed - set(local_ord)):
+        out.extend(live(rel))
     return out
 
 
@@ -191,39 +159,3 @@ def _changed_parts(dir_path: str) -> set[str]:
         if rel not in index:
             changed.add(rel)  # new part: the summary has no row groups for it
     return changed
-
-
-def _plan_live_file(dir_path: str, rel: str, tree) -> list[tuple[str, int]]:
-    """Row groups of ONE part planned from its live footer (used when the
-    summary's record of that part is stale)."""
-    from . import predicate as P
-
-    p = os.path.join(dir_path, rel)
-    md = pq.read_metadata(p)
-    name_to_idx: dict[str, int] = {}
-    if md.num_row_groups:
-        rg0 = md.row_group(0)
-        name_to_idx = {
-            rg0.column(i).path_in_schema: i for i in range(rg0.num_columns)
-        }
-    out = []
-    for g in range(md.num_row_groups):
-        rg = md.row_group(g)
-        if tree is not None:
-
-            def leaf_fn(leaf) -> bool:
-                mn, mx, nulls = _rg_bounds(rg, name_to_idx, leaf.col)
-                if leaf.op == "is_null":
-                    return nulls is None or nulls > 0
-                if leaf.op == "not_null":
-                    if nulls is None:
-                        return True
-                    return rg.num_rows - nulls > 0
-                if mn is None or mx is None:
-                    return True
-                return P.leaf_vs_bounds(leaf, mn, mx)
-
-            if not P.may_match(tree, leaf_fn):
-                continue
-        out.append((p, g))
-    return out

@@ -14,8 +14,6 @@ them at once.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -24,36 +22,23 @@ from .parquet_read_enc import (
     EncryptedFile,
     FileDecryption,
     PageCrcError,
-    _bounds_fmt,
+    _bound_decoder,
     _decode_selected_pages,
     _parse_index,
 )
 
 
-def _actual_bounds(arr: pa.Array, leaf):
-    """(min, max) of the non-null page values in the leaf's comparator
-    domain, or None when the page has no non-null values."""
-    if len(arr) - arr.null_count == 0:
-        return None
+def _actual_bounds(arr: pa.Array):
+    """(min, max) of a page's non-null values in the stats domain."""
     t = arr.type
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) \
+            or pa.types.is_large_binary(t) or pa.types.is_fixed_size_binary(t):
         arr = arr.cast(pa.large_binary())
-    if pa.types.is_binary(t) or pa.types.is_large_binary(t) or pa.types.is_fixed_size_binary(t):
-        mm = pc.min_max(arr.cast(pa.large_binary()))
-        return mm["min"].as_py(), mm["max"].as_py()
-    if pa.types.is_boolean(t):
-        mm = pc.min_max(arr)
-        return int(mm["min"].as_py()), int(mm["max"].as_py())
     mm = pc.min_max(arr)
-    return mm["min"].as_py(), mm["max"].as_py()
-
-
-def _written_bounds(cidx, p: int, leaf):
-    fmt = _bounds_fmt(leaf)
-    mn, mx = cidx.get(2, [])[p], cidx.get(3, [])[p]
-    if fmt is not None:
-        return struct.unpack(fmt, mn)[0], struct.unpack(fmt, mx)[0]
-    return bytes(mn), bytes(mx)
+    lo, hi = mm["min"].as_py(), mm["max"].as_py()
+    if pa.types.is_decimal(t):  # bounds are unscaled ints
+        return int(lo.scaleb(t.scale)), int(hi.scaleb(t.scale))
+    return lo, hi
 
 
 def validate_column_index(
@@ -91,7 +76,7 @@ def validate_column_index(
                 arrow_t = schema.field(leaf.dotted).type
             except KeyError:
                 continue
-            written = []
+            written, dec = [], _bound_decoder(leaf)
             for p in range(len(locs)):
                 try:
                     arr = _decode_selected_pages(f, rg, ci, locs, [p], arrow_t)
@@ -114,16 +99,16 @@ def validate_column_index(
                         f"{where} page {p}: null_count {counts[p]} != "
                         f"actual {arr.null_count}"
                     )
-                if defined == 0:
+                if defined == 0 or dec is None:  # INT96 has no defined order
                     continue
-                got = _actual_bounds(arr, leaf)
-                lo, hi = _written_bounds(cidx, p, leaf)
+                lo, hi = dec(mins[p]), dec(maxs[p])
+                if lo is None or hi is None:
+                    issues.append(f"{where} page {p}: malformed bounds")
+                    continue
                 written.append((lo, hi))
-                amn, amx = got
+                amn, amx = _actual_bounds(arr)
                 if isinstance(lo, bytes) and isinstance(amn, str):
                     amn, amx = amn.encode(), amx.encode()
-                if isinstance(lo, (int, float)) and isinstance(amn, bool):
-                    amn, amx = int(amn), int(amx)
                 if amn < lo:
                     issues.append(
                         f"{where} page {p}: value {amn!r} below written "

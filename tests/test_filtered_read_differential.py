@@ -2,10 +2,18 @@
 over pyarrow-written files spanning logical types (decimal, date, uint64
 beyond int64, nullable), writer versions, page-index presence, multi
 row-group layouts, and the full predicate algebra (conjunctions, in,
-is_null, Or/Not/And trees). Every row count must match SQL semantics."""
+is_null, Or/Not/And trees). Every row count must match SQL semantics.
 
+The same predicates also run on the other pruning surfaces — a container
+with blooms (DecodeWorker partitions and pages) and `_metadata` planning
+followed by read_table_filtered — where the rows must equal filter_table
+over the whole table and no vetoed granule may hold a matching row."""
+
+import datetime
 import decimal
 import itertools
+import json
+import os
 
 import duckdb
 import numpy as np
@@ -13,8 +21,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from rayenc import predicate as P
+from rayenc import blocks, pipeline, predicate as P
 from rayenc.parquet_read_enc import read_table_filtered
+from rayenc.selector import EncodeConfig
+from rayenc.summary import plan_from_summary, write_summary
 
 N = 5000
 RNG = np.random.default_rng(7)
@@ -37,7 +47,17 @@ TABLE = pa.table({
         [None if v % 7 == 0 else int(v) for v in RNG.integers(0, 100, N)],
         pa.int64(),
     ),
+    # integral floats (int literals must find them through blooms) and a
+    # sorted timestamp, which also orders the rows like i64
+    "fi": pa.array(RNG.integers(0, 100, N).astype(np.float64)),
+    "ts": pa.array(
+        np.sort(RNG.integers(0, 10**12, N)) + 1_577_836_800_000_000,
+        pa.timestamp("us"),
+    ),
 })
+TS = TABLE.column("ts").to_pylist()
+I64 = TABLE.column("i64").to_pylist()
+DAY = datetime.date(1970, 1, 1) + datetime.timedelta(days=10000)
 
 PREDS = [
     ([("i32", ">", 500)], "i32 > 500"),
@@ -55,6 +75,15 @@ PREDS = [
     (P.Not(P.Gt("i32", 0)), "not (i32 > 0)"),
     (P.And(P.Or(P.Gt("f64", 1.0), P.Lt("f64", -1.0)), P.Eq("b", True)),
      "(f64 > 1.0 or f64 < -1.0) and b"),
+    ([("fi", "==", 42)], "fi = 42"),
+    ([("fi", "in", [7, 42.5])], "fi in (7, 42.5)"),
+    ([("ts", "==", TS[1234])], f"ts = TIMESTAMP '{TS[1234]}'"),
+    ([("ts", ">=", TS[4000])], f"ts >= TIMESTAMP '{TS[4000]}'"),
+    ([("d", "<", DAY)], f"d < DATE '{DAY}'"),
+    # the second branch keeps rows BEFORE the first one's: the RowRanges
+    # union must not assume its inputs arrive in row order
+    (P.Or(P.Gt("i64", I64[4500]), P.Lt("ts", TS[300])),
+     f"i64 > {I64[4500]} or ts < TIMESTAMP '{TS[300]}'"),
 ]
 
 # one modern multi-row-group file with page indexes, one legacy v1 file
@@ -148,3 +177,90 @@ def test_random_predicate_trees_match_duckdb(tmp_path, seed):
             f"select count(*) from read_parquet('{path}') where {where}"
         ).fetchone()[0]
         assert got.num_rows == want, (seed, where)
+
+
+# ----------------------------------------------------- the other surfaces
+
+PARTS = 4
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """TABLE as a 4-partition container with a bloom on every column that
+    can carry one and several pages per chunk."""
+    d = str(tmp_path_factory.mktemp("renc"))
+    cfg = EncodeConfig(bloom_columns=set(TABLE.column_names), page_size=2048)
+    names = []
+    rows = N // PARTS
+    for k in range(PARTS):
+        blob, man = blocks.encode_block(TABLE.slice(k * rows, rows), cfg)
+        man["blob"] = f"part-{k}.renc"
+        with open(os.path.join(d, man["blob"]), "wb") as f:
+            f.write(blob)
+        names.append(f"part-{k}.manifest.json")
+        with open(os.path.join(d, names[-1]), "w") as f:
+            json.dump(man, f)
+    return d, names
+
+
+def _hits(tree, table) -> np.ndarray:
+    return np.flatnonzero(P.mask(tree, table).fill_null(False).to_numpy(zero_copy_only=False))
+
+
+@pytest.mark.parametrize("pi", range(len(PREDS)), ids=[w for _, w in PREDS])
+def test_container_surface_matches_filter_table(container, pi):
+    d, names = container
+    pred, where = PREDS[pi]
+    tree = P.normalize(pred)
+    # nullable chunks turn page skipping off: project them away unless the
+    # predicate needs them
+    cols = None if "opt" in P.columns(tree) else [c for c in TABLE.column_names if c != "opt"]
+    want = P.filter_table(tree, TABLE if cols is None else TABLE.select(cols))
+    w = pipeline.DecodeWorker(d, columns=cols, predicate=pred)
+    parts = list(w({"manifest": names}))
+    got = pa.concat_tables(parts) if parts else want.schema.empty_table()
+    assert got.sort_by("i64").equals(want.sort_by("i64")), where
+    for name in names:
+        with open(os.path.join(d, name)) as f:
+            man = json.load(f)
+        with open(os.path.join(d, man["blob"]), "rb") as f:
+            part = blocks.decode_block(f.read(), man)
+        hits = _hits(tree, part)
+        if w._skip_by_stats(man):
+            assert len(hits) == 0, (where, name)
+            continue
+        by_name = {c["name"]: c for c in man["chunks"]}
+        kept = blocks._kept_row_intervals(man, by_name, tree, man["num_rows"])
+        if kept is not None:
+            assert all(any(a <= r < b for a, b in kept) for r in hits), (where, name)
+
+
+@pytest.fixture(scope="module")
+def summary_dir(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("summary"))
+    rows = N // PARTS
+    for k in range(PARTS):
+        pq.write_table(
+            TABLE.slice(k * rows, rows), os.path.join(d, f"part-{k}.parquet"),
+            row_group_size=rows // 3, write_page_index=True, data_page_size=4096,
+        )
+    write_summary(d)
+    return d
+
+
+@pytest.mark.parametrize("pi", range(len(PREDS)), ids=[w for _, w in PREDS])
+def test_summary_surface_matches_filter_table(summary_dir, pi):
+    pred, where = PREDS[pi]
+    tree = P.normalize(pred)
+    plan = plan_from_summary(summary_dir, pred)
+    parts = [read_table_filtered(p, pred, row_groups=[rg]) for p, rg in plan]
+    want = P.filter_table(tree, TABLE)
+    got = pa.concat_tables(parts) if parts else want.schema.empty_table()
+    assert got.sort_by("i64").cast(want.schema).equals(want.sort_by("i64")), where
+    planned = set(plan)
+    for k in range(PARTS):
+        path = os.path.join(summary_dir, f"part-{k}.parquet")
+        for rg in range(pq.ParquetFile(path).metadata.num_row_groups):
+            if (path, rg) not in planned:
+                vetoed = read_table_filtered(path, None, row_groups=[rg])
+                assert len(_hits(tree, vetoed)) == 0, (where, path, rg)

@@ -63,3 +63,22 @@ def test_validator_on_encrypted_file(tmp_path):
         encryption=FileEncryption(footer_key=key),
     )
     assert validate_column_index(path, FileDecryption(footer_key=key)) == []
+
+
+def test_boolean_and_decimal_bounds_validate(tmp_path):
+    # bounds decode like the pruning reads them: booleans as bools,
+    # decimals as unscaled ints (INT32 or big-endian FIXED_LEN_BYTE_ARRAY)
+    from decimal import Decimal
+
+    import pyarrow.parquet as pq
+
+    t = pa.table({
+        "b": [True, False] * 50,
+        "d": pa.array([Decimal(i).scaleb(-2) for i in range(-50, 50)], pa.decimal128(9, 2)),
+    })
+    paths = [str(tmp_path / f"{k}.parquet") for k in ("ours", "int", "arrow")]
+    parquet_write.write_table(t, paths[0], EncodeConfig(page_rows=25))
+    parquet_write.write_table(t, paths[1], EncodeConfig(page_rows=25, decimal_as_integer=True))
+    pq.write_table(t, paths[2], write_page_index=True, data_page_size=64, write_batch_size=25)
+    for path in paths:
+        assert validate_column_index(path) == []
