@@ -22,6 +22,7 @@ import io
 import numpy as np
 import pyarrow as pa
 
+from . import codecs
 from . import predicate as P
 from . import selector as sel
 from . import stats as stats_mod
@@ -29,7 +30,6 @@ from .codecs import (
     alp,
     bytestream_split,
     delta_bp,
-    delta_length,
     delta_strings,
     dictionary as dict_codec,
     fsst,
@@ -89,7 +89,8 @@ class _Candidate:
     """Planned chunk encoding: exact (or, for FSST, estimated) total size plus
     a deferred ``emit`` that materializes aux + page bytes exactly once."""
 
-    __slots__ = ("encoding", "size", "estimated", "aux_meta", "_emit", "aux_size")
+    __slots__ = ("encoding", "size", "estimated", "aux_meta", "_emit", "aux_size",
+                 "memo", "_out")
 
     def __init__(self, encoding, size, emit, aux_meta=None, estimated=False,
                  aux_size=0):
@@ -99,10 +100,14 @@ class _Candidate:
         self.aux_meta = aux_meta
         self.aux_size = aux_size
         self._emit = emit
+        self.memo = None  # set on the winner by choose_encoding
+        self._out = None
 
     def emit(self):
         """-> (aux_bytes | None, [page_bytes])"""
-        return self._emit()
+        if self._out is None:
+            self._out = self._emit()
+        return self._out
 
 
 def _plan_candidate(
@@ -344,121 +349,93 @@ def _plan_candidate(
     return None
 
 
-def _decode_pages(entry: dict, aux_buf, page_bufs: list) -> PhysicalColumn:
-    ptype = entry["ptype"]
-    encoding = entry["encoding"]
-    name = entry["name"]
-    counts = [p["num_values"] for p in entry["pages"]]
-    if encoding == "RLE_DICTIONARY":
-        dcount = entry["aux"]["count"]
-        ids = np.concatenate(
-            [dict_codec.decode_ids(b, c) for b, c in zip(page_bufs, counts)]
-        ) if counts else np.empty(0, np.uint32)
-        if ptype == "BINARY":
-            d_off, d_dat = dict_codec.read_dict_page_binary(aux_buf, dcount)
-            dic = dict_codec.binary_array(d_off, d_dat)
-            arr = dic.take(pa.array(ids, pa.int64()))
-            return PhysicalColumn(name, ptype, dict_codec.binary_parts(arr))
-        if entry["aux"]["kind"] == "dicti":
-            np_dtype = np.int32 if ptype == "INT32" else np.int64
-            dvals = delta_bp.decode(aux_buf, np_dtype)
-        else:
-            dvals = dict_codec.read_dict_page_fixed(aux_buf, dcount, ptype)
-        return PhysicalColumn(name, ptype, dvals[ids])
-    if encoding == "FSST":
-        table, _ = fsst.SymbolTable.deserialize(aux_buf)
-        offs_list, data_list = [], []
-        for buf, c in zip(page_bufs, counts):
-            body = np.frombuffer(buf, np.uint8)
-            end = delta_bp.decoded_byte_end(body)
-            lengths = delta_bp.decode(body[:end], np.int32)
-            c_off = np.zeros(c + 1, np.int64)
-            np.cumsum(lengths, out=c_off[1:])
-            o, d = fsst.decompress(table, c_off, body[end:])
-            offs_list.append(o)
-            data_list.append(d)
-        return PhysicalColumn(name, ptype, _concat_binary(offs_list, data_list))
-    if ptype == "BINARY":
-        offs_list, data_list = [], []
-        for buf, c in zip(page_bufs, counts):
-            if encoding == "PLAIN":
-                o, d = plain.decode_binary(buf, c)
-            elif encoding == "DELTA_LENGTH_BYTE_ARRAY":
-                o, d = delta_length.decode(buf, c)
-            elif encoding == "DELTA_BYTE_ARRAY":
-                o, d = delta_strings.decode(buf, c)
-            else:
-                raise ValueError(encoding)
-            offs_list.append(o)
-            data_list.append(d)
-        return PhysicalColumn(name, ptype, _concat_binary(offs_list, data_list))
-    if ptype == "FIXED_LEN_BYTE_ARRAY":
-        width = entry["flba_width"]
-        parts = []
-        for buf, c in zip(page_bufs, counts):
-            if encoding == "PLAIN":
-                parts.append(plain.decode_fixed_len(buf, c, width))
-            elif encoding == "BYTE_STREAM_SPLIT":
-                parts.append(
-                    np.ascontiguousarray(
-                        np.frombuffer(buf, np.uint8, count=c * width).reshape(width, c).T
-                    )
-                )
-            elif encoding == "DELTA_BYTE_ARRAY":
-                _, d = delta_strings.decode(buf, c)
-                parts.append(d.reshape(c, width))
-            else:
-                raise ValueError(encoding)
-        out = (
-            np.concatenate(parts) if parts else np.empty((0, width), np.uint8)
-        )
-        return PhysicalColumn(name, ptype, np.ascontiguousarray(out, np.uint8))
-    if ptype == "BOOLEAN":
-        if encoding == "PLAIN":
-            parts = [plain.decode_boolean(b, c) for b, c in zip(page_bufs, counts)]
-        else:
-            parts = [
-                rle_hybrid.decode(b, c, 1, np.uint8).astype(bool)
-                for b, c in zip(page_bufs, counts)
-            ]
-        return PhysicalColumn(name, ptype, _concat(parts, bool))
-    np_dtype = {"INT32": np.int32, "INT64": np.int64, "FLOAT": np.float32, "DOUBLE": np.float64}[
-        ptype
+def choose_encoding(
+    col: PhysicalColumn,
+    stats,
+    ranges,
+    config: sel.EncodeConfig,
+    legal=None,
+    forced_only=(),
+    page_frame=None,
+) -> _Candidate:
+    """Pick one chunk's encoding: the smallest planned candidate.
+
+    ``config.column_encodings`` may force an encoding; one the chunk cannot
+    use falls back to the automatic candidates, and a name no encoder knows
+    is a ValueError. ``legal`` is the set of encodings the file format can
+    hold (None: all), ``forced_only`` those it holds only when forced, and
+    ``page_frame`` maps an encoding to the bytes the format adds around each
+    of its pages. Unless ``config.exhaustive_selection``, candidates are
+    sized on a 3-page sample first and only the two best are planned over
+    every page. The winner carries ``memo``: the chunk-global work
+    (dictionary factorize, FSST table) its plan used."""
+    ovr = config.column_encodings.get(col.name)
+    if ovr is not None and ovr not in sel.ENCODINGS and ovr != "DEVNULL":
+        raise ValueError(f"unknown encoding {ovr!r} for column {col.name!r}")
+    auto = [
+        e for e in sel.candidates_for(col, stats, config)
+        if (legal is None or e in legal) and e not in forced_only
     ]
-    parts = []
-    for buf, c in zip(page_bufs, counts):
-        if encoding == "PLAIN":
-            parts.append(plain.decode_fixed(buf, c, ptype))
-        elif encoding == "DELTA_BINARY_PACKED":
-            parts.append(delta_bp.decode(buf, np_dtype))
-        elif encoding == "RLE_FOR":
-            parts.append(rle_for.decode(buf, c, np_dtype))
-        elif encoding == "BYTE_STREAM_SPLIT":
-            parts.append(bytestream_split.decode(buf, c, np_dtype))
-        elif encoding == "ALP":
-            parts.append(alp.decode(buf, c, np_dtype))
-        else:
-            raise ValueError(encoding)
-    return PhysicalColumn(name, ptype, _concat(parts, np_dtype))
+    names = [ovr] if ovr and (legal is None or ovr in legal) else auto
+    frames = {e: n * len(ranges) for e, n in (page_frame or {}).items()}
+    memo: dict = {}
+    if not config.exhaustive_selection and len(ranges) > 4 and len(names) > 1:
+        # two-phase selection: planning every candidate over every page is
+        # the dominant encode cost (the selector, not the winning kernel).
+        # Size candidates on a 3-page sample, extrapolate the page portion
+        # (aux — dict/FSST tables — is chunk-global and not scaled), and
+        # fully plan only the two best; the winner's sizes stay exact
+        # because it is re-planned over all pages.
+        sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
+        scale = sum(b - a for a, b in ranges) / max(1, sum(b - a for a, b in sample))
+        scored = []
+        for e in names:
+            c = _plan_candidate(col, e, sample, config, memo)
+            if c is not None:
+                est = c.aux_size + (c.size - c.aux_size) * scale + frames.get(e, 0)
+                scored.append((est, e))
+        scored.sort()
+        names = [e for _, e in scored[:2]]
+    cands = [_plan_candidate(col, e, ranges, config, memo) for e in names]
+    cands = [c for c in cands if c is not None]
+    if not cands:
+        # a forced encoding the chunk cannot use, or sampled finalists that
+        # proved inapplicable over the full page set (an ALP/RLE_FOR-breaking
+        # page outside the sample): plan the other automatic candidates
+        cands = [_plan_candidate(col, e, ranges, config, memo) for e in auto if e not in names]
+        cands = [c for c in cands if c is not None]
+    if not cands:
+        raise ValueError(f"no applicable encoding for column {col.name!r} ({col.ptype})")
+    cands.sort(key=lambda c: c.size + frames.get(c.encoding, 0))
+    best = cands[0]
+    if best.estimated and len(cands) > 1:
+        aux, pages = best.emit()
+        if (len(aux) if aux else 0) + sum(len(p) for p in pages) > cands[1].size:
+            # the estimate overshot: take the next exact candidate so the
+            # min-bytes guarantee holds
+            best = cands[1]
+    best.memo = memo
+    return best
 
 
-def _concat(parts, dtype):
-    if not parts:
-        return np.empty(0, dtype)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+# how each aux kind's chunk-level page is encoded: the dictionary page is
+# PLAIN, or the sorted integer keys delta-packed ("dicti")
+_AUX_ENCODING = {"dict": "PLAIN", "dicti": "DELTA_BINARY_PACKED"}
 
 
-def _concat_binary(offs_list, data_list):
-    if not offs_list:
-        return np.zeros(1, np.int64), np.empty(0, np.uint8)
-    if len(offs_list) == 1:
-        return offs_list[0], data_list[0]
-    sizes = [int(o[-1]) for o in offs_list]
-    starts = np.cumsum([0] + sizes[:-1])
-    offsets = np.concatenate(
-        [offs_list[0]] + [o[1:] + s for o, s in zip(offs_list[1:], starts[1:])]
-    )
-    return offsets, np.concatenate(data_list)
+def _decode_pages(entry: dict, aux_buf, page_bufs: list) -> PhysicalColumn:
+    ptype, aux = entry["ptype"], entry["aux"]
+    width = entry.get("flba_width", 0)
+    dictionary = None
+    if aux is not None and aux["kind"] == "fsst":
+        dictionary, _ = fsst.SymbolTable.deserialize(aux_buf)
+    elif aux is not None:
+        dictionary = codecs.decode_pages(
+            _AUX_ENCODING[aux["kind"]], ptype, [(aux_buf, aux["count"])], width=width
+        )
+    pages = [(buf, p["num_values"]) for buf, p in zip(page_bufs, entry["pages"])]
+    values = codecs.decode_pages(entry["encoding"], ptype, pages, dictionary, width)
+    return PhysicalColumn(entry["name"], ptype, values)
 
 
 def _content_key(col: PhysicalColumn):
@@ -518,57 +495,9 @@ def encode_chunk(
         }
     stats = stats_mod.compute(col)
     ranges = page_ranges(col, config)
-    cand_names = sel.candidates_for(col, stats, config)
-    memo: dict = {}
-    if (
-        not config.exhaustive_selection
-        and len(ranges) > 4
-        and len(cand_names) > 1
-    ):
-        # two-phase selection: planning every candidate over every page is
-        # the dominant encode cost (the selector, not the winning kernel).
-        # Size candidates on a 3-page sample, extrapolate the page portion
-        # (aux — dict/FSST tables — is chunk-global and not scaled), and
-        # fully plan only the two best; the winner's manifest sizes stay
-        # exact because it is re-planned over all pages.
-        sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
-        scale = sum(b - a for a, b in ranges) / max(
-            1, sum(b - a for a, b in sample)
-        )
-        scored = []
-        for encoding in cand_names:
-            c = _plan_candidate(col, encoding, sample, config, memo)
-            if c is not None:
-                est = c.aux_size + (c.size - c.aux_size) * scale
-                scored.append((est, encoding))
-        scored.sort()
-        cand_names = [e for _, e in scored[:2]]
-    cands = []
-    for encoding in cand_names:
-        cand = _plan_candidate(col, encoding, ranges, config, memo)
-        if cand is not None:
-            cands.append(cand)
-    if not cands:
-        # both sampled finalists proved inapplicable over the full page set
-        # (e.g. an ALP/RLE_FOR-breaking page outside the sample): fall back
-        # to the exhaustive candidate list
-        for encoding in sel.candidates_for(col, stats, config):
-            if encoding in cand_names:
-                continue
-            cand = _plan_candidate(col, encoding, ranges, config, memo)
-            if cand is not None:
-                cands.append(cand)
-    assert cands, f"no applicable encoding for {col.name} ({col.ptype})"
-    cands.sort(key=lambda c: c.size)
-    best = cands[0]
+    best = choose_encoding(col, stats, ranges, config)
     aux, pages = best.emit()
     best_size = (len(aux) if aux else 0) + sum(len(p) for p in pages)
-    if best.estimated and len(cands) > 1 and best_size > cands[1].size:
-        # the estimate overshot: fall back to the next exact candidate so the
-        # min-bytes guarantee holds
-        best = cands[1]
-        aux, pages = best.emit()
-        best_size = (len(aux) if aux else 0) + sum(len(p) for p in pages)
     encoding, aux_meta = best.encoding, best.aux_meta
 
     codec = _compressor(config)
@@ -738,12 +667,9 @@ def _bloom_may_contain(entry: dict, values) -> bool:
     return bool(filt.might_contain_hashes(hashes.astype(np.uint64)).any())
 
 
-def decode_chunk(
-    blob,
-    entry: dict,
-    config: sel.EncodeConfig | None = None,
-    page_mask: list[bool] | None = None,
-) -> PhysicalColumn:
+def _read_chunk(blob, entry: dict, config, page_mask):
+    """(aux bytes | None, page bytes, page entries) of one chunk, pages
+    decompressed and, with ``page_mask``, only the kept ones."""
     compression = (config.compression if config else None) or entry.get("compression")
     codec = pa.Codec(compression) if compression else None
 
@@ -753,13 +679,23 @@ def decode_chunk(
             raw = codec.decompress(raw, meta["raw_length"]).to_pybytes()
         return raw
 
-    aux_buf = read(entry["aux"]) if entry["aux"] else None
+    pages = entry["pages"]
     if page_mask is not None:
-        entry = dict(entry)
-        entry["pages"] = [p for p, keep in zip(entry["pages"], page_mask) if keep]
+        pages = [p for p, keep in zip(pages, page_mask) if keep]
+    aux_buf = read(entry["aux"]) if entry["aux"] else None
+    return aux_buf, [read(p) for p in pages], pages
+
+
+def decode_chunk(
+    blob,
+    entry: dict,
+    config: sel.EncodeConfig | None = None,
+    page_mask: list[bool] | None = None,
+) -> PhysicalColumn:
+    if page_mask is not None:
         assert entry["validity"] is None, "page skip only for non-null chunks"
-    page_bufs = [read(p) for p in entry["pages"]]
-    col = _decode_pages(entry, aux_buf, page_bufs)
+    aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, page_mask)
+    col = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs)
     if entry["validity"]:
         vmeta = entry["validity"]
         vbuf = blob[vmeta["offset"] : vmeta["offset"] + vmeta["length"]]
@@ -781,30 +717,13 @@ def decode_chunk_dictionary(
     end-to-end instead of eagerly materialized."""
     assert entry["encoding"] == "RLE_DICTIONARY" and entry["ptype"] == "BINARY"
     assert entry["validity"] is None, "dictionary fast path is non-null only"
-    compression = (config.compression if config else None) or entry.get("compression")
-    codec = pa.Codec(compression) if compression else None
-
-    def read(meta):
-        raw = blob[meta["offset"] : meta["offset"] + meta["length"]]
-        if codec:
-            raw = codec.decompress(raw, meta["raw_length"]).to_pybytes()
-        return raw
-
-    pages = entry["pages"]
-    if page_mask is not None:
-        pages = [p for p, keep in zip(pages, page_mask) if keep]
-    ids = (
-        np.concatenate(
-            [dict_codec.decode_ids(read(p), p["num_values"]) for p in pages]
-        )
-        if pages
-        else np.empty(0, np.uint32)
+    aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, page_mask)
+    ids = codecs.decode_pages(
+        "RLE_DICTIONARY", "BINARY", [(b, p["num_values"]) for b, p in zip(page_bufs, pages)]
     )
-    aux = entry["aux"]
-    d_off, d_dat = dict_codec.read_dict_page_binary(read(aux), aux["count"])
-    dic = dict_codec.binary_array(d_off, d_dat)
+    dic = codecs.decode_pages("PLAIN", "BINARY", [(aux_buf, entry["aux"]["count"])])
     return pa.DictionaryArray.from_arrays(
-        pa.array(ids.astype(np.int32), pa.int32()), dic
+        pa.array(ids.astype(np.int32), pa.int32()), dict_codec.binary_array(*dic)
     )
 
 

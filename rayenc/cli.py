@@ -228,16 +228,13 @@ def _enc_file(args):
 def cmd_file_meta(args):
     """parquet-cli `meta` analog for parquet FILES (incl. encrypted ones,
     with --key): schema leaves, row groups, per-chunk codec/sizes/encodings."""
+    from .parquet_compat import CODEC_NAME, ENCODING_NAME
+
     f = _enc_file(args)
     enc = "encrypted" if f.algorithm else "plaintext"
     print(f"{args.file}: {f.num_rows} rows, {len(f.row_groups)} row groups, {enc}")
     for leaf in f.leaves:
         print(f"  leaf {leaf.dotted}: {leaf.ptype} R={leaf.max_rep} D={leaf.max_def}")
-    enc_names = {0: "PLAIN", 3: "RLE", 4: "BIT_PACKED", 5: "DELTA_BINARY_PACKED",
-                 6: "DELTA_LENGTH_BYTE_ARRAY", 7: "DELTA_BYTE_ARRAY",
-                 8: "RLE_DICTIONARY", 9: "BYTE_STREAM_SPLIT", 2: "PLAIN_DICTIONARY"}
-    codecs = {0: "none", 1: "snappy", 2: "gzip", 3: "lzo", 4: "brotli",
-              5: "lz4_hadoop(legacy)", 6: "zstd", 7: "lz4_raw"}
     for rg in range(len(f.row_groups)):
         print(f"  row group {rg}: {f.row_groups[rg].get(3)} rows")
         for ci, leaf in enumerate(f.leaves):
@@ -246,10 +243,10 @@ def cmd_file_meta(args):
             except Exception as exc:  # column-key chunk without its key
                 print(f"    {leaf.dotted}: <unreadable: {exc}>")
                 continue
-            encs = ",".join(enc_names.get(e, str(e)) for e in md.get(2, []))
+            encs = ",".join(ENCODING_NAME.get(e, str(e)) for e in md.get(2, []))
             print(
                 f"    {leaf.dotted}: {md.get(5)} values, "
-                f"{codecs.get(md.get(4, 0))}, {md.get(7)}B "
+                f"{CODEC_NAME.get(md.get(4, 0)) or 'none'}, {md.get(7)}B "
                 f"({md.get(6)}B raw), enc=[{encs}]"
                 + (" +bloom" if 14 in md else "")
             )

@@ -48,7 +48,9 @@ def encode_ids(indices: np.ndarray, dict_size: int) -> bytes:
 
 
 def decode_ids(buf, n: int) -> np.ndarray:
-    width = buf[0]
+    # a python int: a numpy-scalar width would make rle_hybrid's run walk
+    # do numpy scalar arithmetic
+    width = int(buf[0])
     return rle_hybrid.decode(buf[1:], n, width)
 
 

@@ -197,16 +197,3 @@ class Lz4HadoopCodec:
         if total != expected:
             return None
         return b"".join(out)
-
-
-def codec_for_id(codec_id: int):
-    """Page codec for a thrift ``CompressionCodec`` ordinal — the legacy
-    ids (parquet.thrift enum; LZO=3, LZ4=5) both decode now; anything else
-    gets a named error instead of a KeyError."""
-    if codec_id == 5:
-        return Lz4HadoopCodec()
-    if codec_id == 3:
-        from .lzo import LzoHadoopCodec
-
-        return LzoHadoopCodec()
-    raise NotImplementedError(f"unsupported CompressionCodec id {codec_id}")

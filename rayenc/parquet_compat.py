@@ -6,10 +6,11 @@ with explicit column encodings) are parsed and decoded by OUR kernels, which
 proves byte-level compatibility with the formats the reference emits
 (`Encoding.java:62-256` dispatch; page layout `ColumnWriterV1.java:61-81`).
 
-This module holds the format plumbing every Parquet read shares: page
-headers (parsed by the one thrift compact parser, ``thrift._read_struct``),
-the V1/V2 data-page layout (rep/def levels + values), the encoding dispatch
-into rayenc.codecs, and Dremel record assembly. Files are opened, footers
+This module holds the format plumbing every Parquet read shares: the
+encoding-id and compression-codec tables, page headers (parsed by the one
+thrift compact parser, ``thrift._read_struct``), the V1/V2 data-page layout
+(rep/def levels + values, whose pages ``codecs.decode_pages`` decodes), and
+Dremel record assembly. Files are opened, footers
 parsed and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext
 and encrypted alike); ``read_table_conformance`` / ``read_column_chunk``
 are thin entry points over it.
@@ -20,27 +21,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
-from .codecs import (
-    bytestream_split,
-    delta_bp,
-    delta_length,
-    delta_strings,
-    plain,
-    rle_hybrid,
-)
+from .codecs import concat_values, decode_pages, rle_hybrid
 from .thrift import _read_struct
 
-# parquet-format Encoding enum
-PLAIN = 0
-PLAIN_DICTIONARY = 2
-RLE = 3
-BIT_PACKED = 4  # deprecated big-endian level encoding
-DELTA_BINARY_PACKED = 5
-DELTA_LENGTH_BYTE_ARRAY = 6
-DELTA_BYTE_ARRAY = 7
-RLE_DICTIONARY = 8
-BYTE_STREAM_SPLIT = 9
+# parquet-format Encoding enum (parquet.thrift; Encoding.java), the one
+# name <-> id table. PLAIN_DICTIONARY (2) is the deprecated spelling of
+# RLE_DICTIONARY on data pages; BIT_PACKED (4) only ever encodes levels
+ENCODING_ID = {
+    "PLAIN": 0, "PLAIN_DICTIONARY": 2, "RLE": 3, "BIT_PACKED": 4,
+    "DELTA_BINARY_PACKED": 5, "DELTA_LENGTH_BYTE_ARRAY": 6,
+    "DELTA_BYTE_ARRAY": 7, "RLE_DICTIONARY": 8, "BYTE_STREAM_SPLIT": 9,
+}
+ENCODING_NAME = {v: k for k, v in ENCODING_ID.items()}
+
+# parquet-format CompressionCodec enum (CompressionCodecName.java:26-33),
+# keyed by the page codec names EncodeConfig.compression takes: "lz4" is
+# LZ4_RAW (7), the raw-block variant readers implement; "lz4_hadoop" (5)
+# and "lzo" (3) are the legacy Hadoop-framed codecs
+CODEC_ID = {
+    None: 0, "snappy": 1, "gzip": 2, "lzo": 3, "brotli": 4,
+    "lz4_hadoop": 5, "zstd": 6, "lz4": 7,
+}
+CODEC_NAME = {v: k for k, v in CODEC_ID.items()}
+
+
+def codec_for_name(name: "str | None"):
+    """(CompressionCodec id, page codec or None) for a page codec name: the
+    write direction of ``CODEC_ID``."""
+    key = name.lower() if name else None
+    if key not in CODEC_ID:
+        raise ValueError(f"unsupported parquet page codec {name!r}")
+    return CODEC_ID[key], codec_for_id(CODEC_ID[key])
+
+
+def codec_for_id(codec_id: int):
+    """Page codec for a CompressionCodec ordinal, None for UNCOMPRESSED: the
+    read direction of ``CODEC_ID``. An unknown id gets a named error."""
+    if codec_id not in CODEC_NAME:
+        raise NotImplementedError(f"unsupported CompressionCodec id {codec_id}")
+    name = CODEC_NAME[codec_id]
+    if name == "lz4_hadoop":
+        from .codecs.lz4hadoop import Lz4HadoopCodec
+
+        return Lz4HadoopCodec()
+    if name == "lzo":
+        from .codecs.lzo import LzoHadoopCodec
+
+        return LzoHadoopCodec()
+    return pa.Codec("lz4_raw" if name == "lz4" else name) if name else None
+
 
 DATA_PAGE = 0
 INDEX_PAGE = 1
@@ -79,7 +110,7 @@ def read_page_header(buf, i=0) -> PageHeader:
             uncompressed_size=fields[2],
             compressed_size=fields[3],
             num_values=0,
-            encoding=PLAIN,
+            encoding=ENCODING_ID["PLAIN"],
             header_len=end - i,
             crc=fields.get(4),
         )
@@ -113,7 +144,13 @@ def read_page_header(buf, i=0) -> PageHeader:
 
 # ------------------------------------------------------------- page decoding
 
-_PHYS = {"INT32": "INT32", "INT64": "INT64", "FLOAT": "FLOAT", "DOUBLE": "DOUBLE"}
+def _value_type(ptype: str, type_length) -> tuple:
+    """(type, FLBA width) a Parquet leaf's pages decode as: BYTE_ARRAY is
+    the container's BINARY, and deprecated INT96 timestamps
+    (Encoding.java:63; Spark legacy files) are 12-byte PLAIN rows."""
+    if ptype == "INT96":
+        return "FIXED_LEN_BYTE_ARRAY", 12
+    return ("BINARY" if ptype == "BYTE_ARRAY" else ptype), type_length
 
 
 def read_column_chunk(path: str, column: str, row_group: int = 0,
@@ -129,16 +166,19 @@ def read_column_chunk(path: str, column: str, row_group: int = 0,
 
 
 def _decode_page_stream(
-    pages, num_values, max_rep, max_def, ptype, type_length, codec,
+    pages, num_values, max_rep, max_def, ptype, type_length,
     raw_levels: bool = False,
 ):
-    """Decode a stream of (PageHeader, body) pairs — the shared half of
-    read_column_chunk, also fed by the modular-encryption page decryptor
-    (rayenc.parquet_read_enc), whose bodies arrive already decrypted."""
-    from .codecs.bitpack import bit_width32
+    """Decode a stream of (PageHeader, decompressed body) pairs — the shared
+    half of read_column_chunk, also fed by the modular-encryption page
+    decryptor (rayenc.parquet_read_enc). Levels are read here; values go
+    through the one page decoder, ``codecs.decode_pages``."""
+    from .codecs.bitpack import bit_width32, unpack_msb
 
     w_rep = bit_width32(max_rep)
     w_def = bit_width32(max_def)
+    ptype, width = _value_type(ptype, type_length)
+    bit_packed = ENCODING_ID["BIT_PACKED"]
     remaining = num_values
     dictionary = None
     out_parts = []
@@ -147,35 +187,18 @@ def _decode_page_stream(
     for h, body in pages:
         if remaining <= 0:
             break
-        if codec is not None:
-            if h.type == DATA_PAGE_V2:
-                if not h.v2_is_compressed:
-                    pass  # spec allows per-page opt-out (field 7)
-                else:
-                    # V2: rep/def levels sit uncompressed before the body
-                    lv = h.v2_rep_bytes + h.v2_def_bytes
-                    payload = codec.decompress(
-                        body[lv:].tobytes(), h.uncompressed_size - lv
-                    )
-                    body = np.concatenate(
-                        [body[:lv], np.frombuffer(payload, np.uint8)]
-                    )
-            else:
-                body = np.frombuffer(
-                    codec.decompress(body.tobytes(), h.uncompressed_size), np.uint8
-                )
         if h.type == DICTIONARY_PAGE:
-            dictionary = _decode_plain(body, h.num_values, ptype, type_length)
+            dictionary = decode_pages("PLAIN", ptype, [(body, h.num_values)], width=width)
             continue
+        nvals = h.num_values
         if h.type == DATA_PAGE:
             # V1 layout: [rep levels: framed RLE][def levels: framed RLE]
-            # [values]; REQUIRED flat columns (max levels == 0) omit levels
+            # [values]; REQUIRED flat columns (max levels == 0) omit levels.
+            # The deprecated BIT_PACKED levels are big-endian and unframed
+            # (legacy parquet-java files)
             body_v = body
-            nvals = h.num_values
             if max_rep > 0:
-                if h.rep_level_encoding == BIT_PACKED:
-                    from .codecs.bitpack import unpack_msb
-
+                if h.rep_level_encoding == bit_packed:
                     nb = (h.num_values * w_rep + 7) // 8
                     rep_parts.append(unpack_msb(body_v[:nb], h.num_values, w_rep))
                     body_v = body_v[nb:]
@@ -185,28 +208,20 @@ def _decode_page_stream(
                     )
                     rep_parts.append(rlv)
                     body_v = body_v[consumed:]
-            if max_def > 0 and h.def_level_encoding == RLE:
+            if max_def > 0 and h.def_level_encoding == ENCODING_ID["RLE"]:
                 levels, consumed = rle_hybrid.decode_framed(
                     body_v, h.num_values, w_def
                 )
                 level_parts.append(levels)
                 nvals = int((levels == max_def).sum())  # nulls hold no value slot
                 body_v = body_v[consumed:]
-            elif max_def > 0 and h.def_level_encoding == BIT_PACKED:
-                # deprecated big-endian level encoding (unframed; legacy
-                # parquet-java files)
-                from .codecs.bitpack import unpack_msb
-
+            elif max_def > 0 and h.def_level_encoding == bit_packed:
                 nbytes = (h.num_values * w_def + 7) // 8
                 levels = unpack_msb(body_v[:nbytes], h.num_values, w_def)
                 level_parts.append(levels)
                 nvals = int((levels == max_def).sum())
                 body_v = body_v[nbytes:]
-            out_parts.append(
-                _decode_values(body_v, nvals, h.encoding, ptype, dictionary, type_length)
-            )
         elif h.type == DATA_PAGE_V2:
-            nvals = h.num_values
             if max_rep > 0 and h.v2_rep_bytes:
                 rep_parts.append(
                     rle_hybrid.decode(body[: h.v2_rep_bytes], h.num_values, w_rep)
@@ -220,11 +235,21 @@ def _decode_page_stream(
                 level_parts.append(levels)
                 nvals = int((levels == max_def).sum())
             body_v = body[h.v2_rep_bytes + h.v2_def_bytes :]
-            out_parts.append(
-                _decode_values(body_v, nvals, h.encoding, ptype, dictionary, type_length)
-            )
+        else:
+            remaining -= h.num_values
+            continue
+        encoding = ENCODING_NAME.get(h.encoding, h.encoding)
+        if encoding in ("PLAIN_DICTIONARY", "RLE_DICTIONARY"):
+            if dictionary is None:
+                raise ValueError("dictionary-encoded page without a dictionary page")
+            encoding = "RLE_DICTIONARY"
+        elif encoding == "RLE":
+            # RLE as a VALUE encoding (BOOLEAN) is 4-byte length framed in
+            # both V1 and V2 pages (only LEVELS drop the frame in V2)
+            body_v = body_v[4 : 4 + int.from_bytes(bytes(body_v[:4]), "little")]
+        out_parts.append(decode_pages(encoding, ptype, [(body_v, nvals)], dictionary, width))
         remaining -= h.num_values
-    values = _concat_parts(out_parts, ptype)
+    values = concat_values(out_parts, ptype, width)
     if raw_levels:
         rep = np.concatenate(rep_parts) if rep_parts else None
         deflev = np.concatenate(level_parts) if level_parts else None
@@ -488,94 +513,6 @@ def read_table_conformance(path: str, columns: "list[str] | None" = None) -> "pa
         have = set(_open_cached(path, None).arrow_schema().names)
         columns = [c for c in columns if c in have]
     return read_table_filtered(path, None, columns=columns)
-
-
-def _decode_plain(body, n, ptype, type_length=0):
-    if ptype in _PHYS:
-        return plain.decode_fixed(body, n, ptype)
-    if ptype == "INT96":
-        # deprecated 12-byte timestamps (Encoding.java:63; Spark legacy
-        # files): nanos-in-day int64 LE + Julian day int32 LE
-        return plain.decode_fixed_len(body, n, 12)
-    if ptype == "BYTE_ARRAY":
-        return plain.decode_binary(body, n)
-    if ptype == "BOOLEAN":
-        return plain.decode_boolean(body, n)
-    if ptype == "FIXED_LEN_BYTE_ARRAY":
-        return plain.decode_fixed_len(body, n, type_length)
-    raise NotImplementedError(ptype)
-
-
-def _decode_values(body, n, encoding, ptype, dictionary, type_length=0):
-    if encoding == PLAIN:
-        return _decode_plain(body, n, ptype, type_length)
-    if encoding == RLE:
-        # RLE as a VALUE encoding is boolean-only and 4-byte length framed
-        # in both V1 and V2 pages (only LEVELS drop the frame in V2)
-        assert ptype == "BOOLEAN", ptype
-        vals, _ = rle_hybrid.decode_framed(body, n, 1, np.uint8)
-        return vals.astype(bool)
-    if encoding in (PLAIN_DICTIONARY, RLE_DICTIONARY):
-        width = int(body[0])
-        ids = rle_hybrid.decode(body[1:], n, width)
-        if ptype == "FIXED_LEN_BYTE_ARRAY":
-            return dictionary[ids]
-        if ptype == "BYTE_ARRAY":
-            d_off, d_dat = dictionary
-            lengths = np.diff(d_off)[ids]
-            offsets = np.zeros(n + 1, np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            out = np.empty(int(offsets[-1]), np.uint8)
-            src = plain._ranges(d_off[:-1][ids], lengths)
-            out[plain._ranges(offsets[:-1], lengths)] = d_dat[src]
-            return offsets, out
-        return dictionary[ids]
-    if encoding == DELTA_BINARY_PACKED:
-        return delta_bp.decode(body, np.int64 if ptype == "INT64" else np.int32)
-    if encoding == DELTA_LENGTH_BYTE_ARRAY:
-        return delta_length.decode(body, n)
-    if encoding == DELTA_BYTE_ARRAY:
-        o, d = delta_strings.decode(body, n)
-        if ptype == "FIXED_LEN_BYTE_ARRAY":
-            return d.reshape(n, type_length)
-        return o, d
-    if encoding == BYTE_STREAM_SPLIT:
-        if ptype == "FIXED_LEN_BYTE_ARRAY":
-            # extended BSS over FLBA (format 2.11): k byte planes of width
-            # type_length, transposed back to (n, type_length) rows
-            return np.ascontiguousarray(
-                np.frombuffer(body, np.uint8, count=n * type_length)
-                .reshape(type_length, n).T
-            )
-        dt = {"FLOAT": np.float32, "DOUBLE": np.float64, "INT32": np.int32, "INT64": np.int64}[ptype]
-        return bytestream_split.decode(body, n, dt)
-    raise NotImplementedError(f"encoding {encoding}")
-
-
-_EMPTY_DTYPE = {
-    "INT32": np.int32, "INT64": np.int64, "INT96": np.uint8,
-    "FLOAT": np.float32, "DOUBLE": np.float64, "BOOLEAN": np.bool_,
-}
-
-
-def _concat_parts(parts, ptype):
-    if not parts:
-        # zero-value chunk (0-row row groups exist in the wild)
-        if ptype == "BYTE_ARRAY":
-            return np.zeros(1, np.int64), np.zeros(0, np.uint8)
-        return np.zeros(0, _EMPTY_DTYPE.get(ptype, np.uint8))
-    if ptype == "FIXED_LEN_BYTE_ARRAY":
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if ptype == "BYTE_ARRAY":
-        offs_list = [p[0] for p in parts]
-        data_list = [p[1] for p in parts]
-        sizes = [int(o[-1]) for o in offs_list]
-        starts = np.cumsum([0] + sizes[:-1])
-        offsets = np.concatenate(
-            [offs_list[0]] + [o[1:] + s for o, s in zip(offs_list[1:], starts[1:])]
-        )
-        return offsets, np.concatenate(data_list)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -39,36 +39,23 @@ import pyarrow as pa
 
 from . import predicate as P
 from . import parquet_crypto as pcrypt
+from .codecs import decode_pages
 from .parquet_compat import (
     DATA_PAGE_V2,
     DICTIONARY_PAGE,
+    ENCODING_ID,
     _count_leaves,
     _decode_page_stream,
-    _decode_plain,
+    _value_type,
     assemble_flat,
     assemble_tree,
+    codec_for_id,
     read_page_header,
 )
 from .parquet_crypto import FileDecryption
 from .thrift import _read_struct
 
 # ------------------------------------------------------------ footer model
-
-_CODEC_NAME = {0: None, 1: "snappy", 2: "gzip", 4: "brotli", 6: "zstd", 7: "lz4_raw"}
-
-
-def _resolve_codec(codec_id: int):
-    """Page codec for a CompressionCodec ordinal.  Ids 5 (legacy LZ4,
-    Hadoop-framed or raw dialect) and 3 (legacy LZO, Hadoop-framed LZO1X)
-    route through ``codecs.lz4hadoop.codec_for_id``
-    (CompressionCodecName.java:29-31)."""
-    if codec_id in _CODEC_NAME:
-        name = _CODEC_NAME[codec_id]
-        return pa.Codec(name) if name else None
-    from .codecs.lz4hadoop import codec_for_id
-
-    return codec_for_id(codec_id)
-
 
 def chunk_range(md: dict) -> tuple[int, int]:
     """(start, end) file offsets of one column chunk's pages, from its
@@ -433,6 +420,20 @@ def _unwrap_key_material(
         return None
 
 
+def decompress_page(h, body: np.ndarray, codec) -> np.ndarray:
+    """A page body as ``EncryptedFile.read_page`` returns it, with its values
+    decompressed by the chunk's ``codec``. A V2 page's levels are stored
+    uncompressed before the values, and its ``is_compressed`` field can
+    opt the whole page out."""
+    if codec is None or (h.type == DATA_PAGE_V2 and not h.v2_is_compressed):
+        return body
+    lv = h.v2_rep_bytes + h.v2_def_bytes if h.type == DATA_PAGE_V2 else 0
+    vals = np.frombuffer(
+        codec.decompress(body[lv:].tobytes(), h.uncompressed_size - lv), np.uint8
+    )
+    return np.concatenate([body[:lv], vals]) if lv else vals
+
+
 class PageCrcError(ValueError):
     """A page's bytes do not match the CRC-32 its header declares."""
 
@@ -681,7 +682,9 @@ class EncryptedFile:
         return h, body, end
 
     def _chunk_pages(self, rg_ord: int, col_ord: int, md: dict):
-        """Yield (PageHeader, body) for every page of one chunk in order."""
+        """Yield (PageHeader, decompressed body) for every page of one chunk
+        in order."""
+        codec = codec_for_id(md.get(4, 0))
         pos, end = chunk_range(md)
         expect_dict = pos == md.get(11)
         data_ord = 0
@@ -694,7 +697,7 @@ class EncryptedFile:
             if h.type != DICTIONARY_PAGE:
                 data_ord += 1
                 remaining -= h.num_values
-            yield h, body
+            yield h, decompress_page(h, body, codec)
 
     def decode_leaf(self, rg_ord: int, col_ord: int, raw_levels: bool = False):
         """Decode one leaf chunk with rayenc kernels (any encryption state)."""
@@ -702,8 +705,7 @@ class EncryptedFile:
         md = self.chunk_meta(rg_ord, col_ord)
         return _decode_page_stream(
             self._chunk_pages(rg_ord, col_ord, md), md[5], leaf.max_rep,
-            leaf.max_def, leaf.ptype, leaf.type_length,
-            _resolve_codec(md.get(4, 0)), raw_levels=raw_levels,
+            leaf.max_def, leaf.ptype, leaf.type_length, raw_levels=raw_levels,
         )
 
 
@@ -792,7 +794,7 @@ def _chunk_stat_bounds(md: dict, leaf) -> tuple | None:
 
 
 # PageEncodingStats page types / encodings for the dictionary-filter check
-_DICT_ENCODINGS = {2, 8}  # PLAIN_DICTIONARY, RLE_DICTIONARY
+_DICT_ENCODINGS = {ENCODING_ID["PLAIN_DICTIONARY"], ENCODING_ID["RLE_DICTIONARY"]}
 
 
 def _all_pages_dict_encoded(md: dict) -> bool:
@@ -823,13 +825,10 @@ def read_dictionary_page(f: "EncryptedFile", rg_ord: int, col_ord: int):
     h, body, _ = f.read_page(rg_ord, col_ord, dict_off)
     if h.type != DICTIONARY_PAGE:
         return None
-    codec = _resolve_codec(md.get(4, 0))
-    if codec is not None:
-        body = np.frombuffer(
-            codec.decompress(body.tobytes(), h.uncompressed_size), np.uint8
-        )
+    body = decompress_page(h, body, codec_for_id(md.get(4, 0)))
     leaf = f.leaves[col_ord]
-    return h, _decode_plain(body, h.num_values, leaf.ptype, leaf.type_length)
+    ptype, width = _value_type(leaf.ptype, leaf.type_length)
+    return h, decode_pages("PLAIN", ptype, [(body, h.num_values)], width=width)
 
 
 def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
@@ -1159,7 +1158,7 @@ def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t,
     dict_off = md.get(11) or 0
     if dict_off > 0:
         pages.append(f.read_page(rg_ord, col_ord, dict_off, None, check_crc)[:2])
-    elif f._chunk_key(rg_ord, col_ord) is None and {2, 8} & set(md.get(2) or []):
+    elif f._chunk_key(rg_ord, col_ord) is None and _DICT_ENCODINGS & set(md.get(2) or []):
         # parquet-mr quirk: dictionary_page_offset is often unset even for
         # dictionary-encoded chunks — the dict page sits at data_page_offset
         # and the OffsetIndex lists only data pages (ParquetMetadataConverter
@@ -1171,11 +1170,12 @@ def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t,
     pages += [
         f.read_page(rg_ord, col_ord, locs[p][1], p, check_crc)[:2] for p in page_sel
     ]
+    codec = codec_for_id(md.get(4, 0))
     # num_values budget: selected page value counts are unknown before the
     # headers are read; pass a large bound — the page list is finite
     r = _decode_page_stream(
-        pages, 1 << 62, leaf.max_rep, leaf.max_def, leaf.ptype,
-        leaf.type_length, _resolve_codec(md.get(4, 0)),
+        [(h, decompress_page(h, body, codec)) for h, body in pages], 1 << 62,
+        leaf.max_rep, leaf.max_def, leaf.ptype, leaf.type_length,
     )
     return assemble_flat(r, arrow_t)
 

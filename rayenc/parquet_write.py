@@ -29,10 +29,16 @@ from . import __version__
 from . import parquet_crypto as pcrypt
 from . import selector as sel
 from . import stats as stats_mod
-from .blocks import _plan_candidate, page_ranges
+from .blocks import choose_encoding, page_ranges
 from .codecs import rle_hybrid
 from .codecs.dictionary import dict_page_binary, dict_page_fixed, encode_ids
-from .parquet_compat import DATA_PAGE, DATA_PAGE_V2, DICTIONARY_PAGE
+from .parquet_compat import (
+    DATA_PAGE,
+    DATA_PAGE_V2,
+    DICTIONARY_PAGE,
+    ENCODING_ID,
+    codec_for_name,
+)
 from .schema import PhysicalColumn, shred
 from .thrift import (
     BLOOM_HEADER,
@@ -140,8 +146,6 @@ def _logical_type(t: "pa.DataType"):
 
 # thrift parquet enums
 T_BOOLEAN, T_INT32, T_INT64, T_INT96, T_FLOAT, T_DOUBLE, T_BYTE_ARRAY, T_FLBA = range(8)
-ENC_PLAIN, _, ENC_PLAIN_DICT, ENC_RLE, ENC_BIT_PACKED, ENC_DELTA_BP, ENC_DELTA_LEN, ENC_DELTA_BA, ENC_RLE_DICT, ENC_BSS = range(10)
-
 _PARQUET_TYPE = {
     "BOOLEAN": T_BOOLEAN,
     "INT32": T_INT32,
@@ -152,47 +156,17 @@ _PARQUET_TYPE = {
     "FIXED_LEN_BYTE_ARRAY": T_FLBA,
     "INT96": T_INT96,
 }
-_ENC_CODE = {
-    "PLAIN": ENC_PLAIN,
-    "RLE": ENC_RLE,
-    "DELTA_BINARY_PACKED": ENC_DELTA_BP,
-    "DELTA_LENGTH_BYTE_ARRAY": ENC_DELTA_LEN,
-    "DELTA_BYTE_ARRAY": ENC_DELTA_BA,
-    "RLE_DICTIONARY": ENC_RLE_DICT,
-    "BYTE_STREAM_SPLIT": ENC_BSS,
-}
-# encodings that exist in the parquet format (no FSST / RLE_FOR in files)
-PARQUET_LEGAL = set(_ENC_CODE) | {"PLAIN"}
-
-
-# parquet CompressionCodec enum (CompressionCodecName.java:26-33); "lz4" maps
-# to LZ4_RAW (7) — the modern raw-block variant readers implement
-_CODEC_ID = {
-    "snappy": 1,
-    "gzip": 2,
-    "lzo": 3,  # legacy LZO, Hadoop block framing (clean-room LZO1X)
-    "brotli": 4,
-    "lz4_hadoop": 5,  # legacy LZ4, Hadoop block framing (parquet-mr parity)
-    "zstd": 6,
-    "lz4": 7,
-}
-
-
-def _page_codec(name: str | None):
-    if not name:
-        return 0, None
-    key = name.lower()
-    if key not in _CODEC_ID:
-        raise ValueError(f"unsupported parquet page codec {name!r}")
-    if key == "lz4_hadoop":
-        from .codecs.lz4hadoop import Lz4HadoopCodec
-
-        return 5, Lz4HadoopCodec()
-    if key == "lzo":
-        from .codecs.lzo import LzoHadoopCodec
-
-        return 3, LzoHadoopCodec()
-    return _CODEC_ID[key], pa.Codec("lz4_raw" if key == "lz4" else key)
+# encodings a parquet file can hold (no FSST / RLE_FOR / ALP in files)
+PARQUET_LEGAL = {e for e in sel.ENCODINGS if e in ENCODING_ID}
+# spec-legal for FLBA (format 2.11 extended BSS) but common readers (DuckDB)
+# only accept BSS for FLOAT/DOUBLE and DELTA_BYTE_ARRAY for BYTE_ARRAY: an
+# FLBA chunk gets them only from an explicit column_encodings entry (our
+# readers decode both), so auto-selected output stays widely readable
+_FLBA_FORCED_ONLY = ("BYTE_STREAM_SPLIT", "DELTA_BYTE_ARRAY")
+# RLE data pages (BOOLEAN) carry a 4-byte LE length prefix per page
+# (RunLengthBitPackingHybridValuesWriter.getBytes); the chooser counts it so
+# RLE only wins when it wins framed
+_PAGE_FRAME = {"RLE": 4}
 
 
 # ---------------------------------------------------- Dremel record shredding
@@ -406,13 +380,9 @@ def _encode_column_pages(
         page_size=config.page_size,
         page_rows=config.page_rows,
         max_dict_bytes=config.max_dict_bytes,
-        fsst=False,  # parquet-legal candidates only
-        column_encodings={
-            k: v
-            for k, v in config.column_encodings.items()
-            if v in PARQUET_LEGAL
-        },
+        column_encodings=config.column_encodings,
         disable_dictionary=config.disable_dictionary,
+        exhaustive_selection=True,  # every legal candidate over every page
     )
     if def_levels is None:
         slot_ranges = None
@@ -438,68 +408,29 @@ def _encode_column_pages(
     meta.start_offset = len(out)
     if col.num_values == 0 and def_levels is None:
         # zero-row chunk: no data pages; data_offset must still be valid
-        meta.encodings.add(ENC_PLAIN)
+        meta.encodings.add(ENCODING_ID["PLAIN"])
         meta.data_offset = meta.start_offset
         return
 
-    st = stats_mod.compute(col)
-    cands = []
-    for enc_name in sel.candidates_for(col, st, cfg):
-        if enc_name not in PARQUET_LEGAL:
-            continue
-        if (
-            col.ptype == "FIXED_LEN_BYTE_ARRAY"
-            and enc_name in ("BYTE_STREAM_SPLIT", "DELTA_BYTE_ARRAY")
-            and cfg.column_encodings.get(col.name) != enc_name
-        ):
-            # spec-legal for FLBA (format 2.11 extended BSS) but common
-            # readers (DuckDB) only accept BSS for FLOAT/DOUBLE and
-            # DELTA_BYTE_ARRAY for BYTE_ARRAY — keep auto-selected output
-            # widely readable; an explicit column_encodings override is
-            # honored (our readers decode both)
-            continue
-        cand = _plan_candidate(col, enc_name, ranges, cfg)
-        if cand is not None:
-            cands.append(cand)
-    if not cands:
-        # an override that can't plan for this chunk (or a non-parquet
-        # encoding) falls back to the automatic candidate set
-        auto = sel.EncodeConfig(
-            page_size=cfg.page_size, page_rows=cfg.page_rows,
-            max_dict_bytes=cfg.max_dict_bytes, fsst=False,
-        )
-        for enc_name in sel.candidates_for(col, st, auto):
-            if enc_name not in PARQUET_LEGAL or (
-                col.ptype == "FIXED_LEN_BYTE_ARRAY"
-                and enc_name in ("BYTE_STREAM_SPLIT", "DELTA_BYTE_ARRAY")
-            ):
-                continue
-            cand = _plan_candidate(col, enc_name, ranges, auto)
-            if cand is not None:
-                cands.append(cand)
-    # V1 RLE data pages (BOOLEAN) carry a 4-byte LE length prefix per page
-    # (RunLengthBitPackingHybridValuesWriter.getBytes) — count it in the
-    # size comparison so RLE only wins when it wins framed.
-    cands.sort(key=lambda c: c.size + (4 * len(ranges) if c.encoding == "RLE" else 0))
-    best = cands[0]
-    aux, pages = best.emit()
-    if best.encoding == "RLE":
-        pages = [len(p).to_bytes(4, "little") + p for p in pages]
-
-    codec_id, codec = _page_codec(config.compression)
+    best = choose_encoding(
+        col, stats_mod.compute(col), ranges, cfg, legal=PARQUET_LEGAL,
+        forced_only=_FLBA_FORCED_ONLY if col.ptype == "FIXED_LEN_BYTE_ARRAY" else (),
+        page_frame=_PAGE_FRAME,
+    )
+    codec_id, codec = codec_for_name(config.compression)
     v2 = getattr(config, "parquet_page_version", "1.0") == "2.0"
     meta.codec = codec_id
 
     def compress(b: bytes) -> bytes:
         return codec.compress(b).to_pybytes() if codec else b
 
+    enc_code = ENCODING_ID[best.encoding]
     if best.encoding == "RLE_DICTIONARY":
         # emit the dictionary page in parquet shape (PLAIN keys in
         # first-occurrence order — parquet-java semantics, not our sorted
-        # container variant); compressed per page like
-        # ColumnChunkPageWriteStore.java:192-252
-        fac = sel.try_dictionary(col, cfg)
-        ids, dic = fac
+        # container variant) from the factorization the plan made;
+        # compressed per page like ColumnChunkPageWriteStore.java:192-252
+        ids, dic = best.memo["dict_fac"]
         if col.ptype == "BINARY":
             dict_payload = dict_page_binary(dic)
         else:
@@ -511,26 +442,27 @@ def _encode_column_pages(
             # after encryption); CRC is over the stored (encrypted) bytes
             dict_comp = crypto.page(dict_comp, dict_page=True)
         meta.dict_offset = len(out)
+        plain_code = ENCODING_ID["PLAIN"]
         hdr = _thrift(PAGE_HEADER, {
             1: DICTIONARY_PAGE, 2: len(dict_payload), 3: len(dict_comp),
-            4: zlib.crc32(dict_comp), 7: {1: len(dic), 2: ENC_PLAIN},
+            4: zlib.crc32(dict_comp), 7: {1: len(dic), 2: plain_code},
         })
         if crypto is not None:
             hdr = crypto.header(hdr, dict_page=True)
         out += hdr
         out += dict_comp
-        meta.page_stats[(2, ENC_PLAIN)] = meta.page_stats.get((2, ENC_PLAIN), 0) + 1
+        meta.page_stats[(2, plain_code)] = meta.page_stats.get((2, plain_code), 0) + 1
         meta.total_unc += len(hdr) + len(dict_payload)
-        meta.encodings |= {ENC_PLAIN, ENC_RLE_DICT}
+        meta.encodings |= {plain_code, enc_code}
         pages = [encode_ids(ids[a:b], len(dic)) for a, b in ranges]
     else:
-        meta.encodings.add(_ENC_CODE[best.encoding])
+        meta.encodings.add(enc_code)
+        _, pages = best.emit()
+        if best.encoding == "RLE":
+            pages = [len(p).to_bytes(4, "little") + p for p in pages]
 
     from .codecs.dictionary import bit_width32
 
-    enc_code = (
-        ENC_RLE_DICT if best.encoding == "RLE_DICTIONARY" else _ENC_CODE[best.encoding]
-    )
     for k, payload in enumerate(pages):
         if def_levels is not None:
             sa, sb = slot_ranges[k]
@@ -583,7 +515,7 @@ def _encode_column_pages(
                 # V1 pages encrypt levels+values as one module
                 crypto.next_page()
                 body = crypto.page(body)
-            level_enc = ENC_BIT_PACKED if legacy else ENC_RLE
+            level_enc = ENCODING_ID["BIT_PACKED" if legacy else "RLE"]
             hdr = _thrift(PAGE_HEADER, {
                 1: DATA_PAGE, 2: len(raw), 3: len(body), 4: zlib.crc32(body),
                 5: {1: nv, 2: enc_code, 3: level_enc, 4: level_enc},
@@ -1244,7 +1176,7 @@ def _column_meta(meta: _Column, redact: bool = False) -> dict:
     (ParquetMetadataConverter.java:687-692)."""
     md = {
         1: _PARQUET_TYPE[meta.ptype],
-        2: [*sorted(meta.encodings), ENC_RLE],  # + the level encoding
+        2: [*sorted(meta.encodings), ENCODING_ID["RLE"]],  # + the level encoding
         3: [part.encode() for part in meta.path],
         4: meta.codec,
         5: meta.num_values,

@@ -40,15 +40,21 @@ import ray.data
 
 from . import blocks, parquet_write
 from .codecs import dictionary as dict_codec
-from .parquet_compat import DATA_PAGE_V2, DICTIONARY_PAGE, assemble_flat
+from .parquet_compat import (
+    DATA_PAGE_V2,
+    DICTIONARY_PAGE,
+    assemble_flat,
+    codec_for_id,
+    codec_for_name,
+)
 from .parquet_read_enc import (
     EncryptedFile,
     _name,
-    _resolve_codec,
     chunk_range,
+    decompress_page,
     read_table_encrypted,
 )
-from .parquet_write import _Column, _column_meta, _encode_column_pages, _page_codec
+from .parquet_write import _Column, _column_meta, _encode_column_pages
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
 from .thrift import FILE_META, OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
@@ -528,15 +534,12 @@ def transcompress_parquet_raw(
     ColumnIndex bytes are codec-independent and carry over; the OffsetIndex
     gets the new page locations."""
     f = _open_plaintext(path_in, "transcompress_parquet_raw")
-    # _page_codec handles lz4_hadoop (codec 5) and validates the name
-    codec_id, codec = _page_codec(compression)
+    codec_id, codec = codec_for_name(compression)
 
     def recompress(f, rg_ord, col_ord, out):
         src = f.row_groups[rg_ord][1][col_ord]
         md = {k: v for k, v in src[3].items() if k not in (10, 11)}
-        # _resolve_codec decodes the legacy ids too (5 = LZ4 hadoop/raw,
-        # 3 = LZO)
-        old = _resolve_codec(md.get(4, 0))
+        old = codec_for_id(md.get(4, 0))
         pos, end = chunk_range(src[3])
         chunk_start = len(out)
         pages = []  # (offset, header + body size) of each data page
@@ -544,12 +547,10 @@ def transcompress_parquet_raw(
         while remaining > 0 and pos < end:
             hdr = _read_struct(f.raw, pos)[0]
             h, body, pos = f.read_page(rg_ord, col_ord, pos)
-            body = body.tobytes()
+            body = decompress_page(h, body, old).tobytes()
             v2 = h.type == DATA_PAGE_V2  # V2 levels stay plain
             lv = h.v2_rep_bytes + h.v2_def_bytes if v2 else 0
             vals = body[lv:]
-            if old and (h.v2_is_compressed or not v2):
-                vals = old.decompress(vals, h.uncompressed_size - lv).to_pybytes()
             if codec:
                 vals = codec.compress(vals).to_pybytes()
             body = body[:lv] + vals

@@ -51,7 +51,9 @@ class EncodeConfig:
     level_encoding: str = "RLE"
     # per-column encoding override: {"colname": "DELTA_BINARY_PACKED", ...}
     # (the ColumnProperty / ValuesWriterFactory extension surface,
-    #  ParquetProperties.java:465-471)
+    #  ParquetProperties.java:465-471). One the column or file format cannot
+    # use falls back to the automatic candidates; a name outside ENCODINGS
+    # (and DEVNULL) is a ValueError
     column_encodings: dict = field(default_factory=dict)
     disable_dictionary: set = field(default_factory=set)
     fsst: bool = True
@@ -103,11 +105,19 @@ class EncodeConfig:
     int96_timestamps: bool = False
 
 
+# every encoding the chooser (blocks.choose_encoding) can plan: the names
+# EncodeConfig.column_encodings may force, besides the container's DEVNULL
+ENCODINGS = (
+    "PLAIN", "RLE", "RLE_DICTIONARY", "DELTA_BINARY_PACKED",
+    "DELTA_LENGTH_BYTE_ARRAY", "DELTA_BYTE_ARRAY", "BYTE_STREAM_SPLIT",
+    "RLE_FOR", "ALP", "FSST",
+)
+
+
 def candidates_for(col: PhysicalColumn, stats: ChunkStats, config: EncodeConfig) -> list[str]:
-    """Ordered candidate encodings to actually encode and size-compare."""
-    override = config.column_encodings.get(col.name)
-    if override:
-        return [override]
+    """Ordered automatic candidate encodings to actually encode and
+    size-compare (a forced ``column_encodings`` entry is the chooser's
+    business, not this list's)."""
     ptype = col.ptype
     cands: list[str] = []
     dict_ok = col.name not in config.disable_dictionary and stats.num_values > 0
@@ -155,7 +165,7 @@ def try_dictionary(col: PhysicalColumn, config: EncodeConfig):
     (shouldFallBack: DictionaryValuesWriter.java:117-120)."""
     if col.ptype == "BINARY":
         arr = dict_codec.binary_array(*col.values)
-    elif col.ptype == "BOOLEAN":
+    elif col.ptype in ("BOOLEAN", "FIXED_LEN_BYTE_ARRAY"):
         return None
     else:
         arr = pa.array(np.asarray(col.values))

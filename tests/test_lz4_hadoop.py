@@ -8,12 +8,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from rayenc import parquet_write
-from rayenc.codecs.lz4hadoop import (
-    Lz4HadoopCodec,
-    _lz4_block_decompress,
-    codec_for_id,
-)
-from rayenc.parquet_compat import read_table_conformance
+from rayenc.codecs.lz4hadoop import Lz4HadoopCodec, _lz4_block_decompress
+from rayenc.parquet_compat import codec_for_id, read_table_conformance
 from rayenc.parquet_read_enc import read_table_filtered
 from rayenc.selector import EncodeConfig
 
