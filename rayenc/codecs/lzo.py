@@ -47,6 +47,7 @@ the selector never chooses it.
 from __future__ import annotations
 
 import struct
+import sys
 
 import pyarrow as pa
 
@@ -61,8 +62,11 @@ _EOF = b"\x11\x00\x00"  # M4 with distance == 16384: end-of-stream marker
 # ---------------------------------------------------------------- decode
 
 
-def lzo1x_decompress(src: bytes) -> bytes:
-    """Decode one raw LZO1X block (self-terminating via the EOF marker)."""
+def lzo1x_decompress(src: bytes, max_out: int = sys.maxsize) -> bytes:
+    """Decode one raw LZO1X block (self-terminating via the EOF marker).
+
+    Raises ValueError as soon as the output would pass ``max_out`` bytes: a
+    255-run length extension lets each input byte add 255 output bytes."""
     out = bytearray()
     i, n = 0, len(src)
     if n < 3:
@@ -94,6 +98,8 @@ def lzo1x_decompress(src: bytes) -> bytes:
                         i += 1
                     else:
                         length = t + 3
+                    if len(out) + length > max_out:
+                        raise ValueError(f"LZO1X output exceeds {max_out} bytes")
                     out += src[i : i + length]
                     i += length
                     if i > n:
@@ -157,6 +163,8 @@ def lzo1x_decompress(src: bytes) -> bytes:
                 s = t & 3
             if dist > len(out):
                 raise ValueError("LZO1X match distance beyond output")
+            if len(out) + length > max_out:
+                raise ValueError(f"LZO1X output exceeds {max_out} bytes")
             start = len(out) - dist
             if dist >= length:
                 out += out[start : start + length]
@@ -172,6 +180,8 @@ def lzo1x_decompress(src: bytes) -> bytes:
             state = s
     except IndexError:
         raise ValueError("LZO1X stream truncated") from None
+    if len(out) > max_out:
+        raise ValueError(f"LZO1X output exceeds {max_out} bytes")
     return bytes(out)
 
 
@@ -313,10 +323,8 @@ class LzoHadoopCodec:
                 pos += 4
                 if clen > len(data) - pos:
                     raise ValueError("LZO page: chunk overruns page body")
-                piece = lzo1x_decompress(data[pos : pos + clen])
+                piece = lzo1x_decompress(data[pos : pos + clen], block_len - produced)
                 pos += clen
-                if len(piece) > block_len - produced:
-                    raise ValueError("LZO page: chunk overfills block")
                 out.append(piece)
                 produced += len(piece)
             total += block_len

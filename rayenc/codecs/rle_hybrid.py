@@ -14,8 +14,9 @@ Run-emission rule (state machine at
 becomes an rle-run; buffered groups flush into bit-packed runs capped at 63
 groups (504 values); on final flush a partial group is zero-padded.
 
-``encode`` reproduces that state machine byte-for-byte but at run granularity
-(vectorized run detection + batch bit-packing); ``encode_scalar`` is a direct
+``encode`` reproduces that state machine byte-for-byte on whole arrays:
+``Plan`` finds the rle-runs with array ops and ``Plan.emit`` packs every
+bit-packed value of the page in one call; ``encode_scalar`` is a direct
 transliteration of the state machine used by tests to prove equivalence.
 """
 
@@ -24,131 +25,128 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import pack_lsb, unpack_lsb
-from .varint import read_uvarint, write_uvarint
+from .varint import read_uvarint, uvarint_encode_batch, uvarint_lengths, write_uvarint
 
 MAX_GROUPS = 63  # one-byte bit-packed header: (63 << 1) | 1 = 127
+_NONE = np.empty(0, np.int64)
 
 
-def _emit_bitpacked(out: bytearray, vals: np.ndarray, width: int) -> None:
-    """Emit one or more bit-packed runs for vals (len % 8 == 0 except at EOF,
-    where it is zero-padded to a multiple of 8 by the caller)."""
-    n = len(vals)
-    if n == 0:
-        return
-    groups = (n + 7) // 8
-    if n % 8:  # final partial group: zero-pad
-        vals = np.concatenate([vals, np.zeros(groups * 8 - n, vals.dtype)])
-    packed = pack_lsb(vals, width)  # one vectorized pack for the whole span
-    pos = 0
-    gpos = 0
-    while gpos < groups:
-        g = min(groups - gpos, MAX_GROUPS)
-        out.append((g << 1) | 1)
-        out += packed[pos : pos + g * width]
-        pos += g * width
-        gpos += g
-
-
-def _emit_rle(out: bytearray, count: int, value: int, width: int) -> None:
-    write_uvarint(out, count << 1)
-    vbytes = (width + 7) // 8
-    out += int(value).to_bytes(vbytes, "little")
+class RleHybridError(ValueError):
+    """A hybrid stream that is truncated or overruns its buffer."""
 
 
 class Plan:
-    """Planned hybrid encoding: segment list + exact byte size, no payload
-    materialization. ``emit`` does the (single) packing pass."""
+    """Planned hybrid encoding: rle-run arrays + exact byte size, no payload
+    materialization. ``emit`` does the (single) packing pass.
 
-    __slots__ = ("values", "width", "segments", "size")
+    The output alternates bit-packed spans and rle-runs: ``groups[i]`` 8-value
+    groups, then the rle-run of ``counts[i]`` copies of ``values[starts[i]]``,
+    and a final span of ``groups[-1]`` groups, zero-padded."""
+
+    __slots__ = ("values", "width", "starts", "counts", "groups", "size")
 
     def __init__(self, values: np.ndarray, width: int):
         v = np.ascontiguousarray(values)
         self.values = v
         self.width = width
         n = len(v)
-        # segments: ("bp", [(a,b), ...]) span | ("rle", count, value)
-        segments: list = []
-        size = 0
-        vbytes = (width + 7) // 8
+        starts = counts = lead = _NONE
         if n:
             eq = v[1:] == v[:-1]
-            if np.count_nonzero(eq) < 7:
-                # high-entropy fast path: an RLE run needs >= 8 equal values
-                # (>= 7 adjacent-equal pairs), so none can exist — one
-                # bit-packed span, identical bytes to the general path,
-                # without materializing the run-boundary arrays
-                self.segments = [("bp", [(0, n)])]
-                self.size = _bp_size(n, width)
-                return
-            change = np.flatnonzero(~eq) + 1
-            starts = np.concatenate(([0], change))
-            lengths = np.diff(np.concatenate((starts, [n])))
-            candidates = np.flatnonzero(lengths >= 8)
-            span_ranges: list[tuple[int, int]] = []
-            span_len = 0
-            prev_end = 0
-            starts_l = starts[candidates].tolist()
-            lens_l = lengths[candidates].tolist()
-            vals_l = v[starts[candidates]].tolist() if len(candidates) else []
-            for s, run_len, rv in zip(starts_l, lens_l, vals_l):
-                if s > prev_end:
-                    span_ranges.append((prev_end, s))
-                    span_len += s - prev_end
-                donate = (8 - span_len % 8) % 8
-                rem = run_len - donate
-                if rem >= 8:
-                    if donate:
-                        span_ranges.append((s, s + donate))
-                        span_len += donate
-                    if span_ranges:
-                        segments.append(("bp", span_ranges))
-                        size += _bp_size(span_len, width)
-                    span_ranges = []
-                    span_len = 0
-                    segments.append(("rle", rem, int(rv)))
-                    size += _uvarint_len(rem << 1) + vbytes
-                else:
-                    span_ranges.append((s, s + run_len))
-                    span_len += run_len
-                prev_end = s + run_len
-            if prev_end < n:
-                span_ranges.append((prev_end, n))
-                span_len += n - prev_end
-            if span_ranges:
-                segments.append(("bp", span_ranges))
-                size += _bp_size(span_len, width)
-        self.segments = segments
-        self.size = size
+            # an rle-run needs >= 8 equal values (>= 7 adjacent-equal pairs):
+            # below that the page is one bit-packed span, no run arrays
+            if np.count_nonzero(eq) >= 7:
+                starts, counts, lead = _rle_runs(eq, n)
+        tail = n - int(starts[-1] + counts[-1]) if len(starts) else n
+        groups = np.append(lead, (tail + 7) >> 3)
+        self.starts, self.counts, self.groups = starts, counts, groups
+        headers = int(((groups + MAX_GROUPS - 1) // MAX_GROUPS).sum())
+        self.size = (
+            headers
+            + int(groups.sum()) * width
+            + int(uvarint_lengths(counts << 1).sum())
+            + len(counts) * ((width + 7) // 8)
+        )
 
     def emit(self) -> bytes:
-        out = bytearray()
-        v = self.values
-        for seg in self.segments:
-            if seg[0] == "bp":
-                ranges = seg[1]
-                vals = (
-                    v[ranges[0][0] : ranges[0][1]]
-                    if len(ranges) == 1
-                    else np.concatenate([v[a:b] for a, b in ranges])
-                )
-                _emit_bitpacked(out, vals, self.width)
-            else:
-                _emit_rle(out, seg[1], seg[2], self.width)
-        return bytes(out)
+        v, width, starts, counts, groups = (
+            self.values, self.width, self.starts, self.counts, self.groups
+        )
+        if len(starts):
+            # the spans before each rle-run and the tail, in order: the
+            # bit-packed stream
+            begin = np.concatenate(([0], starts + counts))
+            span = np.minimum(groups << 3, len(v) - begin)
+            shift = begin - (np.cumsum(span) - span)
+            bp = v[np.repeat(shift, span) + np.arange(int(span.sum()))]
+        else:
+            bp = v  # one span: no gather
+        payload = np.frombuffer(pack_lsb(bp, width), np.uint8)
+        # per segment (span, run, span, ..., run, span): its output offset
+        vbytes = (width + 7) // 8
+        chunks = (groups + MAX_GROUPS - 1) // MAX_GROUPS
+        hdr, hlen = uvarint_encode_batch(counts << 1)
+        seg = np.empty(2 * len(groups) - 1, np.int64)
+        seg[0::2] = chunks + groups * width
+        seg[1::2] = hlen + vbytes
+        off = np.cumsum(seg) - seg
+        out = np.zeros(self.size, np.uint8)
+        free = np.ones(self.size, bool)  # False where header/value bytes go
+        # bit-packed headers, one per <= 63 groups
+        nck = int(chunks.sum())
+        cseg = np.repeat(np.arange(len(groups)), chunks)
+        k = np.arange(nck) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+        cpos = off[0::2][cseg] + k * (1 + MAX_GROUPS * width)
+        out[cpos] = (np.minimum(groups[cseg] - k * MAX_GROUPS, MAX_GROUPS) << 1) | 1
+        free[cpos] = False
+        if len(counts):
+            # rle-run headers, then their values as vbytes-wide LE ints
+            roff = off[1::2]
+            hpos = np.repeat(roff - (np.cumsum(hlen) - hlen), hlen) + np.arange(len(hdr))
+            out[hpos] = hdr
+            free[hpos] = False
+            vpos = (roff + hlen)[:, None] + np.arange(vbytes)
+            rv = v[starts].astype("<u8").view(np.uint8).reshape(-1, 8)[:, :vbytes]
+            out[vpos] = rv
+            free[vpos] = False
+        # payload bytes fill the rest in stream order; the final partial
+        # group's padding stays zero
+        out[np.flatnonzero(free)[: len(payload)]] = payload
+        return out.tobytes()
 
 
-def _bp_size(n_values: int, width: int) -> int:
-    groups = (n_values + 7) // 8
-    headers = (groups + MAX_GROUPS - 1) // MAX_GROUPS
-    return headers + groups * width
+def _rle_runs(eq: np.ndarray, n: int):
+    """Apply the state machine's rle-run rule to whole arrays: returns each
+    rle-run's first value index and count, and the groups of the bit-packed
+    span before it (whole groups: the donation completes them).
 
-
-def _uvarint_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
-
-
-def encoded_size(values: np.ndarray, width: int) -> int:
-    return Plan(values, width).size
+    A candidate run (>= 8 equal values) first donates values to complete the
+    pending span's last group (``-span % 8``, at most 7) and becomes an
+    rle-run when >= 8 values remain, so runs of >= 15 always do; only the
+    8-14 runs depend on the span since the previous rle-run, and only they
+    are visited one by one."""
+    change = np.flatnonzero(~eq) + 1
+    starts = np.concatenate(([0], change))
+    lengths = np.diff(np.concatenate((starts, [n])))
+    cand = np.flatnonzero(lengths >= 8)
+    s, ln = starts[cand], lengths[cand]
+    rle = ln >= 15
+    mid = np.flatnonzero(~rle)
+    if len(mid):
+        # end of the last long run before each candidate (0 if none)
+        long_end = np.maximum.accumulate(np.where(rle, s + ln, 0))
+        before = np.concatenate(([0], long_end[:-1]))[mid]
+        last = 0
+        for i, a, m, b in zip(mid.tolist(), s[mid].tolist(), ln[mid].tolist(), before.tolist()):
+            if b > last:
+                last = b
+            if m - (last - a) % 8 >= 8:
+                rle[i] = True
+                last = a + m
+    s, ln = s[rle], ln[rle]
+    prev = np.concatenate(([0], (s + ln)[:-1]))
+    donate = (prev - s) % 8
+    return s + donate, ln - donate, (s + donate - prev) >> 3
 
 
 def encode(values: np.ndarray, width: int) -> bytes:
@@ -237,30 +235,36 @@ def decode(buf, n: int, width: int, out_dtype=np.uint32) -> np.ndarray:
     i = 0
     bp_runs: list[tuple[int, int, int, int, int]] = []
     rle_runs: list[tuple[int, int, int]] = []
-    while pos < n:
-        b = rb[i]
-        i += 1
-        header = b & 0x7F
-        shift = 7
-        while b & 0x80:
+    try:
+        while pos < n:
             b = rb[i]
             i += 1
-            header |= (b & 0x7F) << shift
-            shift += 7
-        if header & 1:  # bit-packed run
-            groups = header >> 1
-            cnt = groups * 8
-            nbytes = groups * width
-            take = cnt if cnt <= n - pos else n - pos
-            bp_runs.append((i, nbytes, cnt, pos, take))
-            i += nbytes
-            pos += take
-        else:  # rle run
-            cnt = header >> 1
-            value = int.from_bytes(rb[i : i + vbytes], "little")
-            i += vbytes
-            rle_runs.append((pos, cnt, value))
-            pos += cnt
+            header = b & 0x7F
+            shift = 7
+            while b & 0x80:
+                b = rb[i]
+                i += 1
+                header |= (b & 0x7F) << shift
+                shift += 7
+            if header & 1:  # bit-packed run
+                groups = header >> 1
+                cnt = groups * 8
+                nbytes = groups * width
+                take = cnt if cnt <= n - pos else n - pos
+                # width 0 has no payload: unpack only the values kept
+                bp_runs.append((i, nbytes, cnt if width else take, pos, take))
+                i += nbytes
+                pos += take
+            else:  # rle run
+                cnt = header >> 1
+                value = int.from_bytes(rb[i : i + vbytes], "little")
+                i += vbytes
+                rle_runs.append((pos, cnt, value))
+                pos += cnt
+    except IndexError:
+        raise RleHybridError(f"hybrid stream truncated in a run header at byte {i}") from None
+    if i > len(rb):  # i only grows: any payload or rle value past the end
+        raise RleHybridError(f"hybrid stream needs {i} bytes, has {len(rb)}")
     if bp_runs:
         if len(bp_runs) == 1:
             s, nb, cnt, opos, take = bp_runs[0]
@@ -289,4 +293,6 @@ def encode_framed(values: np.ndarray, width: int) -> bytes:
 def decode_framed(buf, n: int, width: int, out_dtype=np.uint32) -> tuple[np.ndarray, int]:
     """Returns (values, bytes_consumed_including_frame)."""
     ln = int.from_bytes(bytes(buf[:4]), "little")
+    if len(buf) < 4 + ln:
+        raise RleHybridError(f"hybrid frame of {ln} bytes overruns a {len(buf)}-byte buffer")
     return decode(buf[4 : 4 + ln], n, width, out_dtype), 4 + ln

@@ -81,6 +81,18 @@ def read_zigzag_varint64(buf, i: int) -> tuple[int, int]:
     return unzigzag64(u), i
 
 
+def uvarint_lengths(values: np.ndarray) -> np.ndarray:
+    """Byte count of each value's LEB128 encoding (non-negative ints)."""
+    v = np.asarray(values, np.uint64)
+    lengths = np.ones(len(v), np.int64)
+    for k in range(1, 10):
+        more = v >= np.uint64(1 << (7 * k))
+        if not more.any():
+            break
+        lengths += more
+    return lengths
+
+
 def uvarint_encode_batch(values: np.ndarray, max_bytes: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized LEB128 of a uint64 array.
 

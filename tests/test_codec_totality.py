@@ -1,6 +1,6 @@
 """Decoder totality: arbitrary bytes fed to the legacy page decompressors
-must either decode or raise a clean ``ValueError`` — never an unnamed
-exception type and never a hang.
+and the RLE/bit-packed hybrid decoder must either decode or raise a clean
+``ValueError`` — never an unnamed exception type and never a hang.
 
 This is the contract the readers rely on (``rayenc/parquet_read_enc.py``
 surfaces decode failures per-page with file/column context, and
@@ -11,9 +11,15 @@ codecs which enforce the same fail-closed behavior
 (parquet-hadoop/.../codec/NonBlockedDecompressorStream.java).
 """
 
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rayenc.codecs import rle_hybrid
 from rayenc.codecs.lz4hadoop import Lz4HadoopCodec, _lz4_block_decompress
 from rayenc.codecs.lzo import LzoHadoopCodec, lzo1x_decompress
 
@@ -63,3 +69,86 @@ def test_lz4_pure_block_total(data):
         # both are caught at its only call site (lz4hadoop.py _try_hadoop)
         return
     assert isinstance(out, bytes)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(_garbage, st.integers(0, 2000), st.integers(0, 32))
+def test_rle_hybrid_decode_total(data, n, width):
+    try:
+        out = rle_hybrid.decode(data, n, width)
+    except rle_hybrid.RleHybridError:
+        return
+    assert len(out) == n
+
+
+@settings(max_examples=300, deadline=1000)
+@given(_garbage, st.integers(0, 2000), st.integers(0, 32))
+def test_rle_hybrid_decode_framed_total(data, n, width):
+    try:
+        out, used = rle_hybrid.decode_framed(data, n, width)
+    except rle_hybrid.RleHybridError:
+        return
+    assert len(out) == n and used <= len(data)
+
+
+@pytest.mark.parametrize(
+    "buf, n, width",
+    [
+        (bytes([16]), 8, 16),  # rle-run of 8 whose 2 value bytes are missing
+        (bytes([3, 0xFF]), 8, 2),  # bit-packed group short of its 2 bytes
+        (b"\x80", 10, 3),  # header varint cut off
+        (b"", 5, 1),
+        (b"\x00" * 16, 5, 3),  # zero-count rle-runs up to the end
+    ],
+)
+def test_rle_hybrid_truncated_stream_raises(buf, n, width):
+    with pytest.raises(rle_hybrid.RleHybridError):
+        rle_hybrid.decode(buf, n, width)
+
+
+def test_rle_hybrid_width0_group_count_is_not_allocated():
+    # a 5-byte header declares 2**34 bit-packed groups of width 0: only the
+    # n values asked for are materialized
+    buf = bytes([0xFF, 0xFF, 0xFF, 0xFF, 0x0F])
+    assert rle_hybrid.decode(buf, 5, 0).tolist() == [0] * 5
+
+
+def test_rle_hybrid_frame_past_buffer_raises():
+    framed = rle_hybrid.encode_framed(np.arange(64, dtype=np.uint32) % 4, 2)
+    with pytest.raises(rle_hybrid.RleHybridError):
+        rle_hybrid.decode_framed(framed[:-1], 64, 2)
+
+
+def _lzo_bomb(extension_bytes: int) -> bytes:
+    """One literal, then an M3 match at distance 1 whose 255-run length
+    extension repeats it ~255 times per input byte."""
+    return (
+        bytes([17 + 1]) + b"a"
+        + bytes([0x20]) + b"\x00" * extension_bytes + b"\x01" + b"\x00\x00"
+        + b"\x11\x00\x00"
+    )
+
+
+def test_lzo1x_output_cap_raises_before_expanding():
+    bomb = _lzo_bomb(40_000)  # expands to ~10 MB uncapped
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            lzo1x_decompress(bomb, max_out=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_lzo_hadoop_chunk_capped_by_block_length():
+    bomb = _lzo_bomb(40_000)
+    page = struct.pack(">II", 4096, len(bomb)) + bomb
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            LzoHadoopCodec().decompress(page, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -14,15 +14,27 @@ from rayenc import blocks
 SETTINGS = dict(max_examples=40, deadline=None)
 
 
-@given(
-    vals=st.lists(st.integers(0, 2**20 - 1), max_size=600),
-    width=st.just(20),
-)
-@settings(**SETTINGS)
-def test_rle_hybrid_roundtrip_and_scalar_parity(vals, width):
-    arr = np.array(vals, np.uint32)
+# run lengths weighted toward 8-14, where the rle-run decision depends on the
+# bit-packed span before the run
+_RUN_LENGTHS = st.sampled_from(list(range(1, 21)) + list(range(8, 15)) * 3)
+
+
+@st.composite
+def _run_structured(draw):
+    width = draw(st.integers(0, 32))
+    value = st.integers(0, (1 << width) - 1)
+    runs = draw(st.lists(st.tuples(value, _RUN_LENGTHS), max_size=150))
+    return [v for v, k in runs for _ in range(k)][:1200], width
+
+
+@given(case=_run_structured())
+@settings(max_examples=80, deadline=None)
+def test_rle_hybrid_roundtrip_and_scalar_parity(case):
+    vals, width = case
+    arr = np.array(vals, np.uint64)
     fast = rle_hybrid.encode(arr, width)
     assert fast == rle_hybrid.encode_scalar(vals, width)
+    assert rle_hybrid.Plan(arr, width).size == len(fast)
     if len(arr):
         np.testing.assert_array_equal(rle_hybrid.decode(fast, len(arr), width), arr)
 

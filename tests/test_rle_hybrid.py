@@ -164,3 +164,35 @@ def test_multibyte_rle_header_and_wide_value():
     assert h == 100000 << 1
     assert int.from_bytes(buf[i : i + 3], "little") == 70000
     np.testing.assert_array_equal(rle_hybrid.decode(buf, 100000, 17), vals)
+
+
+def _repetition_levels(rng, rows):
+    """A list column's repetition levels: 0 then n-1 ones per row."""
+    lens = rng.integers(1, 301, rows)
+    levels = np.ones(int(lens.sum()), np.uint32)
+    levels[np.cumsum(lens) - lens] = 0
+    return levels
+
+
+@pytest.mark.parametrize("page", ["repetition_levels", "runs_and_noise"])
+def test_emit_packs_each_page_once(monkeypatch, page):
+    rng = np.random.default_rng(3)
+    if page == "repetition_levels":
+        vals, width = _repetition_levels(rng, 2000), 1
+    else:
+        parts = [
+            np.full(int(rng.integers(8, 40)), int(rng.integers(0, 64)), np.uint32)
+            if k % 2
+            else rng.integers(0, 64, int(rng.integers(1, 30)), dtype=np.uint32)
+            for k in range(400)
+        ]
+        vals, width = np.concatenate(parts), 6
+    plan = rle_hybrid.Plan(vals, width)
+    calls = []
+    real = rle_hybrid.pack_lsb
+    monkeypatch.setattr(
+        rle_hybrid, "pack_lsb", lambda v, w: calls.append(len(v)) or real(v, w)
+    )
+    buf = plan.emit()
+    assert len(calls) <= 1
+    assert buf == rle_hybrid.encode_scalar(vals.tolist(), width)
