@@ -13,10 +13,10 @@ copied — kernels are vectorized numpy re-derivations of the published formats.
 Round-3 surface map: parquet modular encryption (``parquet_crypto`` write
 side + ``parquet_read_enc`` self-contained decrypting reader), spec bloom
 filters in files (``bloom.SpecBloom`` over ``codecs.xxh``), whole-file
-conformance reads of arbitrary nesting (``parquet_compat.assemble_tree``),
-ColumnIndex page-skipping file reads (``parquet_read_enc.
-read_table_filtered``), Variant encoding + shredding (``variant``), media
-codecs (``ops.png``: PNG + WAV), and multi-file merge
+conformance reads of arbitrary nesting (``schema.assemble`` via
+``parquet_compat.assemble_leaves``), ColumnIndex page-skipping file reads
+(``parquet_read_enc.read_table_filtered``), Variant encoding + shredding
+(``variant``), media codecs (``ops.png``: PNG + WAV), and multi-file merge
 (``rewrite.merge_parquet``).
 """
 

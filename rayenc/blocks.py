@@ -42,6 +42,11 @@ from .schema import PhysicalColumn, assemble, shred
 MAGIC = b"RENC1\x00"
 
 
+class BlockFormatError(ValueError):
+    """A container blob or chunk entry the decoder cannot read: a bad magic,
+    or a page skip / dictionary fast path asked of a chunk it does not fit."""
+
+
 # ---------------------------------------------------------------- page split
 
 
@@ -692,8 +697,8 @@ def decode_chunk(
     config: sel.EncodeConfig | None = None,
     page_mask: list[bool] | None = None,
 ) -> PhysicalColumn:
-    if page_mask is not None:
-        assert entry["validity"] is None, "page skip only for non-null chunks"
+    if page_mask is not None and entry["validity"] is not None:
+        raise BlockFormatError(f"page skip only for non-null chunks: {entry['name']!r}")
     aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, page_mask)
     col = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs)
     if entry["validity"]:
@@ -715,8 +720,10 @@ def decode_chunk_dictionary(
     dictionary page are touched — the reference's reader-visible
     `Dictionary` (`dictionary/DictionaryValuesReader.java:49-55`) kept
     end-to-end instead of eagerly materialized."""
-    assert entry["encoding"] == "RLE_DICTIONARY" and entry["ptype"] == "BINARY"
-    assert entry["validity"] is None, "dictionary fast path is non-null only"
+    if (entry["encoding"], entry["ptype"], entry["validity"]) != ("RLE_DICTIONARY", "BINARY", None):
+        raise BlockFormatError(
+            f"dictionary fast path needs a non-null RLE_DICTIONARY BINARY chunk: {entry['name']!r}"
+        )
     aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, page_mask)
     ids = codecs.decode_pages(
         "RLE_DICTIONARY", "BINARY", [(b, p["num_values"]) for b, p in zip(page_bufs, pages)]
@@ -845,7 +852,8 @@ def decode_block(
     way — `dictionary/DictionaryValuesReader.java`). For low-NDV columns
     this shrinks the decoded block by ~avg_len/4 and predicates evaluate on
     the NDV-sized dictionary (predicate.leaf_mask), not per row."""
-    assert bytes(blob[: len(MAGIC)]) == MAGIC, "bad block magic"
+    if bytes(blob[: len(MAGIC)]) != MAGIC:
+        raise BlockFormatError("bad block magic")
     schema = pa.ipc.read_schema(pa.py_buffer(bytes.fromhex(manifest["schema"])))
     if columns is not None:
         schema = pa.schema([f for f in schema if f.name in set(columns)])

@@ -47,6 +47,18 @@ def _ranges(starts, lengths):
         np.asarray(starts, np.int64) - (ends - lengths), lengths
     )
 
+class LengthCountError(ValueError):
+    """A page's length stream holds a different number of lengths than the
+    page has values (a corrupt or mis-framed DELTA_LENGTH / DELTA_BYTE_ARRAY
+    / FSST body)."""
+
+
+def check_count(lengths: np.ndarray, n: int) -> np.ndarray:
+    if len(lengths) != n:
+        raise LengthCountError(f"length stream holds {len(lengths)} lengths, page has {n} values")
+    return lengths
+
+
 DEFAULT_BLOCK = 128  # DeltaBinaryPackingValuesWriter.DEFAULT_NUM_BLOCK_VALUES
 DEFAULT_MINIBLOCKS = 4  # DEFAULT_NUM_MINIBLOCKS
 
@@ -189,12 +201,6 @@ class Plan:
             dst = (mb_dst[sel][:, None] + np.arange(sz)).ravel()
             body[dst] = packed
         return body.tobytes()
-
-
-def encoded_size(
-    values: np.ndarray, block: int = DEFAULT_BLOCK, miniblocks: int = DEFAULT_MINIBLOCKS
-) -> int:
-    return Plan(values, block, miniblocks).size
 
 
 def encode(

@@ -21,8 +21,7 @@ def encode(offsets: np.ndarray, data: np.ndarray) -> bytes:
 def decode(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Returns (offsets int64[n+1], data uint8)."""
     end = delta_bp.decoded_byte_end(buf)
-    lengths = delta_bp.decode(buf[:end], np.int32)
-    assert len(lengths) == n
+    lengths = delta_bp.check_count(delta_bp.decode(buf[:end], np.int32), n)
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(lengths, out=offsets[1:])
     data = np.frombuffer(buf, np.uint8, count=int(offsets[-1]), offset=end)

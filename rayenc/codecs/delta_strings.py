@@ -86,8 +86,7 @@ def decode(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
     fully sorted column decodes in O(max_string_len) numpy passes.
     """
     end = delta_bp.decoded_byte_end(buf)
-    prefix = delta_bp.decode(buf[:end], np.int32).astype(np.int64)
-    assert len(prefix) == n
+    prefix = delta_bp.check_count(delta_bp.decode(buf[:end], np.int32), n).astype(np.int64)
     soffsets, sdata = delta_length.decode(buf[end:], n)
     slengths = np.diff(soffsets)
 

@@ -139,18 +139,6 @@ def _pack_key(s: bytes) -> int:
     return int.from_bytes(s, "little")
 
 
-def _gram_keys(data: np.ndarray, ln: int) -> np.ndarray:
-    """uint64 key of the ln-gram starting at each position (positions with
-    fewer than ln bytes remaining get a key of the truncated gram — callers
-    mask those out via the string-end check)."""
-    n = len(data)
-    acc = np.zeros(n, np.uint64)
-    d = data.astype(np.uint64)
-    for k in range(ln):
-        acc[: n - k] |= d[k:] << np.uint64(8 * k)
-    return acc
-
-
 _LEN_MASKS = np.array(
     [(1 << (8 * ln)) - 1 for ln in range(MAX_SYMBOL_LEN)] + [(1 << 64) - 1],
     np.uint64,
@@ -466,8 +454,7 @@ def decode_column(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
     table, pos = SymbolTable.deserialize(buf)
     body = np.frombuffer(buf, np.uint8, offset=pos)
     end = delta_bp.decoded_byte_end(body)
-    lengths = delta_bp.decode(body[:end], np.int32)
-    assert len(lengths) == n
+    lengths = delta_bp.check_count(delta_bp.decode(body[:end], np.int32), n)
     c_offsets = np.zeros(n + 1, np.int64)
     np.cumsum(lengths, out=c_offsets[1:])
     c_data = body[end : end + int(c_offsets[-1])]

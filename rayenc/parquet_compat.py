@@ -10,7 +10,8 @@ This module holds the format plumbing every Parquet read shares: the
 encoding-id and compression-codec tables, page headers (parsed by the one
 thrift compact parser, ``thrift._read_struct``), the V1/V2 data-page layout
 (rep/def levels + values, whose pages ``codecs.decode_pages`` decodes), and
-Dremel record assembly. Files are opened, footers
+the conversion of a column's leaf levels into the container's per-level
+streams, which ``schema.assemble`` rebuilds. Files are opened, footers
 parsed and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext
 and encrypted alike); ``read_table_conformance`` / ``read_column_chunk``
 are thin entry points over it.
@@ -24,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from .codecs import concat_values, decode_pages, rle_hybrid
+from .schema import assemble, spread
 from .thrift import _read_struct
 
 # parquet-format Encoding enum (parquet.thrift; Encoding.java), the one
@@ -158,27 +160,49 @@ def read_column_chunk(path: str, column: str, row_group: int = 0,
     """Decode one column chunk (leaf ``column``, dotted path) using ONLY
     rayenc decoders for levels and values. Returns a numpy array for fixed
     types or (offsets, data) for BYTE_ARRAY; nullable flat chunks with nulls
-    add a validity array, repeated leaves their rep/def levels."""
+    add a validity array, repeated leaves their rep/def levels.
+    ``raw_levels`` always returns (values, rep, def), None where the max
+    level is 0."""
     from .parquet_read_enc import _open_cached
 
     f = _open_cached(path, None)
-    return f.decode_leaf(row_group, f.leaf_index(column), raw_levels=raw_levels)
+    i = f.leaf_index(column)
+    values, rep, dfv = f.decode_leaf(row_group, i)
+    if raw_levels or rep is not None:
+        return values, rep, dfv
+    if dfv is not None:
+        valid = dfv == f.leaves[i].max_def
+        if not valid.all():
+            return values, valid
+    return values
 
 
-def _decode_page_stream(
-    pages, num_values, max_rep, max_def, ptype, type_length,
-    raw_levels: bool = False,
-):
-    """Decode a stream of (PageHeader, decompressed body) pairs — the shared
-    half of read_column_chunk, also fed by the modular-encryption page
-    decryptor (rayenc.parquet_read_enc). Levels are read here; values go
-    through the one page decoder, ``codecs.decode_pages``."""
-    from .codecs.bitpack import bit_width32, unpack_msb
+BIT_PACKED = ENCODING_ID["BIT_PACKED"]
+
+
+def _v1_levels(buf, encoding: int, n: int, width: int):
+    """(levels, bytes used) of one V1 page's level run: framed RLE, or the
+    deprecated big-endian unframed BIT_PACKED (legacy parquet-java files)."""
+    if encoding == BIT_PACKED:
+        from .codecs.bitpack import unpack_msb
+
+        nbytes = (n * width + 7) // 8
+        return unpack_msb(buf[:nbytes], n, width), nbytes
+    return rle_hybrid.decode_framed(buf, n, width)
+
+
+def _decode_page_stream(pages, num_values, max_rep, max_def, ptype, type_length):
+    """Decode a stream of (PageHeader, decompressed body) pairs into
+    (dense values, rep levels, def levels) — the shared half of every
+    Parquet chunk read, whole or page-selected, plain or decrypted. Levels
+    are read here (None where the max level is 0; a page without them gets
+    rep 0 and def ``max_def``); values go through the one page decoder,
+    ``codecs.decode_pages``."""
+    from .codecs.bitpack import bit_width32
 
     w_rep = bit_width32(max_rep)
     w_def = bit_width32(max_def)
     ptype, width = _value_type(ptype, type_length)
-    bit_packed = ENCODING_ID["BIT_PACKED"]
     remaining = num_values
     dictionary = None
     out_parts = []
@@ -190,54 +214,38 @@ def _decode_page_stream(
         if h.type == DICTIONARY_PAGE:
             dictionary = decode_pages("PLAIN", ptype, [(body, h.num_values)], width=width)
             continue
-        nvals = h.num_values
+        rep = levels = None
         if h.type == DATA_PAGE:
-            # V1 layout: [rep levels: framed RLE][def levels: framed RLE]
-            # [values]; REQUIRED flat columns (max levels == 0) omit levels.
-            # The deprecated BIT_PACKED levels are big-endian and unframed
-            # (legacy parquet-java files)
+            # V1 layout: [rep levels][def levels][values]; REQUIRED flat
+            # columns (max levels == 0) omit levels
             body_v = body
             if max_rep > 0:
-                if h.rep_level_encoding == bit_packed:
-                    nb = (h.num_values * w_rep + 7) // 8
-                    rep_parts.append(unpack_msb(body_v[:nb], h.num_values, w_rep))
-                    body_v = body_v[nb:]
-                else:
-                    rlv, consumed = rle_hybrid.decode_framed(
-                        body_v, h.num_values, w_rep
-                    )
-                    rep_parts.append(rlv)
-                    body_v = body_v[consumed:]
-            if max_def > 0 and h.def_level_encoding == ENCODING_ID["RLE"]:
-                levels, consumed = rle_hybrid.decode_framed(
-                    body_v, h.num_values, w_def
-                )
-                level_parts.append(levels)
-                nvals = int((levels == max_def).sum())  # nulls hold no value slot
-                body_v = body_v[consumed:]
-            elif max_def > 0 and h.def_level_encoding == bit_packed:
-                nbytes = (h.num_values * w_def + 7) // 8
-                levels = unpack_msb(body_v[:nbytes], h.num_values, w_def)
-                level_parts.append(levels)
-                nvals = int((levels == max_def).sum())
-                body_v = body_v[nbytes:]
+                rep, used = _v1_levels(body_v, h.rep_level_encoding, h.num_values, w_rep)
+                body_v = body_v[used:]
+            if max_def > 0 and h.def_level_encoding in (ENCODING_ID["RLE"], BIT_PACKED):
+                levels, used = _v1_levels(body_v, h.def_level_encoding, h.num_values, w_def)
+                body_v = body_v[used:]
         elif h.type == DATA_PAGE_V2:
             if max_rep > 0 and h.v2_rep_bytes:
-                rep_parts.append(
-                    rle_hybrid.decode(body[: h.v2_rep_bytes], h.num_values, w_rep)
-                )
+                rep = rle_hybrid.decode(body[: h.v2_rep_bytes], h.num_values, w_rep)
             if max_def > 0 and h.v2_def_bytes:
                 levels = rle_hybrid.decode(
                     body[h.v2_rep_bytes : h.v2_rep_bytes + h.v2_def_bytes],
                     h.num_values,
                     w_def,
                 )
-                level_parts.append(levels)
-                nvals = int((levels == max_def).sum())
             body_v = body[h.v2_rep_bytes + h.v2_def_bytes :]
         else:
             remaining -= h.num_values
             continue
+        nvals = h.num_values
+        if max_rep > 0:
+            rep_parts.append(np.zeros(h.num_values, np.uint32) if rep is None else rep)
+        if max_def > 0:
+            if levels is None:
+                levels = np.full(h.num_values, max_def, np.uint32)
+            level_parts.append(levels)
+            nvals = int((levels == max_def).sum())  # nulls hold no value slot
         encoding = ENCODING_NAME.get(h.encoding, h.encoding)
         if encoding in ("PLAIN_DICTIONARY", "RLE_DICTIONARY"):
             if dictionary is None:
@@ -250,24 +258,9 @@ def _decode_page_stream(
         out_parts.append(decode_pages(encoding, ptype, [(body_v, nvals)], dictionary, width))
         remaining -= h.num_values
     values = concat_values(out_parts, ptype, width)
-    if raw_levels:
-        rep = np.concatenate(rep_parts) if rep_parts else None
-        deflev = np.concatenate(level_parts) if level_parts else None
-        return values, rep, deflev
-    if max_rep > 0:
-        rep = np.concatenate(rep_parts) if rep_parts else np.zeros(0, np.uint32)
-        deflev = (
-            np.concatenate(level_parts)
-            if level_parts
-            else np.full(len(rep), max_def, np.uint32)
-        )
-        return values, rep, deflev  # (dense values, rep levels, def levels)
-    if level_parts:
-        levels = np.concatenate(level_parts)
-        valid = levels == max_def
-        if not valid.all():
-            return values, valid  # (dense values, validity)
-    return values
+    rep = np.concatenate(rep_parts or [np.zeros(0, np.uint32)]) if max_rep > 0 else None
+    dfv = np.concatenate(level_parts or [np.zeros(0, np.uint32)]) if max_def > 0 else None
+    return values, rep, dfv
 
 
 def int96_to_timestamp_ns(vals: np.ndarray) -> np.ndarray:
@@ -286,31 +279,15 @@ def read_list_column(path: str, field_name: str, row_group: int = 0):
     from .parquet_read_enc import _open_cached
 
     f = _open_cached(path, None)
-    leaves = [
-        f.decode_leaf(row_group, i, raw_levels=True)
-        for i, leaf in enumerate(f.leaves)
-        if leaf.path[0] == field_name
-    ]
-    return assemble_tree(f.arrow_schema().field(field_name), leaves)
+    return f.read_field(row_group, f.arrow_schema().field(field_name))
 
 
-def assemble_flat(r, t):
-    """Decoded flat leaf chunk + arrow type -> pa.Array (nulls restored,
-    logical type cast applied)."""
-    if isinstance(r, tuple) and len(r) == 2 and r[1].dtype == bool:
-        dense, valid = r
-        return _scatter_dense(_to_dense_arrow(dense, t), valid, t)
-    return _to_dense_arrow(r, t).cast(t)
-
-
-def _decimal_dense(v: np.ndarray, t) -> "pa.Array":
-    """Dense decoded decimal storage -> pa.Decimal128/256Array. Parquet
-    DECIMAL rides on FLBA (big-endian two's complement, minimal width — our
-    writer and pyarrow) or INT32/INT64 unscaled (DuckDB for small
-    precisions); arrow decimal buffers are 16/32-byte little-endian two's
-    complement, so the conversion is a byte reverse + sign extension."""
-    import pyarrow as pa
-
+def _decimal_storage(v: np.ndarray, t) -> np.ndarray:
+    """Decoded Parquet DECIMAL values -> the container's decimal storage,
+    16/32-byte little-endian two's complement rows. Parquet DECIMAL rides
+    on FLBA (big-endian two's complement, minimal width — our writer and
+    pyarrow) or INT32/INT64 unscaled (DuckDB for small precisions), so the
+    conversion is a byte reverse + sign extension."""
     width = 32 if t.precision > 38 else 16  # decimal256 beyond p=38
     if v.ndim == 2:  # FLBA rows, big-endian
         n, L = v.shape
@@ -322,57 +299,25 @@ def _decimal_dense(v: np.ndarray, t) -> "pa.Array":
         out = np.zeros((n, width), np.uint8)
         out[:, :8] = v.astype("<i8").view(np.uint8).reshape(n, 8)
         out[v < 0, 8:] = 0xFF
-    return pa.Array.from_buffers(t, n, [None, pa.py_buffer(out.tobytes())])
+    return out
 
 
-def _scatter_dense(dense, elem_valid: np.ndarray, elem_t):
-    """Scatter dense leaf values over element slots (None where absent)."""
-    import pyarrow as pa
-
-    n_elem = len(elem_valid)
-    take = np.full(n_elem, -1, np.int64)
-    take[elem_valid] = np.arange(int(elem_valid.sum()))
-    return dense.take(pa.array(take, pa.int64(), mask=take < 0)).cast(elem_t)
-
-
-def _to_dense_arrow(vals, t):
-    """Dense decoded leaf values -> pa.Array in the storage ``t`` casts
-    from: INT96 rows become ns timestamps, FLBA(2) FLOAT16 halves, other
-    FLBA fixed-size binary; unsigned logical ints reinterpret their signed
-    physical bits."""
-    import pyarrow as pa
-
-    if isinstance(vals, tuple):  # BYTE_ARRAY
-        from .codecs.dictionary import binary_array
-
-        dense = binary_array(*vals)
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-            dense = dense.cast(pa.large_binary())
-        return dense
+def _parquet_values(vals, t):
+    """Dense decoded Parquet leaf values -> the container's storage
+    convention for arrow type ``t`` (what ``schema.assemble`` reads):
+    INT96 rows become ns timestamps and decimals little-endian full-width
+    rows; everything else already is container storage."""
+    if isinstance(vals, tuple):  # BYTE_ARRAY (offsets, data)
+        return vals
     v = np.asarray(vals)
     if pa.types.is_decimal(t):
-        return _decimal_dense(v, t)
+        return _decimal_storage(v, t)
     if v.ndim == 2 and v.shape[1] == 12 and pa.types.is_timestamp(t):
-        return pa.array(int96_to_timestamp_ns(v), pa.timestamp("ns"))
-    if v.ndim == 2 and pa.types.is_float16(t):
-        # FLOAT16 logical type: FLBA(2) bytes ARE little-endian halves
-        return pa.array(np.ascontiguousarray(v).view("<f2").ravel())
-    if v.ndim == 2:
-        return pa.array([bytes(row) for row in v], pa.binary(v.shape[1]))
-    if pa.types.is_boolean(t):
-        return pa.array(v.astype(bool))
-    if pa.types.is_temporal(t):
-        return pa.array(v, pa.int64() if v.dtype == np.int64 else pa.int32())
-    if pa.types.is_unsigned_integer(t) and v.dtype.kind == "i":
-        # UINT logical types store the same bit pattern in signed
-        # physical ints — reassemble by view, not value cast
-        return pa.array(v.view(v.dtype.str.replace("i", "u")))
-    return pa.array(v)
+        return int96_to_timestamp_ns(v)
+    return v
 
 
 def _count_leaves(t) -> int:
-    import pyarrow as pa
-
     if pa.types.is_map(t):
         return _count_leaves(t.key_type) + _count_leaves(t.item_type)
     if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
@@ -382,121 +327,84 @@ def _count_leaves(t) -> int:
     return 1
 
 
-def assemble_tree(field, leaves: list):
-    """General vectorized Dremel record assembly: rebuild one (arbitrarily
-    nested) arrow column from its leaves' (dense values, rep, def) triples,
-    in depth-first leaf order — the inverse of parquet_write._walk and the
-    RecordReaderImplementation.java state machine, done level-at-a-time
-    with numpy instead of per-record transitions.
+def _slot_nulls(dfv, slots, d):
+    """Which slots of a level are below definition level ``d`` (a -1 slot,
+    under a null fixed-size-list parent, reads the 0 pad), or None."""
+    null = dfv < d if slots is None else np.append(dfv, 0)[slots] < d
+    return null if null.any() else None
 
-    ``leaves``: [(vals, rep:np|None, def:np|None), ...]. Levels follow the
-    writer's convention: a nullable node adds one def level; a list adds one
-    rep and one def level, with entry slots at def >= that level."""
-    import pyarrow as pa
 
-    def build(f, lvs, r, d):
-        t = f.type
-        if f.nullable:
-            d += 1
-        if pa.types.is_map(t) or pa.types.is_list(t) or pa.types.is_large_list(t):
-            is_map = pa.types.is_map(t)
-            rep0, def0 = lvs[0][1], lvs[0][2]
-            parent = rep0 <= r
-            n_rec = int(parent.sum())
-            r2, d2 = r + 1, d + 1
-            keep = def0 >= d2  # slots inside surviving entries (any depth)
-            # an ENTRY at this level starts at rep <= r2; deeper slots
-            # (rep > r2) continue an entry's subtree and must not be counted
-            entry = keep & (rep0 <= r2)
-            rec_id = np.cumsum(parent) - 1
-            counts = np.bincount(rec_id[entry], minlength=n_rec)
-            offsets = np.zeros(n_rec + 1, np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            null_rec = None
-            if f.nullable:
-                first_def = def0[parent]
-                null_rec = first_def < d
-            sub = [
-                (vals, rp[keep], dv[keep]) for vals, rp, dv in lvs
-            ]
-            if is_map:
-                elem_f = pa.field(
-                    "entries",
-                    pa.struct(
-                        [pa.field("key", t.key_type, False),
-                         pa.field("value", t.item_type, True)]
-                    ),
-                    False,
-                )
-            else:
-                elem_f = pa.field(
-                    "element", t.value_type, t.value_field.nullable
-                )
-            child = build(elem_f, sub, r2, d2)
-            off_arr = pa.array(
-                offsets, pa.int64(),
-                mask=np.concatenate([null_rec, [False]])
-                if null_rec is not None and null_rec.any() else None,
-            )
-            if is_map:
-                out = pa.MapArray.from_arrays(
-                    off_arr.cast(pa.int32()), child.field(0), child.field(1)
-                )
-                if null_rec is not None and null_rec.any():
-                    # MapArray.from_arrays lacks a mask param: rebuild with
-                    # the validity from the (masked) offsets array
-                    out = pa.Array.from_buffers(
-                        out.type, len(out),
-                        [off_arr.cast(pa.int32()).buffers()[0],
-                         off_arr.cast(pa.int32()).buffers()[1]],
-                        children=[out.values],
-                    )
-                return out.cast(t)
-            cls = pa.LargeListArray if pa.types.is_large_list(t) else pa.ListArray
-            if pa.types.is_list(t):
-                off_arr = off_arr.cast(pa.int32())
-            return cls.from_arrays(off_arr, child).cast(t)
+def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.Array:
+    """Rebuild one column through ``schema.assemble`` from its Parquet
+    leaves, one (dense values, rep, def, max_def) each in depth-first order:
+    the inverse of ``parquet_write.leaf_levels``. The levels become the
+    container's per-level streams — ``#lengths`` of lists and maps,
+    ``#valid`` of structs and fixed-size lists, each leaf's null mask.
+    ``level_field`` is the field as the Parquet schema shapes it
+    (``_node_field``): its nullability says which nodes own a definition
+    level, while ``field`` has the arrow types. A level's slots are the
+    entries that start one; the children of a null fixed-size list get
+    null slots, which the container keeps, and a required leaf under a
+    null parent its type's zero."""
+    chunks: dict = {}
+
+    def walk(t, g, name, lvs, r, d):
+        # lvs: [values, rep, def, max_def, slots] per leaf; slots are the
+        # entries starting this level's slots (-1: none), None for all
+        if pa.types.is_dictionary(t):
+            t = t.value_type
+        d += g.nullable
+        if not pa.types.is_nested(t):
+            ((values, _, dfv, max_def, slots),) = lvs
+            values = _parquet_values(values, t)
+            null = None if dfv is None else _slot_nulls(dfv, slots, max_def)
+            if null is not None and not g.nullable:
+                # no value under a null parent: the type's zero, as pyarrow
+                # reads it, not a null in a non-nullable field
+                values, null = spread(values, ~null), None
+            chunks[name] = (values, null)
+            return
+        null = _slot_nulls(lvs[0][2], lvs[0][4], d) if g.nullable else None
+        fsl = pa.types.is_fixed_size_list(t)
+        if (fsl or pa.types.is_struct(t)) and null is not None:
+            chunks[f"{name}#valid"] = (~null, None)
         if pa.types.is_struct(t):
-            def0 = lvs[0][2]
-            smask = None
-            if f.nullable and def0 is not None:
-                invalid = def0 < d
-                smask = pa.array(invalid) if invalid.any() else None
-            arrays = []
-            pos = 0
-            for child_f in t:
-                k = _count_leaves(child_f.type)
-                arrays.append(build(child_f, lvs[pos : pos + k], r, d))
-                pos += k
-            # pass the typed fields, not just names: a REQUIRED child
-            # (e.g. list<struct<number int64 not null, ...>>, as written
-            # by parquet-java's example model) must keep its
-            # non-nullable flag — pyarrow refuses a later cast from an
-            # all-nullable struct to one with a `not null` child
-            return pa.StructArray.from_arrays(
-                arrays, fields=list(t), mask=smask
-            )
-        # primitive leaf
-        vals, rep0, def0 = lvs[0]
-        dense = _to_dense_arrow(vals, t)
-        if def0 is None:
-            return dense.cast(t)
-        valid = def0 == d
-        return _scatter_dense(dense, valid, t)
+            for c, gc in zip(t, g.type):
+                k = _count_leaves(c.type)
+                walk(c.type, gc, f"{name}#f:{c.name}", lvs[:k], r, d)
+                lvs = lvs[k:]
+            return
+        r += 1
+        d += 1  # the repeated level: an empty list stays one def below
+        for lv in lvs:
+            _, rep, dfv, _, slots = lv
+            slots = np.arange(len(dfv)) if slots is None else slots
+            child = np.flatnonzero((dfv >= d) & (rep <= r))  # element starts
+            if fsl:
+                full = np.append(dfv, 0)[slots] >= d
+                if len(child) != int(full.sum()) * t.list_size:
+                    raise ValueError(f"fixed_size_list {name!r}: elements do not fill its width")
+                grid = np.full((len(slots), t.list_size), -1, np.int64)
+                grid[full] = child.reshape(-1, t.list_size)
+                child = grid.reshape(-1)
+            elif lv is lvs[0]:
+                real = slots >= 0
+                at = np.searchsorted(child, slots[real])
+                lengths = np.zeros(len(slots), np.int32)
+                lengths[real] = np.diff(np.append(at, len(child)))
+                chunks[f"{name}#lengths"] = (lengths, None) if null is None else (lengths[~null], null)
+            lv[4] = None if len(child) == len(dfv) and (child >= 0).all() else child
+        if pa.types.is_map(t):
+            nk = _count_leaves(t.key_type)
+            walk(t.key_type, g.type.key_field, f"{name}#values#f:key", lvs[:nk], r, d)
+            walk(t.item_type, g.type.item_field, f"{name}#values#f:value", lvs[nk:], r, d)
+        else:
+            walk(t.value_type, g.type.value_field, f"{name}#values", lvs, r, d)
 
-    # normalize: nested leaves always carry levels; a leaf with neither is a
-    # flat REQUIRED column (primitive fast path). rep may be absent for flat
-    # OPTIONAL leaves — synthesize zeros so list math never sees None.
-    norm = []
-    for vals, rp, dv in leaves:
-        if dv is not None and rp is None:
-            rp = np.zeros(len(dv), np.int64)
-        norm.append(
-            (vals,
-             None if rp is None else np.asarray(rp),
-             None if dv is None else np.asarray(dv))
-        )
-    return build(field, norm, 0, 0)
+    lvs = [[v, rep, dfv, max_def, None if rep is None else np.flatnonzero(rep == 0)]
+           for v, rep, dfv, max_def in leaves]
+    walk(field.type, level_field, field.name, lvs, 0, 0)
+    return assemble(field, chunks)
 
 
 def read_table_conformance(path: str, columns: "list[str] | None" = None) -> "pa.Table":

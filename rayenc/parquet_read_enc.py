@@ -47,8 +47,7 @@ from .parquet_compat import (
     _count_leaves,
     _decode_page_stream,
     _value_type,
-    assemble_flat,
-    assemble_tree,
+    assemble_leaves,
     codec_for_id,
     read_page_header,
 )
@@ -195,11 +194,12 @@ def _node_field(node, element: bool = False) -> pa.Field:
 
 
 def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
-    """An ``ARROW:schema`` type with each timestamp's unit taken from its
-    Parquet leaf (the stored unit is the writer's pre-coercion type, not
-    what the pages hold); the stored time zone survives on UTC-adjusted
-    leaves — pyarrow's ApplyOriginalStorageMetadata rule. ``leaves``
-    iterates the Parquet leaves in depth-first order."""
+    """An ``ARROW:schema`` type with each timestamp's unit, and each date
+    and time type, taken from its Parquet leaf (the stored type is the
+    writer's pre-coercion type, not what the pages hold); the stored time
+    zone survives on UTC-adjusted leaves — pyarrow's
+    ApplyOriginalStorageMetadata rule. ``leaves`` iterates the Parquet
+    leaves in depth-first order."""
     if pa.types.is_struct(t):
         fields = [f.with_type(_restore_units(f.type, leaves)) for f in t]
         return t if all(a.type.equals(b.type) for a, b in zip(fields, t)) else pa.struct(fields)
@@ -217,14 +217,15 @@ def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
         if pa.types.is_fixed_size_list(t):
             return pa.list_(vf, t.list_size)
         return pa.large_list(vf) if pa.types.is_large_list(t) else pa.list_(vf)
-    leaf = next(leaves)
-    if not pa.types.is_timestamp(t):
-        return t
-    leaf_t = _leaf_arrow_type(leaf)
-    if not pa.types.is_timestamp(leaf_t):
-        return t
-    tz = t.tz if (leaf_t.tz == "UTC" and t.tz) else leaf_t.tz
-    return pa.timestamp(leaf_t.unit, tz)
+    leaf_t = _leaf_arrow_type(next(leaves))
+    if pa.types.is_timestamp(t) and pa.types.is_timestamp(leaf_t):
+        tz = t.tz if (leaf_t.tz == "UTC" and t.tz) else leaf_t.tz
+        return pa.timestamp(leaf_t.unit, tz)
+    if (pa.types.is_date(t) and pa.types.is_date(leaf_t)) or (
+        pa.types.is_time(t) and pa.types.is_time(leaf_t)
+    ):
+        return leaf_t  # date64 over INT32 days, time32[s] over MILLIS
+    return t
 
 
 _TIME_UNIT_ARROW = {1: "ms", 2: "us", 3: "ns"}
@@ -233,7 +234,7 @@ _TIME_UNIT_ARROW = {1: "ms", 2: "us", 3: "ns"}
 def _leaf_arrow_type(leaf: "LeafInfo") -> "pa.DataType":
     """Flat-leaf SchemaElement -> the Arrow type pyarrow would derive
     (parquet-cpp SchemaField conversion): logicalType union preferred,
-    legacy ConvertedType fallback. assemble_flat's final ``cast(t)`` turns
+    legacy ConvertedType fallback. ``schema.assemble``'s final ``cast(t)`` turns
     the raw physical decode into this type, so reads of files without
     ARROW:schema metadata match pyarrow's schema."""
     e = leaf.elem or {}
@@ -699,14 +700,29 @@ class EncryptedFile:
                 remaining -= h.num_values
             yield h, decompress_page(h, body, codec)
 
-    def decode_leaf(self, rg_ord: int, col_ord: int, raw_levels: bool = False):
-        """Decode one leaf chunk with rayenc kernels (any encryption state)."""
+    def decode_leaf(self, rg_ord: int, col_ord: int):
+        """Decode one leaf chunk with rayenc kernels (any encryption state)
+        into (dense values, rep levels, def levels)."""
         leaf = self.leaves[col_ord]
         md = self.chunk_meta(rg_ord, col_ord)
         return _decode_page_stream(
             self._chunk_pages(rg_ord, col_ord, md), md[5], leaf.max_rep,
-            leaf.max_def, leaf.ptype, leaf.type_length, raw_levels=raw_levels,
+            leaf.max_def, leaf.ptype, leaf.type_length,
         )
+
+    def read_field(self, rg_ord: int, field: pa.Field) -> pa.Array:
+        """One column of a row group, decoded whole: every leaf of the
+        top-level ``field``, or the one leaf a dotted struct path names,
+        assembled through ``schema.assemble``."""
+        k = self.arrow_schema().get_field_index(field.name)
+        if k < 0:
+            cols, level_field = [self.leaf_index(field.name)], field
+        else:
+            cols = [i for i, lf in enumerate(self.leaves) if lf.path[0] == field.name]
+            level_field = _node_field(self._nodes[k]) if pa.types.is_nested(field.type) else field
+        return assemble_leaves(field, level_field, [
+            (*self.decode_leaf(rg_ord, i), self.leaves[i].max_def) for i in cols
+        ])
 
 
 def _parse_index(f: "EncryptedFile", rg_ord: int, col_ord: int):
@@ -1111,16 +1127,7 @@ def read_table_filtered(
                 # SELECTED columns (predicates stay flat; page skipping still
                 # applies to the flat predicate columns driving
                 # `intervals`), and chunks without a page index
-                if nested:
-                    arr = assemble_tree(field, [
-                        f.decode_leaf(rg_ord, i, raw_levels=True)
-                        for i, leaf in enumerate(f.leaves)
-                        if leaf.path[0] == field.name
-                    ])
-                else:
-                    arr = assemble_flat(
-                        f.decode_leaf(rg_ord, leaf_ord[field.name]), field.type
-                    )
+                arr = f.read_field(rg_ord, field)
                 if tree is not None:
                     if isinstance(arr, pa.ChunkedArray):
                         arr = arr.combine_chunks()
@@ -1173,11 +1180,12 @@ def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t,
     codec = codec_for_id(md.get(4, 0))
     # num_values budget: selected page value counts are unknown before the
     # headers are read; pass a large bound — the page list is finite
-    r = _decode_page_stream(
+    values, rep, dfv = _decode_page_stream(
         [(h, decompress_page(h, body, codec)) for h, body in pages], 1 << 62,
         leaf.max_rep, leaf.max_def, leaf.ptype, leaf.type_length,
     )
-    return assemble_flat(r, arrow_t)
+    field = pa.field(leaf.dotted, arrow_t)
+    return assemble_leaves(field, field, [(values, rep, dfv, leaf.max_def)])
 
 
 def read_bloom_filter(f: "EncryptedFile", rg_ord: int, col_ord: int):

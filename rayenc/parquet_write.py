@@ -2,8 +2,9 @@
 
 The inverse of rayenc.parquet_compat: values are encoded by our kernels
 (selector-chosen among the parquet-legal encodings), arrow columns of any
-nesting are shredded into leaves with repetition/definition levels
-(Dremel, `MessageColumnIO.java:508`), and pages are laid out as V1
+nesting are shredded once by ``schema.shred`` and each leaf's
+repetition/definition levels (Dremel, `MessageColumnIO.java:508`) derived
+from those streams, and pages are laid out as V1
 (`ColumnWriterV1.java:61-81`: framed RLE levels + values) or V2 data pages
 (`ColumnWriterV2.java`: unframed levels before the compressed values), with
 CRC-32 checksums, page compression, page indexes, bloom filters and modular
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import zlib
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -31,7 +33,13 @@ from . import selector as sel
 from . import stats as stats_mod
 from .blocks import choose_encoding, page_ranges
 from .codecs import rle_hybrid
-from .codecs.dictionary import dict_page_binary, dict_page_fixed, encode_ids
+from .codecs.dictionary import (
+    binary_array,
+    binary_parts,
+    dict_page_binary,
+    dict_page_fixed,
+    encode_ids,
+)
 from .parquet_compat import (
     DATA_PAGE,
     DATA_PAGE_V2,
@@ -169,145 +177,101 @@ _FLBA_FORCED_ONLY = ("BYTE_STREAM_SPLIT", "DELTA_BYTE_ARRAY")
 _PAGE_FRAME = {"RLE": 4}
 
 
-# ---------------------------------------------------- Dremel record shredding
+# ------------------------------------------------ Dremel levels from streams
 
 
-class _Leaf:
-    """One parquet leaf column shredded out of a (possibly nested) arrow
-    column: dense defined values plus repetition/definition level arrays."""
+class LeafLevels(NamedTuple):
+    """One Parquet leaf: its dense defined values, named by its path parts
+    joined with ``/``, and rep/def levels (None where the max level is 0)."""
 
-    __slots__ = ("path", "arr", "rep", "dfv", "max_rep", "max_def")
-
-    def __init__(self, path, arr, rep, dfv, max_rep, max_def):
-        self.path = path
-        self.arr = arr
-        self.rep = rep
-        self.dfv = dfv
-        self.max_rep = max_rep
-        self.max_def = max_def
+    path: list
+    col: PhysicalColumn
+    rep: "np.ndarray | None"
+    dfv: "np.ndarray | None"
+    max_rep: int
+    max_def: int
+    type: pa.DataType
 
 
-def _entry_ranges(arr, idx, alive):
-    """(start, length) of each alive entry's value range in ``arr.values``
-    coordinates (offsets are slice-adjusted, values are the unsliced child)."""
-    S = len(alive)
-    start = np.zeros(S, np.int64)
-    length = np.zeros(S, np.int64)
-    t = arr.type
-    a_idx = idx[alive]
-    if pa.types.is_fixed_size_list(t):
-        w = t.list_size
-        start[alive] = (arr.offset + a_idx) * w
-        length[alive] = w
-        values = arr.values
-    else:
-        off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        start[alive] = off[a_idx]
-        length[alive] = off[a_idx + 1] - off[a_idx]
-        values = arr.values
-    return values, start, length
+def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[LeafLevels]:
+    """The Parquet leaves of an ``n``-row field, their Dremel levels
+    (`MessageColumnIO.java:508`) derived from the streams ``schema.shred``
+    made of it: ``#lengths`` and its null mask for lists and maps,
+    ``#valid`` for structs and fixed-size lists, the leaf's null mask. One
+    entry per level slot; a null or empty slot stops at its definition
+    level. Parquet drops the child slots of a null struct or fixed-size-list
+    parent, which the container keeps: only then are a leaf's values taken
+    down to the live slots."""
+    cols = {c.name: c for c in streams}
+    out: list[LeafLevels] = []
 
-
-def _walk(arr, nullable, rep, dfv, alive, idx, cur_rep, cur_def, path, leaves):
-    """Vectorized Dremel shredding (`io/MessageColumnIO.java:508` semantics):
-    one slot per level entry; null/empty entries go dead at their final
-    definition level and flow down to every leaf beneath, preserving record
-    order. All operations are numpy over whole slot arrays."""
-    t = arr.type
-
-    if nullable:
-        cur_def += 1
-        if arr.null_count:
-            isv = arr.is_valid().to_numpy(zero_copy_only=False)
-            ok = np.zeros(len(alive), bool)
-            ok[alive] = isv[idx[alive]]
-            alive = alive & ok
-        dfv = dfv.copy()
-        dfv[alive] += 1
-
-    if pa.types.is_map(t):
-        arr = arr.cast(
-            pa.list_(pa.struct([pa.field("key", t.key_type, False),
-                                pa.field("value", t.item_type)]))
-        )
-        t = arr.type
-        group = "key_value"
-    else:
-        group = "list"
-
-    if (
-        pa.types.is_list(t)
-        or pa.types.is_large_list(t)
-        or pa.types.is_fixed_size_list(t)
-    ):
-        cur_rep += 1
-        cur_def += 1  # the repeated level: empty lists stay one def below
-        values, start, length = _entry_ranges(arr, idx, alive)
-        nonempty = alive & (length > 0)
-        counts = np.ones(len(alive), np.int64)
-        counts[nonempty] = length[nonempty]
-        S2 = int(counts.sum())
-        starts = np.zeros(len(alive), np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        new_rep = np.full(S2, cur_rep, np.uint8)
-        new_rep[starts] = rep  # first slot of each entry keeps the entry rep
-        ndfv = dfv.copy()
-        ndfv[nonempty] += 1
-        new_dfv = np.repeat(ndfv, counts)
-        new_alive = np.repeat(nonempty, counts)
-        pos = np.arange(S2, dtype=np.int64) - np.repeat(starts, counts)
-        new_idx = np.repeat(start, counts) + pos
-        elem = t.value_field
-        if group == "key_value":
-            st = values
-            kpath = path + [group, "key"]
-            vpath = path + [group, "value"]
-            _walk(st.field(0), False, new_rep, new_dfv, new_alive, new_idx,
-                  cur_rep, cur_def, kpath, leaves)
-            _walk(st.field(1), True, new_rep, new_dfv, new_alive, new_idx,
-                  cur_rep, cur_def, vpath, leaves)
+    def walk(t, nullable, name, path, rep, dfv, idx, r, d):
+        # idx: each entry's slot in this level's stream, -1 once stopped
+        # above (it reads the pad appended to per-slot arrays); None while
+        # entries and slots coincide
+        if pa.types.is_dictionary(t):
+            t = t.value_type
+        listy = pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t)
+        grouped = pa.types.is_struct(t) or pa.types.is_fixed_size_list(t)
+        if nullable:
+            d += 1
+            s = cols.get(f"{name}#valid" if grouped else f"{name}#lengths" if listy else name)
+            null = None if s is None else ~s.values if grouped else s.null_mask
+            if null is not None:
+                slot = np.arange(len(null)) if idx is None else idx
+                idx = np.where(np.append(null, True)[slot], -1, slot)
+            dfv = dfv + (1 if idx is None else idx >= 0)
+        if pa.types.is_struct(t):
+            for c in t:
+                walk(c.type, c.nullable, f"{name}#f:{c.name}", path + [c.name], rep, dfv, idx, r, d)
+            return
+        if not grouped and not listy:
+            col = cols[name]
+            values = col.values
+            if idx is not None and np.count_nonzero(idx >= 0) != col.num_values:
+                pos = idx[idx >= 0]
+                if col.null_mask is not None:
+                    pos = (np.cumsum(~col.null_mask) - 1)[pos]
+                if col.ptype == "BINARY":
+                    values = binary_parts(binary_array(*values).take(pa.array(pos)))
+                else:
+                    values = np.asarray(values)[pos]
+            leaf = PhysicalColumn("/".join(path), col.ptype, values, unsigned=col.unsigned, f16=col.f16)
+            out.append(LeafLevels(path, leaf, rep if r else None, dfv if d else None, r, d, t))
+            return
+        if listy:
+            lens = cols[f"{name}#lengths"]
+            length = np.zeros(lens.logical_count + 1, np.int64)
+            length[:-1][slice(None) if lens.null_mask is None else ~lens.null_mask] = lens.values
+            first = np.concatenate([[0], np.cumsum(length[:-1])])
+            slot = slice(-1) if idx is None else idx
+            first, length = first[slot], length[slot]
+        else:  # fixed-size list: every slot holds list_size children
+            length = np.full(len(rep), t.list_size, np.int64)
+            first = (np.arange(len(rep)) if idx is None else idx) * t.list_size
+        r += 1
+        d += 1  # the repeated level: an empty list stays one def below
+        nonempty = length > 0 if idx is None else (idx >= 0) & (length > 0)
+        counts = np.where(nonempty, length, 1)
+        starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+        child_rep = np.full(int(counts.sum()), r, np.uint8)
+        child_rep[starts] = rep  # an entry's first slot keeps the entry's rep
+        child_dfv = np.repeat(dfv + nonempty, counts)
+        child_idx = None
+        if idx is not None or not nonempty.all():
+            shift = np.where(nonempty, first - starts, -1 - starts)
+            child_idx = np.repeat(shift, counts) + np.arange(len(child_rep))
+        if pa.types.is_map(t):
+            for key, nullable, kt in (("key", False, t.key_type), ("value", True, t.item_type)):
+                walk(kt, nullable, f"{name}#values#f:{key}", path + ["key_value", key],
+                     child_rep, child_dfv, child_idx, r, d)
         else:
-            _walk(values, elem.nullable, new_rep, new_dfv, new_alive, new_idx,
-                  cur_rep, cur_def, path + [group, "element"], leaves)
-        return
+            walk(t.value_type, t.value_field.nullable, f"{name}#values",
+                 path + ["list", "element"], child_rep, child_dfv, child_idx, r, d)
 
-    if pa.types.is_struct(t):
-        for i, child in enumerate(t):
-            _walk(arr.field(i), child.nullable, rep, dfv, alive, idx,
-                  cur_rep, cur_def, path + [child.name], leaves)
-        return
-
-    if pa.types.is_dictionary(t):
-        arr = arr.dictionary_decode()
-
-    if alive.all() and len(idx) == len(arr) and (idx == np.arange(len(arr))).all():
-        dense = arr
-    else:
-        dense = arr.take(pa.array(idx[alive], pa.int64()))
-    leaves.append(
-        _Leaf(
-            path,
-            dense,
-            rep if cur_rep > 0 else None,
-            dfv if cur_def > 0 else None,
-            cur_rep,
-            cur_def,
-        )
-    )
-
-
-def _dremel_leaves(field: pa.Field, arr) -> list[_Leaf]:
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    n = len(arr)
-    leaves: list[_Leaf] = []
-    _walk(
-        arr, field.nullable,
-        np.zeros(n, np.uint8), np.zeros(n, np.uint8),
-        np.ones(n, bool), np.arange(n, dtype=np.int64),
-        0, 0, [field.name], leaves,
-    )
-    return leaves
+    walk(field.type, field.nullable, field.name, [field.name],
+         np.zeros(n, np.uint8), np.zeros(n, np.uint8), None, 0, 0)
+    return out
 
 
 # ------------------------------------------------------------- file assembly
@@ -353,12 +317,6 @@ class _Column:
         self.bloom_len = None
 
 
-def _levels_payload(levels: np.ndarray | None, width: int) -> bytes:
-    if levels is None:
-        return b""
-    return rle_hybrid.encode_framed(levels, width)
-
-
 def _encode_column_pages(
     col: PhysicalColumn,
     out: bytearray,
@@ -385,8 +343,7 @@ def _encode_column_pages(
         exhaustive_selection=True,  # every legal candidate over every page
     )
     if def_levels is None:
-        slot_ranges = None
-        ranges = page_ranges(col, cfg)
+        ranges = slot_ranges = page_ranges(col, cfg)
     else:
         S = len(def_levels)
         step = cfg.page_rows
@@ -464,12 +421,8 @@ def _encode_column_pages(
     from .codecs.dictionary import bit_width32
 
     for k, payload in enumerate(pages):
-        if def_levels is not None:
-            sa, sb = slot_ranges[k]
-            nv = sb - sa
-        else:
-            a, b = ranges[k]
-            nv = b - a
+        sa, sb = slot_ranges[k]
+        nv = sb - sa
         if v2:
             # DataPageV2: unframed uncompressed levels, then compressed values
             rep_b = def_b = b""
@@ -507,8 +460,8 @@ def _encode_column_pages(
                     lv += pack_msb(def_levels[sa:sb], bit_width32(max_def))
                 else:
                     if max_rep > 0:
-                        lv += _levels_payload(rep_levels[sa:sb], bit_width32(max_rep))
-                    lv += _levels_payload(def_levels[sa:sb], bit_width32(max_def))
+                        lv += rle_hybrid.encode_framed(rep_levels[sa:sb], bit_width32(max_rep))
+                    lv += rle_hybrid.encode_framed(def_levels[sa:sb], bit_width32(max_def))
             raw = lv + payload
             body = compress(raw)
             if crypto is not None:
@@ -534,26 +487,15 @@ def _encode_column_pages(
         meta.page_stats[(pt, enc_code)] = meta.page_stats.get((pt, enc_code), 0) + 1
         # ColumnIndex / OffsetIndex records (PageLocation.offset points at
         # the page header; sizes include the header)
-        if def_levels is not None:
-            sa, sb = slot_ranges[k]
-            page_rows = (
-                int((rep_levels[sa:sb] == 0).sum()) if max_rep > 0 else nv
-            )
-            va, vb = ranges[k]
-            defined = vb - va
-            bounds = _value_bounds(col, va, vb)
-        else:
-            va, vb = ranges[k]
-            defined = vb - va
-            page_rows = nv
-            bounds = _value_bounds(col, va, vb)
+        va, vb = ranges[k]
+        bounds = _value_bounds(col, va, vb)
         meta.page_index.append(
             {
                 "offset": page_off,
                 "size": len(out) - page_off,
-                "rows": page_rows,
-                "nulls": nv - defined,
-                "defined": defined,
+                "rows": int((rep_levels[sa:sb] == 0).sum()) if max_rep > 0 else nv,
+                "nulls": nv - (vb - va),
+                "defined": vb - va,
                 "bounds": bounds,
                 "keys": _bounds_cmp_keys(col, bounds),
             }
@@ -641,12 +583,11 @@ def _value_bounds(col: PhysicalColumn, a: int, b: int):
     return None
 
 
-def _leaf_statistics(meta: _Column, col: PhysicalColumn, leaf: _Leaf) -> None:
+def _leaf_statistics(meta: _Column, leaf: LeafLevels) -> None:
     """Typed min/max/null-count + level histograms for the footer
     (Statistics.java + SizeStatistics.java semantics; binary bounds use the
     ColumnIndexBuilder truncate/increment rule with exactness flags)."""
-    import struct
-
+    col = leaf.col
     if leaf.dfv is not None:
         meta.null_count = int((leaf.dfv < leaf.max_def).sum())
         meta.def_hist = np.bincount(leaf.dfv, minlength=leaf.max_def + 1)
@@ -671,18 +612,17 @@ def _write_row_group(
     int96_cols: "frozenset[str] | set[str]" = frozenset(),
 ) -> list[_Column]:
     columns: list[_Column] = []
-    col_ord = 0
     for field in table.schema:
-        for leaf in _dremel_leaves(field, table.column(field.name)):
-            t = leaf.arr.type
-            col = shred("/".join(leaf.path), leaf.arr)[0]
-            if col.ptype == "FIXED_LEN_BYTE_ARRAY" and pa.types.is_decimal(t):
+        streams = shred(field.name, table.column(field.name))
+        for leaf in leaf_levels(field, streams, table.num_rows):
+            col = leaf.col
+            if col.ptype == "FIXED_LEN_BYTE_ARRAY" and pa.types.is_decimal(leaf.type):
                 # arrow decimal storage is little-endian full-width; parquet
                 # DECIMAL over FLBA is big-endian two's complement at the
                 # *minimal* length for the precision (parquet-mr / pyarrow
                 # convention; wider lengths trip DuckDB's decimal reader)
                 be = np.asarray(col.values)[:, ::-1]
-                L = _decimal_flba_len(t.precision)
+                L = _decimal_flba_len(leaf.type.precision)
                 col.values = np.ascontiguousarray(be[:, be.shape[1] - L :])
             # INT96 columns arrive as FLBA(12) (the _timestamps_to_int96
             # storage) and encode as FLBA PLAIN pages — byte-identical to
@@ -693,41 +633,30 @@ def _write_row_group(
                 leaf.path, "INT96" if is_int96 else col.ptype,
                 leaf.max_rep, leaf.max_def,
             )
-            crypto = None
+            dotted = ".".join(leaf.path)
             if file_crypto is not None:
                 props, file_aad = file_crypto
-                key, uses_col_key = props.key_for(".".join(leaf.path))
-                crypto = _ChunkCrypto(
-                    key, file_aad, rg_ord, col_ord,
+                key, meta.uses_col_key = props.key_for(dotted)
+                meta.crypto = _ChunkCrypto(
+                    key, file_aad, rg_ord, len(columns),
                     ctr_pages=props.algorithm == "AES_GCM_CTR_V1",
                 )
-                meta.crypto = crypto
-                meta.uses_col_key = uses_col_key
-            if leaf.max_def == 0:
-                _encode_column_pages(col, out, meta, config, crypto=crypto)
-            else:
-                _encode_column_pages(
-                    col, out, meta, config,
-                    rep_levels=leaf.rep, def_levels=leaf.dfv,
-                    max_rep=leaf.max_rep, max_def=leaf.max_def,
-                    crypto=crypto,
-                )
-            col_ord += 1
+            _encode_column_pages(
+                col, out, meta, config,
+                rep_levels=leaf.rep, def_levels=leaf.dfv,
+                max_rep=leaf.max_rep, max_def=leaf.max_def,
+                crypto=meta.crypto,
+            )
             if col.ptype == "FIXED_LEN_BYTE_ARRAY" and not is_int96:
                 meta.type_length = int(np.asarray(col.values).shape[1])
-            _leaf_statistics(meta, col, leaf)
-            dotted = ".".join(leaf.path)
-            spec = config.geospatial.get(dotted) or config.geospatial.get(
-                leaf.path[0]
-            )
-            if (
-                spec is not None
-                and spec.kind == "geometry"
-                and col.ptype == "BINARY"
-            ):
+            _leaf_statistics(meta, leaf)
+            spec = config.geospatial.get(dotted) or config.geospatial.get(leaf.path[0])
+            if spec is not None and spec.kind == "geometry" and col.ptype == "BINARY":
                 from . import geo as geo_mod
 
-                meta.geo = geo_mod.compute_statistics(leaf.arr)
+                meta.geo = geo_mod.compute_statistics(
+                    binary_array(*col.values).cast(pa.large_binary())
+                )
             if dotted in config.bloom_columns or leaf.path[0] in config.bloom_columns:
                 from . import bloom as bloom_mod
 
@@ -1080,21 +1009,22 @@ def _degrade_fsl(t: "pa.DataType") -> "pa.DataType":
     schema: the parquet data is 3-level lists (null slots have zero
     elements) / plain values, which arrow readers cannot restore directly
     (dictionary restoration trips pyarrow's DictAccumulator on non-dict
-    page encodings)."""
+    page encodings). List element and map key/item fields keep their names
+    and nullability, and maps their ``keys_sorted``."""
     if pa.types.is_dictionary(t):
         return _degrade_fsl(t.value_type)
-    if pa.types.is_fixed_size_list(t):
-        return pa.list_(_degrade_fsl(t.value_type))
-    if pa.types.is_list(t):
-        return pa.list_(_degrade_fsl(t.value_type))
+    if pa.types.is_fixed_size_list(t) or pa.types.is_list(t):
+        return pa.list_(t.value_field.with_type(_degrade_fsl(t.value_type)))
     if pa.types.is_large_list(t):
-        return pa.large_list(_degrade_fsl(t.value_type))
+        return pa.large_list(t.value_field.with_type(_degrade_fsl(t.value_type)))
     if pa.types.is_struct(t):
-        return pa.struct(
-            [pa.field(f.name, _degrade_fsl(f.type), f.nullable) for f in t]
-        )
+        return pa.struct([f.with_type(_degrade_fsl(f.type)) for f in t])
     if pa.types.is_map(t):
-        return pa.map_(_degrade_fsl(t.key_type), _degrade_fsl(t.item_type))
+        return pa.map_(
+            t.key_field.with_type(_degrade_fsl(t.key_type)),
+            t.item_field.with_type(_degrade_fsl(t.item_type)),
+            t.keys_sorted,
+        )
     return t
 
 
@@ -1123,7 +1053,7 @@ def _decimal_flba_len(precision: int) -> int:
 
 def _schema_body(field: pa.Field) -> list[dict]:
     """SchemaElement dicts (parquet.thrift field ids) for one (possibly
-    nested) field, depth-first in the same order `_dremel_leaves` emits
+    nested) field, depth-first in the same order `leaf_levels` emits
     leaves (MessageType tree of `schema/MessageType.java`, LIST/MAP shapes
     per the parquet logical-type spec / `parquet-arrow List3Levels.java`)."""
     t = field.type

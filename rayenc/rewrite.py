@@ -43,7 +43,6 @@ from .codecs import dictionary as dict_codec
 from .parquet_compat import (
     DATA_PAGE_V2,
     DICTIONARY_PAGE,
-    assemble_flat,
     codec_for_id,
     codec_for_name,
 )
@@ -54,7 +53,7 @@ from .parquet_read_enc import (
     decompress_page,
     read_table_encrypted,
 )
-from .parquet_write import _Column, _column_meta, _encode_column_pages
+from .parquet_write import _Column, _column_meta, _encode_column_pages, leaf_levels
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
 from .thrift import FILE_META, OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
@@ -507,14 +506,14 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
         lf = f.leaves[col_ord]
         if lf.path[0] not in maskset:
             return _copy_raw_chunk(f, rg_ord, col_ord, out)
-        arr = assemble_flat(f.decode_leaf(rg_ord, col_ord), pa.large_string())
-        col = mask_hash(shred(lf.path[0], arr)[0])
+        field = pa.field(lf.path[0], pa.large_string(), lf.max_def > 0)
+        arr = f.read_field(rg_ord, field)
+        (leaf,) = leaf_levels(field, [mask_hash(shred(field.name, arr)[0])], len(arr))
         meta = _Column(lf.path, "BINARY", lf.max_rep, lf.max_def)
-        levels = {}
-        if lf.max_def:
-            nulls = col.null_mask if col.null_mask is not None else np.zeros(col.logical_count, bool)
-            levels = {"def_levels": (~nulls).astype(np.uint8), "max_def": 1}
-        _encode_column_pages(col, out, meta, EncodeConfig(), **levels)
+        _encode_column_pages(
+            leaf.col, out, meta, EncodeConfig(),
+            def_levels=leaf.dfv, max_def=leaf.max_def,
+        )
         md = _column_meta(meta)
         return {2: chunk_range(md)[0], 3: md}  # the old index and bloom are void
 

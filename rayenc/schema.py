@@ -227,11 +227,8 @@ def assemble(field: pa.Field, chunks: dict[str, tuple]) -> pa.Array:
     if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t):
         lengths, lmask = chunks[f"{name}#lengths"]
         lengths = np.asarray(lengths, np.int64)
-        if lmask is not None:
-            # dense contract: scatter stored lengths back over the null slots
-            full = np.zeros(len(lmask), np.int64)
-            full[~np.asarray(lmask, bool)] = lengths
-            lengths = full
+        if lmask is not None:  # dense contract: null slots hold no length
+            lengths = spread(lengths, ~np.asarray(lmask, bool))
         offsets = np.zeros(len(lengths) + 1, np.int64)
         np.cumsum(lengths, out=offsets[1:])
         if pa.types.is_map(t):
@@ -279,50 +276,49 @@ def assemble(field: pa.Field, chunks: dict[str, tuple]) -> pa.Array:
     ptype = physical_type(t)
     if ptype == "FIXED_LEN_BYTE_ARRAY":
         vals = np.ascontiguousarray(values, np.uint8)
-        width = vals.shape[1]
         # decimal and float16 are themselves fixed-width primitives: build
         # them straight from the byte buffer (no binary->halffloat cast
         # exists in arrow)
         direct = pa.types.is_decimal(t) or pa.types.is_float16(t)
-        storage = t if direct else pa.binary(width)
-        arr = pa.Array.from_buffers(
-            storage, len(vals), [None, pa.py_buffer(vals)]
-        )
-        arr = _restore_nulls(arr, null_mask, storage)
-        return arr.cast(t)
-    if ptype == "BINARY":
+        storage = t if direct else pa.binary(vals.shape[1])
+        arr = pa.Array.from_buffers(storage, len(vals), [None, pa.py_buffer(vals)])
+    elif ptype == "BINARY":
         arr = binary_array(*values)
-        arr = _restore_nulls(arr, null_mask, pa.large_string())
-        return arr.cast(t)
-    if ptype == "BOOLEAN":
+    elif ptype == "BOOLEAN":
         arr = pa.array(np.asarray(values, bool))
-        return _restore_nulls(arr, null_mask, pa.bool_()).cast(t)
-    storage = pa.int32() if ptype == "INT32" else pa.int64() if ptype == "INT64" else None
-    if pa.types.is_temporal(t):
-        arr = pa.array(values, storage)
-        return _restore_nulls(arr, null_mask, storage).cast(t)
-    v = np.asarray(values)
-    if pa.types.is_unsigned_integer(t) and t.bit_width == v.dtype.itemsize * 8:
-        # same-width unsigned came through signed storage bit-identically;
-        # reinterpret instead of a (range-checked) cast
-        v = v.view(np.dtype(f"u{v.dtype.itemsize}"))
-    arr = pa.array(v)
-    return _restore_nulls(arr, null_mask, arr.type).cast(t)
+    elif pa.types.is_temporal(t):
+        arr = pa.array(values, pa.int32() if ptype == "INT32" else pa.int64())
+    else:
+        v = np.asarray(values)
+        if pa.types.is_unsigned_integer(t) and t.bit_width == v.dtype.itemsize * 8:
+            # same-width unsigned came through signed storage bit-identically;
+            # reinterpret instead of a (range-checked) cast
+            v = v.view(np.dtype(f"u{v.dtype.itemsize}"))
+        arr = pa.array(v)
+    arr = _restore_nulls(arr, null_mask)
+    return arr if arr.type == t else arr.cast(t)
 
 
-def _restore_nulls(dense: pa.Array, null_mask, t) -> pa.Array:
+def spread(values, present: np.ndarray):
+    """Dense stream values spread over the ``present`` slots, the type's
+    zero (an empty BINARY value) elsewhere."""
+    if isinstance(values, tuple):  # BINARY (offsets, data)
+        offsets, data = values
+        lengths = np.zeros(len(present), np.int64)
+        lengths[present] = np.diff(offsets)
+        return np.concatenate([[0], np.cumsum(lengths)]), data[int(offsets[0]) :]
+    out = np.zeros((len(present),) + np.shape(values)[1:], np.asarray(values).dtype)
+    out[present] = values
+    return out
+
+
+def _restore_nulls(dense: pa.Array, null_mask) -> pa.Array:
+    """Scatter dense values over the valid slots of ``null_mask`` (True =
+    null): one masked int64 take."""
     if null_mask is None:
         return dense
     mask = np.asarray(null_mask, bool)
-    n = len(mask)
-    # scatter dense values into the valid slots
-    take_idx = np.full(n, None, object)
-    valid_pos = np.flatnonzero(~mask)
-    take_idx[valid_pos] = np.arange(len(dense))
-    return dense.take(pa.array(take_idx.tolist(), pa.int64()))
+    take = np.zeros(len(mask), np.int64)
+    take[~mask] = np.arange(len(dense))
+    return dense.take(pa.array(take, pa.int64(), mask=mask))
 
-
-def schema_fingerprint(schema: pa.Schema) -> str:
-    import hashlib
-
-    return hashlib.sha256(schema.serialize().to_pybytes()).hexdigest()[:16]

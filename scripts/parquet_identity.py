@@ -1,0 +1,183 @@
+"""Byte-identity matrix for the Parquet writer and the raw rewriter.
+
+Writes a fixed set of Parquet files with the rayenc tree this script sits in
+and prints one ``sha256  name`` line per file. Run it from two checkouts and
+diff the output: a refactor of the writer's shredding, levels, page layout
+or footer must leave every line unchanged.
+
+The matrix:
+
+- every table of an sf0.001 directory, as V1 pages and as V2 pages + zstd;
+- a nested table with null struct parents over non-null children,
+  ``list<struct<a, list<string>>>``, maps with null values and empty maps,
+  ``list<list<int64>>`` with null and empty lists at each level, a
+  dictionary leaf and fixed-size lists with null elements and null parents
+  (``nested``), plus non-nullable list elements and map values
+  (``nested_required``), each V1, V2 + zstd and with small pages;
+- decimals (FLBA and INT32/INT64) and INT96 timestamps;
+- encrypted files (footer key, column key, plaintext footer, CTR), with
+  ``parquet_crypto.os.urandom`` replaced by a seeded stream;
+- ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files.
+
+Usage:
+    python scripts/parquet_identity.py --sf DIR [--out DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import decimal
+import glob
+import hashlib
+import os
+import random
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import pyarrow as pa  # noqa: E402
+import pyarrow.parquet as pq  # noqa: E402
+
+from rayenc import parquet_crypto, parquet_write, rewrite  # noqa: E402
+from rayenc.parquet_crypto import FileEncryption  # noqa: E402
+from rayenc.selector import EncodeConfig  # noqa: E402
+
+V1 = EncodeConfig()
+V2_ZSTD = EncodeConfig(parquet_page_version="2.0", compression="zstd")
+SMALL_PAGES = EncodeConfig(page_rows=7)
+
+
+def nested_table() -> pa.Table:
+    n = 40
+    rows = range(n)
+    st = pa.StructArray.from_arrays(
+        [pa.array([i for i in rows], pa.int64()), pa.array([f"s{i}" for i in rows])],
+        ["a", "b"],
+        mask=pa.array([i % 4 == 1 for i in rows]),
+    )
+    lsl = pa.array(
+        [None if i % 7 == 3 else
+         [{"a": i, "b": ["x", "y"][: i % 3]}, {"a": None, "b": None}][: i % 3]
+         for i in rows],
+        pa.list_(pa.struct([("a", pa.int64()), ("b", pa.list_(pa.string()))])),
+    )
+    m = pa.array(
+        [None if i % 9 == 4 else [(f"k{j}", None if j == 1 else f"v{i}") for j in range(i % 4)]
+         for i in rows],
+        pa.map_(pa.string(), pa.string()),
+    )
+    ll = pa.array(
+        [None if i % 5 == 2 else
+         [None if j == 1 else [None if k == 2 else i + k for k in range(j)] for j in range(i % 4)]
+         for i in rows],
+        pa.list_(pa.list_(pa.int64())),
+    )
+    dic = pa.array([None if i % 6 == 0 else f"d{i % 3}" for i in rows]).dictionary_encode()
+    fsl = pa.FixedSizeListArray.from_arrays(
+        pa.array([None if k % 5 == 2 else k for k in range(2 * n)], pa.int32()), 2,
+        mask=pa.array([i % 8 == 5 for i in rows]),
+    )
+    return pa.table({"id": pa.array(rows, pa.int64()), "st": st, "lsl": lsl,
+                     "m": m, "ll": ll, "dic": dic, "fsl": fsl})
+
+
+def nested_required_table() -> pa.Table:
+    n = 30
+    req = pa.field("item", pa.int32(), False)
+    return pa.table({
+        "req": pa.array([[i] * (i % 3) for i in range(n)], pa.list_(req)),
+        "m": pa.array([[(f"k{i}", i)] if i % 2 else [] for i in range(n)],
+                      pa.map_(pa.string(), pa.field("value", pa.int64(), False))),
+        "ls": pa.array([None if i % 5 == 0 else [{"x": i}] for i in range(n)],
+                       pa.list_(pa.struct([pa.field("x", pa.int64(), False)]))),
+    })
+
+
+def logical_table() -> pa.Table:
+    n = 25
+    base = datetime.datetime(2021, 3, 4, 5, 6, 7)
+    return pa.table({
+        "d9": pa.array([None if i % 4 == 0 else decimal.Decimal(i * 1001) / 100 for i in range(n)],
+                       pa.decimal128(9, 2)),
+        "d18": pa.array([decimal.Decimal(-i * 10**12) / 1000 for i in range(n)],
+                        pa.decimal128(18, 3)),
+        "d38": pa.array([decimal.Decimal(i) ** 20 for i in range(n)], pa.decimal128(38, 0)),
+        "ts": pa.array([None if i % 3 == 0 else base + datetime.timedelta(seconds=i * 37)
+                        for i in range(n)], pa.timestamp("ns")),
+    })
+
+
+def seed_urandom(seed: int) -> None:
+    rng = random.Random(seed)
+    parquet_crypto.os.urandom = lambda k: bytes(rng.getrandbits(8) for _ in range(k))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sf", required=True, help="directory holding the sf0.001 tables")
+    ap.add_argument("--out", default=None, help="output directory (default: a temp dir)")
+    args = ap.parse_args()
+    out = args.out or tempfile.mkdtemp(prefix="parquet_identity_")
+    os.makedirs(out, exist_ok=True)
+    written = []
+
+    def write(name, table, config=V1, **kw):
+        path = os.path.join(out, name + ".parquet")
+        parquet_write.write_table(table, path, config, **kw)
+        written.append(path)
+        return path
+
+    sources = sorted(glob.glob(os.path.join(args.sf, "*.parquet")))
+    if not sources:
+        raise SystemExit(f"no parquet tables in {args.sf}")
+    for src in sources:
+        stem = os.path.basename(src)[: -len(".parquet")]
+        t = pq.read_table(src)
+        write(f"sf_{stem}.v1", t)
+        write(f"sf_{stem}.v2zstd", t, V2_ZSTD, row_group_size=1000)
+
+    for stem, t in (("nested", nested_table()), ("nested_required", nested_required_table())):
+        write(f"{stem}.v1", t)
+        write(f"{stem}.v2zstd", t, V2_ZSTD, row_group_size=16)
+        write(f"{stem}.small_pages", t, SMALL_PAGES)
+
+    lt = logical_table()
+    write("logical.v1", lt)
+    write("logical.int_decimals", lt, EncodeConfig(decimal_as_integer=True))
+    write("logical.int96", lt, EncodeConfig(int96_timestamps=True))
+
+    fk, ck = b"0123456789abcdef", b"fedcba9876543210"
+    lineitem = pq.read_table(os.path.join(args.sf, "lineitem.parquet"))
+    encryptions = {
+        "footer_key": FileEncryption(footer_key=fk),
+        "column_key": FileEncryption(footer_key=fk, column_keys={"l_returnflag": ck, "lsl.list.element.a": ck}),
+        "plaintext_footer": FileEncryption(footer_key=fk, plaintext_footer=True),
+        "ctr": FileEncryption(footer_key=fk, algorithm="AES_GCM_CTR_V1"),
+    }
+    for k, (label, enc) in enumerate(encryptions.items()):
+        seed_urandom(k)
+        write(f"enc_{label}.lineitem", lineitem, V2_ZSTD if k % 2 else V1, encryption=enc)
+        seed_urandom(100 + k)
+        write(f"enc_{label}.nested", nested_table(), encryption=enc)
+
+    masks = [
+        (os.path.join(out, "sf_orders.v1.parquet"), "o_orderpriority"),
+        (os.path.join(out, "sf_customer.v2zstd.parquet"), "c_name"),
+        (os.path.join(out, "nested.v1.parquet"), "dic"),
+        (os.path.join(args.sf, "documents.parquet"), "text"),
+    ]
+    for k, (src, col) in enumerate(masks):
+        dst = os.path.join(out, f"mask{k}.{col}.parquet")
+        rewrite.mask_parquet_raw(src, dst, [col])
+        written.append(dst)
+
+    for path in written:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        print(f"{digest}  {os.path.basename(path)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -152,3 +152,39 @@ def test_lzo_hadoop_chunk_capped_by_block_length():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_decode_checks_survive_python_O():
+    """Under ``python -O`` asserts vanish: a bad block magic and a
+    DELTA_LENGTH_BYTE_ARRAY length count that is not the page's value count
+    must still raise a named ValueError."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(
+        """
+        import numpy as np, pyarrow as pa
+        from rayenc import blocks, codecs
+        from rayenc.codecs import delta_bp, delta_length
+
+        assert False, "asserts must be off"
+        blob, man = blocks.encode_block(pa.table({"x": [1, 2, 3]}))
+        try:
+            blocks.decode_block(b"XXXXXX" + bytes(blob[6:]), man)
+        except blocks.BlockFormatError as ex:
+            print("magic:", type(ex).__mro__[1].__name__)
+        body = delta_length.encode(np.array([0, 1, 3, 6]), np.frombuffer(b"abcdef", np.uint8))
+        try:
+            codecs.decode_pages("DELTA_LENGTH_BYTE_ARRAY", "BINARY", [(body, 4)])
+        except delta_bp.LengthCountError as ex:
+            print("count:", type(ex).__mro__[1].__name__)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["magic: ValueError", "count: ValueError"]

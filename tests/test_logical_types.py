@@ -240,3 +240,21 @@ class TestDecimalAsInteger:
         )
         assert os.path.getsize(out_int) < os.path.getsize(out_flba) * 0.55
         assert pq.read_table(out_int).equals(t)
+
+
+def test_pyarrow_coerced_date_and_time_read_as_stored():
+    """pyarrow stores date64 as INT32 days and time32[s] as TIME(MILLIS)
+    while ARROW:schema keeps the pre-coercion types: the reader takes the
+    date/time type from the leaf, as pyarrow does, instead of reading days
+    as milliseconds or milliseconds as seconds."""
+    import datetime
+
+    t = pa.table({
+        "d": pa.array([datetime.date(2020, 1, 2), None], pa.date64()),
+        "t": pa.array([3600, None], pa.time32("s")),
+        "l": pa.array([[datetime.date(1999, 12, 31)], None], pa.list_(pa.date64())),
+    })
+    path = _tmp()
+    pq.write_table(t, path)
+    assert read_table_conformance(path).equals(pq.read_table(path))
+    assert read_table_conformance(path).column("d").to_pylist() == [datetime.date(2020, 1, 2), None]

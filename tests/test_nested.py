@@ -136,3 +136,118 @@ def test_parquet_write_nested_multi_row_group(tmp_path):
     assert pq.ParquetFile(path).metadata.num_row_groups == 5
     for c in big.column_names:
         assert back.column(c).to_pylist() == big.column(c).to_pylist(), c
+
+
+# ------------------------------------------- Parquet level layer regressions
+
+_LIST_STRUCT_LIST = pa.list_(pa.struct([("a", pa.int64()), ("b", pa.list_(pa.string()))]))
+
+
+@pytest.mark.parametrize("writer", ["rayenc", "pyarrow"])
+def test_list_of_struct_with_inner_list_reads_back(writer, tmp_path):
+    """Every leaf under a list is sliced by its own levels: an inner list
+    with two or more entries must not misalign its struct siblings."""
+    from rayenc.parquet_compat import read_table_conformance
+
+    t = pa.table({
+        "x": pa.array(
+            [[{"a": 1, "b": ["x", "y"]}], None, [], [{"a": None, "b": None}, {"a": 3, "b": []}],
+             [{"a": 4, "b": ["p", None, "q"]}, {"a": 5, "b": ["r"]}]],
+            _LIST_STRUCT_LIST,
+        ),
+    })
+    path = str(tmp_path / "lsl.parquet")
+    if writer == "rayenc":
+        parquet_write.write_table(t, path)
+    else:
+        pq.write_table(t, path)
+    assert read_table_conformance(path).equals(pq.read_table(path))
+    assert read_table_conformance(path).column("x").to_pylist() == t.column("x").to_pylist()
+
+
+def test_pyarrow_fixed_size_list_with_null_elements_reads_back(tmp_path):
+    """pyarrow stores fixed_size_list in ARROW:schema; the reader rebuilds
+    it from the list levels."""
+    from rayenc.parquet_compat import read_table_conformance
+
+    fsl = pa.list_(pa.int32(), 2)
+    t = pa.table({
+        "f": pa.array([[1, None], [None, None], [3, 4]], fsl),
+        "fs": pa.array([[{"a": 1}, None], [{"a": None}, {"a": 4}]] + [[None, None]], pa.list_(
+            pa.struct([("a", pa.int64())]), 2)),
+    })
+    path = str(tmp_path / "fsl.parquet")
+    pq.write_table(t, path)
+    got = read_table_conformance(path)
+    assert got.equals(pq.read_table(path))
+    assert got.column("f").type == fsl
+
+
+def test_null_fixed_size_list_parents_fill_child_slots(tmp_path):
+    """Parquet drops the child slots of a null fixed-size list (and of a
+    null struct above one); the writer takes them out of the dense values
+    and the reader null-fills them back to the container's width."""
+    from rayenc.parquet_compat import read_table_conformance
+    from rayenc.parquet_read_enc import EncryptedFile
+
+    fsl = pa.list_(pa.int32(), 2)
+    t = pa.table({
+        "f": pa.array([[1, None], None, [3, 4], None], fsl),
+        "sf": pa.StructArray.from_arrays(
+            [pa.array([[1, 2], [3, None], [5, 6], [7, 8]], fsl), pa.array([1, 2, 3, 4])],
+            ["v", "n"], mask=pa.array([False, True, False, True]),
+        ),
+        "ff": pa.array([[[1, 2], None], None, [[3, None], [5, 6]], [None, [7, 8]]], pa.list_(fsl, 2)),
+    })
+    path = str(tmp_path / "fsl_nulls.parquet")
+    parquet_write.write_table(t, path)
+    # the embedded schema says list: readers see the same values
+    assert read_table_conformance(path).to_pylist() == t.to_pylist()
+    assert pq.read_table(path).to_pylist() == t.to_pylist()
+    f = EncryptedFile(path)
+    for field in t.schema:
+        got = f.read_field(0, field)
+        assert got.type == field.type
+        assert got.to_pylist() == t.column(field.name).to_pylist(), field.name
+
+
+def test_embedded_schema_keeps_element_nullability(tmp_path):
+    """ARROW:schema keeps list element and map key/item fields (names,
+    nullability, keys_sorted), so a read returns the written types."""
+    from rayenc.parquet_compat import read_table_conformance
+
+    t = pa.table({
+        "req": pa.array([[1], [2, 3], [], [4]], pa.list_(pa.field("item", pa.int32(), False))),
+        "m": pa.array([[("a", 1)], [], [("b", 2), ("c", 3)], None],
+                      pa.map_(pa.string(), pa.field("value", pa.int64(), False))),
+        "ls": pa.array([[{"x": 1}], [], None, [{"x": 2}]],
+                       pa.list_(pa.struct([pa.field("x", pa.int64(), False)]))),
+        "ms": pa.array([[("a", 1)], [], None, [("b", None)]],
+                       pa.map_(pa.string(), pa.int64(), keys_sorted=True)),
+    })
+    path = str(tmp_path / "required.parquet")
+    parquet_write.write_table(t, path)
+    assert read_table_conformance(path).equals(t)
+
+
+@pytest.mark.parametrize("writer", ["rayenc", "pyarrow"])
+def test_required_leaf_under_null_parent_reads_back(writer, tmp_path):
+    """A required leaf has no value under a null struct parent: the reader
+    fills the type's zero there, as pyarrow does, instead of a null in a
+    non-nullable field."""
+    from rayenc.parquet_compat import read_table_conformance
+
+    elem = pa.struct([pa.field("a", pa.int16(), False), pa.field("s", pa.string(), False),
+                      pa.field("l", pa.list_(pa.int32()), False)])
+    t = pa.table({
+        "ls": pa.array([[{"a": 1, "s": "x", "l": [1]}, None], None, [None]], pa.list_(elem)),
+        "st": pa.array([None, {"a": 2, "s": "yz", "l": []}, None], elem),
+    })
+    path = str(tmp_path / "req.parquet")
+    if writer == "rayenc":
+        parquet_write.write_table(t, path)
+    else:
+        pq.write_table(t, path)
+    got = read_table_conformance(path)
+    assert got.equals(pq.read_table(path))
+    assert got.to_pylist() == t.to_pylist()

@@ -338,6 +338,84 @@ def test_general_assembly_list_of_struct_property(rows):
     assert got.cast(t.schema).equals(t)
 
 
+_ints = st.one_of(st.none(), st.integers(-50, 50))
+_strs = st.one_of(st.none(), st.sampled_from(["", "x", "yz", "uvw"]))
+_REQ = pa.list_(pa.field("item", pa.int32(), False))
+_FSL = pa.list_(pa.int32(), 2)
+
+
+@st.composite
+def _level_tables(draw):
+    """One table with every nested shape the Parquet level layer maps:
+    struct with null parents over non-null children, list<struct<a,
+    list<string>>>, map with null values and empty maps, list<list<int64>>
+    with null and empty lists at each level, a non-nullable list of
+    required elements, a dictionary leaf and a fixed-size list with null
+    elements."""
+    n = draw(st.integers(1, 12))
+    rows = lambda elem: draw(st.lists(elem, min_size=n, max_size=n))  # noqa: E731
+    lists = lambda elem: st.one_of(st.none(), st.lists(elem, max_size=3))  # noqa: E731
+    struct = pa.StructArray.from_arrays(
+        [pa.array(rows(_ints), pa.int64()), pa.array(rows(_strs), pa.string())], ["a", "b"],
+        mask=pa.array(rows(st.booleans())),
+    )
+    lsl = rows(lists(st.one_of(st.none(), st.fixed_dictionaries({"a": _ints, "b": lists(_strs)}))))
+    maps = rows(st.one_of(st.none(), st.dictionaries(st.sampled_from("kpq"), _strs, max_size=3)))
+    t = pa.table({
+        "st": struct,
+        "lsl": pa.array(lsl, pa.list_(pa.struct([("a", pa.int64()), ("b", pa.list_(pa.string()))]))),
+        "m": pa.array([None if m is None else list(m.items()) for m in maps],
+                      pa.map_(pa.string(), pa.string())),
+        "ll": pa.array(rows(lists(lists(_ints))), pa.list_(pa.list_(pa.int64()))),
+        "req": pa.array(rows(st.lists(st.integers(0, 9), max_size=3)), _REQ),
+        "dic": pa.array(rows(_strs), pa.string()).dictionary_encode(),
+        "fsl": pa.array(rows(st.lists(_ints, min_size=2, max_size=2)), _FSL),
+    })
+    return t.cast(t.schema.set(4, pa.field("req", _REQ, False)))
+
+
+@given(t=_level_tables())
+@settings(max_examples=25, deadline=None)
+def test_parquet_levels_match_pyarrow_oracle(t):
+    """pyarrow as the oracle of the Parquet level layer: rayenc writes the
+    same rep/def levels as pyarrow for every leaf, pyarrow reads rayenc's
+    file back as the input, rayenc reads pyarrow's file as pyarrow does,
+    and the writer shreds each top-level field once."""
+    import os
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    from rayenc import parquet_write
+    from rayenc.parquet_compat import read_column_chunk, read_table_conformance
+
+    calls = []
+    shred = parquet_write.shred
+    with tempfile.TemporaryDirectory() as d:
+        ours, theirs = os.path.join(d, "ours.parquet"), os.path.join(d, "theirs.parquet")
+        parquet_write.shred = lambda *a: calls.append(a[0]) or shred(*a)
+        try:
+            parquet_write.write_table(t, ours)
+        finally:
+            parquet_write.shred = shred
+        assert calls == t.column_names
+        pq.write_table(t, theirs, use_dictionary=False)
+
+        paths = [c.path for c in pq.ParquetFile(theirs).schema]
+        assert paths == [c.path for c in pq.ParquetFile(ours).schema]
+        for leaf in paths:
+            _, rep_o, def_o = read_column_chunk(ours, leaf, raw_levels=True)
+            _, rep_t, def_t = read_column_chunk(theirs, leaf, raw_levels=True)
+            for a, b in ((rep_o, rep_t), (def_o, def_t)):
+                assert (a is None) == (b is None), leaf
+                assert a is None or np.array_equal(a, b), leaf
+
+        want = t.set_column(5, "dic", t.column("dic").cast(pa.string())).set_column(
+            6, "fsl", t.column("fsl").cast(pa.list_(pa.int32())))
+        assert pq.read_table(ours).equals(want)
+        assert read_table_conformance(theirs).equals(pq.read_table(theirs))
+
+
 @given(
     unscaled=st.lists(
         st.integers(-(10**49), 10**49), min_size=1, max_size=120
