@@ -314,7 +314,7 @@ def cmd_show_bloom(args):
 def cmd_file_schema(args):
     """SchemaCommand --parquet analog: print the file's schema in the
     parquet message-type text syntax (MessageTypeParser grammar)."""
-    from .parquet_read_enc import format_message_type
+    from .message_type import format_message_type
 
     f = _enc_file(args)
     print(format_message_type(f.schema_elems))

@@ -13,8 +13,10 @@ thrift compact parser, ``thrift._read_struct``), the V1/V2 data-page layout
 the conversion of a column's leaf levels into the container's per-level
 streams, which ``schema.assemble`` rebuilds. Files are opened, footers
 parsed and pages located by ``parquet_read_enc.EncryptedFile`` (plaintext
-and encrypted alike); ``read_table_conformance`` / ``read_column_chunk``
-are thin entry points over it.
+and encrypted alike), which takes each leaf's Arrow type from
+``message_type``'s one SchemaElement -> Arrow derivation;
+``read_table_conformance`` / ``read_column_chunk`` are thin entry points
+over it.
 """
 
 from __future__ import annotations
@@ -341,7 +343,7 @@ def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.
     container's per-level streams — ``#lengths`` of lists and maps,
     ``#valid`` of structs and fixed-size lists, each leaf's null mask.
     ``level_field`` is the field as the Parquet schema shapes it
-    (``_node_field``): its nullability says which nodes own a definition
+    (``message_type._node_field``): its nullability says which nodes own a definition
     level, while ``field`` has the arrow types. A level's slots are the
     entries that start one; the children of a null fixed-size list get
     null slots, which the container keeps, and a required leaf under a

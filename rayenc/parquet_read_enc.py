@@ -7,7 +7,11 @@ row group). It parses the footer with the shared thrift compact parser
 footer of an encrypted file whose 28-byte GCM signature is verified
 (`ParquetFileWriter.serializeFooter:2127-2158`), or FileCryptoMetaData +
 encrypted FileMetaData behind the ``PARE`` magic (`:2162-2170`) — and
-derives the Arrow schema from the footer alone. ``EncryptedFile.read_page``
+derives the Arrow schema from the footer alone: leaf types, lists, maps
+and structs through ``message_type``'s one SchemaElement -> Arrow
+derivation, or ``ARROW:schema`` types with the units the leaves hold.
+``format_message_type`` prints the footer schema (it lives in
+``message_type`` beside its parser). ``EncryptedFile.read_page``
 is the one page-at-offset reader: it decrypts header and body modules
 (`InternalFileDecryptor.java` / `ModuleCipherFactory.java` AAD semantics;
 the page ordinal counts data pages only) and verifies page CRCs; whole
@@ -40,6 +44,7 @@ import pyarrow as pa
 from . import predicate as P
 from . import parquet_crypto as pcrypt
 from .codecs import decode_pages
+from .message_type import _name, _node_field, _walk_schema, format_message_type  # noqa: F401
 from .parquet_compat import (
     DATA_PAGE_V2,
     DICTIONARY_PAGE,
@@ -52,6 +57,7 @@ from .parquet_compat import (
     read_page_header,
 )
 from .parquet_crypto import FileDecryption
+from .schema import map_leaves
 from .thrift import _read_struct
 
 # ------------------------------------------------------------ footer model
@@ -67,132 +73,6 @@ def chunk_range(md: dict) -> tuple[int, int]:
     return start, start + md[7]
 
 
-_PTYPE_NAME = {
-    0: "BOOLEAN", 1: "INT32", 2: "INT64", 3: "INT96",
-    4: "FLOAT", 5: "DOUBLE", 6: "BYTE_ARRAY", 7: "FIXED_LEN_BYTE_ARRAY",
-}
-
-
-class LeafInfo:
-    __slots__ = ("path", "ptype", "type_length", "max_rep", "max_def",
-                 "unsigned", "f16", "utf8", "elem")
-
-    def __init__(self, path, ptype, type_length, max_rep, max_def,
-                 unsigned=False, f16=False, utf8=False, elem=None):
-        self.f16 = f16
-        self.utf8 = utf8
-        self.elem = elem
-        self.path = path
-        self.ptype = ptype
-        self.type_length = type_length
-        self.max_rep = max_rep
-        self.max_def = max_def
-        self.unsigned = unsigned
-
-    @property
-    def dotted(self):
-        return ".".join(self.path)
-
-
-# ConvertedType UINT_8/16/32/64 ordinals (parquet.thrift)
-_UNSIGNED_CONVERTED = {11, 12, 13, 14}
-
-
-def _leaf_is_unsigned(e: dict) -> bool:
-    """SchemaElement -> is the leaf an unsigned integer logical type?
-    (converted_type field 6, or LogicalType.INTEGER field 10 with
-    isSigned=false) — drives unsigned-domain min/max comparison, matching
-    the write-side unsigned stats domain (stats.compute)."""
-    if e.get(6) in _UNSIGNED_CONVERTED:
-        return True
-    lt = e.get(10)
-    if isinstance(lt, dict) and isinstance(lt.get(10), dict):
-        return lt[10].get(2, True) is False
-    return False
-
-
-def _name(e: dict) -> str:
-    n = e.get(4, "")
-    return n.decode() if isinstance(n, bytes) else n
-
-
-def _walk_schema(elems):
-    """SchemaElement list -> (LeafInfo per leaf in depth-first order, one
-    (element, children | None, LeafInfo | None) node per top-level field).
-    repetition_type: 0 required, 1 optional, 2 repeated."""
-    leaves = []
-    pos = 1  # skip root
-
-    def walk(path, max_rep, max_def):
-        nonlocal pos
-        e = elems[pos]
-        pos += 1
-        rep = e.get(3, 0)
-        name = _name(e)
-        if rep == 1:
-            max_def += 1
-        elif rep == 2:
-            max_rep += 1
-            max_def += 1
-        nchild = e.get(5, 0)
-        if nchild:
-            kids = [walk(path + [name], max_rep, max_def) for _ in range(nchild)]
-            return e, kids, None
-        lt = e.get(10)
-        leaf = LeafInfo(
-            path + [name], _PTYPE_NAME[e[1]], e.get(2, 0), max_rep,
-            max_def, unsigned=_leaf_is_unsigned(e),
-            f16=isinstance(lt, dict) and 15 in lt,  # FLOAT16
-            # ConvertedType UTF8 (0) or LogicalType STRING (union 1)
-            utf8=e.get(6) == 0
-            or (isinstance(lt, dict) and 1 in lt),
-            elem=e,
-        )
-        leaves.append(leaf)
-        return e, None, leaf
-
-    nodes = [walk([], 0, 0) for _ in range(elems[0].get(5, 0))]
-    return leaves, nodes
-
-
-def _node_field(node, element: bool = False) -> pa.Field:
-    """One schema node -> the Arrow field pyarrow derives for it
-    (parquet-cpp `arrow/schema.cc` rules): LIST- and MAP-annotated groups,
-    legacy two-level lists (the parquet-format LogicalTypes.md
-    backward-compatibility rules), and unannotated repeated nodes as lists
-    of required elements. ``element`` reads a repeated node as the list
-    element itself."""
-    e, kids, leaf = node
-    name = _name(e)
-    if kids is None:
-        t = _leaf_arrow_type(leaf)
-    else:
-        lt = e.get(10) if isinstance(e.get(10), dict) else {}
-        ct = e.get(6)
-        if (3 in lt or ct == 3) and len(kids) == 1:  # LIST
-            rep_node = kids[0]
-            lkids = rep_node[1]
-            legacy = (
-                lkids is None
-                or len(lkids) > 1
-                or _name(rep_node[0]) in ("array", name + "_tuple")
-            )
-            t = pa.list_(
-                _node_field(rep_node, element=True) if legacy
-                else _node_field(lkids[0])
-            )
-        elif (2 in lt or ct in (1, 2)) and len(kids) == 1 and len(kids[0][1] or ()) == 2:
-            key, value = kids[0][1]  # MAP -> repeated key_value group
-            t = pa.map_(_node_field(key), _node_field(value))
-        else:
-            t = pa.struct([_node_field(k) for k in kids])
-    if element:
-        return pa.field(name, t, False)
-    if e.get(3, 0) == 2:
-        return pa.field(name, pa.list_(pa.field(name, t, False)), False)
-    return pa.field(name, t, e.get(3, 0) == 1)
-
-
 def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
     """An ``ARROW:schema`` type with each timestamp's unit, and each date
     and time type, taken from its Parquet leaf (the stored type is the
@@ -200,191 +80,19 @@ def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
     zone survives on UTC-adjusted leaves — pyarrow's
     ApplyOriginalStorageMetadata rule. ``leaves`` iterates the Parquet
     leaves in depth-first order."""
-    if pa.types.is_struct(t):
-        fields = [f.with_type(_restore_units(f.type, leaves)) for f in t]
-        return t if all(a.type.equals(b.type) for a, b in zip(fields, t)) else pa.struct(fields)
-    if pa.types.is_map(t):
-        k = _restore_units(t.key_type, leaves)
-        v = _restore_units(t.item_type, leaves)
-        if k.equals(t.key_type) and v.equals(t.item_type):
-            return t
-        return pa.map_(t.key_field.with_type(k), t.item_field.with_type(v), t.keys_sorted)
-    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
-        vt = _restore_units(t.value_type, leaves)
-        if vt.equals(t.value_type):
-            return t
-        vf = t.value_field.with_type(vt)
-        if pa.types.is_fixed_size_list(t):
-            return pa.list_(vf, t.list_size)
-        return pa.large_list(vf) if pa.types.is_large_list(t) else pa.list_(vf)
-    leaf_t = _leaf_arrow_type(next(leaves))
-    if pa.types.is_timestamp(t) and pa.types.is_timestamp(leaf_t):
-        tz = t.tz if (leaf_t.tz == "UTC" and t.tz) else leaf_t.tz
-        return pa.timestamp(leaf_t.unit, tz)
-    if (pa.types.is_date(t) and pa.types.is_date(leaf_t)) or (
-        pa.types.is_time(t) and pa.types.is_time(leaf_t)
-    ):
-        return leaf_t  # date64 over INT32 days, time32[s] over MILLIS
-    return t
 
+    def restore(t):
+        leaf_t = next(leaves).type
+        if pa.types.is_timestamp(t) and pa.types.is_timestamp(leaf_t):
+            tz = t.tz if (leaf_t.tz == "UTC" and t.tz) else leaf_t.tz
+            return pa.timestamp(leaf_t.unit, tz)
+        if (pa.types.is_date(t) and pa.types.is_date(leaf_t)) or (
+            pa.types.is_time(t) and pa.types.is_time(leaf_t)
+        ):
+            return leaf_t  # date64 over INT32 days, time32[s] over MILLIS
+        return t
 
-_TIME_UNIT_ARROW = {1: "ms", 2: "us", 3: "ns"}
-
-
-def _leaf_arrow_type(leaf: "LeafInfo") -> "pa.DataType":
-    """Flat-leaf SchemaElement -> the Arrow type pyarrow would derive
-    (parquet-cpp SchemaField conversion): logicalType union preferred,
-    legacy ConvertedType fallback. ``schema.assemble``'s final ``cast(t)`` turns
-    the raw physical decode into this type, so reads of files without
-    ARROW:schema metadata match pyarrow's schema."""
-    e = leaf.elem or {}
-    base = {
-        "BOOLEAN": pa.bool_(), "INT32": pa.int32(), "INT64": pa.int64(),
-        "FLOAT": pa.float32(), "DOUBLE": pa.float64(),
-        "BYTE_ARRAY": pa.string() if leaf.utf8 else pa.binary(),
-        "FIXED_LEN_BYTE_ARRAY": pa.binary(leaf.type_length),
-        "INT96": pa.timestamp("ns"),
-    }[leaf.ptype]
-    if leaf.f16:
-        return pa.float16()
-    lt = e.get(10)
-    if isinstance(lt, dict):
-        if 5 in lt:  # DECIMAL{1:scale, 2:precision}
-            p, s = lt[5].get(2, 0), lt[5].get(1, 0)
-            return pa.decimal128(p, s) if p <= 38 else pa.decimal256(p, s)
-        if 6 in lt:
-            return pa.date32()
-        if 7 in lt:  # TIME{1:isAdjustedToUTC, 2:unit}
-            unit = _TIME_UNIT_ARROW.get(next(iter(lt[7].get(2, {1: None}))), "ms")
-            return pa.time32("ms") if unit == "ms" else pa.time64(unit)
-        if 8 in lt:  # TIMESTAMP{1:isAdjustedToUTC, 2:unit}
-            unit = _TIME_UNIT_ARROW.get(next(iter(lt[8].get(2, {1: None}))), "ms")
-            return pa.timestamp(unit, tz="UTC" if lt[8].get(1) else None)
-        if 10 in lt:  # INTEGER{1:bitWidth, 2:isSigned}
-            bw = lt[10].get(1, 32)
-            signed = lt[10].get(2, True) is not False
-            return getattr(pa, f"{'' if signed else 'u'}int{bw}")()
-        return base
-    ct = e.get(6)
-    if ct is None:
-        return base
-    if ct == 5:  # DECIMAL: scale field 7, precision field 8
-        p, s = e.get(8, 0), e.get(7, 0)
-        return pa.decimal128(p, s) if p <= 38 else pa.decimal256(p, s)
-    _BY_CONVERTED = {
-        6: pa.date32(), 7: pa.time32("ms"), 8: pa.time64("us"),
-        # legacy TIMESTAMP_* are instants (isAdjustedToUTC=true)
-        9: pa.timestamp("ms", tz="UTC"), 10: pa.timestamp("us", tz="UTC"),
-        11: pa.uint8(), 12: pa.uint16(), 13: pa.uint32(), 14: pa.uint64(),
-        15: pa.int8(), 16: pa.int16(), 17: pa.int32(), 18: pa.int64(),
-    }
-    return _BY_CONVERTED.get(ct, base)
-
-
-_REPETITION = {0: "required", 1: "optional", 2: "repeated"}
-_TIME_UNIT = {1: "MILLIS", 2: "MICROS", 3: "NANOS"}
-# legacy ConvertedType -> the modern annotation text MessageType#toString
-# prints (LogicalTypeAnnotation.fromConvertedType mapping)
-_CONVERTED_NAME = {
-    0: "STRING", 1: "MAP", 2: "MAP_KEY_VALUE", 3: "LIST", 4: "ENUM",
-    6: "DATE", 7: "TIME(MILLIS,true)", 8: "TIME(MICROS,true)",
-    9: "TIMESTAMP(MILLIS,true)", 10: "TIMESTAMP(MICROS,true)",
-    11: "INTEGER(8,false)", 12: "INTEGER(16,false)", 13: "INTEGER(32,false)",
-    14: "INTEGER(64,false)", 15: "INTEGER(8,true)", 16: "INTEGER(16,true)",
-    17: "INTEGER(32,true)", 18: "INTEGER(64,true)",
-    19: "JSON", 20: "BSON", 21: "INTERVAL",
-}
-
-
-def _annotation(e: dict) -> str:
-    """'(STRING)' etc. for one SchemaElement — MessageType#toString /
-    LogicalTypeAnnotation.toString rendering; logicalType union preferred,
-    legacy ConvertedType as fallback."""
-    lt = e.get(10)
-    if isinstance(lt, dict):
-        if 1 in lt:
-            return " (STRING)"
-        if 2 in lt:
-            return " (MAP)"
-        if 3 in lt:
-            return " (LIST)"
-        if 4 in lt:
-            return " (ENUM)"
-        if 5 in lt:
-            d = lt[5]
-            return f" (DECIMAL({d.get(2, 0)},{d.get(1, 0)}))"
-        if 6 in lt:
-            return " (DATE)"
-        if 7 in lt:
-            d = lt[7]
-            unit = _TIME_UNIT.get(next(iter(d.get(2, {1: None}))), "MILLIS")
-            return f" (TIME({unit},{str(bool(d.get(1))).lower()}))"
-        if 8 in lt:
-            d = lt[8]
-            unit = _TIME_UNIT.get(next(iter(d.get(2, {1: None}))), "MILLIS")
-            return f" (TIMESTAMP({unit},{str(bool(d.get(1))).lower()}))"
-        if 10 in lt:
-            d = lt[10]
-            return f" (INTEGER({d.get(1, 32)},{str(d.get(2, True) is not False).lower()}))"
-        if 12 in lt:
-            return " (JSON)"
-        if 13 in lt:
-            return " (BSON)"
-        if 14 in lt:
-            return " (UUID)"
-        if 15 in lt:
-            return " (FLOAT16)"
-        if 16 in lt:
-            return " (VARIANT)"
-        if 17 in lt:
-            return " (GEOMETRY)"
-        if 18 in lt:
-            return " (GEOGRAPHY)"
-    conv = e.get(6)
-    if conv == 5:
-        return f" (DECIMAL({e.get(8, 0)},{e.get(7, 0)}))"
-    if conv in _CONVERTED_NAME:
-        return f" ({_CONVERTED_NAME[conv]})"
-    return ""
-
-
-def format_message_type(elems: list) -> str:
-    """Footer SchemaElement list -> the parquet message-type text syntax
-    (MessageTypeParser grammar; parquet-cli SchemaCommand's --parquet
-    output). From-scratch printer over the raw thrift dicts."""
-    lines: list[str] = []
-    pos = 1
-
-    def name_of(e):
-        n = e.get(4, "")
-        return n.decode() if isinstance(n, bytes) else n
-
-    def walk(indent: int):
-        nonlocal pos
-        e = elems[pos]
-        pos += 1
-        pad = "  " * indent
-        rep = _REPETITION.get(e.get(3, 0), "required")
-        nchild = e.get(5, 0)
-        if nchild:
-            lines.append(f"{pad}{rep} group {name_of(e)}{_annotation(e)} {{")
-            for _ in range(nchild):
-                walk(indent + 1)
-            lines.append(f"{pad}}}")
-            return
-        t = _PTYPE_NAME[e[1]].lower()
-        if t == "byte_array":
-            t = "binary"  # MessageTypeParser grammar name
-        elif t == "fixed_len_byte_array":
-            t = f"fixed_len_byte_array({e.get(2, 0)})"
-        lines.append(f"{pad}{rep} {t} {name_of(e)}{_annotation(e)};")
-
-    root = elems[0]
-    lines.append(f"message {name_of(root) or 'schema'} {{")
-    for _ in range(root.get(5, 0)):
-        walk(1)
-    lines.append("}")
-    return "\n".join(lines)
+    return map_leaves(t, restore)
 
 
 def _unwrap_key_material(
@@ -759,9 +467,9 @@ def _bounds_fmt(leaf):
     unsigned, so the stored bytes exceed the signed max for large values);
     FLOAT16 FLBA-2 bounds decode as IEEE half floats, so float predicates
     on halffloat columns prune numerically."""
-    if leaf.unsigned and leaf.ptype in _MINMAX_FMT_UNSIGNED:
+    if pa.types.is_unsigned_integer(leaf.type) and leaf.ptype in _MINMAX_FMT_UNSIGNED:
         return _MINMAX_FMT_UNSIGNED[leaf.ptype]
-    if getattr(leaf, "f16", False) and leaf.ptype == "FIXED_LEN_BYTE_ARRAY":
+    if pa.types.is_float16(leaf.type) and leaf.ptype == "FIXED_LEN_BYTE_ARRAY":
         return "<e"  # half float
     return _MINMAX_FMT.get(leaf.ptype)
 
@@ -778,7 +486,7 @@ def _bound_decoder(leaf):
         return lambda raw: bool(raw[0]) if len(raw) == 1 else None
     if leaf.ptype == "INT96":
         return None
-    if pa.types.is_decimal(_leaf_arrow_type(leaf)):
+    if pa.types.is_decimal(leaf.type):
         return lambda raw: int.from_bytes(raw, "big", signed=True) if raw else None
     return bytes
 
@@ -871,7 +579,7 @@ def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
             pa.binary(leaf.type_length), h.num_values, [None, pa.py_buffer(v)]
         )
     v = np.asarray(vals)
-    if leaf.unsigned and v.dtype.kind == "i":
+    if pa.types.is_unsigned_integer(leaf.type) and v.dtype.kind == "i":
         v = v.view(v.dtype.str.replace("i", "u"))  # stored sign-wrapped
     return pa.array(v)
 
@@ -961,7 +669,7 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
                 bounds = _chunk_stat_bounds(md, lf)
             g = P.Granule(
                 *(bounds or (None, None)), nulls,
-                None if nulls is None else md.get(5, 0) - nulls, _leaf_arrow_type(lf),
+                None if nulls is None else md.get(5, 0) - nulls, lf.type,
             )
             if f.row_groups[rg_ord][1][ci].get(1):
                 return g
@@ -1096,7 +804,7 @@ def read_table_filtered(
                 ]
             else:
                 lf = f.leaves[ci]
-                dleaf = P.in_domain(leaf, _leaf_arrow_type(lf))[0]
+                dleaf = P.in_domain(leaf, lf.type)[0]
                 bounds = _page_bounds(cidx, lf)
                 if dleaf is None or bounds is None:
                     return None
@@ -1232,7 +940,7 @@ def _bloom_probe(f: "EncryptedFile", rg_ord: int, col_ord: int):
 
     leaf = f.leaves[col_ord]
     ptype = leaf.ptype
-    if f.chunk_meta(rg_ord, col_ord).get(14) is None or leaf.f16 or ptype in ("BOOLEAN", "INT96"):
+    if f.chunk_meta(rg_ord, col_ord).get(14) is None or pa.types.is_float16(leaf.type) or ptype in ("BOOLEAN", "INT96"):
         return None
     filt = functools.cache(lambda: read_bloom_filter(f, rg_ord, col_ord))
     return lambda values: any(

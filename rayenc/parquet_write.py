@@ -47,7 +47,8 @@ from .parquet_compat import (
     ENCODING_ID,
     codec_for_name,
 )
-from .schema import PhysicalColumn, shred
+from .message_type import ANNOTATIONS, PHYSICAL_ID, _decimal_flba_len, leaf_element, stamp
+from .schema import PhysicalColumn, map_leaves, shred
 from .thrift import (
     BLOOM_HEADER,
     COLUMN_INDEX,
@@ -106,64 +107,6 @@ class _ChunkCrypto:
         return pcrypt.encrypt_module(self.key, data, self._aad(mtype, False))
 
 
-def _converted_type(t: "pa.DataType"):
-    """ConvertedType enum for logical annotations we emit
-    (LogicalTypeAnnotation.java equivalents): UTF8=0, DECIMAL=5, DATE=6,
-    TIMESTAMP_MILLIS=9, TIMESTAMP_MICROS=10. Plain binary columns stay
-    unannotated — stamping UTF8 on them would surface arbitrary payloads as
-    strings in independent readers."""
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return 0
-    if pa.types.is_decimal(t):
-        return 5
-    if pa.types.is_date32(t):
-        return 6
-    # TIME gets no ConvertedType: we stamp TimeType(isAdjustedToUTC=false)
-    # (local time-of-day), and the spec defines TIME_MILLIS/TIME_MICROS as
-    # equivalent to the UTC-adjusted flavor only — parquet-java's
-    # timeType(false, unit).toConvertedType() is likewise null
-    if pa.types.is_integer(t):
-        # INT_8..INT_64 = 15..18, UINT_8..UINT_64 = 11..14
-        width_slot = {8: 0, 16: 1, 32: 2, 64: 3}[t.bit_width]
-        if pa.types.is_signed_integer(t):
-            return None if t.bit_width in (32, 64) else 15 + width_slot
-        return 11 + width_slot
-    return None
-
-
-_TIME_UNIT = {"ms": 1, "us": 2, "ns": 3}  # MILLIS / MICROS / NANOS union members
-
-
-def _logical_type(t: "pa.DataType"):
-    """SchemaElement.logicalType (field 10) dict, or None. Timestamps need
-    the LogicalType union (TimestampType{isAdjustedToUTC, unit}) —
-    ConvertedType alone implies UTC-adjusted semantics."""
-    if pa.types.is_timestamp(t):
-        return {8: {1: t.tz is not None, 2: {_TIME_UNIT[t.unit]: {}}}}
-    if pa.types.is_time32(t) or pa.types.is_time64(t):
-        # TimeType{isAdjustedToUTC, unit} — LogicalType union field 7
-        # (LogicalTypeAnnotation.TimeLogicalTypeAnnotation). We stamp
-        # isAdjustedToUTC=false (local time-of-day): pyarrow maps either
-        # flavor to arrow time32/time64, but DuckDB maps true to TIMETZ and
-        # then rejects the 4/8-byte column statistics, so false is the
-        # interoperable choice
-        return {7: {1: False, 2: {_TIME_UNIT[t.unit]: {}}}}
-    if pa.types.is_float16(t):
-        return {15: {}}  # FLOAT16 (Float16Type, empty struct)
-    return None
-
-# thrift parquet enums
-T_BOOLEAN, T_INT32, T_INT64, T_INT96, T_FLOAT, T_DOUBLE, T_BYTE_ARRAY, T_FLBA = range(8)
-_PARQUET_TYPE = {
-    "BOOLEAN": T_BOOLEAN,
-    "INT32": T_INT32,
-    "INT64": T_INT64,
-    "FLOAT": T_FLOAT,
-    "DOUBLE": T_DOUBLE,
-    "BINARY": T_BYTE_ARRAY,
-    "FIXED_LEN_BYTE_ARRAY": T_FLBA,
-    "INT96": T_INT96,
-}
 # encodings a parquet file can hold (no FSST / RLE_FOR / ALP in files)
 PARQUET_LEGAL = {e for e in sel.ENCODINGS if e in ENCODING_ID}
 # spec-legal for FLBA (format 2.11 extended BSS) but common readers (DuckDB)
@@ -756,40 +699,13 @@ def _row_byte_sizes(table: pa.Table) -> "np.ndarray":
     return total
 
 
-def _has_time32s(t: pa.DataType) -> bool:
-    """Any time32[s] leaf anywhere under ``t`` (struct/list/map included)?"""
-    if pa.types.is_time32(t) and t.unit == "s":
-        return True
-    if pa.types.is_dictionary(t):
-        return _has_time32s(t.value_type)
-    for i in range(t.num_fields):
-        if _has_time32s(t.field(i).type):
-            return True
-    return False
-
-
-def _coerce_time32s(t: pa.DataType) -> pa.DataType:
-    """Recursively replace time32[s] with time32[ms] (parquet TIME has no
-    seconds unit), preserving struct/list/map/dictionary shape."""
+def _parquet_unit(t: pa.DataType) -> pa.DataType:
+    """Parquet has no seconds unit: time32[s] and timestamp[s] leaves are
+    written as milliseconds, time zone kept (pyarrow's write coercion)."""
     if pa.types.is_time32(t) and t.unit == "s":
         return pa.time32("ms")
-    if pa.types.is_dictionary(t):
-        return pa.dictionary(t.index_type, _coerce_time32s(t.value_type), t.ordered)
-    if pa.types.is_struct(t):
-        return pa.struct(
-            [f.with_type(_coerce_time32s(f.type)) for f in t]
-        )
-    if pa.types.is_map(t):
-        return pa.map_(
-            _coerce_time32s(t.key_type), _coerce_time32s(t.item_type)
-        )
-    if pa.types.is_large_list(t):
-        return pa.large_list(_coerce_time32s(t.value_type))
-    if pa.types.is_fixed_size_list(t):
-        return pa.list_(_coerce_time32s(t.value_type), t.list_size)
-    if pa.types.is_list(t):
-        f = t.value_field
-        return pa.list_(f.with_type(_coerce_time32s(f.type)))
+    if pa.types.is_timestamp(t) and t.unit == "s":
+        return pa.timestamp("ms", t.tz)
     return t
 
 
@@ -888,14 +804,12 @@ def write_tables(
                 # the 12-byte values are FLBA storage, but the footer says
                 # INT96, for which the spec allows neither encoding
                 raise ValueError(f"{enc} cannot encode INT96 column {name!r}")
-    if any(_has_time32s(f.type) for f in slices[0].schema):
-        # parquet TIME has no seconds unit — coerce time32[s] to ms up
-        # front (pyarrow's write-side coercion), so stats, ARROW:schema
-        # and the shredded values all agree; recursive so a seconds-unit
-        # leaf nested in a struct/list/map is coerced too
-        cast_schema = pa.schema(
-            [f.with_type(_coerce_time32s(f.type)) for f in slices[0].schema]
-        )
+    # coerce seconds-unit leaves at any depth up front, so stats,
+    # ARROW:schema and the shredded values all agree
+    cast_schema = pa.schema(
+        [f.with_type(map_leaves(f.type, _parquet_unit)) for f in slices[0].schema]
+    )
+    if not cast_schema.equals(slices[0].schema):
         slices = [s.cast(cast_schema) for s in slices]
     table = slices[0] if len(slices) == 1 else pa.concat_tables(slices)
     crypto = None
@@ -1044,13 +958,6 @@ def _arrow_schema_b64(schema: pa.Schema) -> str:
     return base64.b64encode(sink.getvalue().to_pybytes()).decode()
 
 
-def _decimal_flba_len(precision: int) -> int:
-    L = 1
-    while 10 ** precision > 2 ** (8 * L - 1):
-        L += 1
-    return L
-
-
 def _schema_body(field: pa.Field) -> list[dict]:
     """SchemaElement dicts (parquet.thrift field ids) for one (possibly
     nested) field, depth-first in the same order `leaf_levels` emits
@@ -1082,21 +989,7 @@ def _schema_body(field: pa.Field) -> list[dict]:
         for child in t:
             out += _schema_body(child)
         return out
-    from .schema import physical_type
-
-    ptype = physical_type(t)
-    e = {1: _PARQUET_TYPE[ptype], 3: rep, 4: name}
-    if ptype == "FIXED_LEN_BYTE_ARRAY":
-        e[2] = _decimal_flba_len(t.precision) if pa.types.is_decimal(t) else t.byte_width
-    conv = _converted_type(t)
-    if conv is not None:
-        e[6] = conv
-    if pa.types.is_decimal(t):
-        e[7], e[8] = t.scale, t.precision
-    logical = _logical_type(t)
-    if logical is not None:
-        e[10] = logical
-    return [e]
+    return [{3: rep, 4: name, **leaf_element(t)}]
 
 
 def _column_meta(meta: _Column, redact: bool = False) -> dict:
@@ -1105,7 +998,7 @@ def _column_meta(meta: _Column, redact: bool = False) -> dict:
     copy kept next to an encrypted column in plaintext-footer files
     (ParquetMetadataConverter.java:687-692)."""
     md = {
-        1: _PARQUET_TYPE[meta.ptype],
+        1: PHYSICAL_ID[meta.ptype],
         2: [*sorted(meta.encodings), ENCODING_ID["RLE"]],  # + the level encoding
         3: [part.encode() for part in meta.path],
         4: meta.codec,
@@ -1158,41 +1051,28 @@ def _encryption_algorithm(props: "pcrypt.FileEncryption", aad_file_unique: bytes
     return {2 if props.algorithm == "AES_GCM_CTR_V1" else 1: alg}
 
 
-# declared annotations (EncodeConfig.logical_annotations): name ->
-# (required physical type or None, ConvertedType or None, LogicalType union
-# field or None).  The LogicalTypeAnnotation.java members with no arrow-16
-# native type: enumType/jsonType/bsonType/uuidType/intervalType.
-_DECLARED_LOGICAL = {
-    "ENUM": (T_BYTE_ARRAY, 4, 4),
-    "JSON": (T_BYTE_ARRAY, 19, 12),
-    "BSON": (T_BYTE_ARRAY, 20, 13),
-    "UUID": (T_FLBA, None, 14),
-    "INTERVAL": (T_FLBA, 21, None),
-}
+# declared annotations (EncodeConfig.logical_annotations): the
+# LogicalTypeAnnotation.java members with no arrow-16 native type, each with
+# the FLBA width it needs (None: a BYTE_ARRAY leaf)
+_DECLARED = {"ENUM": None, "JSON": None, "BSON": None, "UUID": 16, "INTERVAL": 12}
 
 
 def _apply_declared_annotation(fb: list, name: str, kind: str) -> None:
-    if kind not in _DECLARED_LOGICAL:
+    if kind not in _DECLARED:
         raise ValueError(f"unknown logical annotation {kind!r} for {name}")
     if len(fb) != 1 or 1 not in fb[0]:
         raise ValueError(f"logical annotation {kind} needs a flat leaf: {name}")
-    e = fb[0]
-    want_phys, conv, logical_field = _DECLARED_LOGICAL[kind]
-    if e[1] != want_phys:
+    e, width = fb[0], _DECLARED[kind]
+    if e[1] != PHYSICAL_ID["BYTE_ARRAY" if width is None else "FIXED_LEN_BYTE_ARRAY"]:
         raise ValueError(
             f"{kind} annotation on {name} requires physical type "
-            f"{'FLBA' if want_phys == T_FLBA else 'BYTE_ARRAY'}"
+            f"{'BYTE_ARRAY' if width is None else 'FLBA'}"
         )
-    if kind == "UUID" and e.get(2) != 16:
-        raise ValueError(f"UUID column {name} must be fixed_size_binary(16)")
-    if kind == "INTERVAL" and e.get(2) != 12:
-        raise ValueError(f"INTERVAL column {name} must be fixed_size_binary(12)")
+    if width is not None and e.get(2) != width:
+        raise ValueError(f"{kind} column {name} must be fixed_size_binary({width})")
     e.pop(6, None)
     e.pop(10, None)
-    if conv is not None:
-        e[6] = conv
-    if logical_field is not None:
-        e[10] = {logical_field: {}}  # empty-struct union member
+    stamp(e, kind)
 
 
 def _decimals_to_ints(table: pa.Table, decimal_ints: dict) -> pa.Table:
@@ -1225,7 +1105,6 @@ def _decimals_to_ints(table: pa.Table, decimal_ints: dict) -> pa.Table:
     return pa.table(cols, schema=pa.schema(fields))
 
 
-_NS_PER_DAY = 86_400_000_000_000
 _JULIAN_EPOCH = 2440588  # Julian day number of 1970-01-01
 
 
@@ -1246,17 +1125,16 @@ def _timestamps_to_int96(table: pa.Table, int96_map: dict) -> pa.Table:
             fields.append(f)
             continue
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        ns = arr.cast(pa.timestamp("ns", tz=t.tz)).cast(pa.int64())
-        total = pc.fill_null(ns, 0).to_numpy()
-        # floor div/mod keep nanos-of-day non-negative for pre-1970 values
+        raw = pc.fill_null(arr.cast(pa.int64()), 0).to_numpy()
+        # floor divmod in the source unit: nanos-of-day stay non-negative
+        # for pre-1970 values, and no year-1000 or year-9999 value has to
+        # fit an int64 of nanoseconds since the epoch
+        unit = np.timedelta64(1, t.unit)
+        days, within = np.divmod(raw, np.timedelta64(1, "D") // unit)
         v = np.empty((len(arr), 12), np.uint8)
-        v[:, :8] = (total % _NS_PER_DAY).astype("<i8").view(np.uint8).reshape(-1, 8)
-        v[:, 8:] = (
-            (total // _NS_PER_DAY + _JULIAN_EPOCH)
-            .astype("<i4")
-            .view(np.uint8)
-            .reshape(-1, 4)
-        )
+        nanos = within * (unit // np.timedelta64(1, "ns"))
+        v[:, :8] = nanos.astype("<i8").view(np.uint8).reshape(-1, 8)
+        v[:, 8:] = (days + _JULIAN_EPOCH).astype("<i4").view(np.uint8).reshape(-1, 4)
         fsb = pa.Array.from_buffers(
             pa.binary(12), len(arr), [None, pa.py_buffer(v.tobytes())]
         )
@@ -1315,16 +1193,16 @@ def _file_metadata(
                 g[1] = spec.crs.encode()
             if spec.kind == "geography" and spec.algorithm is not None:
                 g[2] = spec.algorithm  # EdgeInterpolationAlgorithm
-            fb[0][10] = {17 if spec.kind == "geometry" else 18: g}
+            fb[0][10] = {ANNOTATIONS[spec.kind.upper()][0]: g}
         if annotations and field.name in annotations:
             _apply_declared_annotation(fb, field.name, annotations[field.name])
         if decimal_ints and field.name in decimal_ints and len(fb) == 1:
-            p, s = decimal_ints[field.name]
-            fb[0][6] = 5  # DECIMAL on INT32/INT64 physical
-            fb[0][7], fb[0][8] = s, p
+            # DECIMAL on INT32/INT64 physical, as the ConvertedType alone
+            stamp(fb[0], "DECIMAL", decimal_ints[field.name])
+            del fb[0][10]
         if int96_map and field.name in int96_map and len(fb) == 1:
             # deprecated INT96 physical: no type_length, no logical type
-            fb[0][1] = T_INT96
+            fb[0][1] = PHYSICAL_ID["INT96"]
             for k in (2, 6, 10):
                 fb[0].pop(k, None)
         body += fb

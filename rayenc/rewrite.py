@@ -498,7 +498,7 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
         raise ValueError(f"no such columns: {sorted(missing)}")
     for lf in f.leaves:
         if lf.path[0] in maskset and not (
-            len(lf.path) == 1 and lf.ptype == "BYTE_ARRAY" and lf.utf8
+            len(lf.path) == 1 and pa.types.is_string(lf.type)
         ):
             raise ValueError(f"hash masking is defined for string columns: {lf.path[0]}")
 

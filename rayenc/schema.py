@@ -232,8 +232,7 @@ def assemble(field: pa.Field, chunks: dict[str, tuple]) -> pa.Array:
         offsets = np.zeros(len(lengths) + 1, np.int64)
         np.cumsum(lengths, out=offsets[1:])
         if pa.types.is_map(t):
-            elem_type = pa.struct([pa.field("key", t.key_type, nullable=False),
-                                   pa.field("value", t.item_type)])
+            elem_type = pa.struct([t.key_field.with_name("key"), t.item_field.with_name("value")])
         else:
             elem_type = t.value_type
         values = assemble(pa.field(f"{name}#values", elem_type), chunks)
@@ -273,6 +272,8 @@ def assemble(field: pa.Field, chunks: dict[str, tuple]) -> pa.Array:
         return out
 
     values, null_mask = chunks[field.name]
+    if pa.types.is_null(t):  # Parquet's UNKNOWN logical type: slots only
+        return pa.nulls(len(values) if null_mask is None else len(null_mask))
     ptype = physical_type(t)
     if ptype == "FIXED_LEN_BYTE_ARRAY":
         vals = np.ascontiguousarray(values, np.uint8)
@@ -297,6 +298,36 @@ def assemble(field: pa.Field, chunks: dict[str, tuple]) -> pa.Array:
         arr = pa.array(v)
     arr = _restore_nulls(arr, null_mask)
     return arr if arr.type == t else arr.cast(t)
+
+
+def map_leaves(t: pa.DataType, fn) -> pa.DataType:
+    """``t`` with each leaf type replaced by ``fn(leaf)``, called once per
+    leaf in depth-first order. Lists, large and fixed-size lists, structs,
+    maps and dictionaries are rebuilt around changed leaves with their field
+    names, nullability and ``keys_sorted``; an unchanged type comes back as
+    it is."""
+    if pa.types.is_dictionary(t):
+        kids = [pa.field("", t.value_type)]
+    elif pa.types.is_map(t):
+        kids = [t.key_field, t.item_field]
+    elif pa.types.is_struct(t):
+        kids = list(t)
+    elif pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        kids = [t.value_field]
+    else:
+        return fn(t)
+    new = [f.with_type(map_leaves(f.type, fn)) for f in kids]
+    if all(a.type.equals(b.type) for a, b in zip(new, kids)):
+        return t
+    if pa.types.is_dictionary(t):
+        return pa.dictionary(t.index_type, new[0].type, t.ordered)
+    if pa.types.is_map(t):
+        return pa.map_(*new, t.keys_sorted)
+    if pa.types.is_struct(t):
+        return pa.struct(new)
+    if pa.types.is_fixed_size_list(t):
+        return pa.list_(new[0], t.list_size)
+    return pa.large_list(new[0]) if pa.types.is_large_list(t) else pa.list_(new[0])
 
 
 def spread(values, present: np.ndarray):

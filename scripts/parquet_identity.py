@@ -15,6 +15,9 @@ The matrix:
   (``nested``), plus non-nullable list elements and map values
   (``nested_required``), each V1, V2 + zstd and with small pages;
 - decimals (FLBA and INT32/INT64) and INT96 timestamps;
+- one flat column per leaf type the writer annotates, with the declared
+  ENUM/JSON/BSON/UUID/INTERVAL annotations and a GEOMETRY column
+  (``annotated``);
 - encrypted files (footer key, column key, plaintext footer, CTR), with
   ``parquet_crypto.os.urandom`` replaced by a seeded stream;
 - ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files.
@@ -37,10 +40,11 @@ import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
-from rayenc import parquet_crypto, parquet_write, rewrite  # noqa: E402
+from rayenc import geo, parquet_crypto, parquet_write, rewrite  # noqa: E402
 from rayenc.parquet_crypto import FileEncryption  # noqa: E402
 from rayenc.selector import EncodeConfig  # noqa: E402
 
@@ -109,6 +113,51 @@ def logical_table() -> pa.Table:
     })
 
 
+ANNOTATED = EncodeConfig(
+    decimal_as_integer=True,
+    logical_annotations={"enum": "ENUM", "json": "JSON", "bson": "BSON",
+                         "uuid": "UUID", "interval": "INTERVAL"},
+    geospatial={"geometry": geo.GeoSpec("geometry")},
+)
+
+
+def annotated_table(n: int = 20) -> pa.Table:
+    """One flat nullable column per leaf type the writer stamps an
+    annotation for (or deliberately leaves bare), written with
+    ``ANNOTATED``: decimals of precision 9 and 18 go to INT32/INT64 and
+    precision 30 stays FLBA."""
+    rows = range(n)
+
+    def col(values, t):
+        return pa.array([None if i % 5 == 3 else v for i, v in zip(rows, values)], t)
+
+    signed = [i * 7 - 60 for i in rows]
+    cols = {str(t): col(signed, t) for t in (pa.int8(), pa.int16(), pa.int32(), pa.int64())}
+    cols |= {str(t): col([i * 13 for i in rows], t)
+             for t in (pa.uint8(), pa.uint16(), pa.uint32(), pa.uint64())}
+    cols["date32"] = col(signed, pa.date32())
+    for t in (pa.time32("s"), pa.time32("ms"), pa.time64("us"), pa.time64("ns")):
+        cols[f"time_{t.unit}"] = col([i * 4001 for i in rows], t)
+    for unit in ("ms", "us", "ns"):
+        for tz in (None, "UTC"):
+            cols[f"ts_{unit}{'_utc' if tz else ''}"] = col([i * 10**12 - 7 for i in rows],
+                                                         pa.timestamp(unit, tz))
+    for p, s in ((9, 2), (18, 3), (30, 4)):
+        cols[f"decimal{p}"] = col([decimal.Decimal(i * 1001 - 9000) / 10**s for i in rows],
+                                  pa.decimal128(p, s))
+    cols["float16"] = col(np.arange(n, dtype=np.float16) / 4, pa.float16())
+    cols["string"] = col([f"s{i % 6}" for i in rows], pa.string())
+    cols["binary"] = col([bytes([i, 0, i]) for i in rows], pa.binary())
+    cols["enum"] = col(["RED", "GREEN", "BLUE", "RED"] * (n // 4), pa.string())
+    cols["json"] = col([f'{{"k": {i}}}' for i in rows], pa.string())
+    cols["bson"] = col([bytes([5, 0, 0, 0, i]) for i in rows], pa.binary())
+    cols["uuid"] = col([bytes(range(i, i + 16)) for i in rows], pa.binary(16))
+    cols["interval"] = col([bytes([i] * 12) for i in rows], pa.binary(12))
+    cols["geometry"] = col([bytes([1, 1, 0, 0, 0]) + np.array([i, -i], "<f8").tobytes()
+                            for i in rows], pa.binary())
+    return pa.table(cols)
+
+
 def seed_urandom(seed: int) -> None:
     rng = random.Random(seed)
     parquet_crypto.os.urandom = lambda k: bytes(rng.getrandbits(8) for _ in range(k))
@@ -147,6 +196,7 @@ def main() -> None:
     write("logical.v1", lt)
     write("logical.int_decimals", lt, EncodeConfig(decimal_as_integer=True))
     write("logical.int96", lt, EncodeConfig(int96_timestamps=True))
+    write("annotated.v1", annotated_table(), ANNOTATED)
 
     fk, ck = b"0123456789abcdef", b"fedcba9876543210"
     lineitem = pq.read_table(os.path.join(args.sf, "lineitem.parquet"))

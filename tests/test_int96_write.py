@@ -82,6 +82,26 @@ def test_int96_matches_pyarrow_own_legacy_files(tmp_path):
     assert pq.read_table(pa_path).schema.field("a").type == pa.timestamp("ns")
 
 
+@pytest.mark.parametrize("tz", [None, "UTC"])
+def test_int96_far_dates_match_pyarrow(tmp_path, tz):
+    # year 1000 and year 9999 do not fit int64 nanoseconds since the epoch:
+    # days and nanos-of-day come from the source unit
+    import datetime
+
+    t = pa.table({"ts": pa.array(
+        [datetime.datetime(9999, 12, 31, 23, 59, 59, 999999), datetime.datetime(1000, 1, 1),
+         None, datetime.datetime(1970, 1, 2, 3, 4, 5, 6)],
+        pa.timestamp("us", tz),
+    )})
+    ours, theirs = str(tmp_path / "ours.parquet"), str(tmp_path / "theirs.parquet")
+    parquet_write.write_table(t, ours, EncodeConfig(int96_timestamps=True))
+    pq.write_table(t, theirs, use_deprecated_int96_timestamps=True)
+    got = pq.read_table(ours, coerce_int96_timestamp_unit="us")
+    # pyarrow reads INT96 without a time zone, from either writer
+    assert got.column("ts").to_pylist() == t.column("ts").cast(pa.timestamp("us")).to_pylist()
+    assert got.equals(pq.read_table(theirs, coerce_int96_timestamp_unit="us"))
+
+
 def test_nested_timestamps_stay_int64(tmp_path):
     t = pa.table(
         {

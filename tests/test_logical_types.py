@@ -90,6 +90,43 @@ class TestTimeTypes:
             == t.column("l").combine_chunks().flatten().to_pylist()
         )
 
+    def test_seconds_units_written_as_pyarrow_writes_them(self, tmp_path):
+        # Parquet has no seconds unit: time32[s] and timestamp[s] leaves are
+        # written in milliseconds at any depth, keeping the time zone and the
+        # nullability of map items and list elements, as pyarrow writes them
+        item = pa.field("item", pa.time32("s"), False)
+        t = pa.table({
+            "map": pa.array([[("a", 5)], [], None, [("b", 7), ("c", 9)]],
+                            pa.map_(pa.string(), pa.field("value", pa.time32("s"), False))),
+            "large": pa.array([[1, 2], None, [], [3]], pa.large_list(item)),
+            "fixed": pa.array([[1, 2], [0, 59], [3, 4], [5, 6]], pa.list_(item, 2)),
+            "ts": pa.array([0, -86_401, None, 253_402_300_799], pa.timestamp("s")),
+            "ts_utc": pa.array([0, 1, 2, None], pa.timestamp("s", "UTC")),
+            "ts_list": pa.array([[1], None, [], [2, None]], pa.list_(pa.timestamp("s"))),
+        })
+        ours, theirs = str(tmp_path / "ours.parquet"), str(tmp_path / "theirs.parquet")
+        parquet_write.write_table(t, ours)
+        pq.write_table(t, theirs)
+
+        def shape(typ):
+            kid = typ.item_field if pa.types.is_map(typ) else (
+                typ.value_field if pa.types.is_nested(typ) else None)
+            return (typ, None) if kid is None else (kid.type, kid.nullable)
+
+        want = pq.read_schema(theirs)
+        got_table = read_table_conformance(ours)
+        for name in t.column_names:
+            assert shape(got_table.schema.field(name).type) == shape(want.field(name).type), name
+            got = shape(pq.read_schema(ours).field(name).type)
+            if name == "map":
+                # every map value in rayenc's Parquet schema is optional,
+                # which pyarrow trusts over ARROW:schema: type only
+                got = (got[0], False)
+            assert got == shape(want.field(name).type), name
+        expect = pq.read_table(theirs)
+        for name in t.column_names:
+            assert got_table.column(name).to_pylist() == expect.column(name).to_pylist(), name
+
     def test_duckdb_reads_our_time(self):
         t = pa.table({"t64": pa.array([3723000000], pa.time64("us"))})
         out = _tmp()
@@ -258,3 +295,15 @@ def test_pyarrow_coerced_date_and_time_read_as_stored():
     pq.write_table(t, path)
     assert read_table_conformance(path).equals(pq.read_table(path))
     assert read_table_conformance(path).column("d").to_pylist() == [datetime.date(2020, 1, 2), None]
+
+
+@pytest.mark.parametrize("store_schema", [True, False])
+def test_null_columns_read_like_pyarrow(tmp_path, store_schema):
+    # Parquet's Null logical type (UNKNOWN, union member 11), which
+    # pyarrow writes for pa.nulls
+    t = pa.table({"n": pa.nulls(5), "x": pa.array([1, 2, None, 4, 5], pa.int32())})
+    path = str(tmp_path / "nulls.parquet")
+    pq.write_table(t, path, store_schema=store_schema)
+    got = read_table_conformance(path)
+    assert got.equals(pq.read_table(path))
+    assert got.schema.field("n").type == pa.null()

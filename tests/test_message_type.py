@@ -2,13 +2,50 @@
 -> SchemaElement dicts -> arrow schema; print->parse->print fixpoint;
 ``cli encode --schema`` (parquet-column/.../schema/MessageTypeParser.java)."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from rayenc import parquet_write
 from rayenc.message_type import message_type_to_arrow, parse_message_type
 from rayenc.parquet_read_enc import EncryptedFile, format_message_type
+
+_spec = importlib.util.spec_from_file_location(
+    "parquet_identity",
+    os.path.join(os.path.dirname(__file__), "..", "scripts", "parquet_identity.py"),
+)
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def _catalogue() -> pa.Table:
+    """The identity matrix's ``annotated`` table plus ``timestamp[s]``,
+    which Parquet stores in milliseconds."""
+    t = identity.annotated_table()
+    for name, tz in (("ts_s", None), ("ts_s_utc", "UTC")):
+        t = t.append_column(name, pa.array([i * 86_401 - 5 for i in range(t.num_rows)],
+                                           pa.timestamp("s", tz)))
+    return t
+
+
+CATALOGUE = _catalogue().column_names
+# the catalogue columns pyarrow cannot annotate the way rayenc does
+_RAYENC_ONLY = set(identity.ANNOTATED.logical_annotations) | set(identity.ANNOTATED.geospatial)
+
+
+@pytest.fixture(scope="module")
+def catalogue(tmp_path_factory):
+    t = _catalogue()
+    d = tmp_path_factory.mktemp("catalogue")
+    ours, theirs = str(d / "rayenc.parquet"), str(d / "pyarrow.parquet")
+    parquet_write.write_table(t, ours, identity.ANNOTATED)
+    pq.write_table(t, theirs, store_schema=False)
+    return EncryptedFile(ours), theirs
+
 
 NESTED = """message spark_schema {
   required int64 id (INTEGER(64,true));
@@ -80,7 +117,8 @@ def test_legacy_annotation_spellings():
     assert sch.field("i16").type == pa.int16()
     assert sch.field("tsm").type == pa.timestamp("ms", "UTC")
     assert sch.field("tmu").type == pa.time64("us")
-    assert sch.field("j").type == pa.string()
+    # pyarrow derives binary for a JSON leaf (and for ENUM and BSON)
+    assert sch.field("j").type == pa.binary()
     # legacy spellings normalize to the modern printed annotations
     printed = format_message_type(parse_message_type(txt))
     assert "(STRING)" in printed and "(INTEGER(8,false))" in printed
@@ -129,3 +167,25 @@ def test_write_path_with_declared_schema(tmp_path):
     assert "optional int32 l_linenumber" in printed
     back = pq.read_table(path)
     assert back.column("l_orderkey").to_pylist() == src.column("l_orderkey").to_pylist()
+
+
+@pytest.mark.parametrize("column", CATALOGUE)
+def test_leaf_catalogue_maps_through_one_layer(catalogue, column):
+    f, theirs = catalogue
+    i = CATALOGUE.index(column)
+    text = format_message_type(f.schema_elems)
+    # 1. print -> parse gives back the footer element. The text names one
+    # annotation; where the footer holds only one of its two spellings
+    # (LogicalType or legacy ConvertedType) the parser adds the other
+    written = {**f.schema_elems[i + 1], 4: column}
+    parsed = parse_message_type(text)[i + 1]
+    assert {k: parsed[k] for k in written} == written
+    extra = set(parsed) - set(written)
+    assert not extra or extra == {6} and 10 in written or extra == {10} and 6 in written
+    # 2. the printed text derives the reader's no-ARROW:schema type
+    derived = message_type_to_arrow(f.schema_elems).field(column)
+    assert message_type_to_arrow(text).field(column) == derived
+    # 3. ... which is pyarrow's, for a type pyarrow can write
+    if column not in _RAYENC_ONLY:
+        assert derived == pq.read_schema(theirs).field(column)
+        assert EncryptedFile(theirs).arrow_schema().field(column) == derived
