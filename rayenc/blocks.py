@@ -37,14 +37,14 @@ from .codecs import (
     rle_for,
     rle_hybrid,
 )
-from .schema import PhysicalColumn, assemble, shred
+from .schema import PhysicalColumn, assemble, physical_type, shred
 
 MAGIC = b"RENC1\x00"
 
 
 class BlockFormatError(ValueError):
     """A container blob or chunk entry the decoder cannot read: a bad magic,
-    or a page skip / dictionary fast path asked of a chunk it does not fit."""
+    or a dictionary fast path asked of a chunk it does not fit."""
 
 
 # ---------------------------------------------------------------- page split
@@ -630,10 +630,15 @@ def _page_rows(entry: dict, leaf, t=None):
 
 
 @functools.lru_cache(maxsize=64)
+def _schema(schema_hex: str) -> pa.Schema:
+    """A manifest's Arrow schema, parsed once per distinct schema."""
+    return pa.ipc.read_schema(pa.py_buffer(bytes.fromhex(schema_hex)))
+
+
+@functools.lru_cache(maxsize=64)
 def _column_types(schema_hex: str) -> dict:
     """Arrow type of each top-level column of a manifest's schema."""
-    schema = pa.ipc.read_schema(pa.py_buffer(bytes.fromhex(schema_hex)))
-    return {f.name: f.type for f in schema}
+    return {f.name: f.type for f in _schema(schema_hex)}
 
 
 def partition_granules(manifest: dict):
@@ -691,20 +696,22 @@ def _read_chunk(blob, entry: dict, config, page_mask):
     return aux_buf, [read(p) for p in pages], pages
 
 
-def decode_chunk(
-    blob,
-    entry: dict,
-    config: sel.EncodeConfig | None = None,
-    page_mask: list[bool] | None = None,
-) -> PhysicalColumn:
-    if page_mask is not None and entry["validity"] is not None:
-        raise BlockFormatError(f"page skip only for non-null chunks: {entry['name']!r}")
-    aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, page_mask)
+def _validity(blob, entry: dict) -> np.ndarray | None:
+    """The chunk's validity stream (True = a value slot), None when it has
+    no nulls."""
+    vmeta = entry["validity"]
+    if not vmeta:
+        return None
+    vbuf = blob[vmeta["offset"] : vmeta["offset"] + vmeta["length"]]
+    return rle_hybrid.decode(vbuf, vmeta["count"], 1, np.uint8).astype(bool)
+
+
+def decode_chunk(blob, entry: dict, config: sel.EncodeConfig | None = None) -> PhysicalColumn:
+    """One chunk's values and null mask."""
+    aux_buf, page_bufs, pages = _read_chunk(blob, entry, config, None)
     col = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs)
-    if entry["validity"]:
-        vmeta = entry["validity"]
-        vbuf = blob[vmeta["offset"] : vmeta["offset"] + vmeta["length"]]
-        valid = rle_hybrid.decode(vbuf, vmeta["count"], 1, np.uint8).astype(bool)
+    valid = _validity(blob, entry)
+    if valid is not None:
         col.null_mask = ~valid
     return col
 
@@ -789,14 +796,11 @@ def _entry_page_ranges(entry):
     return [(int(s), int(e)) for s, e in zip(starts, ends)]
 
 
-def _kept_row_intervals(manifest, by_name, page_predicate, nrows):
-    """Rows that can satisfy the predicate, from per-page min/max of every
+def _kept_row_intervals(manifest, by_name, tree, nrows):
+    """Rows that can satisfy NNF ``tree``, from per-page min/max of every
     predicate column — the offset-index row-alignment of
     `internal/column/columnindex/` generalized to And/Or/Not trees across
     any number of columns. None when nothing was pruned."""
-    tree = P.normalize(page_predicate)
-    if tree is None:
-        return None
     types = _column_types(manifest["schema"])
 
     def leaf_rows(leaf):
@@ -813,37 +817,178 @@ def _kept_row_intervals(manifest, by_name, page_predicate, nrows):
     return kept
 
 
-def _take_rows(col: PhysicalColumn, idx: np.ndarray) -> PhysicalColumn:
-    if col.ptype == "BINARY":
-        offsets, data = col.values
+def _take_values(ptype: str, values, idx: np.ndarray):
+    """Physical ``values`` at ascending positions ``idx``; a run of
+    consecutive positions is a slice."""
+    a, b = int(idx[0]), int(idx[-1]) + 1
+    run = b - a == len(idx)
+    if ptype == "BINARY":
+        if run:
+            return _binary_slice(values, a, b)
+        offsets, data = values
         lens = offsets[idx + 1] - offsets[idx]
         new_off = np.zeros(len(idx) + 1, np.int64)
         np.cumsum(lens, out=new_off[1:])
-        from .codecs.delta_bp import _ranges
+        return new_off, data[plain._ranges(offsets[idx], lens)]
+    values = np.asarray(values)
+    return values[a:b] if run else values[idx]
 
-        new_data = data[_ranges(offsets[idx], lens)]
-        return PhysicalColumn(col.name, col.ptype, (new_off, new_data))
-    v = np.asarray(col.values)
-    return PhysicalColumn(col.name, col.ptype, v[idx], unsigned=col.unsigned)
+
+def _no_values(entry: dict):
+    """Zero values of ``entry``'s physical type."""
+    ptype = entry["ptype"]
+    if ptype == "BINARY":
+        return np.zeros(1, np.int64), np.empty(0, np.uint8)
+    if ptype == "FIXED_LEN_BYTE_ARRAY":
+        return np.empty((0, entry.get("flba_width", 0)), np.uint8)
+    return np.empty(0, bool if ptype == "BOOLEAN" else codecs._NUMERIC[ptype])
+
+
+class _BlockReader:
+    """The streams of one block, read at a selection of slots: each chunk
+    decodes only the pages that hold selected values, and a chunk that
+    several streams or both read phases need (aliases, predicate columns)
+    decodes each of its pages once. ``#lengths`` chunks decode whole: the
+    child positions of any list slot are a prefix sum over all of them."""
+
+    def __init__(self, blob, by_name: dict):
+        self.blob = blob
+        self.by_name = by_name
+        self._valid: dict = {}  # chunk -> (validity | None, value rank | None)
+        self._pages: dict = {}  # (chunk, dictionary?) -> (page mask | None, values)
+
+    def target(self, name: str) -> dict:
+        entry = self.by_name[name]
+        return self.by_name[entry["alias"]] if entry.get("alias") else entry
+
+    def dense(self, entry: dict, slots):
+        """(value positions, null mask) of ``slots`` in ``entry``: nullable
+        streams hold no values at null slots, so a slot's value position is
+        the number of valid slots before it."""
+        if slots is not None and not len(slots):
+            return slots, np.empty(0, bool) if entry["validity"] else None
+        name = entry["name"]
+        if name not in self._valid:
+            self._valid[name] = (_validity(self.blob, entry), None)
+        valid, rank = self._valid[name]
+        if valid is None:
+            return slots, None
+        if slots is None:
+            return None, ~valid
+        if rank is None:
+            rank = np.cumsum(valid) - 1
+            self._valid[name] = (valid, rank)
+        picked = valid[slots]
+        return rank[slots[picked]], ~picked
+
+    def values(self, entry: dict, idx, dictionary: bool = False):
+        """Values at ascending positions ``idx`` (None: all) of a chunk:
+        physical values, or a ``pa.DictionaryArray`` with ``dictionary``."""
+        if idx is not None and not len(idx):
+            if dictionary:
+                return pa.DictionaryArray.from_arrays(pa.array([], pa.int32()), pa.array([], pa.binary()))
+            return _no_values(entry)
+        need = None
+        if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
+            counts = np.array([p["num_values"] for p in entry["pages"]], np.int64)
+            ends = np.cumsum(counts)
+            # how many of the positions fall in each page
+            per_page = np.diff(np.searchsorted(idx, ends), prepend=0)
+            need = per_page > 0
+            if need.all():
+                need = None
+        key = (entry["name"], dictionary)
+        got = self._pages.get(key)
+        if got is None or (got[0] is not None and (need is None or (need & ~got[0]).any())):
+            if got is not None:
+                need = None if need is None else need | got[0]
+            if dictionary:
+                out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
+            else:
+                aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
+                out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs).values
+            got = self._pages[key] = (need, out)
+        mask, out = got
+        if idx is None:
+            return out
+        if mask is not None:
+            # positions within the decoded pages, which sit back to back;
+            # a partial decode implies ``need`` was worked out above
+            kept = np.where(mask, counts, 0)
+            idx = idx - np.repeat(ends - np.cumsum(kept), per_page)
+        if dictionary:
+            a, b = int(idx[0]), int(idx[-1]) + 1
+            return out.slice(a, b - a) if b - a == len(idx) else out.take(pa.array(idx, pa.int64()))
+        return _take_values(entry["ptype"], out, idx)
+
+    def streams(self, t: pa.DataType, name: str, slots, out: dict) -> None:
+        """Put the streams of field ``name`` (type ``t``) at ``slots`` (None:
+        all) into ``out`` as ``schema.assemble`` reads them, walking the
+        ``schema.shred`` layout: a list's ``#lengths`` map its slots to
+        child slots, a fixed-size list's slots scale by its width, and
+        struct children share their parent's slots."""
+        if pa.types.is_dictionary(t):
+            t = t.value_type
+        if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t):
+            key = f"{name}#lengths"
+            entry = self.target(key)
+            idx, nulls = self.dense(entry, slots)
+            if idx is not None and not len(idx):
+                lengths, child = np.empty(0, np.int32), idx
+            else:
+                lengths = self.values(entry, idx)
+                if idx is not None:
+                    offsets = np.cumsum(self.values(entry, None), dtype=np.int64)
+                    child = plain._ranges(offsets[idx] - lengths, lengths)
+                else:
+                    child = None
+            out[key] = (lengths, nulls)
+            if pa.types.is_map(t):
+                elem = pa.struct([t.key_field.with_name("key"), t.item_field.with_name("value")])
+            else:
+                elem = t.value_type
+            self.streams(elem, f"{name}#values", child, out)
+            return
+        if pa.types.is_fixed_size_list(t) or pa.types.is_struct(t):
+            key = f"{name}#valid"
+            if key in self.by_name:
+                self.streams(pa.bool_(), key, slots, out)
+            if pa.types.is_struct(t):
+                for c in t:
+                    self.streams(c.type, f"{name}#f:{c.name}", slots, out)
+                return
+            width = t.list_size
+            child = None if slots is None else (slots[:, None] * width + np.arange(width)).ravel()
+            self.streams(t.value_type, f"{name}#values", child, out)
+            return
+        entry = self.target(name)
+        idx, nulls = self.dense(entry, slots)
+        out[name] = (self.values(entry, idx), nulls)
 
 
 def decode_block(
     blob,
     manifest: dict,
     columns: list[str] | None = None,
-    page_predicate=None,
+    predicate=None,
     dictionary_strings: bool = False,
 ) -> pa.Table:
     """Decode a block; ``columns`` restricts decode to those top-level fields
-    (their list sub-chunks included) — chunk-level projection pushdown.
+    (their sub-chunks included) — chunk-level projection pushdown.
 
-    ``page_predicate`` enables page-level min/max skipping across any number
-    of predicate columns: per-column page masks become global row intervals
-    (pages -> row ranges, like parquet's offset index), the intervals
-    intersect, and every projected column decodes only the pages overlapping
-    the surviving rows, sliced back into row alignment. Applies when all
-    projected chunks are flat and non-null; otherwise decoding falls back to
-    full pages.
+    ``predicate`` (anything ``predicate.normalize`` accepts; its columns
+    need not be projected) makes the read exact and two-phase, the late
+    materialization of parquet-java's ``RowRanges`` reads:
+
+    1. the predicate columns decode over the pages whose min/max may match
+       (``_kept_row_intervals``) and ``predicate.mask`` picks the matching
+       rows;
+    2. every other projected column decodes only the pages that hold those
+       rows' values — list and map slots map to child values through
+       ``#lengths``, nullable streams through their validity — and the
+       predicate columns are taken from phase 1, not decoded again.
+
+    Only the matching rows come back.
 
     ``dictionary_strings=True`` keeps RLE_DICTIONARY-encoded flat string
     columns *encoded*: the chunk comes back as
@@ -852,15 +997,13 @@ def decode_block(
     way — `dictionary/DictionaryValuesReader.java`). For low-NDV columns
     this shrinks the decoded block by ~avg_len/4 and predicates evaluate on
     the NDV-sized dictionary (predicate.leaf_mask), not per row."""
+    import pyarrow.compute as pc
+
     if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BlockFormatError("bad block magic")
-    schema = pa.ipc.read_schema(pa.py_buffer(bytes.fromhex(manifest["schema"])))
-    if columns is not None:
-        schema = pa.schema([f for f in schema if f.name in set(columns)])
-        wanted = set(columns)
-    else:
-        wanted = None
-    by_name = {c["name"]: c for c in manifest["chunks"]}
+    schema = _schema(manifest["schema"])
+    tree = P.normalize(predicate)
+    pred_cols = sorted(P.columns(tree))
     # DEVNULL chunks (DevNullValuesWriter parity) are write-only: silently
     # absent from full decodes, an error when explicitly selected
     devnull = {
@@ -868,92 +1011,54 @@ def decode_block(
         for e in manifest["chunks"]
         if e.get("encoding") == "DEVNULL"
     }
-    if devnull:
-        if wanted is not None and wanted & devnull:
-            raise NotImplementedError(
-                f"columns {sorted(wanted & devnull)} were encoded DEVNULL "
-                "(write-only; DevNullValuesWriter semantics)"
-            )
-        schema = pa.schema([f for f in schema if f.name not in devnull])
-    proj = [
-        e
-        for e in manifest["chunks"]
-        if (wanted is None or e["name"].split("#")[0] in wanted)
-        and e["name"].split("#")[0] not in devnull
+    asked = devnull & (set(pred_cols) | set(columns or ()))
+    if asked:
+        raise NotImplementedError(
+            f"columns {sorted(asked)} were encoded DEVNULL "
+            "(write-only; DevNullValuesWriter semantics)"
+        )
+    fields = [
+        f for f in schema
+        if (columns is None or f.name in columns) and f.name not in devnull
     ]
-    kept = None
-    if page_predicate is not None and all(
-        "#" not in e["name"] and e["validity"] is None for e in proj
-    ):
-        kept = _kept_row_intervals(
-            manifest, by_name, page_predicate, manifest["num_rows"]
-        )
-    decoded: dict[str, object] = {}
-    dict_cols: set[str] = set()
+    by_name = {c["name"]: c for c in manifest["chunks"]}
+    reader = _BlockReader(blob, by_name)
 
-    def _dict_eligible(entry, target) -> bool:
-        if not dictionary_strings or "#" in entry["name"]:
-            return False
-        if target["encoding"] != "RLE_DICTIONARY" or target["ptype"] != "BINARY":
-            return False
-        if target["validity"] is not None:
-            return False
-        t = schema.field(entry["name"]).type
-        return (
-            pa.types.is_string(t)
-            or pa.types.is_large_string(t)
-            or pa.types.is_binary(t)
-            or pa.types.is_large_binary(t)
-        )
+    def read(field: pa.Field, rows) -> pa.Array:
+        entry = by_name.get(field.name)
+        if dictionary_strings and entry is not None:
+            target = reader.target(field.name)
+            if (
+                (target["encoding"], target["ptype"], target["validity"]) == ("RLE_DICTIONARY", "BINARY", None)
+                and not pa.types.is_dictionary(field.type)
+                and physical_type(field.type) == "BINARY"
+            ):
+                arr = reader.values(target, rows, dictionary=True)
+                if arr.dictionary.type != field.type:
+                    arr = pa.DictionaryArray.from_arrays(arr.indices, arr.dictionary.cast(field.type))
+                return arr
+        out: dict = {}
+        reader.streams(field.type, field.name, rows, out)
+        return assemble(field, out)
 
-    for entry in proj:
-        target = entry
-        if entry.get("alias"):
-            target = by_name[entry["alias"]]
-            if target["name"] in decoded:
-                if target["name"] in dict_cols and "#" in entry["name"]:
-                    # sub-chunk alias of a dictionary-decoded column: its
-                    # parent assembly needs materialized parts
-                    col = decode_chunk(blob, target)
-                    decoded[entry["name"]] = (col.values, col.null_mask)
-                else:
-                    decoded[entry["name"]] = decoded[target["name"]]
-                    if target["name"] in dict_cols:
-                        dict_cols.add(entry["name"])
-                continue
-        fast = _dict_eligible(entry, target)
+    rows = None  # all rows
+    matched: dict = {}
+    if tree is not None:
+        kept = _kept_row_intervals(manifest, by_name, tree, manifest["num_rows"])
         if kept is not None:
-            sel, local = P.page_slices(_entry_page_ranges(target), kept)
-            idx = np.concatenate(
-                [np.arange(s, s + n) for s, n in local] or [np.empty(0, np.int64)]
-            )
-            if fast:
-                arr = decode_chunk_dictionary(blob, target, page_mask=sel)
-                arr = arr.take(pa.array(idx, pa.int64()))
-            else:
-                col = decode_chunk(blob, target, page_mask=sel)
-                col = _take_rows(col, idx)
-        elif fast:
-            arr = decode_chunk_dictionary(blob, target)
-        else:
-            col = decode_chunk(blob, target)
-        if fast:
-            ft = schema.field(entry["name"]).type
-            if arr.dictionary.type != ft:
-                arr = pa.DictionaryArray.from_arrays(
-                    arr.indices, arr.dictionary.cast(ft)
-                )
-            decoded[entry["name"]] = arr
-            dict_cols.add(entry["name"])
-        else:
-            decoded[entry["name"]] = (col.values, col.null_mask)
-    arrays, fields = [], []
-    for field in schema:
-        if field.name in dict_cols:
-            arr = decoded[field.name]
-            arrays.append(arr)
-            fields.append(pa.field(field.name, arr.type, field.nullable))
-        else:
-            arrays.append(assemble(field, decoded))
-            fields.append(field)
-    return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
+            rows = np.concatenate([np.arange(a, b) for a, b in kept] or [np.empty(0, np.int64)])
+        for c in pred_cols:
+            matched[c] = read(schema.field(c), rows)
+        phase1 = pa.table(matched)
+        hit = P.mask(tree, phase1)
+        if isinstance(hit, pa.ChunkedArray):
+            hit = hit.combine_chunks()  # indices_nonzero crashes on zero chunks
+        hit = pc.indices_nonzero(hit)  # a null verdict fails
+        if rows is not None or len(hit) < manifest["num_rows"]:
+            matched = dict(zip(pred_cols, phase1.take(hit).columns))
+            hit = hit.to_numpy().astype(np.int64)
+            rows = hit if rows is None else rows[hit]
+    arrays = [matched[f.name] if f.name in matched else read(f, rows) for f in fields]
+    return pa.Table.from_arrays(
+        arrays, schema=pa.schema([f.with_type(a.type) for f, a in zip(fields, arrays)])
+    )

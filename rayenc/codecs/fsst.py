@@ -51,6 +51,14 @@ class SymbolTable:
     def __init__(self, symbols: list[bytes]):
         assert len(symbols) <= MAX_SYMBOLS
         self.symbols = symbols
+        self._by_len = None  # the match tables: built by the first compress
+
+    def _index(self) -> None:
+        """Build the tables ``compress`` matches against (decompress reads
+        ``symbols`` only), once."""
+        if self._by_len is not None:
+            return
+        symbols = self.symbols
         # per length: (sorted uint64 keys, code for each sorted key)
         self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -275,6 +283,7 @@ def compress(
         return offsets.copy(), np.empty(0, np.uint8)
     lengths = np.diff(offsets)
     pos_end = np.repeat(offsets[1:], lengths)  # string end for each byte pos
+    table._index()
     mlen, mcode = _match(table, data, pos_end)
 
     # greedy parse by rounds: round k emits the k-th token of every string,
@@ -344,10 +353,15 @@ def decompress(
     literal &= ~marker
     is_code = ~marker & ~literal
 
-    # output byte count per token
+    # the symbols as rows of a zero-padded matrix, and their lengths
+    k = len(table.symbols)
     sym_lens = np.zeros(256, np.int64)
-    for code, s in enumerate(table.symbols):
-        sym_lens[code] = len(s)
+    sym_lens[:k] = [len(s) for s in table.symbols]
+    sym_matrix = np.zeros((256, MAX_SYMBOL_LEN), np.uint8)
+    sym_matrix[:k][np.arange(MAX_SYMBOL_LEN) < sym_lens[:k, None]] = np.frombuffer(
+        b"".join(table.symbols), np.uint8
+    )
+    # output byte count per token
     out_bytes = np.zeros(len(data), np.int64)
     out_bytes[is_code & ~is_ff] = sym_lens[data[is_code & ~is_ff]]
     out_bytes[marker] = 1  # marker+literal pair emits 1 byte
@@ -357,25 +371,16 @@ def decompress(
     out_lengths = np.bincount(str_id, weights=out_bytes, minlength=n).astype(np.int64)
     out_offsets = np.zeros(n + 1, np.int64)
     np.cumsum(out_lengths, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    out = np.empty(total, np.uint8)
 
-    # destination position of each input byte's output
-    dst = np.cumsum(out_bytes) - out_bytes
-    # literals: copy the byte after each marker
-    out[dst[marker]] = data[np.flatnonzero(marker) + 1]
-    # symbols: scatter each symbol's bytes
-    code_pos = np.flatnonzero(is_code & ~is_ff & (out_bytes > 0))
-    if len(code_pos):
-        codes = data[code_pos]
-        lens = sym_lens[codes]
-        sym_matrix = np.zeros((256, MAX_SYMBOL_LEN), np.uint8)
-        for code, s in enumerate(table.symbols):
-            sym_matrix[code, : len(s)] = np.frombuffer(s, np.uint8)
-        dsts = _ranges(dst[code_pos], lens)
-        within = _ranges(np.zeros(len(code_pos), np.int64), lens)
-        out[dsts] = sym_matrix[np.repeat(codes, lens), within]
-    return out_offsets, out
+    # tokens emit their bytes in input order: one padded row per token (a
+    # code's symbol, or the literal after an escape marker), then the rows
+    # compacted to their lengths
+    tok = np.flatnonzero(out_bytes)
+    rows = sym_matrix.view(np.uint64)[data[tok], 0].view(np.uint8).reshape(-1, MAX_SYMBOL_LEN)
+    esc = marker[tok]
+    rows[esc, 0] = data[tok[esc] + 1]
+    keep = out_bytes[tok][:, None] > np.arange(MAX_SYMBOL_LEN)
+    return out_offsets, rows.reshape(-1)[keep.reshape(-1)]
 
 
 def train(offsets: np.ndarray, data: np.ndarray, seed: int = 0) -> SymbolTable:

@@ -77,9 +77,10 @@ def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
     """An ``ARROW:schema`` type with each timestamp's unit, and each date
     and time type, taken from its Parquet leaf (the stored type is the
     writer's pre-coercion type, not what the pages hold); the stored time
-    zone survives on UTC-adjusted leaves — pyarrow's
-    ApplyOriginalStorageMetadata rule. ``leaves`` iterates the Parquet
-    leaves in depth-first order."""
+    zone survives on UTC-adjusted leaves, and a string over a BYTE_ARRAY
+    leaf without the STRING annotation (JSON, ENUM, BSON) reads as the
+    leaf's binary — pyarrow's ApplyOriginalStorageMetadata rules.
+    ``leaves`` iterates the Parquet leaves in depth-first order."""
 
     def restore(t):
         leaf_t = next(leaves).type
@@ -90,6 +91,8 @@ def _restore_units(t: pa.DataType, leaves) -> pa.DataType:
             pa.types.is_time(t) and pa.types.is_time(leaf_t)
         ):
             return leaf_t  # date64 over INT32 days, time32[s] over MILLIS
+        if (pa.types.is_string(t) or pa.types.is_large_string(t)) and pa.types.is_binary(leaf_t):
+            return leaf_t
         return t
 
     return map_leaves(t, restore)
@@ -684,6 +687,7 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
 
 
 _FILE_CACHE: dict = {}
+_FILE_CACHE_SIZE = 8
 
 
 def _open_cached(path: str, decryption) -> "EncryptedFile":
@@ -691,8 +695,8 @@ def _open_cached(path: str, decryption) -> "EncryptedFile":
     one task per (file, row group), and Ray's long-lived workers would
     otherwise re-parse the same footer once per row group. Keyed on the
     file's identity (inode, size, mtime) so rewrites invalidate; the mmap is
-    read-only and shares pages across tasks. Bounded (reset at 8 files) —
-    workers touch few distinct files at a time."""
+    read-only and shares pages across tasks. Bounded at 8 files, evicting
+    the least recently used one."""
     import os as _os
 
     try:
@@ -701,12 +705,12 @@ def _open_cached(path: str, decryption) -> "EncryptedFile":
     except OSError:
         ident = None
     key = (path, ident, id(decryption) if decryption is not None else None)
-    f = _FILE_CACHE.get(key)
+    f = _FILE_CACHE.pop(key, None)
     if f is None:
-        if len(_FILE_CACHE) >= 8:
-            _FILE_CACHE.clear()
+        if len(_FILE_CACHE) >= _FILE_CACHE_SIZE:
+            del _FILE_CACHE[next(iter(_FILE_CACHE))]  # dicts keep insertion order
         f = EncryptedFile(path, decryption)
-        _FILE_CACHE[key] = f
+    _FILE_CACHE[key] = f  # most recently used last
     return f
 
 

@@ -218,9 +218,11 @@ class EncodeWorker:
 class DecodeWorker:
     """Streams container partitions back as Arrow tables, with read-side
     pruning: ``columns`` decodes only the needed chunks, ``predicate`` both
-    skips whole partitions via manifest min/max statistics (the column-index /
-    row-group skipping of `filter2/compat` + `internal/filter2/columnindex`)
-    and applies the exact row filter after decode."""
+    skips whole partitions via manifest min/max statistics and blooms (the
+    row-group skipping of `filter2/compat`) and is handed to
+    ``blocks.decode_block``, whose two-phase read returns exactly the
+    matching rows and decodes only the pages that hold them (the
+    column-index skipping of `internal/filter2/columnindex`)."""
 
     def __init__(self, out_dir: str, columns=None, predicate=None,
                  dictionary_strings: bool = False,
@@ -233,7 +235,6 @@ class DecodeWorker:
         self.columns = list(columns) if columns else None
         # legacy conjunction list OR an And/Or/Not tree (filter2 algebra)
         self.pred = P.normalize(predicate)
-        self.pred_cols = P.columns(self.pred)
         self.dictionary_strings = dictionary_strings
         # error-tolerant reads (UnmaterializableRecordCounter /
         # parquet.read.bad.record.threshold, per worker like the
@@ -265,16 +266,8 @@ class DecodeWorker:
                     continue
                 with open(os.path.join(self.out_dir, manifest["blob"]), "rb") as f:
                     blob = f.read()
-                # decode predicate columns even when the projection excludes
-                # them (the mask must see every referenced column; dropped
-                # after the filter)
-                decode_cols = self.columns
-                if self.columns is not None and self.pred is not None:
-                    decode_cols = self.columns + [
-                        c for c in sorted(self.pred_cols) if c not in self.columns
-                    ]
                 table = blocks.decode_block(
-                    blob, manifest, columns=decode_cols, page_predicate=self.pred,
+                    blob, manifest, columns=self.columns, predicate=self.pred,
                     dictionary_strings=self.dictionary_strings,
                 )
             except Exception as exc:
@@ -297,10 +290,9 @@ class DecodeWorker:
                     "skipping unreadable partition %s: %r", name, exc
                 )
                 continue
-            if self.pred is not None:
-                table = P.filter_table(self.pred, table)
-                if decode_cols is not self.columns:
-                    table = table.select(self.columns)
+            if self.pred is not None and self.columns is not None:
+                # filtered reads return the projection in the order asked
+                table = table.select(self.columns)
             if table.num_rows:
                 yield table
 

@@ -339,13 +339,15 @@ def test_dictionary_strings_decode_block():
     want = int(pc.sum(pc.equal(t.column("s"), "beta")).as_py())
     assert got.num_rows == want
 
-    # composes with page-predicate row-interval pruning
+    # composes with the two-phase predicate read: exactly the matching rows
     out2 = blocks.decode_block(
-        blob, man, page_predicate=[("x", ">=", 15000)], dictionary_strings=True
+        blob, man, predicate=[("x", ">=", 15000)], dictionary_strings=True
     )
-    got2 = P.filter_table(P.normalize([("x", ">=", 15000)]), out2)
-    assert got2.num_rows == 5000
-    assert pa.types.is_dictionary(got2.schema.field("s").type)
+    assert pa.types.is_dictionary(out2.schema.field("s").type)
+    want2 = t.filter(pc.greater_equal(t.column("x"), 15000))
+    assert out2.num_rows == want2.num_rows == 5000
+    assert out2.column("s").cast(pa.string()).equals(want2.column("s"))
+    assert out2.column("x").equals(want2.column("x"))
 
 
 def test_dictionary_strings_ineligible_falls_back():
@@ -377,10 +379,8 @@ def test_nan_pages_unbounded_and_kept():
     assert mask == [True, True]
     mask2 = blocks.page_mask_for_predicate(entry, [("x", ">", 20.0)])
     assert mask2 == [True, False]
-    out = blocks.decode_block(blob, manifest, page_predicate=[("x", ">", 3.0)])
-    import pyarrow.compute as pc
-    got = out.filter(pc.greater(out["x"], 3.0))
-    assert sorted(got["x"].to_pylist()) == [4.0, 10.0, 11.0, 12.0, 13.0]
+    out = blocks.decode_block(blob, manifest, predicate=[("x", ">", 3.0)])
+    assert out["x"].to_pylist() == [4.0, 10.0, 11.0, 12.0, 13.0]
 
 
 def test_devnull_write_only_columns():

@@ -117,3 +117,17 @@ def test_low_ndv_column():
     strings = (["common_crawl", "wikipedia", "github"] * 500)[:1400]
     buf, offsets, data = roundtrip(strings)
     assert len(buf) < len(data) // 2
+
+
+def test_deserialized_table_decodes_without_match_tables_and_compresses_alike():
+    strings = [f"source-{i % 7:02d}/{i:08d}?q=tok{i % 13}" for i in range(400)]
+    offsets, data = parts(strings)
+    table = fsst.train(offsets, data)
+    want = fsst.compress(table, offsets, data)
+    back, end = fsst.SymbolTable.deserialize(table.serialize())
+    assert end == len(table.serialize()) and back.symbols == table.symbols
+    o, d = fsst.decompress(back, *want)
+    assert binary_array(o, d).cast(pa.string()).to_pylist() == strings
+    assert back._by_len is None  # decoding reads the symbols only
+    got = fsst.compress(back, offsets, data)
+    assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()

@@ -307,3 +307,24 @@ def test_null_columns_read_like_pyarrow(tmp_path, store_schema):
     got = read_table_conformance(path)
     assert got.equals(pq.read_table(path))
     assert got.schema.field("n").type == pa.null()
+
+
+def test_json_enum_bson_strings_read_as_binary_like_pyarrow(tmp_path):
+    """A string column annotated JSON, ENUM or BSON has no STRING annotation,
+    so pyarrow reads it as binary whatever ``ARROW:schema`` stores."""
+    t = pa.table({
+        "j": pa.array(['{"a":1}', None]),
+        "e": pa.array(["x", "y"]),
+        "b": pa.array([b"\x00", b"\x01"]),
+        "lj": pa.array(["{}", "[]"], pa.large_string()),
+        "s": pa.array(["a", "b"]),
+    })
+    path = str(tmp_path / "ann.parquet")
+    cfg = EncodeConfig(logical_annotations={"j": "JSON", "e": "ENUM", "b": "BSON", "lj": "JSON"})
+    parquet_write.write_table(t, path, config=cfg)
+    ours, theirs = read_table_conformance(path), pq.read_table(path)
+    assert ours.schema == theirs.schema
+    assert [ours.schema.field(n).type for n in ("j", "e", "lj", "s")] == [
+        pa.binary(), pa.binary(), pa.binary(), pa.string()
+    ]
+    assert ours.equals(theirs)

@@ -160,13 +160,10 @@ def test_container_or_tree_page_skip_and_decode():
     )
     blob, manifest = _block_manifest(tbl)
     pred = P.Or(P.Lt("k", 50), P.GtEq("k", 950))
-    got = blocks.decode_block(blob, manifest, page_predicate=pred)
-    # page predicate alone keeps only overlapping pages (exact filter is the
-    # caller's job) — pages are 100 rows, so exactly pages 0 and 9 survive
-    assert got.num_rows == 200
-    ks = got.column("k").to_numpy()
-    assert ks.min() == 0 and ks.max() == n - 1
-    assert set(np.unique(ks // 100)) == {0, 9}
+    got = blocks.decode_block(blob, manifest, predicate=pred)
+    # pages are 100 rows, so only pages 0 and 9 decode; the read is exact
+    assert got.equals(P.filter_table(pred, tbl))
+    assert got.column("k").to_pylist() == list(range(50)) + list(range(950, n))
 
 
 def test_decode_dataset_compound_predicate(tmp_path, ray_session):
