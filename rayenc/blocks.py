@@ -974,7 +974,8 @@ def decode_block(
     dictionary_strings: bool = False,
 ) -> pa.Table:
     """Decode a block; ``columns`` restricts decode to those top-level fields
-    (their sub-chunks included) — chunk-level projection pushdown.
+    (their sub-chunks included), in the order asked — chunk-level
+    projection pushdown.
 
     ``predicate`` (anything ``predicate.normalize`` accepts; its columns
     need not be projected) makes the read exact and two-phase, the late
@@ -988,7 +989,9 @@ def decode_block(
        ``#lengths``, nullable streams through their validity — and the
        predicate columns are taken from phase 1, not decoded again.
 
-    Only the matching rows come back.
+    Only the matching rows come back. A predicate that cannot be evaluated
+    (a column the block lacks, a literal of the wrong type, a user predicate
+    that raises) raises ``predicate.PredicateError``.
 
     ``dictionary_strings=True`` keeps RLE_DICTIONARY-encoded flat string
     columns *encoded*: the chunk comes back as
@@ -1017,9 +1020,15 @@ def decode_block(
             f"columns {sorted(asked)} were encoded DEVNULL "
             "(write-only; DevNullValuesWriter semantics)"
         )
+    names = set(schema.names)
+    missing = sorted(set(pred_cols) - names)
+    if missing:
+        raise P.PredicateError(f"predicate columns {missing} are not in the block")
+    # the projection in the order asked (the schema's order when None)
     fields = [
-        f for f in schema
-        if (columns is None or f.name in columns) and f.name not in devnull
+        schema.field(c)
+        for c in (schema.names if columns is None else dict.fromkeys(columns))
+        if c in names and c not in devnull
     ]
     by_name = {c["name"]: c for c in manifest["chunks"]}
     reader = _BlockReader(blob, by_name)
@@ -1050,7 +1059,10 @@ def decode_block(
         for c in pred_cols:
             matched[c] = read(schema.field(c), rows)
         phase1 = pa.table(matched)
-        hit = P.mask(tree, phase1)
+        try:
+            hit = P.mask(tree, phase1)
+        except Exception as exc:
+            raise P.PredicateError(f"cannot evaluate {tree!r}: {exc!r}") from exc
         if isinstance(hit, pa.ChunkedArray):
             hit = hit.combine_chunks()  # indices_nonzero crashes on zero chunks
         hit = pc.indices_nonzero(hit)  # a null verdict fails

@@ -687,7 +687,6 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
 
 
 _FILE_CACHE: dict = {}
-_FILE_CACHE_SIZE = 8
 
 
 def _open_cached(path: str, decryption) -> "EncryptedFile":
@@ -695,8 +694,8 @@ def _open_cached(path: str, decryption) -> "EncryptedFile":
     one task per (file, row group), and Ray's long-lived workers would
     otherwise re-parse the same footer once per row group. Keyed on the
     file's identity (inode, size, mtime) so rewrites invalidate; the mmap is
-    read-only and shares pages across tasks. Bounded at 8 files, evicting
-    the least recently used one."""
+    read-only and shares pages across tasks. Bounded (reset at 8 files) —
+    workers touch few distinct files at a time."""
     import os as _os
 
     try:
@@ -705,12 +704,12 @@ def _open_cached(path: str, decryption) -> "EncryptedFile":
     except OSError:
         ident = None
     key = (path, ident, id(decryption) if decryption is not None else None)
-    f = _FILE_CACHE.pop(key, None)
+    f = _FILE_CACHE.get(key)
     if f is None:
-        if len(_FILE_CACHE) >= _FILE_CACHE_SIZE:
-            del _FILE_CACHE[next(iter(_FILE_CACHE))]  # dicts keep insertion order
+        if len(_FILE_CACHE) >= 8:
+            _FILE_CACHE.clear()
         f = EncryptedFile(path, decryption)
-    _FILE_CACHE[key] = f  # most recently used last
+        _FILE_CACHE[key] = f
     return f
 
 

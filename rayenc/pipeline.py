@@ -240,7 +240,8 @@ class DecodeWorker:
         # parquet.read.bad.record.threshold, per worker like the
         # reference's per-split counter): None = raise on the first bad
         # partition; a fraction in [0,1] tolerates that share of the
-        # partitions THIS worker has seen, then raises
+        # partitions THIS worker has seen, then raises. Only the data can
+        # be bad: a predicate that cannot be evaluated always raises
         self.bad_block_threshold = bad_block_threshold
         # denominator: the job's partition count (the reference's counter
         # divides by the split's total record count, known up front)
@@ -270,6 +271,8 @@ class DecodeWorker:
                     blob, manifest, columns=self.columns, predicate=self.pred,
                     dictionary_strings=self.dictionary_strings,
                 )
+            except P.PredicateError:
+                raise  # a fault of the query, not of this partition
             except Exception as exc:
                 # UnmaterializableRecordCounter semantics
                 # (hadoop/UnmaterializableRecordCounter.java): tolerate up
@@ -290,9 +293,6 @@ class DecodeWorker:
                     "skipping unreadable partition %s: %r", name, exc
                 )
                 continue
-            if self.pred is not None and self.columns is not None:
-                # filtered reads return the projection in the order asked
-                table = table.select(self.columns)
             if table.num_rows:
                 yield table
 

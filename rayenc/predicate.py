@@ -234,6 +234,13 @@ def columns(pred) -> set[str]:
 # --------------------------------------------------------------- exact masks
 
 
+class PredicateError(Exception):
+    """A predicate that cannot be evaluated over the rows it names: a
+    column the data does not have, a literal the column's type does not
+    compare with, a user predicate whose ``keep`` raised. A fault of the
+    query, not of the data read."""
+
+
 def leaf_mask(leaf: Leaf, arr):
     """Boolean mask of ``arr`` rows satisfying one leaf (nulls stay null)."""
     import pyarrow as pa

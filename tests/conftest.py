@@ -13,3 +13,21 @@ def ray_session():
     )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def decoded_pages(monkeypatch):
+    """Every value-page body that ``rayenc.codecs.decode_pages`` decodes
+    during the test, as bytes in call order — compare against a chunk's
+    stored page bodies to count the pages a read touched."""
+    import rayenc.codecs
+
+    seen = []
+    real = rayenc.codecs.decode_pages
+
+    def recording(encoding, ptype, bodies, *args, **kwargs):
+        seen.extend(bytes(body) for body, _n in bodies)
+        return real(encoding, ptype, bodies, *args, **kwargs)
+
+    monkeypatch.setattr(rayenc.codecs, "decode_pages", recording)
+    return seen

@@ -13,7 +13,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import given, settings, strategies as st
 
-import rayenc.codecs
 from rayenc import blocks, pipeline
 from rayenc import predicate as P
 from rayenc.selector import EncodeConfig
@@ -114,7 +113,7 @@ def test_two_phase_read_matches_filter_after_full_decode(
     assert _comparable(full).equals(_comparable(table))
     want = P.filter_table(P.normalize(tree), full)
     if columns is not None:
-        want = want.select([n for n in SCHEMA.names if n in columns])
+        want = want.select(columns)  # the projection in the order asked
     got = blocks.decode_block(
         blob, manifest, columns=columns, predicate=tree, dictionary_strings=dictionary_strings
     )
@@ -146,43 +145,27 @@ def _token_partition(tmp_path, rows=3000):
     return table, pages
 
 
-def _count_value_pages(monkeypatch, pages):
-    """Patch ``rayenc.codecs.decode_pages`` to count the ``pages`` it
-    decodes; returns the running count."""
-    seen = []
-    real = rayenc.codecs.decode_pages
-
-    def counting(encoding, ptype, bodies, *args, **kwargs):
-        seen.extend(body for body, _n in bodies if body in pages)
-        return real(encoding, ptype, bodies, *args, **kwargs)
-
-    monkeypatch.setattr(rayenc.codecs, "decode_pages", counting)
-    return seen
-
-
-def test_lookup_decodes_only_the_pages_of_the_matching_row(tmp_path, monkeypatch):
+def test_lookup_decodes_only_the_pages_of_the_matching_row(tmp_path, decoded_pages):
     table, pages = _token_partition(tmp_path)
     assert len(pages) > 20
-    seen = _count_value_pages(monkeypatch, pages)
     for row in (0, 1234, 2999):
-        seen.clear()
+        decoded_pages.clear()
         key = table["doc_id"][row].as_py()
         worker = pipeline.DecodeWorker(str(tmp_path), predicate=[("doc_id", "==", key)])
         (got,) = list(worker({"manifest": ["p.manifest.json"]}))
         assert got.equals(table.slice(row, 1))
-        assert 1 <= len(seen) <= 2
+        assert 1 <= len([b for b in decoded_pages if b in pages]) <= 2
 
 
-def test_predicate_matching_every_row_decodes_every_page(tmp_path, monkeypatch):
+def test_predicate_matching_every_row_decodes_every_page(tmp_path, decoded_pages):
     table, pages = _token_partition(tmp_path)
     assert len(pages) > 20
-    seen = _count_value_pages(monkeypatch, pages)
     worker = pipeline.DecodeWorker(
         str(tmp_path), columns=["tokens"], predicate=[("doc_id", "!=", "none")]
     )
     (got,) = list(worker({"manifest": ["p.manifest.json"]}))
     assert got.equals(table.select(["tokens"]))
-    assert sorted(seen) == sorted(pages)
+    assert sorted(b for b in decoded_pages if b in pages) == sorted(pages)
 
 
 def test_predicate_columns_need_not_be_projected(tmp_path):

@@ -446,6 +446,35 @@ def test_decode_bad_block_threshold(ray_session, token_parquet, tmp_path):
         ).materialize()
 
 
+def test_predicate_errors_are_not_bad_partitions(tmp_path):
+    # a predicate that cannot be evaluated is a fault of the query: it
+    # raises under any bad_block_threshold instead of skipping partitions
+    # (here each worker sees one of four partitions, so a counted error
+    # would stay within 0.5 and be skipped with a warning)
+    from rayenc import blocks
+    from rayenc import predicate as P
+
+    class Raises(P.UserPredicate):
+        def keep(self, array):
+            raise ValueError("udp failed")
+
+    names = []
+    for i in range(4):
+        t = pa.table({"k": pa.array(range(i * 10, i * 10 + 10), pa.int64())})
+        blob, manifest = blocks.encode_block(t, EncodeConfig(page_rows=4))
+        manifest["blob"] = f"p{i}.renc"
+        (tmp_path / f"p{i}.renc").write_bytes(blob)
+        (tmp_path / f"p{i}.manifest.json").write_text(json.dumps(manifest))
+        names.append(f"p{i}.manifest.json")
+    for pred in ([("k", "==", "5")], [("k", "udp", Raises())], [("nope", "==", 1)]):
+        for name in names:
+            worker = pipeline.DecodeWorker(
+                str(tmp_path), predicate=pred, bad_block_threshold=0.5, total_partitions=4
+            )
+            with pytest.raises(P.PredicateError):
+                list(worker({"manifest": [name]}))
+
+
 def test_decode_dataset_null_predicates(tmp_path):
     # IS NULL / IS NOT NULL pushdown: null_count stats veto partitions
     from rayenc import pipeline

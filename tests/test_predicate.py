@@ -150,7 +150,13 @@ def _block_manifest(tbl, cfg=None):
     return blob, manifest
 
 
-def test_container_or_tree_page_skip_and_decode():
+def _pages(blob, manifest, name):
+    """The page bodies stored for chunk ``name``, in page order."""
+    entry = next(c for c in manifest["chunks"] if c["name"] == name)
+    return [bytes(blob[p["offset"] : p["offset"] + p["length"]]) for p in entry["pages"]]
+
+
+def test_container_or_tree_page_skip_and_decode(decoded_pages):
     n = 1000
     tbl = pa.table(
         {
@@ -162,6 +168,10 @@ def test_container_or_tree_page_skip_and_decode():
     pred = P.Or(P.Lt("k", 50), P.GtEq("k", 950))
     got = blocks.decode_block(blob, manifest, predicate=pred)
     # pages are 100 rows, so only pages 0 and 9 decode; the read is exact
+    for name in ("k", "v"):
+        pages = _pages(blob, manifest, name)
+        assert len(pages) == 10
+        assert [b for b in decoded_pages if b in pages] == [pages[0], pages[9]]
     assert got.equals(P.filter_table(pred, tbl))
     assert got.column("k").to_pylist() == list(range(50)) + list(range(950, n))
 

@@ -352,19 +352,3 @@ def test_summary_probes_only_chunks_whose_data_is_in_the_file(tmp_path):
     os.utime(os.path.join(d, "part-1.parquet"), ns=(1, 1))
     plan = plan_from_summary(d, [("k", "==", v)])
     assert plan == summary_only[:4] + [(os.path.join(d, "part-1.parquet"), 2)]
-
-
-def test_open_file_cache_evicts_least_recently_used(tmp_path, monkeypatch):
-    monkeypatch.setattr(parquet_read_enc, "_FILE_CACHE", {})
-    paths = []
-    for i in range(parquet_read_enc._FILE_CACHE_SIZE + 1):
-        paths.append(str(tmp_path / f"f{i}.parquet"))
-        pq.write_table(pa.table({"x": [i]}), paths[-1])
-    opened = [parquet_read_enc._open_cached(p, None) for p in paths]
-    cached = [key[0] for key in parquet_read_enc._FILE_CACHE]
-    assert cached == paths[1:]  # the 8 most recent, oldest first
-    assert all(parquet_read_enc._open_cached(p, None) is f for p, f in zip(paths[1:], opened[1:]))
-    # a hit makes a file the most recent: the next miss evicts another one
-    parquet_read_enc._open_cached(paths[1], None)
-    parquet_read_enc._open_cached(paths[0], None)
-    assert [key[0] for key in parquet_read_enc._FILE_CACHE] == paths[3:] + [paths[1], paths[0]]

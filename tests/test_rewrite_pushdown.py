@@ -184,7 +184,7 @@ def test_string_stats_partition_skipping(tmp_path, ray_session):
     assert sorted(got.column("k").to_pylist()) == [k for k in keys if k >= "key-003500"]
 
 
-def test_multicolumn_page_skipping_block_level():
+def test_multicolumn_page_skipping_block_level(decoded_pages):
     from rayenc.blocks import encode_block, decode_block
     from rayenc.selector import EncodeConfig
 
@@ -200,6 +200,12 @@ def test_multicolumn_page_skipping_block_level():
     blob, manifest = encode_block(t, cfg)
     pred = [("a", ">=", 20_000), ("a", "<", 24_000), ("s", "<", "s30000")]
     got = decode_block(blob, manifest, predicate=pred)
+    # the a and s pages intersect to one page; b decodes only its rows
+    for name in ("a", "s", "b"):
+        entry = next(c for c in manifest["chunks"] if c["name"] == name)
+        pages = [blob[p["offset"] : p["offset"] + p["length"]] for p in entry["pages"]]
+        touched = [b for b in decoded_pages if b in pages]
+        assert 1 <= len(touched) < len(pages) / 2
     # the read is exact: the matching rows, still row-aligned across columns
     assert got.num_rows == 4000
     assert got.column("a").to_pylist() == list(range(20_000, 24_000))
