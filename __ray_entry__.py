@@ -4,7 +4,8 @@ Ray is initialised by the driver BEFORE this module is imported: nothing here
 calls ``ray.init()`` / ``ray.shutdown()``.
 
 Every ``queries()`` entry drives the full Ray Data pipeline (read_parquet ->
-plan partitions -> EncodeWorker actor pool -> blob+manifest -> DecodeWorker)
+plan partitions -> one EncodeWorker task per partition -> blob+manifest ->
+DecodeWorker)
 and returns decoded data, so the DuckDB oracle comparison *is* the
 encode->decode lossless gate per operator of SURVEY.md §2.
 """

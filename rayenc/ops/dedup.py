@@ -125,6 +125,13 @@ def _drop_empty_blocks(ds):
     return ray.data.from_arrow_refs(keep) if keep else ds
 
 
+def _join_partitions(join_partitions: int | None) -> int:
+    """``join_partitions``, or one per cluster CPU (at least 2)."""
+    from ..pipeline import _cluster_cpus
+
+    return join_partitions or max(2, _cluster_cpus(8))
+
+
 def remove_ids(
     ds,
     drop_ds,
@@ -166,7 +173,7 @@ def remove_ids(
         "drop set has %d ids > max_broadcast=%d: using partitioned anti-join",
         n_drop, max_broadcast,
     )
-    nparts = join_partitions or max(2, int(ray.cluster_resources().get("CPU", 8)))
+    nparts = _join_partitions(join_partitions)
     return ds.join(_drop_empty_blocks(drop_ds), "left_anti", nparts, on=(id_col,))
 
 
@@ -310,8 +317,6 @@ def minhash_lsh_pairs(
     replicated per band, a 16-32x shuffle-volume cut at bands=16); distinct
     candidate pairs then hash-join back to the signature dataset to compute
     the signature-estimated Jaccard."""
-    import ray
-
     rows = num_hashes // bands
     sig_width = num_hashes * 8
 
@@ -374,9 +379,7 @@ def minhash_lsh_pairs(
         .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
     )
 
-    nparts = join_partitions or max(
-        2, int(ray.cluster_resources().get("CPU", 8))
-    )
+    nparts = _join_partitions(join_partitions)
     j = cand.join(
         sigs_ds, "inner", nparts, on=("id_a",), right_on=(id_col,),
         left_suffix="", right_suffix="_a",
@@ -782,9 +785,7 @@ def _filter_pairs_by_wins(pairs, dup_wins, max_broadcast: int,
         "dup-window set has %d entries > max_broadcast=%d: left-semi join",
         n_dup, max_broadcast,
     )
-    nparts = join_partitions or max(
-        2, int(ray.cluster_resources().get("CPU", 8))
-    )
+    nparts = _join_partitions(join_partitions)
     return pairs.join(
         _drop_empty_blocks(dup_wins), "left_semi", nparts, on=("__w",)
     )
@@ -920,9 +921,7 @@ def _remove_spans(ds, pairs_deduped, pairs_ordinal, id_col, cut_batch,
     packed = _drop_empty_blocks(
         occ.groupby(id_col).map_groups(pack, batch_format="pyarrow")
     )
-    nparts = join_partitions or max(
-        2, int(ray.cluster_resources().get("CPU", 8))
-    )
+    nparts = _join_partitions(join_partitions)
     joined = ds.join(packed, "left_outer", nparts, on=(id_col,))
 
     def cut_joined(batch: pa.Table) -> pa.Table:

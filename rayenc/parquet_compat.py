@@ -542,6 +542,8 @@ def union_schemas(schemas, strict: bool = True):
     types, ``strict=False`` additionally widens numerics losslessly."""
     import pyarrow as pa
 
+    if not schemas:
+        return pa.schema([])
     uni = list(schemas[0])
     for s in schemas[1:]:
         uni = _union_fields(uni, list(s), strict, "")

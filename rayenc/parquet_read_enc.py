@@ -765,6 +765,9 @@ def read_table_filtered(
         return pa.field(c, fld.type)
 
     if columns is not None:
+        missing = [c for c in columns if schema.get_field_index(c) < 0]
+        if missing:
+            raise ValueError(f"column(s) {missing} not in {path}")
         out_names = list(columns)
         extra = [c for c in pred_cols if c not in columns]
         dec_schema = pa.schema(

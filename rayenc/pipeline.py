@@ -4,11 +4,17 @@ The engine's job lifecycle (SURVEY.md §3.3 "our lifecycle"):
 
     plan_partitions(parquet paths)        deterministic (file, row-group,
                                           row-range) descriptors
-    -> ray.data.from_items(descriptors)
-    -> map_batches(EncodeWorker, ...)     actor pool; each call reads its
-                                          fragment, encodes one block, writes
-                                          blob + manifest atomically
+    -> _launch(descriptors, task)         one Ray task per descriptor
+                                          (from_items + map_batches,
+                                          batch_size=1); each reads its
+                                          fragment, encodes one block and
+                                          commits it with _write_partition
     -> summary Dataset (tiny)             per-partition metrics
+
+Every job is built from the same three pieces: the footer planner
+(``plan_partitions``, ``_per_file``), the launcher (``_launch``: one item
+per task, one concurrency policy) and the partition writer
+(``_write_partition``: blob, then manifest, each an atomic rename).
 
 Parallelism comes from Ray Data's streaming executor — the reference has no
 distributed runtime of its own and leans on Hadoop/Spark tasks
@@ -38,6 +44,7 @@ import ray.data
 
 from . import blocks, parquet_compat
 from . import predicate as P
+from .parquet_read_enc import _open_cached, read_table_filtered
 from .selector import EncodeConfig
 
 DEFAULT_TARGET_BLOCK_BYTES = 64 << 20  # raw bytes per encode partition
@@ -64,22 +71,35 @@ def default_staging_dir(staging_dir: str | None, prefix: str) -> str:
     return tempfile.mkdtemp(prefix=prefix, dir="/tmp")
 
 
-def _plan_file(path: str, target_block_bytes: int) -> list[dict]:
-    """Partition descriptors for ONE file (footer metadata only)."""
-    md = pq.ParquetFile(path).metadata
+def _per_file(fn, paths: list[str], parallel: bool | None = None) -> list:
+    """``[fn(path) for path in paths]``: the footer reads of planning.
+    ``parallel`` runs them as Ray tasks — ParquetInputFormat's parallel
+    summary reading. Default: on above 64 files (100 TB lakes have
+    10^4–10^5 files; serial footer parsing would be minutes of driver
+    time). Results keep path order whatever the task completion order."""
+    if parallel is None:
+        parallel = len(paths) > 64
+    if parallel and paths:
+        remote = ray.remote(num_cpus=0.25)(fn)
+        return ray.get([remote.remote(p) for p in paths])
+    return [fn(p) for p in paths]
+
+
+def _plan_file(path: str, target_block_bytes: int, decryption=None) -> list[dict]:
+    """Partition descriptors for ONE file, from its footer's RowGroup
+    structs (field 2 total_byte_size, field 3 num_rows). rayenc's footer
+    parser reads them, so modular-encrypted files plan like plaintext."""
     descs: list[dict] = []
     cur_rgs: list[int] = []
     cur_bytes = 0
-    for rg in range(md.num_row_groups):
-        rg_meta = md.row_group(rg)
-        rg_bytes = rg_meta.total_byte_size
-        if rg_bytes > target_block_bytes * 2 and rg_meta.num_rows > 1:
+    for rg, rg_meta in enumerate(_open_cached(path, decryption).row_groups):
+        rg_bytes, rows = rg_meta[2], rg_meta[3]
+        if rg_bytes > target_block_bytes * 2 and rows > 1:
             if cur_rgs:
                 descs.append({"path": path, "row_groups": cur_rgs})
                 cur_rgs, cur_bytes = [], 0
             # split one giant row group into row ranges
             nsplit = int(np.ceil(rg_bytes / target_block_bytes))
-            rows = rg_meta.num_rows
             step = (rows + nsplit - 1) // nsplit
             for s in range(0, rows, step):
                 descs.append(
@@ -105,6 +125,7 @@ def plan_partitions(
     paths: list[str] | str,
     target_block_bytes: int = DEFAULT_TARGET_BLOCK_BYTES,
     parallel: bool | None = None,
+    decryption=None,
 ) -> list[dict]:
     """Deterministic partition descriptors from parquet row groups.
 
@@ -112,45 +133,64 @@ def plan_partitions(
     groups coalesce up to the target), or a row-range slice of one row group
     (giant row groups split). Partition ids are stable across runs.
 
-    ``parallel``: read footers with Ray tasks instead of a driver loop —
-    ParquetInputFormat's parallel summary reading. Default: on above 64
-    files (100 TB lakes have 10^4–10^5 files; serial footer parsing would
-    be minutes of driver time). Determinism is unchanged — descriptors are
+    ``parallel``: read footers with Ray tasks (see ``_per_file``).
+    ``decryption`` (a parquet_crypto.FileDecryption) opens
+    modular-encrypted footers. Determinism is unchanged — descriptors are
     ordered by sorted path regardless of task completion order."""
     if isinstance(paths, str):
         paths = [paths]
-    paths = sorted(paths)
-    if parallel is None:
-        parallel = len(paths) > 64
-    if parallel and paths:
-        plan_one = ray.remote(num_cpus=0.25)(_plan_file)
-        per_file = ray.get(
-            [plan_one.remote(p, target_block_bytes) for p in paths]
-        )
-        descs = [d for file_descs in per_file for d in file_descs]
-    else:
-        descs = [
-            d for p in paths for d in _plan_file(p, target_block_bytes)
-        ]
+
+    def plan(path: str) -> list[dict]:
+        return _plan_file(path, target_block_bytes, decryption)
+
+    per_file = _per_file(plan, sorted(paths), parallel)
+    descs = [d for file_descs in per_file for d in file_descs]
     for pid, d in enumerate(descs):
         d["pid"] = pid
     return descs
 
 
-def _read_fragment(desc: dict, columns=None) -> pa.Table:
-    f = pq.ParquetFile(desc["path"], memory_map=True)
-    rgs = [int(r) for r in desc["row_groups"]]
-    align = desc.get("align_schema")
+def _pending(descs: list[dict], done) -> list[dict]:
+    """The descriptors for which ``done(desc)`` is false, each with
+    ``row_start`` / ``row_count`` (-1 for whole row groups) so every
+    ``from_items`` row has the same keys."""
+    todo = [d for d in descs if not done(d)]
+    for d in todo:
+        d.setdefault("row_start", -1)
+        d.setdefault("row_count", -1)
+    return todo
+
+
+def _check_columns(requested, known, where: str) -> None:
+    """Fail at plan time on unknown columns — not from deep inside a Ray
+    task after work has launched."""
+    missing = set(requested or ()) - set(known)
+    if missing:
+        raise ValueError(
+            f"column(s) {sorted(missing)} not in {where} schema {sorted(known)}"
+        )
+
+
+def _read_fragment(desc: dict, columns=None, decryption=None) -> pa.Table:
+    path, rgs = desc["path"], [int(r) for r in desc["row_groups"]]
+    # pyarrow cannot open a PARE footer without a KMS factory
+    f = (pq.ParquetFile(path, memory_map=True) if decryption is None
+         else _open_cached(path, decryption))
     schema = None
-    if align:
+    if desc.get("align_schema"):
         # evolved-schema ingestion (encode_evolved_job): read only the
         # union columns this file has, widen/null-fill to the union after
-        schema = pa.ipc.read_schema(pa.py_buffer(bytes(align)))
+        schema = pa.ipc.read_schema(pa.py_buffer(bytes(desc["align_schema"])))
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns])
-        have = set(f.schema_arrow.names)
+        have = (f.schema_arrow if decryption is None else f.arrow_schema()).names
         columns = [c for c in schema.names if c in have]
-    table = f.read_row_groups(rgs, columns=columns, use_threads=False)
+    if decryption is None:
+        table = f.read_row_groups(rgs, columns=columns, use_threads=False)
+    else:
+        table = read_table_filtered(
+            path, None, columns=columns, decryption=decryption, row_groups=rgs
+        )
     if int(desc.get("row_start", -1)) >= 0:
         table = table.slice(int(desc["row_start"]), int(desc["row_count"]))
     if schema is not None:
@@ -158,34 +198,118 @@ def _read_fragment(desc: dict, columns=None) -> pa.Table:
     return table
 
 
+# ------------------------------------------------------------------- launcher
+
+
+def _cluster_cpus(default: int) -> int:
+    """The cluster's CPU count (``default`` before any node reports)."""
+    return int(ray.cluster_resources().get("CPU", default))
+
+
+def _launch(items: list[dict], task, concurrency=None) -> "ray.data.Dataset":
+    """Run ``task(item)`` once per item, one item per 1-CPU Ray task.
+
+    ``task`` returns a summary row (a dict of scalars), an Arrow table or
+    None; empty tables and None emit nothing. Tasks, not an actor pool: Ray
+    reuses worker processes across tasks and jobs, so heaps warmed once
+    stay warm (BASELINE.md). ``concurrency=None`` caps the tasks in flight
+    at min(12, cluster CPUs): BASELINE.md measured that more than 12
+    concurrently-faulting encode workers saturate the hypervisor page-fault
+    path while memory bandwidth flattens; each node of a real cluster
+    brings its own memory, so the cap is per node. An int is also capped
+    at the item count; a tuple goes to Ray as is."""
+    ds = ray.data.from_items(items)  # starts Ray if no session is up
+    if not items:
+        return ds
+    if concurrency is None:
+        concurrency = min(12, max(1, _cluster_cpus(4)))
+    if isinstance(concurrency, int):
+        concurrency = min(concurrency, len(items))
+    return ds.map_batches(
+        _run_task, fn_kwargs={"task": task}, batch_size=1,
+        concurrency=concurrency, num_cpus=1,
+    )
+
+
+def _run_task(batch: dict, *, task):
+    from .memtune import tune_process_memory
+
+    tune_process_memory()
+    out = task({key: _unbox(col[0]) for key, col in batch.items()})
+    if isinstance(out, dict):
+        yield {key: np.array([v]) for key, v in out.items()}
+    elif out is not None and out.num_rows:
+        yield out
+
+
+def _unbox(v):
+    return v.item() if hasattr(v, "item") and not isinstance(v, (list, np.ndarray)) else v
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    # the first write of a job creates its output directory (also when a
+    # user deleted it since the job was planned)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+def _write_partition(out_dir: str, stem: str, blob: bytes, manifest: dict) -> None:
+    """Commit one container partition: ``{stem}.renc``, then
+    ``{stem}.manifest.json`` naming it, each through ``_atomic_write``.
+    The manifest is the commit record (``completed_pids``), so a task
+    killed between the two writes leaves a partition that resume redoes —
+    ParquetOutputCommitter's commit as one atomic put per object."""
+    manifest["blob"] = f"{stem}.renc"
+    _atomic_write(os.path.join(out_dir, manifest["blob"]), blob)
+    _atomic_write(
+        os.path.join(out_dir, f"{stem}.manifest.json"), json.dumps(manifest).encode()
+    )
+
+
+def _write_parquet(table: pa.Table, final: str, config, encryption) -> int:
+    """Write one Parquet output file through a temporary name and an
+    atomic rename; returns its size."""
+    from . import parquet_write
+
+    tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
+    parquet_write.write_table(table, tmp, config, encryption=encryption)
+    os.replace(tmp, final)
+    return os.path.getsize(final)
+
+
+def _manifests(out_dir: str) -> list[str]:
+    return sorted(n for n in os.listdir(out_dir) if n.endswith(".manifest.json"))
+
+
+def _load_partition(out_dir: str, name: str) -> tuple[dict, bytes]:
+    """The manifest ``name`` of a container and the blob it names."""
+    with open(os.path.join(out_dir, name), "rb") as f:
+        manifest = json.loads(f.read())
+    with open(os.path.join(out_dir, manifest["blob"]), "rb") as f:
+        return manifest, f.read()
+
+
 # ------------------------------------------------------------------- workers
 
 
 class EncodeWorker:
-    """Stateful actor: holds config; reads a fragment, encodes, writes
-    blob+manifest atomically, emits a summary row (SURVEY.md §7.2)."""
+    """Reads a fragment, encodes it, commits blob + manifest with
+    ``_write_partition`` and returns a summary row (SURVEY.md §7.2)."""
 
-    def __init__(self, out_dir: str, config: EncodeConfig | None = None, columns=None):
-        from .memtune import tune_process_memory
-
-        tune_process_memory()
+    def __init__(self, out_dir: str, config: EncodeConfig | None = None, columns=None,
+                 decryption=None):
         self.out_dir = out_dir
         self.config = config or EncodeConfig()
         self.columns = columns
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __call__(self, batch: dict) -> dict:
-        rows = []
-        n = len(batch["pid"])
-        for k in range(n):
-            desc = {key: _unbox(batch[key][k]) for key in batch}
-            rows.append(self.encode_one(desc))
-        return {key: np.array([r[key] for r in rows]) for key in rows[0]}
+        self.decryption = decryption
 
     def encode_one(self, desc: dict) -> dict:
         pid = int(desc["pid"])
         t0 = time.perf_counter()
-        table = _read_fragment(desc, self.columns)
+        table = _read_fragment(desc, self.columns, self.decryption)
         t_read = time.perf_counter() - t0
         t0 = time.perf_counter()
         blob, manifest = blocks.encode_block(table, self.config)
@@ -198,13 +322,7 @@ class EncodeWorker:
         }
         manifest["pid"] = pid
         manifest["timings"] = {"read_s": t_read, "encode_s": t_enc}
-        blob_name = f"part-{pid:06d}.renc"
-        _atomic_write(os.path.join(self.out_dir, blob_name), blob)
-        manifest["blob"] = blob_name
-        _atomic_write(
-            os.path.join(self.out_dir, f"part-{pid:06d}.manifest.json"),
-            json.dumps(manifest).encode(),
-        )
+        _write_partition(self.out_dir, f"part-{pid:06d}", blob, manifest)
         return {
             "pid": pid,
             "rows": table.num_rows,
@@ -228,9 +346,6 @@ class DecodeWorker:
                  dictionary_strings: bool = False,
                  bad_block_threshold: float | None = None,
                  total_partitions: int | None = None):
-        from .memtune import tune_process_memory
-
-        tune_process_memory()
         self.out_dir = out_dir
         self.columns = list(columns) if columns else None
         # legacy conjunction list OR an And/Or/Not tree (filter2 algebra)
@@ -258,89 +373,62 @@ class DecodeWorker:
 
     def __call__(self, batch: dict):
         for name in batch["manifest"]:
-            self._seen += 1
-            try:
-                manifest = json.loads(
-                    open(os.path.join(self.out_dir, str(name)), "rb").read()
-                )
-                if self._skip_by_stats(manifest):
-                    continue
-                with open(os.path.join(self.out_dir, manifest["blob"]), "rb") as f:
-                    blob = f.read()
-                table = blocks.decode_block(
-                    blob, manifest, columns=self.columns, predicate=self.pred,
-                    dictionary_strings=self.dictionary_strings,
-                )
-            except P.PredicateError:
-                raise  # a fault of the query, not of this partition
-            except Exception as exc:
-                # UnmaterializableRecordCounter semantics
-                # (hadoop/UnmaterializableRecordCounter.java): tolerate up
-                # to bad_block_threshold of this worker's partitions, then
-                # fail the task
-                self._bad += 1
-                if self.bad_block_threshold is None:
-                    raise
-                denom = self.total_partitions or self._seen
-                if self._bad > self.bad_block_threshold * denom:
-                    raise RuntimeError(
-                        f"bad partition rate {self._bad}/{denom} exceeds "
-                        f"threshold {self.bad_block_threshold}: {name}: {exc!r}"
-                    ) from exc
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "skipping unreadable partition %s: %r", name, exc
-                )
-                continue
-            if table.num_rows:
+            table = self.decode_one(str(name))
+            if table is not None:
                 yield table
+
+    def decode_one(self, name: str) -> "pa.Table | None":
+        """The matching rows of partition ``name``; None when statistics
+        prune it, no row matches, or it is unreadable and tolerated."""
+        self._seen += 1
+        try:
+            with open(os.path.join(self.out_dir, name), "rb") as f:
+                manifest = json.loads(f.read())
+            if self._skip_by_stats(manifest):
+                return None
+            with open(os.path.join(self.out_dir, manifest["blob"]), "rb") as f:
+                blob = f.read()
+            table = blocks.decode_block(
+                blob, manifest, columns=self.columns, predicate=self.pred,
+                dictionary_strings=self.dictionary_strings,
+            )
+        except P.PredicateError:
+            raise  # a fault of the query, not of this partition
+        except Exception as exc:
+            # UnmaterializableRecordCounter semantics
+            # (hadoop/UnmaterializableRecordCounter.java): tolerate up
+            # to bad_block_threshold of this worker's partitions, then
+            # fail the task
+            self._bad += 1
+            if self.bad_block_threshold is None:
+                raise
+            denom = self.total_partitions or self._seen
+            if self._bad > self.bad_block_threshold * denom:
+                raise RuntimeError(
+                    f"bad partition rate {self._bad}/{denom} exceeds "
+                    f"threshold {self.bad_block_threshold}: {name}: {exc!r}"
+                ) from exc
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "skipping unreadable partition %s: %r", name, exc
+            )
+            return None
+        return table if table.num_rows else None
 
 
 _WORKER_CACHE: dict = {}
 
 
-def _encode_batch_task(batch: dict, *, out_dir: str, config=None, columns=None) -> dict:
-    """Task-mode UDF: reuses a per-process EncodeWorker so Ray's long-lived
-    worker processes keep warm heaps across tasks and across jobs (this host
-    re-cools freed pages; see rayenc/memtune.py). Stateless semantics are
-    unchanged — encode is a pure function of (fragment, config)."""
-    key = ("enc", out_dir, repr(config), tuple(columns) if columns else None)
+def _decode_worker(*args) -> DecodeWorker:
+    """This process's DecodeWorker for ``args``: Ray reuses worker
+    processes across tasks, and a worker's bad-partition count spans every
+    task it runs."""
+    key = repr(args)
     w = _WORKER_CACHE.get(key)
     if w is None:
-        w = EncodeWorker(out_dir, config, columns)
-        _WORKER_CACHE[key] = w
-    return w(batch)
-
-
-def _decode_batch_task(batch: dict, *, out_dir: str, columns=None, predicate=None,
-                       dictionary_strings: bool = False,
-                       bad_block_threshold: float | None = None,
-                       total_partitions: int | None = None):
-    key = ("dec", out_dir, tuple(columns) if columns else None, repr(predicate),
-           dictionary_strings, bad_block_threshold)
-    w = _WORKER_CACHE.get(key)
-    if w is None:
-        w = DecodeWorker(out_dir, columns, predicate, dictionary_strings,
-                         bad_block_threshold, total_partitions)
-        _WORKER_CACHE[key] = w
-    yield from w(batch)
-
-
-def _unbox(v):
-    return v.item() if hasattr(v, "item") and not isinstance(v, (list, np.ndarray)) else v
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    # re-ensure the directory: workers are cached per (out_dir, config)
-    # across jobs in a Ray session, so a user deleting the output dir and
-    # re-running the job would otherwise hit FileNotFoundError from the
-    # cached worker whose __init__ mkdir ran in a previous job
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+        w = _WORKER_CACHE[key] = DecodeWorker(*args)
+    return w
 
 
 # ---------------------------------------------------------------------- jobs
@@ -351,14 +439,13 @@ def completed_pids(out_dir: str) -> set[int]:
     done = set()
     if not os.path.isdir(out_dir):
         return done
-    for name in os.listdir(out_dir):
-        if name.endswith(".manifest.json"):
-            try:
-                manifest = json.loads(open(os.path.join(out_dir, name), "rb").read())
-            except (json.JSONDecodeError, OSError):
-                continue
-            if os.path.exists(os.path.join(out_dir, manifest["blob"])):
-                done.add(int(manifest["pid"]))
+    for name in _manifests(out_dir):
+        try:
+            manifest = json.loads(open(os.path.join(out_dir, name), "rb").read())
+        except (json.JSONDecodeError, OSError):
+            continue
+        if os.path.exists(os.path.join(out_dir, manifest["blob"])):
+            done.add(int(manifest["pid"]))
     return done
 
 
@@ -371,65 +458,32 @@ def encode_job(
     resume: bool = True,
     concurrency: int | tuple | None = None,
     target_block_bytes: int = DEFAULT_TARGET_BLOCK_BYTES,
-    use_actors: bool = False,
     align_schema: "pa.Schema | None" = None,
+    decryption=None,
 ) -> "ray.data.Dataset":
     """Encode parquet files into the renc container. Returns the summary
     Dataset (one small row per partition) — consuming it drives the job.
 
     ``align_schema``: union schema for evolved inputs (see
     encode_evolved_job) — every fragment aligns to it before encoding.
+    ``decryption`` (a parquet_crypto.FileDecryption): the inputs are
+    modular-encrypted — the data-lake ingestion path where sources carry
+    AES-GCM encryption. They plan from rayenc's footer parser and read
+    through ``read_table_filtered``; the keys travel inside the task and
+    are never written to a manifest.
 
-    use_actors=False (default) runs the stage as Ray tasks: encode state is
-    per-chunk (dictionary / FSST symbol tables live for one partition, the
-    ``toDictPageAndClose`` scope), and Ray's long-lived worker processes keep
-    heaps warm across tasks AND jobs — measurably faster on this host
-    (BASELINE.md). use_actors=True runs the same worker as an actor pool
-    (``map_batches(EncodeWorker, concurrency=...)``), the shape to use when a
-    stage holds cross-partition state (e.g. a corpus-trained FSST table)."""
-    descs = plan_partitions(paths, target_block_bytes)
+    Encode state is per chunk (dictionary / FSST symbol tables live for one
+    partition, the ``toDictPageAndClose`` scope), so each partition is one
+    independent task."""
+    descs = plan_partitions(paths, target_block_bytes, decryption=decryption)
     if align_schema is not None:
         blob = align_schema.serialize().to_pybytes()
         for d in descs:
             d["align_schema"] = blob
-    if resume:
-        done = completed_pids(out_dir)
-        descs = [d for d in descs if d["pid"] not in done]
-    if not descs:
-        return ray.data.from_items([])
-    # fill defaults for schema stability across descriptors
-    for d in descs:
-        d.setdefault("row_start", -1)
-        d.setdefault("row_count", -1)
-    ds = ray.data.from_items(descs)
-    if concurrency is None:
-        # measured on this host: >12 concurrently-faulting encode workers
-        # saturate the hypervisor page-fault path (sys-time explosion) while
-        # memory bandwidth flattens; on a real multi-node cluster each node
-        # brings its own memory, so the cap is per-node (BASELINE.md).
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    concurrency = (
-        min(concurrency, len(descs))
-        if isinstance(concurrency, int)
-        else concurrency
-    )
-    if use_actors:
-        return ds.map_batches(
-            EncodeWorker,
-            fn_constructor_kwargs={
-                "out_dir": out_dir, "config": config, "columns": columns
-            },
-            batch_size=1,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    return ds.map_batches(
-        _encode_batch_task,
-        fn_kwargs={"out_dir": out_dir, "config": config, "columns": columns},
-        batch_size=1,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    done = completed_pids(out_dir) if resume else set()
+    descs = _pending(descs, lambda d: d["pid"] in done)
+    worker = EncodeWorker(out_dir, config, columns, decryption)
+    return _launch(descs, worker.encode_one, concurrency)
 
 
 def encode_dataset_job(
@@ -446,8 +500,6 @@ def encode_dataset_job(
     partitioned job so resume/lineage semantics hold. The staging cost is one
     extra sequential write; sources that are already parquet should call
     ``encode_job`` directly."""
-    import tempfile
-
     staging = default_staging_dir(staging_dir, "rayenc-stage-")
     # sources that arrive as many tiny blocks (read_json on small files)
     # would otherwise stage one micro parquet file per block
@@ -478,6 +530,8 @@ def ingest_jsonl_job(
     once, then the deterministic resumable encode)."""
     if isinstance(paths, str):
         paths = [paths]
+    if not paths:
+        return ray.data.from_items([])
     ds = ray.data.read_json(paths)
     if columns is not None:
         ds = ds.select_columns(columns)
@@ -505,55 +559,24 @@ def transcode_parquet_job(
     atomic via rename). ``encryption`` (a parquet_crypto.FileEncryption)
     writes every output file modular-encrypted — the cluster-scale analog of
     ParquetRewriter re-encryption."""
-    descs = plan_partitions(paths, target_block_bytes)
     os.makedirs(out_dir, exist_ok=True)
-    if resume:
-        descs = [
-            d
-            for d in descs
-            if not os.path.exists(os.path.join(out_dir, f"part-{d['pid']:06d}.parquet"))
-        ]
-    if not descs:
-        return ray.data.from_items([])
-    for d in descs:
-        d.setdefault("row_start", -1)
-        d.setdefault("row_count", -1)
 
-    def transcode(batch: dict) -> dict:
-        from .memtune import tune_process_memory
-        from . import parquet_write
+    def final(pid: int) -> str:
+        return os.path.join(out_dir, f"part-{pid:06d}.parquet")
 
-        tune_process_memory()
-        rows = []
-        n = len(batch["pid"])
-        for k in range(n):
-            desc = {key: _unbox(batch[key][k]) for key in batch}
-            pid = int(desc["pid"])
-            t0 = time.perf_counter()
-            table = _read_fragment(desc)
-            final = os.path.join(out_dir, f"part-{pid:06d}.parquet")
-            tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
-            parquet_write.write_table(table, tmp, config, encryption=encryption)
-            os.replace(tmp, final)
-            rows.append(
-                {
-                    "pid": pid,
-                    "rows": table.num_rows,
-                    "out_bytes": os.path.getsize(final),
-                    "seconds": time.perf_counter() - t0,
-                }
-            )
-        return {key: np.array([r[key] for r in rows]) for key in rows[0]}
-
-    ds = ray.data.from_items(descs)
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ds.map_batches(
-        transcode,
-        batch_size=1,
-        concurrency=min(concurrency, len(descs)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
+    descs = _pending(
+        plan_partitions(paths, target_block_bytes),
+        lambda d: resume and os.path.exists(final(d["pid"])),
     )
+
+    def transcode(desc: dict) -> dict:
+        t0 = time.perf_counter()
+        table = _read_fragment(desc)
+        out_bytes = _write_parquet(table, final(desc["pid"]), config, encryption)
+        return {"pid": desc["pid"], "rows": table.num_rows, "out_bytes": out_bytes,
+                "seconds": time.perf_counter() - t0}
+
+    return _launch(descs, transcode, concurrency)
 
 
 def _grouped_value_bytes(batch: pa.Table) -> np.ndarray:
@@ -592,6 +615,8 @@ def encode_grouped_job(
     row per (batch, key), then only the groupby exchange moves rows, once."""
     if isinstance(paths, str):
         paths = [paths]
+    if not paths:
+        return ray.data.from_items([])
     os.makedirs(out_dir, exist_ok=True)
     config = config or EncodeConfig()
 
@@ -668,8 +693,6 @@ def encode_grouped_job(
         )
 
     def encode_bucket(group: pa.Table) -> pa.Table:
-        from . import blocks as blocks_mod
-
         group = group.sort_by([(key, "ascending")])
         bucket = int(group.column("__bucket")[0].as_py())
         group = group.drop_columns(["__bucket"])
@@ -685,16 +708,10 @@ def encode_grouped_job(
             hi = int(np.searchsorted(cum, base + max_block_value_bytes, "right"))
             end = max(start + 1, min(hi, start + max_block_rows, group.num_rows))
             block = group.slice(start, end - start)
-            blob, manifest = blocks_mod.encode_block(block, config)
+            blob, manifest = blocks.encode_block(block, config)
             manifest["pid"] = bucket * 10_000 + seq
             manifest["lineage"] = {"bucket": bucket, "seq": seq, "key": key}
-            blob_name = f"bucket-{bucket:04d}-{seq:04d}.renc"
-            _atomic_write(os.path.join(out_dir, blob_name), blob)
-            manifest["blob"] = blob_name
-            _atomic_write(
-                os.path.join(out_dir, f"bucket-{bucket:04d}-{seq:04d}.manifest.json"),
-                json.dumps(manifest).encode(),
-            )
+            _write_partition(out_dir, f"bucket-{bucket:04d}-{seq:04d}", blob, manifest)
             vb = int(cum[end - 1] - (cum[start - 1] if start else 0))
             out_rows.append((bucket, seq, block.num_rows, len(blob), vb))
             start = end
@@ -731,51 +748,22 @@ def export_parquet_job(
     parquet -> container -> parquet lifecycle). Completed partitions are
     skipped on re-submit."""
     os.makedirs(out_dir, exist_ok=True)
-    manifests = sorted(
-        n for n in os.listdir(container_dir) if n.endswith(".manifest.json")
-    )
-    if resume:
-        manifests = [
-            m for m in manifests
-            if not os.path.exists(
-                os.path.join(out_dir, m.replace(".manifest.json", ".parquet"))
-            )
-        ]
-    if not manifests:
-        return ray.data.from_items([])
 
-    def export(batch: dict) -> dict:
-        from .memtune import tune_process_memory
-        from . import blocks as blocks_mod
-        from . import parquet_write
+    def final(name: str) -> str:
+        return os.path.join(out_dir, name.replace(".manifest.json", ".parquet"))
 
-        tune_process_memory()
-        rows = []
-        for name in batch["manifest"]:
-            name = str(name)
-            manifest = json.loads(
-                open(os.path.join(container_dir, name), "rb").read()
-            )
-            with open(os.path.join(container_dir, manifest["blob"]), "rb") as f:
-                blob = f.read()
-            table = blocks_mod.decode_block(blob, manifest)
-            final = os.path.join(out_dir, name.replace(".manifest.json", ".parquet"))
-            tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
-            parquet_write.write_table(table, tmp, config, encryption=encryption)
-            os.replace(tmp, final)
-            rows.append({"manifest": name, "rows": table.num_rows,
-                         "out_bytes": os.path.getsize(final)})
-        return {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    manifests = [
+        m for m in _manifests(container_dir) if not (resume and os.path.exists(final(m)))
+    ]
 
-    ds = ray.data.from_items([{"manifest": m} for m in manifests])
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ds.map_batches(
-        export,
-        batch_size=1,
-        concurrency=min(concurrency, len(manifests)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
-    )
+    def export(item: dict) -> dict:
+        name = item["manifest"]
+        manifest, blob = _load_partition(container_dir, name)
+        table = blocks.decode_block(blob, manifest)
+        out_bytes = _write_parquet(table, final(name), config, encryption)
+        return {"manifest": name, "rows": table.num_rows, "out_bytes": out_bytes}
+
+    return _launch([{"manifest": m} for m in manifests], export, concurrency)
 
 
 def decode_dataset(
@@ -785,9 +773,13 @@ def decode_dataset(
     """Stream the encoded container back as a Dataset of Arrow blocks.
 
     columns: decode only these top-level columns (chunk-level pruning).
-    predicate: [(col, op, value), ...] conjunctions; partitions whose manifest
-    min/max statistics exclude the predicate are skipped without reading the
-    blob, then the exact filter is applied to decoded rows.
+    predicate: anything ``predicate.normalize`` accepts (a
+    ``[(col, op, value), ...]`` conjunction list or an And/Or/Not tree).
+    Partitions whose manifest statistics and blooms exclude it are skipped
+    without reading the blob; ``blocks.decode_block`` reads the rest in two
+    phases — the predicate's columns over the pages their min/max keep,
+    then only the pages that hold the matching rows — and returns exactly
+    the matching rows.
     dictionary_strings: keep RLE_DICTIONARY flat string columns as Arrow
     DictionaryArray (ids + NDV-sized dictionary) instead of materializing —
     low-NDV columns stay small in the object store and predicates evaluate
@@ -798,52 +790,30 @@ def decode_dataset(
     per-split counter) — None fails fast on the first unreadable
     partition; a fraction skips unreadable partitions (with a warning)
     until their share of a worker's partitions exceeds it."""
-    manifests = sorted(
-        n for n in os.listdir(out_dir) if n.endswith(".manifest.json")
-    )
+    manifests = _manifests(out_dir)
     if (predicate is not None or columns is not None) and manifests:
-        # fail at PLAN time on unknown columns — not as a KeyError from deep
-        # inside a Ray task after work has launched
-        def _names(manifest: str) -> set:
-            with open(os.path.join(out_dir, manifest)) as f:
+        requested = P.columns(P.normalize(predicate)) if predicate else set()
+        requested |= set(columns or ())
+        # merged containers may carry differing per-part schemas: a column
+        # absent from the first manifest can exist in later parts, so the
+        # remaining manifests are read only while something looks missing
+        # (the common homogeneous case stays one driver read)
+        known: set = set()
+        for m in manifests:
+            with open(os.path.join(out_dir, m)) as f:
                 chunk_names = {c["name"] for c in json.load(f)["chunks"]}
             # nested columns shred to "name#..." chunks; the decoded table
             # exposes the top-level name
-            return chunk_names | {n.split("#", 1)[0] for n in chunk_names}
-
-        known = _names(manifests[0])
-        requested = P.columns(P.normalize(predicate)) if predicate else set()
-        if columns is not None:
-            requested |= set(columns)
-        missing = requested - known
-        # merged containers may carry differing per-part schemas: a column
-        # absent from the first manifest can exist in later parts, so only
-        # when something looks missing do we union the remaining manifests
-        # (rare path — the common homogeneous case stays one driver read)
-        for m in manifests[1:]:
-            if not missing:
+            known |= chunk_names | {n.split("#", 1)[0] for n in chunk_names}
+            if requested <= known:
                 break
-            known |= _names(m)
-            missing = requested - known
-        if missing:
-            raise ValueError(
-                f"column(s) {sorted(missing)} not in container "
-                f"schema {sorted(known)}"
-            )
-    ds = ray.data.from_items([{"manifest": m} for m in manifests])
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    if isinstance(concurrency, int):
-        concurrency = min(concurrency, max(1, len(manifests)))
-    return ds.map_batches(
-        _decode_batch_task,
-        fn_kwargs={"out_dir": out_dir, "columns": columns, "predicate": predicate,
-                   "dictionary_strings": dictionary_strings,
-                   "bad_block_threshold": bad_block_threshold,
-                   "total_partitions": len(manifests)},
-        batch_size=1,
-        concurrency=concurrency,
-        num_cpus=1,
+        _check_columns(requested, known, "container")
+    args = (out_dir, columns, predicate, dictionary_strings, bad_block_threshold,
+            len(manifests))
+    return _launch(
+        [{"manifest": m} for m in manifests],
+        lambda item: _decode_worker(*args).decode_one(item["manifest"]),
+        concurrency,
     )
 
 
@@ -871,20 +841,12 @@ def merge_containers(in_dirs: list[str], out_dir: str) -> int:
     copy verbatim (partitions are self-contained), manifests renumber pids
     and blob names densely in sorted (dir, pid) order. Schemas must match.
     Returns the merged partition count."""
-    import shutil
-
-    os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for d in in_dirs:
-        for n in sorted(
-            x for x in os.listdir(d) if x.endswith(".manifest.json")
-        ):
-            entries.append((d, n))
+    entries = [(d, n) for d in in_dirs for n in _manifests(d)]
     if not entries:
         raise ValueError("no partitions to merge")
     schema0 = None
     for pid, (d, n) in enumerate(entries):
-        manifest = json.loads(open(os.path.join(d, n)).read())
+        manifest, blob = _load_partition(d, n)
         if schema0 is None:
             schema0 = manifest["schema"]
         elif manifest["schema"] != schema0:
@@ -892,91 +854,9 @@ def merge_containers(in_dirs: list[str], out_dir: str) -> int:
                 f"container schema mismatch: {d}/{n} differs from "
                 f"{entries[0][0]}"
             )
-        blob_name = f"part-{pid:06d}.renc"
-        shutil.copyfile(
-            os.path.join(d, manifest["blob"]),
-            os.path.join(out_dir, blob_name),
-        )
         manifest["pid"] = pid
-        manifest["blob"] = blob_name
-        _atomic_write(
-            os.path.join(out_dir, f"part-{pid:06d}.manifest.json"),
-            json.dumps(manifest).encode(),
-        )
+        _write_partition(out_dir, f"part-{pid:06d}", blob, manifest)
     return len(entries)
-
-
-def encode_encrypted_parquet_job(
-    paths: list[str] | str,
-    out_dir: str,
-    decryption,
-    config: EncodeConfig | None = None,
-    *,
-    resume: bool = True,
-    concurrency: int | tuple | None = None,
-) -> "ray.data.Dataset":
-    """Encode modular-encrypted parquet inputs into the renc container: the
-    data-lake ingestion path where sources carry AES-GCM encryption
-    (rayenc.parquet_crypto.FileDecryption supplies the keys). Partitions are
-    planned from OUR footer parser (pyarrow cannot open a PARE footer
-    without a KMS factory), one partition per row group, decoded through
-    read_table_encrypted and encoded with the same atomic blob+manifest
-    resume contract as encode_job."""
-    from .parquet_read_enc import EncryptedFile
-
-    if isinstance(paths, str):
-        paths = [paths]
-    descs: list[dict] = []
-    for path in sorted(paths):
-        f = EncryptedFile(path, decryption)
-        for rg in range(len(f.row_groups)):
-            descs.append({"path": path, "rg": rg})
-    for pid, d in enumerate(descs):
-        d["pid"] = pid
-    if resume:
-        done = completed_pids(out_dir)
-        descs = [d for d in descs if d["pid"] not in done]
-    if not descs:
-        return ray.data.from_items([])
-    os.makedirs(out_dir, exist_ok=True)
-
-    def task(batch: dict) -> dict:
-        from .memtune import tune_process_memory
-        from .parquet_read_enc import read_table_encrypted
-
-        tune_process_memory()
-        rows = []
-        for k in range(len(batch["pid"])):
-            pid = int(batch["pid"][k])
-            path = str(batch["path"][k])
-            rg = int(batch["rg"][k])
-            t0 = time.perf_counter()
-            table = read_table_encrypted(path, decryption, row_groups=[rg])
-            blob, manifest = blocks.encode_block(table, config)
-            manifest["lineage"] = {"path": path, "row_groups": [rg],
-                                   "row_start": -1, "row_count": -1}
-            manifest["pid"] = pid
-            blob_name = f"part-{pid:06d}.renc"
-            _atomic_write(os.path.join(out_dir, blob_name), blob)
-            manifest["blob"] = blob_name
-            _atomic_write(
-                os.path.join(out_dir, f"part-{pid:06d}.manifest.json"),
-                json.dumps(manifest).encode(),
-            )
-            rows.append(
-                {"pid": pid, "rows": table.num_rows, "blob_bytes": len(blob),
-                 "seconds": time.perf_counter() - t0}
-            )
-        return {k2: np.array([r[k2] for r in rows]) for k2 in rows[0]}
-
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    ds = ray.data.from_items(descs)
-    return ds.map_batches(
-        task, batch_size=1,
-        concurrency=min(concurrency, len(descs)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
-    )
 
 
 def read_parquet_filtered(
@@ -992,49 +872,28 @@ def read_parquet_filtered(
     ColumnIndex page skipping + exact filtering all happen inside the task,
     so only surviving rows enter the object store. Works on plaintext and
     modular-encrypted files (pass parquet_crypto.FileDecryption)."""
-    from .parquet_read_enc import EncryptedFile
-
     if isinstance(paths, str):
         paths = [paths]
     paths = sorted(paths)
 
-    def _n_rgs(path: str) -> int:
-        return len(EncryptedFile(path, decryption).row_groups)
+    def row_groups(path: str) -> int:
+        f = _open_cached(path, decryption)
+        _check_columns(columns, f.arrow_schema().names, path)
+        return len(f.row_groups)
 
-    if len(paths) > 64:  # parallel footer reads, like plan_partitions
-        counts = ray.get(
-            [ray.remote(num_cpus=0.25)(_n_rgs).remote(p) for p in paths]
-        )
-    else:
-        counts = [_n_rgs(p) for p in paths]
     descs = [
         {"path": path, "rg": rg}
-        for path, n in zip(paths, counts)
+        for path, n in zip(paths, _per_file(row_groups, paths))
         for rg in range(n)
     ]
-    if not descs:
-        return ray.data.from_items([])
 
-    def task(batch: dict):
-        from .memtune import tune_process_memory
-        from .parquet_read_enc import read_table_filtered
+    def task(item: dict) -> pa.Table:
+        return read_table_filtered(
+            item["path"], predicate, columns=columns,
+            decryption=decryption, row_groups=[item["rg"]],
+        )
 
-        tune_process_memory()
-        for k in range(len(batch["path"])):
-            table = read_table_filtered(
-                str(batch["path"][k]), predicate, columns=columns,
-                decryption=decryption, row_groups=[int(batch["rg"][k])],
-            )
-            if table.num_rows:
-                yield table
-
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ray.data.from_items(descs).map_batches(
-        task, batch_size=1,
-        concurrency=min(concurrency, len(descs)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
-    )
+    return _launch(descs, task, concurrency)
 
 
 def read_parquet_summary(
@@ -1052,42 +911,24 @@ def read_parquet_summary(
     the full pushdown read (bloom + dictionary + ColumnIndex page
     skipping + exact filter) inside its task.  At lake scale this is one
     small driver read instead of ~len(files) footer fetches."""
-    from .summary import plan_from_summary
+    from .summary import METADATA, plan_from_summary
 
+    known = _open_cached(os.path.join(dir_path, METADATA), None).arrow_schema().names
+    _check_columns(columns, known, os.path.join(dir_path, METADATA))
     plan = plan_from_summary(dir_path, predicate)
     if predicate is None:
-        # whole-file conformance reads: one task per part, no duplication
+        # whole-file reads: one task per part, no duplication
         descs = [{"path": p, "rg": -1} for p in sorted({p for p, _ in plan})]
     else:
         descs = [{"path": p, "rg": rg} for p, rg in plan]
-    if not descs:
-        return ray.data.from_items([])
 
-    def task(batch: dict):
-        from .memtune import tune_process_memory
-        from .parquet_compat import read_table_conformance
-        from .parquet_read_enc import read_table_filtered
+    def task(item: dict) -> pa.Table:
+        return read_table_filtered(
+            item["path"], predicate, columns=columns, decryption=decryption,
+            row_groups=None if item["rg"] < 0 else [item["rg"]],
+        )
 
-        tune_process_memory()
-        for k in range(len(batch["path"])):
-            path, rg = str(batch["path"][k]), int(batch["rg"][k])
-            if rg >= 0:
-                table = read_table_filtered(
-                    path, predicate, columns=columns,
-                    decryption=decryption, row_groups=[rg],
-                )
-            else:
-                table = read_table_conformance(path, columns=columns)
-            if table.num_rows:
-                yield table
-
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ray.data.from_items(descs).map_batches(
-        task, batch_size=1,
-        concurrency=min(concurrency, len(descs)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
-    )
+    return _launch(descs, task, concurrency)
 
 
 def read_parquet_evolved(
@@ -1100,11 +941,11 @@ def read_parquet_evolved(
     """Distributed merged-footer read of parquet files whose schemas
     evolved (ParquetFileWriter.getGlobalMetaData + MessageType.union):
     the driver unions the footer schemas (footers only — no payload I/O),
-    then one task per file conformance-reads it with OUR decoders and
-    aligns to the broadcast union schema (missing columns -> nulls,
-    strict=False widens numerics). Payload bytes never touch the driver;
-    at 100 TB the footer scan is O(files) metadata reads and every
-    alignment is a per-task arrow cast.
+    then one task per file reads it with OUR decoders and aligns to the
+    broadcast union schema (missing columns -> nulls, strict=False widens
+    numerics). Payload bytes never touch the driver; at 100 TB the footer
+    scan is O(files) metadata reads and every alignment is a per-task
+    arrow cast.
 
     ``predicate`` (anything predicate.normalize accepts) composes with
     evolution per SQL semantics: files that carry every predicate column
@@ -1112,12 +953,12 @@ def read_parquet_evolved(
     skipping via read_table_filtered); files that predate a predicate
     column align it to null first, so comparison leaves fail there
     (Kleene null verdicts drop the rows) instead of erroring."""
-    from .parquet_read_enc import _open_cached
-
-    tree = P.normalize(predicate) if predicate is not None else None
+    paths = sorted(paths)
+    tree = P.normalize(predicate)
     uni_full = parquet_compat.union_schemas(
-        [_open_cached(p, None).arrow_schema() for p in sorted(paths)], strict
+        [_open_cached(p, None).arrow_schema() for p in paths], strict
     )
+    _check_columns(columns, uni_full.names, "union")
     uni = uni_full
     if columns is not None:
         uni = pa.schema([uni_full.field(c) for c in columns])
@@ -1131,49 +972,24 @@ def read_parquet_evolved(
     )
     uni_ref = ray.put((uni.serialize().to_pybytes(), ext.serialize().to_pybytes()))
 
-    def task(batch: dict):
-        from .memtune import tune_process_memory
-        from .parquet_read_enc import read_table_filtered
-
-        tune_process_memory()
+    def task(item: dict) -> pa.Table:
+        path = item["path"]
         uni_b, ext_b = ray.get(uni_ref)
         schema = pa.ipc.read_schema(pa.py_buffer(uni_b))
+        avail = set(_open_cached(path, None).arrow_schema().names)
+        if all(c in avail for c in pred_cols):
+            t = read_table_filtered(
+                path, tree, columns=[n for n in schema.names if n in avail]
+            )
+            return parquet_compat.align_table(t, schema)
         ext_schema = pa.ipc.read_schema(pa.py_buffer(ext_b))
-        for p in batch["path"]:
-            if tree is None:
-                yield parquet_compat.align_table(
-                    parquet_compat.read_table_conformance(
-                        str(p), columns=schema.names
-                    ),
-                    schema,
-                )
-                continue
-            avail = set(_open_cached(str(p), None).arrow_schema().names)
-            if all(c in avail for c in pred_cols):
-                t = read_table_filtered(
-                    str(p), tree,
-                    columns=[n for n in schema.names if n in avail],
-                )
-                yield parquet_compat.align_table(t, schema)
-            else:
-                t = parquet_compat.align_table(
-                    parquet_compat.read_table_conformance(
-                        str(p), columns=ext_schema.names
-                    ),
-                    ext_schema,
-                )
-                m = P.mask(tree, t)
-                yield t.filter(m).select(schema.names)
+        t = parquet_compat.align_table(
+            parquet_compat.read_table_conformance(path, columns=ext_schema.names),
+            ext_schema,
+        )
+        return t.filter(P.mask(tree, t)).select(schema.names)
 
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ray.data.from_items(
-        [{"path": p} for p in sorted(paths)]
-    ).map_batches(
-        task, batch_size=1,
-        concurrency=min(concurrency, len(paths)) if isinstance(concurrency, int) else concurrency,
-        num_cpus=1,
-    )
+    return _launch([{"path": p} for p in paths], task, concurrency)
 
 
 def encode_evolved_job(

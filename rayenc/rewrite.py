@@ -35,9 +35,6 @@ from itertools import takewhile
 import numpy as np
 import pyarrow as pa
 
-import ray
-import ray.data
-
 from . import blocks, parquet_write
 from .codecs import dictionary as dict_codec
 from .parquet_compat import (
@@ -54,6 +51,7 @@ from .parquet_read_enc import (
     read_table_encrypted,
 )
 from .parquet_write import _Column, _column_meta, _encode_column_pages, leaf_levels
+from .pipeline import _launch, _load_partition, _manifests, _write_partition
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
 from .thrift import FILE_META, OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
@@ -223,40 +221,24 @@ def rewrite_job(
 ):
     """Ray job: rewrite every partition of a container."""
     os.makedirs(out_dir, exist_ok=True)
-    manifests = sorted(n for n in os.listdir(in_dir) if n.endswith(".manifest.json"))
 
-    def do(batch: dict) -> dict:
-        from .pipeline import _atomic_write
+    def do(item: dict) -> dict:
+        name = item["manifest"]
+        manifest, blob = _load_partition(in_dir, name)
+        new_blob, new_manifest = rewrite_partition(
+            blob,
+            manifest,
+            set(drop_columns or []),
+            set(mask_columns or []),
+            compression,
+            rename_columns=rename_columns,
+        )
+        _write_partition(
+            out_dir, name[: -len(".manifest.json")], new_blob, new_manifest
+        )
+        return {"pid": manifest["pid"], "in_bytes": len(blob), "out_bytes": len(new_blob)}
 
-        outs = []
-        for name in batch["manifest"]:
-            name = str(name)
-            manifest = json.loads(open(os.path.join(in_dir, name)).read())
-            with open(os.path.join(in_dir, manifest["blob"]), "rb") as f:
-                blob = f.read()
-            new_blob, new_manifest = rewrite_partition(
-                blob,
-                manifest,
-                set(drop_columns or []),
-                set(mask_columns or []),
-                compression,
-                rename_columns=rename_columns,
-            )
-            _atomic_write(os.path.join(out_dir, manifest["blob"]), new_blob)
-            _atomic_write(
-                os.path.join(out_dir, name), json.dumps(new_manifest).encode()
-            )
-            outs.append((manifest["pid"], len(blob), len(new_blob)))
-        return {
-            "pid": np.array([o[0] for o in outs]),
-            "in_bytes": np.array([o[1] for o in outs]),
-            "out_bytes": np.array([o[2] for o in outs]),
-        }
-
-    ds = ray.data.from_items([{"manifest": m} for m in manifests])
-    if concurrency is None:
-        concurrency = min(12, max(1, int(ray.cluster_resources().get("CPU", 4))))
-    return ds.map_batches(do, batch_size=1, concurrency=min(concurrency, len(manifests)), num_cpus=1)
+    return _launch([{"manifest": m} for m in _manifests(in_dir)], do, concurrency)
 
 
 def merge_parquet(

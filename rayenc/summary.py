@@ -99,9 +99,9 @@ def plan_from_summary(
     of the per-file read (``parquet_read_enc.plan_row_groups``); `_metadata`
     chunks point into the parts, so the summary plans on statistics alone."""
     from . import predicate as P
-    from .parquet_read_enc import EncryptedFile, plan_row_groups
+    from .parquet_read_enc import EncryptedFile, _open_cached, plan_row_groups
 
-    md = EncryptedFile(os.path.join(dir_path, METADATA))
+    md = _open_cached(os.path.join(dir_path, METADATA), None)  # read_parquet_summary opened it
     tree = P.normalize(predicate)
 
     def live(rel):

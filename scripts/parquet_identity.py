@@ -22,6 +22,12 @@ The matrix:
   ``parquet_crypto.os.urandom`` replaced by a seeded stream;
 - ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files.
 
+A ``container`` section follows: for every sf0.001 table, one line hashing
+the ``pipeline.plan_partitions`` descriptors (at a 64 KiB block target, so
+lineitem's row group splits into row ranges) and one line per blob and per
+manifest that ``pipeline.EncodeWorker.encode_one`` writes for them, the
+manifest without its ``timings`` and ``lineage.path``.
+
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
 """
@@ -33,6 +39,7 @@ import datetime
 import decimal
 import glob
 import hashlib
+import json
 import os
 import random
 import sys
@@ -44,13 +51,14 @@ import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
-from rayenc import geo, parquet_crypto, parquet_write, rewrite  # noqa: E402
+from rayenc import geo, parquet_crypto, parquet_write, pipeline, rewrite  # noqa: E402
 from rayenc.parquet_crypto import FileEncryption  # noqa: E402
 from rayenc.selector import EncodeConfig  # noqa: E402
 
 V1 = EncodeConfig()
 V2_ZSTD = EncodeConfig(parquet_page_version="2.0", compression="zstd")
 SMALL_PAGES = EncodeConfig(page_rows=7)
+CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 
 
 def nested_table() -> pa.Table:
@@ -227,6 +235,32 @@ def main() -> None:
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         print(f"{digest}  {os.path.basename(path)}")
+    container_lines(sources, os.path.join(out, "container"))
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def container_lines(sources: list, out: str) -> None:
+    """The ``container`` section: plan and encode each table in-process."""
+    for src in sources:
+        stem = os.path.basename(src)[: -len(".parquet")]
+        descs = pipeline.plan_partitions([src], CONTAINER_TARGET)
+        plan = [dict(d, path=os.path.basename(d["path"])) for d in descs]
+        print(f"{sha(json.dumps(plan, sort_keys=True).encode())}  container/{stem}.plan")
+        cdir = os.path.join(out, stem)
+        worker = pipeline.EncodeWorker(cdir, V1)
+        for d in descs:
+            worker.encode_one(d)
+        for name in sorted(os.listdir(cdir)):
+            with open(os.path.join(cdir, name), "rb") as fh:
+                data = fh.read()
+            if name.endswith(".manifest.json"):
+                manifest = json.loads(data)
+                del manifest["timings"], manifest["lineage"]["path"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            print(f"{sha(data)}  container/{stem}/{name}")
 
 
 if __name__ == "__main__":

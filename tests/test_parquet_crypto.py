@@ -346,9 +346,11 @@ def test_read_table_filtered_pyarrow_file_and_encrypted(tmp_path):
 
 
 def test_encode_encrypted_parquet_job(tmp_path, ray_session):
-    """Data-lake ingestion: encrypted parquet sources -> renc container."""
+    """Data-lake ingestion: encrypted parquet sources -> renc container,
+    planned and encoded by encode_job(decryption=)."""
     from rayenc import pipeline
 
+    dec = FileDecryption(footer_key=FK)
     t = pq.read_table(f"{SF}/orders.parquet")
     srcs = []
     for i, sl in enumerate([t.slice(0, 700), t.slice(700)]):
@@ -358,19 +360,41 @@ def test_encode_encrypted_parquet_job(tmp_path, ray_session):
         )
         srcs.append(p)
     out = str(tmp_path / "container")
-    res = pipeline.encode_encrypted_parquet_job(
-        srcs, out, FileDecryption(footer_key=FK)
-    ).to_pandas()
+    res = pipeline.encode_job(srcs, out, decryption=dec).to_pandas()
     assert res["rows"].sum() == t.num_rows
     got = pipeline.decode_dataset(out).to_pandas().sort_values("o_orderkey")
     want = t.to_pandas().sort_values("o_orderkey")
     assert (got["o_orderkey"].to_numpy() == want["o_orderkey"].to_numpy()).all()
     assert (got["o_totalprice"].to_numpy() == want["o_totalprice"].to_numpy()).all()
     # resume: nothing left to do
-    res2 = pipeline.encode_encrypted_parquet_job(
-        srcs, out, FileDecryption(footer_key=FK)
-    )
-    assert res2.count() == 0
+    assert pipeline.encode_job(srcs, out, decryption=dec).count() == 0
+
+
+def test_encode_job_splits_encrypted_row_group(tmp_path, ray_session):
+    """One encrypted row group larger than 2 x target_block_bytes splits
+    into row ranges, like a plaintext one, and decodes equal to the source."""
+    import ray
+
+    from rayenc import pipeline
+
+    dec = FileDecryption(footer_key=FK)
+    t = pq.read_table(f"{SF}/lineitem.parquet")
+    p = str(tmp_path / "big.parquet")
+    parquet_write.write_table(t, p, encryption=FileEncryption(footer_key=FK))
+    (rg,) = EncryptedFile(p, dec).row_groups
+    target = rg[2] // 5
+    descs = pipeline.plan_partitions(p, target, decryption=dec)
+    assert len(descs) >= 5
+    assert all(d["row_groups"] == [0] and d["row_start"] >= 0 for d in descs)
+    out = str(tmp_path / "container")
+    res = pipeline.encode_job(p, out, target_block_bytes=target, decryption=dec)
+    assert sorted(res.to_pandas()["pid"]) == [d["pid"] for d in descs]
+    keys = [(c, "ascending") for c in t.column_names]  # (orderkey, linenumber) repeats
+    got = pa.concat_tables(
+        ray.get(pipeline.decode_dataset(out).to_arrow_refs())
+    ).sort_by(keys)
+    assert got.equals(read_table_encrypted(p, dec).sort_by(keys))
+    assert got.cast(t.schema).equals(t.sort_by(keys))
 
 
 def test_read_table_filtered_in_predicate(tmp_path):

@@ -9,8 +9,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray.data
 
-from rayenc import data, pipeline
+from rayenc import data, pipeline, rewrite
 from rayenc.selector import EncodeConfig
 
 SF = "/root/testdata/sf0.001"
@@ -163,15 +164,6 @@ def test_grouped_encode_skew_capped(ray_session, tmp_path):
     # lossless, order-insensitive
     res = pipeline.verify_roundtrip(path, out, key="doc_id")
     assert res["equal"] and res["rows"] == n
-
-
-def test_encode_job_actor_mode(ray_session, token_parquet, tmp_path):
-    out = str(tmp_path / "actors")
-    summary = pipeline.encode_job(
-        token_parquet, out, concurrency=2, use_actors=True
-    ).to_pandas()
-    assert summary["rows"].sum() == 3000
-    assert pipeline.verify_roundtrip(token_parquet, out, key="doc_id")["equal"]
 
 
 def test_transcode_parquet_job(ray_session, tmp_path):
@@ -604,8 +596,8 @@ def test_decode_dataset_validation_unions_manifest_schemas(
 def test_encode_job_rerun_after_out_dir_deleted(
     ray_session, token_parquet, tmp_path
 ):
-    # workers are cached per (out_dir, config) across jobs; the cached
-    # worker must survive the output dir being deleted between jobs
+    # the output dir is deleted between two jobs: the second job's tasks
+    # must create it again
     import shutil
 
     out = str(tmp_path / "rerun")
@@ -640,3 +632,77 @@ def test_ingest_jsonl_roundtrip(ray_session, tmp_path):
 
     want = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(got[["doc_id", "text", "source"]], want)
+
+
+def _empty_summary_read(d):
+    from rayenc import summary
+
+    lake = d("lake")
+    pq.write_table(pa.table({"k": pa.array([1, 2, 3], pa.int64())}), f"{lake}/f0.parquet")
+    summary.write_summary(lake)
+    return pipeline.read_parquet_summary(lake, [("k", ">", 10**9)])
+
+
+# every public Ray job with an input that holds no work; merge_containers
+# runs on the driver and rejects an empty input by design
+EMPTY_JOBS = {
+    "encode_job": lambda d: pipeline.encode_job([], d("out")),
+    "encode_dataset_job": lambda d: pipeline.encode_dataset_job(
+        ray.data.from_items([]), d("out"), staging_dir=d("stage")
+    ),
+    "ingest_jsonl_job": lambda d: pipeline.ingest_jsonl_job([], d("out")),
+    "transcode_parquet_job": lambda d: pipeline.transcode_parquet_job([], d("out")),
+    "encode_grouped_job": lambda d: pipeline.encode_grouped_job([], d("out")),
+    "export_parquet_job": lambda d: pipeline.export_parquet_job(d("empty"), d("out")),
+    "decode_dataset": lambda d: pipeline.decode_dataset(d("empty")),
+    "read_parquet_filtered": lambda d: pipeline.read_parquet_filtered([], [("k", "==", 1)]),
+    "read_parquet_summary": _empty_summary_read,
+    "read_parquet_evolved": lambda d: pipeline.read_parquet_evolved([]),
+    "encode_evolved_job": lambda d: pipeline.encode_evolved_job([], d("out")),
+    "rewrite_job": lambda d: rewrite.rewrite_job(d("empty"), d("out")),
+}
+
+
+def test_empty_input_table_lists_every_job():
+    jobs = {
+        n for n in dir(pipeline)
+        if n.endswith("_job") or n.startswith("read_parquet_") or n == "decode_dataset"
+    }
+    assert jobs | {"rewrite_job"} == set(EMPTY_JOBS)
+
+
+@pytest.mark.parametrize("job", sorted(EMPTY_JOBS))
+def test_every_job_accepts_empty_input(ray_session, tmp_path, job):
+    def d(name):
+        (tmp_path / name).mkdir(exist_ok=True)
+        return str(tmp_path / name)
+
+    ds = EMPTY_JOBS[job](d)
+    assert isinstance(ds, ray.data.Dataset)
+    assert ds.take_all() == []
+
+
+def test_unknown_projected_columns_raise_on_the_driver(ray_session, tmp_path):
+    from rayenc import summary
+    from rayenc.parquet_compat import read_table_conformance
+    from rayenc.parquet_read_enc import read_table_filtered
+
+    lake = str(tmp_path / "lake")
+    os.makedirs(lake)
+    path = f"{lake}/f0.parquet"
+    pq.write_table(pa.table({"k": pa.array([1, 2, 3], pa.int64())}), path)
+    summary.write_summary(lake)
+    pred = [("k", ">=", 2)]
+    with pytest.raises(ValueError, match="nope"):
+        read_table_filtered(path, pred, columns=["nope"])
+    # the jobs check before they launch: building the Dataset raises
+    with pytest.raises(ValueError, match="nope"):
+        pipeline.read_parquet_filtered([path], pred, columns=["nope"])
+    for p in (None, pred):
+        with pytest.raises(ValueError, match="nope"):
+            pipeline.read_parquet_summary(lake, p, columns=["nope"])
+    # evolved reads pass the union's names: the conformance read ignores
+    # the ones a file lacks
+    assert read_table_conformance(path, columns=["nope", "k"]).column_names == ["k"]
+    got = pipeline.read_parquet_summary(lake, columns=["k"]).to_pandas()
+    assert sorted(got["k"]) == [1, 2, 3]
