@@ -95,7 +95,7 @@ class _Candidate:
     a deferred ``emit`` that materializes aux + page bytes exactly once."""
 
     __slots__ = ("encoding", "size", "estimated", "aux_meta", "_emit", "aux_size",
-                 "memo", "_out")
+                 "memo", "est_bytes", "_out")
 
     def __init__(self, encoding, size, emit, aux_meta=None, estimated=False,
                  aux_size=0):
@@ -106,6 +106,8 @@ class _Candidate:
         self.aux_size = aux_size
         self._emit = emit
         self.memo = None  # set on the winner by choose_encoding
+        # the compressed-size estimate it won on (set by choose_encoding)
+        self.est_bytes = None
         self._out = None
 
     def emit(self):
@@ -370,37 +372,56 @@ def choose_encoding(
     is a ValueError. ``legal`` is the set of encodings the file format can
     hold (None: all), ``forced_only`` those it holds only when forced, and
     ``page_frame`` maps an encoding to the bytes the format adds around each
-    of its pages. Unless ``config.exhaustive_selection``, candidates are
-    sized on a 3-page sample first and only the two best are planned over
-    every page. The winner carries ``memo``: the chunk-global work
+    of its pages. Unless ``config.exhaustive_selection``, a chunk of more
+    than 4 pages sizes its candidates on a 3-page sample first. Without a
+    page codec they rank by encoded size and the two best are planned over
+    every page. With ``config.compression`` they rank by the bytes the
+    codec leaves (aux page plus sample pages scaled to the chunk), integer
+    chunks also try BYTE_STREAM_SPLIT, only the winner is planned over
+    every page, and it carries that estimate as ``est_bytes``. The winner carries ``memo``: the chunk-global work
     (dictionary factorize, FSST table) its plan used."""
     ovr = config.column_encodings.get(col.name)
     if ovr is not None and ovr not in sel.ENCODINGS and ovr != "DEVNULL":
         raise ValueError(f"unknown encoding {ovr!r} for column {col.name!r}")
+    sampled = not config.exhaustive_selection and len(ranges) > 4
+    codec = _compressor(config) if sampled else None
     auto = [
-        e for e in sel.candidates_for(col, stats, config)
+        e for e in sel.candidates_for(col, stats, config, compressed=codec is not None)
         if (legal is None or e in legal) and e not in forced_only
     ]
     names = [ovr] if ovr and (legal is None or ovr in legal) else auto
     frames = {e: n * len(ranges) for e, n in (page_frame or {}).items()}
     memo: dict = {}
-    if not config.exhaustive_selection and len(ranges) > 4 and len(names) > 1:
+    est_bytes = None
+    if sampled and len(names) > 1:
         # two-phase selection: planning every candidate over every page is
         # the dominant encode cost (the selector, not the winning kernel).
         # Size candidates on a 3-page sample, extrapolate the page portion
         # (aux — dict/FSST tables — is chunk-global and not scaled), and
-        # fully plan only the two best; the winner's sizes stay exact
+        # fully plan only the finalists; the winner's sizes stay exact
         # because it is re-planned over all pages.
         sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
         scale = sum(b - a for a, b in ranges) / max(1, sum(b - a for a, b in sample))
         scored = []
         for e in names:
             c = _plan_candidate(col, e, sample, config, memo)
-            if c is not None:
-                est = c.aux_size + (c.size - c.aux_size) * scale + frames.get(e, 0)
-                scored.append((est, e))
+            if c is None:
+                continue
+            if codec is None:
+                est = c.aux_size + (c.size - c.aux_size) * scale
+            else:
+                # the page codec decides the size: id streams that look
+                # small encoded can compress worse than byte planes
+                aux, pages = c.emit()
+                est = (len(codec.compress(aux)) if aux else 0) + scale * sum(
+                    len(codec.compress(p)) for p in pages
+                )
+            scored.append((est + frames.get(e, 0), e))
         scored.sort()
-        names = [e for _, e in scored[:2]]
+        finalists = scored[:2] if codec is None else scored[:1]
+        names = [e for _, e in finalists]
+        if codec is not None and finalists:
+            est_bytes = round(finalists[0][0])
     cands = [_plan_candidate(col, e, ranges, config, memo) for e in names]
     cands = [c for c in cands if c is not None]
     if not cands:
@@ -413,6 +434,7 @@ def choose_encoding(
         raise ValueError(f"no applicable encoding for column {col.name!r} ({col.ptype})")
     cands.sort(key=lambda c: c.size + frames.get(c.encoding, 0))
     best = cands[0]
+    best.est_bytes = est_bytes if best.encoding in names else None
     if best.estimated and len(cands) > 1:
         aux, pages = best.emit()
         if (len(aux) if aux else 0) + sum(len(p) for p in pages) > cands[1].size:
@@ -516,6 +538,10 @@ def encode_chunk(
         "aux": None,
         "validity": None,
     }
+    if best.est_bytes is not None:
+        # the compressed-size estimate the chunk was ranked on, beside the
+        # compressed lengths of its aux and pages below
+        entry["est_bytes"] = best.est_bytes
     if col.ptype == "FIXED_LEN_BYTE_ARRAY":
         entry["flba_width"] = int(np.asarray(col.values).shape[1])
     if col.name.split("#")[0] in config.bloom_columns:
@@ -672,9 +698,17 @@ def partition_granules(manifest: dict):
 def _bloom_may_contain(entry: dict, values) -> bool:
     from . import bloom
 
-    filt = bloom.BloomFilter.deserialize(entry["bloom"])
-    hashes = np.concatenate([bloom.value_hash(v, entry["ptype"]) for v in values] or [[]])
-    return bool(filt.might_contain_hashes(hashes.astype(np.uint64)).any())
+    hashes = _literal_hashes(tuple(values), entry["ptype"])
+    return bool(bloom.BloomFilter.probe_serialized(entry["bloom"], hashes).any())
+
+
+@functools.lru_cache(maxsize=256)
+def _literal_hashes(values: tuple, ptype: str) -> np.ndarray:
+    """Bloom hashes of a leaf's literals: one hashing per lookup, however
+    many partitions it probes."""
+    from . import bloom
+
+    return np.concatenate([bloom.value_hash(v, ptype) for v in values] or [np.empty(0, np.uint64)])
 
 
 def _read_chunk(blob, entry: dict, config, page_mask):

@@ -101,6 +101,20 @@ class BloomFilter:
         f.num_blocks = len(words) // 8
         return f
 
+    @classmethod
+    def probe_serialized(cls, s: str, hashes: np.ndarray) -> np.ndarray:
+        """``deserialize(s).might_contain_hashes(hashes)``, base64-decoding
+        only the 32-byte blocks the hashes land in, not the whole bitset."""
+        f = cls.__new__(cls)
+        f.num_blocks = (len(s) // 4 * 3 - s.count("=", len(s) - 2)) // 32
+        word_idx, masks = f._positions(hashes)
+        words = np.empty(masks.shape, np.uint32)
+        for k, block in enumerate(word_idx[:, 0] // 8):
+            lo = 32 * int(block)  # its bytes; 4 base64 chars per 3 bytes
+            raw = base64.b64decode(s[lo // 3 * 4 : -(-(lo + 32) // 3) * 4])
+            words[k] = np.frombuffer(raw, np.uint32, 8, lo % 3)
+        return ((words & masks) == masks).all(axis=1)
+
 
 def hashes_for_column(col) -> np.ndarray | None:
     """64-bit hashes of a PhysicalColumn's values (None if unsupported)."""

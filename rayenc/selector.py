@@ -13,8 +13,12 @@ We see the whole chunk before choosing, so the same cost rule becomes a
 minimum over *measured* candidate sizes: statistics gate which candidates are
 worth encoding, every surviving candidate is actually encoded, and the
 smallest wins. Because the reference's outcome (dictionary-until-fallback or
-the V2 static pick) is always IN our candidate set, our chunk size is <= the
-reference's by construction (SURVEY.md §2.3).
+the V2 static pick) is always IN our candidate set, the encoded (pre-codec)
+chunk size is <= the reference's by construction (SURVEY.md §2.3). Under a
+page codec the ranking of a chunk of more than 4 pages is instead a
+*compressed estimate* from a 3-page sample (``blocks.choose_encoding``), so
+there the bound is only as good as that estimate; the manifest records it
+as ``est_bytes`` beside the exact compressed lengths.
 """
 
 from __future__ import annotations
@@ -57,11 +61,14 @@ class EncodeConfig:
     column_encodings: dict = field(default_factory=dict)
     disable_dictionary: set = field(default_factory=set)
     fsst: bool = True
-    # True: plan EVERY candidate over every page and pick exact min bytes
-    # (the pre-two-phase behavior); False (default): size candidates on a
-    # 3-page sample and fully plan only the two finalists — ~1.5x faster
-    # encode, byte-identical on homogeneous blocks, possibly a near-miss
-    # encoding choice on pathologically heterogeneous ones
+    # True: plan EVERY candidate over every page and pick exact min
+    # encoded bytes (the pre-two-phase behavior, page codec ignored);
+    # False (default): a chunk of more than 4 pages sizes its candidates on
+    # a 3-page sample — by encoded bytes, fully planning the two finalists,
+    # or with a page codec by the bytes the codec leaves, fully planning
+    # only the winner. ~1.5x faster encode, byte-identical to True on
+    # homogeneous uncompressed blocks, possibly a near-miss encoding choice
+    # on pathologically heterogeneous ones
     exhaustive_selection: bool = False
     # columns to build split-block bloom filters for (ParquetProperties
     # bloom-filter column properties analog; rayenc/bloom.py)
@@ -114,10 +121,12 @@ ENCODINGS = (
 )
 
 
-def candidates_for(col: PhysicalColumn, stats: ChunkStats, config: EncodeConfig) -> list[str]:
+def candidates_for(col: PhysicalColumn, stats: ChunkStats, config: EncodeConfig,
+                   compressed: bool = False) -> list[str]:
     """Ordered automatic candidate encodings to actually encode and
     size-compare (a forced ``column_encodings`` entry is the chooser's
-    business, not this list's)."""
+    business, not this list's). ``compressed``: they are ranked by the
+    bytes the page codec leaves, not by their encoded size."""
     ptype = col.ptype
     cands: list[str] = []
     dict_ok = col.name not in config.disable_dictionary and stats.num_values > 0
@@ -134,6 +143,10 @@ def candidates_for(col: PhysicalColumn, stats: ChunkStats, config: EncodeConfig)
         # (try_dictionary still enforces the reference's 1 MiB threshold)
         cands.append("RLE_DICTIONARY")
         cands += ["DELTA_BINARY_PACKED", "RLE_FOR", "PLAIN"]
+        if compressed:
+            # as large as PLAIN encoded, so only a ranking by compressed
+            # bytes can pick it, where its byte planes often compress best
+            cands.append("BYTE_STREAM_SPLIT")
     elif ptype in ("FLOAT", "DOUBLE"):
         if dict_ok:
             cands.append("RLE_DICTIONARY")

@@ -26,7 +26,11 @@ A ``container`` section follows: for every sf0.001 table, one line hashing
 the ``pipeline.plan_partitions`` descriptors (at a 64 KiB block target, so
 lineitem's row group splits into row ranges) and one line per blob and per
 manifest that ``pipeline.EncodeWorker.encode_one`` writes for them, the
-manifest without its ``timings`` and ``lineage.path``.
+manifest without its ``timings`` and ``lineage.path``. A ``container_zstd``
+section repeats it with zstd pages of 250 rows (``CONTAINER_ZSTD``): chunks
+of 5 or more pages are where the selector ranks sampled candidates by
+compressed bytes, so a selector change shows up as a line diff in one
+section or the other.
 
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
@@ -59,6 +63,8 @@ V1 = EncodeConfig()
 V2_ZSTD = EncodeConfig(parquet_page_version="2.0", compression="zstd")
 SMALL_PAGES = EncodeConfig(page_rows=7)
 CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
+# 250-row pages: lineitem's 2000-row partitions get 8-page chunks
+CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
 
 
 def nested_table() -> pa.Table:
@@ -236,21 +242,24 @@ def main() -> None:
             digest = hashlib.sha256(fh.read()).hexdigest()
         print(f"{digest}  {os.path.basename(path)}")
     container_lines(sources, os.path.join(out, "container"))
+    container_lines(sources, os.path.join(out, "container_zstd"), CONTAINER_ZSTD)
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def container_lines(sources: list, out: str) -> None:
-    """The ``container`` section: plan and encode each table in-process."""
+def container_lines(sources: list, out: str, config: EncodeConfig = V1) -> None:
+    """A container section (named after ``out``): plan and encode each
+    table in-process with ``config``."""
+    section = os.path.basename(out)
     for src in sources:
         stem = os.path.basename(src)[: -len(".parquet")]
         descs = pipeline.plan_partitions([src], CONTAINER_TARGET)
         plan = [dict(d, path=os.path.basename(d["path"])) for d in descs]
-        print(f"{sha(json.dumps(plan, sort_keys=True).encode())}  container/{stem}.plan")
+        print(f"{sha(json.dumps(plan, sort_keys=True).encode())}  {section}/{stem}.plan")
         cdir = os.path.join(out, stem)
-        worker = pipeline.EncodeWorker(cdir, V1)
+        worker = pipeline.EncodeWorker(cdir, config)
         for d in descs:
             worker.encode_one(d)
         for name in sorted(os.listdir(cdir)):
@@ -260,7 +269,7 @@ def container_lines(sources: list, out: str) -> None:
                 manifest = json.loads(data)
                 del manifest["timings"], manifest["lineage"]["path"]
                 data = json.dumps(manifest, sort_keys=True).encode()
-            print(f"{sha(data)}  container/{stem}/{name}")
+            print(f"{sha(data)}  {section}/{stem}/{name}")
 
 
 if __name__ == "__main__":

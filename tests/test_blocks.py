@@ -482,3 +482,74 @@ def test_two_phase_selection_bounded_on_heterogeneous_blocks():
         b_ex, _ = blocks.encode_block(t, EncodeConfig(exhaustive_selection=True))
         b_s, _ = blocks.encode_block(t, EncodeConfig())
         assert len(b_s) <= 1.3 * len(b_ex), (len(b_s), len(b_ex))
+
+
+def _chunks(manifest):
+    return {c["name"]: c for c in manifest["chunks"]}
+
+
+def test_compressed_ranking_flips_token_ids_to_byte_stream_split():
+    # under zstd the sampled candidates rank by the bytes the codec leaves:
+    # the token ids' byte planes beat their RLE-hybrid dictionary ids
+    from rayenc import data
+    from rayenc.selector import EncodeConfig
+
+    t = data.make_table(2000)
+    raw_blob, raw_man = blocks.encode_block(t, EncodeConfig())
+    z_blob, z_man = blocks.encode_block(t, EncodeConfig(compression="zstd"))
+    dict_blob, _ = blocks.encode_block(
+        t, EncodeConfig(compression="zstd", column_encodings={"tokens#values": "RLE_DICTIONARY"})
+    )
+    raw, z = _chunks(raw_man)["tokens#values"], _chunks(z_man)["tokens#values"]
+    assert len(raw["pages"]) > 4
+    assert raw["encoding"] == "RLE_DICTIONARY"
+    assert z["encoding"] == "BYTE_STREAM_SPLIT"
+    assert len(z_blob) < len(dict_blob)
+    assert blocks.decode_block(z_blob, z_man).equals(t)
+    # the estimate it won on sits beside the exact compressed lengths
+    exact = sum(p["length"] for p in z["pages"])
+    assert 0.8 * exact < z["est_bytes"] < 1.25 * exact
+    # uncompressed manifests carry no estimate
+    assert not any("est_bytes" in c for c in raw_man["chunks"])
+
+
+def test_compressed_ranking_plans_only_the_winner_over_every_page(monkeypatch):
+    from rayenc import data
+    from rayenc.schema import shred
+    from rayenc.selector import EncodeConfig
+
+    t = data.make_table(2000)
+    (_, col) = shred("tokens", t["tokens"])
+    cfg = EncodeConfig(compression="zstd")
+    ranges = blocks.page_ranges(col, cfg)
+    real, full = blocks._plan_candidate, []
+
+    def plan(c, e, r, *a, **k):
+        if r == ranges:
+            full.append(e)
+        return real(c, e, r, *a, **k)
+
+    monkeypatch.setattr(blocks, "_plan_candidate", plan)
+    best = blocks.choose_encoding(col, stats.compute(col), ranges, cfg)
+    assert full == ["BYTE_STREAM_SPLIT"] and best.encoding == "BYTE_STREAM_SPLIT"
+
+
+def test_compressed_ranking_leaves_small_chunks_alone():
+    # a chunk of <= 4 pages ranks by encoded size under a codec too, with
+    # the same candidates: the token ids stay dictionary ids (they flip at
+    # 17 pages), and random ints stay PLAIN
+    from rayenc import data
+    from rayenc.schema import shred
+    from rayenc.selector import EncodeConfig
+
+    rng = np.random.default_rng(3)
+    (_, tokens) = shred("tokens", data.make_table(400)["tokens"])
+    (rand,) = shred("x", pa.chunked_array([rng.integers(-2**62, 2**62, 60_000)]))
+    for col, want in ((tokens, "RLE_DICTIONARY"), (rand, "PLAIN")):
+        ranges = blocks.page_ranges(col, EncodeConfig())
+        assert 1 < len(ranges) <= 4
+        st = stats.compute(col)
+        a = blocks.choose_encoding(col, st, ranges, EncodeConfig())
+        b = blocks.choose_encoding(col, st, ranges, EncodeConfig(compression="zstd"))
+        assert a.encoding == b.encoding == want
+        assert a.emit() == b.emit() and b.est_bytes is None

@@ -52,6 +52,18 @@ def test_serialize_roundtrip():
     )
 
 
+@pytest.mark.parametrize("num_bytes", [32, 64, 128, 4096])
+def test_probe_serialized_matches_deserialized(num_bytes):
+    # both base64 padding cases (32 and 128 bytes end in one pad character,
+    # 64 and 4096 in two) and blocks straddling 3-byte base64 groups
+    f = bloom.BloomFilter(num_bytes)
+    h = bloom._hash64(np.arange(3000, dtype=np.uint64))
+    f.add_hashes(h[: num_bytes // 8])
+    got = bloom.BloomFilter.probe_serialized(f.serialize(), h)
+    np.testing.assert_array_equal(got, f.might_contain_hashes(h))
+    assert got[: num_bytes // 8].all() and not got.all()
+
+
 def test_pipeline_bloom_skipping(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
@@ -88,3 +100,36 @@ def test_pipeline_bloom_skipping(ray_session, tmp_path):
     tables = [ray.get(r) for r in refs]
     got = pa.concat_tables([t for t in tables if t.num_rows])
     assert got.num_rows == 1 and got.column("v")[0].as_py() == 28
+
+
+def test_lookup_hashes_the_literal_once(tmp_path, monkeypatch):
+    # every partition spans the same doc_id range, so a lookup passes the
+    # bounds everywhere and probes each partition's bloom; the literal is
+    # hashed once per lookup, not once per partition
+    import json
+
+    from rayenc import blocks, pipeline
+    from rayenc.selector import EncodeConfig
+
+    keys = [f"once-{i:05d}" for i in range(0, 4000, 3)]
+    names = []
+    for k in range(4):
+        t = pa.table({"doc_id": keys[k::4], "v": np.arange(len(keys[k::4]))})
+        blob, man = blocks.encode_block(t, EncodeConfig(bloom_columns={"doc_id"}))
+        man["blob"] = f"p{k}.renc"
+        (tmp_path / f"p{k}.renc").write_bytes(blob)
+        (tmp_path / f"p{k}.manifest.json").write_text(json.dumps(man))
+        names.append(f"p{k}.manifest.json")
+    hashed, probes = [], []
+    real_hash, real_probe = bloom.value_hash, bloom.BloomFilter.probe_serialized
+    monkeypatch.setattr(bloom, "value_hash", lambda v, *a: hashed.append(v) or real_hash(v, *a))
+    monkeypatch.setattr(
+        bloom.BloomFilter, "probe_serialized",
+        classmethod(lambda cls, s, h: probes.append(s) or real_probe(s, h)),
+    )
+    blocks._literal_hashes.cache_clear()
+    for key, rows in (("once-00300", 1), ("once-00301", 0), ("once-02001", 1)):
+        hashed.clear(), probes.clear()
+        w = pipeline.DecodeWorker(str(tmp_path), predicate=[("doc_id", "==", key)])
+        assert sum(x.num_rows for x in w({"manifest": names})) == rows
+        assert len(hashed) == 1 and len(probes) == 4

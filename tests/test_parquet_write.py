@@ -882,3 +882,28 @@ def test_column_index_boundary_order(tmp_path):
         orders[name] = ci.get(4, 0)
     assert orders == {"asc": 1, "desc": 2, "rand": 0, "s_asc": 1, "u_asc": 1}
     assert pq.read_table(path).num_rows == n
+
+
+def test_zstd_parquet_keeps_integer_byte_stream_split_forced_only(tmp_path):
+    # the container ranks zstd chunks by compressed bytes and may pick
+    # BYTE_STREAM_SPLIT for integers; Parquet files do not (DuckDB reads
+    # it only for FLOAT/DOUBLE) unless a column_encodings entry forces it
+    t = data.make_table(2000)
+    auto = str(tmp_path / "auto.parquet")
+    parquet_write.write_table(t, auto, EncodeConfig(compression="zstd"))
+    md = pq.ParquetFile(auto).metadata
+    ints = [
+        md.row_group(g).column(i)
+        for g in range(md.num_row_groups) for i in range(md.num_columns)
+        if md.row_group(g).column(i).physical_type in ("INT32", "INT64")
+    ]
+    assert ints and not any("BYTE_STREAM_SPLIT" in c.encodings for c in ints)
+    forced = str(tmp_path / "forced.parquet")
+    parquet_write.write_table(
+        t, forced,
+        EncodeConfig(compression="zstd", column_encodings={"tokens/list/element": "BYTE_STREAM_SPLIT"}),
+    )
+    col = pq.ParquetFile(forced).metadata.row_group(0).column(1)
+    assert col.path_in_schema == "tokens.list.element"
+    assert "BYTE_STREAM_SPLIT" in col.encodings
+    assert pq.read_table(forced).equals(t)
