@@ -11,8 +11,9 @@ module point at the file:line whose behavior the kernel mirrors. No code is
 copied — kernels are vectorized numpy re-derivations of the published formats.
 
 Round-3 surface map: parquet modular encryption (``parquet_crypto`` write
-side + ``parquet_read_enc`` self-contained decrypting reader), spec bloom
-filters in files (``bloom.SpecBloom`` over ``codecs.xxh``), whole-file
+side + ``parquet_read_enc`` self-contained decrypting reader), one spec
+split-block bloom filter for files and container manifests alike
+(``bloom.SpecBloom`` over ``codecs.xxh``), whole-file
 conformance reads of arbitrary nesting (``schema.assemble`` via
 ``parquet_compat.assemble_leaves``), ColumnIndex page-skipping file reads
 (``parquet_read_enc.read_table_filtered``), Variant encoding + shredding

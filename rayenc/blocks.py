@@ -22,7 +22,7 @@ import io
 import numpy as np
 import pyarrow as pa
 
-from . import codecs
+from . import bloom, codecs
 from . import predicate as P
 from . import selector as sel
 from . import stats as stats_mod
@@ -545,11 +545,9 @@ def encode_chunk(
     if col.ptype == "FIXED_LEN_BYTE_ARRAY":
         entry["flba_width"] = int(np.asarray(col.values).shape[1])
     if col.name.split("#")[0] in config.bloom_columns:
-        from . import bloom
-
-        filt = bloom.build_for_column(col, fpp=config.bloom_fpp)
+        filt = bloom.build(col, config)
         if filt is not None:
-            entry["bloom"] = filt.serialize()
+            entry["bloom"], entry["bloom_v"] = filt.serialize(), bloom.MANIFEST_V
     if col.null_mask is not None:
         vbuf = rle_hybrid.encode(
             (~col.null_mask).astype(np.uint8), 1
@@ -617,24 +615,6 @@ def encode_chunk(
     return entry
 
 
-def page_mask_for_predicate(entry: dict, predicate) -> list[bool] | None:
-    """Which pages of ONE chunk can contain rows matching the predicate
-    (page-level min/max skipping; None when stats are unavailable).
-    ``predicate`` is anything predicate.normalize accepts — a legacy
-    conjunction list or an And/Or/Not tree; leaves on other columns are
-    treated as satisfiable."""
-    tree = P.normalize(predicate)
-    pages = entry["pages"]
-    if tree is None or not pages or "min" not in pages[0]:
-        return None
-    ranges = _entry_page_ranges(entry)
-    kept = P.row_ranges(
-        tree, ranges[-1][1],
-        lambda leaf: _page_rows(entry, leaf) if leaf.col == entry["name"] else None,
-    )
-    return P.page_slices(ranges, kept)[0]
-
-
 def _page_rows(entry: dict, leaf, t=None):
     """Rows of the chunk's pages whose min/max may satisfy ``leaf`` (None
     when the chunk has no page bounds). ``t`` is the column's Arrow type."""
@@ -688,27 +668,14 @@ def partition_granules(manifest: dict):
             valid = st.get("stats_v", 1) >= 2
             lo, hi = (lo.encode("latin-1"), hi.encode("latin-1")) if valid else (None, None)
         g = P.Granule(lo, hi, st.get("null_count"), st.get("num_values"), types.get(col))
-        if entry.get("bloom"):
-            g.bloom = functools.partial(_bloom_may_contain, entry)
+        if entry.get("bloom") and entry.get("bloom_v") == bloom.MANIFEST_V:
+            g.bloom = bloom.probe(
+                entry["ptype"], g.type,
+                functools.partial(bloom.SpecBloom.probe_serialized, entry["bloom"]),
+            )
         return g
 
     return granule
-
-
-def _bloom_may_contain(entry: dict, values) -> bool:
-    from . import bloom
-
-    hashes = _literal_hashes(tuple(values), entry["ptype"])
-    return bool(bloom.BloomFilter.probe_serialized(entry["bloom"], hashes).any())
-
-
-@functools.lru_cache(maxsize=256)
-def _literal_hashes(values: tuple, ptype: str) -> np.ndarray:
-    """Bloom hashes of a leaf's literals: one hashing per lookup, however
-    many partitions it probes."""
-    from . import bloom
-
-    return np.concatenate([bloom.value_hash(v, ptype) for v in values] or [np.empty(0, np.uint64)])
 
 
 def _read_chunk(blob, entry: dict, config, page_mask):

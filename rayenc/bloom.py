@@ -1,27 +1,30 @@
-"""Split-block bloom filters for point-lookup partition skipping.
+"""The split-block bloom filter of the Parquet spec, for both formats.
 
-Mirrors `parquet-column/.../values/bloomfilter/BlockSplitBloomFilter.java`
-(split-block construction: each key sets one bit in each of 8 32-bit words of
-one 256-bit block, chosen by the SALT constants) with the same defaults
-(fpp 1%, max 1 MiB — `ParquetProperties.java:63-67`). Hashing uses the
-public xxhash-style 64-bit avalanche; insertion and probing are vectorized
-over the whole key batch (one scatter per word lane instead of per-key
-loops).
+Mirrors `parquet-column/.../values/bloomfilter/BlockSplitBloomFilter.java`:
+each value hashes to XXH64 (seed 0) of its PLAIN encoding; the upper 32
+bits pick one 256-bit block by the multiply-shift `((h >> 32) * numBlocks)
+>> 32` (:244-263) and the lower 32 bits, times the 8 SALT constants, set
+one bit in each of the block's 8 32-bit words. Defaults match the
+reference (fpp 1%, max 1 MiB — `ParquetProperties.java:63-67`); insertion
+and probing are vectorized over the whole key batch.
 
-The reference's AdaptiveBlockSplitBloomFilter sizes the filter by testing
-NDV *candidates* because it streams values; we see the whole chunk, compute
-the exact NDV, and size once — strictly subsuming the adaptive variant.
-
-Filters serialize into the partition manifest (like the reference stores
-them per column chunk) and `might_contain` powers equality-predicate
-partition skipping in the decode path.
+One builder (`build`) serves the Parquet writer, which stores the bitset
+after a BloomFilterHeader, and the container, which stores it base64 in the
+chunk's manifest entry beside ``"bloom_v": 2`` (a ``bloom`` without that
+marker is an older, differently hashed filter that readers ignore). One
+gate and one probe (`probe`) serve both readers: the gate drops the leaves
+whose literals have no plain encoding to hash, and `literal_hashes` hashes
+a lookup's literals once however many chunks it probes.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 
 import numpy as np
+
+from .codecs import xxh
 
 # BlockSplitBloomFilter.SALT (public parquet format constants)
 SALT = np.array(
@@ -41,6 +44,7 @@ SALT = np.array(
 BITS_PER_BLOCK = 256
 DEFAULT_FPP = 0.01
 MAX_BYTES = 1 << 20  # ParquetProperties.DEFAULT_MAX_BLOOM_FILTER_BYTES
+MANIFEST_V = 2  # container manifests: "bloom_v" of a spec-layout "bloom"
 
 
 def optimal_bytes(ndv: int, fpp: float = DEFAULT_FPP) -> int:
@@ -52,125 +56,9 @@ def optimal_bytes(ndv: int, fpp: float = DEFAULT_FPP) -> int:
     return int(min(nbytes, MAX_BYTES))
 
 
-def _hash64(values: np.ndarray) -> np.ndarray:
-    """64-bit avalanche of uint64 inputs (xxhash-style finalizer)."""
-    x = np.ascontiguousarray(values, np.uint64).copy()
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(33)
-        x *= np.uint64(0xFF51AFD7ED558CCD)
-        x ^= x >> np.uint64(33)
-        x *= np.uint64(0xC4CEB9FE1A85EC53)
-        x ^= x >> np.uint64(33)
-    return x
-
-
-class BloomFilter:
-    def __init__(self, num_bytes: int):
-        assert num_bytes >= 32 and (num_bytes & (num_bytes - 1)) == 0
-        self.words = np.zeros(num_bytes // 4, np.uint32)  # 8 words per block
-        self.num_blocks = num_bytes // 32
-
-    def _positions(self, hashes: np.ndarray):
-        h = np.ascontiguousarray(hashes, np.uint64)
-        block = (h >> np.uint64(32)) % np.uint64(self.num_blocks)
-        with np.errstate(over="ignore"):
-            lanes = (h[:, None] & np.uint64(0xFFFFFFFF)) * SALT[None, :]
-        bit = (lanes >> np.uint64(27)).astype(np.uint32) & np.uint32(31)
-        word_idx = (block[:, None] * np.uint64(8) + np.arange(8, dtype=np.uint64)).astype(
-            np.int64
-        )
-        return word_idx, np.uint32(1) << bit
-
-    def add_hashes(self, hashes: np.ndarray) -> None:
-        word_idx, masks = self._positions(hashes)
-        np.bitwise_or.at(self.words, word_idx.ravel(), masks.ravel())
-
-    def might_contain_hashes(self, hashes: np.ndarray) -> np.ndarray:
-        word_idx, masks = self._positions(hashes)
-        present = (self.words[word_idx] & masks) == masks
-        return present.all(axis=1)
-
-    def serialize(self) -> str:
-        return base64.b64encode(self.words.tobytes()).decode()
-
-    @classmethod
-    def deserialize(cls, s: str) -> "BloomFilter":
-        words = np.frombuffer(base64.b64decode(s), np.uint32)
-        f = cls.__new__(cls)
-        f.words = words.copy()
-        f.num_blocks = len(words) // 8
-        return f
-
-    @classmethod
-    def probe_serialized(cls, s: str, hashes: np.ndarray) -> np.ndarray:
-        """``deserialize(s).might_contain_hashes(hashes)``, base64-decoding
-        only the 32-byte blocks the hashes land in, not the whole bitset."""
-        f = cls.__new__(cls)
-        f.num_blocks = (len(s) // 4 * 3 - s.count("=", len(s) - 2)) // 32
-        word_idx, masks = f._positions(hashes)
-        words = np.empty(masks.shape, np.uint32)
-        for k, block in enumerate(word_idx[:, 0] // 8):
-            lo = 32 * int(block)  # its bytes; 4 base64 chars per 3 bytes
-            raw = base64.b64decode(s[lo // 3 * 4 : -(-(lo + 32) // 3) * 4])
-            words[k] = np.frombuffer(raw, np.uint32, 8, lo % 3)
-        return ((words & masks) == masks).all(axis=1)
-
-
-def hashes_for_column(col) -> np.ndarray | None:
-    """64-bit hashes of a PhysicalColumn's values (None if unsupported)."""
-    from .ops.dedup import hash_strings
-    from .codecs.dictionary import binary_array
-
-    if col.ptype == "BINARY":
-        return _hash64(hash_strings(binary_array(*col.values)))
-    if col.ptype in ("INT32", "INT64"):
-        return _hash64(np.asarray(col.values).astype(np.int64).view(np.uint64))
-    if col.ptype in ("FLOAT", "DOUBLE"):
-        return _hash64(
-            np.asarray(col.values).astype(np.float64).view(np.uint64)
-        )
-    return None
-
-
-def build_for_column(col, ndv_hint: int | None = None, fpp: float = DEFAULT_FPP):
-    h = hashes_for_column(col)
-    if h is None or len(h) == 0:
-        return None
-    ndv = ndv_hint or len(np.unique(h))
-    f = BloomFilter(optimal_bytes(ndv, fpp))
-    f.add_hashes(h)
-    return f
-
-
-def value_hash(value, ptype: str = "BINARY") -> np.ndarray:
-    """Hash one stats-domain value of physical type ``ptype`` the way
-    ``hashes_for_column`` hashed the chunk (an unsigned int wraps to the
-    signed storage the filter hashed)."""
-    from .ops.dedup import hash_strings
-    import pyarrow as pa
-
-    if ptype == "BINARY":
-        if isinstance(value, str):
-            value = value.encode()
-        return _hash64(hash_strings(pa.array([value], pa.large_binary())))
-    if ptype in ("INT32", "INT64"):
-        if ptype == "INT32":  # the filter hashed int32 storage sign-extended
-            value = ((int(value) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
-        return _hash64(np.array([int(value) & 0xFFFFFFFFFFFFFFFF], np.uint64))
-    if ptype in ("FLOAT", "DOUBLE"):
-        return _hash64(np.array([value], np.float64).view(np.uint64))
-    raise TypeError(ptype)
-
-
-# ------------------------------------------------ parquet-file (spec) blooms
-
-
-class SpecBloom(BloomFilter):
-    """Spec-exact split-block bloom for parquet FILES: block index is the
-    multiply-shift `((h >> 32) * numBlocks) >> 32` of
-    BlockSplitBloomFilter.java:244-263 (the container variant above keeps
-    its original modulo mapping for manifest compatibility), and hashes
-    must be XXH64(seed 0) over the value's plain encoding."""
+class SpecBloom:
+    """A split-block bloom filter: 32-bit little-endian words, 8 per
+    256-bit block, in the spec's bitset layout."""
 
     def __init__(self, num_bytes: int):
         # spec filters need not be power-of-two sized; only 32-byte blocks
@@ -189,8 +77,21 @@ class SpecBloom(BloomFilter):
         ).astype(np.int64)
         return word_idx, np.uint32(1) << bit
 
+    def add_hashes(self, hashes: np.ndarray) -> None:
+        word_idx, masks = self._positions(hashes)
+        np.bitwise_or.at(self.words, word_idx.ravel(), masks.ravel())
+
+    def might_contain_hashes(self, hashes: np.ndarray) -> np.ndarray:
+        word_idx, masks = self._positions(hashes)
+        present = (self.words[word_idx] & masks) == masks
+        return present.all(axis=1)
+
     def bitset_bytes(self) -> bytes:
-        return self.words.tobytes()  # 32-bit LE words, spec layout
+        return self.words.tobytes()
+
+    def serialize(self) -> str:
+        """The bitset as base64 (a container manifest's ``bloom``)."""
+        return base64.b64encode(self.bitset_bytes()).decode()
 
     @classmethod
     def from_bitset(cls, raw: bytes) -> "SpecBloom":
@@ -199,12 +100,25 @@ class SpecBloom(BloomFilter):
         f.num_blocks = len(f.words) // 8
         return f
 
+    @classmethod
+    def probe_serialized(cls, s: str, hashes: np.ndarray) -> np.ndarray:
+        """``from_bitset(b64decode(s)).might_contain_hashes(hashes)``,
+        base64-decoding only the 32-byte blocks the hashes land in, not
+        the whole bitset."""
+        f = cls.__new__(cls)
+        f.num_blocks = (len(s) // 4 * 3 - s.count("=", len(s) - 2)) // 32
+        word_idx, masks = f._positions(hashes)
+        words = np.empty(masks.shape, np.uint32)
+        for k, block in enumerate(word_idx[:, 0] // 8):
+            lo = 32 * int(block)  # its bytes; 4 base64 chars per 3 bytes
+            raw = base64.b64decode(s[lo // 3 * 4 : -(-(lo + 32) // 3) * 4])
+            words[k] = np.frombuffer(raw, np.uint32, 8, lo % 3)
+        return ((words & masks) == masks).all(axis=1)
 
-def spec_hashes_for_column(col) -> np.ndarray | None:
-    """XXH64(seed 0) of each value's PLAIN encoding — the file-spec bloom
-    hash (BlockSplitBloomFilter XXHASH)."""
-    from .codecs import xxh
 
+def column_hashes(col) -> np.ndarray | None:
+    """XXH64 (seed 0) of each non-null value's PLAIN encoding (None for a
+    physical type without one the filter hashes: BOOLEAN)."""
     if col.ptype == "BINARY":
         offsets, data = col.values
         return xxh.xxh64_bytes(offsets, data)
@@ -218,31 +132,60 @@ def spec_hashes_for_column(col) -> np.ndarray | None:
     return None
 
 
-def spec_value_hash(value, ptype: str) -> np.ndarray:
-    """XXH64 of one lookup value's plain encoding."""
-    from .codecs import xxh
-
-    if isinstance(value, str):
-        value = value.encode()
-    if isinstance(value, bytes):
-        return np.array([xxh.xxh64(value)], np.uint64)
-    dt = {
-        "INT32": np.uint32, "INT64": np.uint64,
-        "FLOAT": np.float32, "DOUBLE": np.float64,
-    }[ptype]
-    if dt in (np.uint32, np.uint64):  # signed plain encoding, unsigned wraps
-        value = int(value) & int(np.iinfo(dt).max)
-    return np.array([xxh.xxh64(np.array([value], dt).tobytes())], np.uint64)
+_PLAIN = {"INT32": np.uint32, "INT64": np.uint64, "FLOAT": np.float32, "DOUBLE": np.float64}
 
 
-def build_spec_bloom(col, ndv_hint: int | None = None, fpp: float = DEFAULT_FPP):
-    h = spec_hashes_for_column(col)
+@functools.lru_cache(maxsize=256)
+def literal_hashes(values: tuple, ptype: str) -> np.ndarray:
+    """XXH64 of each stats-domain lookup literal's PLAIN encoding for a
+    leaf of physical type ``ptype`` (an unsigned int wraps to the signed
+    storage), memoized: a lookup hashes its literals once, however many
+    chunks it probes."""
+    out = np.empty(len(values), np.uint64)
+    for k, v in enumerate(values):
+        if isinstance(v, str):
+            v = v.encode()
+        if not isinstance(v, bytes):
+            dt = _PLAIN[ptype]
+            if dt in (np.uint32, np.uint64):
+                v = int(v) & int(np.iinfo(dt).max)
+            v = np.array([v], dt).tobytes()
+        out[k] = xxh.xxh64(v)
+    out.flags.writeable = False  # one array serves every caller
+    return out
+
+
+def build(col, config) -> SpecBloom | None:
+    """The bloom of one chunk under ``config``: ``bloom_fpp`` sizes it for
+    the chunk's distinct-hash count, or with ``bloom_adaptive`` the
+    candidate rule does (``bloom_max_bytes``, ``bloom_candidates``). None
+    for a chunk without hashable values."""
+    h = column_hashes(col)
     if h is None or len(h) == 0:
         return None
-    ndv = ndv_hint or len(np.unique(h))
-    f = SpecBloom(optimal_bytes(ndv, fpp))
+    ndv = len(np.unique(h))
+    if config.bloom_adaptive:
+        nbytes = adaptive_candidate_bytes(
+            ndv, config.bloom_max_bytes, config.bloom_candidates, config.bloom_fpp
+        )
+    else:
+        nbytes = optimal_bytes(ndv, config.bloom_fpp)
+    f = SpecBloom(nbytes)
     f.add_hashes(h)
     return f
+
+
+def probe(ptype: str, t, contains):
+    """The bloom veto of one chunk, ``values -> bool`` (may it hold any of
+    these stats-domain literals), or None for a leaf the probe cannot hash:
+    BOOLEAN, INT96 and FLOAT16 (its filter hashes FIXED_LEN_BYTE_ARRAY(2)
+    bytes, not a float). ``t`` is the leaf's Arrow type; ``contains(hashes)
+    -> bool array`` answers from wherever the bitset lives."""
+    import pyarrow as pa
+
+    if ptype in ("BOOLEAN", "INT96") or (t is not None and pa.types.is_float16(t)):
+        return None
+    return lambda values: bool(contains(literal_hashes(tuple(values), ptype)).any())
 
 
 # ------------------------------------------ adaptive sizing (candidate rule)
@@ -312,21 +255,3 @@ def adaptive_candidate_bytes(
         return LOWER_BOUND_BYTES  # minimum candidate (16-NDV, 32 bytes)
     survivors = [s for s in sizes if _expected_ndv(s, fpp) >= ndv]
     return min(survivors) if survivors else max(sizes)
-
-
-def build_adaptive_spec_bloom(
-    col,
-    max_bytes: int = MAX_BYTES,
-    num_candidates: int = DEFAULT_CANDIDATES,
-    fpp: float = DEFAULT_FPP,
-):
-    """Spec bloom sized by the adaptive candidate rule over the exact
-    distinct-hash count (vectorized one-shot equivalent of
-    AdaptiveBlockSplitBloomFilter's insert-and-eliminate loop)."""
-    h = spec_hashes_for_column(col)
-    if h is None or len(h) == 0:
-        return None
-    ndv = len(np.unique(h))
-    f = SpecBloom(adaptive_candidate_bytes(ndv, max_bytes, num_candidates, fpp))
-    f.add_hashes(h)
-    return f

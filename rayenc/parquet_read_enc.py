@@ -938,20 +938,16 @@ def read_bloom_filter(f: "EncryptedFile", rg_ord: int, col_ord: int):
 def _bloom_probe(f: "EncryptedFile", rg_ord: int, col_ord: int):
     """``values -> bool``: may the chunk hold any of these values, by its
     bloom filter (read once, on the first probe); None without a filter or
-    for a leaf whose values the probe cannot hash (INT96, BOOLEAN,
-    FLOAT16)."""
+    for a leaf ``bloom.probe`` cannot hash."""
     import functools
 
-    from .bloom import spec_value_hash
+    from . import bloom
 
-    leaf = f.leaves[col_ord]
-    ptype = leaf.ptype
-    if f.chunk_meta(rg_ord, col_ord).get(14) is None or pa.types.is_float16(leaf.type) or ptype in ("BOOLEAN", "INT96"):
+    if f.chunk_meta(rg_ord, col_ord).get(14) is None:
         return None
+    leaf = f.leaves[col_ord]
     filt = functools.cache(lambda: read_bloom_filter(f, rg_ord, col_ord))
-    return lambda values: any(
-        bool(filt().might_contain_hashes(spec_value_hash(v, ptype))[0]) for v in values
-    )
+    return bloom.probe(leaf.ptype, leaf.type, lambda h: filt().might_contain_hashes(h))
 
 
 def bloom_might_contain(

@@ -601,18 +601,9 @@ def _write_row_group(
                     binary_array(*col.values).cast(pa.large_binary())
                 )
             if dotted in config.bloom_columns or leaf.path[0] in config.bloom_columns:
-                from . import bloom as bloom_mod
+                from . import bloom
 
-                fpp = getattr(config, "bloom_fpp", 0.01)
-                if getattr(config, "bloom_adaptive", False):
-                    meta.bloom = bloom_mod.build_adaptive_spec_bloom(
-                        col,
-                        max_bytes=config.bloom_max_bytes,
-                        num_candidates=config.bloom_candidates,
-                        fpp=fpp,
-                    )
-                else:
-                    meta.bloom = bloom_mod.build_spec_bloom(col, fpp=fpp)
+                meta.bloom = bloom.build(col, config)
             columns.append(meta)
     return columns
 

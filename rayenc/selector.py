@@ -71,14 +71,16 @@ class EncodeConfig:
     # on pathologically heterogeneous ones
     exhaustive_selection: bool = False
     # columns to build split-block bloom filters for (ParquetProperties
-    # bloom-filter column properties analog; rayenc/bloom.py)
+    # bloom-filter column properties analog): `bloom.build` makes the same
+    # spec filter for a Parquet chunk and a container chunk, sized for
+    # bloom_fpp over the chunk's distinct count
     bloom_columns: set = field(default_factory=set)
     bloom_fpp: float = 0.01
-    # adaptive bloom sizing (AdaptiveBlockSplitBloomFilter.java): pick the
-    # smallest surviving power-of-two candidate for the chunk's distinct
-    # count instead of the direct optimal size. bloom_max_bytes caps the
-    # largest candidate; bloom_candidates is the halving count
-    # (ParquetProperties.DEFAULT_BLOOM_FILTER_CANDIDATES_NUMBER)
+    # adaptive bloom sizing (AdaptiveBlockSplitBloomFilter.java), in both
+    # formats: pick the smallest surviving power-of-two candidate for the
+    # chunk's distinct count instead of the direct optimal size.
+    # bloom_max_bytes caps the largest candidate; bloom_candidates is the
+    # halving count (ParquetProperties.DEFAULT_BLOOM_FILTER_CANDIDATES_NUMBER)
     bloom_adaptive: bool = False
     bloom_max_bytes: int = 1 << 20  # DEFAULT_MAX_BLOOM_FILTER_BYTES
     bloom_candidates: int = 5

@@ -30,7 +30,10 @@ manifest without its ``timings`` and ``lineage.path``. A ``container_zstd``
 section repeats it with zstd pages of 250 rows (``CONTAINER_ZSTD``): chunks
 of 5 or more pages are where the selector ranks sampled candidates by
 compressed bytes, so a selector change shows up as a line diff in one
-section or the other.
+section or the other. A ``container_bloom`` section repeats the default
+plan with ``bloom_columns`` set to the tables' key columns (names ending
+in ``key`` or ``_id``), so the manifests carry blooms; the blobs must match
+the ``container`` section's.
 
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
@@ -243,6 +246,8 @@ def main() -> None:
         print(f"{digest}  {os.path.basename(path)}")
     container_lines(sources, os.path.join(out, "container"))
     container_lines(sources, os.path.join(out, "container_zstd"), CONTAINER_ZSTD)
+    keys = {n for src in sources for n in pq.read_schema(src).names if n.endswith(("key", "_id"))}
+    container_lines(sources, os.path.join(out, "container_bloom"), EncodeConfig(bloom_columns=keys))
 
 
 def sha(data: bytes) -> str:

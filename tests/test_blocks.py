@@ -6,7 +6,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from rayenc import blocks, selector, stats
+from rayenc import blocks, predicate as P, selector, stats
 from rayenc.schema import PhysicalColumn, shred, assemble
 
 SF = "/root/testdata/sf0.001"
@@ -314,7 +314,6 @@ def test_dictionary_strings_decode_block():
     DictionaryArray (DictionaryValuesReader.java:49-55 semantics: readers see
     ids + dictionary, not materialized values)."""
     import pyarrow.compute as pc
-    from rayenc import predicate as P
 
     rng = np.random.default_rng(7)
     n = 20000
@@ -365,7 +364,7 @@ def test_dictionary_strings_ineligible_falls_back():
 
 def test_nan_pages_unbounded_and_kept():
     # pages holding NaN get (None, None) bounds (JSON-safe, parquet-mr NaN
-    # rule) and page_mask_for_predicate must keep them for range predicates
+    # rule) and the page bounds must keep them for range predicates
     cfg = selector.EncodeConfig(page_rows=4)
     vals = np.array([1.0, 2.0, np.nan, 4.0] + [10.0, 11.0, 12.0, 13.0], np.float64)
     table = pa.table({"x": pa.array(vals, pa.float64())})
@@ -375,10 +374,8 @@ def test_nan_pages_unbounded_and_kept():
     assert len(pages) == 2
     assert pages[0]["min"] is None and pages[0]["max"] is None
     assert pages[1]["min"] == 10.0 and pages[1]["max"] == 13.0
-    mask = blocks.page_mask_for_predicate(entry, [("x", ">", 3.0)])
-    assert mask == [True, True]
-    mask2 = blocks.page_mask_for_predicate(entry, [("x", ">", 20.0)])
-    assert mask2 == [True, False]
+    assert blocks._page_rows(entry, P.Leaf("x", ">", 3.0)) == [(0, 4), (4, 8)]
+    assert blocks._page_rows(entry, P.Leaf("x", ">", 20.0)) == [(0, 4)]
     out = blocks.decode_block(blob, manifest, predicate=[("x", ">", 3.0)])
     assert out["x"].to_pylist() == [4.0, 10.0, 11.0, 12.0, 13.0]
 

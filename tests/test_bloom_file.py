@@ -12,7 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from rayenc import parquet_write
-from rayenc.bloom import SpecBloom, build_spec_bloom, spec_value_hash
+from rayenc.bloom import SpecBloom, build, literal_hashes
 from rayenc.codecs.xxh import xxh64, xxh64_bytes, xxh64_fixed
 from rayenc.parquet_crypto import FileDecryption, FileEncryption
 from rayenc.parquet_read_enc import (
@@ -51,13 +51,11 @@ def test_xxh64_batch_matches_scalar():
 
 def test_spec_bloom_no_false_negatives():
     col = shred("x", pa.array([f"doc{i}" for i in range(5000)]))[0]
-    f = build_spec_bloom(col)
-    for i in range(0, 5000, 97):
-        assert f.might_contain_hashes(spec_value_hash(f"doc{i}", "BINARY"))[0]
-    fp = sum(
-        bool(f.might_contain_hashes(spec_value_hash(f"no{i}", "BINARY"))[0])
-        for i in range(2000)
-    )
+    f = build(col, EncodeConfig())
+    present = literal_hashes(tuple(f"doc{i}" for i in range(0, 5000, 97)), "BINARY")
+    assert f.might_contain_hashes(present).all()
+    absent = literal_hashes(tuple(f"no{i}" for i in range(2000)), "BINARY")
+    fp = f.might_contain_hashes(absent).sum()
     assert fp / 2000 < 0.05  # target fpp 1%
 
 

@@ -301,8 +301,11 @@ def test_decimal_bounds_prune(decimal_files, monkeypatch):
     assert _decoded_row_groups(monkeypatch, path, [("p", "==", 2)], DEC) == {1}
 
 
+FLBA_KEYS = [v.to_bytes(16, "big") for v in range(400)]
+
+
 def test_parquet_bloom_prunes_fixed_size_binary_keys(tmp_path, monkeypatch):
-    keys = [v.to_bytes(16, "big") for v in range(400)]
+    keys = FLBA_KEYS
     t = pa.table({"k": pa.array(keys, pa.binary(16))})
     path = str(tmp_path / "k.parquet")
     cfg = EncodeConfig(bloom_columns={"k"}, disable_dictionary={"k"})
@@ -316,6 +319,29 @@ def test_parquet_bloom_prunes_fixed_size_binary_keys(tmp_path, monkeypatch):
         assert _decoded_row_groups(monkeypatch, path, pred, t) == kept
     # a literal of another width equals no key
     assert read_table_filtered(path, [("k", "==", b"x")]).num_rows == 0
+
+
+def test_container_bloom_prunes_fixed_size_binary_keys(tmp_path):
+    # the keys of the Parquet case above, dealt round-robin so every
+    # partition spans the same range: only the bloom can prune
+    keys = FLBA_KEYS
+    names = []
+    for k in range(4):
+        t = pa.table({"k": pa.array(keys[k::4], pa.binary(16))})
+        blob, man = blocks.encode_block(t, EncodeConfig(bloom_columns={"k"}))
+        man["blob"] = f"part-{k}.renc"
+        (tmp_path / man["blob"]).write_bytes(blob)
+        names.append(f"part-{k}.manifest.json")
+        (tmp_path / names[-1]).write_text(json.dumps(man))
+    for pred, kept in (([("k", "==", keys[250])], {2}),
+                       ([("k", "in", [keys[5], keys[399]])], {1, 3})):
+        w = pipeline.DecodeWorker(str(tmp_path), predicate=pred)
+        assert {k for k, n in enumerate(names)
+                if not w._skip_by_stats(json.loads((tmp_path / n).read_text()))} == kept
+        assert sum(t.num_rows for t in w({"manifest": names})) == len(kept)
+    # a literal of another width equals no key
+    w = pipeline.DecodeWorker(str(tmp_path), predicate=[("k", "==", b"x")])
+    assert sum(t.num_rows for t in w({"manifest": names})) == 0
 
 
 def test_bloom_probe_skips_leaves_it_cannot_hash(tmp_path, capsys):
