@@ -615,23 +615,33 @@ def encode_chunk(
     return entry
 
 
-def _page_rows(entry: dict, leaf, t=None):
+def _page_rows(entry: dict, leaf, t=None, valid=None):
     """Rows of the chunk's pages whose min/max may satisfy ``leaf`` (None
-    when the chunk has no page bounds). ``t`` is the column's Arrow type."""
+    when the chunk has no page bounds). ``t`` is the column's Arrow type.
+    Given the validity ``valid`` of a chunk with nulls, page k starts at
+    the row of its first value (page 0 at row 0) and its null count is
+    unknown."""
     pages = entry["pages"]
     if not pages or "min" not in pages[0]:
         return None
+    counts = np.array([p["num_values"] for p in pages], np.int64)
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts
+    if valid is not None:
+        rows = np.append(np.flatnonzero(valid), len(valid))
+        starts = np.append(0, rows[starts[1:]])
+        ends = np.append(starts[1:], len(valid))
     kept = []
-    for r, p in zip(_entry_page_ranges(entry), pages):
+    for a, b, p in zip(starts.tolist(), ends.tolist(), pages):
         lo, hi = p.get("min"), p.get("max")
         if isinstance(lo, str):
             # string bounds are stored latin-1 (bytewise order, truncated
             # max incremented — ColumnIndexBuilder semantics)
             lo, hi = lo.encode("latin-1"), hi.encode("latin-1")
-        # a None bound is an unbounded (NaN-bearing) page; page skipping
-        # only runs on chunks without nulls
-        if P.leaf_may_match(leaf, P.Granule(lo, hi, 0, p["num_values"], t)):
-            kept.append(r)
+        # a None bound is an unbounded (NaN-bearing) page
+        g = P.Granule(lo, hi, 0 if valid is None else None, p["num_values"], t)
+        if P.leaf_may_match(leaf, g):
+            kept.append((a, b))
     return kept
 
 
@@ -790,32 +800,21 @@ def encode_block(table: pa.Table, config: sel.EncodeConfig | None = None) -> tup
     return blob, manifest
 
 
-def _entry_page_ranges(entry):
-    counts = np.array([p["num_values"] for p in entry["pages"]], np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
-
-
-def _kept_row_intervals(manifest, by_name, tree, nrows):
+def _kept_row_intervals(manifest, reader, tree):
     """Rows that can satisfy NNF ``tree``, from per-page min/max of every
     predicate column — the offset-index row-alignment of
     `internal/column/columnindex/` generalized to And/Or/Not trees across
-    any number of columns. None when nothing was pruned."""
+    any number of columns; nullable columns map pages to rows through
+    their validity."""
     types = _column_types(manifest["schema"])
 
     def leaf_rows(leaf):
-        e = by_name.get(leaf.col)
-        if e is not None and e.get("alias"):
-            e = by_name.get(e["alias"])
-        if e is None or e["validity"] is not None:
+        if leaf.col not in reader.by_name:
             return None
-        return _page_rows(e, leaf, types.get(leaf.col))
+        e = reader.target(leaf.col)
+        return _page_rows(e, leaf, types.get(leaf.col), reader.validity(e))
 
-    kept = P.row_ranges(tree, nrows, leaf_rows)
-    if kept == [(0, nrows)]:
-        return None
-    return kept
+    return P.row_ranges(tree, manifest["num_rows"], leaf_rows)
 
 
 def _take_values(ptype: str, values, idx: np.ndarray):
@@ -862,23 +861,28 @@ class _BlockReader:
         entry = self.by_name[name]
         return self.by_name[entry["alias"]] if entry.get("alias") else entry
 
+    def validity(self, entry: dict):
+        """The chunk's validity, decoded once (None: no nulls)."""
+        name = entry["name"]
+        if name not in self._valid:
+            self._valid[name] = (_validity(self.blob, entry), None)
+        return self._valid[name][0]
+
     def dense(self, entry: dict, slots):
         """(value positions, null mask) of ``slots`` in ``entry``: nullable
         streams hold no values at null slots, so a slot's value position is
         the number of valid slots before it."""
         if slots is not None and not len(slots):
             return slots, np.empty(0, bool) if entry["validity"] else None
-        name = entry["name"]
-        if name not in self._valid:
-            self._valid[name] = (_validity(self.blob, entry), None)
-        valid, rank = self._valid[name]
+        valid = self.validity(entry)
         if valid is None:
             return slots, None
         if slots is None:
             return None, ~valid
+        rank = self._valid[entry["name"]][1]
         if rank is None:
             rank = np.cumsum(valid) - 1
-            self._valid[name] = (valid, rank)
+            self._valid[entry["name"]] = (valid, rank)
         picked = valid[slots]
         return rank[slots[picked]], ~picked
 
@@ -889,37 +893,27 @@ class _BlockReader:
             if dictionary:
                 return pa.DictionaryArray.from_arrays(pa.array([], pa.int32()), pa.array([], pa.binary()))
             return _no_values(entry)
-        need = None
-        if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
-            counts = np.array([p["num_values"] for p in entry["pages"]], np.int64)
-            ends = np.cumsum(counts)
-            # how many of the positions fall in each page
-            per_page = np.diff(np.searchsorted(idx, ends), prepend=0)
-            need = per_page > 0
-            if need.all():
-                need = None
         key = (entry["name"], dictionary)
         got = self._pages.get(key)
-        if got is None or (got[0] is not None and (need is None or (need & ~got[0]).any())):
-            if got is not None:
-                need = None if need is None else need | got[0]
-            if dictionary:
+        if got is not None and got[0] is None:  # every page at hand
+            out = got[1]
+        else:
+            need = None
+            if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
+                ends = np.cumsum([p["num_values"] for p in entry["pages"]])
+                need, idx = P.select_pages(ends, idx, None if got is None else got[0])
+            if got is not None and need is not None and (need == got[0]).all():
+                out = got[1]
+            elif dictionary:
                 out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
             else:
                 aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
                 out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs).values
-            got = self._pages[key] = (need, out)
-        mask, out = got
+            self._pages[key] = (need, out)
         if idx is None:
             return out
-        if mask is not None:
-            # positions within the decoded pages, which sit back to back;
-            # a partial decode implies ``need`` was worked out above
-            kept = np.where(mask, counts, 0)
-            idx = idx - np.repeat(ends - np.cumsum(kept), per_page)
         if dictionary:
-            a, b = int(idx[0]), int(idx[-1]) + 1
-            return out.slice(a, b - a) if b - a == len(idx) else out.take(pa.array(idx, pa.int64()))
+            return P.take(out, idx)
         return _take_values(entry["ptype"], out, idx)
 
     def streams(self, t: pa.DataType, name: str, slots, out: dict) -> None:
@@ -979,16 +973,13 @@ def decode_block(
     projection pushdown.
 
     ``predicate`` (anything ``predicate.normalize`` accepts; its columns
-    need not be projected) makes the read exact and two-phase, the late
-    materialization of parquet-java's ``RowRanges`` reads:
-
-    1. the predicate columns decode over the pages whose min/max may match
-       (``_kept_row_intervals``) and ``predicate.mask`` picks the matching
-       rows;
-    2. every other projected column decodes only the pages that hold those
-       rows' values — list and map slots map to child values through
-       ``#lengths``, nullable streams through their validity — and the
-       predicate columns are taken from phase 1, not decoded again.
+    need not be projected) makes the read exact and two-phase through
+    ``predicate.two_phase_read``, the one filtered read of both formats:
+    the predicate columns decode over the pages whose min/max may match
+    (``_kept_row_intervals``), then every other projected column decodes
+    only the pages that hold the matching rows' values — list and map slots
+    map to child values through ``#lengths``, nullable streams through
+    their validity.
 
     Only the matching rows come back. A predicate that cannot be evaluated
     (a column the block lacks, a literal of the wrong type, a user predicate
@@ -1001,8 +992,6 @@ def decode_block(
     way — `dictionary/DictionaryValuesReader.java`). For low-NDV columns
     this shrinks the decoded block by ~avg_len/4 and predicates evaluate on
     the NDV-sized dictionary (predicate.leaf_mask), not per row."""
-    import pyarrow.compute as pc
-
     if bytes(blob[: len(MAGIC)]) != MAGIC:
         raise BlockFormatError("bad block magic")
     schema = _schema(manifest["schema"])
@@ -1051,27 +1040,9 @@ def decode_block(
         reader.streams(field.type, field.name, rows, out)
         return assemble(field, out)
 
-    rows = None  # all rows
-    matched: dict = {}
-    if tree is not None:
-        kept = _kept_row_intervals(manifest, by_name, tree, manifest["num_rows"])
-        if kept is not None:
-            rows = np.concatenate([np.arange(a, b) for a, b in kept] or [np.empty(0, np.int64)])
-        for c in pred_cols:
-            matched[c] = read(schema.field(c), rows)
-        phase1 = pa.table(matched)
-        try:
-            hit = P.mask(tree, phase1)
-        except Exception as exc:
-            raise P.PredicateError(f"cannot evaluate {tree!r}: {exc!r}") from exc
-        if isinstance(hit, pa.ChunkedArray):
-            hit = hit.combine_chunks()  # indices_nonzero crashes on zero chunks
-        hit = pc.indices_nonzero(hit)  # a null verdict fails
-        if rows is not None or len(hit) < manifest["num_rows"]:
-            matched = dict(zip(pred_cols, phase1.take(hit).columns))
-            hit = hit.to_numpy().astype(np.int64)
-            rows = hit if rows is None else rows[hit]
-    arrays = [matched[f.name] if f.name in matched else read(f, rows) for f in fields]
+    kept = None if tree is None else _kept_row_intervals(manifest, reader, tree)
+    pred_fields = [schema.field(c) for c in pred_cols]
+    arrays = P.two_phase_read(tree, manifest["num_rows"], kept, pred_fields, fields, read)
     return pa.Table.from_arrays(
         arrays, schema=pa.schema([f.with_type(a.type) for f, a in zip(fields, arrays)])
     )

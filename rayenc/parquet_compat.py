@@ -274,16 +274,6 @@ def int96_to_timestamp_ns(vals: np.ndarray) -> np.ndarray:
     return (julian - 2440588) * 86_400_000_000_000 + nanos
 
 
-def read_list_column(path: str, field_name: str, row_group: int = 0):
-    """Decode one list (or any nested) column of one row group from real
-    rep/def levels using rayenc decoders only; returns an array equal to
-    pyarrow's read. Handles null lists, empty lists and null elements."""
-    from .parquet_read_enc import _open_cached
-
-    f = _open_cached(path, None)
-    return f.read_field(row_group, f.arrow_schema().field(field_name))
-
-
 def _decimal_storage(v: np.ndarray, t) -> np.ndarray:
     """Decoded Parquet DECIMAL values -> the container's decimal storage,
     16/32-byte little-endian two's complement rows. Parquet DECIMAL rides

@@ -35,6 +35,7 @@ KMS to read files pyarrow encrypted in both wrapping modes.
 from __future__ import annotations
 
 import base64
+import functools
 import struct
 import zlib
 
@@ -44,6 +45,7 @@ import pyarrow as pa
 from . import predicate as P
 from . import parquet_crypto as pcrypt
 from .codecs import decode_pages
+from .created_by import requires_sequential_reads, should_ignore_statistics
 from .message_type import _name, _node_field, _walk_schema, format_message_type  # noqa: F401
 from .parquet_compat import (
     DATA_PAGE_V2,
@@ -647,10 +649,6 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
     ``file_path``, which `_metadata` sets to the part holding it), its
     bloom filter and — when every data page is dictionary-encoded — its
     dictionary."""
-    import functools
-
-    from .created_by import should_ignore_statistics
-
     ords = list(range(len(f.row_groups)) if row_groups is None else row_groups)
     if tree is None:
         return ords
@@ -729,20 +727,21 @@ def read_table_filtered(
     ``[(col, op, value), ...]`` conjunction list or a full And/Or/Not tree
     with In/NotIn/UserPredicate leaves (`filter2/predicate/Operators.java`
     algebra). ``plan_row_groups`` prunes row groups, ``predicate.row_ranges``
-    the pages of the survivors, and the exact filter runs after decode.
-    Predicate columns excluded from
-    ``columns`` are decoded for the mask and dropped from the result.
-    Flat predicate columns; plaintext or encrypted files. ``predicate=None``
-    prunes nothing and decodes every selected chunk whole: the
-    conformance and encrypted reads."""
+    the pages of the survivors, and each surviving row group runs
+    ``predicate.two_phase_read``, the container's exact read: the predicate
+    columns decode over the kept pages, ``predicate.mask`` picks the
+    matching rows, and every other column decodes only the pages that hold
+    them (nested columns and chunks without a page index decode whole).
+    Only the matching rows of ``columns`` come back; a predicate column
+    outside ``columns`` is read in phase 1 only. Flat predicate columns;
+    plaintext or encrypted files. A predicate that cannot be evaluated
+    raises ``predicate.PredicateError``. ``predicate=None`` prunes nothing
+    and decodes every selected chunk whole: the conformance and encrypted
+    reads."""
     tree = P.normalize(predicate)
     f = _open_cached(path, decryption)
     schema = f.arrow_schema()
     leaf_ord = {leaf.dotted: i for i, leaf in enumerate(f.leaves)}
-    pred_cols = sorted(P.columns(tree))
-    for c in pred_cols:
-        if c not in leaf_ord:
-            raise ValueError(f"predicate column {c!r} not in {path}")
 
     def _pred_field(c: str) -> pa.Field:
         """Arrow field for a predicate column: a top-level flat column, or a
@@ -750,6 +749,8 @@ def read_table_filtered(
         paths (through list/map) have Dremel record semantics the flat
         filter can't express — rejected like the reference's
         ColumnIndexFilter does for its row-ranges math."""
+        if c not in leaf_ord:
+            raise ValueError(f"predicate column {c!r} not in {path}")
         lf = f.leaves[leaf_ord[c]]
         if lf.max_rep > 0:
             raise ValueError(f"predicate column {c!r} is under a repeated path")
@@ -764,38 +765,22 @@ def read_table_filtered(
             fld = fld.type.field(seg)
         return pa.field(c, fld.type)
 
+    pred_fields = [_pred_field(c) for c in sorted(P.columns(tree))]
     if columns is not None:
         missing = [c for c in columns if schema.get_field_index(c) < 0]
         if missing:
             raise ValueError(f"column(s) {missing} not in {path}")
-        out_names = list(columns)
-        extra = [c for c in pred_cols if c not in columns]
-        dec_schema = pa.schema(
-            [schema.field(c) for c in columns] + [_pred_field(c) for c in extra]
-        )
-    else:
-        extra = [c for c in pred_cols if schema.get_field_index(c) < 0]
-        out_names = schema.names if extra else None
-        dec_schema = (
-            pa.schema(list(schema) + [_pred_field(c) for c in extra])
-            if extra
-            else schema
-        )
-    for c in pred_cols:
-        _pred_field(c)  # validates flat / non-repeated
+    fields = list(schema) if columns is None else [schema.field(c) for c in columns]
+    out_schema = schema if columns is None else pa.schema(fields)
     parts = []
     for rg_ord in plan_row_groups(f, tree, row_groups, use_dictionary_filter=use_dictionary_filter):
         rg_rows = f.row_groups[rg_ord].get(3)
-        idx_cache = {}
+        index = functools.cache(lambda col: _parse_index(f, rg_ord, leaf_ord[col]))
 
         def leaf_rows(leaf):
             """Rows of the pages whose ColumnIndex entry may satisfy
             ``leaf`` (None without a page index)."""
-            ci = leaf_ord[leaf.col]
-            parsed = idx_cache.get(leaf.col)
-            if parsed is None:
-                parsed = _parse_index(f, rg_ord, ci)
-                idx_cache[leaf.col] = parsed
+            parsed = index(leaf.col)
             if parsed is None:
                 return None
             cidx, oidx = parsed
@@ -809,7 +794,7 @@ def read_table_filtered(
                     if P.leaf_may_match(leaf, P.Granule(nulls=nulls, count=0 if null_page else None))
                 ]
             else:
-                lf = f.leaves[ci]
+                lf = f.leaves[leaf_ord[leaf.col]]
                 dleaf = P.in_domain(leaf, lf.type)[0]
                 bounds = _page_bounds(cidx, lf)
                 if dleaf is None or bounds is None:
@@ -817,56 +802,37 @@ def read_table_filtered(
                 keep = _matching_pages(dleaf, bounds, cidx.get(4, 0))
             return [(firsts[p], firsts[p + 1]) for p in keep]
 
-        intervals = P.row_ranges(tree, rg_rows, leaf_rows)
-        if not intervals:
-            continue
-        cols = []
-        for field in dec_schema:
-            nested = pa.types.is_nested(field.type)
-            parsed = None
-            if tree is not None and not nested:
-                ci = leaf_ord[field.name]
-                parsed = idx_cache.get(field.name) or _parse_index(f, rg_ord, ci)
+        def read(field: pa.Field, rows):
+            """``field`` at ``rows`` of the row group: a flat leaf with an
+            OffsetIndex decodes only the pages that hold them; a nested
+            column, or a chunk without a page index, decodes whole."""
+            if rows is None:
+                return f.read_field(rg_ord, field)
+            if not len(rows):
+                return pa.nulls(0, field.type)
+            ci = leaf_ord.get(field.name)
+            parsed = None if ci is None or pa.types.is_nested(field.type) else index(field.name)
             if parsed is not None:
                 # PARQUET-246: pre-1.8 parquet-mr DELTA_BYTE_ARRAY pages
                 # share prefix state — page-selected decode would be garbage;
                 # fall back to the sequential whole-chunk decode
-                from .created_by import requires_sequential_reads
-
                 encs = f.chunk_meta(rg_ord, ci).get(2) or []
                 if 7 in encs and requires_sequential_reads(f.created_by, 7):
                     parsed = None
             if parsed is None:
-                # whole chunks: every column without a predicate, nested
-                # SELECTED columns (predicates stay flat; page skipping still
-                # applies to the flat predicate columns driving
-                # `intervals`), and chunks without a page index
-                arr = f.read_field(rg_ord, field)
-                if tree is not None:
-                    if isinstance(arr, pa.ChunkedArray):
-                        arr = arr.combine_chunks()
-                    arr = pa.concat_arrays([arr.slice(a, b - a) for a, b in intervals])
-                cols.append(arr)
-                continue
-            _, oidx = parsed
-            locs = oidx.get(1, [])
-            firsts = [loc[3] for loc in locs] + [rg_rows]
-            sel, local = P.page_slices(list(zip(firsts, firsts[1:])), intervals)
-            arr = _decode_selected_pages(
-                f, rg_ord, ci, locs, [p for p, k in enumerate(sel) if k], field.type
-            )
-            cols.append(pa.concat_arrays([arr.slice(s, n) for s, n in local]))
-        tbl = pa.Table.from_arrays(cols, schema=dec_schema)
-        parts.append(tbl)
-    table = (
-        pa.concat_tables(parts)
-        if len(parts) > 1
-        else (parts[0] if parts else dec_schema.empty_table())
-    )
-    table = P.filter_table(tree, table)
-    if extra:
-        table = table.select(out_names)
-    return table
+                return P.take(f.read_field(rg_ord, field), rows)
+            locs = parsed[1].get(1, [])
+            need, local = P.select_pages([loc[3] for loc in locs[1:]] + [rg_rows], rows)
+            sel = range(len(locs)) if need is None else np.flatnonzero(need).tolist()
+            return P.take(_decode_selected_pages(f, rg_ord, ci, locs, sel, field.type), local)
+
+        intervals = P.row_ranges(tree, rg_rows, leaf_rows)
+        if intervals:
+            arrays = P.two_phase_read(tree, rg_rows, intervals, pred_fields, fields, read)
+            parts.append(pa.Table.from_arrays(arrays, schema=out_schema))
+    if len(parts) == 1:
+        return parts[0]
+    return pa.concat_tables(parts) if parts else out_schema.empty_table()
 
 
 def _decode_selected_pages(f, rg_ord, col_ord, locs, page_sel, arrow_t,
@@ -939,8 +905,6 @@ def _bloom_probe(f: "EncryptedFile", rg_ord: int, col_ord: int):
     """``values -> bool``: may the chunk hold any of these values, by its
     bloom filter (read once, on the first probe); None without a filter or
     for a leaf ``bloom.probe`` cannot hash."""
-    import functools
-
     from . import bloom
 
     if f.chunk_meta(rg_ord, col_ord).get(14) is None:

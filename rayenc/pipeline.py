@@ -868,9 +868,10 @@ def read_parquet_filtered(
 ) -> "ray.data.Dataset":
     """Distributed predicate-pushdown read of parquet FILES driven by OUR
     index structures: one task per (file, row group) runs
-    parquet_read_enc.read_table_filtered — bloom row-group vetoes +
-    ColumnIndex page skipping + exact filtering all happen inside the task,
-    so only surviving rows enter the object store. Works on plaintext and
+    parquet_read_enc.read_table_filtered — bloom row-group vetoes,
+    ColumnIndex page skipping and the two-phase read (predicate columns
+    first, then only the pages of matching rows) all happen inside the
+    task, so only matching rows enter the object store. Works on plaintext and
     modular-encrypted files (pass parquet_crypto.FileDecryption)."""
     if isinstance(paths, str):
         paths = [paths]
@@ -909,7 +910,8 @@ def read_parquet_summary(
     ``predicate`` using ONLY the summary footer — no part footer is
     opened during planning — then each surviving (file, row group) runs
     the full pushdown read (bloom + dictionary + ColumnIndex page
-    skipping + exact filter) inside its task.  At lake scale this is one
+    skipping + the two-phase read of ``read_table_filtered``) inside its
+    task.  At lake scale this is one
     small driver read instead of ~len(files) footer fetches."""
     from .summary import METADATA, plan_from_summary
 

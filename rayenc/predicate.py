@@ -12,6 +12,9 @@ three ways:
   metadata; ``leaf_may_match`` is the one veto, And=all, Or=any;
 - ``row_ranges(pred, nrows, leaf_ranges)`` — the rows of a granule that
   page-level metadata cannot rule out (And intersects, Or unions);
+- ``two_phase_read(...)`` — the one filtered read of both file formats:
+  the predicate columns over those rows, ``mask``, then every other column
+  only at the matching rows (``select_pages`` maps them to pages);
 - ``normalize(...)`` — accepts the legacy ``[(col, op, value), ...]``
   conjunction lists every rayenc surface used through round 3 and returns an
   NNF tree (Not pushed to the leaves, flipping operators the way
@@ -37,6 +40,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 _LEAF_OPS = {"==", "!=", "<", "<=", ">", ">=", "in", "not_in", "udp",
              "is_null", "not_null"}
@@ -414,18 +419,73 @@ def row_ranges(tree, nrows: int, leaf_ranges) -> list[tuple[int, int]]:
     return [(0, nrows)] if iv is None else _merge_intervals(iv)
 
 
-def page_slices(pages, kept) -> tuple[list[bool], list[tuple[int, int]]]:
-    """Map kept rows onto page-aligned decoding: which of ``pages`` (row
-    ``(start, end)`` per page) overlap ``kept``, and the ``(offset,
-    length)`` of each kept run within the concatenated selected pages."""
-    mask, local, base = [], [], 0
-    for a, b in pages:
-        runs = _intersect_intervals([(a, b)], kept)
-        mask.append(bool(runs))
-        if runs:
-            local += [(base + lo - a, hi - lo) for lo, hi in runs]
-            base += b - a
-    return mask, local
+def select_pages(ends, rows, decoded=None):
+    """The rows -> pages mapping of both readers: the pages of a column
+    (ending at the cumulative positions ``ends``) that hold the ascending
+    positions ``rows``, as a bool mask (None: every page), and ``rows`` as
+    positions within those pages read back to back. ``decoded`` (a mask of
+    pages already at hand) joins the selection."""
+    ends = np.asarray(ends, np.int64)
+    # how many of the positions fall in each page
+    per_page = np.diff(np.searchsorted(rows, ends), prepend=0)
+    need = per_page > 0
+    if decoded is not None:
+        need |= decoded
+    if need.all():
+        return None, rows
+    skipped = np.cumsum(np.where(need, 0, np.diff(ends, prepend=0)))
+    return need, rows - np.repeat(skipped, per_page)
+
+
+def take(arr, rows):
+    """``arr`` at ascending positions ``rows``; a run of consecutive
+    positions is a slice."""
+    import pyarrow as pa
+
+    n = len(rows)
+    if n and int(rows[-1]) - int(rows[0]) + 1 != n:
+        return arr.take(pa.array(rows, pa.int64()))
+    return arr.slice(int(rows[0]) if n else 0, n)
+
+
+def two_phase_read(tree, nrows, kept, pred_fields, fields, read) -> list:
+    """The one filtered read of both formats, exact: parquet-java's
+    ``RowRanges`` reads with late materialization. ``read(field, rows)``
+    gives a field's values at the ascending row positions ``rows`` (None:
+    every row) of an ``nrows``-row granule.
+
+    1. The ``pred_fields`` are read over the ``kept`` row intervals (the
+       ``row_ranges`` the page bounds left) and ``mask`` of NNF ``tree``
+       picks the matching rows;
+    2. every other field of ``fields`` is read at those rows only; a
+       predicate field is taken from phase 1, not read again.
+
+    Returns the arrays of ``fields`` at the matching rows (every row when
+    ``tree`` is None). A predicate that cannot be evaluated (a literal of
+    the wrong type, a user predicate that raises) raises ``PredicateError``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    rows = None  # all rows
+    matched: dict = {}
+    if tree is not None:
+        if kept != [(0, nrows)]:
+            rows = np.concatenate([np.arange(a, b) for a, b in kept] or [np.empty(0, np.int64)])
+        for f in pred_fields:
+            matched[f.name] = read(f, rows)
+        phase1 = pa.table(matched)
+        try:
+            hit = mask(tree, phase1)
+        except Exception as exc:
+            raise PredicateError(f"cannot evaluate {tree!r}: {exc!r}") from exc
+        if isinstance(hit, pa.ChunkedArray):
+            hit = hit.combine_chunks()  # indices_nonzero crashes on zero chunks
+        hit = pc.indices_nonzero(hit)  # a null verdict fails
+        if rows is not None or len(hit) < nrows:
+            matched = dict(zip(phase1.column_names, phase1.take(hit).columns))
+            hit = hit.to_numpy().astype(np.int64)
+            rows = hit if rows is None else rows[hit]
+    return [matched[f.name] if f.name in matched else read(f, rows) for f in fields]
 
 
 def _merge_intervals(iv):

@@ -1,20 +1,24 @@
-"""Two-phase container reads against the one-phase oracle.
+"""Two-phase reads against the one-phase oracle, in both formats.
 
-``blocks.decode_block(..., predicate=...)`` decodes the predicate columns,
-evaluates the predicate, then decodes the other columns only on the pages
-that hold the matching rows. Whatever the table and predicate, its answer
+``blocks.decode_block(..., predicate=...)`` and
+``parquet_read_enc.read_table_filtered`` decode the predicate columns,
+evaluate the predicate, then decode the other columns only on the pages
+that hold the matching rows. Whatever the table and predicate, the answer
 must equal a full decode followed by ``predicate.filter_table``; small
 ``page_rows`` make empty and null lists straddle page boundaries."""
 
 import json
 import math
+import os
+import tempfile
 
 import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import given, settings, strategies as st
 
-from rayenc import blocks, pipeline
+from rayenc import blocks, parquet_write, pipeline
 from rayenc import predicate as P
+from rayenc.parquet_read_enc import read_table_filtered
 from rayenc.selector import EncodeConfig
 
 SCHEMA = pa.schema([
@@ -57,7 +61,7 @@ def _table(rows):
     return pa.table({f.name: pa.array(cols[f.name], f.type) for f in SCHEMA}, schema=SCHEMA)
 
 
-_LEAVES = [
+_FLAT_LEAVES = [
     st.tuples(st.just("k"), st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), st.integers(-4, 4)),
     st.tuples(st.just("k"), st.just("in"), st.lists(st.integers(-3, 3), max_size=3)),
     st.tuples(st.just("f"), st.sampled_from(["==", "<", ">="]), st.sampled_from([0.0, 2.5, math.nan])),
@@ -65,19 +69,25 @@ _LEAVES = [
     st.tuples(st.just("s"), st.sampled_from(["==", "<"]), st.sampled_from(["x", "yy"])),
     st.tuples(st.just("n_tok"), st.sampled_from([">=", "<"]), st.integers(0, 5)),
     st.tuples(st.just("k"), st.just(">"), st.just(100)),  # matches no row
-    st.tuples(st.sampled_from(["k", "f", "s", "li", "ll", "m", "st", "fl"]),
+    st.tuples(st.sampled_from(["k", "f", "s"]), st.sampled_from(["is_null", "not_null"]), st.none()),
+]
+# Parquet predicates take flat columns only
+_LEAVES = _FLAT_LEAVES + [
+    st.tuples(st.sampled_from(["li", "ll", "m", "st", "fl"]),
               st.sampled_from(["is_null", "not_null"]), st.none()),
 ]
-_leaf = st.one_of(*_LEAVES).map(lambda t: P.Leaf(*t))
-_tree = st.recursive(
-    _leaf,
-    lambda kids: st.one_of(
-        st.lists(kids, min_size=1, max_size=3).map(P.And),
-        st.lists(kids, min_size=1, max_size=3).map(P.Or),
-        kids.map(P.Not),
-    ),
-    max_leaves=4,
-)
+
+
+def _trees(leaves):
+    return st.recursive(
+        st.one_of(*leaves).map(lambda t: P.Leaf(*t)),
+        lambda kids: st.one_of(
+            st.lists(kids, min_size=1, max_size=3).map(P.And),
+            st.lists(kids, min_size=1, max_size=3).map(P.Or),
+            kids.map(P.Not),
+        ),
+        max_leaves=4,
+    )
 
 
 def _comparable(table):
@@ -97,13 +107,14 @@ def _comparable(table):
 @given(
     rows=st.lists(_row, max_size=40),
     page_rows=st.integers(1, 6),
-    tree=_tree,
+    tree=_trees(_LEAVES),
+    flat_tree=_trees(_FLAT_LEAVES),
     columns=st.none() | st.lists(st.sampled_from(SCHEMA.names), min_size=1, unique=True),
     dictionary_strings=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
 def test_two_phase_read_matches_filter_after_full_decode(
-    rows, page_rows, tree, columns, dictionary_strings
+    rows, page_rows, tree, flat_tree, columns, dictionary_strings
 ):
     table = _table(rows)
     cfg = EncodeConfig(page_rows=page_rows, column_encodings={"d": "RLE_DICTIONARY"})
@@ -120,6 +131,17 @@ def test_two_phase_read_matches_filter_after_full_decode(
     if dictionary_strings and (columns is None or "d" in columns):
         assert pa.types.is_dictionary(got.schema.field("d").type)
     assert _comparable(got).equals(_comparable(want))
+
+    # the same table and page size as a Parquet file, through the same two-phase read
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.parquet")
+        parquet_write.write_table(table, path, cfg)
+        # (fixed-size lists read back as lists)
+        want = P.filter_table(P.normalize(flat_tree), read_table_filtered(path, None))
+        if columns is not None:
+            want = want.select(columns)
+        got = read_table_filtered(path, flat_tree, columns=columns)
+        assert _comparable(got).equals(_comparable(want))
 
 
 # ------------------------------------------------------------ pages decoded
@@ -176,3 +198,19 @@ def test_predicate_columns_need_not_be_projected(tmp_path):
     (got,) = list(worker({"manifest": ["p.manifest.json"]}))
     want = table.filter(pc.greater_equal(table["n_tok"], 8)).select(["tokens", "doc_id"])
     assert got.equals(want)
+
+
+def test_nullable_predicate_column_has_page_bounds(decoded_pages):
+    # pages split values, not rows: page k of a nullable column starts at
+    # the row of its first value
+    n = 20_000
+    k = pa.array([None if i % 1000 == 999 else i for i in range(n)], pa.int64())
+    blob, manifest = blocks.encode_block(pa.table({"k": k}), EncodeConfig(page_rows=1000))
+    (entry,) = manifest["chunks"]
+    assert entry["validity"] and len(entry["pages"]) == 20
+    pages = [blob[p["offset"] : p["offset"] + p["length"]] for p in entry["pages"]]
+    got = blocks.decode_block(blob, manifest, predicate=[("k", "==", 12345)])
+    assert got["k"].to_pylist() == [12345]
+    assert len([b for b in decoded_pages if b in pages]) == 1
+    got = blocks.decode_block(blob, manifest, predicate=[("k", "is_null", None)])
+    assert got.num_rows == 20 and got["k"].null_count == 20

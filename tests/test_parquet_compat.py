@@ -10,6 +10,7 @@ import pytest
 
 from rayenc import parquet_compat
 from rayenc.codecs.dictionary import binary_array
+from rayenc.parquet_read_enc import EncryptedFile
 
 
 def write(tmp_path, table, **kw):
@@ -259,13 +260,19 @@ def test_page_crc_written_and_verified():
         parquet_compat.read_column_chunk(bad, "l_orderkey")
 
 
+def _read_field(path, name):
+    """Column ``name`` of row group 0, decoded with rayenc's kernels."""
+    f = EncryptedFile(path)
+    return f.read_field(0, f.arrow_schema().field(name))
+
+
 class TestListConformance:
     """Repeated-column read path: real rep/def levels decoded by rayenc only
     (List3Levels.java shape), verified against pyarrow's own read."""
 
     def test_embeddings_list_floats(self):
         p = "/root/testdata/sf0.001/embeddings.parquet"
-        got = parquet_compat.read_list_column(p, "embedding")
+        got = _read_field(p, "embedding")
         assert got.equals(pq.read_table(p).column("embedding").combine_chunks())
 
     def test_nullable_lists_with_null_elements(self):
@@ -287,7 +294,7 @@ class TestListConformance:
         t = pa.table({"l": pa.array(rows, pa.list_(pa.int32()))})
         path = tempfile.mktemp(suffix=".parquet")
         pq.write_table(t, path, compression="NONE", data_page_size=4096)
-        got = parquet_compat.read_list_column(path, "l")
+        got = _read_field(path, "l")
         assert got.equals(pq.read_table(path).column("l").combine_chunks())
 
     def test_snappy_string_lists(self):
@@ -296,7 +303,7 @@ class TestListConformance:
         )
         path = tempfile.mktemp(suffix=".parquet")
         pq.write_table(t, path, compression="SNAPPY")
-        got = parquet_compat.read_list_column(path, "s")
+        got = _read_field(path, "s")
         assert got.equals(pq.read_table(path).column("s").combine_chunks())
 
     def test_own_writer_roundtrip_through_conformance_reader(self):
@@ -308,7 +315,7 @@ class TestListConformance:
         )
         path = tempfile.mktemp(suffix=".parquet")
         parquet_write.write_table(t, path, EncodeConfig(compression="zstd"))
-        got = parquet_compat.read_list_column(path, "l")
+        got = _read_field(path, "l")
         assert got.equals(pq.read_table(path).column("l").combine_chunks())
         assert got.to_pylist() == t.column("l").to_pylist()
 
@@ -402,7 +409,7 @@ def test_bit_packed_levels_reference_semantics():
     np.testing.assert_array_equal(
         np.asarray(vals), np.tile([1, 3, 5], 2000)
     )
-    lc = parquet_compat.read_list_column(path, "l")
+    lc = _read_field(path, "l")
     assert lc.to_pylist() == t.column("l").to_pylist()
 
 
@@ -854,7 +861,6 @@ def test_thrift_parser_raises_value_error_on_bad_input():
 
     from rayenc import parquet_write
     from rayenc.parquet_compat import _read_struct, read_page_header
-    from rayenc.parquet_read_enc import EncryptedFile
 
     path = tempfile.mktemp(suffix=".parquet")
     parquet_write.write_table(pa.table({"v": pa.array(np.arange(100))}), path)
@@ -888,8 +894,6 @@ def test_footer_schema_matches_pyarrow(tmp_path, kw):
     stored, timestamp units from the leaf with the stored time zone kept."""
     import datetime
     import decimal
-
-    from rayenc.parquet_read_enc import EncryptedFile
 
     t = pa.table({
         "u32": pa.array([1, None], pa.uint32()),

@@ -465,6 +465,14 @@ def test_predicate_errors_are_not_bad_partitions(tmp_path):
             )
             with pytest.raises(P.PredicateError):
                 list(worker({"manifest": [name]}))
+    # the Parquet read runs the same two-phase read and raises the same error
+    from rayenc.parquet_read_enc import read_table_filtered
+
+    path = str(tmp_path / "k.parquet")
+    pq.write_table(pa.table({"k": pa.array(range(40), pa.int64())}), path, row_group_size=10)
+    for pred in ([("k", "==", "5")], [("k", "udp", Raises())]):
+        with pytest.raises(P.PredicateError):
+            read_table_filtered(path, pred)
 
 
 def test_decode_dataset_null_predicates(tmp_path):

@@ -169,6 +169,52 @@ def test_temporal_literals_prune_every_surface(container, tmp_path, monkeypatch,
     assert len(plan) == PARTS - pruned
 
 
+@pytest.fixture(scope="module")
+def paged_file(tmp_path_factory):
+    """A pyarrow file of 20 pages per column: ``k`` ascending, ``grp``
+    constant per 1,000 rows, ``v`` random (its page bounds prune nothing)."""
+    n = 20_000
+    rng = np.random.default_rng(11)
+    t = pa.table({"k": np.arange(n), "grp": np.arange(n) // 1000, "v": rng.integers(0, 1 << 40, n)})
+    path = str(tmp_path_factory.mktemp("paged") / "t.parquet")
+    pq.write_table(t, path, write_page_index=True, data_page_size=8000,
+                   use_dictionary=False, compression="none")
+    return path, t
+
+
+def _pages_read(monkeypatch, path, pred, columns) -> dict:
+    """Column -> data pages that ``read_table_filtered`` read (whole-chunk
+    and selected-page decodes alike)."""
+    seen: dict = {}
+    real = parquet_read_enc.EncryptedFile.read_page
+
+    def read_page(self, rg_ord, col_ord, pos, page_ord=None, *a, **k):
+        if page_ord is not None:
+            seen.setdefault(self.leaves[col_ord].dotted, set()).add(page_ord)
+        return real(self, rg_ord, col_ord, pos, page_ord, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(parquet_read_enc.EncryptedFile, "read_page", read_page)
+        got = read_table_filtered(path, pred, columns=columns)
+    full = read_table_filtered(path, None)
+    assert got.equals(P.filter_table(P.normalize(pred), full).select(columns))
+    return {c: len(p) for c, p in seen.items()}
+
+
+def test_parquet_phase_two_decodes_only_matching_pages(paged_file, monkeypatch):
+    path, t = paged_file
+    assert len(parquet_read_enc._parse_index(parquet_read_enc.EncryptedFile(path), 0, 0)[1][1]) == 20
+    key = t["v"][4500].as_py()
+    pages = _pages_read(monkeypatch, path, [("v", "==", key)], ["k", "grp"])
+    assert pages == {"v": 20, "k": 1, "grp": 1}
+
+
+def test_parquet_predicate_matching_every_row_decodes_every_page(paged_file, monkeypatch):
+    path, _ = paged_file
+    pages = _pages_read(monkeypatch, path, [("v", ">=", 0)], ["k", "grp"])
+    assert pages == {"v": 20, "k": 20, "grp": 20}
+
+
 def test_summary_distrusts_legacy_binary_stats(tmp_path):
     """PARQUET-251: a `_metadata` merged from a parquet-mr 1.6.0 part keeps
     every row group for a binary predicate, and still prunes on ints."""
