@@ -16,6 +16,7 @@ so a resumed driver can scan it cheaply.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 
@@ -759,6 +760,14 @@ def encode_block(table: pa.Table, config: sel.EncodeConfig | None = None) -> tup
     ``n_tok`` == ``tokens#lengths`` invariant) are encoded once; duplicates
     become manifest aliases."""
     config = config or sel.EncodeConfig()
+    # a decimal is bounds-only to pruning (predicate.in_domain): no reader
+    # would probe its bloom
+    unprobed = config.bloom_columns & {
+        f.name for f in table.schema
+        if pa.types.is_decimal(f.type.value_type if pa.types.is_dictionary(f.type) else f.type)
+    }
+    if unprobed:
+        config = dataclasses.replace(config, bloom_columns=config.bloom_columns - unprobed)
     out = io.BytesIO()
     out.write(MAGIC)
     chunks = []

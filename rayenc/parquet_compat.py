@@ -182,73 +182,82 @@ def read_column_chunk(path: str, column: str, row_group: int = 0,
 BIT_PACKED = ENCODING_ID["BIT_PACKED"]
 
 
-def _v1_levels(buf, encoding: int, n: int, width: int):
-    """(levels, bytes used) of one V1 page's level run: framed RLE, or the
-    deprecated big-endian unframed BIT_PACKED (legacy parquet-java files)."""
-    if encoding == BIT_PACKED:
-        from .codecs.bitpack import unpack_msb
+class _ChunkLevels:
+    """One level (rep or def) of a chunk's data pages, gathered page by
+    page and decoded by one ``rle_hybrid.decode`` call over all the pages'
+    hybrid runs, in the smallest unsigned dtype that holds ``max_level``."""
 
-        nbytes = (n * width + 7) // 8
-        return unpack_msb(buf[:nbytes], n, width), nbytes
-    return rle_hybrid.decode_framed(buf, n, width)
+    def __init__(self, max_level: int):
+        from .codecs.bitpack import bit_width32
+
+        self.width = bit_width32(max_level)
+        self.dtype = np.min_scalar_type(max_level)
+        self.streams: list = []
+        self.counts: list = []
+        self.pages: list = []  # per page: None for a hybrid stream, else its levels
+
+    def hybrid(self, payload, n: int) -> None:
+        self.streams.append(payload)
+        self.counts.append(n)
+        self.pages.append(None)
+
+    def constant(self, n: int, level: int) -> None:
+        """A page that stores no levels of this kind."""
+        self.pages.append(np.full(n, level, self.dtype))
+
+    def v1(self, body, encoding: int, n: int):
+        """Take one V1 page's levels off the front of ``body``, returning
+        the rest: the 4-byte framed hybrid run, or the deprecated
+        big-endian unframed BIT_PACKED levels (legacy parquet-java files),
+        which ``_v1_levels`` decodes here."""
+        if encoding == BIT_PACKED:
+            levels, used = _v1_levels(body, n, self.width)
+            self.pages.append(levels.astype(self.dtype))
+        else:
+            payload, used = rle_hybrid.unframe(body)
+            self.hybrid(payload, n)
+        return body[used:]
+
+    def decode(self) -> np.ndarray:
+        levels = rle_hybrid.decode(self.streams, self.counts, self.width, self.dtype)
+        if all(p is None for p in self.pages):
+            return levels
+        runs = iter(np.split(levels, np.cumsum(self.counts)[:-1]))
+        return np.concatenate([next(runs) if p is None else p for p in self.pages])
+
+
+def _v1_levels(buf, n: int, width: int):
+    """(levels, bytes used) of one V1 page's deprecated BIT_PACKED level
+    run: big-endian, unframed."""
+    from .codecs.bitpack import unpack_msb
+
+    nbytes = (n * width + 7) // 8
+    return unpack_msb(buf[:nbytes], n, width), nbytes
 
 
 def _decode_page_stream(pages, num_values, max_rep, max_def, ptype, type_length):
     """Decode a stream of (PageHeader, decompressed body) pairs into
     (dense values, rep levels, def levels) — the shared half of every
-    Parquet chunk read, whole or page-selected, plain or decrypted. Levels
-    are read here (None where the max level is 0; a page without them gets
-    rep 0 and def ``max_def``); values go through the one page decoder,
-    ``codecs.decode_pages``."""
-    from .codecs.bitpack import bit_width32
+    Parquet chunk read, whole or page-selected, plain or decrypted.
 
-    w_rep = bit_width32(max_rep)
-    w_def = bit_width32(max_def)
+    Levels are decoded per chunk, in two passes. The first splits each data
+    page into its level runs (V1 length-framed, V2 unframed) and its value
+    body. The second decodes all the pages' rep levels in one
+    ``rle_hybrid.decode`` call and their def levels in another, counts each
+    page's values from the def levels, and decodes the value pages through
+    the one page decoder, ``codecs.decode_pages``. A chunk without levels
+    decodes each value page in the first pass, holding no body. Levels are
+    None where the max level is 0, else in the smallest unsigned dtype that
+    holds it; a page without them reads as rep 0 and def ``max_def``."""
     ptype, width = _value_type(ptype, type_length)
+    reps, defs = _ChunkLevels(max_rep), _ChunkLevels(max_def)
     remaining = num_values
     dictionary = None
+    data = []  # (num_values, encoding, value body) per data page with levels
     out_parts = []
-    level_parts = []
-    rep_parts = []
-    for h, body in pages:
-        if remaining <= 0:
-            break
-        if h.type == DICTIONARY_PAGE:
-            dictionary = decode_pages("PLAIN", ptype, [(body, h.num_values)], width=width)
-            continue
-        rep = levels = None
-        if h.type == DATA_PAGE:
-            # V1 layout: [rep levels][def levels][values]; REQUIRED flat
-            # columns (max levels == 0) omit levels
-            body_v = body
-            if max_rep > 0:
-                rep, used = _v1_levels(body_v, h.rep_level_encoding, h.num_values, w_rep)
-                body_v = body_v[used:]
-            if max_def > 0 and h.def_level_encoding in (ENCODING_ID["RLE"], BIT_PACKED):
-                levels, used = _v1_levels(body_v, h.def_level_encoding, h.num_values, w_def)
-                body_v = body_v[used:]
-        elif h.type == DATA_PAGE_V2:
-            if max_rep > 0 and h.v2_rep_bytes:
-                rep = rle_hybrid.decode(body[: h.v2_rep_bytes], h.num_values, w_rep)
-            if max_def > 0 and h.v2_def_bytes:
-                levels = rle_hybrid.decode(
-                    body[h.v2_rep_bytes : h.v2_rep_bytes + h.v2_def_bytes],
-                    h.num_values,
-                    w_def,
-                )
-            body_v = body[h.v2_rep_bytes + h.v2_def_bytes :]
-        else:
-            remaining -= h.num_values
-            continue
-        nvals = h.num_values
-        if max_rep > 0:
-            rep_parts.append(np.zeros(h.num_values, np.uint32) if rep is None else rep)
-        if max_def > 0:
-            if levels is None:
-                levels = np.full(h.num_values, max_def, np.uint32)
-            level_parts.append(levels)
-            nvals = int((levels == max_def).sum())  # nulls hold no value slot
-        encoding = ENCODING_NAME.get(h.encoding, h.encoding)
+
+    def page_values(enc, body_v, nvals):
+        encoding = ENCODING_NAME.get(enc, enc)
         if encoding in ("PLAIN_DICTIONARY", "RLE_DICTIONARY"):
             if dictionary is None:
                 raise ValueError("dictionary-encoded page without a dictionary page")
@@ -258,11 +267,54 @@ def _decode_page_stream(pages, num_values, max_rep, max_def, ptype, type_length)
             # both V1 and V2 pages (only LEVELS drop the frame in V2)
             body_v = body_v[4 : 4 + int.from_bytes(bytes(body_v[:4]), "little")]
         out_parts.append(decode_pages(encoding, ptype, [(body_v, nvals)], dictionary, width))
-        remaining -= h.num_values
-    values = concat_values(out_parts, ptype, width)
-    rep = np.concatenate(rep_parts or [np.zeros(0, np.uint32)]) if max_rep > 0 else None
-    dfv = np.concatenate(level_parts or [np.zeros(0, np.uint32)]) if max_def > 0 else None
-    return values, rep, dfv
+
+    for h, body in pages:
+        if remaining <= 0:
+            break
+        if h.type == DICTIONARY_PAGE:
+            dictionary = decode_pages("PLAIN", ptype, [(body, h.num_values)], width=width)
+            continue
+        n = h.num_values
+        if h.type == DATA_PAGE:
+            # V1 layout: [rep levels][def levels][values]; REQUIRED flat
+            # columns (max levels == 0) omit levels
+            body_v = body
+            if max_rep > 0:
+                body_v = reps.v1(body_v, h.rep_level_encoding, n)
+            if max_def > 0:
+                if h.def_level_encoding in (ENCODING_ID["RLE"], BIT_PACKED):
+                    body_v = defs.v1(body_v, h.def_level_encoding, n)
+                else:
+                    defs.constant(n, max_def)
+        elif h.type == DATA_PAGE_V2:
+            r, d = h.v2_rep_bytes, h.v2_def_bytes
+            if max_rep > 0 and r:
+                reps.hybrid(body[:r], n)
+            elif max_rep > 0:
+                reps.constant(n, 0)
+            if max_def > 0 and d:
+                defs.hybrid(body[r : r + d], n)
+            elif max_def > 0:
+                defs.constant(n, max_def)
+            body_v = body[r + d :]
+        else:
+            remaining -= n
+            continue
+        if max_def > 0:
+            data.append((n, h.encoding, body_v))
+        else:  # no levels: the header's value count is the page's
+            page_values(h.encoding, body_v, n)
+        remaining -= n
+    rep = reps.decode() if max_rep > 0 else None
+    dfv = None
+    if max_def > 0:
+        dfv = defs.decode()
+        defined = dfv == max_def  # nulls hold no value slot
+        end = 0
+        for n, enc, body_v in data:
+            page_values(enc, body_v, int(np.count_nonzero(defined[end : end + n])))
+            end += n
+    return concat_values(out_parts, ptype, width), rep, dfv
 
 
 def int96_to_timestamp_ns(vals: np.ndarray) -> np.ndarray:
@@ -321,9 +373,18 @@ def _count_leaves(t) -> int:
 
 def _slot_nulls(dfv, slots, d):
     """Which slots of a level are below definition level ``d`` (a -1 slot,
-    under a null fixed-size-list parent, reads the 0 pad), or None."""
+    under a null fixed-size-list parent, reads the 0 pad), or None; a leaf
+    whose def levels are all at max (``dfv`` None) has none."""
+    if dfv is None:
+        return None
     null = dfv < d if slots is None else np.append(dfv, 0)[slots] < d
     return null if null.any() else None
+
+
+def _all_defined(dfv, max_def: int) -> bool:
+    """Whether a leaf has no def levels or all at ``max_def``: no null
+    anywhere above the leaf, and no empty list."""
+    return dfv is None or not len(dfv) or int(dfv.min()) == int(dfv.max()) == max_def
 
 
 def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.Array:
@@ -337,19 +398,22 @@ def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.
     level, while ``field`` has the arrow types. A level's slots are the
     entries that start one; the children of a null fixed-size list get
     null slots, which the container keeps, and a required leaf under a
-    null parent its type's zero."""
+    null parent its type's zero. A leaf whose def levels are all at max
+    skips every def pass: its elements start where its rep level allows,
+    so a list over it takes ``#lengths`` from the rep-0 positions alone."""
     chunks: dict = {}
 
     def walk(t, g, name, lvs, r, d):
-        # lvs: [values, rep, def, max_def, slots] per leaf; slots are the
-        # entries starting this level's slots (-1: none), None for all
+        # lvs: [values, rep, def, max_def, slots] per leaf; def is None
+        # when all at max; slots are the entries starting this level's
+        # slots (-1: none), None for all
         if pa.types.is_dictionary(t):
             t = t.value_type
         d += g.nullable
         if not pa.types.is_nested(t):
             ((values, _, dfv, max_def, slots),) = lvs
             values = _parquet_values(values, t)
-            null = None if dfv is None else _slot_nulls(dfv, slots, max_def)
+            null = _slot_nulls(dfv, slots, max_def)
             if null is not None and not g.nullable:
                 # no value under a null parent: the type's zero, as pyarrow
                 # reads it, not a null in a non-nullable field
@@ -370,10 +434,17 @@ def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.
         d += 1  # the repeated level: an empty list stays one def below
         for lv in lvs:
             _, rep, dfv, _, slots = lv
-            slots = np.arange(len(dfv)) if slots is None else slots
-            child = np.flatnonzero((dfv >= d) & (rep <= r))  # element starts
+            n = len(rep)
+            slots = np.arange(n) if slots is None else slots
+            if dfv is not None:
+                child = np.flatnonzero((dfv >= d) & (rep <= r))  # element starts
+            elif n and int(rep.max()) > r:  # a deeper list
+                child = np.flatnonzero(rep <= r)
+            else:
+                child = None  # every entry starts an element
             if fsl:
-                full = np.append(dfv, 0)[slots] >= d
+                child = np.arange(n) if child is None else child
+                full = (slots >= 0) if dfv is None else np.append(dfv, 0)[slots] >= d
                 if len(child) != int(full.sum()) * t.list_size:
                     raise ValueError(f"fixed_size_list {name!r}: elements do not fill its width")
                 grid = np.full((len(slots), t.list_size), -1, np.int64)
@@ -381,11 +452,13 @@ def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.
                 child = grid.reshape(-1)
             elif lv is lvs[0]:
                 real = slots >= 0
-                at = np.searchsorted(child, slots[real])
+                at = slots[real] if child is None else np.searchsorted(child, slots[real])
                 lengths = np.zeros(len(slots), np.int32)
-                lengths[real] = np.diff(np.append(at, len(child)))
+                lengths[real] = np.diff(np.append(at, n if child is None else len(child)))
                 chunks[f"{name}#lengths"] = (lengths, None) if null is None else (lengths[~null], null)
-            lv[4] = None if len(child) == len(dfv) and (child >= 0).all() else child
+            if child is not None and len(child) == n and (child >= 0).all():
+                child = None
+            lv[4] = child
         if pa.types.is_map(t):
             nk = _count_leaves(t.key_type)
             walk(t.key_type, g.type.key_field, f"{name}#values#f:key", lvs[:nk], r, d)
@@ -393,8 +466,11 @@ def assemble_leaves(field: pa.Field, level_field: pa.Field, leaves: list) -> pa.
         else:
             walk(t.value_type, g.type.value_field, f"{name}#values", lvs, r, d)
 
-    lvs = [[v, rep, dfv, max_def, None if rep is None else np.flatnonzero(rep == 0)]
-           for v, rep, dfv, max_def in leaves]
+    lvs = [
+        [v, rep, None if _all_defined(dfv, max_def) else dfv, max_def,
+         None if rep is None else np.flatnonzero(rep == 0)]
+        for v, rep, dfv, max_def in leaves
+    ]
     walk(field.type, level_field, field.name, lvs, 0, 0)
     return assemble(field, chunks)
 

@@ -4,9 +4,9 @@ Mirrors the role of `column/statistics/Statistics.java` +
 `column/impl/ColumnValueCollector.java:75-93` (typed min/max/null-count per
 page/chunk) and `SizeStatistics.java` (unencoded byte sizes), computed
 vectorized over the whole batch instead of value-at-a-time. The selector
-(rayenc/selector.py) consumes the extra signals (NDV sample, run count,
-sortedness) that the reference derives implicitly from its incremental
-fallback machinery (`FallbackValuesWriter.java:160-190`).
+(rayenc/selector.py) consumes the extra signal (an NDV sample) that the
+reference derives implicitly from its incremental fallback machinery
+(`FallbackValuesWriter.java:160-190`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ class ChunkStats:
     min_value: object = None
     max_value: object = None
     ndv_sample_ratio: float = 1.0  # distinct/sampled in the first NDV_SAMPLE values
-    run_count: int = 0  # number of value runs (adjacent-equal collapsed)
-    is_sorted: bool = False
     ndv_estimate: float | None = None  # Chao1 estimate (binary columns)
     avg_len: float = 0.0  # mean value length (binary columns)
 
@@ -116,8 +114,6 @@ def compute(col: PhysicalColumn) -> ChunkStats:
             mn,
             mx,
             ndv_sample_ratio=d / len(idx),
-            run_count=n,  # run detection for binary left to the dictionary path
-            is_sorted=False,
         )
         st.ndv_estimate = float(chao * max(1.0, n / len(idx)) if d == len(idx) else chao)
         st.avg_len = avg_len
@@ -130,13 +126,10 @@ def compute(col: PhysicalColumn) -> ChunkStats:
         stride = max(1, n // NDV_SAMPLE)
         sample = v[::stride][:NDV_SAMPLE]
         ndv = len(np.unique(sample.reshape(len(sample), -1), axis=0))
-        return ChunkStats(
-            n, nulls, n * width, None, None, ndv_sample_ratio=ndv / len(sample), run_count=n
-        )
+        return ChunkStats(n, nulls, n * width, None, None, ndv_sample_ratio=ndv / len(sample))
     if col.ptype == "BOOLEAN":
         v = np.asarray(col.values, bool)
         n = len(v)
-        runs = 1 + int((v[1:] != v[:-1]).sum()) if n else 0
         return ChunkStats(
             n,
             nulls,
@@ -144,7 +137,6 @@ def compute(col: PhysicalColumn) -> ChunkStats:
             bool(v.min()) if n else None,
             bool(v.max()) if n else None,
             ndv_sample_ratio=(2 / n) if n else 1.0,
-            run_count=runs,
         )
     v = np.asarray(col.values)
     n = len(v)
@@ -154,18 +146,6 @@ def compute(col: PhysicalColumn) -> ChunkStats:
     stride = max(1, n // NDV_SAMPLE)
     sample = v[::stride][:NDV_SAMPLE]
     ndv = len(np.unique(sample))
-    # run/sortedness signals from a contiguous window (gating only — the
-    # selector measures exact candidate sizes anyway); avoids a full-column
-    # diff allocation on the hot path
-    win = v[: 1 << 16]
-    diffs = np.diff(win) if len(win) > 1 else np.empty(0, v.dtype)
-    frac = n / max(1, len(win))
-    runs = 1 + int(round((diffs != 0).sum() * frac))
-    is_sorted = bool((diffs >= 0).all()) if len(diffs) else True
-    if is_sorted and len(win) < n:
-        is_sorted = bool(v[len(win) - 1] <= v[len(win)]) and bool(
-            (np.diff(v[len(win) :: max(1, n // 1024)]) >= 0).all()
-        )
     # unsigned source columns are stored sign-wrapped; min/max bounds for
     # skipping must be taken in the unsigned domain or a chunk holding
     # uint32 4294967295 records min=-1 and wrongly skips (manifest analog of
@@ -182,6 +162,4 @@ def compute(col: PhysicalColumn) -> ChunkStats:
             mn = mx = None
     else:
         mn, mx = int(mn), int(mx)
-    return ChunkStats(
-        n, nulls, raw, mn, mx, ndv_sample_ratio=ndv / len(sample), run_count=runs, is_sorted=is_sorted
-    )
+    return ChunkStats(n, nulls, raw, mn, mx, ndv_sample_ratio=ndv / len(sample))

@@ -230,3 +230,30 @@ def test_manifest_bloom_without_version_is_ignored(tmp_path):
     assert not w._skip_by_stats(man)
     got = list(w({"manifest": ["p.manifest.json"]}))
     assert sum(x.num_rows for x in got) == 1 and got[0]["v"][0].as_py() == 100
+
+
+def test_decimal_chunk_gets_no_container_bloom(tmp_path):
+    # decimals are bounds-only to pruning, so the container builds no bloom
+    # for them; lookups read the same rows. The Parquet writer keeps its
+    # decimal bloom: other readers probe it
+    from decimal import Decimal
+
+    import pyarrow.compute as pc
+
+    from rayenc import blocks, parquet_read_enc, parquet_write
+
+    d = pa.array([Decimal(k).scaleb(-2) for k in range(0, 4000, 3)], pa.decimal128(12, 2))
+    t = pa.table({"d": d, "k": pa.array(np.arange(len(d)), pa.int64())})
+    cfg = EncodeConfig(bloom_columns={"d", "k"})
+    blob, man = blocks.encode_block(t, cfg)
+    assert cfg.bloom_columns == {"d", "k"}  # the caller's config is not changed
+    entries = {c["name"]: c for c in man["chunks"]}
+    assert "bloom" not in entries["d"] and "bloom_v" not in entries["d"]
+    assert entries["k"]["bloom_v"] == bloom.MANIFEST_V
+    for lit in (Decimal("12.34"), Decimal("12.35"), Decimal("39.99"), Decimal("-1.00")):
+        got = blocks.decode_block(blob, man, predicate=[("d", "==", lit)])
+        assert got.equals(t.filter(pc.equal(t["d"], pa.scalar(lit, d.type))))
+    path = str(tmp_path / "d.parquet")
+    parquet_write.write_table(t, path, cfg)
+    f = parquet_read_enc.EncryptedFile(path)
+    assert parquet_read_enc.read_bloom_filter(f, 0, 0) is not None

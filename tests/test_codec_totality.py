@@ -11,8 +11,10 @@ codecs which enforce the same fail-closed behavior
 (parquet-hadoop/.../codec/NonBlockedDecompressorStream.java).
 """
 
+import contextlib
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,9 +110,75 @@ def test_rle_hybrid_truncated_stream_raises(buf, n, width):
 
 def test_rle_hybrid_width0_group_count_is_not_allocated():
     # a 5-byte header declares 2**34 bit-packed groups of width 0: only the
-    # n values asked for are materialized
+    # n values asked for are materialized, one stream or many, either walk
     buf = bytes([0xFF, 0xFF, 0xFF, 0xFF, 0x0F])
     assert rle_hybrid.decode(buf, 5, 0).tolist() == [0] * 5
+    for walk in ("python", "vector"):
+        tracemalloc.start()
+        try:
+            with _walk(walk):
+                out = rle_hybrid.decode([buf] * 40, [5] * 40, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tolist() == [0] * 200 and peak < 1 << 20
+
+
+@contextlib.contextmanager
+def _walk(name):
+    """Force the python or the array walk through their thresholds."""
+    big = 1 << 62
+    lo, dens = (big, big) if name == "python" else (0, 0)
+    with mock.patch.multiple(rle_hybrid, VECTOR_MIN_BYTES=lo, VECTOR_MIN_DENSITY=dens):
+        yield
+
+
+def _outcome(walk, streams, counts, width):
+    """The decoded values or the error message, under an allocation cap."""
+    tracemalloc.start()
+    try:
+        with _walk(walk):
+            out = rle_hybrid.decode(streams, counts, width)
+    except rle_hybrid.RleHybridError as ex:
+        return str(ex)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert len(out) == sum(counts) and peak < 8 << 20
+    return out.tolist()
+
+
+@settings(max_examples=300, deadline=1000)
+@given(
+    data=_garbage,
+    cuts=st.lists(st.integers(0, 512), max_size=12),
+    counts=st.lists(st.integers(0, 2000), min_size=13, max_size=13),
+    width=st.integers(0, 32),
+)
+def test_rle_hybrid_decode_many_streams_total(data, cuts, counts, width):
+    # random bytes cut into random streams: values for every stream, or the
+    # named error, under the allocation cap of the width-0 test above; both
+    # walks give the same values or the same message
+    edges = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+    streams = [data[a:b] for a, b in zip(edges, edges[1:])]
+    counts = counts[: len(streams)]
+    assert _outcome("python", streams, counts, width) == _outcome("vector", streams, counts, width)
+
+
+@pytest.mark.parametrize("walk", ["python", "vector"])
+def test_rle_hybrid_run_never_reads_the_next_stream(walk):
+    # stream 1's last bit-packed run claims 6 payload bytes and has 5;
+    # stream 2 follows with bytes enough to satisfy the claim
+    one = rle_hybrid.encode(np.arange(16, dtype=np.uint32) % 8, 3)
+    assert one[0] == (2 << 1) | 1 and len(one) == 7
+    two = rle_hybrid.encode(np.full(3000, 5, np.uint32), 3)
+    with _walk(walk), pytest.raises(
+        rle_hybrid.RleHybridError, match="run at byte 0 overruns its 6-byte stream"
+    ):
+        rle_hybrid.decode([one[:-1], two], [16, 3000], 3)
+    with _walk(walk):
+        got = rle_hybrid.decode([one, two], [16, 3000], 3)
+    assert got.tolist() == [k % 8 for k in range(16)] + [5] * 3000
 
 
 def test_rle_hybrid_frame_past_buffer_raises():

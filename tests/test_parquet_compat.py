@@ -917,3 +917,95 @@ def test_footer_schema_matches_pyarrow(tmp_path, kw):
     for g, w in zip(got, want):
         assert g.equals(w), (g, w)
     assert parquet_compat.read_table_conformance(path).equals(pq.read_table(path))
+
+
+def _small_page_tables():
+    rng = np.random.default_rng(7)
+    lens = rng.integers(0, 7, 1500)
+
+    def lists(null_lists, null_items):
+        return [
+            None if null_lists and rng.random() < 0.1
+            else [None if null_items and rng.random() < 0.15 else int(v)
+                  for v in rng.integers(-50, 50, k)]
+            for k in lens
+        ]
+
+    words = [f"w{k}" for k in range(40)]
+    maps = [[(words[j], int(j * 7)) for j in rng.integers(0, 40, k)] for k in lens]
+    structs = [None if k == 6 else {"a": [words[j] for j in rng.integers(0, 40, k)]} for k in lens]
+    return {
+        "list": pa.table({"x": pa.array(lists(False, False), pa.list_(pa.int32()))}),
+        "list_nulls": pa.table({"x": pa.array(lists(True, True), pa.list_(pa.int32()))}),
+        "map": pa.table({"m": pa.array(maps, pa.map_(pa.string(), pa.int64()))}),
+        "struct_list": pa.table(
+            {"s": pa.array(structs, pa.struct([("a", pa.list_(pa.string()))]))}
+        ),
+    }
+
+
+def _per_page_levels(path, ci):
+    """(rep, def, data pages) of a chunk, each page's levels decoded on
+    their own, one stream per call."""
+    from rayenc.codecs import rle_hybrid
+    from rayenc.codecs.bitpack import bit_width32
+
+    f = EncryptedFile(path, None)
+    lf = f.leaves[ci]
+    w_rep, w_def = bit_width32(lf.max_rep), bit_width32(lf.max_def)
+    reps, defs = [], []
+    for h, body in f._chunk_pages(0, ci, f.chunk_meta(0, ci)):
+        n = h.num_values
+        if h.type == parquet_compat.DATA_PAGE:
+            rep, used = rle_hybrid.decode_framed(body, n, w_rep)
+            dfv, _ = rle_hybrid.decode_framed(body[used:], n, w_def)
+        elif h.type == parquet_compat.DATA_PAGE_V2:
+            r, d = h.v2_rep_bytes, h.v2_def_bytes
+            rep = rle_hybrid.decode(body[:r], n, w_rep)
+            dfv = rle_hybrid.decode(body[r : r + d], n, w_def)
+        else:
+            continue
+        reps.append(rep)
+        defs.append(dfv)
+    return np.concatenate(reps), np.concatenate(defs), len(reps)
+
+
+@pytest.mark.parametrize("version", ["1.0", "2.0"])
+@pytest.mark.parametrize("shape", sorted(_small_page_tables()))
+def test_many_small_pages_conformance(tmp_path, shape, version):
+    # pyarrow pages of ~256 bytes: each chunk's levels span dozens of pages,
+    # decoded by one call per level kind
+    t = _small_page_tables()[shape]
+    path = write(tmp_path, t, data_page_size=256, data_page_version=version,
+                 write_batch_size=64)
+    assert parquet_compat.read_table_conformance(path).equals(pq.read_table(path))
+    f = EncryptedFile(path, None)
+    for ci, lf in enumerate(f.leaves):
+        _, rep, dfv = parquet_compat.read_column_chunk(path, lf.dotted, raw_levels=True)
+        want_rep, want_def, pages = _per_page_levels(path, ci)
+        assert pages >= 20
+        np.testing.assert_array_equal(rep, want_rep)
+        np.testing.assert_array_equal(dfv, want_def)
+        assert rep.dtype == dfv.dtype == np.uint8
+
+
+def test_list_chunk_decodes_its_rep_levels_in_one_call(tmp_path, monkeypatch):
+    from rayenc import parquet_write
+    from rayenc.codecs import rle_hybrid
+    from rayenc.selector import EncodeConfig
+
+    vals = [[k, None, k + 1, k + 2] if k % 2 else None for k in range(800)]
+    t = pa.table({"l": pa.array(vals, pa.list_(pa.int32()))})
+    path = str(tmp_path / "l.parquet")
+    parquet_write.write_table(t, path, EncodeConfig(page_rows=100))
+    f = EncryptedFile(path, None)
+    pages = [h for h, _ in f._chunk_pages(0, 0, f.chunk_meta(0, 0))
+             if h.type != parquet_compat.DICTIONARY_PAGE]
+    assert len(pages) == 20
+    widths = []
+    real = rle_hybrid.decode
+    monkeypatch.setattr(rle_hybrid, "decode", lambda b, n, w, *a: widths.append(w) or real(b, n, w, *a))
+    got = parquet_compat.read_table_conformance(path)
+    assert got.equals(t)
+    assert widths.count(1) == 1  # rep levels (max 1), one call for 20 pages
+    assert widths.count(2) == 1  # def levels (max 3)

@@ -2,8 +2,13 @@
 `parquet-column/src/test/.../rle/TestRunLengthBitPackingHybridEncoder.java:44-287`
 plus vectorized-vs-state-machine equivalence and round trips."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayenc.codecs import rle_hybrid
 from rayenc.codecs.bitpack import unpack_lsb
@@ -196,3 +201,75 @@ def test_emit_packs_each_page_once(monkeypatch, page):
     buf = plan.emit()
     assert len(calls) <= 1
     assert buf == rle_hybrid.encode_scalar(vals.tolist(), width)
+
+
+# the array walk's two thresholds: patched to force one walk or the other
+WALKS = {"python": (1 << 62, 1 << 62), "vector": (0, 0)}
+
+
+@contextlib.contextmanager
+def _walk(name):
+    with mock.patch.multiple(
+        rle_hybrid, VECTOR_MIN_BYTES=WALKS[name][0], VECTOR_MIN_DENSITY=WALKS[name][1]
+    ):
+        yield
+
+
+@st.composite
+def _chunk(draw):
+    """A column chunk as 1-40 independently encoded pages of one width:
+    runs long enough for multi-byte rle headers (>= 64 values), noise spans
+    of more than 63 groups, partial final groups, empty pages, and counts
+    that stop inside a page's last runs."""
+    width = draw(st.integers(0, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pages = []
+    for _ in range(draw(st.integers(1, 40))):
+        parts = []
+        for kind, length in draw(
+            st.lists(st.tuples(st.sampled_from("rn"), st.integers(1, 1100)), max_size=4)
+        ):
+            if kind == "r":
+                parts.append(np.full(length, rng.integers(0, 1 << width), np.uint32))
+            else:
+                parts.append(rng.integers(0, 1 << width, length).astype(np.uint32))
+        vals = np.concatenate(parts) if parts else np.zeros(0, np.uint32)
+        n = draw(st.sampled_from([len(vals), len(vals) * 3 // 4]))
+        pages.append((rle_hybrid.encode(vals, width), vals[:n]))
+    return width, pages
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+@settings(max_examples=120, deadline=None)
+@given(case=_chunk())
+def test_decode_many_streams_is_the_concatenation(walk, case):
+    width, pages = case
+    bufs = [buf for buf, _ in pages]
+    counts = [len(v) for _, v in pages]
+    want = np.concatenate([v for _, v in pages])
+    one_by_one = [rle_hybrid.decode(buf, n, width) for buf, n in zip(bufs, counts)]
+    np.testing.assert_array_equal(np.concatenate(one_by_one), want)
+    with _walk(walk):
+        got = rle_hybrid.decode(bufs, counts, width, np.uint32)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.uint32
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_decode_walk_is_chosen_by_size_and_density(walk, monkeypatch):
+    rep = _repetition_levels(np.random.default_rng(5), 1000)  # 148k levels, 4.7 KB
+    pages = [rep[a : a + 2000] for a in range(0, len(rep), 2000)]
+    bufs = [rle_hybrid.encode(p, 1) for p in pages]
+    called = []
+    for name in ("_walk_python", "_walk_vector"):
+        real = getattr(rle_hybrid, name)
+        monkeypatch.setattr(rle_hybrid, name, lambda *a, _r=real, _n=name: called.append(_n) or _r(*a))
+    with _walk(walk):
+        got = rle_hybrid.decode(bufs, [len(p) for p in pages], 1, np.uint8)
+    np.testing.assert_array_equal(got, rep)
+    # unpatched: a level-dense chunk takes the array walk, one small
+    # dictionary-id-like page the python walk
+    rle_hybrid.decode(bufs, [len(p) for p in pages], 1, np.uint8)
+    ids = np.random.default_rng(6).integers(0, 1 << 12, 3000).astype(np.uint32)
+    rle_hybrid.decode(rle_hybrid.encode(ids, 12), len(ids), 12)
+    assert called == [f"_walk_{walk}", "_walk_vector", "_walk_python"]

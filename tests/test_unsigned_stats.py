@@ -147,3 +147,22 @@ def test_nan_float_stats_omitted_and_pruning_sound(tmp_path):
     assert st is None or not st.has_min_max
     got = read_table_filtered(p, [("f", ">", 1.9)])
     assert got.num_rows == 200
+
+
+def test_chunk_stats_at_the_type_extremes_warn_nothing():
+    # adjacent values whose difference overflows: int64 wraps, float64
+    # overflows; the stats take only min/max and the NDV sample
+    import warnings
+
+    t = pa.table({
+        "i": pa.array([2**63 - 1, -(2**63)], pa.int64()),
+        "f": pa.array([-1.7e308, 1.7e308], pa.float64()),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = {c: stats.compute(shred(c, t.column(c).combine_chunks())[0]) for c in t.column_names}
+        blob, man = blocks.encode_block(t)
+    assert (got["i"].min_value, got["i"].max_value) == (-(2**63), 2**63 - 1)
+    assert (got["f"].min_value, got["f"].max_value) == (-1.7e308, 1.7e308)
+    assert not hasattr(got["i"], "run_count") and not hasattr(got["i"], "is_sorted")
+    assert blocks.decode_block(blob, man).equals(t)
