@@ -20,7 +20,12 @@ The matrix:
   (``annotated``);
 - encrypted files (footer key, column key, plaintext footer, CTR), with
   ``parquet_crypto.os.urandom`` replaced by a seeded stream;
-- ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files.
+- ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files;
+- a ``bounds`` table of 100-row pages whose page and chunk min/max hit
+  every statistics rule: unsigned ints above the signed max, a NaN page of
+  doubles, half floats with ±0 and a NaN page, byte strings over the
+  64-byte truncation limit (one with an all-0xFF prefix), booleans,
+  nullable strings and an all-null page, as V1 and as V2 pages + zstd.
 
 A ``container`` section follows: for every sf0.001 table, one line hashing
 the ``pipeline.plan_partitions`` descriptors (at a 64 KiB block target, so
@@ -33,7 +38,8 @@ compressed bytes, so a selector change shows up as a line diff in one
 section or the other. A ``container_bloom`` section repeats the default
 plan with ``bloom_columns`` set to the tables' key columns (names ending
 in ``key`` or ``_id``), so the manifests carry blooms; the blobs must match
-the ``container`` section's.
+the ``container`` section's. A ``container_bounds`` section hashes the
+blob and manifest of the ``bounds`` table encoded as one container block.
 
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
@@ -58,7 +64,7 @@ import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
-from rayenc import geo, parquet_crypto, parquet_write, pipeline, rewrite  # noqa: E402
+from rayenc import blocks, geo, parquet_crypto, parquet_write, pipeline, rewrite  # noqa: E402
 from rayenc.parquet_crypto import FileEncryption  # noqa: E402
 from rayenc.selector import EncodeConfig  # noqa: E402
 
@@ -68,6 +74,8 @@ SMALL_PAGES = EncodeConfig(page_rows=7)
 CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 # 250-row pages: lineitem's 2000-row partitions get 8-page chunks
 CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
+BOUNDS = EncodeConfig(page_rows=100)
+BOUNDS_V2_ZSTD = EncodeConfig(page_rows=100, parquet_page_version="2.0", compression="zstd")
 
 
 def nested_table() -> pa.Table:
@@ -175,6 +183,30 @@ def annotated_table(n: int = 20) -> pa.Table:
     return pa.table(cols)
 
 
+def bounds_table(n: int = 600) -> pa.Table:
+    """Six 100-row pages per column (with ``BOUNDS``) whose bounds exercise
+    the unsigned domain, the NaN rule, the half-float ±0 widening and the
+    64-byte truncate/increment rule."""
+    rows = range(n)
+    f16 = ((np.arange(n) % 40 - 20) / 4).astype(np.float16)
+    f16[np.arange(n) % 80 == 20] = np.float16(-0.0)
+    f16nan = f16.copy()
+    f16nan[450] = np.nan
+    return pa.table({
+        "u32": pa.array([2**32 - 1 - 7 * i for i in rows], pa.uint32()),
+        "u64": pa.array([i if i < 300 else 2**64 - 1 - i for i in rows], pa.uint64()),
+        "f64": pa.array([float("nan") if i == 250 else i / 4 for i in rows], pa.float64()),
+        "f16": pa.array(f16, pa.float16()),
+        "f16nan": pa.array(f16nan, pa.float16()),
+        "long": pa.array([b"\xff" * 70 + bytes([i % 256]) if i % 100 == 50
+                          else b"p" * 66 + i.to_bytes(2, "big") for i in rows], pa.binary()),
+        "text": pa.array([f"{'s' * 60}{i:06d}" for i in rows], pa.string()),
+        "flag": pa.array([i % 7 == 0 and i < 400 for i in rows], pa.bool_()),
+        "nstr": pa.array([None if i % 9 == 4 else f"k{i:05d}" for i in rows], pa.string()),
+        "nint": pa.array([None if 300 <= i < 400 else i for i in rows], pa.int64()),
+    })
+
+
 def seed_urandom(seed: int) -> None:
     rng = random.Random(seed)
     parquet_crypto.os.urandom = lambda k: bytes(rng.getrandbits(8) for _ in range(k))
@@ -214,6 +246,9 @@ def main() -> None:
     write("logical.int_decimals", lt, EncodeConfig(decimal_as_integer=True))
     write("logical.int96", lt, EncodeConfig(int96_timestamps=True))
     write("annotated.v1", annotated_table(), ANNOTATED)
+    bt = bounds_table()
+    write("bounds.v1", bt, BOUNDS)
+    write("bounds.v2zstd", bt, BOUNDS_V2_ZSTD)
 
     fk, ck = b"0123456789abcdef", b"fedcba9876543210"
     lineitem = pq.read_table(os.path.join(args.sf, "lineitem.parquet"))
@@ -248,6 +283,9 @@ def main() -> None:
     container_lines(sources, os.path.join(out, "container_zstd"), CONTAINER_ZSTD)
     keys = {n for src in sources for n in pq.read_schema(src).names if n.endswith(("key", "_id"))}
     container_lines(sources, os.path.join(out, "container_bloom"), EncodeConfig(bloom_columns=keys))
+    blob, manifest = blocks.encode_block(bt, BOUNDS)
+    print(f"{sha(blob)}  container_bounds/bounds.renc")
+    print(f"{sha(json.dumps(manifest, sort_keys=True).encode())}  container_bounds/bounds.manifest.json")
 
 
 def sha(data: bytes) -> str:
