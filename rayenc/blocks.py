@@ -500,6 +500,32 @@ def _compressor(config: sel.EncodeConfig):
     return pa.Codec(config.compression, compression_level=config.compression_level)
 
 
+def _manifest_bounds(bounds):
+    """One ``stats.page_bounds`` entry as manifest ``(min, max)``: byte
+    strings truncated and stored latin-1 (JSON-safe, bytewise order kept
+    for pushdown); ``(None, None)`` when unbounded."""
+    if bounds is None:
+        return None, None
+    lo, hi, _ = stats_mod.written(bounds)
+    if isinstance(lo, bytes):
+        return lo.decode("latin-1"), hi.decode("latin-1")
+    return lo, hi
+
+
+def _manifest_stats(col: PhysicalColumn, st: stats_mod.ChunkStats) -> dict:
+    """A chunk's manifest ``stats``. FLBA chunks carry no bounds: the
+    container reader decodes no half-float or decimal bounds."""
+    bounded = col.ptype != "FIXED_LEN_BYTE_ARRAY" and st.min_value is not None
+    lo, hi = _manifest_bounds((st.min_value, st.max_value) if bounded else None)
+    out = {"num_values": st.num_values, "null_count": st.null_count,
+           "raw_bytes": st.raw_bytes, "min": lo, "max": hi}
+    if bounded and col.ptype == "BINARY":
+        # marks exact latin-1 truncate/increment bounds; older manifests
+        # stored lossy utf-8-replace strings that are NOT valid bounds
+        out["stats_v"] = 2
+    return out
+
+
 def encode_chunk(
     col: PhysicalColumn, out: io.BytesIO, config: sel.EncodeConfig
 ) -> dict:
@@ -515,14 +541,14 @@ def encode_chunk(
             "name": col.name,
             "ptype": col.ptype,
             "encoding": "DEVNULL",
-            "stats": stats_mod.compute(col).to_manifest(),
+            "stats": _manifest_stats(col, stats_mod.compute(col)),
             "encoded_bytes": 0,
             "pages": [],
             "aux": None,
             "validity": None,
         }
-    stats = stats_mod.compute(col)
     ranges = page_ranges(col, config)
+    stats = stats_mod.compute(col, ranges)
     best = choose_encoding(col, stats, ranges, config)
     aux, pages = best.emit()
     best_size = (len(aux) if aux else 0) + sum(len(p) for p in pages)
@@ -533,7 +559,7 @@ def encode_chunk(
         "name": col.name,
         "ptype": col.ptype,
         "encoding": encoding,
-        "stats": stats.to_manifest(),
+        "stats": _manifest_stats(col, stats),
         "encoded_bytes": best_size,
         "pages": [],
         "aux": None,
@@ -545,7 +571,7 @@ def encode_chunk(
         entry["est_bytes"] = best.est_bytes
     if col.ptype == "FIXED_LEN_BYTE_ARRAY":
         entry["flba_width"] = int(np.asarray(col.values).shape[1])
-    if col.name.split("#")[0] in config.bloom_columns:
+    if col.name in config.bloom_columns:
         filt = bloom.build(col, config)
         if filt is not None:
             entry["bloom"], entry["bloom_v"] = filt.serialize(), bloom.MANIFEST_V
@@ -569,38 +595,9 @@ def encode_chunk(
         }
         out.write(blob)
     # per-page min/max: the column-index page-skipping statistics
-    # (internal/column/columnindex/ColumnIndexBuilder.java analog)
-    page_minmax = None
-    if col.ptype in ("INT32", "INT64", "FLOAT", "DOUBLE") and ranges:
-        v = np.asarray(col.values)
-        if col.unsigned and v.dtype.kind == "i":
-            # unsigned columns: bounds in the unsigned domain (see stats.compute)
-            v = v.view(v.dtype.str.replace("i", "u"))
-        page_minmax = [
-            (v[a:b].min().item(), v[a:b].max().item()) for a, b in ranges
-        ]
-        if v.dtype.kind == "f":
-            # NaN bounds are meaningless for skipping and invalid strict
-            # JSON: leave such pages unbounded (parquet-mr's NaN rule)
-            page_minmax = [
-                (None, None) if (mn != mn or mx != mx) else (mn, mx)
-                for mn, mx in page_minmax
-            ]
-    elif col.ptype == "BINARY" and ranges and col.null_mask is None:
-        import pyarrow.compute as pc
-
-        arrb = dict_codec.binary_array(*col.values).cast(pa.large_binary())
-        page_minmax = []
-        for a, b in ranges:
-            mm = pc.min_max(arrb.slice(a, b - a))
-            page_minmax.append(
-                (
-                    mm["min"].as_py()[: stats_mod.BINARY_TRUNCATE].decode("latin-1"),
-                    stats_mod.truncate_max(
-                        mm["max"].as_py(), stats_mod.BINARY_TRUNCATE
-                    ).decode("latin-1"),
-                )
-            )
+    # (internal/column/columnindex/ColumnIndexBuilder.java analog); no
+    # BOOLEAN pages (chunk bounds only) and no FLBA (see _manifest_stats)
+    paged = col.ptype not in ("BOOLEAN", "FIXED_LEN_BYTE_ARRAY")
     for k, ((a, b), page) in enumerate(zip(ranges, pages)):
         blob = codec.compress(page).to_pybytes() if codec else page
         pentry = {
@@ -609,8 +606,8 @@ def encode_chunk(
             "raw_length": len(page),
             "num_values": b - a,
         }
-        if page_minmax is not None:
-            pentry["min"], pentry["max"] = page_minmax[k]
+        if paged:
+            pentry["min"], pentry["max"] = _manifest_bounds(stats.pages[k])
         entry["pages"].append(pentry)
         out.write(blob)
     return entry
@@ -783,7 +780,7 @@ def encode_block(table: pa.Table, config: sel.EncodeConfig | None = None) -> tup
                         "alias": seen[key],
                         "encoding": "ALIAS",
                         "encoded_bytes": 0,
-                        "stats": stats_mod.compute(col).to_manifest(),
+                        "stats": _manifest_stats(col, stats_mod.compute(col)),
                         "pages": [],
                         "aux": None,
                         "validity": None,

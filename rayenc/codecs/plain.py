@@ -59,9 +59,17 @@ def encode_binary(offsets: np.ndarray, data: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+class PlainBinaryError(ValueError):
+    """A PLAIN BINARY page body too short for its value count or lengths."""
+
+
 def decode_binary(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (offsets int64[n+1], data uint8[...])."""
+    """Returns (offsets int64[n+1], data uint8[...]). Raises
+    PlainBinaryError when the body cannot hold ``n`` length-prefixed
+    values."""
     raw = np.frombuffer(buf, np.uint8)
+    if 4 * n > len(raw):
+        raise PlainBinaryError(f"{len(raw)} bytes cannot hold {n} length prefixes")
     offsets = np.zeros(n + 1, np.int64)
     lengths = np.empty(n, np.int64)
     pos = 0
@@ -74,6 +82,9 @@ def decode_binary(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
         ln = int.from_bytes(raw[pos : pos + 4].tobytes(), "little")
         lengths[k] = ln
         pos += 4 + ln
+    if pos > len(raw):
+        # a cut prefix or value runs past the body
+        raise PlainBinaryError(f"{n} values need {pos} bytes, the body has {len(raw)}")
     np.cumsum(lengths, out=offsets[1:])
     data = np.empty(int(offsets[-1]), np.uint8)
     src_starts = np.zeros(n, np.int64)

@@ -20,6 +20,7 @@ bytes are format-true.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from itertools import accumulate
 from typing import NamedTuple
@@ -270,8 +271,9 @@ def _encode_column_pages(
     max_rep: int = 0,
     max_def: int = 0,
     crypto: "_ChunkCrypto | None" = None,
-) -> None:
-    """Emit dictionary page (maybe) + data pages for one column chunk.
+) -> stats_mod.ChunkStats:
+    """Emit dictionary page (maybe) + data pages for one column chunk, and
+    return the chunk's statistics.
 
     Levels cover *slots* (one per value, plus one per empty list / null row).
     Flat required columns omit levels entirely (the reference's DevNull level
@@ -306,14 +308,15 @@ def _encode_column_pages(
         ranges = [(int(vprefix[a]), int(vprefix[b])) for a, b in slot_ranges]
 
     meta.start_offset = len(out)
+    st = stats_mod.compute(col, ranges)
     if col.num_values == 0 and def_levels is None:
         # zero-row chunk: no data pages; data_offset must still be valid
         meta.encodings.add(ENCODING_ID["PLAIN"])
         meta.data_offset = meta.start_offset
-        return
+        return st
 
     best = choose_encoding(
-        col, stats_mod.compute(col), ranges, cfg, legal=PARQUET_LEGAL,
+        col, st, ranges, cfg, legal=PARQUET_LEGAL,
         forced_only=_FLBA_FORCED_ONLY if col.ptype == "FIXED_LEN_BYTE_ARRAY" else (),
         page_frame=_PAGE_FRAME,
     )
@@ -429,9 +432,10 @@ def _encode_column_pages(
         pt = 3 if v2 else 0
         meta.page_stats[(pt, enc_code)] = meta.page_stats.get((pt, enc_code), 0) + 1
         # ColumnIndex / OffsetIndex records (PageLocation.offset points at
-        # the page header; sizes include the header)
+        # the page header; sizes include the header); the boundary order
+        # compares the written bounds
         va, vb = ranges[k]
-        bounds = _value_bounds(col, va, vb)
+        keys = st.pages[k] and stats_mod.written(st.pages[k])[:2]
         meta.page_index.append(
             {
                 "offset": page_off,
@@ -439,111 +443,48 @@ def _encode_column_pages(
                 "rows": int((rep_levels[sa:sb] == 0).sum()) if max_rep > 0 else nv,
                 "nulls": nv - (vb - va),
                 "defined": vb - va,
-                "bounds": bounds,
-                "keys": _bounds_cmp_keys(col, bounds),
+                "bounds": keys and _stat_bytes(col, keys),
+                "keys": keys,
             }
         )
     if meta.data_offset is None:
         meta.data_offset = meta.start_offset
     meta.total_bytes = len(out) - meta.start_offset
+    return st
 
 
-def _bounds_cmp_keys(col: PhysicalColumn, bounds):
-    """Comparable keys for the WRITTEN page bounds in the column's
-    comparator order (PrimitiveComparator analog) — feeds the
-    boundary_order calculation over the values readers binary-search.
-    None when the type's order isn't expressible here (wide decimals)."""
-    if bounds is None:
-        return None
-    import struct
-
-    mn, mx = bounds[0], bounds[1]
-    if col.ptype in ("INT32", "INT64", "FLOAT", "DOUBLE"):
-        fmt = {"INT32": "<i", "INT64": "<q", "FLOAT": "<f", "DOUBLE": "<d"}[col.ptype]
-        if col.unsigned and fmt in ("<i", "<q"):
-            fmt = fmt.upper()
-        return struct.unpack(fmt, mn)[0], struct.unpack(fmt, mx)[0]
-    if col.ptype in ("BOOLEAN", "BINARY"):
-        return mn, mx  # unsigned lexicographic (UTF8/bytes comparator)
-    if col.ptype == "FIXED_LEN_BYTE_ARRAY" and col.f16:
-        return (
-            np.frombuffer(mn, "<f2")[0].item(),
-            np.frombuffer(mx, "<f2")[0].item(),
-        )
-    return None
+# Statistics / ColumnIndex bound bytes: PLAIN for each ordered type, the
+# FLOAT16 FLBA as an IEEE half (INT96 and other FLBA have no bounds)
+_STAT_FMT = {"BOOLEAN": "<?", "INT32": "<i", "INT64": "<q", "FLOAT": "<f",
+             "DOUBLE": "<d", "FIXED_LEN_BYTE_ARRAY": "<e"}
 
 
-def _value_bounds(col: PhysicalColumn, a: int, b: int):
-    """(min_bytes, max_bytes, exact) of col.values[a:b] in parquet Statistics
-    byte order, or None when unbounded (NaNs, FLBA ordering subtleties)."""
-    import struct
-
-    if b <= a:
-        return None
-    if col.ptype in ("INT32", "INT64", "FLOAT", "DOUBLE"):
-        v = np.asarray(col.values)[a:b]
-        if v.dtype.kind == "f" and np.isnan(v).any():
-            return None
-        fmt = {"INT32": "<i", "INT64": "<q", "FLOAT": "<f", "DOUBLE": "<d"}[col.ptype]
-        if col.unsigned and v.dtype.kind == "i":
-            # UINT logical types order TYPE_DEFINED_ORDER in the unsigned
-            # domain: take bounds on the unsigned view and pack the (same)
-            # bit pattern, else uint32 [1, 4294967295] records min=-1/max=5
-            # and readers prune matching row groups
-            v = v.view(v.dtype.str.replace("i", "u"))
-            fmt = fmt.upper()
-        return struct.pack(fmt, v.min().item()), struct.pack(fmt, v.max().item()), True
-    if col.ptype == "BOOLEAN":
-        v = np.asarray(col.values, bool)[a:b]
-        return (b"\x01" if v.min() else b"\x00"), (b"\x01" if v.max() else b"\x00"), True
+def _stat_bytes(col: PhysicalColumn, bounds: tuple) -> tuple:
+    """The Parquet bytes of one ``stats.written`` ``(lo, hi)``; unsigned
+    ints pack in the unsigned domain (TYPE_DEFINED_ORDER for UINT)."""
     if col.ptype == "BINARY":
-        import pyarrow.compute as pc
-
-        from . import stats as st_mod
-        from .codecs.dictionary import binary_array
-
-        offsets, data = col.values
-        arr = binary_array(offsets, data).cast(pa.large_binary()).slice(a, b - a)
-        mm = pc.min_max(arr)
-        mn, mx = mm["min"].as_py(), mm["max"].as_py()
-        lim = st_mod.BINARY_TRUNCATE
-        exact = len(mn) <= lim and len(mx) <= lim
-        return mn[:lim], st_mod.truncate_max(mx, lim), exact
-    if col.ptype == "FIXED_LEN_BYTE_ARRAY" and col.f16:
-        # FLOAT16 orders numerically as IEEE half floats
-        # (Float16Statistics / TYPE_DEFINED_ORDER for the FLOAT16 logical
-        # type): bounds on the float view, ±0 widened like parquet-cpp so
-        # an exact-zero predicate can never be wrongly pruned
-        v = np.ascontiguousarray(np.asarray(col.values)[a:b]).view("<f2").ravel()
-        if np.isnan(v).any():
-            return None
-        mn, mx = v.min(), v.max()
-        if mn == 0.0:
-            mn = np.float16(-0.0)
-        if mx == 0.0:
-            mx = np.float16(0.0)
-        return mn.tobytes(), mx.tobytes(), True
-    return None
+        return bounds
+    fmt = _STAT_FMT[col.ptype].upper() if col.unsigned else _STAT_FMT[col.ptype]
+    return tuple(struct.pack(fmt, b) for b in bounds)
 
 
-def _leaf_statistics(meta: _Column, leaf: LeafLevels) -> None:
+def _leaf_statistics(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats) -> None:
     """Typed min/max/null-count + level histograms for the footer
     (Statistics.java + SizeStatistics.java semantics; binary bounds use the
-    ColumnIndexBuilder truncate/increment rule with exactness flags)."""
+    ColumnIndexBuilder truncate/increment rule with exactness flags) from
+    the chunk's ``st``."""
     col = leaf.col
     if leaf.dfv is not None:
         meta.null_count = int((leaf.dfv < leaf.max_def).sum())
         meta.def_hist = np.bincount(leaf.dfv, minlength=leaf.max_def + 1)
     if leaf.rep is not None:
         meta.rep_hist = np.bincount(leaf.rep, minlength=leaf.max_rep + 1)
-    if col.num_values == 0:
-        return
-    if col.ptype == "BINARY":
+    if col.ptype == "BINARY" and col.num_values:
         offsets, _data = col.values
         meta.unenc_bytes = int(offsets[-1] - offsets[0])
-    bounds = _value_bounds(col, 0, col.num_values)
-    if bounds is not None:
-        meta.min_bytes, meta.max_bytes, meta.stats_exact = bounds
+    if st.min_value is not None:
+        lo, hi, meta.stats_exact = stats_mod.written((st.min_value, st.max_value))
+        meta.min_bytes, meta.max_bytes = _stat_bytes(col, (lo, hi))
 
 
 def _write_row_group(
@@ -584,7 +525,7 @@ def _write_row_group(
                     key, file_aad, rg_ord, len(columns),
                     ctr_pages=props.algorithm == "AES_GCM_CTR_V1",
                 )
-            _encode_column_pages(
+            st = _encode_column_pages(
                 col, out, meta, config,
                 rep_levels=leaf.rep, def_levels=leaf.dfv,
                 max_rep=leaf.max_rep, max_def=leaf.max_def,
@@ -592,7 +533,7 @@ def _write_row_group(
             )
             if col.ptype == "FIXED_LEN_BYTE_ARRAY" and not is_int96:
                 meta.type_length = int(np.asarray(col.values).shape[1])
-            _leaf_statistics(meta, leaf)
+            _leaf_statistics(meta, leaf, st)
             spec = config.geospatial.get(dotted) or config.geospatial.get(leaf.path[0])
             if spec is not None and spec.kind == "geometry" and col.ptype == "BINARY":
                 from . import geo as geo_mod
@@ -623,18 +564,17 @@ def _page_indexes_bytes(meta: _Column):
     # DESCENDING when both the min and max lists of non-null pages are
     # monotone under the column comparator; vacuously ASCENDING for <=1 page
     keys = [p["keys"] for p in pages if p["defined"] > 0]
+    mins = [k[0] for k in keys]
+    maxs = [k[1] for k in keys]
     order = 0
-    if all(k is not None for k in keys):
-        mins = [k[0] for k in keys]
-        maxs = [k[1] for k in keys]
-        if all(a <= b for a, b in zip(mins, mins[1:])) and all(
-            a <= b for a, b in zip(maxs, maxs[1:])
-        ):
-            order = 1
-        elif all(a >= b for a, b in zip(mins, mins[1:])) and all(
-            a >= b for a, b in zip(maxs, maxs[1:])
-        ):
-            order = 2
+    if all(a <= b for a, b in zip(mins, mins[1:])) and all(
+        a <= b for a, b in zip(maxs, maxs[1:])
+    ):
+        order = 1
+    elif all(a >= b for a, b in zip(mins, mins[1:])) and all(
+        a >= b for a, b in zip(maxs, maxs[1:])
+    ):
+        order = 2
     ci = {
         1: [p["defined"] == 0 for p in pages],  # null_pages
         2: [p["bounds"][0] if p["defined"] else b"" for p in pages],

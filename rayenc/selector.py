@@ -60,7 +60,6 @@ class EncodeConfig:
     # (and DEVNULL) is a ValueError
     column_encodings: dict = field(default_factory=dict)
     disable_dictionary: set = field(default_factory=set)
-    fsst: bool = True
     # True: plan EVERY candidate over every page and pick exact min
     # encoded bytes (the pre-two-phase behavior, page codec ignored);
     # False (default): a chunk of more than 4 pages sizes its candidates on
@@ -160,7 +159,7 @@ def candidates_for(col: PhysicalColumn, stats: ChunkStats, config: EncodeConfig,
     elif ptype == "BINARY":
         if dict_ok:
             cands.append("RLE_DICTIONARY")
-        if config.fsst and stats.ndv_sample_ratio >= DICT_NDV_GATE:
+        if stats.ndv_sample_ratio >= DICT_NDV_GATE:
             # clearly-low-NDV strings are dictionary territory; training an
             # FSST table there is wasted work (it loses to dict ids by
             # orders). Medium/high-NDV chunks keep both candidates.

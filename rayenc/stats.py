@@ -1,20 +1,26 @@
-"""Per-chunk batch statistics.
+"""Per-chunk batch statistics: the one bounds layer of both writers.
 
 Mirrors the role of `column/statistics/Statistics.java` +
-`column/impl/ColumnValueCollector.java:75-93` (typed min/max/null-count per
-page/chunk) and `SizeStatistics.java` (unencoded byte sizes), computed
-vectorized over the whole batch instead of value-at-a-time. The selector
-(rayenc/selector.py) consumes the extra signal (an NDV sample) that the
-reference derives implicitly from its incremental fallback machinery
-(`FallbackValuesWriter.java:160-190`).
+`column/impl/ColumnValueCollector.java:75-93` (one collector feeds the
+chunk Statistics and ColumnIndexBuilder's per-page bounds) and
+`SizeStatistics.java` (unencoded byte sizes), computed vectorized over the
+whole batch instead of value-at-a-time. `compute(col, ranges)` takes each
+page's ``(lo, hi)`` once (`page_bounds`) and derives the chunk min/max from
+them; `written` applies ColumnIndexBuilder's 64-byte truncate/increment
+rule. The container manifest (`blocks.encode_chunk`) and the Parquet
+ColumnIndex + footer Statistics (`parquet_write`) only serialize these
+values. The selector (rayenc/selector.py) consumes the extra signal (an NDV
+sample) that the reference derives implicitly from its incremental
+fallback machinery (`FallbackValuesWriter.java:160-190`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .schema import PhysicalColumn
 
@@ -27,35 +33,12 @@ class ChunkStats:
     num_values: int
     null_count: int
     raw_bytes: int  # PLAIN-equivalent size (binary: 4 + len per value)
-    min_value: object = None
+    pages: list = field(default_factory=list)  # page_bounds of the chunk's pages
+    min_value: object = None  # chunk bounds, untruncated; None when unbounded
     max_value: object = None
     ndv_sample_ratio: float = 1.0  # distinct/sampled in the first NDV_SAMPLE values
     ndv_estimate: float | None = None  # Chao1 estimate (binary columns)
     avg_len: float = 0.0  # mean value length (binary columns)
-
-    def to_manifest(self) -> dict:
-        mn, mx = self.min_value, self.max_value
-        if isinstance(mn, bytes):
-            # ColumnIndexBuilder truncation semantics: a min prefix is still a
-            # lower bound; the max prefix is incremented to stay an upper
-            # bound. latin-1 round-trips arbitrary bytes through JSON while
-            # preserving bytewise order for pushdown comparisons.
-            mn = mn[:BINARY_TRUNCATE].decode("latin-1")
-            mx = truncate_max(self.max_value, BINARY_TRUNCATE).decode("latin-1")
-        elif mn is not None and not isinstance(mn, (int, float, bool, str)):
-            mn, mx = str(mn), str(mx)
-        out = {
-            "num_values": self.num_values,
-            "null_count": self.null_count,
-            "raw_bytes": self.raw_bytes,
-            "min": mn,
-            "max": mx,
-        }
-        if isinstance(self.min_value, bytes):
-            # marks exact latin-1 truncate/increment bounds; older manifests
-            # stored lossy utf-8-replace strings that are NOT valid bounds
-            out["stats_v"] = 2
-        return out
 
 
 def truncate_max(value: bytes, limit: int) -> bytes:
@@ -73,93 +56,100 @@ def truncate_max(value: bytes, limit: int) -> bytes:
     return value  # all 0xFF — cannot increment, keep untruncated
 
 
-def compute(col: PhysicalColumn) -> ChunkStats:
-    nulls = int(col.null_mask.sum()) if col.null_mask is not None else 0
+def written(bounds: tuple) -> tuple:
+    """``(lo, hi, exact)`` as a writer stores one ``(lo, hi)``: byte strings
+    go through the truncate/increment rule (a min prefix is still a lower
+    bound, the incremented max prefix still an upper one), and ``exact``
+    says neither was cut; other values pass through exact."""
+    lo, hi = bounds
+    if not isinstance(lo, bytes):
+        return lo, hi, True
+    exact = len(lo) <= BINARY_TRUNCATE and len(hi) <= BINARY_TRUNCATE
+    return lo[:BINARY_TRUNCATE], truncate_max(hi, BINARY_TRUNCATE), exact
+
+
+def page_bounds(col: PhysicalColumn, ranges, arr: pa.Array | None = None) -> list:
+    """``(lo, hi)`` of ``col.values[a:b]`` for each page range, in the
+    column's order: INT32/INT64 as ints (in the unsigned domain for unsigned
+    columns, else uint32 4294967295 would bound a page at -1), FLOAT/DOUBLE
+    and FLOAT16 FLBA as floats (a half-float zero widened to [-0.0, +0.0],
+    like parquet-cpp, so an exact-zero predicate is never wrongly pruned),
+    BOOLEAN as bools, BINARY as untruncated bytes. None for an empty page,
+    a page holding a NaN (NaN poisons ordering: parquet-mr's skip-on-NaN
+    rule) or an FLBA without a defined order. ``ranges`` partition the
+    values in order; ``arr`` is the chunk's BINARY values as large_binary."""
+    out = [None] * len(ranges)
+    full = [k for k, (a, b) in enumerate(ranges) if b > a]
+    if not full:
+        return out
     if col.ptype == "BINARY":
-        offsets, data = col.values
-        n = len(offsets) - 1
-        raw = 4 * n + int(offsets[-1] - offsets[0])
-        if n == 0:
-            return ChunkStats(0, nulls, raw)
-        lengths = np.diff(offsets)
-        # sample NDV via python bytes on a stride (vectorized hash would need
-        # full materialization; the sample is capped)
-        stride = max(1, n // NDV_SAMPLE)
-        idx = np.arange(0, n, stride)[:NDV_SAMPLE]
-        raw_b = data.tobytes()
-        from collections import Counter
+        for k in full:
+            a, b = ranges[k]
+            mm = pc.min_max(arr.slice(a, b - a))
+            out[k] = mm["min"].as_py(), mm["max"].as_py()
+        return out
+    if col.ptype == "FIXED_LEN_BYTE_ARRAY":
+        if not col.f16:
+            return out
+        v = np.ascontiguousarray(col.values).view("<f2").ravel()
+    else:
+        v = np.asarray(col.values)
+        if col.unsigned and v.dtype.kind == "i":
+            v = v.view(v.dtype.str.replace("i", "u"))
+    v = v[: ranges[full[-1]][1]]
+    starts = [ranges[k][0] for k in full]
+    los = np.minimum.reduceat(v, starts)
+    his = np.maximum.reduceat(v, starts)
+    if v.dtype.kind == "f":
+        bounded = ~(np.isnan(los) | np.isnan(his))
+        if col.ptype == "FIXED_LEN_BYTE_ARRAY":
+            los = np.where(los == 0, np.float16(-0.0), los)
+            his = np.where(his == 0, np.float16(0.0), his)
+    else:
+        bounded = np.ones(len(full), bool)
+    for k, lo, hi, ok in zip(full, los.tolist(), his.tolist(), bounded.tolist()):
+        if ok:
+            out[k] = lo, hi
+    return out
 
-        counts = Counter(raw_b[offsets[i] : offsets[i + 1]] for i in idx)
-        sample = counts.keys()
-        # Chao1 lower-bound NDV estimate from sample frequency-of-frequencies:
-        # ndv_hat = d + f1^2 / (2*f2)  (f1 = singletons, f2 = doubletons)
-        d = len(counts)
-        f1 = sum(1 for c in counts.values() if c == 1)
-        f2 = sum(1 for c in counts.values() if c == 2)
-        chao = d + (f1 * f1) / (2 * f2) if f2 else (d * 2 if f1 == d else d)
-        avg_len = (int(offsets[-1] - offsets[0]) / n) if n else 0
-        # exact vectorized min/max (pyarrow kernel) — required for sound
-        # string-predicate pushdown; truncation happens at manifest time
-        import pyarrow.compute as pc
 
+def compute(col: PhysicalColumn, ranges=None) -> ChunkStats:
+    """The chunk's statistics over its page ``ranges`` (default: one page):
+    page bounds, the chunk bounds derived from them, and the NDV sample."""
+    nulls = int(col.null_mask.sum()) if col.null_mask is not None else 0
+    n = col.num_values
+    if ranges is None:
+        ranges = [(0, n)] if n else []
+    arr = None
+    if col.ptype == "BINARY":
+        offsets, _ = col.values
         from rayenc.codecs.dictionary import binary_array
 
-        mm = pc.min_max(binary_array(offsets, data).cast(pa.large_binary()))
-        mn = mm["min"].as_py()
-        mx = mm["max"].as_py()
-        st = ChunkStats(
-            n,
-            nulls,
-            raw,
-            mn,
-            mx,
-            ndv_sample_ratio=d / len(idx),
-        )
-        st.ndv_estimate = float(chao * max(1.0, n / len(idx)) if d == len(idx) else chao)
-        st.avg_len = avg_len
-        return st
-    if col.ptype == "FIXED_LEN_BYTE_ARRAY":
-        v = np.asarray(col.values)
-        n, width = v.shape if v.ndim == 2 else (len(v), 1)
-        if n == 0:
-            return ChunkStats(0, nulls, 0)
-        stride = max(1, n // NDV_SAMPLE)
-        sample = v[::stride][:NDV_SAMPLE]
-        ndv = len(np.unique(sample.reshape(len(sample), -1), axis=0))
-        return ChunkStats(n, nulls, n * width, None, None, ndv_sample_ratio=ndv / len(sample))
-    if col.ptype == "BOOLEAN":
-        v = np.asarray(col.values, bool)
-        n = len(v)
-        return ChunkStats(
-            n,
-            nulls,
-            (n + 7) // 8,
-            bool(v.min()) if n else None,
-            bool(v.max()) if n else None,
-            ndv_sample_ratio=(2 / n) if n else 1.0,
-        )
-    v = np.asarray(col.values)
-    n = len(v)
-    raw = n * v.dtype.itemsize
-    if n == 0:
-        return ChunkStats(0, nulls, raw)
-    stride = max(1, n // NDV_SAMPLE)
-    sample = v[::stride][:NDV_SAMPLE]
-    ndv = len(np.unique(sample))
-    # unsigned source columns are stored sign-wrapped; min/max bounds for
-    # skipping must be taken in the unsigned domain or a chunk holding
-    # uint32 4294967295 records min=-1 and wrongly skips (manifest analog of
-    # parquet UINT TYPE_DEFINED_ORDER)
-    vb = v.view(v.dtype.str.replace("i", "u")) if (col.unsigned and v.dtype.kind == "i") else v
-    mn, mx = vb.min(), vb.max()
-    if v.dtype.kind == "f":
-        mn, mx = float(mn), float(mx)
-        if np.isnan(mn) or np.isnan(mx):
-            # NaN poisons ordering: leave the chunk unbounded so pushdown
-            # never skips it (mirrors parquet_write._value_bounds and
-            # parquet-mr's skip-min/max-on-NaN rule,
-            # column/statistics/DoubleStatistics semantics)
-            mn = mx = None
+        arr = binary_array(*col.values).cast(pa.large_binary())
+        st = ChunkStats(n, nulls, 4 * n + int(offsets[-1] - offsets[0]))
+        if n:
+            # Chao1 lower-bound NDV estimate from the frequency-of-frequencies
+            # of a strided sample: ndv_hat = d + f1^2 / (2*f2)
+            # (f1 = singletons, f2 = doubletons)
+            idx = np.arange(0, n, max(1, n // NDV_SAMPLE))[:NDV_SAMPLE]
+            counts = pc.value_counts(arr.take(idx)).field("counts").to_numpy()
+            d, f1, f2 = len(counts), int((counts == 1).sum()), int((counts == 2).sum())
+            chao = d + (f1 * f1) / (2 * f2) if f2 else (d * 2 if f1 == d else d)
+            st.ndv_sample_ratio = d / len(idx)
+            st.ndv_estimate = float(chao * max(1.0, n / len(idx)) if d == len(idx) else chao)
+            st.avg_len = int(offsets[-1] - offsets[0]) / n
+    elif col.ptype == "BOOLEAN":
+        st = ChunkStats(n, nulls, (n + 7) // 8, ndv_sample_ratio=(2 / n) if n else 1.0)
     else:
-        mn, mx = int(mn), int(mx)
-    return ChunkStats(n, nulls, raw, mn, mx, ndv_sample_ratio=ndv / len(sample))
+        v = np.asarray(col.values)
+        st = ChunkStats(n, nulls, v.nbytes)
+        if n:
+            sample = v[:: max(1, n // NDV_SAMPLE)][:NDV_SAMPLE]
+            ndv = np.unique(sample, axis=0) if v.ndim == 2 else np.unique(sample)
+            st.ndv_sample_ratio = len(ndv) / len(sample)
+    st.pages = page_bounds(col, ranges, arr)
+    full = [p for p, (a, b) in zip(st.pages, ranges) if b > a]
+    if full and None not in full:
+        st.min_value = min(lo for lo, _ in full)
+        st.max_value = max(hi for _, hi in full)
+    return st

@@ -257,3 +257,17 @@ def test_decimal_chunk_gets_no_container_bloom(tmp_path):
     parquet_write.write_table(t, path, cfg)
     f = parquet_read_enc.EncryptedFile(path)
     assert parquet_read_enc.read_bloom_filter(f, 0, 0) is not None
+
+
+def test_nested_column_streams_get_no_container_bloom():
+    # predicates name top-level columns, so no reader probes a bloom on a
+    # list's #lengths or #values stream; a flat column named beside it
+    # keeps its bloom
+    from rayenc import blocks, data
+
+    t = data.make_table(2000)
+    _, man = blocks.encode_block(t, EncodeConfig(bloom_columns={"tokens", "doc_id"}))
+    blooms = {c["name"] for c in man["chunks"] if "bloom" in c}
+    assert blooms == {"doc_id"}
+    _, man = blocks.encode_block(t, EncodeConfig(bloom_columns={"tokens"}))
+    assert not any("bloom" in c for c in man["chunks"])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayenc.codecs import rle_hybrid
+from rayenc.codecs import plain, rle_hybrid
 from rayenc.codecs.lz4hadoop import Lz4HadoopCodec, _lz4_block_decompress
 from rayenc.codecs.lzo import LzoHadoopCodec, lzo1x_decompress
 
@@ -91,6 +91,30 @@ def test_rle_hybrid_decode_framed_total(data, n, width):
     except rle_hybrid.RleHybridError:
         return
     assert len(out) == n and used <= len(data)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.binary(max_size=64), st.integers(0, 4096))
+def test_plain_decode_binary_total(data, n):
+    try:
+        offsets, values = plain.decode_binary(data, n)
+    except ValueError:
+        return
+    assert len(offsets) == n + 1 and offsets[-1] == len(values) <= len(data) - 4 * n
+
+
+@pytest.mark.parametrize(
+    "buf, n",
+    [
+        (b"\x00" * 7, 2),  # second length prefix cut off
+        (b"\x05\x00\x00\x00abc", 1),  # value runs past the body
+        (b"\xff\xff\xff\xff", 1),  # 4 GiB length on a 4-byte body
+        (b"", 1 << 40),  # value count the body cannot hold
+    ],
+)
+def test_plain_decode_binary_short_body_raises(buf, n):
+    with pytest.raises(plain.PlainBinaryError):
+        plain.decode_binary(buf, n)
 
 
 @pytest.mark.parametrize(

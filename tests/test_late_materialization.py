@@ -214,3 +214,13 @@ def test_nullable_predicate_column_has_page_bounds(decoded_pages):
     assert len([b for b in decoded_pages if b in pages]) == 1
     got = blocks.decode_block(blob, manifest, predicate=[("k", "is_null", None)])
     assert got.num_rows == 20 and got["k"].null_count == 20
+    # the same for a nullable string column
+    s = pa.array([None if i % 1000 == 999 else f"k{i:08d}" for i in range(n)])
+    blob, manifest = blocks.encode_block(pa.table({"s": s}), EncodeConfig(page_rows=1000))
+    (entry,) = manifest["chunks"]
+    assert entry["validity"] and len(entry["pages"]) == 20
+    pages = [blob[p["offset"] : p["offset"] + p["length"]] for p in entry["pages"]]
+    decoded_pages.clear()
+    got = blocks.decode_block(blob, manifest, predicate=[("s", "==", "k00012345")])
+    assert got["s"].to_pylist() == ["k00012345"]
+    assert len([b for b in decoded_pages if b in pages]) == 1

@@ -166,3 +166,48 @@ def test_chunk_stats_at_the_type_extremes_warn_nothing():
     assert (got["f"].min_value, got["f"].max_value) == (-1.7e308, 1.7e308)
     assert not hasattr(got["i"], "run_count") and not hasattr(got["i"], "is_sorted")
     assert blocks.decode_block(blob, man).equals(t)
+
+
+def test_container_and_parquet_bounds_agree(tmp_path):
+    # one bounds layer: each container page's min/max is the Parquet
+    # ColumnIndex bound of the same page, and the chunk bounds agree with
+    # the footer Statistics; a NaN page leaves the Parquet chunk without a
+    # ColumnIndex and the container page unbounded
+    from rayenc.parquet_read_enc import EncryptedFile, _bound_decoder, _parse_index
+    from rayenc.selector import EncodeConfig
+
+    n = 600
+    t = pa.table({
+        "u64": pa.array([i if i < 300 else 2**64 - 1 - i for i in range(n)], pa.uint64()),
+        "i32": pa.array([(i * 37) % 1000 - 500 for i in range(n)], pa.int32()),
+        "f64": pa.array([float("nan") if i == 250 else i / 4 for i in range(n)], pa.float64()),
+        "long": pa.array([b"\xff" * 70 + bytes([i % 256]) if i == 250
+                          else b"p" * 66 + i.to_bytes(2, "big") for i in range(n)]),
+    })
+    cfg = EncodeConfig(page_rows=100)
+    _, man = blocks.encode_block(t, cfg)
+    path = str(tmp_path / "b.parquet")
+    parquet_write.write_table(t, path, cfg)
+    f = EncryptedFile(path)
+
+    def stored(lo, hi):
+        return (lo.encode("latin-1"), hi.encode("latin-1")) if isinstance(lo, str) else (lo, hi)
+
+    for ci, entry in enumerate(man["chunks"]):
+        leaf, dec = f.leaves[ci], _bound_decoder(f.leaves[ci])
+        assert leaf.path == [entry["name"]] and len(entry["pages"]) == 6
+        pages = [stored(p["min"], p["max"]) for p in entry["pages"]]
+        idx = _parse_index(f, 0, ci)
+        if entry["name"] == "f64":
+            assert idx is None and pages[2] == (None, None)
+            assert entry["stats"]["min"] is None and 12 not in f.chunk_meta(0, ci)
+            continue
+        cidx, _ = idx
+        assert pages == [(dec(lo), dec(hi)) for lo, hi in zip(cidx[2], cidx[3])]
+        st = f.chunk_meta(0, ci)[12]
+        assert stored(entry["stats"]["min"], entry["stats"]["max"]) == (dec(st[6]), dec(st[5]))
+    long_page0, long_chunk = pages[0], stored(entry["stats"]["min"], entry["stats"]["max"])
+    assert long_page0 == (b"p" * 64, b"p" * 63 + b"q")  # truncated, max incremented
+    assert long_chunk[1] == b"\xff" * 70 + bytes([250])  # an all-0xFF prefix stays whole
+    u64 = man["chunks"][0]["pages"][5]
+    assert (u64["min"], u64["max"]) == (2**64 - 600, 2**64 - 501)
