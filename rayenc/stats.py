@@ -93,7 +93,7 @@ def page_bounds(col: PhysicalColumn, ranges, arr: pa.Array | None = None) -> lis
             return out
         v = np.ascontiguousarray(col.values).view("<f2").ravel()
     else:
-        v = np.asarray(col.values)
+        v = np.asarray(col.values, bool if col.ptype == "BOOLEAN" else None)
         if col.unsigned and v.dtype.kind == "i":
             v = v.view(v.dtype.str.replace("i", "u"))
     v = v[: ranges[full[-1]][1]]
@@ -101,7 +101,7 @@ def page_bounds(col: PhysicalColumn, ranges, arr: pa.Array | None = None) -> lis
     los = np.minimum.reduceat(v, starts)
     his = np.maximum.reduceat(v, starts)
     if v.dtype.kind == "f":
-        bounded = ~(np.isnan(los) | np.isnan(his))
+        bounded = ~np.isnan(los)  # minimum and maximum both propagate NaN
         if col.ptype == "FIXED_LEN_BYTE_ARRAY":
             los = np.where(los == 0, np.float16(-0.0), los)
             his = np.where(his == 0, np.float16(0.0), his)
