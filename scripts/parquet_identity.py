@@ -41,6 +41,12 @@ in ``key`` or ``_id``), so the manifests carry blooms; the blobs must match
 the ``container`` section's. A ``container_bounds`` section hashes the
 blob and manifest of the ``bounds`` table encoded as one container block.
 
+A ``pruning`` section reads ``bounds.v1`` and that container block with one
+predicate per (column, op) of ``PRUNING_COLUMNS`` x ``PRUNING_OPS`` and
+prints the row intervals ``predicate.row_ranges`` returns in each reader
+(one list per call: per row group in Parquet, per block in the container),
+so a change to page pruning shows up as a line diff.
+
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
 """
@@ -64,7 +70,7 @@ import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
-from rayenc import blocks, geo, parquet_crypto, parquet_write, pipeline, rewrite  # noqa: E402
+from rayenc import blocks, geo, parquet_crypto, parquet_read_enc, parquet_write, pipeline, predicate, rewrite  # noqa: E402
 from rayenc.parquet_crypto import FileEncryption  # noqa: E402
 from rayenc.selector import EncodeConfig  # noqa: E402
 
@@ -76,6 +82,18 @@ CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
 BOUNDS = EncodeConfig(page_rows=100)
 BOUNDS_V2_ZSTD = EncodeConfig(page_rows=100, parquet_page_version="2.0", compression="zstd")
+# the pruning section: a literal each bounds_table column holds (row 250;
+# row 450 of u64, row 260 of long) and one it does not hold
+PRUNING_COLUMNS = {
+    "u32": (2**32 - 1 - 7 * 250, 5),
+    "u64": (2**64 - 1 - 450, 2**63),
+    "f64": (100.0, -1.0),
+    "long": (b"p" * 66 + (260).to_bytes(2, "big"), b"a"),
+    "text": ("s" * 60 + "000250", "zz"),
+    "nstr": ("k00250", "k00004"),
+    "nint": (250, 350),
+}
+PRUNING_OPS = ("==", "!=", "<", "<=", ">", ">=", "in", "not_in", "is_null", "not_null")
 
 
 def nested_table() -> pa.Table:
@@ -286,6 +304,7 @@ def main() -> None:
     blob, manifest = blocks.encode_block(bt, BOUNDS)
     print(f"{sha(blob)}  container_bounds/bounds.renc")
     print(f"{sha(json.dumps(manifest, sort_keys=True).encode())}  container_bounds/bounds.manifest.json")
+    pruning_lines(os.path.join(out, "bounds.v1.parquet"), blob, manifest)
 
 
 def sha(data: bytes) -> str:
@@ -313,6 +332,39 @@ def container_lines(sources: list, out: str, config: EncodeConfig = V1) -> None:
                 del manifest["timings"], manifest["lineage"]["path"]
                 data = json.dumps(manifest, sort_keys=True).encode()
             print(f"{sha(data)}  {section}/{stem}/{name}")
+
+
+def pruning_lines(path: str, blob, manifest: dict) -> None:
+    """The ``pruning`` section: every ``predicate.row_ranges`` result of a
+    filtered read of ``path`` and of the container block, per predicate."""
+    calls = []
+    real = predicate.row_ranges
+
+    def recorded(tree, nrows, leaf_ranges):
+        iv = real(tree, nrows, leaf_ranges)
+        calls.append([list(r) for r in iv])
+        return iv
+
+    readers = {
+        "parquet": lambda pred: parquet_read_enc.read_table_filtered(path, pred),
+        "container": lambda pred: blocks.decode_block(blob, manifest, predicate=pred),
+    }
+    predicate.row_ranges = recorded
+    try:
+        for col, (inside, outside) in PRUNING_COLUMNS.items():
+            for op in PRUNING_OPS:
+                value = {"in": (inside, outside), "not_in": (inside,)}.get(op, inside)
+                if op in ("is_null", "not_null"):
+                    value = None
+                for name, read in readers.items():
+                    calls.clear()
+                    try:
+                        rows = read([(col, op, value)]).num_rows
+                    except Exception as exc:  # a reader fault is a line too
+                        rows = type(exc).__name__
+                    print(f"{json.dumps(calls)} rows={rows}  pruning/{name}/{col} {op}")
+    finally:
+        predicate.row_ranges = real
 
 
 if __name__ == "__main__":
