@@ -613,12 +613,22 @@ def encode_chunk(
     return entry
 
 
-def _page_rows(entry: dict, leaf, t=None, valid=None):
-    """Rows of the chunk's pages whose min/max may satisfy ``leaf`` (None
-    when the chunk has no page bounds). ``t`` is the column's Arrow type.
-    Given the validity ``valid`` of a chunk with nulls, page k starts at
-    the row of its first value (page 0 at row 0) and its null count is
-    unknown."""
+def _stored_bounds(lo, hi) -> tuple:
+    """Manifest ``(min, max)`` in the stats domain: string bounds are
+    stored latin-1 (bytewise order, truncated max incremented —
+    ColumnIndexBuilder semantics)."""
+    if isinstance(lo, str):
+        return lo.encode("latin-1"), hi.encode("latin-1")
+    return lo, hi
+
+
+def _page_granules(entry: dict, t=None, valid=None):
+    """``(first_row, end_row, predicate.Granule)`` of each page of a chunk
+    from its manifest page min/max (a None bound is an unbounded,
+    NaN-bearing page), or None when the chunk has no page bounds. ``t`` is
+    the column's Arrow type. Given the validity ``valid`` of a chunk with
+    nulls, page k starts at the row of its first value (page 0 at row 0)
+    and its null count is unknown."""
     pages = entry["pages"]
     if not pages or "min" not in pages[0]:
         return None
@@ -629,18 +639,11 @@ def _page_rows(entry: dict, leaf, t=None, valid=None):
         rows = np.append(np.flatnonzero(valid), len(valid))
         starts = np.append(0, rows[starts[1:]])
         ends = np.append(starts[1:], len(valid))
-    kept = []
-    for a, b, p in zip(starts.tolist(), ends.tolist(), pages):
-        lo, hi = p.get("min"), p.get("max")
-        if isinstance(lo, str):
-            # string bounds are stored latin-1 (bytewise order, truncated
-            # max incremented — ColumnIndexBuilder semantics)
-            lo, hi = lo.encode("latin-1"), hi.encode("latin-1")
-        # a None bound is an unbounded (NaN-bearing) page
-        g = P.Granule(lo, hi, 0 if valid is None else None, p["num_values"], t)
-        if P.leaf_may_match(leaf, g):
-            kept.append((a, b))
-    return kept
+    nulls = 0 if valid is None else None
+    return [
+        (a, b, P.Granule(*_stored_bounds(p["min"], p["max"]), nulls, p["num_values"], t))
+        for a, b, p in zip(starts.tolist(), ends.tolist(), pages)
+    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -668,13 +671,9 @@ def partition_granules(manifest: dict):
         if entry is None:
             return None
         st = entry.get("stats") or {}
-        lo, hi = st.get("min"), st.get("max")
-        if isinstance(lo, str):
-            # binary bounds are stored latin-1 (bytewise order, truncated
-            # max incremented — ColumnIndexBuilder semantics); before
-            # stats_v=2 they were lossy utf-8-replace strings, not bounds
-            valid = st.get("stats_v", 1) >= 2
-            lo, hi = (lo.encode("latin-1"), hi.encode("latin-1")) if valid else (None, None)
+        lo, hi = _stored_bounds(st.get("min"), st.get("max"))
+        if isinstance(lo, bytes) and st.get("stats_v", 1) < 2:
+            lo = hi = None  # lossy utf-8-replace strings, not bounds
         g = P.Granule(lo, hi, st.get("null_count"), st.get("num_values"), types.get(col))
         if entry.get("bloom") and entry.get("bloom_v") == bloom.MANIFEST_V:
             g.bloom = bloom.probe(
@@ -818,7 +817,7 @@ def _kept_row_intervals(manifest, reader, tree):
         if leaf.col not in reader.by_name:
             return None
         e = reader.target(leaf.col)
-        return _page_rows(e, leaf, types.get(leaf.col), reader.validity(e))
+        return P.page_rows(leaf, _page_granules(e, types.get(leaf.col), reader.validity(e)))
 
     return P.row_ranges(tree, manifest["num_rows"], leaf_rows)
 

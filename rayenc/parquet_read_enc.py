@@ -44,6 +44,7 @@ import pyarrow as pa
 
 from . import predicate as P
 from . import parquet_crypto as pcrypt
+from . import stats
 from .codecs import decode_pages
 from .created_by import requires_sequential_reads, should_ignore_statistics
 from .message_type import _name, _node_field, _walk_schema, format_message_type  # noqa: F401
@@ -461,65 +462,27 @@ def _parse_index(f: "EncryptedFile", rg_ord: int, col_ord: int):
     )
 
 
-_MINMAX_FMT = {"INT32": "<i", "INT64": "<q", "FLOAT": "<f", "DOUBLE": "<d"}
-_MINMAX_FMT_UNSIGNED = {"INT32": "<I", "INT64": "<Q"}
-
-
-def _bounds_fmt(leaf):
-    """struct format for ColumnIndex / Statistics bounds of one leaf —
-    unsigned logical ints compare in the unsigned domain (mirrors the
-    write-side unsigned stats fix; TYPE_DEFINED_ORDER for UINT_* sorts
-    unsigned, so the stored bytes exceed the signed max for large values);
-    FLOAT16 FLBA-2 bounds decode as IEEE half floats, so float predicates
-    on halffloat columns prune numerically."""
-    if pa.types.is_unsigned_integer(leaf.type) and leaf.ptype in _MINMAX_FMT_UNSIGNED:
-        return _MINMAX_FMT_UNSIGNED[leaf.ptype]
-    if pa.types.is_float16(leaf.type) and leaf.ptype == "FIXED_LEN_BYTE_ARRAY":
-        return "<e"  # half float
-    return _MINMAX_FMT.get(leaf.ptype)
-
-
-def _bound_decoder(leaf):
-    """``raw -> value`` (None if malformed) for one leaf's ColumnIndex and
-    Statistics bounds, or None for INT96 (no defined order). Byte-array
-    DECIMALs are big-endian unscaled ints; other byte arrays are bytes."""
-    fmt = _bounds_fmt(leaf)
-    if fmt is not None:
-        size = struct.calcsize(fmt)
-        return lambda raw: struct.unpack(fmt, raw)[0] if len(raw) == size else None
-    if leaf.ptype == "BOOLEAN":
-        return lambda raw: bool(raw[0]) if len(raw) == 1 else None
-    if leaf.ptype == "INT96":
+def _page_granules(cidx: dict, oidx: dict, leaf, nrows: int, nulls_only: bool = False):
+    """``(first_row, end_row, predicate.Granule)`` of each page of one chunk
+    of ``nrows`` rows from its ColumnIndex and OffsetIndex: a null page has
+    ``count=0``, ``null_counts`` give ``nulls`` and the bounds decode
+    through ``stats.bound_decoder``. None when the index lists disagree on
+    the page count, or when a bound does not decode (INT96, malformed)
+    unless ``nulls_only`` (only the null counts are read)."""
+    firsts = [loc[3] for loc in oidx.get(1, [])] + [nrows]
+    n = len(firsts) - 1
+    null_pages, counts = cidx.get(1) or [False] * n, cidx.get(5) or [None] * n
+    mins, maxs = cidx.get(2, []), cidx.get(3, [])
+    if not len(null_pages) == len(counts) == len(mins) == len(maxs) == n:
         return None
-    if pa.types.is_decimal(leaf.type):
-        return lambda raw: int.from_bytes(raw, "big", signed=True) if raw else None
-    return bytes
-
-
-def _page_bounds(cidx, leaf):
-    """Decode ColumnIndex min/max into comparable ``(lo, hi)`` per page
-    (None when the page is all-null), or None when the chunk's bounds are
-    not decoded."""
-    nulls, dec = cidx.get(1, []), _bound_decoder(leaf)
-    if dec is None:
-        return None
+    dec = stats.bound_decoder(leaf.ptype, leaf.type)
     out = []
-    for p, (mn, mx) in enumerate(zip(cidx.get(2, []), cidx.get(3, []))):
-        b = None if p < len(nulls) and nulls[p] else (dec(mn), dec(mx))
-        if b is not None and None in b:
+    for p, (null, nulls) in enumerate(zip(null_pages, counts)):
+        b = (None, None) if null or nulls_only else dec and dec(mins[p], maxs[p])
+        if b is None:
             return None
-        out.append(b)
+        out.append((firsts[p], firsts[p + 1], P.Granule(*b, nulls, 0 if null else None, leaf.type)))
     return out
-
-
-def _chunk_stat_bounds(md: dict, leaf) -> tuple | None:
-    """(lo, hi) from ColumnMetaData.statistics min_value/max_value (fields
-    6/5), or None when absent/unusable."""
-    st, dec = md.get(12), _bound_decoder(leaf)
-    if not isinstance(st, dict) or st.get(6) is None or st.get(5) is None or dec is None:
-        return None
-    b = dec(st[6]), dec(st[5])
-    return None if None in b else b
 
 
 # PageEncodingStats page types / encodings for the dictionary-filter check
@@ -589,58 +552,7 @@ def read_dictionary_values(f: "EncryptedFile", rg_ord: int, col_ord: int):
     return pa.array(v)
 
 
-def _matching_pages(node, bounds, boundary_order: int) -> list[int]:
-    """Page ordinals whose bounds may satisfy one predicate leaf.
-
-    When the ColumnIndex declares ASCENDING/DESCENDING boundary_order and
-    the leaf is a plain comparison, binary-search the bounds lists instead
-    of testing every page (`columnindex/BoundaryOrder.java` eq/lt/gt
-    semantics; all-null pages — None bounds — never match a leaf and are
-    excluded from the search coordinates). Falls back to the linear scan
-    for UNORDERED indexes, set/udp leaves, and mixed-type bounds."""
-    from bisect import bisect_left, bisect_right
-
-    op = getattr(node, "op", None)
-    if boundary_order in (1, 2) and op in ("==", "<", "<=", ">", ">="):
-        nn = [p for p, b in enumerate(bounds) if b is not None]
-        mins = [bounds[p][0] for p in nn]
-        maxs = [bounds[p][1] for p in nn]
-        if boundary_order == 2:  # DESCENDING: search the reversed lists
-            nn, mins, maxs = nn[::-1], mins[::-1], maxs[::-1]
-        v = node.value
-        same_type = nn and (
-            isinstance(v, type(mins[0]))
-            or (
-                isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and isinstance(mins[0], (int, float))
-            )
-        )
-        if isinstance(v, float) and v != v:  # NaN value: linear path
-            same_type = False
-        if same_type:
-            # ascending mins+maxs: each op selects a contiguous page run
-            if op == "==":
-                lo = bisect_left(maxs, v)  # first page with max >= v
-                hi = bisect_right(mins, v)  # first page with min > v
-            elif op in ("<", "<="):
-                lo = 0
-                key = bisect_right if op == "<=" else bisect_left
-                hi = key(mins, v)  # pages with min < v (or <= v)
-            else:  # > / >=
-                key = bisect_left if op == ">=" else bisect_right
-                lo = key(maxs, v)  # first page with max > v (or >= v)
-                hi = len(nn)
-            return sorted(nn[lo:hi])
-    return [
-        p
-        for p, b in enumerate(bounds)
-        if (b is not None and P.leaf_vs_bounds(node, b[0], b[1]))
-    ]
-
-
-def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
-                    use_dictionary_filter: bool = True) -> list[int]:
+def plan_row_groups(f: "EncryptedFile", tree, row_groups=None) -> list[int]:
     """Ordinals of the row groups of ``f`` (all, or ``row_groups``) that may
     hold a row matching NNF ``tree``, for ``read_table_filtered`` and
     ``summary.plan_from_summary``. Each chunk's ``predicate.Granule`` holds
@@ -663,11 +575,11 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
                 return None
             lf = f.leaves[ci]
             md = f.chunk_meta(rg_ord, ci)
-            st = md.get(12)
-            nulls = st.get(3) if isinstance(st, dict) else None
-            bounds = None
-            if not (distrust_binary and lf.ptype in ("BYTE_ARRAY", "FIXED_LEN_BYTE_ARRAY")):
-                bounds = _chunk_stat_bounds(md, lf)
+            st = md.get(12) if isinstance(md.get(12), dict) else {}
+            nulls, bounds = st.get(3), None
+            dec = stats.bound_decoder(lf.ptype, lf.type)
+            if dec and not (distrust_binary and lf.ptype in ("BYTE_ARRAY", "FIXED_LEN_BYTE_ARRAY")):
+                bounds = dec(st.get(6), st.get(5))  # Statistics min_value/max_value
             g = P.Granule(
                 *(bounds or (None, None)), nulls,
                 None if nulls is None else md.get(5, 0) - nulls, lf.type,
@@ -675,7 +587,7 @@ def plan_row_groups(f: "EncryptedFile", tree, row_groups=None,
             if f.row_groups[rg_ord][1][ci].get(1):
                 return g
             g.bloom = _bloom_probe(f, rg_ord, ci)
-            if use_dictionary_filter and _all_pages_dict_encoded(md):
+            if _all_pages_dict_encoded(md):
                 g.dictionary = functools.cache(lambda: read_dictionary_values(f, rg_ord, ci))
             return g
 
@@ -717,7 +629,6 @@ def read_table_filtered(
     columns: list[str] | None = None,
     decryption: FileDecryption | None = None,
     row_groups: list[int] | None = None,
-    use_dictionary_filter: bool = True,
 ) -> pa.Table:
     """Predicate-pushdown read of a parquet FILE driven by OUR ColumnIndex /
     OffsetIndex parsing (the filter2/columnindex page-skipping surface,
@@ -773,34 +684,16 @@ def read_table_filtered(
     fields = list(schema) if columns is None else [schema.field(c) for c in columns]
     out_schema = schema if columns is None else pa.schema(fields)
     parts = []
-    for rg_ord in plan_row_groups(f, tree, row_groups, use_dictionary_filter=use_dictionary_filter):
+    for rg_ord in plan_row_groups(f, tree, row_groups):
         rg_rows = f.row_groups[rg_ord].get(3)
         index = functools.cache(lambda col: _parse_index(f, rg_ord, leaf_ord[col]))
 
         def leaf_rows(leaf):
             """Rows of the pages whose ColumnIndex entry may satisfy
             ``leaf`` (None without a page index)."""
-            parsed = index(leaf.col)
-            if parsed is None:
-                return None
-            cidx, oidx = parsed
-            firsts = [loc[3] for loc in oidx.get(1, [])] + [rg_rows]
-            if leaf.op in ("is_null", "not_null"):
-                # ColumnIndex null_pages (field 1) + null_counts (field 5)
-                null_pages = cidx.get(1) or [False] * (len(firsts) - 1)
-                counts = cidx.get(5) or [None] * len(null_pages)
-                keep = [
-                    p for p, (null_page, nulls) in enumerate(zip(null_pages, counts))
-                    if P.leaf_may_match(leaf, P.Granule(nulls=nulls, count=0 if null_page else None))
-                ]
-            else:
-                lf = f.leaves[leaf_ord[leaf.col]]
-                dleaf = P.in_domain(leaf, lf.type)[0]
-                bounds = _page_bounds(cidx, lf)
-                if dleaf is None or bounds is None:
-                    return None
-                keep = _matching_pages(dleaf, bounds, cidx.get(4, 0))
-            return [(firsts[p], firsts[p + 1]) for p in keep]
+            parsed, lf = index(leaf.col), f.leaves[leaf_ord[leaf.col]]
+            nulls_only = leaf.op in ("is_null", "not_null")
+            return P.page_rows(leaf, parsed and _page_granules(*parsed, lf, rg_rows, nulls_only))
 
         def read(field: pa.Field, rows):
             """``field`` at ``rows`` of the row group: a flat leaf with an

@@ -20,7 +20,6 @@ bytes are format-true.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from itertools import accumulate
 from typing import NamedTuple
@@ -443,7 +442,7 @@ def _encode_column_pages(
                 "rows": int((rep_levels[sa:sb] == 0).sum()) if max_rep > 0 else nv,
                 "nulls": nv - (vb - va),
                 "defined": vb - va,
-                "bounds": keys and _stat_bytes(col, keys),
+                "bounds": keys and stats_mod.bound_bytes(col, keys),
                 "keys": keys,
             }
         )
@@ -451,21 +450,6 @@ def _encode_column_pages(
         meta.data_offset = meta.start_offset
     meta.total_bytes = len(out) - meta.start_offset
     return st
-
-
-# Statistics / ColumnIndex bound bytes: PLAIN for each ordered type, the
-# FLOAT16 FLBA as an IEEE half (INT96 and other FLBA have no bounds)
-_STAT_FMT = {"BOOLEAN": "<?", "INT32": "<i", "INT64": "<q", "FLOAT": "<f",
-             "DOUBLE": "<d", "FIXED_LEN_BYTE_ARRAY": "<e"}
-
-
-def _stat_bytes(col: PhysicalColumn, bounds: tuple) -> tuple:
-    """The Parquet bytes of one ``stats.written`` ``(lo, hi)``; unsigned
-    ints pack in the unsigned domain (TYPE_DEFINED_ORDER for UINT)."""
-    if col.ptype == "BINARY":
-        return bounds
-    fmt = _STAT_FMT[col.ptype].upper() if col.unsigned else _STAT_FMT[col.ptype]
-    return tuple(struct.pack(fmt, b) for b in bounds)
 
 
 def _leaf_statistics(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats) -> None:
@@ -484,7 +468,7 @@ def _leaf_statistics(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats) 
         meta.unenc_bytes = int(offsets[-1] - offsets[0])
     if st.min_value is not None:
         lo, hi, meta.stats_exact = stats_mod.written((st.min_value, st.max_value))
-        meta.min_bytes, meta.max_bytes = _stat_bytes(col, (lo, hi))
+        meta.min_bytes, meta.max_bytes = stats_mod.bound_bytes(col, (lo, hi))
 
 
 def _write_row_group(
@@ -564,17 +548,7 @@ def _page_indexes_bytes(meta: _Column):
     # DESCENDING when both the min and max lists of non-null pages are
     # monotone under the column comparator; vacuously ASCENDING for <=1 page
     keys = [p["keys"] for p in pages if p["defined"] > 0]
-    mins = [k[0] for k in keys]
-    maxs = [k[1] for k in keys]
-    order = 0
-    if all(a <= b for a, b in zip(mins, mins[1:])) and all(
-        a <= b for a, b in zip(maxs, maxs[1:])
-    ):
-        order = 1
-    elif all(a >= b for a, b in zip(mins, mins[1:])) and all(
-        a >= b for a, b in zip(maxs, maxs[1:])
-    ):
-        order = 2
+    order = 1 if stats_mod.monotone(keys, True) else 2 if stats_mod.monotone(keys, False) else 0
     ci = {
         1: [p["defined"] == 0 for p in pages],  # null_pages
         2: [p["bounds"][0] if p["defined"] else b"" for p in pages],

@@ -12,6 +12,9 @@ three ways:
   metadata; ``leaf_may_match`` is the one veto, And=all, Or=any;
 - ``row_ranges(pred, nrows, leaf_ranges)`` — the rows of a granule that
   page-level metadata cannot rule out (And intersects, Or unions);
+  ``page_rows(leaf, pages)`` is the one page pruner both readers give it
+  their leaf rows with, over one ``Granule`` per page (container manifest
+  pages, Parquet ColumnIndex entries);
 - ``two_phase_read(...)`` — the one filtered read of both file formats:
   the predicate columns over those rows, ``mask``, then every other column
   only at the matching rows (``select_pages`` maps them to pages);
@@ -419,6 +422,19 @@ def row_ranges(tree, nrows: int, leaf_ranges) -> list[tuple[int, int]]:
     return [(0, nrows)] if iv is None else _merge_intervals(iv)
 
 
+def page_rows(leaf: Leaf, pages) -> list[tuple[int, int]] | None:
+    """The one page pruner of both readers (`ColumnIndexFilter`'s per-page
+    verdict): the row intervals of the ``(first_row, end_row, Granule)``
+    ``pages`` of one column that ``leaf_may_match`` keeps; None (every
+    row) when the column has no page records. A comparison leaf whose
+    literal has no value in the column's stats domain keeps every row too,
+    so the exact read still sees it (and raises if it cannot evaluate it)."""
+    comparison = leaf.op not in ("is_null", "not_null")
+    if pages is None or comparison and pages and in_domain(leaf, pages[0][2].type)[0] is None:
+        return None
+    return [(a, b) for a, b, g in pages if leaf_may_match(leaf, g)]
+
+
 def select_pages(ends, rows, decoded=None):
     """The rows -> pages mapping of both readers: the pages of a column
     (ending at the cumulative positions ``ends``) that hold the ascending
@@ -597,18 +613,10 @@ def _stats_value(v, t):
         return _INEXACT
 
 
-def leaf_vs_bounds(leaf: Leaf, lo, hi, all_null: bool = False) -> bool:
-    """Can any NON-null value in [lo, hi] satisfy the leaf? ``all_null``
-    granules fail every comparison leaf (SQL semantics). is_null/not_null
-    need null COUNTS these bounds don't carry: is_null stays True
-    (call sites holding a null_count veto it themselves), not_null prunes
-    exactly the all-null granules."""
-    if leaf.op == "is_null":
-        return True
-    if leaf.op == "not_null":
-        return not all_null and lo is not None
-    if all_null or lo is None:
-        return False
+def leaf_vs_bounds(leaf: Leaf, lo, hi) -> bool:
+    """Can any NON-null value in [lo, hi] satisfy the comparison leaf?
+    ``leaf_may_match`` decides is_null/not_null and all-null granules from
+    the null counts before it asks."""
     if lo != lo or hi != hi:  # NaN bounds (older manifests): never skip
         return True
     if leaf.op == "udp":
@@ -617,12 +625,10 @@ def leaf_vs_bounds(leaf: Leaf, lo, hi, all_null: bool = False) -> bool:
         except Exception:
             return True
     if leaf.op == "in":
-        return any(
-            leaf_vs_bounds(Leaf(leaf.col, "==", v), lo, hi)
-            for v in leaf.value
-        )
+        return any(leaf_vs_bounds(Leaf(leaf.col, "==", v), lo, hi) for v in leaf.value)
     if leaf.op == "not_in":
-        return not (lo == hi and any(_cmp_eq(lo, v) for v in leaf.value))
+        same = (_comparable(lo, v) and _coerce(lo, v) == lo for v in leaf.value)
+        return not (lo == hi and any(same))
     v = leaf.value
     if not _comparable(lo, v):
         return True
@@ -644,30 +650,21 @@ def leaf_vs_bounds(leaf: Leaf, lo, hi, all_null: bool = False) -> bool:
 
 def leaf_vs_values(leaf: Leaf, arr) -> bool:
     """Dictionary-level veto (`filter2/dictionarylevel/DictionaryFilter.java`):
-    can any member of the chunk's COMPLETE value set satisfy the leaf? Exact
-    because the dictionary enumerates every distinct non-null value."""
+    can any member of the chunk's COMPLETE value set satisfy the comparison
+    leaf? Exact because the dictionary enumerates every distinct non-null
+    value."""
     import pyarrow.compute as pc
 
-    if leaf.op in ("is_null", "not_null"):
-        return True  # dictionaries carry no null info
     return bool(pc.any(_as_bool_array(leaf_mask(leaf, arr))).as_py())
 
 
 def _comparable(lo, v) -> bool:
     if isinstance(lo, (str, bytes)):
-        return isinstance(v, (str, bytes))
+        return isinstance(v, (str, type(lo)))
     return isinstance(v, (int, float)) and not isinstance(v, bool) or (
         isinstance(v, bool) and isinstance(lo, bool)
     )
 
 
 def _coerce(lo, v):
-    if isinstance(lo, bytes) and isinstance(v, str):
-        return v.encode()
-    if isinstance(lo, str) and isinstance(v, bytes):
-        return v.decode("latin-1")
-    return v
-
-
-def _cmp_eq(lo, v) -> bool:
-    return _comparable(lo, v) and _coerce(lo, v) == lo
+    return v.encode() if isinstance(lo, bytes) and isinstance(v, str) else v

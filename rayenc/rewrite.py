@@ -50,7 +50,7 @@ from .parquet_read_enc import (
     decompress_page,
     read_table_encrypted,
 )
-from .parquet_write import _Column, _column_meta, _encode_column_pages, leaf_levels
+from .parquet_write import _Column, _column_meta, _encode_column_pages, _leaf_statistics, leaf_levels
 from .pipeline import _launch, _load_partition, _manifests, _write_partition
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
@@ -492,10 +492,11 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
         arr = f.read_field(rg_ord, field)
         (leaf,) = leaf_levels(field, [mask_hash(shred(field.name, arr)[0])], len(arr))
         meta = _Column(lf.path, "BINARY", lf.max_rep, lf.max_def)
-        _encode_column_pages(
+        st = _encode_column_pages(
             leaf.col, out, meta, EncodeConfig(),
             def_levels=leaf.dfv, max_def=leaf.max_def,
         )
+        _leaf_statistics(meta, leaf, st)
         md = _column_meta(meta)
         return {2: chunk_range(md)[0], 3: md}  # the old index and bloom are void
 

@@ -1,4 +1,5 @@
-"""Per-chunk batch statistics: the one bounds layer of both writers.
+"""Per-chunk batch statistics: the one bounds layer of both writers and
+both readers.
 
 Mirrors the role of `column/statistics/Statistics.java` +
 `column/impl/ColumnValueCollector.java:75-93` (one collector feeds the
@@ -9,13 +10,19 @@ page's ``(lo, hi)`` once (`page_bounds`) and derives the chunk min/max from
 them; `written` applies ColumnIndexBuilder's 64-byte truncate/increment
 rule. The container manifest (`blocks.encode_chunk`) and the Parquet
 ColumnIndex + footer Statistics (`parquet_write`) only serialize these
-values. The selector (rayenc/selector.py) consumes the extra signal (an NDV
-sample) that the reference derives implicitly from its incremental
-fallback machinery (`FallbackValuesWriter.java:160-190`).
+values. The read half is the Parquet bound codec: `bound_bytes` packs a
+bound pair and `bound_decoder` unpacks the chunk Statistics and ColumnIndex
+bounds for the reader (`parquet_read_enc`) and `validate`; both readers
+judge the decoded pages with `predicate.page_rows`. The selector
+(rayenc/selector.py) consumes the extra signal (an NDV sample) that the
+reference derives implicitly from its incremental fallback machinery
+(`FallbackValuesWriter.java:160-190`).
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +73,64 @@ def written(bounds: tuple) -> tuple:
         return lo, hi, True
     exact = len(lo) <= BINARY_TRUNCATE and len(hi) <= BINARY_TRUNCATE
     return lo[:BINARY_TRUNCATE], truncate_max(hi, BINARY_TRUNCATE), exact
+
+
+def monotone(bounds: list, ascending: bool) -> bool:
+    """Whether the min list and the max list of ``bounds`` (``(lo, hi)``
+    pairs) both never decrease (``ascending``) or never increase: the test
+    of ColumnIndexBuilder.calculateBoundaryOrder."""
+    ok = operator.le if ascending else operator.ge
+    return all(ok(a[k], b[k]) for k in (0, 1) for a, b in zip(bounds, bounds[1:]))
+
+
+# Statistics / ColumnIndex bound bytes: PLAIN of each ordered physical type,
+# a FLOAT16 FLBA as an IEEE half; INT96 and other FLBA have no defined order
+_BOUND_FMT = {"BOOLEAN": "<?", "INT32": "<i", "INT64": "<q", "FLOAT": "<f", "DOUBLE": "<d",
+              "FIXED_LEN_BYTE_ARRAY": "<e"}
+
+
+def _bound_fmt(ptype: str, unsigned: bool, f16: bool) -> str | None:
+    """struct format of one leaf's bounds (None: byte strings); unsigned
+    ints in the unsigned domain (TYPE_DEFINED_ORDER for UINT sorts
+    unsigned, so stored bytes exceed the signed max for large values)."""
+    if ptype == "FIXED_LEN_BYTE_ARRAY" and not f16:
+        return None
+    fmt = _BOUND_FMT.get(ptype)
+    return fmt.upper() if unsigned and ptype in ("INT32", "INT64") else fmt
+
+
+def bound_bytes(col: PhysicalColumn, bounds: tuple) -> tuple:
+    """The Parquet bytes of one ``written`` ``(lo, hi)`` of ``col``; byte
+    strings are their own bytes."""
+    fmt = _bound_fmt(col.ptype, col.unsigned, col.f16)
+    return bounds if fmt is None else tuple(struct.pack(fmt, b) for b in bounds)
+
+
+def bound_decoder(ptype: str, t: pa.DataType):
+    """``(lo_raw, hi_raw) -> (lo, hi)`` for the Statistics and ColumnIndex
+    bounds of a Parquet leaf of physical type ``ptype`` and Arrow type
+    ``t``, in the domain `page_bounds` computes (None when a bound is
+    missing or has the wrong length); None for INT96 (no defined order).
+    Byte-array DECIMALs are big-endian unscaled ints; other byte arrays are
+    bytes."""
+    if ptype == "INT96":
+        return None
+    fmt = _bound_fmt(ptype, pa.types.is_unsigned_integer(t), pa.types.is_float16(t))
+    if fmt is not None:
+        size = struct.calcsize(fmt)
+        one = lambda raw: struct.unpack(fmt, raw)[0] if len(raw) == size else None
+    elif pa.types.is_decimal(t):
+        one = lambda raw: int.from_bytes(raw, "big", signed=True) if raw else None
+    else:
+        one = bytes
+
+    def decode(lo, hi):
+        if lo is None or hi is None:
+            return None
+        b = one(lo), one(hi)
+        return None if None in b else b
+
+    return decode
 
 
 def page_bounds(col: PhysicalColumn, ranges, arr: pa.Array | None = None) -> list:

@@ -18,11 +18,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import stats
 from .parquet_read_enc import (
     EncryptedFile,
     FileDecryption,
     PageCrcError,
-    _bound_decoder,
     _decode_selected_pages,
     _parse_index,
 )
@@ -76,7 +76,7 @@ def validate_column_index(
                 arrow_t = schema.field(leaf.dotted).type
             except KeyError:
                 continue
-            written, dec = [], _bound_decoder(leaf)
+            written, dec = [], stats.bound_decoder(leaf.ptype, leaf.type)
             for p in range(len(locs)):
                 try:
                     arr = _decode_selected_pages(f, rg, ci, locs, [p], arrow_t)
@@ -101,11 +101,12 @@ def validate_column_index(
                     )
                 if defined == 0 or dec is None:  # INT96 has no defined order
                     continue
-                lo, hi = dec(mins[p]), dec(maxs[p])
-                if lo is None or hi is None:
+                bounds = dec(mins[p], maxs[p])
+                if bounds is None:
                     issues.append(f"{where} page {p}: malformed bounds")
                     continue
-                written.append((lo, hi))
+                written.append(bounds)
+                lo, hi = bounds
                 amn, amx = _actual_bounds(arr)
                 if isinstance(lo, bytes) and isinstance(amn, str):
                     amn, amx = amn.encode(), amx.encode()
@@ -121,20 +122,9 @@ def validate_column_index(
                         f"max {hi!r}"
                     )
             order = cidx.get(4, 0)
-            if order == 1 and not _monotone(written, ascending=True):
+            if order == 1 and not stats.monotone(written, ascending=True):
                 issues.append(f"{where}: boundary_order ASCENDING but bounds are not")
-            if order == 2 and not _monotone(written, ascending=False):
+            if order == 2 and not stats.monotone(written, ascending=False):
                 issues.append(f"{where}: boundary_order DESCENDING but bounds are not")
     return issues
 
-
-def _monotone(bounds, ascending: bool) -> bool:
-    mins = [b[0] for b in bounds]
-    maxs = [b[1] for b in bounds]
-    if ascending:
-        return all(a <= b for a, b in zip(mins, mins[1:])) and all(
-            a <= b for a, b in zip(maxs, maxs[1:])
-        )
-    return all(a >= b for a, b in zip(mins, mins[1:])) and all(
-        a >= b for a, b in zip(maxs, maxs[1:])
-    )

@@ -374,8 +374,8 @@ def test_nan_pages_unbounded_and_kept():
     assert len(pages) == 2
     assert pages[0]["min"] is None and pages[0]["max"] is None
     assert pages[1]["min"] == 10.0 and pages[1]["max"] == 13.0
-    assert blocks._page_rows(entry, P.Leaf("x", ">", 3.0)) == [(0, 4), (4, 8)]
-    assert blocks._page_rows(entry, P.Leaf("x", ">", 20.0)) == [(0, 4)]
+    assert P.page_rows(P.Leaf("x", ">", 3.0), blocks._page_granules(entry)) == [(0, 4), (4, 8)]
+    assert P.page_rows(P.Leaf("x", ">", 20.0), blocks._page_granules(entry)) == [(0, 4)]
     out = blocks.decode_block(blob, manifest, predicate=[("x", ">", 3.0)])
     assert out["x"].to_pylist() == [4.0, 10.0, 11.0, 12.0, 13.0]
 

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -717,6 +718,21 @@ def test_mask_parquet_raw_hybrid(tmp_path):
     assert pq.read_table(out).num_rows == t.num_rows
     with _pytest.raises(ValueError, match="string"):
         mask_parquet_raw(src, out, ["o_custkey"])
+
+
+def test_mask_parquet_raw_keeps_chunk_statistics(tmp_path):
+    # the masked chunk carries the Statistics of its hashes: the source's
+    # null count, and the min/max of the masked values
+    from rayenc.rewrite import mask_parquet_raw
+
+    t = pa.table({"s": pa.array([None if i % 3 == 0 else f"v{i:03d}" for i in range(30)])})
+    src, out = str(tmp_path / "in.parquet"), str(tmp_path / "m.parquet")
+    parquet_write.write_table(t, src)
+    mask_parquet_raw(src, out, ["s"])
+    st = pq.ParquetFile(out).metadata.row_group(0).column(0).statistics
+    hashes = pq.read_table(out)["s"]
+    assert st is not None and st.has_min_max and st.null_count == 10 == hashes.null_count
+    assert (st.min, st.max) == (pc.min(hashes).as_py(), pc.max(hashes).as_py())
 
 
 @pytest.mark.parametrize("src_comp,src_ver,dst", [

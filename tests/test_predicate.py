@@ -98,7 +98,7 @@ def test_noteq_bounds_boundary():
     assert P.leaf_vs_bounds(leaf, 7, 7) is False  # constant == excluded
     assert P.leaf_vs_bounds(leaf, 7, 8) is True
     assert P.leaf_vs_bounds(leaf, 6, 7) is True
-    assert P.leaf_vs_bounds(leaf, 7, 7, all_null=True) is False
+    assert P.leaf_may_match(leaf, P.Granule(7, 7, count=0)) is False
 
 
 def test_notin_bounds_boundary():
@@ -342,11 +342,6 @@ def test_dictionary_level_row_group_filter(monkeypatch):
     # the veto is correctness-neutral: a present value still decodes
     got = pre.read_table_filtered(path, [("source", "==", "gamma")])
     assert got.num_rows == n // 2
-    # and turning the filter off changes nothing
-    got = pre.read_table_filtered(
-        path, [("source", "==", "beta")], use_dictionary_filter=False
-    )
-    assert got.num_rows == 0
 
 
 class TestNullPredicates:
@@ -393,9 +388,9 @@ class TestNullPredicates:
         from rayenc import predicate as P
 
         # not_null prunes all-null granules; is_null never prunes on bounds
-        assert P.leaf_vs_bounds(P.Leaf("x", "not_null", None), None, None, all_null=True) is False
-        assert P.leaf_vs_bounds(P.Leaf("x", "not_null", None), 1, 5) is True
-        assert P.leaf_vs_bounds(P.Leaf("x", "is_null", None), 1, 5) is True
+        assert P.leaf_may_match(P.Leaf("x", "not_null", None), P.Granule(count=0)) is False
+        assert P.leaf_may_match(P.Leaf("x", "not_null", None), P.Granule(1, 5)) is True
+        assert P.leaf_may_match(P.Leaf("x", "is_null", None), P.Granule(1, 5)) is True
 
 
 def test_nan_comparison_semantics_ieee_like_reference():

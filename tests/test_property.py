@@ -555,47 +555,6 @@ def test_slice_by_bytes_property(data):
         assert int(_row_byte_sizes(s).sum()) <= hi
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    op=st.sampled_from(["==", "<", "<=", ">", ">="]),
-    order=st.sampled_from([1, 2]),
-    nulls=st.lists(st.booleans(), min_size=1, max_size=12),
-)
-def test_boundary_order_binary_search_equals_linear(data, op, order, nulls):
-    """BoundaryOrder.java parity: the ordered binary search must select
-    exactly the pages the linear leaf_vs_bounds scan selects, for every op,
-    direction, and all-null page placement."""
-    from rayenc import predicate as P
-    from rayenc.parquet_read_enc import _matching_pages
-
-    n_pages = len([x for x in nulls if not x])
-    # ascending (min, max) pairs with min <= max, possibly overlapping
-    pts = sorted(
-        data.draw(
-            st.lists(
-                st.integers(-50, 50), min_size=2 * n_pages, max_size=2 * n_pages
-            )
-        )
-    )
-    pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(n_pages)]
-    if order == 2:
-        pairs = pairs[::-1]
-    bounds, it = [], iter(pairs)
-    for is_null in nulls:
-        bounds.append(None if is_null else next(it))
-    v = data.draw(st.integers(-60, 60))
-    leaf = P.Leaf("c", op, v)
-    linear = [
-        p
-        for p, b in enumerate(bounds)
-        if b is not None and P.leaf_vs_bounds(leaf, b[0], b[1])
-    ]
-    assert _matching_pages(leaf, bounds, order) == linear
-    # UNORDERED always takes the linear path
-    assert _matching_pages(leaf, bounds, 0) == linear
-
-
 @given(data=st.binary(max_size=4000))
 @settings(max_examples=60, deadline=None)
 def test_lz4_pure_decoder_matches_arrow(data):

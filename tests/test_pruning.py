@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from rayenc import blocks, parquet_read_enc, parquet_write, pipeline, predicate as P
+from rayenc import blocks, parquet_read_enc, parquet_write, pipeline, predicate as P, stats
 from rayenc.parquet_read_enc import read_table_filtered
 from rayenc.selector import EncodeConfig
 from rayenc.summary import plan_from_summary, write_summary
@@ -358,8 +358,9 @@ def test_parquet_bloom_prunes_fixed_size_binary_keys(tmp_path, monkeypatch):
     parquet_write.write_table(t, path, cfg, row_group_size=100)
     f = parquet_read_enc.EncryptedFile(path)
     # no chunk bounds for FIXED_LEN_BYTE_ARRAY: only the bloom can prune
-    assert all(parquet_read_enc._chunk_stat_bounds(f.chunk_meta(g, 0), f.leaves[0]) is None
-               for g in range(4))
+    dec = stats.bound_decoder(f.leaves[0].ptype, f.leaves[0].type)
+    assert all(dec(st.get(6), st.get(5)) is None
+               for st in (f.chunk_meta(g, 0).get(12) or {} for g in range(4)))
     for pred, kept in (([("k", "==", keys[250])], {2}),
                        ([("k", "in", [keys[5], keys[399]])], {0, 3})):
         assert _decoded_row_groups(monkeypatch, path, pred, t) == kept
@@ -424,3 +425,50 @@ def test_summary_probes_only_chunks_whose_data_is_in_the_file(tmp_path):
     os.utime(os.path.join(d, "part-1.parquet"), ns=(1, 1))
     plan = plan_from_summary(d, [("k", "==", v)])
     assert plan == summary_only[:4] + [(os.path.join(d, "part-1.parquet"), 2)]
+
+
+def test_both_readers_keep_the_same_pages(tmp_path, monkeypatch):
+    # one page pruner: a container block and a Parquet file of the same
+    # flat, non-null table with the same pages keep the same row intervals
+    # for every op (no BOOLEAN or NaN pages: the container has no BOOLEAN
+    # page bounds and Parquet drops the ColumnIndex of a chunk with a NaN)
+    n, big, pad = 600, 2**63, "x" * 70
+    t = pa.table({
+        "i64": pa.array([i // 100 for i in range(n)], pa.int64()),
+        "u64": pa.array([big + 3 * i for i in range(n)], pa.uint64()),
+        "s": pa.array([f"{i:05d}{pad}" for i in range(n)]),
+    })
+    cfg = EncodeConfig(page_rows=100)
+    blob, man = blocks.encode_block(t, cfg)
+    path = str(tmp_path / "t.parquet")
+    parquet_write.write_table(t, path, cfg)
+    readers = (lambda p: blocks.decode_block(blob, man, predicate=p),
+               lambda p: read_table_filtered(path, p))
+    calls, real = [], P.row_ranges
+    monkeypatch.setattr(P, "row_ranges", lambda *a: calls.append(real(*a)) or calls[-1])
+    literals = {"i64": (2, 5), "u64": (big + 750, big + 1770), "s": (f"00250{pad}", f"00590{pad}")}
+    for col, (v, w) in literals.items():
+        for op in ("==", "!=", "<", "<=", ">", ">=", "in", "not_in", "is_null", "not_null"):
+            value = {"in": (v, w), "not_in": (v,), "is_null": None, "not_null": None}.get(op, v)
+            kept = []
+            for read in readers:
+                calls.clear()
+                read([(col, op, value)])
+                kept.append(calls[-1] if calls else [])  # [] when a row group is vetoed
+            assert kept[0] == kept[1], (col, op, kept)
+            if op == "==":
+                assert kept[0] == [(200, 300)], (col, kept)
+
+
+def test_malformed_column_index_prunes_nothing(paged_file):
+    # index lists that disagree on the page count keep every row, for the
+    # null-count ops too, instead of dropping the pages they leave out
+    path, _ = paged_file
+    f = parquet_read_enc.EncryptedFile(path)
+    cidx, oidx = parquet_read_enc._parse_index(f, 0, 0)
+    leaf, rows = f.leaves[0], f.row_groups[0][3]
+    assert len(parquet_read_enc._page_granules(cidx, oidx, leaf, rows)) == len(cidx[1]) > 1
+    for field in (1, 2, 3, 5):
+        short = {**cidx, field: cidx[field][:-1]}
+        for nulls_only in (False, True):
+            assert parquet_read_enc._page_granules(short, oidx, leaf, rows, nulls_only) is None

@@ -127,7 +127,7 @@ def test_page_level_skipping_single_column(ray_session, tmp_path):
     kchunk = next(c for c in m["chunks"] if c["name"] == "k")
     assert "min" in kchunk["pages"][0] and len(kchunk["pages"]) > 1
     # page bounds: only the page containing the target survives
-    assert len(blocks._page_rows(kchunk, P.Leaf("k", "==", 777_777))) == 1
+    assert len(P.page_rows(P.Leaf("k", "==", 777_777), blocks._page_granules(kchunk))) == 1
     # end-to-end single-column scan with predicate
     t = _read_all(out, columns=["k"], predicate=[("k", "==", 777_777)])
     assert t.num_rows == 1 and t.column("k")[0].as_py() == 777_777

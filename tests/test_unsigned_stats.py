@@ -43,7 +43,7 @@ def test_manifest_and_page_bounds_unsigned():
     if pages and "min" in pages[0]:
         assert max(p["max"] for p in pages) == 4294967295
     # decode with the equality predicate that the wrapped bounds would skip
-    kept = blocks._page_rows(by_name["u32"], P.Leaf("u32", "==", 4294967295))
+    kept = P.page_rows(P.Leaf("u32", "==", 4294967295), blocks._page_granules(by_name["u32"]))
     assert kept is None or kept
     out = blocks.decode_block(blob, manifest)
     assert out.equals(table)
@@ -173,7 +173,7 @@ def test_container_and_parquet_bounds_agree(tmp_path):
     # ColumnIndex bound of the same page, and the chunk bounds agree with
     # the footer Statistics; a NaN page leaves the Parquet chunk without a
     # ColumnIndex and the container page unbounded
-    from rayenc.parquet_read_enc import EncryptedFile, _bound_decoder, _parse_index
+    from rayenc.parquet_read_enc import EncryptedFile, _parse_index
     from rayenc.selector import EncodeConfig
 
     n = 600
@@ -194,7 +194,8 @@ def test_container_and_parquet_bounds_agree(tmp_path):
         return (lo.encode("latin-1"), hi.encode("latin-1")) if isinstance(lo, str) else (lo, hi)
 
     for ci, entry in enumerate(man["chunks"]):
-        leaf, dec = f.leaves[ci], _bound_decoder(f.leaves[ci])
+        leaf = f.leaves[ci]
+        dec = stats.bound_decoder(leaf.ptype, leaf.type)
         assert leaf.path == [entry["name"]] and len(entry["pages"]) == 6
         pages = [stored(p["min"], p["max"]) for p in entry["pages"]]
         idx = _parse_index(f, 0, ci)
@@ -203,9 +204,9 @@ def test_container_and_parquet_bounds_agree(tmp_path):
             assert entry["stats"]["min"] is None and 12 not in f.chunk_meta(0, ci)
             continue
         cidx, _ = idx
-        assert pages == [(dec(lo), dec(hi)) for lo, hi in zip(cidx[2], cidx[3])]
+        assert pages == [dec(lo, hi) for lo, hi in zip(cidx[2], cidx[3])]
         st = f.chunk_meta(0, ci)[12]
-        assert stored(entry["stats"]["min"], entry["stats"]["max"]) == (dec(st[6]), dec(st[5]))
+        assert stored(entry["stats"]["min"], entry["stats"]["max"]) == dec(st[6], st[5])
     long_page0, long_chunk = pages[0], stored(entry["stats"]["min"], entry["stats"]["max"])
     assert long_page0 == (b"p" * 64, b"p" * 63 + b"q")  # truncated, max incremented
     assert long_chunk[1] == b"\xff" * 70 + bytes([250])  # an all-0xFF prefix stays whole
