@@ -212,3 +212,30 @@ def test_container_and_parquet_bounds_agree(tmp_path):
     assert long_chunk[1] == b"\xff" * 70 + bytes([250])  # an all-0xFF prefix stays whole
     u64 = man["chunks"][0]["pages"][5]
     assert (u64["min"], u64["max"]) == (2**64 - 600, 2**64 - 501)
+
+
+def test_bound_codec_round_trips_and_rejects_wrong_lengths():
+    # the one Parquet bound codec: what bound_bytes packs, bound_decoder
+    # reads back in the same domain; a bound of the wrong length (or a
+    # missing one) decodes as None and INT96 has no decoder
+    cases = [
+        (pa.array([-5, 7], pa.int32()), "INT32", (-5, 7)),
+        (pa.array([2**32 - 2, 2**32 - 1], pa.uint32()), "INT32", (2**32 - 2, 2**32 - 1)),
+        (pa.array([2**63, 2**64 - 1], pa.uint64()), "INT64", (2**63, 2**64 - 1)),
+        (pa.array([0.5, 2.25], pa.float64()), "DOUBLE", (0.5, 2.25)),
+        (pa.array([False, True]), "BOOLEAN", (False, True)),
+        (pa.array(np.array([-1.5, 2.0], np.float16)), "FIXED_LEN_BYTE_ARRAY", (-1.5, 2.0)),
+        (pa.array(["ab", "cd"]), "BYTE_ARRAY", (b"ab", b"cd")),
+    ]
+    for arr, ptype, bounds in cases:
+        (col,) = shred("c", arr)
+        raw = stats.bound_bytes(col, bounds)
+        dec = stats.bound_decoder(ptype, arr.type)
+        assert dec(*raw) == bounds, (arr.type, raw)
+        if ptype != "BYTE_ARRAY":
+            assert dec(raw[0] + b"\x00", raw[1]) is None and dec(raw[0], raw[1][:-1]) is None
+        assert dec(None, raw[1]) is None
+    dec = stats.bound_decoder("FIXED_LEN_BYTE_ARRAY", pa.decimal128(20, 2))
+    lo, hi = (v.to_bytes(9, "big", signed=True) for v in (-3, 12345))
+    assert dec(lo, hi) == (-3, 12345)
+    assert stats.bound_decoder("INT96", pa.timestamp("ns")) is None
