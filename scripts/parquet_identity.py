@@ -21,6 +21,11 @@ The matrix:
 - encrypted files (footer key, column key, plaintext footer, CTR), with
   ``parquet_crypto.os.urandom`` replaced by a seeded stream;
 - ``rewrite.mask_parquet_raw`` outputs of rayenc- and pyarrow-written files;
+- ``rewrite.prune_parquet_raw``, ``merge_parquet_raw``,
+  ``rename_parquet_raw`` and ``transcompress_parquet_raw`` (to zstd and
+  back to none) outputs of ``raw_src``: the ``bounds`` columns whose chunks
+  all carry min/max, in two row groups of 100-row pages with page indexes
+  and blooms on four columns;
 - a ``bounds`` table of 100-row pages whose page and chunk min/max hit
   every statistics rule: unsigned ints above the signed max, a NaN page of
   doubles, half floats with ±0 and a NaN page, byte strings over the
@@ -82,6 +87,7 @@ CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
 BOUNDS = EncodeConfig(page_rows=100)
 BOUNDS_V2_ZSTD = EncodeConfig(page_rows=100, parquet_page_version="2.0", compression="zstd")
+RAW_SRC = EncodeConfig(page_rows=100, bloom_columns={"u32", "text", "nstr", "nint"})
 # the pruning section: a literal each bounds_table column holds (row 250;
 # row 450 of u64, row 260 of long) and one it does not hold
 PRUNING_COLUMNS = {
@@ -292,6 +298,18 @@ def main() -> None:
         dst = os.path.join(out, f"mask{k}.{col}.parquet")
         rewrite.mask_parquet_raw(src, dst, [col])
         written.append(dst)
+
+    raw = write("raw_src", bt.drop_columns(["f64", "f16nan"]), RAW_SRC, row_group_size=300)
+    rewrites = {
+        "prune": lambda dst: rewrite.prune_parquet_raw(raw, dst, ["u64", "long"]),
+        "merge": lambda dst: rewrite.merge_parquet_raw([raw, raw], dst),
+        "rename": lambda dst: rewrite.rename_parquet_raw(raw, dst, {"u32": "u", "nint": "n"}),
+        "zstd": lambda dst: rewrite.transcompress_parquet_raw(raw, dst, "zstd"),
+        "zstd_none": lambda dst: rewrite.transcompress_parquet_raw(
+            os.path.join(out, "raw_zstd.parquet"), dst, None),
+    }
+    for name, run in rewrites.items():
+        written.append(run(os.path.join(out, f"raw_{name}.parquet")))
 
     for path in written:
         with open(path, "rb") as fh:
