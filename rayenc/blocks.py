@@ -627,23 +627,27 @@ def _page_granules(entry: dict, t=None, valid=None):
     from its manifest page min/max (a None bound is an unbounded,
     NaN-bearing page), or None when the chunk has no page bounds. ``t`` is
     the column's Arrow type. Given the validity ``valid`` of a chunk with
-    nulls, page k starts at the row of its first value (page 0 at row 0)
-    and its null count is unknown."""
+    nulls, a page spans the rows of its first to its last value, and each
+    null run before, between or after the pages is a span of its own with
+    no values (``count=0``)."""
     pages = entry["pages"]
     if not pages or "min" not in pages[0]:
         return None
-    counts = np.array([p["num_values"] for p in pages], np.int64)
-    starts = np.cumsum(counts) - counts
-    ends = starts + counts
-    if valid is not None:
-        rows = np.append(np.flatnonzero(valid), len(valid))
-        starts = np.append(0, rows[starts[1:]])
-        ends = np.append(starts[1:], len(valid))
-    nulls = 0 if valid is None else None
-    return [
-        (a, b, P.Granule(*_stored_bounds(p["min"], p["max"]), nulls, p["num_values"], t))
-        for a, b, p in zip(starts.tolist(), ends.tolist(), pages)
-    ]
+    rows = None if valid is None else np.flatnonzero(valid)  # row of each value
+    out, prev, a = [], 0, 0
+    for p in pages:
+        n = p["num_values"]
+        if n:
+            first, end = (a, a + n) if rows is None else (int(rows[a]), int(rows[a + n - 1]) + 1)
+            if first > prev:
+                out.append((prev, first, P.Granule(nulls=first - prev, count=0, type=t)))
+            bounds = _stored_bounds(p["min"], p["max"])
+            out.append((first, end, P.Granule(*bounds, end - first - n, n, t)))
+            prev, a = end, a + n
+    nrows = a if valid is None else len(valid)
+    if nrows > prev:
+        out.append((prev, nrows, P.Granule(nulls=nrows - prev, count=0, type=t)))
+    return out
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,7 +13,11 @@ framing (`ParquetFileWriter.java:110-113,596,1874`).
 
 Every thrift structure (page headers, page indexes, bloom headers, column,
 file and crypto metadata) is a ``{field id: value}`` dict emitted through
-``thrift._thrift``, the spec the reader and the rewriter share. Output is
+``thrift._thrift``, the spec the reader and the rewriter share. Each leaf's
+pages are written by ``write_chunk``, which returns the chunk record
+``Chunk``; ``_assemble``, the one file assembler of the writer and of every
+raw rewrite (``rewrite._stitch``), places the chunks' page indexes and
+bloom filters and writes the footer. Output is
 readable by pyarrow and DuckDB — independent-reader proof that our encoded
 bytes are format-true.
 """
@@ -57,6 +61,7 @@ from .thrift import (
     FILE_META,
     OFFSET_INDEX,
     PAGE_HEADER,
+    _read_struct,
     _thrift,
 )
 
@@ -72,15 +77,28 @@ class _ChunkCrypto:
     and column ordinals; the page ordinal counts data pages only
     (ColumnChunkPageWriteStore.java pageOrdinal semantics, starting at -1)."""
 
-    def __init__(self, key: bytes, file_aad: bytes, rg: int, col: int,
-                 ctr_pages: bool = False):
-        self.key = key
+    def __init__(self, props: "pcrypt.FileEncryption", file_aad: bytes, rg: int,
+                 col: int, path: list):
+        dotted = ".".join(path)
+        self.key, with_column_key = props.key_for(dotted)
         self.file_aad = file_aad
         self.rg = rg
         self.col = col
         self.page_ord = -1
         # AES_GCM_CTR_V1: page BODIES use CTR (no tag); headers stay GCM
-        self.ctr_pages = ctr_pages
+        self.ctr_pages = props.algorithm == "AES_GCM_CTR_V1"
+        # ColumnCryptoMetaData: ENCRYPTION_WITH_COLUMN_KEY or _WITH_FOOTER_KEY
+        self.column_crypto = {1: {}}
+        if with_column_key:
+            with_key = {1: [part.encode() for part in path]}
+            km = props.column_key_metadata.get(dotted)
+            if km:
+                with_key[2] = km
+            self.column_crypto = {2: with_key}
+        # column-key columns (and every column when the footer is plaintext)
+        # carry their ColumnMetaData separately encrypted in field 9
+        # (ParquetMetadataConverter.java:664-693)
+        self.hides_meta = with_column_key or props.plaintext_footer
 
     def next_page(self) -> None:
         self.page_ord += 1
@@ -218,14 +236,31 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
 
 
 # ------------------------------------------------------------- file assembly
+#
+# Every Parquet file rayenc writes is put together by one assembler,
+# ``_assemble``. The writer (``write_tables``, one ``write_chunk`` per leaf)
+# and every raw rewrite (``rewrite._stitch``) write each chunk's pages and
+# hand over one ``Chunk`` record per column chunk; ``_assemble`` places the
+# page indexes, then the blooms, then the footer.
+
+
+class Chunk(NamedTuple):
+    """One column chunk whose pages are written: the ColumnChunk dict
+    (``2`` file_offset, ``3`` ColumnMetaData), its serialized (ColumnIndex,
+    OffsetIndex) and its serialized bloom filter (header + bitset), each
+    None when the chunk has none, and its module encryption (None in
+    plaintext files)."""
+
+    cc: dict
+    index: "tuple[bytes, bytes] | None" = None
+    bloom: "bytes | None" = None
+    crypto: "_ChunkCrypto | None" = None
 
 
 class _Column:
-    def __init__(self, path_in_schema, ptype, max_rep, max_def):
-        self.path = path_in_schema
-        self.ptype = ptype
-        self.max_rep = max_rep
-        self.max_def = max_def
+    """What the page encoder records of one chunk."""
+
+    def __init__(self):
         self.encodings: set[int] = set()
         self.num_values = 0
         self.start_offset = 0
@@ -234,30 +269,10 @@ class _Column:
         self.total_bytes = 0
         self.total_unc = 0  # uncompressed equivalent (incl. headers)
         self.codec = 0  # CompressionCodec enum
-        self.type_length = None  # FIXED_LEN_BYTE_ARRAY width
         # PageEncodingStats (field 13): {(page_type, encoding): count}
         self.page_stats: dict = {}
         # per-data-page records for the ColumnIndex / OffsetIndex
         self.page_index: list = []
-        self.ci_offset = self.ci_len = None
-        self.oi_offset = self.oi_len = None
-        # Statistics (ColumnMetaData field 12) + SizeStatistics (field 16)
-        self.null_count = 0
-        self.min_bytes = None
-        self.max_bytes = None
-        self.stats_exact = True
-        self.rep_hist = None
-        self.def_hist = None
-        self.unenc_bytes = None
-        # modular-encryption state (set when the file is encrypted)
-        self.crypto: _ChunkCrypto | None = None
-        self.uses_col_key = False
-        # GeospatialStatistics (ColumnMetaData field 17) for GEOMETRY leaves
-        self.geo = None
-        # split-block bloom (SpecBloom) pending serialization + its location
-        self.bloom = None
-        self.bloom_offset = None
-        self.bloom_len = None
 
 
 def _encode_column_pages(
@@ -452,23 +467,55 @@ def _encode_column_pages(
     return st
 
 
-def _leaf_statistics(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats) -> None:
-    """Typed min/max/null-count + level histograms for the footer
-    (Statistics.java + SizeStatistics.java semantics; binary bounds use the
-    ColumnIndexBuilder truncate/increment rule with exactness flags) from
-    the chunk's ``st``."""
+def write_chunk(
+    leaf: LeafLevels,
+    out: bytearray,
+    config: sel.EncodeConfig,
+    int96: bool = False,
+    crypto: "_ChunkCrypto | None" = None,
+) -> Chunk:
+    """Write the pages of one leaf to the end of ``out`` and return its
+    chunk record: ColumnMetaData, page indexes and, for a
+    ``config.bloom_columns`` leaf, the bloom filter."""
     col = leaf.col
-    if leaf.dfv is not None:
-        meta.null_count = int((leaf.dfv < leaf.max_def).sum())
-        meta.def_hist = np.bincount(leaf.dfv, minlength=leaf.max_def + 1)
-    if leaf.rep is not None:
-        meta.rep_hist = np.bincount(leaf.rep, minlength=leaf.max_rep + 1)
-    if col.ptype == "BINARY" and col.num_values:
-        offsets, _data = col.values
-        meta.unenc_bytes = int(offsets[-1] - offsets[0])
-    if st.min_value is not None:
-        lo, hi, meta.stats_exact = stats_mod.written((st.min_value, st.max_value))
-        meta.min_bytes, meta.max_bytes = stats_mod.bound_bytes(col, (lo, hi))
+    if col.ptype == "FIXED_LEN_BYTE_ARRAY" and pa.types.is_decimal(leaf.type):
+        # arrow decimal storage is little-endian full-width; parquet
+        # DECIMAL over FLBA is big-endian two's complement at the
+        # *minimal* length for the precision (parquet-mr / pyarrow
+        # convention; wider lengths trip DuckDB's decimal reader)
+        be = np.asarray(col.values)[:, ::-1]
+        L = _decimal_flba_len(leaf.type.precision)
+        col.values = np.ascontiguousarray(be[:, be.shape[1] - L :])
+    meta = _Column()
+    st = _encode_column_pages(
+        col, out, meta, config,
+        rep_levels=leaf.rep, def_levels=leaf.dfv,
+        max_rep=leaf.max_rep, max_def=leaf.max_def,
+        crypto=crypto,
+    )
+    # INT96 columns arrive as FLBA(12) (the _timestamps_to_int96 storage)
+    # and encode as FLBA PLAIN pages — byte-identical to INT96 PLAIN — but
+    # the footer stamps physical type INT96 (no min/max: sort order UNKNOWN)
+    md = _column_meta(meta, leaf, st, "INT96" if int96 else col.ptype)
+    dotted = ".".join(leaf.path)
+    spec = config.geospatial.get(dotted) or config.geospatial.get(leaf.path[0])
+    if spec is not None and spec.kind == "geometry" and col.ptype == "BINARY":
+        from . import geo as geo_mod
+
+        gd = geo_mod.to_footer_dict(geo_mod.compute_statistics(
+            binary_array(*col.values).cast(pa.large_binary())
+        ))
+        if gd is not None:
+            md[17] = gd  # GeospatialStatistics
+    bloom = None
+    if dotted in config.bloom_columns or leaf.path[0] in config.bloom_columns:
+        from . import bloom as bloom_mod
+
+        bitset = bloom_mod.build(col, config).bitset_bytes()
+        # numBytes + BLOCK / XXHASH / UNCOMPRESSED (Util.writeBloomFilterHeader)
+        hdr = _thrift(BLOOM_HEADER, {1: len(bitset), 2: {1: {}}, 3: {1: {}}, 4: {1: {}}})
+        bloom = hdr + bitset
+    return Chunk({2: meta.start_offset, 3: md}, _page_indexes_bytes(meta.page_index), bloom, crypto)
 
 
 def _write_row_group(
@@ -478,67 +525,24 @@ def _write_row_group(
     file_crypto: "tuple[pcrypt.FileEncryption, bytes] | None" = None,
     rg_ord: int = 0,
     int96_cols: "frozenset[str] | set[str]" = frozenset(),
-) -> list[_Column]:
-    columns: list[_Column] = []
+) -> list[Chunk]:
+    chunks: list[Chunk] = []
     for field in table.schema:
         streams = shred(field.name, table.column(field.name))
         for leaf in leaf_levels(field, streams, table.num_rows):
-            col = leaf.col
-            if col.ptype == "FIXED_LEN_BYTE_ARRAY" and pa.types.is_decimal(leaf.type):
-                # arrow decimal storage is little-endian full-width; parquet
-                # DECIMAL over FLBA is big-endian two's complement at the
-                # *minimal* length for the precision (parquet-mr / pyarrow
-                # convention; wider lengths trip DuckDB's decimal reader)
-                be = np.asarray(col.values)[:, ::-1]
-                L = _decimal_flba_len(leaf.type.precision)
-                col.values = np.ascontiguousarray(be[:, be.shape[1] - L :])
-            # INT96 columns arrive as FLBA(12) (the _timestamps_to_int96
-            # storage) and encode as FLBA PLAIN pages — byte-identical to
-            # INT96 PLAIN — but the footer stamps physical type INT96 with
-            # no type_length and no min/max (sort order UNKNOWN)
-            is_int96 = len(leaf.path) == 1 and leaf.path[0] in int96_cols
-            meta = _Column(
-                leaf.path, "INT96" if is_int96 else col.ptype,
-                leaf.max_rep, leaf.max_def,
-            )
-            dotted = ".".join(leaf.path)
+            crypto = None
             if file_crypto is not None:
-                props, file_aad = file_crypto
-                key, meta.uses_col_key = props.key_for(dotted)
-                meta.crypto = _ChunkCrypto(
-                    key, file_aad, rg_ord, len(columns),
-                    ctr_pages=props.algorithm == "AES_GCM_CTR_V1",
-                )
-            st = _encode_column_pages(
-                col, out, meta, config,
-                rep_levels=leaf.rep, def_levels=leaf.dfv,
-                max_rep=leaf.max_rep, max_def=leaf.max_def,
-                crypto=meta.crypto,
-            )
-            if col.ptype == "FIXED_LEN_BYTE_ARRAY" and not is_int96:
-                meta.type_length = int(np.asarray(col.values).shape[1])
-            _leaf_statistics(meta, leaf, st)
-            spec = config.geospatial.get(dotted) or config.geospatial.get(leaf.path[0])
-            if spec is not None and spec.kind == "geometry" and col.ptype == "BINARY":
-                from . import geo as geo_mod
-
-                meta.geo = geo_mod.compute_statistics(
-                    binary_array(*col.values).cast(pa.large_binary())
-                )
-            if dotted in config.bloom_columns or leaf.path[0] in config.bloom_columns:
-                from . import bloom
-
-                meta.bloom = bloom.build(col, config)
-            columns.append(meta)
-    return columns
+                crypto = _ChunkCrypto(*file_crypto, rg_ord, len(chunks), leaf.path)
+            int96 = len(leaf.path) == 1 and leaf.path[0] in int96_cols
+            chunks.append(write_chunk(leaf, out, config, int96, crypto))
+    return chunks
 
 
-def _page_indexes_bytes(meta: _Column):
-    """(ColumnIndex bytes, OffsetIndex bytes) for one chunk
+def _page_indexes_bytes(pages: list):
+    """(ColumnIndex bytes, OffsetIndex bytes) for one chunk's ``pages``
     (`internal/column/columnindex/ColumnIndexBuilder.java` /
     `OffsetIndexBuilder.java` output shapes), or None when a non-null page
     has no representable bounds (NaNs, FLBA)."""
-    pages = meta.page_index
     if not pages:
         return None
     for p in pages:
@@ -727,7 +731,7 @@ def write_tables(
         else MAGIC
     )
     out = bytearray(magic)
-    row_groups: list[tuple[list[_Column], int]] = []
+    row_groups: list[tuple[list[Chunk], int]] = []
     # ParquetFileWriter emits NO row group for zero records — drop empty
     # slices (schema-only files are valid; readers see num_rows=0)
     nonempty = [s for s in slices if s.num_rows]
@@ -741,45 +745,9 @@ def write_tables(
         )
         row_groups.append((cols, sl.num_rows))
 
-    # page-index structures (column index then offset index per chunk),
-    # between the last row group and the footer like ParquetFileWriter;
-    # encrypted files wrap each as its own GCM module (types 6/7)
-    for cols, _ in row_groups:
-        for meta in cols:
-            res = _page_indexes_bytes(meta)
-            if res is None:
-                continue
-            ci_b, oi_b = res
-            if meta.crypto is not None:
-                ci_b = meta.crypto.module(ci_b, pcrypt.M_COLUMN_INDEX)
-                oi_b = meta.crypto.module(oi_b, pcrypt.M_OFFSET_INDEX)
-            meta.ci_offset = len(out)
-            meta.ci_len = len(ci_b)
-            out += ci_b
-            meta.oi_offset = len(out)
-            meta.oi_len = len(oi_b)
-            out += oi_b
-
-    # bloom filters after the page indexes, before the footer
-    # (ParquetFileWriter.end:1878-1880 order; serializeBloomFilters:2038)
-    for cols, _ in row_groups:
-        for meta in cols:
-            if meta.bloom is None:
-                continue
-            bitset = meta.bloom.bitset_bytes()
-            # numBytes + BLOCK / XXHASH / UNCOMPRESSED (Util.writeBloomFilterHeader)
-            hdr = _thrift(BLOOM_HEADER, {1: len(bitset), 2: {1: {}}, 3: {1: {}}, 4: {1: {}}})
-            if meta.crypto is not None:
-                hdr = meta.crypto.module(hdr, pcrypt.M_BLOOM_HEADER)
-                bitset = meta.crypto.module(bitset, pcrypt.M_BLOOM_BITSET)
-            meta.bloom_offset = len(out)
-            out += hdr
-            out += bitset
-            meta.bloom_len = len(out) - meta.bloom_offset
-
     sorting = None
     if sorting_columns and row_groups:
-        dotted = [".".join(m.path) for m in row_groups[0][0]]
+        dotted = [b".".join(c.cc[3][3]).decode() for c in row_groups[0][0]]
         sorting = []
         for name, desc, nulls_first in sorting_columns:
             if name not in dotted:
@@ -792,33 +760,71 @@ def write_tables(
         decimal_ints=decimal_ints or None,
         int96_map=int96_map or None,
     )
-    if encryption is None:
-        out += footer
-        out += len(footer).to_bytes(4, "little")
-        out += MAGIC
-    elif encryption.plaintext_footer:
-        # signed plaintext footer: footer bytes + 28-byte nonce/tag signature
-        footer_aad = pcrypt.module_aad(crypto[1], pcrypt.M_FOOTER)
-        sig = pcrypt.gcm_signature(encryption.footer_key, footer, footer_aad)
-        out += footer
-        out += sig
-        out += (len(footer) + len(sig)).to_bytes(4, "little")
-        out += MAGIC
-    else:
-        # encrypted footer: plaintext FileCryptoMetaData, then the footer as
-        # a GCM module; combined length + PARE (serializeFooter:2162-2170)
-        fcm = {1: _encryption_algorithm(encryption, crypto[2])}
-        if encryption.footer_key_metadata:
-            fcm[2] = encryption.footer_key_metadata
-        crypto_md = _thrift(FILE_CRYPTO_META, fcm)
-        footer_aad = pcrypt.module_aad(crypto[1], pcrypt.M_FOOTER)
-        enc_footer = pcrypt.encrypt_module(
-            encryption.footer_key, footer, footer_aad
-        )
-        out += crypto_md
-        out += enc_footer
-        out += (len(crypto_md) + len(enc_footer)).to_bytes(4, "little")
-        out += pcrypt.MAGIC_ENCRYPTED
+    _assemble(out, footer, path, crypto)
+
+
+def _assemble(out: bytearray, footer: dict, path: str, crypto=None) -> None:
+    """The one Parquet file assembler. ``out`` holds the magic and every
+    row group's pages; ``footer`` is the FileMetaData dict whose row groups
+    (field 4) hold ``Chunk`` records as their columns. In row-group and
+    column order it writes each chunk's ColumnIndex then OffsetIndex, then
+    each bloom filter (ParquetFileWriter.end:1878-1880 order;
+    serializeBloomFilters:2038), points the ColumnChunks at them, and ends
+    the file with the footer tail: plaintext, signed plaintext or
+    encrypted (``crypto`` is the writer's (FileEncryption, file AAD, AAD
+    unique) triple). An encrypted chunk's index, bloom header, bitset and
+    ColumnMetaData are each their own GCM module, encrypted in that order."""
+    chunks = [c for rg in footer[4] for c in rg[1]]
+    for c in chunks:
+        if c.index is None:
+            continue
+        ci, oi = c.index
+        if c.crypto is not None:
+            ci = c.crypto.module(ci, pcrypt.M_COLUMN_INDEX)
+            oi = c.crypto.module(oi, pcrypt.M_OFFSET_INDEX)
+        c.cc[6], c.cc[7] = len(out), len(ci)
+        out += ci
+        c.cc[4], c.cc[5] = len(out), len(oi)
+        out += oi
+    for c in chunks:
+        if c.bloom is None:
+            continue
+        bloom = c.bloom
+        if c.crypto is not None:
+            n = _read_struct(bloom)[1]  # header, then bitset
+            bloom = (c.crypto.module(bloom[:n], pcrypt.M_BLOOM_HEADER)
+                     + c.crypto.module(bloom[n:], pcrypt.M_BLOOM_BITSET))
+        c.cc[3][14], c.cc[3][15] = len(out), len(bloom)
+        out += bloom
+    for c in chunks:
+        if c.crypto is None:
+            continue
+        c.cc[8] = c.crypto.column_crypto
+        if c.crypto.hides_meta:
+            md = c.cc.pop(3)
+            c.cc[9] = c.crypto.module(_thrift(COLUMN_META, md), pcrypt.M_COLUMN_METADATA)
+            if crypto[0].plaintext_footer:
+                # a copy without Statistics, PageEncodingStats and
+                # GeospatialStatistics (ParquetMetadataConverter.java:687-692)
+                c.cc[3] = {k: v for k, v in md.items() if k not in (12, 13, 17)}
+    tail = _thrift(FILE_META, {**footer, 4: [{**rg, 1: [c.cc for c in rg[1]]} for rg in footer[4]]})
+    if crypto is not None:
+        props, file_aad, aad_unique = crypto
+        footer_aad = pcrypt.module_aad(file_aad, pcrypt.M_FOOTER)
+        if props.plaintext_footer:
+            # signed plaintext footer: footer bytes + 28-byte nonce/tag signature
+            tail += pcrypt.gcm_signature(props.footer_key, tail, footer_aad)
+        else:
+            # encrypted footer: plaintext FileCryptoMetaData, then the
+            # footer as a GCM module (serializeFooter:2162-2170)
+            fcm = {1: _encryption_algorithm(props, aad_unique)}
+            if props.footer_key_metadata:
+                fcm[2] = props.footer_key_metadata
+            enc_footer = pcrypt.encrypt_module(props.footer_key, tail, footer_aad)
+            tail = _thrift(FILE_CRYPTO_META, fcm) + enc_footer
+    out += tail
+    out += len(tail).to_bytes(4, "little")
+    out += out[:4]  # the file ends with the magic it starts with: PAR1 or PARE
     with open(path, "wb") as f:
         f.write(out)
 
@@ -897,15 +903,17 @@ def _schema_body(field: pa.Field) -> list[dict]:
     return [{3: rep, 4: name, **leaf_element(t)}]
 
 
-def _column_meta(meta: _Column, redact: bool = False) -> dict:
-    """ColumnMetaData dict (parquet.thrift field ids). ``redact`` drops
-    Statistics, PageEncodingStats and GeospatialStatistics — the plaintext
-    copy kept next to an encrypted column in plaintext-footer files
-    (ParquetMetadataConverter.java:687-692)."""
+def _column_meta(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats, ptype: str) -> dict:
+    """ColumnMetaData dict (parquet.thrift field ids) of one written leaf.
+    Statistics always carry the null count and carry min/max where ``st``
+    has bounds (Statistics.java; binary bounds use the ColumnIndexBuilder
+    truncate/increment rule with exactness flags); SizeStatistics carry the
+    level histograms and unencoded byte-array bytes (SizeStatistics.java)."""
+    col = leaf.col
     md = {
-        1: PHYSICAL_ID[meta.ptype],
+        1: PHYSICAL_ID[ptype],
         2: [*sorted(meta.encodings), ENCODING_ID["RLE"]],  # + the level encoding
-        3: [part.encode() for part in meta.path],
+        3: [part.encode() for part in leaf.path],
         4: meta.codec,
         5: meta.num_values,
         6: meta.total_unc,
@@ -914,33 +922,27 @@ def _column_meta(meta: _Column, redact: bool = False) -> dict:
     }
     if meta.dict_offset is not None:
         md[11] = meta.dict_offset
-    if not redact and (meta.min_bytes is not None or meta.null_count):
-        stats = {3: meta.null_count}
-        if meta.max_bytes is not None:
-            # max_value, min_value, is_max_value_exact, is_min_value_exact
-            stats.update({5: meta.max_bytes, 6: meta.min_bytes,
-                          7: meta.stats_exact, 8: meta.stats_exact})
-        md[12] = stats
-    if not redact and meta.page_stats:
+    nulls = 0 if leaf.dfv is None else int((leaf.dfv < leaf.max_def).sum())
+    md[12] = {3: nulls}
+    if st.min_value is not None:
+        lo, hi, exact = stats_mod.written((st.min_value, st.max_value))
+        lo, hi = stats_mod.bound_bytes(col, (lo, hi))
+        # max_value, min_value, is_max_value_exact, is_min_value_exact
+        md[12].update({5: hi, 6: lo, 7: exact, 8: exact})
+    if meta.page_stats:
         md[13] = [  # PageEncodingStats
             {1: pt, 2: enc, 3: cnt} for (pt, enc), cnt in sorted(meta.page_stats.items())
         ]
-    if meta.bloom_offset is not None:
-        md[14], md[15] = meta.bloom_offset, meta.bloom_len
     size = {}  # SizeStatistics
-    if meta.unenc_bytes is not None:
-        size[1] = meta.unenc_bytes
-    for fid, hist in ((2, meta.rep_hist), (3, meta.def_hist)):
-        if hist is not None:
-            size[fid] = hist.tolist()
+    if col.ptype == "BINARY" and col.num_values:
+        offsets, _data = col.values
+        size[1] = int(offsets[-1] - offsets[0])
+    if leaf.rep is not None:
+        size[2] = np.bincount(leaf.rep, minlength=leaf.max_rep + 1).tolist()
+    if leaf.dfv is not None:
+        size[3] = np.bincount(leaf.dfv, minlength=leaf.max_def + 1).tolist()
     if size:
         md[16] = size
-    if not redact and meta.geo is not None:
-        from . import geo as geo_mod
-
-        gd = geo_mod.to_footer_dict(meta.geo)  # GeospatialStatistics
-        if gd is not None:
-            md[17] = gd
     return md
 
 
@@ -1051,41 +1053,13 @@ def _timestamps_to_int96(table: pa.Table, int96_map: dict) -> pa.Table:
     return pa.table(cols, schema=pa.schema(fields))
 
 
-def _column_chunk(meta: _Column, props: "pcrypt.FileEncryption | None") -> dict:
-    """ColumnChunk dict for one written chunk."""
-    cc = {2: meta.start_offset}  # file_offset
-    # column-key columns (and every encrypted column when the footer is
-    # plaintext) carry their ColumnMetaData separately encrypted in field 9
-    # (ParquetMetadataConverter.java:664-693); plaintext footers keep a
-    # redacted copy with stats stripped
-    plaintext_footer = props is not None and props.plaintext_footer
-    encrypt_md = meta.crypto is not None and (meta.uses_col_key or plaintext_footer)
-    if not encrypt_md or plaintext_footer:
-        cc[3] = _column_meta(meta, redact=encrypt_md)
-    if meta.oi_offset is not None:
-        cc[4], cc[5] = meta.oi_offset, meta.oi_len
-        cc[6], cc[7] = meta.ci_offset, meta.ci_len
-    if meta.crypto is not None:
-        if meta.uses_col_key:  # ColumnCryptoMetaData ENCRYPTION_WITH_COLUMN_KEY
-            with_key = {1: [part.encode() for part in meta.path]}
-            km = props.column_key_metadata.get(".".join(meta.path))
-            if km:
-                with_key[2] = km
-            cc[8] = {2: with_key}
-        else:
-            cc[8] = {1: {}}  # ENCRYPTION_WITH_FOOTER_KEY
-        if encrypt_md:
-            cc[9] = meta.crypto.module(
-                _thrift(COLUMN_META, _column_meta(meta)), pcrypt.M_COLUMN_METADATA
-            )
-    return cc
-
-
 def _file_metadata(
     table: pa.Table, row_groups, crypto=None, geo=None,
     sorting=None, extra_kv=None, annotations=None, decimal_ints=None,
     int96_map=None,
-) -> bytes:
+) -> dict:
+    """The FileMetaData dict of a written table; its row groups hold the
+    ``Chunk`` records ``_assemble`` turns into ColumnChunks."""
     body: list[dict] = []
     for field in table.schema:
         fb = _schema_body(field)
@@ -1139,10 +1113,10 @@ def _file_metadata(
     if extra_kv:
         kv_pairs += list(extra_kv.items())
     rgs = []
-    for columns, rg_rows in row_groups:
+    for chunks, rg_rows in row_groups:
         rg = {
-            1: [_column_chunk(meta, crypto[0] if crypto else None) for meta in columns],
-            2: sum(m.total_unc for m in columns),  # spec: UNCOMPRESSED size
+            1: chunks,
+            2: sum(c.cc[3][6] for c in chunks),  # spec: UNCOMPRESSED size
             3: rg_rows,
         }
         if sorting:
@@ -1169,4 +1143,4 @@ def _file_metadata(
         md[8] = _encryption_algorithm(props, aad_unique)
         if props.footer_key_metadata:
             md[9] = props.footer_key_metadata
-    return _thrift(FILE_META, md)
+    return md

@@ -12,15 +12,17 @@ Parquet files: merge, prune, mask, rename and trans-compression are one
 chunk-stitch body, ``_stitch``. It walks (row group, kept column) of the
 plaintext input(s); each chunk is copied verbatim with its offsets shifted,
 or handed to the operation's per-chunk function (mask re-encodes hashed
-values, trans-compression recompresses page by page). Bloom filters and page
-indexes are placed once after the last row group. The footer is the
-source's own FileMetaData dict with the operation's edits, re-emitted
-through the thrift compact spec the reader and writer share
-(``thrift.FILE_META``, ``thrift._thrift``), so the schema, key-value
-metadata and created_by of the input are kept exactly; a masked chunk's
-ColumnMetaData is the writer's own ``parquet_write._column_meta`` dict.
-``merge_parquet`` / ``reencrypt_parquet`` instead decode and re-write
-through ``parquet_write`` (any encryption state).
+values through the writer's ``parquet_write.write_chunk``,
+trans-compression recompresses page by page). Every one of them returns
+the writer's chunk record, ``parquet_write.Chunk`` (ColumnChunk, page
+indexes, bloom), and the writer's one file assembler,
+``parquet_write._assemble``, places the page indexes, blooms and footer.
+The footer is the source's own FileMetaData dict with the operation's
+edits, re-emitted through the thrift compact spec the reader and writer
+share (``thrift.FILE_META``), so the schema, key-value metadata and
+created_by of the input are kept exactly. ``merge_parquet`` /
+``reencrypt_parquet`` instead decode and re-write through
+``parquet_write`` (any encryption state).
 """
 
 from __future__ import annotations
@@ -50,28 +52,22 @@ from .parquet_read_enc import (
     decompress_page,
     read_table_encrypted,
 )
-from .parquet_write import _Column, _column_meta, _encode_column_pages, _leaf_statistics, leaf_levels
+from .parquet_write import Chunk, _assemble, leaf_levels, write_chunk
 from .pipeline import _launch, _load_partition, _manifests, _write_partition
 from .schema import PhysicalColumn, shred
 from .selector import EncodeConfig
-from .thrift import FILE_META, OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
+from .thrift import OFFSET_INDEX, PAGE_HEADER, _read_struct, _thrift
 
 
 def _copy_chunk(entry: dict, blob: bytes, out: io.BytesIO) -> dict:
     """Stitch a chunk into the new blob byte-for-byte (offsets rebased)."""
     new = json.loads(json.dumps(entry))
-
-    def rel(meta, new_meta):
-        raw = blob[meta["offset"] : meta["offset"] + meta["length"]]
-        new_meta["offset"] = out.tell()
-        out.write(raw)
-
     if entry["validity"]:
-        rel(entry["validity"], new["validity"])
+        _copy_meta(entry["validity"], new["validity"], blob, out)
     if entry["aux"]:
-        rel(entry["aux"], new["aux"])
+        _copy_meta(entry["aux"], new["aux"], blob, out)
     for old_p, new_p in zip(entry["pages"], new["pages"]):
-        rel(old_p, new_p)
+        _copy_meta(old_p, new_p, blob, out)
     return new
 
 
@@ -93,7 +89,7 @@ def _recompress_chunk(
 
     if entry["validity"]:
         # validity streams are never compressed
-        _ = _copy_meta(entry["validity"], new["validity"], blob, out)
+        _copy_meta(entry["validity"], new["validity"], blob, out)
     if entry["aux"]:
         move(entry["aux"], new["aux"])
     for old_p, new_p in zip(entry["pages"], new["pages"]):
@@ -106,6 +102,7 @@ def _recompress_chunk(
 
 
 def _copy_meta(meta, new_meta, blob, out):
+    """Append one stream's bytes to ``out`` verbatim, at a new offset."""
     raw = blob[meta["offset"] : meta["offset"] + meta["length"]]
     new_meta["offset"] = out.tell()
     out.write(raw)
@@ -287,29 +284,30 @@ def _open_plaintext(path: str, op: str) -> EncryptedFile:
     return f
 
 
-def _carry(f: EncryptedFile, src: dict, md: dict, relocate) -> dict:
-    """ColumnChunk for the chunk ``md`` now describes, stashing the source
-    chunk ``src``'s bloom filter and page index for _place_chunk_extras.
-    Bloom and ColumnIndex bytes are layout-independent and copy verbatim;
-    ``relocate`` maps the OffsetIndex page locations to the new ones (None
-    drops the page index)."""
-    cc = {2: chunk_range(md)[0], 3: md}
+def _carry(f: EncryptedFile, src: dict, md: dict, relocate) -> Chunk:
+    """Chunk record of the chunk ``md`` now describes, carrying the source
+    chunk ``src``'s bloom filter and page index. Bloom and ColumnIndex
+    bytes are layout-independent and copy verbatim; ``relocate`` maps the
+    OffsetIndex page locations to the new ones (None drops the page
+    index)."""
+    index = bloom = None
     old = src[3]
     if 14 in old:
         off, n = old[14], old.get(15)
         if n is None:  # bloom_filter_length is optional: header + bitset
             hdr, end = _read_struct(f.raw, off)
             n = end - off + hdr.get(1, 0)
-        cc["_bloom"] = bytes(f.raw[off : off + n])
+        bloom = bytes(f.raw[off : off + n])
     if 4 in src and 6 in src:
         oi = _read_struct(f.raw[src[4] : src[4] + src[5]])[0]
         locs = relocate(oi.get(1, []))
         if locs is not None:
-            cc["_index"] = (bytes(f.raw[src[6] : src[6] + src[7]]), {**oi, 1: locs})
-    return cc
+            ci = bytes(f.raw[src[6] : src[6] + src[7]])
+            index = (ci, _thrift(OFFSET_INDEX, {**oi, 1: locs}))
+    return Chunk({2: chunk_range(md)[0], 3: md}, index, bloom)
 
 
-def _copy_raw_chunk(f: EncryptedFile, rg_ord: int, col_ord: int, out: bytearray) -> dict:
+def _copy_raw_chunk(f: EncryptedFile, rg_ord: int, col_ord: int, out: bytearray) -> Chunk:
     """Copy one chunk's pages verbatim to the end of ``out``, shifting its
     page offsets (the ParquetRewriter no-transform path)."""
     src = f.row_groups[rg_ord][1][col_ord]
@@ -323,32 +321,13 @@ def _copy_raw_chunk(f: EncryptedFile, rg_ord: int, col_ord: int, out: bytearray)
     return _carry(f, src, md, lambda locs: [{**loc, 1: loc[1] + shift} for loc in locs])
 
 
-def _place_chunk_extras(out: bytearray, row_groups: list) -> None:
-    """Write the stashed page indexes, then the bloom filters, between the
-    last row group and the footer (ParquetFileWriter layout) and point the
-    footer at them."""
-    ccs = [cc for rg in row_groups for cc in rg[1]]
-    for cc in ccs:
-        if "_index" in cc:
-            ci, oi = cc.pop("_index")
-            oi = _thrift(OFFSET_INDEX, oi)
-            cc[6], cc[7] = len(out), len(ci)
-            out += ci
-            cc[4], cc[5] = len(out), len(oi)
-            out += oi
-    for cc in ccs:
-        if "_bloom" in cc:
-            cc[3][14] = len(out)
-            out += cc.pop("_bloom")
-
-
 def _stitch(files: list, path_out: str, footer: dict, chunk=_copy_raw_chunk, cols=None) -> str:
     """The one raw rewrite body: write chunks ``cols`` (leaf ordinals, all
-    by default) of every row group of ``files`` to ``path_out`` through
-    ``chunk(f, rg_ord, col_ord, out) -> ColumnChunk dict`` (a verbatim copy
-    unless the operation transforms that chunk), place the carried blooms
-    and page indexes, and emit ``footer`` — the source FileMetaData dict
-    with the operation's edits — over the new row groups."""
+    by default) of every row group of ``files`` through ``chunk(f, rg_ord,
+    col_ord, out) -> parquet_write.Chunk`` (a verbatim copy unless the
+    operation transforms that chunk) and hand them, with ``footer`` — the
+    source FileMetaData dict with the operation's edits — to the writer's
+    file assembler, which places the page indexes, blooms and footer."""
     if cols is None:
         cols = range(len(files[0].leaves))
     out = bytearray(b"PAR1")
@@ -356,26 +335,22 @@ def _stitch(files: list, path_out: str, footer: dict, chunk=_copy_raw_chunk, col
     row_groups = []
     for f in files:
         for rg_ord, rg in enumerate(f.row_groups):
-            ccs = [chunk(f, rg_ord, c, out) for c in cols]
-            new = {**rg, 1: ccs, 2: sum(cc[3][6] for cc in ccs)}
+            chunks = [chunk(f, rg_ord, c, out) for c in cols]
+            new = {**rg, 1: chunks, 2: sum(c.cc[3][6] for c in chunks)}
             if 4 in rg:  # a sort order holds up to its first dropped column
                 keys = list(takewhile(lambda s: s[1] in new_ord, rg[4]))
                 new[4] = [{**s, 1: new_ord[s[1]]} for s in keys]
                 if not keys:
                     del new[4]
             if 5 in rg:
-                new[5] = ccs[0][2]
+                new[5] = chunks[0].cc[2]
             if 6 in rg:
-                new[6] = sum(cc[3][7] for cc in ccs)
+                new[6] = sum(c.cc[3][7] for c in chunks)
             if 7 in rg:
                 new[7] = len(row_groups)
             row_groups.append(new)
-    _place_chunk_extras(out, row_groups)
     footer = {**footer, 3: sum(rg.get(3, 0) for rg in row_groups), 4: row_groups}
-    meta = _thrift(FILE_META, footer)
-    out += meta + len(meta).to_bytes(4, "little") + b"PAR1"
-    with open(path_out, "wb") as fo:
-        fo.write(out)
+    _assemble(out, footer, path_out)
     return path_out
 
 
@@ -491,14 +466,7 @@ def mask_parquet_raw(path_in: str, path_out: str, mask: "list[str]") -> str:
         field = pa.field(lf.path[0], pa.large_string(), lf.max_def > 0)
         arr = f.read_field(rg_ord, field)
         (leaf,) = leaf_levels(field, [mask_hash(shred(field.name, arr)[0])], len(arr))
-        meta = _Column(lf.path, "BINARY", lf.max_rep, lf.max_def)
-        st = _encode_column_pages(
-            leaf.col, out, meta, EncodeConfig(),
-            def_levels=leaf.dfv, max_def=leaf.max_def,
-        )
-        _leaf_statistics(meta, leaf, st)
-        md = _column_meta(meta)
-        return {2: chunk_range(md)[0], 3: md}  # the old index and bloom are void
+        return write_chunk(leaf, out, EncodeConfig())  # a new page index, no bloom
 
     return _stitch([f], path_out, f.md, masked)
 
@@ -571,9 +539,9 @@ def rename_parquet_raw(path_in: str, path_out: str, renames: "dict[str, str]") -
         raise ValueError(f"no such columns: {sorted(missing)}")
 
     def renamed(f, rg_ord, col_ord, out):
-        cc = _copy_raw_chunk(f, rg_ord, col_ord, out)
-        top, *rest = cc[3][3]
-        cc[3][3] = [renames.get(top.decode(), top.decode()).encode(), *rest]
-        return cc
+        c = _copy_raw_chunk(f, rg_ord, col_ord, out)
+        top, *rest = c.cc[3][3]
+        c.cc[3][3] = [renames.get(top.decode(), top.decode()).encode(), *rest]
+        return c
 
     return _stitch([f], path_out, _edit_footer(f, renames=renames), renamed)

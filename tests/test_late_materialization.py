@@ -224,3 +224,14 @@ def test_nullable_predicate_column_has_page_bounds(decoded_pages):
     got = blocks.decode_block(blob, manifest, predicate=[("s", "==", "k00012345")])
     assert got["s"].to_pylist() == ["k00012345"]
     assert len([b for b in decoded_pages if b in pages]) == 1
+    # a page ends at the row after its last value: a null run between two
+    # pages is a value-less span that only is_null keeps
+    nint = pa.array([None if 300 <= i < 400 else i for i in range(600)], pa.int64())
+    blob, manifest = blocks.encode_block(pa.table({"nint": nint}), EncodeConfig(page_rows=100))
+    reader = blocks._BlockReader(blob, {c["name"]: c for c in manifest["chunks"]})
+    kept = lambda pred: blocks._kept_row_intervals(manifest, reader, P.normalize(pred))
+    assert kept([("nint", "==", 250)]) == [(200, 300)]
+    assert kept([("nint", "is_null", None)]) == [(300, 400)]
+    assert kept([("nint", "not_null", None)]) == [(0, 300), (400, 600)]
+    got = blocks.decode_block(blob, manifest, predicate=[("nint", "is_null", None)])
+    assert got.num_rows == 100 and got["nint"].null_count == 100

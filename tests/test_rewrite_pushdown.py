@@ -278,9 +278,12 @@ def test_transcompress_raw_preserves_page_index(tmp_path):
 
 
 def test_raw_rewrites_carry_blooms_and_indexes(tmp_path):
-    """Raw prune/mask/rename/merge must carry bloom filters (previously a
-    stale-offset crash: field 14 was shifted but the bytes never copied)
-    and page indexes (ColumnIndex verbatim, OffsetIndex rebased)."""
+    """Every raw rewrite (prune, mask, rename, merge, transcompress) must
+    carry bloom filters (previously a stale-offset crash: field 14 was
+    shifted but the bytes never copied) and page indexes (ColumnIndex
+    verbatim, OffsetIndex rebased). Every output chunk has Statistics with
+    a null count and a page index where its source chunk had one; the
+    masked chunk gets a new index from the writer, but no bloom."""
     from rayenc import parquet_write
     from rayenc.parquet_read_enc import (
         EncryptedFile,
@@ -293,6 +296,7 @@ def test_raw_rewrites_carry_blooms_and_indexes(tmp_path):
         merge_parquet_raw,
         prune_parquet_raw,
         rename_parquet_raw,
+        transcompress_parquet_raw,
     )
     from rayenc.selector import EncodeConfig
     from rayenc.validate import validate_column_index
@@ -301,8 +305,9 @@ def test_raw_rewrites_carry_blooms_and_indexes(tmp_path):
     t = pa.table(
         {
             "k": pa.array(np.arange(20_000, dtype=np.int64)),
-            "s": pa.array([f"v{i % 977:04d}" for i in range(20_000)]),
+            "s": pa.array([None if i % 13 == 5 else f"v{i % 977:04d}" for i in range(20_000)]),
             "x": pa.array(np.arange(20_000).astype(np.float64)),
+            "n": pa.array([None if 6_000 <= i < 9_000 else i for i in range(20_000)]),
         }
     )
     parquet_write.write_table(
@@ -313,20 +318,40 @@ def test_raw_rewrites_carry_blooms_and_indexes(tmp_path):
         "mask": mask_parquet_raw(src, str(tmp_path / "m.parquet"), ["s"]),
         "rename": rename_parquet_raw(src, str(tmp_path / "r.parquet"), {"k": "kk"}),
         "merge": merge_parquet_raw([src, src], str(tmp_path / "g.parquet")),
+        "zstd": transcompress_parquet_raw(src, str(tmp_path / "z.parquet"), "zstd"),
     }
+    fs = EncryptedFile(src)
+    src_ord = {lf.dotted: i for i, lf in enumerate(fs.leaves)}
     for name, path in outs.items():
         f = EncryptedFile(path)
-        assert _parse_index(f, 0, 0) is not None, name
-        assert read_bloom_filter(f, 0, 0) is not None, name
+        for rg in range(len(f.row_groups)):
+            for ci, lf in enumerate(f.leaves):
+                so = src_ord[{"kk": "k"}.get(lf.dotted, lf.dotted)]
+                where = (name, rg, lf.dotted)
+                assert 3 in f.chunk_meta(rg, ci)[12], where
+                had_index = _parse_index(fs, 0, so) is not None
+                assert (_parse_index(f, rg, ci) is not None) == had_index, where
+                had_bloom = read_bloom_filter(fs, 0, so) is not None
+                carried = had_bloom and (name, lf.dotted) != ("mask", "s")
+                assert (read_bloom_filter(f, rg, ci) is not None) == carried, where
         assert validate_column_index(path) == [], name
-        assert pq.read_table(path).num_rows == (40_000 if name == "merge" else 20_000)
+        got = pq.read_table(path)
+        want = pa.concat_tables([t, t]) if name == "merge" else t
+        if name == "prune":
+            want = want.drop_columns(["x"])
+        if name == "rename":
+            want = want.rename_columns(["kk", "s", "x", "n"])
+        if name == "mask":
+            hashed = got["s"]
+            assert {len(v) for v in hashed.drop_null().to_pylist()} == {16}
+            assert hashed.is_null().equals(t["s"].is_null())
+            got, want = got.drop_columns(["s"]), want.drop_columns(["s"])
+        assert got.equals(want), name
+    assert all(_parse_index(fs, 0, i) is not None for i in range(4))
     assert read_table_filtered(outs["prune"], [("k", "==", 123)]).num_rows == 1
     assert read_table_filtered(outs["rename"], [("kk", ">=", 19_000)]).num_rows == 1000
     assert read_table_filtered(outs["merge"], [("k", "==", 7)]).num_rows == 2
-    # the masked column's index/bloom were NOT carried (its values changed)
-    fm = EncryptedFile(outs["mask"])
-    s_ord = next(i for i, lf in enumerate(fm.leaves) if lf.dotted == "s")
-    assert read_bloom_filter(fm, 0, s_ord) is None
+    assert read_table_filtered(outs["zstd"], [("n", "is_null", None)]).num_rows == 3000
 
 
 def test_transcompress_raw_carries_blooms(tmp_path):

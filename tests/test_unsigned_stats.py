@@ -201,7 +201,8 @@ def test_container_and_parquet_bounds_agree(tmp_path):
         idx = _parse_index(f, 0, ci)
         if entry["name"] == "f64":
             assert idx is None and pages[2] == (None, None)
-            assert entry["stats"]["min"] is None and 12 not in f.chunk_meta(0, ci)
+            # a null count with no min/max, as parquet-java writes it
+            assert entry["stats"]["min"] is None and f.chunk_meta(0, ci)[12] == {3: 0}
             continue
         cidx, _ = idx
         assert pages == [dec(lo, hi) for lo, hi in zip(cidx[2], cidx[3])]
