@@ -96,7 +96,7 @@ class _Candidate:
     a deferred ``emit`` that materializes aux + page bytes exactly once."""
 
     __slots__ = ("encoding", "size", "estimated", "aux_meta", "_emit", "aux_size",
-                 "memo", "est_bytes", "_out")
+                 "memo", "est_bytes", "ids", "stored", "_out")
 
     def __init__(self, encoding, size, emit, aux_meta=None, estimated=False,
                  aux_size=0):
@@ -109,6 +109,12 @@ class _Candidate:
         self.memo = None  # set on the winner by choose_encoding
         # the compressed-size estimate it won on (set by choose_encoding)
         self.est_bytes = None
+        # a dictionary candidate's id plan (``rle_hybrid.Plan`` over its
+        # pages, ids in factorize order)
+        self.ids = None
+        # (compressed aux, {page index: compressed page}) the compressed
+        # ranking already made of the winner
+        self.stored = None
         self._out = None
 
     def emit(self):
@@ -139,7 +145,7 @@ def _plan_candidate(
         if fac is None:
             return None
         indices, dic = fac
-        kind = "dict"
+        kind, lut = "dict", None
         if ptype == "BINARY":
             d_off, _d_dat = dict_codec.binary_parts(dic)
             aux_size = 4 * (len(d_off) - 1) + int(d_off[-1])
@@ -147,17 +153,16 @@ def _plan_candidate(
         elif ptype == "BOOLEAN":
             return None
         elif ptype in ("INT32", "INT64"):
-            # sorted keys delta-encode to near nothing; remap ids
-            # (improvement over the reference's PLAIN first-occurrence dict
-            # page, DictionaryValuesWriter.java:253-268)
+            # sorted keys delta-encode to near nothing; the ids are written
+            # remapped to them (improvement over the reference's PLAIN
+            # first-occurrence dict page, DictionaryValuesWriter.java:253-268).
+            # The remap is a bijection, so the ids are planned in factorize
+            # order (the order the Parquet writer emits) and remapped only
+            # as the winner's pages are written
             dvals = dic.to_numpy(zero_copy_only=False)
             order = np.argsort(dvals, kind="stable")
-            # uint32 remap table: the gathered id array is the largest
-            # allocation on this path — half the bytes, half the cold-fault
-            # and bandwidth cost vs int64
-            inv = np.empty(len(order), np.uint32)
-            inv[order] = np.arange(len(order), dtype=np.uint32)
-            indices = inv[indices]
+            lut = np.empty(len(order), np.uint32)
+            lut[order] = np.arange(len(order), dtype=np.uint32)
             dict_plan = delta_bp.Plan(np.ascontiguousarray(dvals[order]))
             aux_size = dict_plan.size
             aux_emit = dict_plan.emit
@@ -165,15 +170,21 @@ def _plan_candidate(
         else:
             aux_size = len(dic) * (4 if ptype == "FLOAT" else 8)
             aux_emit = lambda: dict_codec.dict_page_fixed(dic, ptype)
-        width = dict_codec.bit_width32(max(len(dic) - 1, 0))
-        id_plans = [rle_hybrid.Plan(indices[a:b], width) for a, b in ranges]
-        size = aux_size + sum(1 + p.size for p in id_plans)
+        ids = rle_hybrid.Plan(indices, dict_codec.bit_width32(max(len(dic) - 1, 0)), ranges)
+        size = aux_size + len(ranges) + ids.size
+        cache = {} if memo is None else memo
 
         def emit():
-            return aux_emit(), [bytes([width]) + p.emit() for p in id_plans]
+            # the dictionary page depends on the chunk's dictionary only:
+            # every plan of the chunk emits it once
+            if "dict_page" not in cache:
+                cache["dict_page"] = aux_emit()
+            return cache["dict_page"], dict_codec.id_pages(ids, lut)
 
-        return _Candidate(encoding, size, emit, {"kind": kind, "count": len(dic)},
+        cand = _Candidate(encoding, size, emit, {"kind": kind, "count": len(dic)},
                           aux_size=aux_size)
+        cand.ids = ids
+        return cand
 
     if encoding == "FSST":
         offsets, data = v
@@ -306,12 +317,8 @@ def _plan_candidate(
                 encoding, size, lambda: (None, [plain.encode_boolean(v[a:b]) for a, b in ranges])
             )
         if encoding == "RLE":
-            plans = [rle_hybrid.Plan(np.asarray(v[a:b], np.uint8), 1) for a, b in ranges]
-            return _Candidate(
-                encoding,
-                sum(p.size for p in plans),
-                lambda: (None, [p.emit() for p in plans]),
-            )
+            plan = rle_hybrid.Plan(np.asarray(v, np.uint8), 1, ranges)
+            return _Candidate(encoding, plan.size, lambda: (None, plan.emit()))
         return None
 
     itemsize = np.asarray(v).dtype.itemsize
@@ -378,14 +385,16 @@ def choose_encoding(
     page codec they rank by encoded size and the two best are planned over
     every page. With ``config.compression`` they rank by the bytes the
     codec leaves (aux page plus sample pages scaled to the chunk), integer
-    chunks also try BYTE_STREAM_SPLIT, only the winner is planned over
-    every page, and it carries that estimate as ``est_bytes``. The winner carries ``memo``: the chunk-global work
+    chunks also try BYTE_STREAM_SPLIT, only the winner is planned over the
+    other pages, and it carries that estimate as ``est_bytes`` and the
+    compressed aux and sample pages as ``stored``. The winner carries ``memo``: the chunk-global work
     (dictionary factorize, FSST table) its plan used."""
     ovr = config.column_encodings.get(col.name)
     if ovr is not None and ovr not in sel.ENCODINGS and ovr != "DEVNULL":
         raise ValueError(f"unknown encoding {ovr!r} for column {col.name!r}")
     sampled = not config.exhaustive_selection and len(ranges) > 4
     codec = _compressor(config) if sampled else None
+    ranked: dict = {}
     auto = [
         e for e in sel.candidates_for(col, stats, config, compressed=codec is not None)
         if (legal is None or e in legal) and e not in forced_only
@@ -400,8 +409,9 @@ def choose_encoding(
         # Size candidates on a 3-page sample, extrapolate the page portion
         # (aux — dict/FSST tables — is chunk-global and not scaled), and
         # fully plan only the finalists; the winner's sizes stay exact
-        # because it is re-planned over all pages.
-        sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
+        # because it is planned over the other pages too.
+        at = [0, len(ranges) // 2, len(ranges) - 1]
+        sample = [ranges[i] for i in at]
         scale = sum(b - a for a, b in ranges) / max(1, sum(b - a for a, b in sample))
         scored = []
         for e in names:
@@ -414,17 +424,31 @@ def choose_encoding(
                 # the page codec decides the size: id streams that look
                 # small encoded can compress worse than byte planes
                 aux, pages = c.emit()
-                est = (len(codec.compress(aux)) if aux else 0) + scale * sum(
-                    len(codec.compress(p)) for p in pages
-                )
+                aux_blob = None if aux is None else codec.compress(aux)
+                blobs = [codec.compress(p) for p in pages]
+                est = (len(aux_blob) if aux else 0) + scale * sum(len(b) for b in blobs)
+                ranked[e] = (c, aux_blob, blobs)
             scored.append((est + frames.get(e, 0), e))
         scored.sort()
         finalists = scored[:2] if codec is None else scored[:1]
         names = [e for _, e in finalists]
         if codec is not None and finalists:
             est_bytes = round(finalists[0][0])
-    cands = [_plan_candidate(col, e, ranges, config, memo) for e in names]
-    cands = [c for c in cands if c is not None]
+    if ranked and names:
+        # the compressed ranking emitted and compressed the winner's aux and
+        # sample pages: plan it over the other pages only, and keep those
+        # bytes (a page's bytes depend only on the page and ``memo``)
+        e = names[0]
+        c, aux_blob, blobs = ranked[e]
+        rest = _plan_candidate(col, e, [r for i, r in enumerate(ranges) if i not in at],
+                               config, memo)
+        cands = [] if rest is None else [_joined(c, rest, at, len(ranges))]
+        for j in cands:
+            j.stored = (None if aux_blob is None else aux_blob.to_pybytes(),
+                        {i: b.to_pybytes() for i, b in zip(at, blobs)})
+    else:
+        cands = [_plan_candidate(col, e, ranges, config, memo) for e in names]
+        cands = [c for c in cands if c is not None]
     if not cands:
         # a forced encoding the chunk cannot use, or sampled finalists that
         # proved inapplicable over the full page set (an ALP/RLE_FOR-breaking
@@ -444,6 +468,20 @@ def choose_encoding(
             best = cands[1]
     best.memo = memo
     return best
+
+
+def _joined(sample: _Candidate, rest: _Candidate, at: list, n: int) -> _Candidate:
+    """One encoding's candidate over a chunk's ``n`` pages from its plan
+    over the pages at ``at`` (sorted) and its plan over the others."""
+
+    def emit():
+        aux, head = sample.emit()
+        tail = iter(rest.emit()[1])
+        taken = dict(zip(at, head))
+        return aux, [taken[i] if i in taken else next(tail) for i in range(n)]
+
+    return _Candidate(sample.encoding, sample.size + rest.size - rest.aux_size, emit,
+                      sample.aux_meta, sample.estimated, sample.aux_size)
 
 
 # how each aux kind's chunk-level page is encoded: the dictionary page is
@@ -585,8 +623,9 @@ def encode_chunk(
             "count": len(col.null_mask),
         }
         out.write(vbuf)
+    stored_aux, stored = best.stored or (None, {})
     if aux is not None:
-        blob = codec.compress(aux).to_pybytes() if codec else aux
+        blob = stored_aux or (codec.compress(aux).to_pybytes() if codec else aux)
         entry["aux"] = {
             **aux_meta,
             "offset": out.tell(),
@@ -599,7 +638,7 @@ def encode_chunk(
     # BOOLEAN pages (chunk bounds only) and no FLBA (see _manifest_stats)
     paged = col.ptype not in ("BOOLEAN", "FIXED_LEN_BYTE_ARRAY")
     for k, ((a, b), page) in enumerate(zip(ranges, pages)):
-        blob = codec.compress(page).to_pybytes() if codec else page
+        blob = stored.get(k) or (codec.compress(page).to_pybytes() if codec else page)
         pentry = {
             "offset": out.tell(),
             "length": len(blob),

@@ -47,6 +47,15 @@ def encode_ids(indices: np.ndarray, dict_size: int) -> bytes:
     return bytes([width]) + rle_hybrid.encode(indices, width)
 
 
+def id_pages(plan: "rle_hybrid.Plan", lut=None) -> list[bytes]:
+    """Data page payloads of a chunk's ids planned page by page
+    (``rle_hybrid.Plan`` with page bounds, width from the dictionary size):
+    each page's [bitWidth byte][hybrid ids]. ``lut`` remaps the ids as they
+    are written."""
+    head = bytes([plan.width])
+    return [head + p for p in plan.emit(lut)]
+
+
 def decode_ids(buf, n: int) -> np.ndarray:
     # a python int: a numpy-scalar width would make rle_hybrid's run walk
     # do numpy scalar arithmetic

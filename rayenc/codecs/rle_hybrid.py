@@ -43,106 +43,179 @@ class RleHybridError(ValueError):
 
 
 class Plan:
-    """Planned hybrid encoding: rle-run arrays + exact byte size, no payload
+    """Planned hybrid encoding: rle-run arrays + exact byte sizes, no payload
     materialization. ``emit`` does the (single) packing pass.
 
-    The output alternates bit-packed spans and rle-runs: ``groups[i]`` 8-value
-    groups, then the rle-run of ``counts[i]`` copies of ``values[starts[i]]``,
-    and a final span of ``groups[-1]`` groups, zero-padded."""
+    ``bounds`` plans a column chunk's pages in one pass: a list of
+    ``(start, end)`` value ranges, in order, each planned as its own stream
+    (a run breaks at a page start, where the state machine starts afresh).
+    ``sizes`` holds each page's byte size and ``emit`` returns one payload
+    per page, each equal to ``Plan(values[start:end], width).emit()``.
+    Without ``bounds`` the values are one page and ``emit`` returns its
+    payload.
 
-    __slots__ = ("values", "width", "starts", "counts", "groups", "size")
+    A page's output alternates bit-packed spans and rle-runs: a span of
+    8-value groups, then an rle-run of ``counts[i]`` copies of
+    ``values[starts[i]]``, ..., and a final span, zero-padded. ``groups``
+    holds the 8-value groups of every page's spans in order (``k[p] + 1``
+    spans for page ``p`` of ``k[p]`` rle-runs, ``tail[p]`` its final one),
+    ``real`` their values, ``page`` the page of each rle-run and ``ends``
+    where each page's bytes end."""
 
-    def __init__(self, values: np.ndarray, width: int):
+    __slots__ = ("values", "width", "edges", "paged", "starts", "counts", "groups",
+                 "page", "k", "tail", "real", "ends", "size")
+
+    def __init__(self, values: np.ndarray, width: int, bounds=None):
         v = np.ascontiguousarray(values)
-        self.values = v
-        self.width = width
-        n = len(v)
-        starts = counts = lead = _NONE
+        self.paged = bounds is not None
+        if bounds is None:
+            edges = np.array([0, len(v)], np.int64)
+        else:
+            r = np.asarray(bounds, np.int64).reshape(-1, 2)
+            edges = np.zeros(len(r) + 1, np.int64)
+            np.cumsum(r[:, 1] - r[:, 0], out=edges[1:])
+            if len(r) and (r[1:, 0] == r[:-1, 1]).all():
+                v = v[r[0, 0] : r[-1, 1]]  # pages that tile a slice: no copy
+            else:  # a sample of pages: gather them
+                v = np.concatenate([v[a:b] for a, b in r.tolist()] or [v[:0]])
+        self.values, self.width, self.edges = v, width, edges
+        n, npages = len(v), len(edges) - 1
+        starts = counts = lead = page = _NONE
         if n:
             eq = v[1:] == v[:-1]
+            if npages > 1:
+                cut = edges[1:-1]
+                eq[cut[(cut > 0) & (cut < n)] - 1] = False  # no run crosses a page start
             # an rle-run needs >= 8 equal values (>= 7 adjacent-equal pairs):
-            # below that the page is one bit-packed span, no run arrays
+            # below that every page is one bit-packed span, no run arrays
             if np.count_nonzero(eq) >= 7:
-                starts, counts, lead = _rle_runs(eq, n)
-        tail = n - int(starts[-1] + counts[-1]) if len(starts) else n
-        groups = np.append(lead, (tail + 7) >> 3)
-        self.starts, self.counts, self.groups = starts, counts, groups
-        headers = int(((groups + MAX_GROUPS - 1) // MAX_GROUPS).sum())
-        self.size = (
-            headers
-            + int(groups.sum()) * width
-            + int(uvarint_lengths(counts << 1).sum())
-            + len(counts) * ((width + 7) // 8)
-        )
-
-    def emit(self) -> bytes:
-        v, width, starts, counts, groups = (
-            self.values, self.width, self.starts, self.counts, self.groups
-        )
+                starts, counts, lead, page = _rle_runs(eq, edges)
+        self.starts, self.counts, self.page = starts, counts, page
         if len(starts):
-            # the spans before each rle-run and the tail, in order: the
-            # bit-packed stream
-            begin = np.concatenate(([0], starts + counts))
-            span = np.minimum(groups << 3, len(v) - begin)
-            shift = begin - (np.cumsum(span) - span)
-            bp = v[np.repeat(shift, span) + np.arange(int(span.sum()))]
-        else:
-            bp = v  # one span: no gather
+            k = np.bincount(page, minlength=npages)  # rle-runs per page
+            tail = np.cumsum(k + 1) - 1  # each page's final span
+            # a page's final span holds the values after its last rle-run
+            # (or from its start); the spans before rle-runs are whole groups
+            rest = edges[:-1].copy()
+            some = np.flatnonzero(k)
+            rest[some] = (starts + counts)[tail[some] - some - 1]
+            real = np.empty(len(starts) + npages, np.int64)  # values per span
+            real[np.arange(len(starts)) + page] = lead << 3
+            real[tail] = edges[1:] - rest
+        else:  # each page is one span
+            k, tail, real = np.zeros(npages, np.int64), np.arange(npages), np.diff(edges)
+        self.k, self.tail, self.real = k, tail, real
+        groups = self.groups = (real + 7) >> 3
+        span = (groups + MAX_GROUPS - 1) // MAX_GROUPS + groups * width
+        run = uvarint_lengths(counts << 1) + (width + 7) // 8
+        self.size = int(span.sum() + run.sum())
+        # where each page's bytes end: its spans' bytes and its runs' bytes
+        self.ends = np.cumsum(span)[tail]
+        if len(starts):
+            self.ends += np.concatenate(([0], np.cumsum(run)))[tail - np.arange(npages)]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each page's byte size."""
+        return np.diff(self.ends, prepend=0)
+
+    def emit(self, lut=None):
+        """The payload (one page) or the list of page payloads. ``lut``, a
+        bijection of the values (a sorted-dictionary id remap), maps each
+        value as it is written: runs and sizes are those of the plan."""
+        v, width, starts, counts, groups, page = (
+            self.values, self.width, self.starts, self.counts, self.groups, self.page
+        )
+        npages, k, tail, real = len(self.edges) - 1, self.k, self.tail, self.real
+        # segments in stream order, per page: span, run, span, ..., span
+        span_pos = 2 * np.arange(len(groups)) - np.repeat(np.arange(npages), k + 1)
+        run_pos = 2 * np.arange(len(starts)) + page + 1
+        # the bit-packed values, each span whole 8-value groups with each
+        # page's final group zero-padded, so one pack serves every page
+        bp = v
+        if len(starts):
+            seglen = np.empty(len(span_pos) + len(run_pos), np.int64)
+            seglen[span_pos], seglen[run_pos] = real, counts
+            packed = np.zeros(len(seglen), bool)
+            packed[span_pos] = True
+            bp = v[np.repeat(packed, seglen)]
+        if lut is not None:
+            bp = lut[bp]
+        pad = (groups[tail] << 3) - real[tail]
+        if npages > 1 and pad[:-1].any():
+            keep = np.ones(int(groups.sum()) << 3, bool)
+            ends = np.cumsum(groups)[tail] << 3
+            keep[np.repeat(ends - np.cumsum(pad), pad) + np.arange(int(pad.sum()))] = False
+            full = np.zeros(len(keep), bp.dtype)
+            full[keep] = bp
+            bp = full
         payload = np.frombuffer(pack_lsb(bp, width), np.uint8)
-        # per segment (span, run, span, ..., run, span): its output offset
         vbytes = (width + 7) // 8
         chunks = (groups + MAX_GROUPS - 1) // MAX_GROUPS
         hdr, hlen = uvarint_encode_batch(counts << 1)
-        seg = np.empty(2 * len(groups) - 1, np.int64)
-        seg[0::2] = chunks + groups * width
-        seg[1::2] = hlen + vbytes
+        seg = np.empty(len(span_pos) + len(run_pos), np.int64)
+        seg[span_pos] = chunks + groups * width
+        seg[run_pos] = hlen + vbytes
         off = np.cumsum(seg) - seg
-        out = np.zeros(self.size, np.uint8)
+        out = np.empty(self.size, np.uint8)
         free = np.ones(self.size, bool)  # False where header/value bytes go
         # bit-packed headers, one per <= 63 groups
         nck = int(chunks.sum())
         cseg = np.repeat(np.arange(len(groups)), chunks)
-        k = np.arange(nck) - np.repeat(np.cumsum(chunks) - chunks, chunks)
-        cpos = off[0::2][cseg] + k * (1 + MAX_GROUPS * width)
-        out[cpos] = (np.minimum(groups[cseg] - k * MAX_GROUPS, MAX_GROUPS) << 1) | 1
+        c = np.arange(nck) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+        cpos = off[span_pos][cseg] + c * (1 + MAX_GROUPS * width)
+        out[cpos] = (np.minimum(groups[cseg] - c * MAX_GROUPS, MAX_GROUPS) << 1) | 1
         free[cpos] = False
         if len(counts):
             # rle-run headers, then their values as vbytes-wide LE ints
-            roff = off[1::2]
+            roff = off[run_pos]
             hpos = np.repeat(roff - (np.cumsum(hlen) - hlen), hlen) + np.arange(len(hdr))
             out[hpos] = hdr
             free[hpos] = False
             vpos = (roff + hlen)[:, None] + np.arange(vbytes)
-            rv = v[starts].astype("<u8").view(np.uint8).reshape(-1, 8)[:, :vbytes]
-            out[vpos] = rv
+            rv = v[starts] if lut is None else lut[v[starts]]
+            out[vpos] = rv.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :vbytes]
             free[vpos] = False
-        # payload bytes fill the rest in stream order; the final partial
-        # group's padding stays zero
-        out[np.flatnonzero(free)[: len(payload)]] = payload
-        return out.tobytes()
+        # payload bytes fill the rest in stream order; the last page's
+        # padding bytes, if the pack stopped short of them, are zero
+        nfree = len(free) - nck - len(hdr) - len(counts) * vbytes
+        if len(payload) < nfree:
+            payload = np.concatenate((payload, np.zeros(nfree - len(payload), np.uint8)))
+        out[free] = payload
+        if not self.paged:
+            return out.tobytes()
+        ends = self.ends.tolist()
+        return [out[a:b].tobytes() for a, b in zip([0, *ends], ends)]
 
 
-def _rle_runs(eq: np.ndarray, n: int):
+def _rle_runs(eq: np.ndarray, edges: np.ndarray):
     """Apply the state machine's rle-run rule to whole arrays: returns each
-    rle-run's first value index and count, and the groups of the bit-packed
-    span before it (whole groups: the donation completes them).
+    rle-run's first value index and count, the groups of the bit-packed
+    span before it (whole groups: the donation completes them) and its page.
+    ``eq`` is False across every page start in ``edges``.
 
     A candidate run (>= 8 equal values) first donates values to complete the
     pending span's last group (``-span % 8``, at most 7) and becomes an
     rle-run when >= 8 values remain, so runs of >= 15 always do; only the
-    8-14 runs depend on the span since the previous rle-run, and only they
-    are visited one by one."""
-    change = np.flatnonzero(~eq) + 1
-    starts = np.concatenate(([0], change))
-    lengths = np.diff(np.concatenate((starts, [n])))
-    cand = np.flatnonzero(lengths >= 8)
-    s, ln = starts[cand], lengths[cand]
+    8-14 runs depend on the span since the previous rle-run of their page
+    (or the page start), and only they are visited one by one."""
+    # a run of >= 8 equal values is a run of >= 7 equal pairs: AND the
+    # pairs over windows of 2, 4, then 7, and the windows' True spans are
+    # the candidates, found without listing every value change
+    w2 = eq[:-1] & eq[1:]
+    w4 = w2[:-2] & w2[2:]
+    w7 = np.concatenate(([False], w4[:-3] & w4[3:], [False]))
+    d = np.flatnonzero(w7[1:] != w7[:-1])
+    s = d[0::2]
+    ln = d[1::2] + 7 - s
+    page = np.searchsorted(edges, s, "right") - 1
+    home = edges[page]  # each run's page start
     rle = ln >= 15
     mid = np.flatnonzero(~rle)
     if len(mid):
-        # end of the last long run before each candidate (0 if none)
+        # end of the last long run before each candidate, or its page start
         long_end = np.maximum.accumulate(np.where(rle, s + ln, 0))
-        before = np.concatenate(([0], long_end[:-1]))[mid]
+        before = np.maximum(np.concatenate(([0], long_end[:-1]))[mid], home[mid])
         last = 0
         for i, a, m, b in zip(mid.tolist(), s[mid].tolist(), ln[mid].tolist(), before.tolist()):
             if b > last:
@@ -150,10 +223,10 @@ def _rle_runs(eq: np.ndarray, n: int):
             if m - (last - a) % 8 >= 8:
                 rle[i] = True
                 last = a + m
-    s, ln = s[rle], ln[rle]
-    prev = np.concatenate(([0], (s + ln)[:-1]))
+    s, ln, home = s[rle], ln[rle], home[rle]
+    prev = np.maximum(np.concatenate(([0], (s + ln)[:-1])), home)
     donate = (prev - s) % 8
-    return s + donate, ln - donate, (s + donate - prev) >> 3
+    return s + donate, ln - donate, (s + donate - prev) >> 3, page[rle]
 
 
 def encode(values: np.ndarray, width: int) -> bytes:

@@ -81,16 +81,13 @@ def read_zigzag_varint64(buf, i: int) -> tuple[int, int]:
     return unzigzag64(u), i
 
 
+# the smallest value of each LEB128 length past one byte: 2**7, 2**14, ...
+_UVARINT_STEPS = np.array([1 << (7 * k) for k in range(1, 10)], np.uint64)
+
+
 def uvarint_lengths(values: np.ndarray) -> np.ndarray:
     """Byte count of each value's LEB128 encoding (non-negative ints)."""
-    v = np.asarray(values, np.uint64)
-    lengths = np.ones(len(v), np.int64)
-    for k in range(1, 10):
-        more = v >= np.uint64(1 << (7 * k))
-        if not more.any():
-            break
-        lengths += more
-    return lengths
+    return np.searchsorted(_UVARINT_STEPS, np.asarray(values, np.uint64), "right") + 1
 
 
 def uvarint_encode_batch(values: np.ndarray, max_bytes: int = 10) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +99,14 @@ def uvarint_encode_batch(values: np.ndarray, max_bytes: int = 10) -> tuple[np.nd
     n = len(v)
     if n == 0:
         return np.empty(0, np.uint8), np.empty(0, np.int64)
-    mat = np.zeros((n, max_bytes), np.uint8)
-    lengths = np.ones(n, np.int64)
-    cur = v.copy()
-    for k in range(max_bytes):
-        mat[:, k] = (cur & np.uint64(0x7F)).astype(np.uint8)
-        cur >>= np.uint64(7)
-        more = cur != 0
-        mat[more, k] |= 0x80  # continuation bit: more bytes follow this one
-        lengths[more] = k + 2
-        if not more.any():
-            break
-    flat = mat.ravel()
-    keep = np.arange(max_bytes)[None, :] < lengths[:, None]
-    return flat[keep.ravel()], lengths
+    lengths = uvarint_lengths(v)
+    width = min(int(lengths.max()), max_bytes)
+    # one column per byte of the longest value; a byte has the
+    # continuation bit when more bytes of its value follow
+    mat = np.empty((n, width), np.uint8)
+    for k in range(width):
+        mat[:, k] = ((v >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
+        mat[:, k] |= (lengths > k + 1).astype(np.uint8) << 7
+    if width == 1:
+        return mat.ravel(), lengths
+    return mat[np.arange(width) < lengths[:, None]], lengths

@@ -470,6 +470,8 @@ def leaf_element(t: pa.DataType) -> dict:
         params, legacy = (unit, kind == "TIMESTAMP" and t.tz is not None), False
     elif pa.types.is_float16(t):
         kind, params, legacy = "FLOAT16", (), False
+    elif pa.types.is_null(t):
+        kind, params, legacy = "UNKNOWN", (), False
     else:
         return e
     stamp(e, kind, params)

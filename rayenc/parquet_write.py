@@ -37,12 +37,13 @@ from . import selector as sel
 from . import stats as stats_mod
 from .blocks import choose_encoding, page_ranges
 from .codecs import rle_hybrid
+from .codecs.bitpack import bit_width32, pack_msb
 from .codecs.dictionary import (
     binary_array,
     binary_parts,
     dict_page_binary,
     dict_page_fixed,
-    encode_ids,
+    id_pages,
 )
 from .parquet_compat import (
     DATA_PAGE,
@@ -143,7 +144,9 @@ _PAGE_FRAME = {"RLE": 4}
 
 class LeafLevels(NamedTuple):
     """One Parquet leaf: its dense defined values, named by its path parts
-    joined with ``/``, and rep/def levels (None where the max level is 0)."""
+    joined with ``/``, rep/def levels (None where the max level is 0) and,
+    for a repeated leaf, ``rec``: the slot where each record starts (the
+    slots whose rep level is 0), ascending."""
 
     path: list
     col: PhysicalColumn
@@ -152,6 +155,7 @@ class LeafLevels(NamedTuple):
     max_rep: int
     max_def: int
     type: pa.DataType
+    rec: "np.ndarray | None" = None
 
 
 def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[LeafLevels]:
@@ -166,10 +170,11 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
     cols = {c.name: c for c in streams}
     out: list[LeafLevels] = []
 
-    def walk(t, nullable, name, path, rep, dfv, idx, r, d):
+    def walk(t, nullable, name, path, rep, dfv, idx, r, d, rec):
         # idx: each entry's slot in this level's stream, -1 once stopped
         # above (it reads the pad appended to per-slot arrays); None while
-        # entries and slots coincide
+        # entries and slots coincide. rec: each record's first entry, None
+        # while entries are records
         if pa.types.is_dictionary(t):
             t = t.value_type
         listy = pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t)
@@ -184,7 +189,7 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
             dfv = dfv + (1 if idx is None else idx >= 0)
         if pa.types.is_struct(t):
             for c in t:
-                walk(c.type, c.nullable, f"{name}#f:{c.name}", path + [c.name], rep, dfv, idx, r, d)
+                walk(c.type, c.nullable, f"{name}#f:{c.name}", path + [c.name], rep, dfv, idx, r, d, rec)
             return
         if not grouped and not listy:
             col = cols[name]
@@ -198,7 +203,8 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
                 else:
                     values = np.asarray(values)[pos]
             leaf = PhysicalColumn("/".join(path), col.ptype, values, unsigned=col.unsigned, f16=col.f16)
-            out.append(LeafLevels(path, leaf, rep if r else None, dfv if d else None, r, d, t))
+            out.append(LeafLevels(path, leaf, rep if r else None, dfv if d else None, r, d, t,
+                                  rec if r else None))
             return
         if listy:
             lens = cols[f"{name}#lengths"]
@@ -218,6 +224,7 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
         child_rep = np.full(int(counts.sum()), r, np.uint8)
         child_rep[starts] = rep  # an entry's first slot keeps the entry's rep
         child_dfv = np.repeat(dfv + nonempty, counts)
+        child_rec = starts if rec is None else starts[rec]
         child_idx = None
         if idx is not None or not nonempty.all():
             shift = np.where(nonempty, first - starts, -1 - starts)
@@ -225,13 +232,13 @@ def leaf_levels(field: pa.Field, streams: list[PhysicalColumn], n: int) -> list[
         if pa.types.is_map(t):
             for key, nullable, kt in (("key", False, t.key_type), ("value", True, t.item_type)):
                 walk(kt, nullable, f"{name}#values#f:{key}", path + ["key_value", key],
-                     child_rep, child_dfv, child_idx, r, d)
+                     child_rep, child_dfv, child_idx, r, d, child_rec)
         else:
             walk(t.value_type, t.value_field.nullable, f"{name}#values",
-                 path + ["list", "element"], child_rep, child_dfv, child_idx, r, d)
+                 path + ["list", "element"], child_rep, child_dfv, child_idx, r, d, child_rec)
 
     walk(field.type, field.nullable, field.name, [field.name],
-         np.zeros(n, np.uint8), np.zeros(n, np.uint8), None, 0, 0)
+         np.zeros(n, np.uint8), np.zeros(n, np.uint8), None, 0, 0, None)
     return out
 
 
@@ -276,23 +283,23 @@ class _Column:
 
 
 def _encode_column_pages(
-    col: PhysicalColumn,
+    leaf: LeafLevels,
     out: bytearray,
     meta: _Column,
     config: sel.EncodeConfig,
-    rep_levels: np.ndarray | None = None,
-    def_levels: np.ndarray | None = None,
-    max_rep: int = 0,
-    max_def: int = 0,
     crypto: "_ChunkCrypto | None" = None,
 ) -> stats_mod.ChunkStats:
-    """Emit dictionary page (maybe) + data pages for one column chunk, and
-    return the chunk's statistics.
+    """Emit dictionary page (maybe) + data pages for one leaf's column
+    chunk, and return the chunk's statistics.
 
     Levels cover *slots* (one per value, plus one per empty list / null row).
     Flat required columns omit levels entirely (the reference's DevNull level
     writers); page splitting happens over slots so num_values counts slots,
-    and value ranges derive from the definition levels."""
+    and value ranges derive from the definition levels. Each level stream
+    and the dictionary ids are planned once for all the chunk's pages
+    (``rle_hybrid.Plan`` with page bounds)."""
+    col, rep_levels, def_levels = leaf.col, leaf.rep, leaf.dfv
+    max_rep, max_def = leaf.max_rep, leaf.max_def
     cfg = sel.EncodeConfig(
         page_size=config.page_size,
         page_rows=config.page_rows,
@@ -306,20 +313,23 @@ def _encode_column_pages(
     else:
         S = len(def_levels)
         step = cfg.page_rows
-        if max_rep > 0 and S:
+        if max_rep > 0:
             # pages must start on record boundaries (rep == 0) so V2
             # num_rows is exact and readers can seek by row
-            rec = np.flatnonzero(rep_levels == 0)
-            want = np.arange(step, S, step)
-            hits = np.searchsorted(rec, want)
+            rec = leaf.rec
+            hits = np.searchsorted(rec, np.arange(step, S, step))
             cuts = np.unique(rec[hits[hits < len(rec)]])
-            bounds = [0, *[int(c) for c in cuts if 0 < c < S], S]
-            slot_ranges = list(zip(bounds[:-1], bounds[1:]))
+            bounds = [0, *cuts.tolist(), S]
+            rows = np.diff(np.searchsorted(rec, bounds)).tolist()
         else:
-            slot_ranges = [(a, min(a + step, S)) for a in range(0, S, step)] or [(0, 0)]
-        vprefix = np.zeros(S + 1, np.int64)
-        np.cumsum((def_levels == max_def).astype(np.int64), out=vprefix[1:])
-        ranges = [(int(vprefix[a]), int(vprefix[b])) for a, b in slot_ranges]
+            bounds = [*range(0, max(S, 1), step), S]
+            rows = np.diff(bounds).tolist()
+        slot_ranges = list(zip(bounds[:-1], bounds[1:]))
+        # each page's defined values (def == max_def): its value range
+        ends = list(accumulate(
+            (np.count_nonzero(def_levels[a:b] == max_def) for a, b in slot_ranges), initial=0
+        ))
+        ranges = list(zip(ends[:-1], ends[1:]))
 
     meta.start_offset = len(out)
     st = stats_mod.compute(col, ranges)
@@ -347,7 +357,7 @@ def _encode_column_pages(
         # first-occurrence order — parquet-java semantics, not our sorted
         # container variant) from the factorization the plan made;
         # compressed per page like ColumnChunkPageWriteStore.java:192-252
-        ids, dic = best.memo["dict_fac"]
+        _, dic = best.memo["dict_fac"]
         if col.ptype == "BINARY":
             dict_payload = dict_page_binary(dic)
         else:
@@ -371,28 +381,36 @@ def _encode_column_pages(
         meta.page_stats[(2, plain_code)] = meta.page_stats.get((2, plain_code), 0) + 1
         meta.total_unc += len(hdr) + len(dict_payload)
         meta.encodings |= {plain_code, enc_code}
-        pages = [encode_ids(ids[a:b], len(dic)) for a, b in ranges]
+        # the winner's ids, planned in first-occurrence order
+        pages = id_pages(best.ids)
     else:
         meta.encodings.add(enc_code)
         _, pages = best.emit()
         if best.encoding == "RLE":
             pages = [len(p).to_bytes(4, "little") + p for p in pages]
 
-    from .codecs.dictionary import bit_width32
+    legacy = not v2 and getattr(config, "level_encoding", "RLE") == "BIT_PACKED"
 
+    def level_pages(levels, top):
+        """Each page's bytes of one level stream, planned once for all
+        the pages: length-framed in V1, bare in V2; legacy BIT_PACKED
+        levels are packed page by page."""
+        if levels is None:
+            return [b""] * len(slot_ranges)
+        if legacy:
+            return [pack_msb(levels[a:b], bit_width32(top)) for a, b in slot_ranges]
+        lp = rle_hybrid.Plan(levels, bit_width32(top), slot_ranges).emit()
+        return lp if v2 else [len(p).to_bytes(4, "little") + p for p in lp]
+
+    rep_pages, def_pages = level_pages(rep_levels, max_rep), level_pages(def_levels, max_def)
     for k, payload in enumerate(pages):
         sa, sb = slot_ranges[k]
+        va, vb = ranges[k]
         nv = sb - sa
+        nrows = rows[k] if def_levels is not None else nv
+        rep_b, def_b = rep_pages[k], def_pages[k]
         if v2:
             # DataPageV2: unframed uncompressed levels, then compressed values
-            rep_b = def_b = b""
-            nrows, nnulls = nv, 0
-            if def_levels is not None:
-                if max_rep > 0:
-                    rep_b = rle_hybrid.encode(rep_levels[sa:sb], bit_width32(max_rep))
-                    nrows = int((rep_levels[sa:sb] == 0).sum())
-                def_b = rle_hybrid.encode(def_levels[sa:sb], bit_width32(max_def))
-                nnulls = int((def_levels[sa:sb] < max_def).sum())
             vals = compress(payload)
             if crypto is not None:
                 # V2 levels stay plaintext before the encrypted values blob
@@ -405,24 +423,11 @@ def _encode_column_pages(
             # unframed and uncompressed before the (maybe compressed) values
             hdr = _thrift(PAGE_HEADER, {
                 1: DATA_PAGE_V2, 2: unc_len, 3: len(body), 4: zlib.crc32(body),
-                8: {1: nv, 2: nnulls, 3: nrows, 4: enc_code, 5: len(def_b),
+                8: {1: nv, 2: nv - (vb - va), 3: nrows, 4: enc_code, 5: len(def_b),
                     6: len(rep_b), 7: codec is not None},
             })
         else:
-            lv = b""
-            legacy = getattr(config, "level_encoding", "RLE") == "BIT_PACKED"
-            if def_levels is not None:
-                if legacy:
-                    from .codecs.bitpack import pack_msb
-
-                    if max_rep > 0:
-                        lv += pack_msb(rep_levels[sa:sb], bit_width32(max_rep))
-                    lv += pack_msb(def_levels[sa:sb], bit_width32(max_def))
-                else:
-                    if max_rep > 0:
-                        lv += rle_hybrid.encode_framed(rep_levels[sa:sb], bit_width32(max_rep))
-                    lv += rle_hybrid.encode_framed(def_levels[sa:sb], bit_width32(max_def))
-            raw = lv + payload
+            raw = rep_b + def_b + payload
             body = compress(raw)
             if crypto is not None:
                 # V1 pages encrypt levels+values as one module
@@ -448,13 +453,12 @@ def _encode_column_pages(
         # ColumnIndex / OffsetIndex records (PageLocation.offset points at
         # the page header; sizes include the header); the boundary order
         # compares the written bounds
-        va, vb = ranges[k]
         keys = st.pages[k] and stats_mod.written(st.pages[k])[:2]
         meta.page_index.append(
             {
                 "offset": page_off,
                 "size": len(out) - page_off,
-                "rows": int((rep_levels[sa:sb] == 0).sum()) if max_rep > 0 else nv,
+                "rows": nrows,
                 "nulls": nv - (vb - va),
                 "defined": vb - va,
                 "bounds": keys and stats_mod.bound_bytes(col, keys),
@@ -487,12 +491,7 @@ def write_chunk(
         L = _decimal_flba_len(leaf.type.precision)
         col.values = np.ascontiguousarray(be[:, be.shape[1] - L :])
     meta = _Column()
-    st = _encode_column_pages(
-        col, out, meta, config,
-        rep_levels=leaf.rep, def_levels=leaf.dfv,
-        max_rep=leaf.max_rep, max_def=leaf.max_def,
-        crypto=crypto,
-    )
+    st = _encode_column_pages(leaf, out, meta, config, crypto)
     # INT96 columns arrive as FLBA(12) (the _timestamps_to_int96 storage)
     # and encode as FLBA PLAIN pages — byte-identical to INT96 PLAIN — but
     # the footer stamps physical type INT96 (no min/max: sort order UNKNOWN)
@@ -922,7 +921,7 @@ def _column_meta(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats, ptyp
     }
     if meta.dict_offset is not None:
         md[11] = meta.dict_offset
-    nulls = 0 if leaf.dfv is None else int((leaf.dfv < leaf.max_def).sum())
+    nulls = sum(p["nulls"] for p in meta.page_index)
     md[12] = {3: nulls}
     if st.min_value is not None:
         lo, hi, exact = stats_mod.written((st.min_value, st.max_value))
@@ -937,10 +936,16 @@ def _column_meta(meta: _Column, leaf: LeafLevels, st: stats_mod.ChunkStats, ptyp
     if col.ptype == "BINARY" and col.num_values:
         offsets, _data = col.values
         size[1] = int(offsets[-1] - offsets[0])
+    # level histograms: only the levels between the known counts are
+    # counted, one pass each
     if leaf.rep is not None:
-        size[2] = np.bincount(leaf.rep, minlength=leaf.max_rep + 1).tolist()
+        # level 0 starts each record; the top level is the rest
+        mid = [int(np.count_nonzero(leaf.rep == r)) for r in range(1, leaf.max_rep)]
+        size[2] = [len(leaf.rec), *mid, len(leaf.rep) - len(leaf.rec) - sum(mid)]
     if leaf.dfv is not None:
-        size[3] = np.bincount(leaf.dfv, minlength=leaf.max_def + 1).tolist()
+        # the levels below the top hold the nulls; the top the values
+        low = [int(np.count_nonzero(leaf.dfv == d)) for d in range(leaf.max_def - 1)]
+        size[3] = [*low, nulls - sum(low), len(leaf.dfv) - nulls]
     if size:
         md[16] = size
     return md

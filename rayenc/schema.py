@@ -69,6 +69,9 @@ class PhysicalColumn:
 def physical_type(t: pa.DataType) -> str:
     if pa.types.is_boolean(t):
         return "BOOLEAN"
+    if pa.types.is_null(t):
+        # Parquet's UNKNOWN (null) type: INT32 slots that hold no value
+        return "INT32"
     if pa.types.is_integer(t):
         return "INT32" if t.bit_width <= 32 else "INT64"
     if pa.types.is_float32(t):

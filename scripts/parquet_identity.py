@@ -30,7 +30,12 @@ The matrix:
   every statistics rule: unsigned ints above the signed max, a NaN page of
   doubles, half floats with ±0 and a NaN page, byte strings over the
   64-byte truncation limit (one with an all-0xFF prefix), booleans,
-  nullable strings and an all-null page, as V1 and as V2 pages + zstd.
+  nullable strings and an all-null page, as V1 and as V2 pages + zstd;
+- a ``data.make_table`` token table whose ``tokens`` chunk spans 7 default
+  20,000-slot pages, and a copy with null lists, empty lists and null
+  tokens (``tokens`` and ``tokens_nulls``), each V1 + zstd and V2: the
+  writer plans level and dictionary-id streams of default-size multi-page
+  chunks only here.
 
 A ``container`` section follows: for every sf0.001 table, one line hashing
 the ``pipeline.plan_partitions`` descriptors (at a 64 KiB block target, so
@@ -75,12 +80,14 @@ import numpy as np  # noqa: E402
 import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
-from rayenc import blocks, geo, parquet_crypto, parquet_read_enc, parquet_write, pipeline, predicate, rewrite  # noqa: E402
+from rayenc import blocks, data, geo, parquet_crypto, parquet_read_enc, parquet_write, pipeline, predicate, rewrite  # noqa: E402
 from rayenc.parquet_crypto import FileEncryption  # noqa: E402
 from rayenc.selector import EncodeConfig  # noqa: E402
 
 V1 = EncodeConfig()
 V2_ZSTD = EncodeConfig(parquet_page_version="2.0", compression="zstd")
+V1_ZSTD = EncodeConfig(compression="zstd")
+V2 = EncodeConfig(parquet_page_version="2.0")
 SMALL_PAGES = EncodeConfig(page_rows=7)
 CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 # 250-row pages: lineitem's 2000-row partitions get 8-page chunks
@@ -231,6 +238,20 @@ def bounds_table(n: int = 600) -> pa.Table:
     })
 
 
+def token_tables(n: int = 800) -> "tuple[pa.Table, pa.Table]":
+    """The token table (~138,000 tokens: 7 default pages of ``tokens``) and
+    a copy whose ``tokens`` has a null list every 13th row, an empty list
+    every 17th and a null token every 11th."""
+    t = data.make_table(n)
+    rows = t["tokens"].to_pylist()
+    holes = [
+        None if i % 13 == 5 else [] if i % 17 == 3
+        else [None if j % 11 == 4 else v for j, v in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+    return t, t.set_column(1, "tokens", pa.array(holes, t.schema.field("tokens").type))
+
+
 def seed_urandom(seed: int) -> None:
     rng = random.Random(seed)
     parquet_crypto.os.urandom = lambda k: bytes(rng.getrandbits(8) for _ in range(k))
@@ -273,6 +294,9 @@ def main() -> None:
     bt = bounds_table()
     write("bounds.v1", bt, BOUNDS)
     write("bounds.v2zstd", bt, BOUNDS_V2_ZSTD)
+    for stem, t in zip(("tokens", "tokens_nulls"), token_tables()):
+        write(f"{stem}.v1zstd", t, V1_ZSTD)
+        write(f"{stem}.v2", t, V2)
 
     fk, ck = b"0123456789abcdef", b"fedcba9876543210"
     lineitem = pq.read_table(os.path.join(args.sf, "lineitem.parquet"))

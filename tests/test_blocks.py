@@ -519,16 +519,56 @@ def test_compressed_ranking_plans_only_the_winner_over_every_page(monkeypatch):
     (_, col) = shred("tokens", t["tokens"])
     cfg = EncodeConfig(compression="zstd")
     ranges = blocks.page_ranges(col, cfg)
-    real, full = blocks._plan_candidate, []
+    sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
+    real, beyond = blocks._plan_candidate, []
 
     def plan(c, e, r, *a, **k):
-        if r == ranges:
-            full.append(e)
+        if r != sample:
+            beyond.append((e, r))
         return real(c, e, r, *a, **k)
 
     monkeypatch.setattr(blocks, "_plan_candidate", plan)
     best = blocks.choose_encoding(col, stats.compute(col), ranges, cfg)
-    assert full == ["BYTE_STREAM_SPLIT"] and best.encoding == "BYTE_STREAM_SPLIT"
+    # the winner alone is planned past the sample, over the other pages
+    assert [e for e, _ in beyond] == ["BYTE_STREAM_SPLIT"] and best.encoding == "BYTE_STREAM_SPLIT"
+    assert sorted(beyond[0][1] + sample) == ranges
+    aux, pages = best.emit()
+    want = real(col, "BYTE_STREAM_SPLIT", ranges, cfg).emit()
+    assert (aux, pages) == want
+
+
+def test_compressed_ranking_compresses_each_winner_page_once(monkeypatch):
+    # encode_chunk keeps the compressed bytes the ranking made of the
+    # winner's sample pages and aux page: every page and the aux page of the
+    # chunk are compressed once, and the blob is the one of a plain emit
+    import io
+
+    from rayenc import data
+    from rayenc.schema import shred
+    from rayenc.selector import EncodeConfig
+
+    (_, col) = shred("tokens", data.make_table(2000)["tokens"])
+    cfg = EncodeConfig(compression="zstd", column_encodings={})
+    codec = pa.Codec("zstd")
+    seen = []
+
+    class Counting:
+        def compress(self, b):
+            seen.append(bytes(b))
+            return codec.compress(b)
+
+    monkeypatch.setattr(blocks, "_compressor", lambda config: Counting())
+    out = io.BytesIO()
+    entry = blocks.encode_chunk(col, out, cfg)
+    ranges = blocks.page_ranges(col, cfg)
+    assert len(entry["pages"]) == len(ranges) > 4
+    best = blocks._plan_candidate(col, entry["encoding"], ranges, cfg, {})
+    aux, pages = best.emit()
+    for page in pages + ([aux] if aux is not None else []):
+        assert seen.count(page) == 1
+    blob = out.getvalue()
+    for p, page in zip(entry["pages"], pages):
+        assert blob[p["offset"] : p["offset"] + p["length"]] == codec.compress(page).to_pybytes()
 
 
 def test_compressed_ranking_leaves_small_chunks_alone():

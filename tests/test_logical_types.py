@@ -309,6 +309,35 @@ def test_null_columns_read_like_pyarrow(tmp_path, store_schema):
     assert got.schema.field("n").type == pa.null()
 
 
+@pytest.mark.parametrize("version", ["1.0", "2.0"])
+def test_null_columns_write_like_pyarrow(tmp_path, version):
+    # pyarrow's shape: an optional INT32 leaf with the UNKNOWN logical type,
+    # def levels all 0 and no values; 45 rows in 10-row pages
+    import struct
+
+    from rayenc import blocks
+    from rayenc.thrift import _read_struct
+
+    n = 45
+    t = pa.table({"n": pa.nulls(n), "x": pa.array(range(n), pa.int64()),
+                  "l": pa.array([[None], None, []] * (n // 3), pa.list_(pa.null()))})
+    cfg = EncodeConfig(page_rows=10, parquet_page_version=version)
+    ours, theirs = str(tmp_path / "ours.parquet"), str(tmp_path / "theirs.parquet")
+    parquet_write.write_table(t, ours, cfg)
+    pq.write_table(t, theirs)
+    for path in (ours, theirs):
+        raw = open(path, "rb").read()
+        (size,) = struct.unpack("<i", raw[-8:-4])
+        md, _ = _read_struct(raw[-8 - size : -8])
+        elem = next(e for e in md[2] if e[4] == b"n")
+        assert (elem[1], elem[3], elem[10]) == (1, 1, {11: {}})  # INT32, optional, UNKNOWN
+    assert pq.read_table(ours).equals(t)
+    assert read_table_conformance(ours).equals(t)
+    assert pq.ParquetFile(ours).metadata.row_group(0).column(0).num_values == n
+    blob, man = blocks.encode_block(t, cfg)
+    assert blocks.decode_block(blob, man).equals(t)
+
+
 def test_json_enum_bson_strings_read_as_binary_like_pyarrow(tmp_path):
     """A string column annotated JSON, ENUM or BSON has no STRING annotation,
     so pyarrow reads it as binary whatever ``ARROW:schema`` stores."""

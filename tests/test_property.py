@@ -374,13 +374,56 @@ def _level_tables(draw):
     return t.cast(t.schema.set(4, pa.field("req", _REQ, False)))
 
 
-@given(t=_level_tables())
-@settings(max_examples=25, deadline=None)
-def test_parquet_levels_match_pyarrow_oracle(t):
+def _check_page_bookkeeping(path):
+    """Every chunk's page and chunk counts in a written file equal those
+    of the levels decoded from it: the footer null count, the SizeStatistics
+    level histograms, each page's num_values (and a repeated page's first
+    rep level 0), V2 num_rows/num_nulls, the ColumnIndex null counts and
+    the OffsetIndex first_row_index."""
+    from rayenc.parquet_compat import DATA_PAGE_V2, DICTIONARY_PAGE
+    from rayenc.parquet_read_enc import EncryptedFile, _parse_index
+
+    f = EncryptedFile(path)
+    for i, leaf in enumerate(f.leaves):
+        md = f.chunk_meta(0, i)
+        _, rep, dfv = f.decode_leaf(0, i)
+        slots = md[5]
+        null = np.zeros(slots, bool) if dfv is None else dfv < leaf.max_def
+        first = np.ones(slots, bool) if rep is None else rep == 0
+        assert md[12][3] == null.sum()
+        hist = md.get(16, {})
+        if rep is not None:
+            assert hist[2] == np.bincount(rep, minlength=leaf.max_rep + 1).tolist()
+        if dfv is not None:
+            assert hist[3] == np.bincount(dfv, minlength=leaf.max_def + 1).tolist()
+        a, rows, nulls = 0, [], []
+        for h, _ in f._chunk_pages(0, i, md):
+            if h.type == DICTIONARY_PAGE:
+                continue
+            b = a + h.num_values
+            assert first[a]  # pages start on a record
+            rows.append(int(first[a:b].sum()))
+            nulls.append(int(null[a:b].sum()))
+            if h.type == DATA_PAGE_V2:
+                assert (h.v2_num_rows, h.v2_num_nulls) == (rows[-1], nulls[-1])
+            a = b
+        assert a == slots
+        index = _parse_index(f, 0, i)
+        if index is not None:
+            cidx, oidx = index
+            assert cidx[5] == nulls
+            assert [loc[3] for loc in oidx[1]] == np.cumsum([0, *rows[:-1]]).tolist()
+
+
+@given(t=_level_tables(), page_rows=st.sampled_from([1, 2, 3, 20_000]), v2=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_parquet_levels_match_pyarrow_oracle(t, page_rows, v2):
     """pyarrow as the oracle of the Parquet level layer: rayenc writes the
     same rep/def levels as pyarrow for every leaf, pyarrow reads rayenc's
     file back as the input, rayenc reads pyarrow's file as pyarrow does,
-    and the writer shreds each top-level field once."""
+    and the writer shreds each top-level field once. Small pages put page
+    cuts next to empty lists, null lists and null elements, in V1 and V2
+    pages, and each page's counts must match its levels."""
     import os
     import tempfile
 
@@ -388,16 +431,19 @@ def test_parquet_levels_match_pyarrow_oracle(t):
 
     from rayenc import parquet_write
     from rayenc.parquet_compat import read_column_chunk, read_table_conformance
+    from rayenc.selector import EncodeConfig
 
+    cfg = EncodeConfig(page_rows=page_rows, parquet_page_version="2.0" if v2 else "1.0")
     calls = []
     shred = parquet_write.shred
     with tempfile.TemporaryDirectory() as d:
         ours, theirs = os.path.join(d, "ours.parquet"), os.path.join(d, "theirs.parquet")
         parquet_write.shred = lambda *a: calls.append(a[0]) or shred(*a)
         try:
-            parquet_write.write_table(t, ours)
+            parquet_write.write_table(t, ours, cfg)
         finally:
             parquet_write.shred = shred
+        _check_page_bookkeeping(ours)
         assert calls == t.column_names
         pq.write_table(t, theirs, use_dictionary=False)
 

@@ -181,6 +181,8 @@ def _repetition_levels(rng, rows):
 
 @pytest.mark.parametrize("page", ["repetition_levels", "runs_and_noise"])
 def test_emit_packs_each_page_once(monkeypatch, page):
+    # one pack_lsb call per emit: for one page, and for a chunk planned
+    # with page bounds (7 pages, cuts inside runs and spans)
     rng = np.random.default_rng(3)
     if page == "repetition_levels":
         vals, width = _repetition_levels(rng, 2000), 1
@@ -192,15 +194,63 @@ def test_emit_packs_each_page_once(monkeypatch, page):
             for k in range(400)
         ]
         vals, width = np.concatenate(parts), 6
-    plan = rle_hybrid.Plan(vals, width)
-    calls = []
+    cuts = np.sort(rng.choice(np.arange(1, len(vals)), 6, replace=False)).tolist()
+    edges = [0, *cuts, len(vals)]
     real = rle_hybrid.pack_lsb
-    monkeypatch.setattr(
-        rle_hybrid, "pack_lsb", lambda v, w: calls.append(len(v)) or real(v, w)
-    )
-    buf = plan.emit()
-    assert len(calls) <= 1
-    assert buf == rle_hybrid.encode_scalar(vals.tolist(), width)
+    for bounds in ([(0, len(vals))], list(zip(edges[:-1], edges[1:]))):
+        plan = rle_hybrid.Plan(vals, width, bounds if len(bounds) > 1 else None)
+        calls = []
+        monkeypatch.setattr(
+            rle_hybrid, "pack_lsb", lambda v, w: calls.append(len(v)) or real(v, w)
+        )
+        out = plan.emit()
+        monkeypatch.setattr(rle_hybrid, "pack_lsb", real)
+        assert len(calls) <= 1
+        want = [rle_hybrid.encode_scalar(vals[a:b].tolist(), width) for a, b in bounds]
+        assert (out if len(bounds) > 1 else [out]) == want
+
+
+# run lengths weighted toward 8-14, where the rle-run decision depends on the
+# bit-packed span before the run since the page start
+_RUN_LENGTHS = st.sampled_from(list(range(1, 21)) + list(range(8, 15)) * 3 + [64, 600])
+
+
+@st.composite
+def _paged_chunk(draw):
+    """Run-structured values of width 0-32 cut into pages at random
+    bounds: 1-value and empty pages, cuts inside runs, and sometimes a
+    sample of non-adjacent pages (the selector's 3-page sample)."""
+    width = draw(st.integers(0, 32))
+    value = st.integers(0, (1 << width) - 1)
+    runs = draw(st.lists(st.tuples(value, _RUN_LENGTHS), max_size=120))
+    vals = np.array([v for v, k in runs for _ in range(k)][:3000], np.uint64)
+    n = len(vals)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+    ones = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3)) if n else []
+    edges = sorted({0, n, *cuts, *ones, *(i + 1 for i in ones)})
+    bounds = list(zip(edges[:-1], edges[1:]))
+    bounds += [(e, e) for e in draw(st.lists(st.sampled_from(edges), max_size=2))]
+    bounds.sort()
+    if len(bounds) > 3 and draw(st.booleans()):
+        bounds = [bounds[0], bounds[len(bounds) // 2], bounds[-1]]
+    return vals, width, bounds
+
+
+@given(case=_paged_chunk())
+@settings(max_examples=150, deadline=None)
+def test_paged_plan_is_each_page_planned_alone(case):
+    vals, width, bounds = case
+    plan = rle_hybrid.Plan(vals, width, bounds)
+    want = [rle_hybrid.encode_scalar(vals[a:b].tolist(), width) for a, b in bounds]
+    assert plan.sizes.tolist() == [len(w) for w in want]
+    assert plan.size == sum(map(len, want))
+    assert plan.emit() == want
+    # a bijection of the values (a sorted-dictionary remap) moves no run
+    if 0 < width <= 12:
+        lut = ((1 << width) - 1 - np.arange(1 << width)).astype(np.uint32)
+        assert plan.emit(lut) == [
+            rle_hybrid.encode_scalar(lut[vals[a:b]].tolist(), width) for a, b in bounds
+        ]
 
 
 # the array walk's two thresholds: patched to force one walk or the other
