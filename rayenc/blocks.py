@@ -892,12 +892,44 @@ def _no_values(entry: dict):
     return np.empty(0, bool if ptype == "BOOLEAN" else codecs._NUMERIC[ptype])
 
 
+class _FsstPages:
+    """Pages of an FSST chunk kept compressed: the symbol table, and the
+    compressed strings' offsets (the prefix sum of the pages' length
+    streams) and payload. A read decompresses only the strings it returns,
+    and ``==``/``in`` compare the literals' compressed strings."""
+
+    __slots__ = ("table", "offsets", "data")
+
+    def __init__(self, aux_buf, page_bufs: list, pages: list):
+        self.table, _ = fsst.SymbolTable.deserialize(aux_buf)
+        parts = [fsst.read_page(b, p["num_values"]) for b, p in zip(page_bufs, pages)]
+        self.offsets, self.data = codecs.concat_values(parts, "BINARY")
+
+    def strings(self, idx):
+        """The strings at ascending positions ``idx`` (None: all)."""
+        got = (self.offsets, self.data)
+        return fsst.decompress(self.table, *(got if idx is None else _take_values("BINARY", got, idx)))
+
+    def equal(self, idx, literals: list[bytes]) -> np.ndarray:
+        """Whether each string at positions ``idx`` (None: all) is one of
+        ``literals``, compared compressed."""
+        codes = [fsst.compress_string(self.table, v) for v in literals]
+        return fsst.rows_equal(self.offsets, self.data, idx, codes)
+
+
+# the leaves an FSST chunk answers on its compressed strings
+_ENCODED_OPS = {"==": False, "in": False, "!=": True, "not_in": True}  # op -> negated
+_STRING_TYPES = (pa.string(), pa.large_string())
+_BINARY_TYPES = (pa.binary(), pa.large_binary())
+
+
 class _BlockReader:
     """The streams of one block, read at a selection of slots: each chunk
     decodes only the pages that hold selected values, and a chunk that
     several streams or both read phases need (aliases, predicate columns)
     decodes each of its pages once. ``#lengths`` chunks decode whole: the
-    child positions of any list slot are a prefix sum over all of them."""
+    child positions of any list slot are a prefix sum over all of them. An
+    FSST chunk read at a selection stays compressed (``_FsstPages``)."""
 
     def __init__(self, blob, by_name: dict):
         self.blob = blob
@@ -934,6 +966,34 @@ class _BlockReader:
         picked = valid[slots]
         return rank[slots[picked]], ~picked
 
+    def _chunk(self, entry: dict, idx, dictionary: bool = False, encoded: bool = False):
+        """(the chunk's pages that hold positions ``idx`` (None: all) as
+        read so far, ``idx`` within them). The pages come decoded, as a
+        ``pa.DictionaryArray`` with ``dictionary``, or as ``_FsstPages`` for
+        an FSST chunk read at a selection or ``encoded``. Once every page is
+        at hand, later reads reuse that form, so ``verdict`` runs before
+        any read of its column."""
+        key = (entry["name"], dictionary)
+        got = self._pages.get(key)
+        if got is not None and got[0] is None:  # every page at hand
+            return got[1], idx
+        need = None
+        if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
+            ends = np.cumsum([p["num_values"] for p in entry["pages"]])
+            need, idx = P.select_pages(ends, idx, None if got is None else got[0])
+        if got is not None and need is not None and (need == got[0]).all():
+            return got[1], idx
+        if dictionary:
+            out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
+        else:
+            aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
+            if entry["encoding"] == "FSST" and (encoded or idx is not None):
+                out = _FsstPages(aux_buf, page_bufs, pages)
+            else:
+                out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs).values
+        self._pages[key] = (need, out)
+        return out, idx
+
     def values(self, entry: dict, idx, dictionary: bool = False):
         """Values at ascending positions ``idx`` (None: all) of a chunk:
         physical values, or a ``pa.DictionaryArray`` with ``dictionary``."""
@@ -941,28 +1001,47 @@ class _BlockReader:
             if dictionary:
                 return pa.DictionaryArray.from_arrays(pa.array([], pa.int32()), pa.array([], pa.binary()))
             return _no_values(entry)
-        key = (entry["name"], dictionary)
-        got = self._pages.get(key)
-        if got is not None and got[0] is None:  # every page at hand
-            out = got[1]
-        else:
-            need = None
-            if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
-                ends = np.cumsum([p["num_values"] for p in entry["pages"]])
-                need, idx = P.select_pages(ends, idx, None if got is None else got[0])
-            if got is not None and need is not None and (need == got[0]).all():
-                out = got[1]
-            elif dictionary:
-                out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
-            else:
-                aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
-                out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs).values
-            self._pages[key] = (need, out)
+        out, idx = self._chunk(entry, idx, dictionary)
+        if isinstance(out, _FsstPages):
+            return out.strings(idx)
         if idx is None:
             return out
         if dictionary:
             return P.take(out, idx)
         return _take_values(entry["ptype"], out, idx)
+
+    def verdict(self, leaf: P.Leaf, t: pa.DataType, slots):
+        """``leaf``'s verdict at ``slots`` (None: all) of a flat column of
+        type ``t``, from an FSST chunk's compressed strings: ``==``, ``!=``,
+        ``in`` and ``not_in`` of str literals (bytes ones on a binary
+        column), null at null slots. None for any other leaf, literal or
+        encoding: those need the column's values."""
+        negate = _ENCODED_OPS.get(leaf.op)
+        entry = self.target(leaf.col) if leaf.col in self.by_name else None
+        if negate is None or entry is None or entry["encoding"] != "FSST":
+            return None
+        literals = leaf.value if leaf.op in ("in", "not_in") else (leaf.value,)
+        kinds = {type(v) for v in literals}
+        if not (kinds == {str} and t in _STRING_TYPES + _BINARY_TYPES
+                or kinds == {bytes} and t in _BINARY_TYPES):
+            return None
+        try:
+            literals = [v.encode() if isinstance(v, str) else v for v in literals]
+        except UnicodeEncodeError:  # a surrogate: Arrow rejects the literal
+            return None
+        idx, nulls = self.dense(entry, slots)
+        if idx is not None and not len(idx):
+            hit = np.empty(0, bool)
+        else:
+            pages, idx = self._chunk(entry, idx, encoded=True)
+            hit = pages.equal(idx, literals)
+        if negate:
+            hit = ~hit
+        if nulls is None:
+            return pa.array(hit)
+        full = np.zeros(len(nulls), bool)
+        full[~nulls] = hit
+        return pa.array(full, mask=nulls)
 
     def streams(self, t: pa.DataType, name: str, slots, out: dict) -> None:
         """Put the streams of field ``name`` (type ``t``) at ``slots`` (None:
@@ -1029,6 +1108,13 @@ def decode_block(
     map to child values through ``#lengths``, nullable streams through
     their validity.
 
+    Leaves are evaluated in the encoded domain where the chunk allows: an
+    FSST chunk answers ``==``, ``!=``, ``in`` and ``not_in`` of string
+    literals by compressing each literal with the chunk's symbol table and
+    comparing code strings (``_BlockReader.verdict``), so a column whose
+    leaves were all answered this way is not decoded in phase 1, and any
+    FSST chunk read at selected rows decompresses only those rows' strings.
+
     Only the matching rows come back. A predicate that cannot be evaluated
     (a column the block lacks, a literal of the wrong type, a user predicate
     that raises) raises ``predicate.PredicateError``.
@@ -1088,9 +1174,12 @@ def decode_block(
         reader.streams(field.type, field.name, rows, out)
         return assemble(field, out)
 
+    def verdict(leaf: P.Leaf, rows):
+        return reader.verdict(leaf, schema.field(leaf.col).type, rows)
+
     kept = None if tree is None else _kept_row_intervals(manifest, reader, tree)
     pred_fields = [schema.field(c) for c in pred_cols]
-    arrays = P.two_phase_read(tree, manifest["num_rows"], kept, pred_fields, fields, read)
+    arrays = P.two_phase_read(tree, manifest["num_rows"], kept, pred_fields, fields, read, verdict)
     return pa.Table.from_arrays(
         arrays, schema=pa.schema([f.with_type(a.type) for f, a in zip(fields, arrays)])
     )

@@ -67,11 +67,7 @@ def _page_values(encoding: str, ptype: str, body, n: int, dictionary, width: int
         if encoding == "DELTA_BYTE_ARRAY":
             return delta_strings.decode(body, n)
         if encoding == "FSST":
-            body = np.frombuffer(body, np.uint8)
-            end = delta_bp.decoded_byte_end(body)
-            offsets = np.zeros(n + 1, np.int64)
-            np.cumsum(delta_bp.decode(body[:end], np.int32), out=offsets[1:])
-            return fsst.decompress(dictionary, offsets, body[end:])
+            return fsst.decompress(dictionary, *fsst.read_page(body, n))
     elif ptype == "FIXED_LEN_BYTE_ARRAY":
         if encoding == "PLAIN":
             return plain.decode_fixed_len(body, n, width)

@@ -32,12 +32,21 @@ import numpy as np
 
 from . import delta_bp
 from .plain import _ranges
+from .varint import read_uvarint
 
 ESCAPE = 255
 MAX_SYMBOLS = 255  # codes 0..254
 MAX_SYMBOL_LEN = 8
 TRAIN_ITERATIONS = 4
 SAMPLE_TARGET = 1 << 13  # 8 KiB of sample text
+# the largest lengths-stream block a page may declare (writers use 128)
+MAX_LENGTHS_BLOCK = 1 << 16
+
+
+class FsstError(ValueError):
+    """An FSST symbol table or page the decoder cannot read: a truncated
+    table, a lengths stream that does not frame the page's payload, an
+    escape with no byte after it, or a code with no symbol."""
 
 
 class SymbolTable:
@@ -45,13 +54,14 @@ class SymbolTable:
 
     __slots__ = (
         "symbols", "_by_len", "_lengths_desc", "_fb_lenmask", "_one", "_two",
-        "_long_by_prefix", "_has_long2",
+        "_long_by_prefix", "_has_long2", "_codes",
     )
 
     def __init__(self, symbols: list[bytes]):
         assert len(symbols) <= MAX_SYMBOLS
         self.symbols = symbols
         self._by_len = None  # the match tables: built by the first compress
+        self._codes = None  # the literal parser's dict: built by compress_string
 
     def _index(self) -> None:
         """Build the tables ``compress`` matches against (decompress reads
@@ -132,9 +142,13 @@ class SymbolTable:
 
     @classmethod
     def deserialize(cls, buf) -> tuple["SymbolTable", int]:
-        n = buf[0]
-        lens = list(buf[1 : 1 + n])
+        """(table, bytes read); FsstError when ``buf`` does not hold a table
+        of at most 255 symbols of 1-8 bytes."""
+        n = buf[0] if len(buf) else 0
+        lens = bytes(buf[1 : 1 + n])
         pos = 1 + n
+        if pos + sum(lens) > len(buf) or lens and not 1 <= min(lens) <= max(lens) <= MAX_SYMBOL_LEN:
+            raise FsstError(f"bad FSST symbol table ({len(buf)} bytes)")
         symbols = []
         for ln in lens:
             symbols.append(bytes(buf[pos : pos + ln]))
@@ -319,10 +333,14 @@ def compress(
 def decompress(
     table: SymbolTable, offsets: np.ndarray, data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decompress -> (out_offsets int64[n+1], out_data uint8)."""
+    """Decompress -> (out_offsets int64[n+1], out_data uint8). ``offsets``
+    must frame ``data`` (``read_page`` checks a page's); FsstError when a
+    string ends in a lone escape or holds a code the table lacks."""
     offsets = np.asarray(offsets, np.int64)
     data = np.asarray(data, np.uint8)
     n = len(offsets) - 1
+    if offsets[-1] != len(data):
+        raise FsstError(f"FSST offsets end at {offsets[-1]}, payload holds {len(data)} bytes")
     if len(data) == 0:
         return offsets.copy(), np.empty(0, np.uint8)
 
@@ -347,14 +365,18 @@ def decompress(
         marker[ff_pos[dist % 2 == 0]] = True
     else:
         marker = np.zeros(len(data), bool)
+    ends = offsets[1:][np.diff(offsets) > 0]
+    if marker[ends - 1].any():
+        raise FsstError("FSST string ends in an escape with no byte after it")
     literal = np.zeros(len(data), bool)
-    mpos = np.flatnonzero(marker)
-    literal[np.minimum(mpos + 1, len(data) - 1)] = True
-    literal &= ~marker
-    is_code = ~marker & ~literal
+    literal[np.flatnonzero(marker) + 1] = True
+    is_code = ~marker & ~literal  # never an escape byte, given the check above
+    codes = data[is_code]
+    k = len(table.symbols)
+    if k < MAX_SYMBOLS and len(codes) and codes.max() >= k:
+        raise FsstError(f"FSST code beyond the table's {k} symbols")
 
     # the symbols as rows of a zero-padded matrix, and their lengths
-    k = len(table.symbols)
     sym_lens = np.zeros(256, np.int64)
     sym_lens[:k] = [len(s) for s in table.symbols]
     sym_matrix = np.zeros((256, MAX_SYMBOL_LEN), np.uint8)
@@ -363,7 +385,7 @@ def decompress(
     )
     # output byte count per token
     out_bytes = np.zeros(len(data), np.int64)
-    out_bytes[is_code & ~is_ff] = sym_lens[data[is_code & ~is_ff]]
+    out_bytes[is_code] = sym_lens[codes]
     out_bytes[marker] = 1  # marker+literal pair emits 1 byte
 
     # per-string output lengths
@@ -381,6 +403,79 @@ def decompress(
     rows[esc, 0] = data[tok[esc] + 1]
     keep = out_bytes[tok][:, None] > np.arange(MAX_SYMBOL_LEN)
     return out_offsets, rows.reshape(-1)[keep.reshape(-1)]
+
+
+def compress_string(table: SymbolTable, s: bytes) -> bytes:
+    """One string as ``compress`` writes its row: the same greedy
+    longest-match parse, over a dict of the symbols instead of the batch
+    match tables (a literal costs microseconds, not their build)."""
+    if table._codes is None:
+        codes: dict[bytes, int] = {}
+        for code, sym in enumerate(table.symbols):
+            # on a repeated symbol the batch tables keep the last code of a
+            # 1-2 byte symbol and the first of a longer one
+            if len(sym) <= 2 or sym not in codes:
+                codes[sym] = code
+        table._codes = codes, sorted({len(sym) for sym in codes}, reverse=True)
+    codes, lens = table._codes
+    out = bytearray()
+    p, n = 0, len(s)
+    while p < n:
+        for ln in lens:
+            code = codes.get(s[p : p + ln]) if p + ln <= n else None
+            if code is not None:
+                out.append(code)
+                p += ln
+                break
+        else:
+            out += bytes((ESCAPE, s[p]))
+            p += 1
+    return bytes(out)
+
+
+def rows_equal(offsets: np.ndarray, data: np.ndarray, idx, codes: list[bytes]) -> np.ndarray:
+    """Which compressed strings at positions ``idx`` (None: all) equal one
+    of the compressed literals ``codes``: one bool per position. Exact,
+    because a string compresses on its own and the parse is deterministic;
+    only strings of a literal's compressed length are compared."""
+    starts = offsets[:-1] if idx is None else offsets[idx]
+    lens = (offsets[1:] if idx is None else offsets[idx + 1]) - starts
+    hit = np.zeros(len(lens), bool)
+    for c in set(codes):
+        cand = np.flatnonzero(lens == len(c))
+        if len(c) and len(cand):
+            rows = data[starts[cand][:, None] + np.arange(len(c))]
+            cand = cand[(rows == np.frombuffer(c, np.uint8)).all(axis=1)]
+        hit[cand] = True
+    return hit
+
+
+def read_page(body, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A page's compressed strings: ``(offsets int64[n+1], payload uint8)``
+    from its ``[delta_bp lengths][payload]`` body. FsstError unless the
+    lengths stream declares ``n`` lengths in blocks of miniblocks, and its
+    lengths are >= 0 and add up to the payload."""
+    body = np.frombuffer(body, np.uint8)
+    try:
+        block, i = read_uvarint(body, 0)
+        miniblocks, i = read_uvarint(body, i)
+        count, _ = read_uvarint(body, i)
+    except IndexError as ex:
+        raise FsstError("truncated FSST lengths header") from ex
+    if count != n:
+        raise FsstError(f"FSST lengths stream holds {count} lengths, page has {n} values")
+    if not (0 < miniblocks <= block // 8 and block <= MAX_LENGTHS_BLOCK):
+        raise FsstError(f"bad FSST lengths block {block}/{miniblocks}")
+    try:
+        end = delta_bp.decoded_byte_end(body)
+        lengths = delta_bp.decode(body[:end], np.int32)
+    except (IndexError, ValueError, OverflowError) as ex:
+        raise FsstError(f"unreadable FSST lengths stream: {ex}") from ex
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    if (lengths < 0).any() or offsets[-1] != len(body) - end:
+        raise FsstError(f"FSST lengths do not frame the page's {len(body) - end}-byte payload")
+    return offsets, body[end:]
 
 
 def train(offsets: np.ndarray, data: np.ndarray, seed: int = 0) -> SymbolTable:
@@ -457,10 +552,4 @@ def encode_column(offsets: np.ndarray, data: np.ndarray, table: SymbolTable | No
 
 def decode_column(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
     table, pos = SymbolTable.deserialize(buf)
-    body = np.frombuffer(buf, np.uint8, offset=pos)
-    end = delta_bp.decoded_byte_end(body)
-    lengths = delta_bp.check_count(delta_bp.decode(body[:end], np.int32), n)
-    c_offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(lengths, out=c_offsets[1:])
-    c_data = body[end : end + int(c_offsets[-1])]
-    return decompress(table, c_offsets, c_data)
+    return decompress(table, *read_page(buf[pos:], n))

@@ -224,19 +224,21 @@ def _to_nnf(p, negate: bool):
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def columns(pred) -> set[str]:
+def leaves(pred) -> list[Leaf]:
+    """The leaves of a predicate tree (None: none), left to right."""
     if pred is None:
-        return set()
+        return []
     if isinstance(pred, Leaf):
-        return {pred.col}
+        return [pred]
     if isinstance(pred, (And, Or)):
-        out: set[str] = set()
-        for k in pred.preds:
-            out |= columns(k)
-        return out
+        return [leaf for k in pred.preds for leaf in leaves(k)]
     if isinstance(pred, Not):
-        return columns(pred.pred)
+        return leaves(pred.pred)
     raise TypeError(f"not a predicate: {pred!r}")
+
+
+def columns(pred) -> set[str]:
+    return {leaf.col for leaf in leaves(pred)}
 
 
 # --------------------------------------------------------------- exact masks
@@ -305,27 +307,30 @@ def leaf_mask(leaf: Leaf, arr):
     return fn(arr, v)
 
 
-def mask(pred, table):
+def mask(pred, table, verdict=None):
     """Exact boolean mask over a table (None when pred is None). Kleene
-    and/or so `a == 1 OR b == 2` matches SQL when a is null but b hits."""
+    and/or so `a == 1 OR b == 2` matches SQL when a is null but b hits.
+    ``verdict(leaf)`` may give a leaf's mask instead of ``table`` (None:
+    evaluate it on the table's column)."""
     import pyarrow.compute as pc
 
     if pred is None:
         return None
     if isinstance(pred, Leaf):
-        return leaf_mask(pred, table.column(pred.col))
+        m = None if verdict is None else verdict(pred)
+        return leaf_mask(pred, table.column(pred.col)) if m is None else m
     if isinstance(pred, And):
-        m = mask(pred.preds[0], table)
+        m = mask(pred.preds[0], table, verdict)
         for k in pred.preds[1:]:
-            m = pc.and_kleene(m, mask(k, table))
+            m = pc.and_kleene(m, mask(k, table, verdict))
         return m
     if isinstance(pred, Or):
-        m = mask(pred.preds[0], table)
+        m = mask(pred.preds[0], table, verdict)
         for k in pred.preds[1:]:
-            m = pc.or_kleene(m, mask(k, table))
+            m = pc.or_kleene(m, mask(k, table, verdict))
         return m
     if isinstance(pred, Not):
-        return pc.invert(mask(pred.pred, table))
+        return pc.invert(mask(pred.pred, table, verdict))
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -464,17 +469,20 @@ def take(arr, rows):
     return arr.slice(int(rows[0]) if n else 0, n)
 
 
-def two_phase_read(tree, nrows, kept, pred_fields, fields, read) -> list:
+def two_phase_read(tree, nrows, kept, pred_fields, fields, read, verdict=None) -> list:
     """The one filtered read of both formats, exact: parquet-java's
     ``RowRanges`` reads with late materialization. ``read(field, rows)``
     gives a field's values at the ascending row positions ``rows`` (None:
-    every row) of an ``nrows``-row granule.
+    every row) of an ``nrows``-row granule; ``verdict(leaf, rows)``, when
+    given, a leaf's mask at those rows from the encoded values (None: the
+    leaf needs the values).
 
     1. The ``pred_fields`` are read over the ``kept`` row intervals (the
        ``row_ranges`` the page bounds left) and ``mask`` of NNF ``tree``
-       picks the matching rows;
+       picks the matching rows; a field whose every leaf ``verdict``
+       answered is not read;
     2. every other field of ``fields`` is read at those rows only; a
-       predicate field is taken from phase 1, not read again.
+       predicate field read in phase 1 is taken from it, not read again.
 
     Returns the arrays of ``fields`` at the matching rows (every row when
     ``tree`` is None). A predicate that cannot be evaluated (a literal of
@@ -487,11 +495,14 @@ def two_phase_read(tree, nrows, kept, pred_fields, fields, read) -> list:
     if tree is not None:
         if kept != [(0, nrows)]:
             rows = np.concatenate([np.arange(a, b) for a, b in kept] or [np.empty(0, np.int64)])
+        known = {id(leaf): verdict(leaf, rows) for leaf in leaves(tree)} if verdict else {}
+        unknown = {leaf.col for leaf in leaves(tree) if known.get(id(leaf)) is None}
         for f in pred_fields:
-            matched[f.name] = read(f, rows)
+            if f.name in unknown:
+                matched[f.name] = read(f, rows)
         phase1 = pa.table(matched)
         try:
-            hit = mask(tree, phase1)
+            hit = mask(tree, phase1, lambda leaf: known.get(id(leaf)))
         except Exception as exc:
             raise PredicateError(f"cannot evaluate {tree!r}: {exc!r}") from exc
         if isinstance(hit, pa.ChunkedArray):

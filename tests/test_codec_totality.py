@@ -17,11 +17,14 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayenc.codecs import plain, rle_hybrid
+from rayenc import codecs
+from rayenc.codecs import delta_bp, fsst, plain, rle_hybrid
+from rayenc.codecs.dictionary import binary_parts
 from rayenc.codecs.lz4hadoop import Lz4HadoopCodec, _lz4_block_decompress
 from rayenc.codecs.lzo import LzoHadoopCodec, lzo1x_decompress
 
@@ -203,6 +206,102 @@ def test_rle_hybrid_run_never_reads_the_next_stream(walk):
     with _walk(walk):
         got = rle_hybrid.decode([one, two], [16, 3000], 3)
     assert got.tolist() == [k % 8 for k in range(16)] + [5] * 3000
+
+
+_FSST_STRINGS = [f"doc-{i:05d}/é" for i in range(300)] + ["", "\xff"]
+_FSST_TABLE = fsst.train(*binary_parts(pa.array(_FSST_STRINGS)))
+
+
+def _fsst_page(strings: list[bytes], table=_FSST_TABLE) -> bytes:
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    c_off, c_dat = fsst.compress(table, offsets, np.frombuffer(b"".join(strings), np.uint8))
+    return delta_bp.encode(np.diff(c_off).astype(np.int32)) + c_dat.tobytes()
+
+
+_FSST_PAGE = _fsst_page([x.encode() for x in _FSST_STRINGS[:120]])
+
+
+def _fsst_decode(body, n):
+    """A page's strings, or None when it raises the named error."""
+    try:
+        offsets, values = codecs.decode_pages("FSST", "BINARY", [(body, n)], _FSST_TABLE)
+    except fsst.FsstError:
+        return None
+    assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(values)
+    assert (np.diff(offsets) >= 0).all()
+    return offsets, values
+
+
+@settings(max_examples=300, deadline=1000)
+@given(_garbage, st.integers(0, 200))
+def test_fsst_page_decode_total(data, n):
+    _fsst_decode(data, n)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(st.tuples(st.integers(0, len(_FSST_PAGE) - 1), st.integers(0, 255)), max_size=4),
+       st.integers(0, len(_FSST_PAGE)), st.integers(118, 122), st.data())
+def test_fsst_corrupt_page_decode_total(flips, cut, n, draw):
+    # a real page with bytes overwritten and its tail cut: values or the
+    # named error, and the strings a row-selective read decompresses are
+    # those rows of the whole page's
+    body = bytearray(_FSST_PAGE)
+    for at, value in flips:
+        body[at] = value
+    body = bytes(body[:cut])
+    whole = _fsst_decode(body, n)
+    if whole is None:
+        return
+    rows = np.array(sorted(draw.draw(st.sets(st.integers(0, n - 1), max_size=8))), np.int64)
+    c_off, c_dat = fsst.read_page(body, n)
+    lens = c_off[rows + 1] - c_off[rows]
+    sel_off = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    got_off, got = fsst.decompress(_FSST_TABLE, sel_off, c_dat[plain._ranges(c_off[rows], lens)])
+    want = [whole[1][whole[0][r] : whole[0][r + 1]].tobytes() for r in rows]
+    assert [got[got_off[i] : got_off[i + 1]].tobytes() for i in range(len(rows))] == want
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.binary(max_size=64))
+def test_fsst_symbol_table_total(data):
+    try:
+        table, used = fsst.SymbolTable.deserialize(data)
+    except fsst.FsstError:
+        return
+    assert used <= len(data) and all(1 <= len(x) <= fsst.MAX_SYMBOL_LEN for x in table.symbols)
+
+
+def _header(*fields) -> bytes:
+    """A delta_bp header: LEB128 block size, miniblock count, value count
+    and first value."""
+    out = bytearray()
+    for v in fields:
+        while v >= 0x80:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "body, n, table",
+    [
+        (_fsst_page([b"ab", b"c", b""]), 4, _FSST_TABLE),  # 3 lengths, 4 values
+        (delta_bp.encode(np.array([2, -1, 1], np.int32)) + b"\x01\x02", 3, _FSST_TABLE),
+        (delta_bp.encode(np.array([2, 1], np.int32)) + b"\x01\x02", 2, _FSST_TABLE),  # short
+        (delta_bp.encode(np.array([1], np.int32)) + b"\x01\x02", 1, _FSST_TABLE),  # long
+        (_header(0, 4, 100, 2) + b"\x00" * 12, 100, _FSST_TABLE),  # zero block
+        (_header(128, 0, 100, 2) + b"\x00" * 12, 100, _FSST_TABLE),  # zero miniblocks
+        (delta_bp.encode(np.array([1, 1], np.int32)) + b"\x00\xff", 2, _FSST_TABLE),  # lone escape
+        (delta_bp.encode(np.array([1], np.int32)) + b"\x05", 1, fsst.SymbolTable([b"a", b"b"])),
+    ],
+    ids=["count", "negative", "short-payload", "long-payload", "zero-block",
+         "zero-miniblocks", "lone-escape", "code-beyond-table"],
+)
+def test_fsst_page_checks_raise(body, n, table):
+    with pytest.raises(fsst.FsstError):
+        codecs.decode_pages("FSST", "BINARY", [(body, n)], table)
 
 
 def test_rle_hybrid_frame_past_buffer_raises():

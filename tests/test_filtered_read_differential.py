@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayenc import blocks, pipeline, predicate as P
 from rayenc.parquet_read_enc import read_table_filtered
@@ -186,12 +188,11 @@ def test_random_predicate_trees_match_duckdb(tmp_path, seed):
 PARTS = 4
 
 
-@pytest.fixture(scope="module")
-def container(tmp_path_factory):
-    """TABLE as a 4-partition container with a bloom on every column that
-    can carry one and several pages per chunk."""
-    d = str(tmp_path_factory.mktemp("renc"))
-    cfg = EncodeConfig(bloom_columns=set(TABLE.column_names), page_size=2048)
+def _container(d, column_encodings=None):
+    """TABLE as a 4-partition container in ``d`` with a bloom on every
+    column that can carry one and several pages per chunk."""
+    cfg = EncodeConfig(bloom_columns=set(TABLE.column_names), page_size=2048,
+                       column_encodings=column_encodings or {})
     names = []
     rows = N // PARTS
     for k in range(PARTS):
@@ -205,14 +206,34 @@ def container(tmp_path_factory):
     return d, names
 
 
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    return _container(str(tmp_path_factory.mktemp("renc")))
+
+
+@pytest.fixture(scope="module")
+def fsst_container(tmp_path_factory):
+    """The same container with ``s`` FSST-encoded: its leaves are answered
+    on the compressed strings."""
+    return _container(str(tmp_path_factory.mktemp("renc_fsst")), {"s": "FSST"})
+
+
 def _hits(tree, table) -> np.ndarray:
     return np.flatnonzero(P.mask(tree, table).fill_null(False).to_numpy(zero_copy_only=False))
 
 
 @pytest.mark.parametrize("pi", range(len(PREDS)), ids=[w for _, w in PREDS])
 def test_container_surface_matches_filter_table(container, pi):
+    _check_container_surface(container, *PREDS[pi])
+
+
+@pytest.mark.parametrize("pi", range(len(PREDS)), ids=[w for _, w in PREDS])
+def test_fsst_container_surface_matches_filter_table(fsst_container, pi):
+    _check_container_surface(fsst_container, *PREDS[pi])
+
+
+def _check_container_surface(container, pred, where):
     d, names = container
-    pred, where = PREDS[pi]
     tree = P.normalize(pred)
     want = P.filter_table(tree, TABLE)
     w = pipeline.DecodeWorker(d, predicate=pred)
@@ -262,3 +283,54 @@ def test_summary_surface_matches_filter_table(summary_dir, pi):
             if (path, rg) not in planned:
                 vetoed = read_table_filtered(path, None, row_groups=[rg])
                 assert len(_hits(tree, vetoed)) == 0, (where, path, rg)
+
+
+# ------------------------------------------ FSST leaves on compressed strings
+
+_WORDS = ["", "é", "naïve café", "key007", "key0070", "日本語", "\x00\x7f", "zz"] + [
+    f"doc-{i:03d}" for i in range(12)
+]
+_BYTES = [b"", b"\xff", b"\xff\xff", b"a\xff", b"\xff\x00\xff", b"\xfe\xff", b"abc"]
+_word = st.none() | st.sampled_from(_WORDS)
+_fsst_leaf = st.one_of(
+    st.tuples(st.just("s"), st.sampled_from(["==", "!=", "<"]), st.sampled_from(_WORDS + ["nope"])),
+    st.tuples(st.just("s"), st.sampled_from(["in", "not_in"]),
+              st.lists(st.sampled_from(_WORDS + ["nope"]), min_size=1, max_size=3)),
+    st.tuples(st.just("bb"), st.sampled_from(["==", "!="]), st.sampled_from(_BYTES)),
+    st.tuples(st.just("bb"), st.sampled_from(["in", "not_in"]),
+              st.lists(st.sampled_from(_BYTES), min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["s", "bb"]), st.sampled_from(["is_null", "not_null"]), st.none()),
+    st.tuples(st.just("k"), st.sampled_from(["<", ">="]), st.integers(0, 60)),
+).map(lambda t: P.Leaf(*t))
+_fsst_tree = st.recursive(
+    _fsst_leaf,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(P.And),
+        st.lists(kids, min_size=1, max_size=3).map(P.Or),
+        kids.map(P.Not),
+    ),
+    max_leaves=4,
+)
+
+
+@given(
+    words=st.lists(st.tuples(_word, st.none() | st.sampled_from(_BYTES)), min_size=1, max_size=60),
+    page_rows=st.integers(1, 9),
+    tree=_fsst_tree,
+    columns=st.sampled_from([None, ["k"], ["s", "k"], ["bb"]]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fsst_leaves_match_filter_on_values(words, page_rows, tree, columns):
+    # nullable string and binary columns forced to FSST (non-ASCII, empty
+    # and escaped values) in multi-page blocks: the encoded-domain read
+    # returns the rows filter_table finds on the decoded values
+    table = pa.table({
+        "k": pa.array(np.arange(len(words)), pa.int64()),
+        "s": pa.array([w for w, _ in words], pa.string()),
+        "bb": pa.array([b for _, b in words], pa.binary()),
+    })
+    cfg = EncodeConfig(page_rows=page_rows, column_encodings={"s": "FSST", "bb": "FSST"})
+    blob, manifest = blocks.encode_block(table, cfg)
+    want = P.filter_table(P.normalize(tree), table)
+    got = blocks.decode_block(blob, manifest, columns=columns, predicate=tree)
+    assert got.equals(want.select(columns or table.column_names))

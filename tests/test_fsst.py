@@ -5,6 +5,8 @@ python-scalar greedy oracle proving the vectorized parse is exact."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayenc.codecs import fsst
 from rayenc.codecs.dictionary import binary_array, binary_parts
@@ -131,3 +133,71 @@ def test_deserialized_table_decodes_without_match_tables_and_compresses_alike():
     assert back._by_len is None  # decoding reads the symbols only
     got = fsst.compress(back, offsets, data)
     assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+
+
+# ------------------------------------------- one literal vs the page encoder
+
+
+def _rows(table, strings: list[bytes]) -> list[bytes]:
+    """Each string's row of the page encoder ``fsst.compress``."""
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    data = np.frombuffer(b"".join(strings), np.uint8)
+    c_off, c_dat = fsst.compress(table, offsets, data)
+    return [c_dat[c_off[i] : c_off[i + 1]].tobytes() for i in range(len(strings))]
+
+
+# a four-byte alphabet (an escape byte and a UTF-8 lead byte among them):
+# hand-built symbols over it overlap, share prefixes and repeat
+_byte = st.sampled_from(b"ab\xc3\xff")
+_symbol = st.lists(_byte, min_size=1, max_size=8).map(bytes)
+_string = st.lists(_byte, max_size=30).map(bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_symbol, max_size=40), st.lists(_string, min_size=1, max_size=20))
+def test_compress_string_matches_page_rows_on_hand_built_tables(symbols, strings):
+    table = fsst.SymbolTable(symbols)
+    assert [fsst.compress_string(table, x) for x in strings] == _rows(table, strings)
+
+
+def test_compress_string_matches_page_rows_on_the_general_match_path():
+    # three symbols of >= 3 bytes share the prefix "ab": not prefix-unique
+    table = fsst.SymbolTable([b"abc", b"abd", b"abcd", b"ab", b"b", b"\xff\xff\xff"])
+    table._index()
+    assert table._long_by_prefix is None
+    strings = [b"", b"a", b"abcdabdab", b"abcabcd\xffab", b"\xff\xff\xff\xff", b"zab\xc3\xa9"]
+    assert [fsst.compress_string(table, x) for x in strings] == _rows(table, strings)
+
+
+def test_compress_string_matches_page_rows_on_trained_tables():
+    rng = np.random.default_rng(5)
+    strings = [f"src-{i % 5}/{i:07d}/é" for i in range(600)] + ["", "€", "x", "\x00\x7f"]
+    strings = [x.encode() for x in strings] + [bytes(rng.integers(0, 256, 9).tolist()), b"\xff"]
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    table = fsst.train(offsets, np.frombuffer(b"".join(strings), np.uint8))
+    assert len(table.symbols) > 100
+    assert [fsst.compress_string(table, x) for x in strings] == _rows(table, strings)
+
+
+def test_compress_string_edge_tables():
+    empty = fsst.SymbolTable([])
+    assert fsst.compress_string(empty, b"") == b""
+    assert fsst.compress_string(empty, b"a\xff") == b"\xffa\xff\xff" == _rows(empty, [b"a\xff"])[0]
+    long = fsst.SymbolTable([b"abcdefgh", b"xyz"])  # every string below is shorter
+    for x in (b"", b"ab", b"xy", b"abcdefg"):
+        assert fsst.compress_string(long, x) == _rows(long, [x])[0]
+        assert fsst.compress_string(long, x) == b"".join(bytes((255, c)) for c in x)
+
+
+def test_rows_equal_compares_only_strings_of_the_literal_length():
+    strings = [b"ab", b"", b"abc", b"ab", b"\xff"]
+    table = fsst.SymbolTable([b"ab", b"c"])
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    c_off, c_dat = fsst.compress(table, offsets, np.frombuffer(b"".join(strings), np.uint8))
+    codes = [fsst.compress_string(table, x) for x in (b"ab", b"")]
+    assert fsst.rows_equal(c_off, c_dat, None, codes).tolist() == [True, True, False, True, False]
+    idx = np.array([2, 3, 4])
+    assert fsst.rows_equal(c_off, c_dat, idx, codes[:1]).tolist() == [False, True, False]

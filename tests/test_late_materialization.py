@@ -235,3 +235,48 @@ def test_nullable_predicate_column_has_page_bounds(decoded_pages):
     assert kept([("nint", "not_null", None)]) == [(0, 300), (400, 600)]
     got = blocks.decode_block(blob, manifest, predicate=[("nint", "is_null", None)])
     assert got.num_rows == 100 and got["nint"].null_count == 100
+
+
+def test_fsst_reads_decompress_only_the_returned_strings(monkeypatch):
+    # FSST leaves are answered on the compressed strings: a lookup
+    # decompresses its matched string, a filter the rows it returns, and a
+    # full decode every string once
+    from rayenc import data
+    from rayenc.codecs import fsst
+
+    table = data.make_table(2000, 20.0)
+    cfg = EncodeConfig(page_rows=500, column_encodings={"doc_id": "FSST"})
+    blob, manifest = blocks.encode_block(table, cfg)
+    entry = next(c for c in manifest["chunks"] if c["name"] == "doc_id")
+    assert entry["encoding"] == "FSST" and len(entry["pages"]) == 4
+    handed = []
+    real = fsst.decompress
+
+    def counting(symbols, offsets, values):
+        handed.append(len(offsets) - 1)
+        return real(symbols, offsets, values)
+
+    monkeypatch.setattr(fsst, "decompress", counting)
+    for row in (0, 777, 1999):
+        handed.clear()
+        key = table["doc_id"][row].as_py()
+        got = blocks.decode_block(blob, manifest, predicate=[("doc_id", "==", key)])
+        assert got.equals(table.slice(row, 1))
+        assert sum(handed) == 1
+    handed.clear()
+    assert blocks.decode_block(blob, manifest, predicate=[("doc_id", "==", "absent")]).num_rows == 0
+    assert sum(handed) == 0
+
+    source = table["source"][0].as_py()
+    pred = [("source", "==", source), ("n_tok", ">=", 20)]
+    handed.clear()
+    got = blocks.decode_block(blob, manifest, columns=["doc_id", "n_tok"], predicate=pred)
+    want = table.filter(
+        pc.and_(pc.equal(table["source"], source), pc.greater_equal(table["n_tok"], 20))
+    ).select(["doc_id", "n_tok"])
+    assert got.equals(want) and 0 < got.num_rows < table.num_rows // 4
+    assert sum(handed) == got.num_rows
+
+    handed.clear()
+    assert blocks.decode_block(blob, manifest).equals(table)
+    assert sum(handed) == table.num_rows

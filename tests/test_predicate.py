@@ -408,3 +408,84 @@ def test_nan_comparison_semantics_ieee_like_reference():
     assert kept_pos.num_rows == 1  # -5.0 only
     kept_neg = P.filter_table(P.normalize(P.Not(P.LtEq("f", 0.0))), t)
     assert kept_neg.num_rows == 1  # 1.0 only; NaN dropped in both
+
+
+# --------------------------------------------- FSST leaves, compressed strings
+
+
+def _fsst_block():
+    """A 3000-row block: sorted ``k`` (its page bounds keep row intervals),
+    and nullable ``s`` (string) and ``bb`` (binary) chunks forced to FSST
+    with non-ASCII, empty and 0xFF-escaped values, 250 values a page."""
+    rng = np.random.default_rng(11)
+    words = ["", "é", "naïve café", "key007", "key0070", "日本語", "zz"] + [f"doc-{i:03d}" for i in range(30)]
+    raw = [b"", b"\xff", b"\xff\xff", b"a\xff", b"\xff\x00\xff", b"abc"]
+    n = 3000
+    pick = rng.integers(0, len(words) + 3, n)
+    table = pa.table({
+        "k": pa.array(np.arange(n), pa.int64()),
+        "s": pa.array([words[p] if p < len(words) else None for p in pick], pa.string()),
+        "bb": pa.array([raw[p % 6] if p % 11 else None for p in pick], pa.binary()),
+    })
+    cfg = EncodeConfig(page_rows=250, column_encodings={"s": "FSST", "bb": "FSST"})
+    blob, manifest = blocks.encode_block(table, cfg)
+    chunks = {c["name"]: c for c in manifest["chunks"]}
+    assert chunks["s"]["encoding"] == chunks["bb"]["encoding"] == "FSST"
+    assert chunks["s"]["validity"] and len(chunks["s"]["pages"]) > 8
+    return table, blob, manifest
+
+
+_S, _BB, _K = pc.field("s"), pc.field("bb"), pc.field("k")
+_FSST_CASES = [
+    (P.Eq("s", "é"), _S == "é"),
+    (P.Eq("s", ""), _S == ""),
+    (P.Eq("s", "absent"), _S == "absent"),
+    (P.NotEq("s", "key007"), _S != "key007"),
+    (P.In("s", ["", "日本語", "nope"]), _S.isin(["", "日本語", "nope"])),
+    # SQL NOT IN: a null value is no match
+    (P.NotIn("s", ["", "é"]), ~_S.isin(["", "é"]) & _S.is_valid()),
+    (P.IsNull("s"), _S.is_null()),
+    (P.NotNull("s"), _S.is_valid()),
+    (P.Lt("s", "key"), _S < "key"),  # a range leaf: evaluated on the values
+    (P.And(P.GtEq("k", 700), P.Lt("k", 1900), P.Eq("s", "naïve café")),
+     (_K >= 700) & (_K < 1900) & (_S == "naïve café")),
+    (P.And(P.Lt("k", 1000), P.In("s", ["zz", "key0070"]), P.LtEq("s", "zz")),
+     (_K < 1000) & _S.isin(["zz", "key0070"]) & (_S <= "zz")),
+    (P.Or(P.Eq("s", "zz"), P.Lt("k", 10)), (_S == "zz") | (_K < 10)),
+    (P.Not(P.And(P.In("s", ["doc-001", "key0070"]), P.GtEq("k", 500))),
+     (~_S.isin(["doc-001", "key0070"]) & _S.is_valid()) | (_K < 500)),
+    (P.Eq("bb", b"\xff"), _BB == b"\xff"),
+    (P.Eq("bb", "abc"), _BB == b"abc"),  # a str literal on a binary column
+    (P.In("bb", [b"", b"\xff\x00\xff"]), _BB.isin([b"", b"\xff\x00\xff"])),
+    (P.NotEq("bb", b"a\xff"), _BB != b"a\xff"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_FSST_CASES)))
+def test_fsst_leaves_match_pyarrow_filter(case):
+    table, blob, manifest = _fsst_block()
+    pred, expr = _FSST_CASES[case]
+    want = table.filter(expr)
+    assert 0 < want.num_rows < table.num_rows or P.Eq("s", "absent") == pred
+    for columns in (None, ["k"], ["s", "bb"]):
+        got = blocks.decode_block(blob, manifest, columns=columns, predicate=pred)
+        assert got.equals(want.select(columns or table.column_names)), (pred, columns)
+
+
+def test_fsst_leaves_keep_page_intervals():
+    table, blob, manifest = _fsst_block()
+    pred = P.And(P.GtEq("k", 700), P.Lt("k", 1900), P.Eq("s", "naïve café"))
+    reader = blocks._BlockReader(blob, {c["name"]: c for c in manifest["chunks"]})
+    kept = blocks._kept_row_intervals(manifest, reader, P.normalize(pred))
+    assert kept and kept != [(0, table.num_rows)]
+
+
+@pytest.mark.parametrize(
+    "pred",
+    [P.Eq("s", 5), P.In("s", [1, 2]), P.In("s", ["a", 2]), P.Eq("bb", 5), P.NotIn("bb", [1.5])],
+    ids=["eq-int", "in-ints", "in-mixed", "binary-eq-int", "binary-notin-float"],
+)
+def test_fsst_wrong_type_literal_raises(pred):
+    _table, blob, manifest = _fsst_block()
+    with pytest.raises(P.PredicateError):
+        blocks.decode_block(blob, manifest, predicate=pred)
