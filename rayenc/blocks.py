@@ -489,13 +489,17 @@ def _joined(sample: _Candidate, rest: _Candidate, at: list, n: int) -> _Candidat
 _AUX_ENCODING = {"dict": "PLAIN", "dicti": "DELTA_BINARY_PACKED"}
 
 
-def _decode_pages(entry: dict, aux_buf, page_bufs: list) -> PhysicalColumn:
+def _decode_pages(entry: dict, aux_buf, page_bufs: list, compressed: bool = False) -> PhysicalColumn:
+    """The values of a chunk's ``page_bufs`` (``entry["pages"]`` lists
+    their entries). An FSST chunk's pages are framed into one
+    ``_FsstPages``, which ``compressed`` hands back as is."""
     ptype, aux = entry["ptype"], entry["aux"]
     width = entry.get("flba_width", 0)
+    if entry["encoding"] == "FSST":
+        pages = _FsstPages(aux_buf, page_bufs, entry["pages"])
+        return PhysicalColumn(entry["name"], ptype, pages if compressed else pages.strings(None))
     dictionary = None
-    if aux is not None and aux["kind"] == "fsst":
-        dictionary, _ = fsst.SymbolTable.deserialize(aux_buf)
-    elif aux is not None:
+    if aux is not None:
         dictionary = codecs.decode_pages(
             _AUX_ENCODING[aux["kind"]], ptype, [(aux_buf, aux["count"])], width=width
         )
@@ -895,20 +899,25 @@ def _no_values(entry: dict):
 class _FsstPages:
     """Pages of an FSST chunk kept compressed: the symbol table, and the
     compressed strings' offsets (the prefix sum of the pages' length
-    streams) and payload. A read decompresses only the strings it returns,
-    and ``==``/``in`` compare the literals' compressed strings."""
+    streams) and payload. A read decompresses only the strings it returns
+    (all of them once, however often they are read), and ``==``/``in``
+    compare the literals' compressed strings."""
 
-    __slots__ = ("table", "offsets", "data")
+    __slots__ = ("table", "offsets", "data", "_all")
 
     def __init__(self, aux_buf, page_bufs: list, pages: list):
         self.table, _ = fsst.SymbolTable.deserialize(aux_buf)
         parts = [fsst.read_page(b, p["num_values"]) for b, p in zip(page_bufs, pages)]
         self.offsets, self.data = codecs.concat_values(parts, "BINARY")
+        self._all = None
 
     def strings(self, idx):
         """The strings at ascending positions ``idx`` (None: all)."""
-        got = (self.offsets, self.data)
-        return fsst.decompress(self.table, *(got if idx is None else _take_values("BINARY", got, idx)))
+        if idx is not None:
+            return fsst.decompress(self.table, *_take_values("BINARY", (self.offsets, self.data), idx))
+        if self._all is None:
+            self._all = fsst.decompress(self.table, self.offsets, self.data)
+        return self._all
 
     def equal(self, idx, literals: list[bytes]) -> np.ndarray:
         """Whether each string at positions ``idx`` (None: all) is one of
@@ -921,6 +930,11 @@ class _FsstPages:
 _ENCODED_OPS = {"==": False, "in": False, "!=": True, "not_in": True}  # op -> negated
 _STRING_TYPES = (pa.string(), pa.large_string())
 _BINARY_TYPES = (pa.binary(), pa.large_binary())
+# a literal costs about as much to compress and match (~4 us) as ten
+# strings to decompress: a longer IN list goes to the decompressed values
+# and one hashed ``pc.is_in`` (on a 3,200-string chunk the two paths meet
+# near 300 literals)
+MAX_ENCODED_LITERALS = 32
 
 
 class _BlockReader:
@@ -929,7 +943,7 @@ class _BlockReader:
     several streams or both read phases need (aliases, predicate columns)
     decodes each of its pages once. ``#lengths`` chunks decode whole: the
     child positions of any list slot are a prefix sum over all of them. An
-    FSST chunk read at a selection stays compressed (``_FsstPages``)."""
+    FSST chunk stays compressed (``_FsstPages``)."""
 
     def __init__(self, blob, by_name: dict):
         self.blob = blob
@@ -966,13 +980,11 @@ class _BlockReader:
         picked = valid[slots]
         return rank[slots[picked]], ~picked
 
-    def _chunk(self, entry: dict, idx, dictionary: bool = False, encoded: bool = False):
+    def _chunk(self, entry: dict, idx, dictionary: bool = False):
         """(the chunk's pages that hold positions ``idx`` (None: all) as
         read so far, ``idx`` within them). The pages come decoded, as a
         ``pa.DictionaryArray`` with ``dictionary``, or as ``_FsstPages`` for
-        an FSST chunk read at a selection or ``encoded``. Once every page is
-        at hand, later reads reuse that form, so ``verdict`` runs before
-        any read of its column."""
+        an FSST chunk."""
         key = (entry["name"], dictionary)
         got = self._pages.get(key)
         if got is not None and got[0] is None:  # every page at hand
@@ -987,10 +999,7 @@ class _BlockReader:
             out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
         else:
             aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
-            if entry["encoding"] == "FSST" and (encoded or idx is not None):
-                out = _FsstPages(aux_buf, page_bufs, pages)
-            else:
-                out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs).values
+            out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs, compressed=True).values
         self._pages[key] = (need, out)
         return out, idx
 
@@ -1013,14 +1022,17 @@ class _BlockReader:
     def verdict(self, leaf: P.Leaf, t: pa.DataType, slots):
         """``leaf``'s verdict at ``slots`` (None: all) of a flat column of
         type ``t``, from an FSST chunk's compressed strings: ``==``, ``!=``,
-        ``in`` and ``not_in`` of str literals (bytes ones on a binary
-        column), null at null slots. None for any other leaf, literal or
-        encoding: those need the column's values."""
+        ``in`` and ``not_in`` (of at most ``MAX_ENCODED_LITERALS``) of str
+        literals (bytes ones on a binary column), null at null slots. None
+        for any other leaf, literal or encoding: those need the column's
+        values."""
         negate = _ENCODED_OPS.get(leaf.op)
         entry = self.target(leaf.col) if leaf.col in self.by_name else None
         if negate is None or entry is None or entry["encoding"] != "FSST":
             return None
         literals = leaf.value if leaf.op in ("in", "not_in") else (leaf.value,)
+        if len(literals) > MAX_ENCODED_LITERALS:
+            return None
         kinds = {type(v) for v in literals}
         if not (kinds == {str} and t in _STRING_TYPES + _BINARY_TYPES
                 or kinds == {bytes} and t in _BINARY_TYPES):
@@ -1033,7 +1045,7 @@ class _BlockReader:
         if idx is not None and not len(idx):
             hit = np.empty(0, bool)
         else:
-            pages, idx = self._chunk(entry, idx, encoded=True)
+            pages, idx = self._chunk(entry, idx)
             hit = pages.equal(idx, literals)
         if negate:
             hit = ~hit
@@ -1109,11 +1121,12 @@ def decode_block(
     their validity.
 
     Leaves are evaluated in the encoded domain where the chunk allows: an
-    FSST chunk answers ``==``, ``!=``, ``in`` and ``not_in`` of string
-    literals by compressing each literal with the chunk's symbol table and
-    comparing code strings (``_BlockReader.verdict``), so a column whose
-    leaves were all answered this way is not decoded in phase 1, and any
-    FSST chunk read at selected rows decompresses only those rows' strings.
+    FSST chunk answers ``==``, ``!=``, ``in`` and ``not_in`` (of up to
+    ``MAX_ENCODED_LITERALS``) of string literals by compressing each
+    literal with the chunk's symbol table and comparing code strings
+    (``_BlockReader.verdict``), so a column whose leaves were all answered
+    this way is not decoded in phase 1, and any FSST chunk read at
+    selected rows decompresses only those rows' strings.
 
     Only the matching rows come back. A predicate that cannot be evaluated
     (a column the block lacks, a literal of the wrong type, a user predicate

@@ -437,15 +437,21 @@ def rows_equal(offsets: np.ndarray, data: np.ndarray, idx, codes: list[bytes]) -
     """Which compressed strings at positions ``idx`` (None: all) equal one
     of the compressed literals ``codes``: one bool per position. Exact,
     because a string compresses on its own and the parse is deterministic;
-    only strings of a literal's compressed length are compared."""
+    the strings of each literal length are matched in one ``np.isin`` of
+    fixed-width byte strings."""
     starts = offsets[:-1] if idx is None else offsets[idx]
     lens = (offsets[1:] if idx is None else offsets[idx + 1]) - starts
     hit = np.zeros(len(lens), bool)
-    for c in set(codes):
-        cand = np.flatnonzero(lens == len(c))
-        if len(c) and len(cand):
-            rows = data[starts[cand][:, None] + np.arange(len(c))]
-            cand = cand[(rows == np.frombuffer(c, np.uint8)).all(axis=1)]
+    by_len: dict[int, set] = {}
+    for c in codes:
+        by_len.setdefault(len(c), set()).add(c)
+    for ln, group in by_len.items():
+        cand = np.flatnonzero(lens == ln)
+        if ln and len(cand):
+            # within one width an "S" compare is bytewise (trailing zero
+            # bytes pad every row alike)
+            rows = data[starts[cand][:, None] + np.arange(ln)].view(f"S{ln}").ravel()
+            cand = cand[np.isin(rows, np.array(sorted(group), f"S{ln}"))]
         hit[cand] = True
     return hit
 

@@ -201,3 +201,22 @@ def test_rows_equal_compares_only_strings_of_the_literal_length():
     assert fsst.rows_equal(c_off, c_dat, None, codes).tolist() == [True, True, False, True, False]
     idx = np.array([2, 3, 4])
     assert fsst.rows_equal(c_off, c_dat, idx, codes[:1]).tolist() == [False, True, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_string, min_size=1, max_size=40), st.lists(_string, max_size=50),
+       st.lists(st.integers(0, 39), unique=True, max_size=40))
+def test_rows_equal_matches_a_set_lookup(strings, literals, picks):
+    # long literal lists, literals of one length sharing a width, and code
+    # strings with zero bytes ("a" is code 0): the verdict is plain set
+    # membership
+    table = fsst.SymbolTable([b"a", b"ab", b"\xc3", b"b\xff"])
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    c_off, c_dat = fsst.compress(table, offsets, np.frombuffer(b"".join(strings), np.uint8))
+    codes = [fsst.compress_string(table, x) for x in literals]
+    idx = np.array(sorted(p for p in picks if p < len(strings)), np.int64)
+    for at in (None, idx):
+        got = fsst.rows_equal(c_off, c_dat, at, codes)
+        rows = strings if at is None else [strings[i] for i in at]
+        assert got.tolist() == [x in set(literals) for x in rows]

@@ -413,10 +413,11 @@ def test_nan_comparison_semantics_ieee_like_reference():
 # --------------------------------------------- FSST leaves, compressed strings
 
 
-def _fsst_block():
+def _fsst_block(encoding: str = "FSST"):
     """A 3000-row block: sorted ``k`` (its page bounds keep row intervals),
-    and nullable ``s`` (string) and ``bb`` (binary) chunks forced to FSST
-    with non-ASCII, empty and 0xFF-escaped values, 250 values a page."""
+    and nullable ``s`` (string) and ``bb`` (binary) chunks forced to
+    ``encoding`` with non-ASCII, empty and 0xFF-escaped values, 250 values
+    a page."""
     rng = np.random.default_rng(11)
     words = ["", "é", "naïve café", "key007", "key0070", "日本語", "zz"] + [f"doc-{i:03d}" for i in range(30)]
     raw = [b"", b"\xff", b"\xff\xff", b"a\xff", b"\xff\x00\xff", b"abc"]
@@ -427,10 +428,10 @@ def _fsst_block():
         "s": pa.array([words[p] if p < len(words) else None for p in pick], pa.string()),
         "bb": pa.array([raw[p % 6] if p % 11 else None for p in pick], pa.binary()),
     })
-    cfg = EncodeConfig(page_rows=250, column_encodings={"s": "FSST", "bb": "FSST"})
+    cfg = EncodeConfig(page_rows=250, column_encodings={"s": encoding, "bb": encoding})
     blob, manifest = blocks.encode_block(table, cfg)
     chunks = {c["name"]: c for c in manifest["chunks"]}
-    assert chunks["s"]["encoding"] == chunks["bb"]["encoding"] == "FSST"
+    assert chunks["s"]["encoding"] == chunks["bb"]["encoding"] == encoding
     assert chunks["s"]["validity"] and len(chunks["s"]["pages"]) > 8
     return table, blob, manifest
 
@@ -458,6 +459,8 @@ _FSST_CASES = [
     (P.Eq("bb", "abc"), _BB == b"abc"),  # a str literal on a binary column
     (P.In("bb", [b"", b"\xff\x00\xff"]), _BB.isin([b"", b"\xff\x00\xff"])),
     (P.NotEq("bb", b"a\xff"), _BB != b"a\xff"),
+    (P.In("bb", ["abc", ""]), _BB.isin([b"abc", b""])),
+    (P.NotIn("bb", ["abc"]), ~_BB.isin([b"abc"]) & _BB.is_valid()),
 ]
 
 
@@ -489,3 +492,44 @@ def test_fsst_wrong_type_literal_raises(pred):
     _table, blob, manifest = _fsst_block()
     with pytest.raises(P.PredicateError):
         blocks.decode_block(blob, manifest, predicate=pred)
+
+
+# longer than blocks.MAX_ENCODED_LITERALS: evaluated on the decompressed values
+_LONG_IN = ["é", "zz"] + [f"doc-{i:03d}" for i in range(0, 30, 2)] + [f"miss-{i}" for i in range(60)]
+
+
+@pytest.mark.parametrize("op", [P.In, P.NotIn])
+def test_fsst_long_in_list_matches_pyarrow_filter(op):
+    assert len(_LONG_IN) > blocks.MAX_ENCODED_LITERALS
+    table, blob, manifest = _fsst_block()
+    hit = _S.isin(_LONG_IN)
+    want = table.filter(hit if op is P.In else ~hit & _S.is_valid())
+    assert 0 < want.num_rows < table.num_rows
+    for columns in (None, ["k"]):
+        got = blocks.decode_block(blob, manifest, columns=columns, predicate=op("s", _LONG_IN))
+        assert got.equals(want.select(columns or table.column_names))
+
+
+_BINARY_LEAVES = [
+    P.Eq("bb", "abc"), P.NotEq("bb", "abc"), P.In("bb", ["abc", ""]), P.NotIn("bb", ["abc"]),
+    P.In("bb", ["abc", b""]), P.Eq("s", b"abc"), P.In("s", [b"abc"]),
+]
+
+
+@pytest.mark.parametrize("other", ["PLAIN", "DELTA_LENGTH_BYTE_ARRAY", "RLE_DICTIONARY"])
+@pytest.mark.parametrize("case", range(len(_BINARY_LEAVES)))
+def test_fsst_str_bytes_literals_agree_with_other_encodings(case, other):
+    # a str literal on a binary column, a bytes one on a string column or a
+    # mix: FSST answers exactly as the other encodings do, or raises as they do
+    pred = _BINARY_LEAVES[case]
+
+    def outcome(encoding):
+        _table, blob, manifest = _fsst_block(encoding)
+        try:
+            return blocks.decode_block(blob, manifest, predicate=pred)
+        except P.PredicateError:
+            return "PredicateError"
+
+    want = outcome(other)
+    got = outcome("FSST")
+    assert got == want if isinstance(want, str) else got.equals(want), (pred, other)
