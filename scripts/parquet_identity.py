@@ -57,6 +57,11 @@ prints the row intervals ``predicate.row_ranges`` returns in each reader
 (one list per call: per row group in Parquet, per block in the container),
 so a change to page pruning shows up as a line diff.
 
+A ``container_pages`` section repeats the default container plan
+uncompressed in 250-row pages (``CONTAINER_PAGES``) and adds a 1,500-row
+``bounds`` table as one block: there chunks of every physical type span 5
+or more pages, which the selector ranks on a sample without a page codec.
+
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
 """
@@ -92,6 +97,7 @@ SMALL_PAGES = EncodeConfig(page_rows=7)
 CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 # 250-row pages: lineitem's 2000-row partitions get 8-page chunks
 CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
+CONTAINER_PAGES = EncodeConfig(page_rows=250)
 BOUNDS = EncodeConfig(page_rows=100)
 BOUNDS_V2_ZSTD = EncodeConfig(page_rows=100, parquet_page_version="2.0", compression="zstd")
 RAW_SRC = EncodeConfig(page_rows=100, bloom_columns={"u32", "text", "nstr", "nint"})
@@ -347,6 +353,10 @@ def main() -> None:
     print(f"{sha(blob)}  container_bounds/bounds.renc")
     print(f"{sha(json.dumps(manifest, sort_keys=True).encode())}  container_bounds/bounds.manifest.json")
     pruning_lines(os.path.join(out, "bounds.v1.parquet"), blob, manifest)
+    container_lines(sources, os.path.join(out, "container_pages"), CONTAINER_PAGES)
+    blob, manifest = blocks.encode_block(bounds_table(1500), CONTAINER_PAGES)
+    print(f"{sha(blob)}  container_pages/bounds.renc")
+    print(f"{sha(json.dumps(manifest, sort_keys=True).encode())}  container_pages/bounds.manifest.json")
 
 
 def sha(data: bytes) -> str:
