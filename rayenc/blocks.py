@@ -31,6 +31,7 @@ from .codecs import (
     alp,
     bytestream_split,
     delta_bp,
+    delta_length,
     delta_strings,
     dictionary as dict_codec,
     fsst,
@@ -129,9 +130,12 @@ def _plan_candidate(
     memo: dict | None = None,
 ) -> _Candidate | None:
     """Plan one encoding for the whole chunk without materializing payload
-    bytes (except cheap aux). Returns None when inapplicable. ``memo``
-    caches chunk-global work (dictionary factorize, FSST table training)
-    across the sampled and full planning passes."""
+    bytes (except cheap aux). Returns None when inapplicable. The
+    chunk-level plans are made here (the dictionary, the FSST table and its
+    estimate, the BOOLEAN RLE hybrid); every other encoding is planned page
+    by page by its codec module (``_PAGE_PLANS``). ``memo`` caches
+    chunk-global work (dictionary factorize, FSST table training) across
+    the sampled and full planning passes."""
     ptype = col.ptype
     v = col.values
 
@@ -186,7 +190,7 @@ def _plan_candidate(
         cand.ids = ids
         return cand
 
-    if encoding == "FSST":
+    if encoding == "FSST" and ptype == "BINARY":
         offsets, data = v
         if memo is not None and "fsst_table" in memo:
             table = memo["fsst_table"]
@@ -210,158 +214,40 @@ def _plan_candidate(
         else:
             ratio = 1.0
         est = len(aux) + int(len(data) * ratio * 1.03) + 2 * n + 64
-
-        def emit():
-            pages = []
-            for a, b in ranges:
-                off, dat = _binary_slice(v, a, b)
-                c_off, c_dat = fsst.compress(table, off, dat)
-                lengths = np.diff(c_off).astype(np.int32)
-                pages.append(delta_bp.encode(lengths) + c_dat.tobytes())
-            return aux, pages
-
         return _Candidate(
-            encoding, est, emit, {"kind": "fsst", "count": len(table.symbols)},
-            estimated=True, aux_size=len(aux),
+            encoding, est,
+            lambda: (aux, [fsst.write_page(table, *_binary_slice(v, a, b)) for a, b in ranges]),
+            {"kind": "fsst", "count": len(table.symbols)}, estimated=True, aux_size=len(aux),
         )
 
-    if ptype == "BINARY":
-        offsets, data = v
-        if encoding == "PLAIN":
-            size = 4 * (len(offsets) - 1) + int(offsets[-1] - offsets[0])
-            return _Candidate(
-                encoding,
-                size,
-                lambda: (None, [plain.encode_binary(*_binary_slice(v, a, b)) for a, b in ranges]),
-            )
-        if encoding == "DELTA_LENGTH_BYTE_ARRAY":
-            plans = []
-            for a, b in ranges:
-                off, _ = _binary_slice(v, a, b)
-                plans.append(delta_bp.Plan(np.diff(off).astype(np.int32)))
-            size = sum(p.size for p in plans) + int(offsets[-1] - offsets[0])
+    if encoding == "RLE" and ptype == "BOOLEAN":
+        plan = rle_hybrid.Plan(np.asarray(v, np.uint8), 1, ranges)
+        return _Candidate(encoding, plan.size, lambda: (None, plan.emit()))
 
-            def emit():
-                pages = []
-                for (a, b), p in zip(ranges, plans):
-                    _, dat = _binary_slice(v, a, b)
-                    pages.append(p.emit() + np.ascontiguousarray(dat, np.uint8).tobytes())
-                return None, pages
-
-            return _Candidate(encoding, size, emit)
-        if encoding == "DELTA_BYTE_ARRAY":
-            page_plans = []
-            size = 0
-            for a, b in ranges:
-                off, dat = _binary_slice(v, a, b)
-                prefix = delta_strings.common_prefix_lengths(off, dat)
-                suffix_lengths = np.diff(off) - prefix
-                p1 = delta_bp.Plan(prefix.astype(np.int32))
-                p2 = delta_bp.Plan(suffix_lengths.astype(np.int32))
-                sbytes = int(suffix_lengths.sum())
-                page_plans.append((off, dat, prefix, suffix_lengths, p1, p2))
-                size += p1.size + p2.size + sbytes
-
-            def emit():
-                pages = []
-                for off, dat, prefix, slens, p1, p2 in page_plans:
-                    sdata = dat[plain._ranges(off[:-1] + prefix, slens)]
-                    pages.append(p1.emit() + p2.emit() + sdata.tobytes())
-                return None, pages
-
-            return _Candidate(encoding, size, emit)
+    page_plan, ptypes = _PAGE_PLANS.get(encoding, (None, ()))
+    if ptype not in ptypes:
         return None
+    if page_plan is plain.Plan:
+        page_plan = functools.partial(plain.Plan, ptype=ptype)
+    plans = [page_plan(_binary_slice(v, a, b) if ptype == "BINARY" else v[a:b]) for a, b in ranges]
+    if not all(p.applicable for p in plans):
+        return None  # an ALP page of non-decimal floats, an RLE_FOR range over 32 bits
+    return _Candidate(encoding, sum(p.size for p in plans), lambda: (None, [p.emit() for p in plans]))
 
-    if ptype == "FIXED_LEN_BYTE_ARRAY":
-        varr = np.asarray(v, np.uint8)
-        width = varr.shape[1]
-        if encoding == "PLAIN":
-            return _Candidate(
-                encoding,
-                col.num_values * width,
-                lambda: (None, [plain.encode_fixed_len(varr[a:b]) for a, b in ranges]),
-            )
-        if encoding == "BYTE_STREAM_SPLIT":
-            return _Candidate(
-                encoding,
-                col.num_values * width,
-                lambda: (None, [varr[a:b].T.tobytes() for a, b in ranges]),
-            )
-        if encoding == "DELTA_BYTE_ARRAY":
-            page_plans = []
-            size = 0
-            for a, b in ranges:
-                off = np.arange(b - a + 1, dtype=np.int64) * width
-                dat = varr[a:b].reshape(-1)
-                prefix = delta_strings.common_prefix_lengths(off, dat)
-                slens = np.diff(off) - prefix
-                p1 = delta_bp.Plan(prefix.astype(np.int32))
-                p2 = delta_bp.Plan(slens.astype(np.int32))
-                page_plans.append((off, dat, prefix, slens, p1, p2))
-                size += p1.size + p2.size + int(slens.sum())
 
-            def emit():
-                pages = []
-                for off, dat, prefix, slens, p1, p2 in page_plans:
-                    sdata = dat[plain._ranges(off[:-1] + prefix, slens)]
-                    pages.append(p1.emit() + p2.emit() + sdata.tobytes())
-                return None, pages
-
-            return _Candidate(encoding, size, emit)
-        return None
-
-    if ptype == "BOOLEAN":
-        if encoding == "PLAIN":
-            size = sum((b - a + 7) // 8 for a, b in ranges)
-            return _Candidate(
-                encoding, size, lambda: (None, [plain.encode_boolean(v[a:b]) for a, b in ranges])
-            )
-        if encoding == "RLE":
-            plan = rle_hybrid.Plan(np.asarray(v, np.uint8), 1, ranges)
-            return _Candidate(encoding, plan.size, lambda: (None, plan.emit()))
-        return None
-
-    itemsize = np.asarray(v).dtype.itemsize
-    if encoding == "PLAIN":
-        size = col.num_values * itemsize
-        return _Candidate(
-            encoding, size, lambda: (None, [plain.encode_fixed(v[a:b], ptype) for a, b in ranges])
-        )
-    if encoding == "BYTE_STREAM_SPLIT":
-        size = col.num_values * itemsize
-        return _Candidate(
-            encoding, size, lambda: (None, [bytestream_split.encode(v[a:b]) for a, b in ranges])
-        )
-    if encoding == "ALP":
-        if ptype not in ("FLOAT", "DOUBLE"):
-            return None
-        plans = [alp.Plan(v[a:b]) for a, b in ranges]
-        if not all(p.applicable for p in plans):
-            return None  # exception-dominated page: non-decimal floats
-        return _Candidate(
-            encoding,
-            sum(p.size for p in plans),
-            lambda: (None, [p.emit() for p in plans]),
-        )
-    if encoding == "DELTA_BINARY_PACKED":
-        if ptype not in ("INT32", "INT64"):
-            return None
-        plans = [delta_bp.Plan(v[a:b]) for a, b in ranges]
-        return _Candidate(
-            encoding, sum(p.size for p in plans), lambda: (None, [p.emit() for p in plans])
-        )
-    if encoding == "RLE_FOR":
-        if ptype not in ("INT32", "INT64"):
-            return None
-        plans = [rle_for.Plan(v[a:b]) for a, b in ranges]
-        if not all(p.applicable for p in plans):
-            return None  # some page's range exceeds 32 bits
-        return _Candidate(
-            encoding,
-            sum(p.size for p in plans),
-            lambda: (None, [p.emit() for p in plans]),
-        )
-    return None
+_NUMBERS = ("INT32", "INT64", "FLOAT", "DOUBLE")
+# each encoding whose pages are planned one by one, by the page plan of its
+# codec module (an exact ``size``, a lazy ``emit`` and ``applicable``), and
+# the physical types it writes
+_PAGE_PLANS = {
+    "PLAIN": (plain.Plan, (*_NUMBERS, "BOOLEAN", "BINARY", "FIXED_LEN_BYTE_ARRAY")),
+    "BYTE_STREAM_SPLIT": (bytestream_split.Plan, (*_NUMBERS, "FIXED_LEN_BYTE_ARRAY")),
+    "DELTA_LENGTH_BYTE_ARRAY": (delta_length.Plan, ("BINARY",)),
+    "DELTA_BYTE_ARRAY": (delta_strings.Plan, ("BINARY", "FIXED_LEN_BYTE_ARRAY")),
+    "DELTA_BINARY_PACKED": (delta_bp.Plan, ("INT32", "INT64")),
+    "RLE_FOR": (rle_for.Plan, ("INT32", "INT64")),
+    "ALP": (alp.Plan, ("FLOAT", "DOUBLE")),
+}
 
 
 def choose_encoding(
@@ -380,21 +266,22 @@ def choose_encoding(
     is a ValueError. ``legal`` is the set of encodings the file format can
     hold (None: all), ``forced_only`` those it holds only when forced, and
     ``page_frame`` maps an encoding to the bytes the format adds around each
-    of its pages. Unless ``config.exhaustive_selection``, a chunk of more
-    than 4 pages sizes its candidates on a 3-page sample first. Without a
-    page codec they rank by encoded size and the two best are planned over
-    every page. With ``config.compression`` they rank by the bytes the
-    codec leaves (aux page plus sample pages scaled to the chunk), integer
-    chunks also try BYTE_STREAM_SPLIT, only the winner is planned over the
-    other pages, and it carries that estimate as ``est_bytes`` and the
-    compressed aux and sample pages as ``stored``. The winner carries ``memo``: the chunk-global work
+    of its pages. A chunk of at most 4 pages, or any chunk under
+    ``config.exhaustive_selection``, plans every candidate over every page
+    and keeps the smallest by encoded size. A larger chunk ranks its
+    candidates on a 3-page sample: each one's sample pages and aux page are
+    emitted and counted as they would be stored (compressed if
+    ``config.compression`` names a page codec), the pages scaled to the
+    chunk, and only the best is planned over the other pages. Under a page
+    codec integer chunks also try BYTE_STREAM_SPLIT, and the winner carries
+    its estimate as ``est_bytes`` and its compressed aux and sample pages as
+    ``stored``. The winner carries ``memo``: the chunk-global work
     (dictionary factorize, FSST table) its plan used."""
     ovr = config.column_encodings.get(col.name)
     if ovr is not None and ovr not in sel.ENCODINGS and ovr != "DEVNULL":
         raise ValueError(f"unknown encoding {ovr!r} for column {col.name!r}")
     sampled = not config.exhaustive_selection and len(ranges) > 4
     codec = _compressor(config) if sampled else None
-    ranked: dict = {}
     auto = [
         e for e in sel.candidates_for(col, stats, config, compressed=codec is not None)
         if (legal is None or e in legal) and e not in forced_only
@@ -402,56 +289,48 @@ def choose_encoding(
     names = [ovr] if ovr and (legal is None or ovr in legal) else auto
     frames = {e: n * len(ranges) for e, n in (page_frame or {}).items()}
     memo: dict = {}
-    est_bytes = None
     if sampled and len(names) > 1:
-        # two-phase selection: planning every candidate over every page is
-        # the dominant encode cost (the selector, not the winning kernel).
-        # Size candidates on a 3-page sample, extrapolate the page portion
-        # (aux — dict/FSST tables — is chunk-global and not scaled), and
-        # fully plan only the finalists; the winner's sizes stay exact
-        # because it is planned over the other pages too.
+        # planning every candidate over every page is the dominant encode
+        # cost (the selector, not the winning kernel): rank them on 3 pages
+        # by the bytes they would store, scaling the pages (the aux page,
+        # a dictionary or FSST table, is chunk-global), and plan only the
+        # winner over the other pages (a page's bytes depend only on the
+        # page and ``memo``)
         at = [0, len(ranges) // 2, len(ranges) - 1]
         sample = [ranges[i] for i in at]
         scale = sum(b - a for a, b in ranges) / max(1, sum(b - a for a, b in sample))
-        scored = []
+        ranked = []
         for e in names:
             c = _plan_candidate(col, e, sample, config, memo)
             if c is None:
                 continue
-            if codec is None:
-                est = c.aux_size + (c.size - c.aux_size) * scale
-            else:
-                # the page codec decides the size: id streams that look
-                # small encoded can compress worse than byte planes
-                aux, pages = c.emit()
-                aux_blob = None if aux is None else codec.compress(aux)
-                blobs = [codec.compress(p) for p in pages]
-                est = (len(aux_blob) if aux else 0) + scale * sum(len(b) for b in blobs)
-                ranked[e] = (c, aux_blob, blobs)
-            scored.append((est + frames.get(e, 0), e))
-        scored.sort()
-        finalists = scored[:2] if codec is None else scored[:1]
-        names = [e for _, e in finalists]
-        if codec is not None and finalists:
-            est_bytes = round(finalists[0][0])
-    if ranked and names:
-        # the compressed ranking emitted and compressed the winner's aux and
-        # sample pages: plan it over the other pages only, and keep those
-        # bytes (a page's bytes depend only on the page and ``memo``)
-        e = names[0]
-        c, aux_blob, blobs = ranked[e]
-        rest = _plan_candidate(col, e, [r for i, r in enumerate(ranges) if i not in at],
-                               config, memo)
-        cands = [] if rest is None else [_joined(c, rest, at, len(ranges))]
-        for j in cands:
-            j.stored = (None if aux_blob is None else aux_blob.to_pybytes(),
-                        {i: b.to_pybytes() for i, b in zip(at, blobs)})
+            # the page codec decides the size: id streams that look small
+            # encoded can compress worse than byte planes
+            aux, pages = c.emit()
+            if codec is not None:
+                aux = None if aux is None else codec.compress(aux)
+                pages = [codec.compress(p) for p in pages]
+            est = (len(aux) if aux else 0) + scale * sum(len(p) for p in pages)
+            ranked.append((est + frames.get(e, 0), e, c, aux, pages))
+        ranked.sort(key=lambda r: r[:2])
+        names = [r[1] for r in ranked[:1]]
+        cands = []
+        if ranked:
+            est, e, c, aux, pages = ranked[0]
+            rest = _plan_candidate(col, e, [r for i, r in enumerate(ranges) if i not in at],
+                                   config, memo)
+            if rest is not None:
+                cands = [_joined(c, rest, at, len(ranges))]
+                if codec is not None:
+                    cands[0].est_bytes = round(est)
+                    cands[0].stored = (None if aux is None else aux.to_pybytes(),
+                                       {i: p.to_pybytes() for i, p in zip(at, pages)})
     else:
         cands = [_plan_candidate(col, e, ranges, config, memo) for e in names]
         cands = [c for c in cands if c is not None]
     if not cands:
-        # a forced encoding the chunk cannot use, or sampled finalists that
-        # proved inapplicable over the full page set (an ALP/RLE_FOR-breaking
+        # a forced encoding the chunk cannot use, or a sampled winner that
+        # proved inapplicable over the other pages (an ALP/RLE_FOR-breaking
         # page outside the sample): plan the other automatic candidates
         cands = [_plan_candidate(col, e, ranges, config, memo) for e in auto if e not in names]
         cands = [c for c in cands if c is not None]
@@ -459,7 +338,6 @@ def choose_encoding(
         raise ValueError(f"no applicable encoding for column {col.name!r} ({col.ptype})")
     cands.sort(key=lambda c: c.size + frames.get(c.encoding, 0))
     best = cands[0]
-    best.est_bytes = est_bytes if best.encoding in names else None
     if best.estimated and len(cands) > 1:
         aux, pages = best.emit()
         if (len(aux) if aux else 0) + sum(len(p) for p in pages) > cands[1].size:
@@ -1037,10 +915,10 @@ class _BlockReader:
         if not (kinds == {str} and t in _STRING_TYPES + _BINARY_TYPES
                 or kinds == {bytes} and t in _BINARY_TYPES):
             return None
-        try:
-            literals = [v.encode() if isinstance(v, str) else v for v in literals]
-        except UnicodeEncodeError:  # a surrogate: Arrow rejects the literal
+        dleaf = P.in_domain(leaf, t)[0]
+        if dleaf is None:  # a lone surrogate: Arrow rejects the literal
             return None
+        literals = dleaf.value if leaf.op in ("in", "not_in") else (dleaf.value,)
         idx, nulls = self.dense(entry, slots)
         if idx is not None and not len(idx):
             hit = np.empty(0, bool)

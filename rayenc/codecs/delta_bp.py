@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import bit_widths_of_or, pack_lsb, unpack_lsb
+from .plain import _ranges
 from .varint import (
     read_uvarint,
     read_zigzag_varint32,
@@ -35,17 +36,6 @@ from .varint import (
     write_zigzag_varint64,
 )
 
-
-def _ranges(starts, lengths):
-    """Flat index array covering [starts[i], starts[i]+lengths[i])."""
-    lengths = np.asarray(lengths, np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    ends = np.cumsum(lengths)
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        np.asarray(starts, np.int64) - (ends - lengths), lengths
-    )
 
 class LengthCountError(ValueError):
     """A page's length stream holds a different number of lengths than the
@@ -79,6 +69,7 @@ class Plan:
         "size",
         "_state",
     )
+    applicable = True
 
     def __init__(
         self,

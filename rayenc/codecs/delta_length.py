@@ -12,10 +12,24 @@ import numpy as np
 from . import delta_bp
 
 
+class Plan:
+    """One DELTA_LENGTH_BYTE_ARRAY page of ``(offsets, data)`` strings: the
+    lengths' DELTA_BINARY_PACKED plan, then ``data``."""
+
+    __slots__ = ("lengths", "data", "size")
+    applicable = True
+
+    def __init__(self, values):
+        offsets, self.data = values
+        self.lengths = delta_bp.Plan(np.diff(np.asarray(offsets, np.int64)).astype(np.int32))
+        self.size = self.lengths.size + len(self.data)
+
+    def emit(self) -> bytes:
+        return self.lengths.emit() + np.ascontiguousarray(self.data, np.uint8).tobytes()
+
+
 def encode(offsets: np.ndarray, data: np.ndarray) -> bytes:
-    lengths = np.diff(np.asarray(offsets, np.int64)).astype(np.int32)
-    head = delta_bp.encode(lengths)
-    return head + np.ascontiguousarray(data, np.uint8).tobytes()
+    return Plan((offsets, data)).emit()
 
 
 def decode(buf, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -60,19 +60,36 @@ def common_prefix_lengths(offsets: np.ndarray, data: np.ndarray) -> np.ndarray:
     return prefix
 
 
+class Plan:
+    """One DELTA_BYTE_ARRAY page of BINARY ``(offsets, data)`` strings or
+    ``(n, width)`` uint8 FIXED_LEN_BYTE_ARRAY rows: the prefix lengths'
+    and suffix lengths' DELTA_BINARY_PACKED plans, then the suffixes
+    (a DELTA_LENGTH_BYTE_ARRAY body)."""
+
+    __slots__ = ("prefix", "suffix", "size", "_suffixes")
+    applicable = True
+
+    def __init__(self, values):
+        if isinstance(values, tuple):
+            offsets, data = np.asarray(values[0], np.int64), np.asarray(values[1], np.uint8)
+        else:
+            rows = np.asarray(values, np.uint8)
+            offsets = np.arange(len(rows) + 1, dtype=np.int64) * rows.shape[1]
+            data = rows.reshape(-1)
+        prefix = common_prefix_lengths(offsets, data)
+        suffix_lengths = np.diff(offsets) - prefix
+        self._suffixes = data, offsets[:-1] + prefix, suffix_lengths
+        self.prefix = delta_bp.Plan(prefix.astype(np.int32))
+        self.suffix = delta_bp.Plan(suffix_lengths.astype(np.int32))
+        self.size = self.prefix.size + self.suffix.size + int(suffix_lengths.sum())
+
+    def emit(self) -> bytes:
+        data, starts, lengths = self._suffixes
+        return self.prefix.emit() + self.suffix.emit() + data[_ranges(starts, lengths)].tobytes()
+
+
 def encode(offsets: np.ndarray, data: np.ndarray) -> bytes:
-    offsets = np.asarray(offsets, np.int64)
-    data = np.asarray(data, np.uint8)
-    n = len(offsets) - 1
-    prefix = common_prefix_lengths(offsets, data)
-    suffix_lengths = np.diff(offsets) - prefix
-    suffix_starts = offsets[:-1] + prefix
-    suffix_data = data[_ranges(suffix_starts, suffix_lengths)]
-    suffix_offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(suffix_lengths, out=suffix_offsets[1:])
-    return delta_bp.encode(prefix.astype(np.int32)) + delta_length.encode(
-        suffix_offsets, suffix_data
-    )
+    return Plan((offsets, data)).emit()
 
 
 def decode(buf, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -456,6 +456,13 @@ def rows_equal(offsets: np.ndarray, data: np.ndarray, idx, codes: list[bytes]) -
     return hit
 
 
+def write_page(table: SymbolTable, offsets: np.ndarray, data: np.ndarray) -> bytes:
+    """One page of strings as ``read_page`` reads it: the lengths of their
+    compressed forms (DELTA_BINARY_PACKED), then those forms."""
+    c_offsets, c_data = compress(table, offsets, data)
+    return delta_bp.encode(np.diff(c_offsets).astype(np.int32)) + c_data.tobytes()
+
+
 def read_page(body, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A page's compressed strings: ``(offsets int64[n+1], payload uint8)``
     from its ``[delta_bp lengths][payload]`` body. FsstError unless the
@@ -551,9 +558,7 @@ def encode_column(offsets: np.ndarray, data: np.ndarray, table: SymbolTable | No
     """[table][delta_bp lengths][compressed payload]."""
     if table is None:
         table = train(offsets, data)
-    c_offsets, c_data = compress(table, offsets, data)
-    lengths = np.diff(c_offsets).astype(np.int32)
-    return table.serialize() + delta_bp.encode(lengths) + c_data.tobytes()
+    return table.serialize() + write_page(table, offsets, data)
 
 
 def decode_column(buf, n: int) -> tuple[np.ndarray, np.ndarray]:

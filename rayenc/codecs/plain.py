@@ -17,6 +17,36 @@ _FIXED = {
 }
 
 
+class Plan:
+    """One PLAIN page of ``ptype`` values in the container's shapes: numbers,
+    bools, ``(offsets, data)`` BINARY strings or ``(n, width)`` uint8
+    FIXED_LEN_BYTE_ARRAY rows. ``size`` is exact; ``emit`` writes it."""
+
+    __slots__ = ("values", "ptype", "size")
+    applicable = True
+
+    def __init__(self, values, ptype: str):
+        self.values, self.ptype = values, ptype
+        if ptype == "BINARY":
+            offsets, _ = values
+            self.size = 4 * (len(offsets) - 1) + int(offsets[-1] - offsets[0])
+        elif ptype == "BOOLEAN":
+            self.size = (len(values) + 7) // 8
+        elif ptype == "FIXED_LEN_BYTE_ARRAY":
+            self.size = values.size
+        else:
+            self.size = len(values) * _FIXED[ptype].itemsize
+
+    def emit(self) -> bytes:
+        if self.ptype == "BINARY":
+            return encode_binary(*self.values)
+        if self.ptype == "BOOLEAN":
+            return encode_boolean(self.values)
+        if self.ptype == "FIXED_LEN_BYTE_ARRAY":
+            return encode_fixed_len(self.values)
+        return encode_fixed(self.values, self.ptype)
+
+
 def encode_fixed(values: np.ndarray, ptype: str) -> bytes:
     return np.ascontiguousarray(values, dtype=_FIXED[ptype]).tobytes()
 

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .codecs.plain import _ranges
+
 VOCAB = 50257
 SOURCES = 20
 SEED = 42
@@ -101,17 +103,6 @@ def make_table(rows: int, mean_tokens: float = 200.0, seed: int = SEED) -> pa.Ta
             "n_tok": pa.array(n_tok, pa.int32()),
             "source": pa.array(source.tolist(), pa.string()),
         }
-    )
-
-
-def _ranges(starts, lengths):
-    lengths = np.asarray(lengths, np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    ends = np.cumsum(lengths)
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        np.asarray(starts, np.int64) - (ends - lengths), lengths
     )
 
 

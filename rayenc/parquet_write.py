@@ -24,6 +24,7 @@ bytes are format-true.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from itertools import accumulate
 from typing import NamedTuple
@@ -300,14 +301,9 @@ def _encode_column_pages(
     (``rle_hybrid.Plan`` with page bounds)."""
     col, rep_levels, def_levels = leaf.col, leaf.rep, leaf.dfv
     max_rep, max_def = leaf.max_rep, leaf.max_def
-    cfg = sel.EncodeConfig(
-        page_size=config.page_size,
-        page_rows=config.page_rows,
-        max_dict_bytes=config.max_dict_bytes,
-        column_encodings=config.column_encodings,
-        disable_dictionary=config.disable_dictionary,
-        exhaustive_selection=True,  # every legal candidate over every page
-    )
+    # every legal candidate over every page, by encoded size
+    cfg = dataclasses.replace(config, compression=None, compression_level=None,
+                              exhaustive_selection=True)
     if def_levels is None:
         ranges = slot_ranges = page_ranges(col, cfg)
     else:
@@ -345,7 +341,7 @@ def _encode_column_pages(
         page_frame=_PAGE_FRAME,
     )
     codec_id, codec = codec_for_name(config.compression)
-    v2 = getattr(config, "parquet_page_version", "1.0") == "2.0"
+    v2 = config.parquet_page_version == "2.0"
     meta.codec = codec_id
 
     def compress(b: bytes) -> bytes:
@@ -389,7 +385,7 @@ def _encode_column_pages(
         if best.encoding == "RLE":
             pages = [len(p).to_bytes(4, "little") + p for p in pages]
 
-    legacy = not v2 and getattr(config, "level_encoding", "RLE") == "BIT_PACKED"
+    legacy = not v2 and config.level_encoding == "BIT_PACKED"
 
     def level_pages(levels, top):
         """Each page's bytes of one level stream, planned once for all
@@ -644,7 +640,7 @@ def write_table(
     variable-length columns, so token tables with skewed list lengths get
     even groups."""
     config = config or sel.EncodeConfig()
-    if getattr(config, "level_encoding", "RLE") == "BIT_PACKED":
+    if config.level_encoding == "BIT_PACKED":
         # parquet-java reads deprecated BIT_PACKED levels big-endian
         # (Encoding.java:155-158) but parquet-cpp/pyarrow/DuckDB read them
         # LSB-first, so such files silently misdecode everywhere but
@@ -696,13 +692,13 @@ def write_tables(
     if any(not s.schema.equals(slices[0].schema) for s in slices[1:]):
         raise ValueError("all merged tables must share one schema")
     decimal_ints: dict[str, tuple[int, int]] = {}
-    if getattr(config, "decimal_as_integer", False):
+    if config.decimal_as_integer:
         # DECIMAL(p<=18) -> INT32/INT64 physical, unscaled
         # (DecimalLogicalTypeAnnotation on INT32/INT64; the reader side —
         # ours, pyarrow, DuckDB — restores decimal128 from the annotation)
         slices = [_decimals_to_ints(s, decimal_ints) for s in slices]
     int96_map: dict[str, pa.DataType] = {}
-    if getattr(config, "int96_timestamps", False):
+    if config.int96_timestamps:
         # flat timestamps -> deprecated INT96 physical (opt-in legacy
         # interop; PrimitiveTypeName.INT96). Nested timestamps keep INT64.
         slices = [_timestamps_to_int96(s, int96_map) for s in slices]
@@ -755,7 +751,7 @@ def write_tables(
     footer = _file_metadata(
         table, row_groups, crypto=crypto, geo=config.geospatial or None,
         sorting=sorting, extra_kv=key_value_metadata,
-        annotations=getattr(config, "logical_annotations", None) or None,
+        annotations=config.logical_annotations or None,
         decimal_ints=decimal_ints or None,
         int96_map=int96_map or None,
     )

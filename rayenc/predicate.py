@@ -579,7 +579,8 @@ def _stats_value(v, t):
     UTF-8 bytes, unscaled decimal ints); ``_INEXACT`` when ``t`` has no value
     Arrow finds equal to ``v`` (700.5 on int64, a naive datetime on a
     tz-aware column); ``_UNBOUNDED`` for a decimal literal other than an int
-    or Decimal exact at the scale (Arrow compares floats as floats)."""
+    or Decimal exact at the scale (Arrow compares floats as floats) and for
+    a str with no UTF-8 bytes (a lone surrogate, which Arrow rejects)."""
     import decimal
 
     import pyarrow as pa
@@ -597,7 +598,12 @@ def _stats_value(v, t):
         if physical_type(t) == "BINARY":
             if isinstance(v, (bytes, bytearray)):
                 return bytes(v)
-            return v.encode() if isinstance(v, str) else _INEXACT
+            if not isinstance(v, str):
+                return _INEXACT
+            try:
+                return v.encode()
+            except UnicodeEncodeError:  # a lone surrogate has no UTF-8 bytes
+                return _UNBOUNDED
         if pa.types.is_fixed_size_binary(t):
             ok = isinstance(v, (bytes, bytearray)) and len(v) == t.byte_width
             return bytes(v) if ok else _INEXACT
@@ -635,15 +641,22 @@ def leaf_vs_bounds(leaf: Leaf, lo, hi) -> bool:
             return not leaf.value.can_drop(lo, hi)
         except Exception:
             return True
+    if isinstance(lo, bytes):
+        import pyarrow as pa
+
+        # byte bounds judge a literal as bytes: a str by its UTF-8 bytes (the
+        # mapping ``in_domain`` makes), one that has none not at all
+        leaf = in_domain(leaf, pa.binary())[0]
+        if leaf is None:
+            return True
     if leaf.op == "in":
         return any(leaf_vs_bounds(Leaf(leaf.col, "==", v), lo, hi) for v in leaf.value)
     if leaf.op == "not_in":
-        same = (_comparable(lo, v) and _coerce(lo, v) == lo for v in leaf.value)
+        same = (_comparable(lo, v) and v == lo for v in leaf.value)
         return not (lo == hi and any(same))
     v = leaf.value
     if not _comparable(lo, v):
         return True
-    v = _coerce(lo, v)
     if leaf.op == "==":
         return not (v < lo or v > hi)
     if leaf.op == "!=":
@@ -671,11 +684,8 @@ def leaf_vs_values(leaf: Leaf, arr) -> bool:
 
 def _comparable(lo, v) -> bool:
     if isinstance(lo, (str, bytes)):
-        return isinstance(v, (str, type(lo)))
+        return isinstance(v, type(lo))
     return isinstance(v, (int, float)) and not isinstance(v, bool) or (
         isinstance(v, bool) and isinstance(lo, bool)
     )
 
-
-def _coerce(lo, v):
-    return v.encode() if isinstance(lo, bytes) and isinstance(v, str) else v

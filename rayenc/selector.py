@@ -14,11 +14,12 @@ minimum over *measured* candidate sizes: statistics gate which candidates are
 worth encoding, every surviving candidate is actually encoded, and the
 smallest wins. Because the reference's outcome (dictionary-until-fallback or
 the V2 static pick) is always IN our candidate set, the encoded (pre-codec)
-chunk size is <= the reference's by construction (SURVEY.md §2.3). Under a
-page codec the ranking of a chunk of more than 4 pages is instead a
-*compressed estimate* from a 3-page sample (``blocks.choose_encoding``), so
-there the bound is only as good as that estimate; the manifest records it
-as ``est_bytes`` beside the exact compressed lengths.
+chunk size is <= the reference's by construction (SURVEY.md §2.3). A chunk
+of more than 4 pages is instead ranked on a 3-page sample by the bytes each
+candidate would store, compressed under a page codec
+(``blocks.choose_encoding``), so there the bound is only as good as that
+sample; under a codec the manifest records the estimate as ``est_bytes``
+beside the exact compressed lengths.
 """
 
 from __future__ import annotations
@@ -61,13 +62,12 @@ class EncodeConfig:
     column_encodings: dict = field(default_factory=dict)
     disable_dictionary: set = field(default_factory=set)
     # True: plan EVERY candidate over every page and pick exact min
-    # encoded bytes (the pre-two-phase behavior, page codec ignored);
-    # False (default): a chunk of more than 4 pages sizes its candidates on
-    # a 3-page sample — by encoded bytes, fully planning the two finalists,
-    # or with a page codec by the bytes the codec leaves, fully planning
-    # only the winner. ~1.5x faster encode, byte-identical to True on
-    # homogeneous uncompressed blocks, possibly a near-miss encoding choice
-    # on pathologically heterogeneous ones
+    # encoded bytes (page codec ignored; the Parquet writer's selection);
+    # False (default): a chunk of more than 4 pages ranks its candidates on
+    # a 3-page sample by the bytes they would store (compressed, under a
+    # page codec) and plans only the winner over the other pages. ~1.5x
+    # faster encode, byte-identical to True on homogeneous uncompressed
+    # blocks, possibly a near-miss encoding choice on heterogeneous ones
     exhaustive_selection: bool = False
     # columns to build split-block bloom filters for (ParquetProperties
     # bloom-filter column properties analog): `bloom.build` makes the same

@@ -517,24 +517,29 @@ def test_compressed_ranking_plans_only_the_winner_over_every_page(monkeypatch):
 
     t = data.make_table(2000)
     (_, col) = shred("tokens", t["tokens"])
-    cfg = EncodeConfig(compression="zstd")
-    ranges = blocks.page_ranges(col, cfg)
-    sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
-    real, beyond = blocks._plan_candidate, []
+    real = blocks._plan_candidate
+    # with a page codec and without one (ranked by the bytes it would store
+    # as emitted), the one sampled ranking
+    for cfg, winner in ((EncodeConfig(compression="zstd"), "BYTE_STREAM_SPLIT"),
+                        (EncodeConfig(), "RLE_DICTIONARY")):
+        ranges = blocks.page_ranges(col, cfg)
+        sample = [ranges[0], ranges[len(ranges) // 2], ranges[-1]]
+        beyond = []
 
-    def plan(c, e, r, *a, **k):
-        if r != sample:
-            beyond.append((e, r))
-        return real(c, e, r, *a, **k)
+        def plan(c, e, r, *a, **k):
+            if r != sample:
+                beyond.append((e, r))
+            return real(c, e, r, *a, **k)
 
-    monkeypatch.setattr(blocks, "_plan_candidate", plan)
-    best = blocks.choose_encoding(col, stats.compute(col), ranges, cfg)
-    # the winner alone is planned past the sample, over the other pages
-    assert [e for e, _ in beyond] == ["BYTE_STREAM_SPLIT"] and best.encoding == "BYTE_STREAM_SPLIT"
-    assert sorted(beyond[0][1] + sample) == ranges
-    aux, pages = best.emit()
-    want = real(col, "BYTE_STREAM_SPLIT", ranges, cfg).emit()
-    assert (aux, pages) == want
+        monkeypatch.setattr(blocks, "_plan_candidate", plan)
+        best = blocks.choose_encoding(col, stats.compute(col), ranges, cfg)
+        # the winner alone is planned past the sample, over the other pages
+        assert [e for e, _ in beyond] == [winner] and best.encoding == winner
+        assert sorted(beyond[0][1] + sample) == ranges
+        aux, pages = best.emit()
+        want = real(col, winner, ranges, cfg).emit()
+        assert (aux, pages) == want
+        assert (best.est_bytes is None) == (cfg.compression is None)
 
 
 def test_compressed_ranking_compresses_each_winner_page_once(monkeypatch):

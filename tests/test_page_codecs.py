@@ -10,10 +10,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rayenc import blocks, codecs, parquet_write
+from rayenc import blocks, codecs, parquet_write, selector
+from rayenc.codecs import fsst
 from rayenc.parquet_compat import ENCODING_ID, read_table_conformance
 from rayenc.parquet_read_enc import EncryptedFile
+from rayenc.schema import PhysicalColumn
 from rayenc.selector import EncodeConfig
 
 N = 450
@@ -134,6 +138,7 @@ def _table() -> pa.Table:
 @pytest.mark.parametrize("fmt", ["container", "parquet"])
 @pytest.mark.parametrize("col,enc", [
     ("x", "ALP"), ("s", "DELTA_BINARY_PACKED"), ("fx", "RLE_DICTIONARY"),
+    ("x", "FSST"), ("fx", "FSST"),
 ])
 def test_inapplicable_override_falls_back_in_both_formats(tmp_path, fmt, col, enc):
     t = _table()
@@ -148,3 +153,68 @@ def test_unknown_override_names_the_column(tmp_path, fmt):
     cfg = EncodeConfig(column_encodings={"s": "BOGUS"})
     with pytest.raises(ValueError, match="'BOGUS'.*'s'"):
         _write(fmt, _table(), cfg, str(tmp_path / "bogus.parquet"))
+
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+_PAGE_VALUES = {
+    "INT32": st.lists(_INT32 | st.integers(-3, 3)).map(lambda v: np.array(v, np.int32)),
+    "INT64": st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)).map(
+        lambda v: np.array(v, np.int64)),
+    "FLOAT": st.lists(st.floats(width=32) | st.sampled_from([0.5, 1.25])).map(
+        lambda v: np.array(v, np.float32)),
+    "DOUBLE": st.lists(st.floats() | st.sampled_from([0.5, 1.25, 10.01])).map(
+        lambda v: np.array(v, np.float64)),
+    "BOOLEAN": st.lists(st.booleans()).map(lambda v: np.array(v, bool)),
+    "BINARY": st.lists(st.binary(max_size=12) | st.sampled_from([b"", b"ab", b"abc"])),
+    "FIXED_LEN_BYTE_ARRAY": st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.binary(min_size=w, max_size=w)).map(
+            lambda v: np.frombuffer(b"".join(v), np.uint8).reshape(len(v), w))),
+}
+
+
+def _values_key(ptype, values):
+    """Comparable bytes of a chunk's values (floats by bit pattern)."""
+    if ptype == "BINARY":
+        offsets, data = values
+        return (offsets - offsets[0]).tobytes(), np.asarray(data, np.uint8).tobytes()
+    return np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ptype=st.sampled_from(sorted(_PAGE_VALUES)))
+def test_every_page_plan_is_exact_and_decodes(data, ptype):
+    # every (encoding, physical type) pair _plan_candidate plans: its size is
+    # the bytes it emits (FSST's is an estimate) and codecs.decode_pages reads
+    # its pages back, empty and 1-value pages included
+    vals = data.draw(_PAGE_VALUES[ptype])
+    n = len(vals)
+    if ptype == "BINARY":
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum([len(v) for v in vals], out=offsets[1:])
+        vals = (offsets, np.frombuffer(b"".join(vals), np.uint8))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)) + [0, min(1, n), n])
+    ranges = list(zip(cuts[:-1], cuts[1:]))
+    col = PhysicalColumn("c", ptype, vals)
+    width = vals.shape[1] if ptype == "FIXED_LEN_BYTE_ARRAY" else 0
+    planned = set()
+    for enc in selector.ENCODINGS:
+        cand = blocks._plan_candidate(col, enc, ranges, EncodeConfig(), {})
+        if cand is None:
+            continue
+        planned.add(enc)
+        aux, pages = cand.emit()
+        assert len(pages) == len(ranges)
+        if not cand.estimated:
+            assert cand.size == (len(aux) if aux else 0) + sum(len(p) for p in pages), enc
+        dictionary = None
+        if enc == "FSST":
+            dictionary = fsst.SymbolTable.deserialize(aux)[0]
+        elif aux is not None:
+            kind = blocks._AUX_ENCODING[cand.aux_meta["kind"]]
+            dictionary = codecs.decode_pages(kind, ptype, [(aux, cand.aux_meta["count"])], width=width)
+        got = codecs.decode_pages(
+            enc, ptype, [(p, b - a) for p, (a, b) in zip(pages, ranges)], dictionary, width)
+        assert _values_key(ptype, got) == _values_key(ptype, vals), enc
+    assert "PLAIN" in planned
+    if ptype == "FIXED_LEN_BYTE_ARRAY":
+        assert {"DELTA_BYTE_ARRAY", "BYTE_STREAM_SPLIT"} <= planned

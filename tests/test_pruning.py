@@ -472,3 +472,34 @@ def test_malformed_column_index_prunes_nothing(paged_file):
         short = {**cidx, field: cidx[field][:-1]}
         for nulls_only in (False, True):
             assert parquet_read_enc._page_granules(short, oidx, leaf, rows, nulls_only) is None
+
+
+_SURROGATE_ENCODINGS = ("PLAIN", "DELTA_LENGTH_BYTE_ARRAY", "RLE_DICTIONARY", "FSST")
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", "in", "not_in"])
+def test_lone_surrogate_literal_prunes_nothing_and_raises_predicate_error(tmp_path, op):
+    # "\ud800" has no UTF-8 bytes: in_domain cannot map it, so no granule or
+    # page is pruned by it, and the exact read rejects it as every reader
+    # rejects a literal it cannot evaluate
+    bad = "\ud800"
+    value = [bad, "k0001"] if op in ("in", "not_in") else bad
+    words = [f"k{i:04d}" for i in range(300)]
+    t = pa.table({"s": pa.array(words), "bb": pa.array([w.encode() + b"." for w in words])})
+    for col in ("s", "bb"):
+        assert P.in_domain(P.Leaf(col, op, value), t.schema.field(col).type) == (None, False)
+        g = P.Granule(b"k0000", b"k0299", 0, 300, t.schema.field(col).type)
+        assert P.leaf_may_match(P.Leaf(col, op, value), g)
+        assert P.page_rows(P.Leaf(col, op, value), [(0, 300, g)]) is None
+    for enc in _SURROGATE_ENCODINGS:
+        cfg = EncodeConfig(page_rows=100, column_encodings={"s": enc, "bb": enc})
+        blob, manifest = blocks.encode_block(t, cfg)
+        assert {c["encoding"] for c in manifest["chunks"]} == {enc}
+        for col in ("s", "bb"):
+            with pytest.raises(P.PredicateError):
+                blocks.decode_block(blob, manifest, predicate=[(col, op, value)])
+    path = str(tmp_path / "s.parquet")
+    parquet_write.write_table(t, path, EncodeConfig(page_rows=100))
+    for col in ("s", "bb"):
+        with pytest.raises(P.PredicateError):
+            read_table_filtered(path, [(col, op, value)])
