@@ -62,6 +62,14 @@ uncompressed in 250-row pages (``CONTAINER_PAGES``) and adds a 1,500-row
 ``bounds`` table as one block: there chunks of every physical type span 5
 or more pages, which the selector ranks on a sample without a page codec.
 
+A ``container_tokens`` section encodes a 4,000-row ``data.make_table``
+token table the way the benchmark's tokens-read workload does: 32 row
+groups, a block target of a quarter of the raw bytes, zstd pages and a
+bloom on ``doc_id`` (``CONTAINER_TOKENS``). Its ``doc_id`` chunks are
+FSST, its ``tokens#values`` chunks BYTE_STREAM_SPLIT over 9 default pages
+(and one RLE_DICTIONARY chunk of int32 keys): no other section writes
+those.
+
 Usage:
     python scripts/parquet_identity.py --sf DIR [--out DIR]
 """
@@ -98,6 +106,7 @@ CONTAINER_TARGET = 64 << 10  # raw bytes per container partition
 # 250-row pages: lineitem's 2000-row partitions get 8-page chunks
 CONTAINER_ZSTD = EncodeConfig(compression="zstd", page_rows=250)
 CONTAINER_PAGES = EncodeConfig(page_rows=250)
+CONTAINER_TOKENS = EncodeConfig(compression="zstd", bloom_columns={"doc_id"})
 BOUNDS = EncodeConfig(page_rows=100)
 BOUNDS_V2_ZSTD = EncodeConfig(page_rows=100, parquet_page_version="2.0", compression="zstd")
 RAW_SRC = EncodeConfig(page_rows=100, bloom_columns={"u32", "text", "nstr", "nint"})
@@ -357,19 +366,27 @@ def main() -> None:
     blob, manifest = blocks.encode_block(bounds_table(1500), CONTAINER_PAGES)
     print(f"{sha(blob)}  container_pages/bounds.renc")
     print(f"{sha(json.dumps(manifest, sort_keys=True).encode())}  container_pages/bounds.manifest.json")
+    tokens = os.path.join(out, "container_tokens.parquet")
+    pq.write_table(data.make_table(4000), tokens, row_group_size=4000 // 32)
+    md = pq.ParquetFile(tokens).metadata
+    raw = sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    container_lines([tokens], os.path.join(out, "container_tokens"), CONTAINER_TOKENS, -(-raw // 4))
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def container_lines(sources: list, out: str, config: EncodeConfig = V1) -> None:
-    """A container section (named after ``out``): plan and encode each
-    table in-process with ``config``."""
+def container_lines(
+    sources: list, out: str, config: EncodeConfig = V1, target: int = CONTAINER_TARGET
+) -> None:
+    """A container section (named after ``out``): plan each table into
+    blocks of ``target`` raw bytes and encode them in-process with
+    ``config``."""
     section = os.path.basename(out)
     for src in sources:
         stem = os.path.basename(src)[: -len(".parquet")]
-        descs = pipeline.plan_partitions([src], CONTAINER_TARGET)
+        descs = pipeline.plan_partitions([src], target)
         plan = [dict(d, path=os.path.basename(d["path"])) for d in descs]
         print(f"{sha(json.dumps(plan, sort_keys=True).encode())}  {section}/{stem}.plan")
         cdir = os.path.join(out, stem)
