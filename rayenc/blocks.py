@@ -162,9 +162,10 @@ def _plan_candidate(
             # first-occurrence dict page, DictionaryValuesWriter.java:253-268).
             # The remap is a bijection, so the ids are planned in factorize
             # order (the order the Parquet writer emits) and remapped only
-            # as the winner's pages are written
+            # as the winner's pages are written. factorize's keys are
+            # distinct, so any sort gives the one ascending order
             dvals = dic.to_numpy(zero_copy_only=False)
-            order = np.argsort(dvals, kind="stable")
+            order = np.argsort(dvals)
             lut = np.empty(len(order), np.uint32)
             lut[order] = np.arange(len(order), dtype=np.uint32)
             dict_plan = delta_bp.Plan(np.ascontiguousarray(dvals[order]))

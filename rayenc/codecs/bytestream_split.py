@@ -27,13 +27,25 @@ class Plan:
 
 
 def encode(values: np.ndarray) -> bytes:
+    """The byte planes of ``values``, plane 0 (every value's first byte)
+    first: written one plane at a time, each a strided gather into a
+    contiguous row, rather than one transposing copy."""
     v = np.ascontiguousarray(values)
     k = v.dtype.itemsize * int(np.prod(v.shape[1:]))  # bytes per value
-    return v.view(np.uint8).reshape(len(v), k).T.tobytes()
+    rows = v.view(np.uint8).reshape(len(v), k)
+    planes = np.empty((k, len(v)), np.uint8)
+    for i in range(k):
+        planes[i] = rows[:, i]
+    return planes.tobytes()
 
 
 def decode(buf, n: int, dtype) -> np.ndarray:
+    """``n`` values of ``dtype`` from their byte planes, joined one plane
+    at a time."""
     dtype = np.dtype(dtype)
     k = dtype.itemsize
     planes = np.frombuffer(buf, np.uint8, count=n * k).reshape(k, n)
-    return np.ascontiguousarray(planes.T).reshape(-1).view(dtype)
+    rows = np.empty((n, k), np.uint8)
+    for i in range(k):
+        rows[:, i] = planes[i]
+    return rows.reshape(-1).view(dtype)

@@ -7,14 +7,24 @@ reference). Implemented from the published algorithm (Boncz, Neumann, Leis:
 symbol and symbol-pair frequencies (gain = count * length); compression is
 greedy longest-match; byte 255 escapes a literal byte.
 
-This implementation is batch-vectorized for the encode hot path:
+This implementation is batch-vectorized:
 
-- per-position longest-match lengths come from packing every l-gram
-  (l = 1..8) into a uint64 key and membership-testing against the symbol
-  keys of that length (sorted arrays + searchsorted);
-- the greedy left-to-right parse runs in *rounds*: round k emits the k-th
-  token of every string simultaneously, so the python-level loop count is
-  the max token count per string, not the total token count;
+- matching: every symbol that can start at an offset shares that offset's
+  first two bytes, so ``SymbolTable._index`` lists them, longest first, in
+  one row per 2-byte prefix (at most four slots for a trained table); the
+  longest match at a set of offsets is one gather of their 8-byte grams,
+  one of their rows and one compare of the row slots;
+- parsing probes only the offsets where a token starts. Each round takes
+  the next token of every string still open (the greedy parse's
+  frontier), so a round costs the number of open strings, not bytes.
+  Once fewer than ``_ROUND_STRINGS`` strings are open, the rest of each is
+  probed at every byte and its tokens are found by pointer doubling over
+  the next-token links: the loop count grows with the log of the longest
+  string, so one long string costs milliseconds, not a loop per token;
+- training parses its sample with that same parse in each iteration,
+  counts the gains of symbols and of adjacent token pairs with one sort of
+  packed (key, length) keys, and ranks them and applies the prefix rule
+  as array operations;
 - decode separates escape markers from literals with a run-parity argument
   (every maximal run of 255 bytes starts at a token boundary, so markers
   are the even offsets within the run), then gathers symbol bytes with one
@@ -52,85 +62,53 @@ class FsstError(ValueError):
 class SymbolTable:
     """Static symbol table: symbols[i] is the bytes for code i."""
 
-    __slots__ = (
-        "symbols", "_by_len", "_lengths_desc", "_fb_lenmask", "_one", "_two",
-        "_long_by_prefix", "_has_long2", "_codes",
-    )
+    __slots__ = ("symbols", "_rows", "_sval", "_smask", "_skey", "_codes")
 
     def __init__(self, symbols: list[bytes]):
         assert len(symbols) <= MAX_SYMBOLS
         self.symbols = symbols
-        self._by_len = None  # the match tables: built by the first compress
+        self._rows = None  # the match tables: built by the first parse
         self._codes = None  # the literal parser's dict: built by compress_string
 
     def _index(self) -> None:
-        """Build the tables ``compress`` matches against (decompress reads
-        ``symbols`` only), once."""
-        if self._by_len is not None:
-            return
-        symbols = self.symbols
-        # per length: (sorted uint64 keys, code for each sorted key)
-        self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for code, s in enumerate(symbols):
-            groups.setdefault(len(s), []).append((_pack_key(s), code))
-        for ln, pairs in groups.items():
-            pairs.sort()
-            keys = np.array([k for k, _ in pairs], np.uint64)
-            codes = np.array([c for _, c in pairs], np.uint16)
-            # 16-bit fingerprint filter: most non-matching grams bail on one
-            # multiply+gather instead of an 8-step binary search
-            with np.errstate(over="ignore"):
-                fp = ((keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(48)).astype(
-                    np.int64
-                )
-            bloom = np.zeros(1 << 16, bool)
-            bloom[fp] = True
-            self._by_len[ln] = (keys, codes, bloom)
-        self._lengths_desc = sorted(self._by_len, reverse=True)
-        # first-byte prefilter: bit (ln-1) set iff some ln-symbol starts with
-        # that byte — cuts the searchsorted candidate sets ~10x on text
-        self._fb_lenmask = np.zeros(256, np.uint8)
-        for s in symbols:
-            self._fb_lenmask[s[0]] |= np.uint8(1 << (len(s) - 1))
-        # direct-indexed tables for 1- and 2-byte symbols (no search at all)
-        self._one = np.full(256, -1, np.int16)
-        self._two = np.full(1 << 16, -1, np.int16)
-        for code, s in enumerate(symbols):
-            if len(s) == 1:
-                self._one[s[0]] = code
-            elif len(s) == 2:
-                self._two[s[0] | (s[1] << 8)] = code
-        # prefix-bounded fast path (the real FSST's structural constraint,
-        # relaxed to two slots): when at most TWO symbols of length >= 3
-        # share any 2-byte prefix (our trainer guarantees this),
-        # longest-match is two direct probes — no per-length searchsorted
-        from collections import defaultdict
+        """Build the rows ``_probe`` matches against (decompress reads
+        ``symbols`` only), once.
 
-        by_prefix: dict[int, list[tuple[int, bytes]]] = defaultdict(list)
-        for code, s in enumerate(symbols):
-            if len(s) >= 3:
-                by_prefix[s[0] | (s[1] << 8)].append((code, s))
-        self._long_by_prefix = None
-        self._has_long2 = None
-        if all(len(v) <= 2 for v in by_prefix.values()):
-            tiers = []
-            for slot in range(2):
-                lcode = np.full(1 << 16, -1, np.int16)
-                lkey = np.zeros(1 << 16, np.uint64)
-                llen = np.zeros(1 << 16, np.uint8)
-                tiers.append((lcode, lkey, llen))
-            has_long = np.zeros(1 << 16, bool)
-            for pfx, entries in by_prefix.items():
-                entries.sort(key=lambda cs: -len(cs[1]))  # longest in slot 0
-                has_long[pfx] = True
-                for slot, (code, s) in enumerate(entries):
-                    lcode, lkey, llen = tiers[slot]
-                    lcode[pfx] = code
-                    lkey[pfx] = _pack_key(s)
-                    llen[pfx] = len(s)
-            self._long_by_prefix = tiers
-            self._has_long2 = has_long
+        ``_rows[p]`` is the row of the 2-byte prefix ``p``: rows 0-255 hold
+        only the 1-byte symbol of their byte, and each prefix that starts
+        a longer symbol has a row of its own. A row lists every symbol that
+        can match at an offset with that prefix, one slot each: its key,
+        its length mask and ``length << 8 | 255 - code``, so the largest
+        value that matches is the longest match (a repeated symbol: its
+        first code). An empty slot's value is 0. Trained tables have at
+        most two symbols of >= 3 bytes per prefix: rows of at most four
+        slots. The arrays are slot-major, ``(slots, rows)``."""
+        if self._rows is not None:
+            return
+        k = len(self.symbols)
+        lens = np.fromiter(map(len, self.symbols), np.int64, k)
+        mat = np.zeros((k, MAX_SYMBOL_LEN), np.uint8)
+        mat[np.arange(MAX_SYMBOL_LEN) < lens[:, None]] = np.frombuffer(b"".join(self.symbols), np.uint8)
+        keys = mat.view("<u8").reshape(k)
+        multi = np.flatnonzero(lens >= 2)
+        pfx, row = np.unique(keys[multi] & np.uint64(0xFFFF), return_inverse=True)
+        self._rows = np.tile(np.arange(256, dtype=np.uint16), 256)
+        self._rows[pfx.astype(np.intp)] = 256 + np.arange(len(pfx))
+        # a 1-byte symbol sits in its byte's row and in each prefix row
+        # that starts with its byte
+        one = np.flatnonzero(lens == 1)
+        hit_one, hit_row = np.nonzero(keys[one, None] == pfx[None, :] & np.uint64(0xFF))
+        code = np.concatenate((multi, one, one[hit_one]))
+        row = np.concatenate((256 + row.reshape(-1), keys[one].astype(np.int64), 256 + hit_row))
+        order = np.lexsort((code, row))
+        code, row = code[order], row[order]
+        slot = np.arange(len(row)) - np.searchsorted(row, row)
+        shape = (int(slot.max(initial=0)) + 1, 256 + len(pfx))
+        self._sval = np.zeros(shape, np.uint16)
+        self._skey = np.zeros(shape, np.uint64)
+        self._sval[slot, row] = lens[code] << 8 | 255 - code
+        self._skey[slot, row] = keys[code]
+        self._smask = _LEN_MASKS[self._sval >> 8]
 
     def serialize(self) -> bytes:
         out = bytearray([len(self.symbols)])
@@ -156,134 +134,94 @@ class SymbolTable:
         return cls(symbols), pos
 
 
-def _pack_key(s: bytes) -> int:
-    """Little-endian uint64 key of a 1-8 byte symbol."""
-    return int.from_bytes(s, "little")
-
-
 _LEN_MASKS = np.array(
     [(1 << (8 * ln)) - 1 for ln in range(MAX_SYMBOL_LEN)] + [(1 << 64) - 1],
     np.uint64,
 )
+# a parse follows the strings still open token by token while at least this
+# many are; fewer are finished by pointer doubling, _FOLLOW_BYTES at a time
+_ROUND_STRINGS = 32
+_FOLLOW_BYTES = 1 << 16
+_TALLY_TOKENS = 1 << 16  # training tokens tallied per pass
 
 
-def _match_prefix_unique(table: SymbolTable, data, g8, pos_end):
-    """Direct-probe longest match when each 2-byte prefix owns at most two
-    symbols of length >= 3 (longest in slot 0): probe both slots, then the
-    2-byte direct table, then the 1-byte table — all full-array gathers."""
-    n = len(data)
-    g2 = (g8 & np.uint64(0xFFFF)).astype(np.int64)
-    slack = pos_end - np.arange(n, dtype=np.int64)  # bytes left in the string
-    mlen = np.zeros(n, np.uint8)
-    mcode = np.zeros(n, np.int16)
-    rest = np.ones(n, bool)
-    # the >=3-byte tier probes run only on the subset of positions whose
-    # 2-byte prefix owns a long symbol (typically a small minority) —
-    # full-array work stays one bool gather
-    lp = np.flatnonzero(table._has_long2[g2] & (slack >= 3))
-    if len(lp):
-        g2l = g2[lp]
-        g8l = g8[lp]
-        slackl = slack[lp]
-        restl = np.ones(len(lp), bool)
-        for lcode_t, lkey_t, llen_t in table._long_by_prefix:
-            llen = llen_t[g2l]
-            hit = restl & (llen > 0) & (llen <= slackl)
-            hit &= (g8l & _LEN_MASKS[llen]) == lkey_t[g2l]
-            hp = lp[hit]
-            mlen[hp] = llen[hit]
-            mcode[hp] = lcode_t[g2l[hit]]
-            restl &= ~hit
-        rest[lp] = restl
-    two = table._two[g2]
-    two_hit = rest & (two >= 0) & (slack >= 2)
-    mlen[two_hit] = 2
-    mcode[two_hit] = two[two_hit]
-    rest &= ~two_hit
-    one = table._one[data]
-    one_hit = rest & (one >= 0)
-    mlen[one_hit] = 1
-    mcode[one_hit] = one[one_hit]
-    return mlen, mcode.astype(np.uint16)
+def _grams(data: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte gram at each offset of ``data`` (zeros past
+    its end): a uint64 view, one byte apart, of a zero-padded copy."""
+    pad = np.zeros(len(data) + MAX_SYMBOL_LEN, np.uint8)
+    pad[: len(data)] = data
+    return np.ndarray((len(data),), "<u8", pad, 0, (1,))
 
 
-_MATCH_CHUNK = 1 << 17  # positions per block: ~15 live arrays stay L2/L3-hot
+def _probe(table: SymbolTable, grams: np.ndarray, pos: np.ndarray, end: np.ndarray):
+    """The longest symbol at each offset ``pos`` of a string ending at
+    ``end``: (its length, 0 when none matches and the byte is escaped; its
+    code). One gather of each offset's row, one compare of its slots."""
+    g8 = grams[pos]
+    rows = table._rows[(g8 & np.uint64(0xFFFF)).astype(np.intp)]
+    val = table._sval.take(rows, axis=1)
+    # a slot matches when its symbol's bytes are there and fit in the string
+    fits = val < ((np.minimum(end - pos, MAX_SYMBOL_LEN) + 1) << 8).astype(np.uint16)
+    fits &= (g8 & table._smask.take(rows, axis=1)) == table._skey.take(rows, axis=1)
+    best = (val * fits).max(0)
+    return (best >> 8).astype(np.uint8), (255 - best).astype(np.uint8)
 
 
-def _match(table: SymbolTable, data: np.ndarray, pos_end: np.ndarray):
-    """Per position: (longest symbol length or 0, code of that symbol).
+def _parse(table: SymbolTable, grams: np.ndarray, offsets: np.ndarray):
+    """Every token of each string's greedy longest-match parse, in data
+    order: (start offsets, symbol lengths with 0 for an escaped byte,
+    codes). Tokens are probed only where they start: each round takes the
+    next token of every string still open, and once fewer than
+    ``_ROUND_STRINGS`` are open, ``_follow`` finishes them."""
+    table._index()
+    mark = np.zeros(len(grams), np.uint8)  # 1 + symbol length at each token start
+    code = np.zeros(len(grams), np.uint8)
+    live = offsets[:-1] < offsets[1:]
+    pos, end = offsets[:-1][live], offsets[1:][live]
+    while len(pos) >= _ROUND_STRINGS:
+        ml, mc = _probe(table, grams, pos, end)
+        mark[pos] = ml + 1
+        code[pos] = mc
+        pos = pos + np.maximum(ml, 1)
+        live = pos < end
+        pos, end = pos[live], end[live]
+    if len(pos):
+        _follow(table, grams, pos, end, mark, code)
+    tok = np.flatnonzero(mark)
+    return tok, mark[tok] - 1, code[tok]
 
-    Prefix-unique tables (all trained tables) take the single-probe fast
-    path, processed in cache-sized blocks — the probe sequence is ~18
-    full-array passes, so blocking turns a memory-bandwidth-bound sweep
-    into an L2-resident one (2x on this host). Arbitrary tables fall back
-    to the longest-first per-length loop with a first-byte prefilter +
-    16-bit fingerprint before each search."""
-    n = len(data)
-    if table._long_by_prefix is not None and n > _MATCH_CHUNK + MAX_SYMBOL_LEN:
-        mlen = np.empty(n, np.uint8)
-        mcode = np.empty(n, np.uint16)
-        for a in range(0, n, _MATCH_CHUNK):
-            b = min(a + _MATCH_CHUNK, n)
-            ov = min(b + MAX_SYMBOL_LEN - 1, n)  # lookahead for the grams
-            sub = np.ascontiguousarray(data[a:ov])
-            ml, mc = _match(table, sub, pos_end[a:ov] - a)
-            mlen[a:b] = ml[: b - a]
-            mcode[a:b] = mc[: b - a]
-        return mlen, mcode
-    # one contiguous pass builds the 8-byte gram at every position; each
-    # length's gram is then just a mask of it
-    d64 = data.astype(np.uint64)
-    g8 = np.zeros(n, np.uint64)
-    for k in range(min(MAX_SYMBOL_LEN, n)):
-        g8[: n - k] |= d64[k:] << np.uint64(8 * k)
-    if table._long_by_prefix is not None:
-        return _match_prefix_unique(table, data, g8, pos_end)
-    mlen = np.zeros(n, np.uint8)
-    mcode = np.zeros(n, np.uint16)
-    unmatched = np.ones(n, bool)
-    fbm = table._fb_lenmask[data]
-    for ln in table._lengths_desc:
-        cand = np.flatnonzero(unmatched & ((fbm & np.uint8(1 << (ln - 1))) != 0))
-        if not len(cand):
-            continue
-        cand = cand[cand + ln <= pos_end[cand]]
-        if not len(cand):
-            continue
-        if ln == 1:
-            code = table._one[data[cand]]
-            hit = code >= 0
-        elif ln == 2:
-            g2 = (g8[cand] & np.uint64(0xFFFF)).astype(np.int64)
-            code = table._two[g2]
-            hit = code >= 0
-        else:
-            keys, codes, bloom = table._by_len[ln]
-            mask_ln = (
-                np.uint64((1 << (8 * ln)) - 1) if ln < 8 else np.uint64(0xFFFFFFFFFFFFFFFF)
-            )
-            gk = g8[cand] & mask_ln
-            with np.errstate(over="ignore"):
-                fp = ((gk * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(48)).astype(
-                    np.int64
-                )
-            pre = bloom[fp]
-            hit = np.zeros(len(cand), bool)
-            code = np.zeros(len(cand), np.int16)
-            if pre.any():
-                gk_p = gk[pre]
-                idx = np.searchsorted(keys, gk_p)
-                idx_c = np.minimum(idx, len(keys) - 1)
-                sub_hit = keys[idx_c] == gk_p
-                hit[pre] = sub_hit
-                sub_code = np.zeros(len(gk_p), np.int16)
-                sub_code[sub_hit] = codes[idx_c[sub_hit]].astype(np.int16)
-                code[pre] = sub_code
-        hp = cand[hit]
-        mlen[hp] = ln
-        mcode[hp] = code[hit].astype(np.uint16)
-        unmatched[hp] = False
-    return mlen, mcode
+
+def _follow(table, grams, pos, end, mark, code) -> None:
+    """Parse the rest ``[pos, end)`` of each string in passes of at most
+    ``_FOLLOW_BYTES`` bytes: probe every byte of each string's next window,
+    link it to the token that would follow a token starting there, and
+    walk those links from ``pos`` by pointer doubling (step ``j`` adds the
+    next ``2**j`` tokens of every string), so the loop count grows with the
+    log of the window, not with its token count. A string's last token in
+    a window gives its next ``pos``."""
+    while len(pos):
+        lens = np.minimum(end - pos, max(1, _FOLLOW_BYTES // len(pos)))
+        at = _ranges(pos, lens)
+        ml, mc = _probe(table, grams, at, np.repeat(end, lens))
+        m = len(at)
+        step = np.maximum(ml, 1)
+        inside = at + step < np.repeat(pos + lens, lens)
+        jump = np.full(m + 1, m, np.int64)  # m: past the window
+        jump[:m][inside] = (np.arange(m) + step)[inside]
+        got = np.cumsum(lens) - lens
+        while True:
+            nxt = jump[got]
+            nxt = nxt[nxt < m]
+            if not len(nxt):
+                break
+            got = np.concatenate((got, nxt))
+            jump = jump[jump]
+        mark[at[got]] = ml[got] + 1
+        code[at[got]] = mc[got]
+        last = np.sort(got[~inside[got]])
+        pos = at[last] + step[last]
+        live = pos < end
+        pos, end = pos[live], end[live]
 
 
 def compress(
@@ -292,42 +230,16 @@ def compress(
     """Compress strings -> (out_offsets int64[n+1], out_data uint8)."""
     offsets = np.asarray(offsets, np.int64)
     data = np.asarray(data, np.uint8)
-    n = len(offsets) - 1
     if len(data) == 0:
         return offsets.copy(), np.empty(0, np.uint8)
-    lengths = np.diff(offsets)
-    pos_end = np.repeat(offsets[1:], lengths)  # string end for each byte pos
-    table._index()
-    mlen, mcode = _match(table, data, pos_end)
-
-    # greedy parse by rounds: round k emits the k-th token of every string,
-    # writing directly into a 2x-overallocated buffer at per-string cursors
-    # (worst case is every byte escaped), then one compaction gather
-    base = (offsets[:-1] * 2).astype(np.int64)  # per-string region start
-    big = np.empty(int(offsets[-1]) * 2, np.uint8)
-    cur = np.zeros(n, np.int64)  # bytes written per string
-    frontier = offsets[:-1].copy()
-    sidx = np.arange(n, dtype=np.int64)
-    ends = offsets[1:]
-    while len(frontier):
-        active = frontier < ends[sidx]
-        frontier = frontier[active]
-        sidx = sidx[active]
-        if not len(frontier):
-            break
-        ml = mlen[frontier]
-        is_sym = ml > 0
-        wpos = base[sidx] + cur[sidx]
-        big[wpos] = np.where(is_sym, mcode[frontier].astype(np.uint8), np.uint8(ESCAPE))
-        esc = ~is_sym
-        big[wpos[esc] + 1] = data[frontier[esc]]
-        cur[sidx] += np.where(is_sym, 1, 2)
-        frontier = frontier + np.where(is_sym, ml.astype(np.int64), np.int64(1))
-
-    out_offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(cur, out=out_offsets[1:])
-    out = big[_ranges(base, cur)]
-    return out_offsets, out
+    tok, mlen, code = _parse(table, _grams(data), offsets)
+    esc = mlen == 0
+    at = np.zeros(len(tok) + 1, np.int64)
+    np.cumsum(esc + 1, out=at[1:])
+    out = np.empty(int(at[-1]), np.uint8)
+    out[at[:-1]] = np.where(esc, np.uint8(ESCAPE), code)
+    out[at[:-1][esc] + 1] = data[tok[esc]]
+    return at[np.searchsorted(tok, offsets)], out
 
 
 def decompress(
@@ -412,10 +324,7 @@ def compress_string(table: SymbolTable, s: bytes) -> bytes:
     if table._codes is None:
         codes: dict[bytes, int] = {}
         for code, sym in enumerate(table.symbols):
-            # on a repeated symbol the batch tables keep the last code of a
-            # 1-2 byte symbol and the first of a longer one
-            if len(sym) <= 2 or sym not in codes:
-                codes[sym] = code
+            codes.setdefault(sym, code)  # a repeated symbol keeps its first code
         table._codes = codes, sorted({len(sym) for sym in codes}, reverse=True)
     codes, lens = table._codes
     out = bytearray()
@@ -501,57 +410,89 @@ def train(offsets: np.ndarray, data: np.ndarray, seed: int = 0) -> SymbolTable:
     # deterministic sample: evenly strided strings until ~SAMPLE_TARGET bytes
     avg = max(1, len(data) // n)
     take = max(1, min(n, SAMPLE_TARGET // avg))
-    stride = max(1, n // take)
-    sample: list[bytes] = []
-    total = 0
-    raw = data.tobytes()
-    for i in range(0, n, stride):
-        s = raw[offsets[i] : offsets[i + 1]]
-        sample.append(s)
-        total += len(s)
-        if total >= SAMPLE_TARGET:
-            break
-
-    table: list[bytes] = []
+    idx = np.arange(0, n, max(1, n // take))
+    lens = offsets[idx + 1] - offsets[idx]
+    keep = int(np.searchsorted(np.cumsum(lens), SAMPLE_TARGET)) + 1
+    idx, lens = idx[:keep], lens[:keep]
+    s_off = np.zeros(len(idx) + 1, np.int64)
+    np.cumsum(lens, out=s_off[1:])
+    sample = data[_ranges(offsets[idx], lens)]
+    grams = _grams(sample)
+    opens = np.zeros(len(sample) + 1, bool)  # where a sampled string starts
+    opens[s_off[:-1]] = True
+    table = SymbolTable([])
     for _ in range(TRAIN_ITERATIONS):
-        by_len: dict[int, dict[bytes, int]] = {}
-        for s in table:
-            by_len.setdefault(len(s), {})[s] = table.index(s)
-        lens_desc = sorted(by_len, reverse=True)
-        gain: dict[bytes, int] = {}
-        for s in sample:
-            prev = None
-            p = 0
-            L = len(s)
-            while p < L:
-                sym = None
-                for ln in lens_desc:
-                    if p + ln <= L and s[p : p + ln] in by_len[ln]:
-                        sym = s[p : p + ln]
-                        break
-                if sym is None:
-                    sym = s[p : p + 1]
-                gain[sym] = gain.get(sym, 0) + len(sym)
-                if prev is not None and len(prev) + len(sym) <= MAX_SYMBOL_LEN:
-                    cat = prev + sym
-                    gain[cat] = gain.get(cat, 0) + len(cat)
-                prev = sym
-                p += len(sym)
-        # keep top symbols by gain (deterministic tie-break on bytes), with
-        # the FSST structural constraint relaxed to TWO symbols of length
-        # >= 3 per 2-byte prefix (matching probes both slots, longest first)
-        ranked = sorted(gain.items(), key=lambda kv: (-kv[1], kv[0]))
-        table = []
-        prefix_slots: dict[bytes, int] = {}
-        for s, _ in ranked:
-            if len(s) >= 3:
-                if prefix_slots.get(s[:2], 0) >= 2:
-                    continue
-                prefix_slots[s[:2]] = prefix_slots.get(s[:2], 0) + 1
-            table.append(s)
-            if len(table) == MAX_SYMBOLS:
-                break
-    return SymbolTable(table)
+        table = SymbolTable(_best_symbols(table, grams, s_off, opens))
+    return table
+
+
+def _best_symbols(table: SymbolTable, grams: np.ndarray, s_off: np.ndarray, opens: np.ndarray) -> list[bytes]:
+    """One training iteration: parse the sample with ``table`` and gain
+    ``len(s)`` for each token ``s`` and each pair of adjacent tokens of one
+    string that fits in a symbol; keep the top symbols by gain (ties by
+    their bytes), at most TWO of length >= 3 per 2-byte prefix (the FSST
+    structural constraint, relaxed to two slots). The tokens are tallied
+    ``_TALLY_TOKENS`` at a time (a long first string can make the sample
+    long) and the tallies merged."""
+    tok, mlen, _ = _parse(table, grams, s_off)
+    ln = np.maximum(mlen, 1).astype(np.uint64)
+    parts = []
+    for a in range(0, len(tok), _TALLY_TOKENS):
+        # this slice's tokens, and the pair of each with the next token
+        t, n = tok[a : a + _TALLY_TOKENS + 1], ln[a : a + _TALLY_TOKENS + 1]
+        g8 = grams[t]
+        pl = n[:-1] + n[1:]
+        pair = np.flatnonzero(~opens[t[1:]] & (pl <= MAX_SYMBOL_LEN))
+        lens = np.concatenate((n[:_TALLY_TOKENS], pl[pair]))
+        keys = np.concatenate((g8[:_TALLY_TOKENS], g8[pair])) & _LEN_MASKS[lens]
+        parts.append(_tally(keys.byteswap(), lens))
+    if len(parts) == 1:
+        keys, lens, gain = parts[0]
+    else:
+        keys, lens, gain = _tally(*(np.concatenate(x) for x in zip(*parts)))
+    rank = np.argsort(-gain, kind="stable")
+    keys, lens = keys[rank], lens[rank]
+    long = np.flatnonzero(lens >= 3)
+    pfx = (keys[long] >> np.uint64(48)).astype(np.uint16)
+    by = np.argsort(pfx, kind="stable")
+    pfx = pfx[by]
+    keep = np.ones(len(keys), bool)
+    keep[long[by[np.arange(len(pfx)) - np.searchsorted(pfx, pfx) >= 2]]] = False
+    keys, lens = keys[keep][:MAX_SYMBOLS].tolist(), lens[keep][:MAX_SYMBOLS].tolist()
+    return [k.to_bytes(MAX_SYMBOL_LEN, "big")[:ln] for k, ln in zip(keys, lens)]
+
+
+def _tally(keys: np.ndarray, lens: np.ndarray, gains: np.ndarray | None = None):
+    """The distinct symbols of big-endian ``keys`` and ``lens`` in bytes
+    order (the order of the keys, then of the lengths), each with its gain:
+    count * length, or the sum of ``gains`` when given. Below 8 bytes a
+    key's low byte is zero and holds the length, so one sort of packed keys
+    groups them; the 8-byte symbols are grouped apart and merged in after
+    every shorter symbol whose key is not above theirs."""
+    short = lens < MAX_SYMBOL_LEN
+    low = np.uint64(0xFF)
+    packed, g_short = _group(keys[short] | lens[short], None if gains is None else gains[short])
+    full, g_full = _group(keys[~short], None if gains is None else gains[~short])
+    at = np.searchsorted(packed, (full & ~low) | np.uint64(MAX_SYMBOL_LEN - 1), "right")
+    is_full = np.zeros(len(packed) + len(full), bool)
+    is_full[at + np.arange(len(full))] = True
+    keys = np.empty(len(is_full), np.uint64)
+    lens = np.full(len(is_full), MAX_SYMBOL_LEN, np.uint64)
+    gain = np.empty(len(is_full), np.int64)
+    keys[is_full], gain[is_full] = full, g_full
+    keys[~is_full], lens[~is_full], gain[~is_full] = packed & ~low, packed & low, g_short
+    if gains is None:
+        gain *= lens.astype(np.int64)
+    return keys, lens, gain
+
+
+def _group(values: np.ndarray, weights: np.ndarray | None):
+    """The distinct ``values``, ascending, with their counts (``weights``
+    None) or summed weights."""
+    if weights is None:
+        return np.unique(values, return_counts=True)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, np.bincount(inverse.reshape(-1), weights, len(distinct)).astype(np.int64)
 
 
 def encode_column(offsets: np.ndarray, data: np.ndarray, table: SymbolTable | None = None) -> bytes:

@@ -1,6 +1,9 @@
 """FSST fixtures from FIXTURES.md F2: id-like strings, URLs, random bytes
-(escape-path correctness, must-not-inflate-beyond-escape-bound), plus a
-python-scalar greedy oracle proving the vectorized parse is exact."""
+(escape-path correctness, must-not-inflate-beyond-escape-bound), plus
+python-scalar oracles proving the array parse and the array trainer
+exact: a greedy parser and the per-byte trainer."""
+
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -42,6 +45,66 @@ def scalar_compress(table: fsst.SymbolTable, s: bytes) -> bytes:
             out += bytes([fsst.ESCAPE, s[p]])
             p += 1
     return bytes(out)
+
+
+def scalar_train(offsets: np.ndarray, data: np.ndarray) -> list[bytes]:
+    """``fsst.train``'s symbols, one token and one dict update at a time:
+    the same deterministic sample, TRAIN_ITERATIONS greedy parses counting
+    the gains of symbols and adjacent pairs, ranked by (-gain, bytes) with
+    at most two symbols of >= 3 bytes per 2-byte prefix."""
+    n = len(offsets) - 1
+    if n == 0 or len(data) == 0:
+        return []
+    avg = max(1, len(data) // n)
+    take = max(1, min(n, fsst.SAMPLE_TARGET // avg))
+    stride = max(1, n // take)
+    sample: list[bytes] = []
+    total = 0
+    raw = data.tobytes()
+    for i in range(0, n, stride):
+        s = raw[offsets[i] : offsets[i + 1]]
+        sample.append(s)
+        total += len(s)
+        if total >= fsst.SAMPLE_TARGET:
+            break
+    table: list[bytes] = []
+    for _ in range(fsst.TRAIN_ITERATIONS):
+        by_len: dict[int, set] = {}
+        for s in table:
+            by_len.setdefault(len(s), set()).add(s)
+        lens_desc = sorted(by_len, reverse=True)
+        gain: dict[bytes, int] = {}
+        for s in sample:
+            prev = None
+            p = 0
+            while p < len(s):
+                sym = next(
+                    (s[p : p + ln] for ln in lens_desc if p + ln <= len(s) and s[p : p + ln] in by_len[ln]),
+                    s[p : p + 1],
+                )
+                gain[sym] = gain.get(sym, 0) + len(sym)
+                if prev is not None and len(prev) + len(sym) <= fsst.MAX_SYMBOL_LEN:
+                    cat = prev + sym
+                    gain[cat] = gain.get(cat, 0) + len(cat)
+                prev = sym
+                p += len(sym)
+        table = []
+        prefix_slots: dict[bytes, int] = {}
+        for s, _ in sorted(gain.items(), key=lambda kv: (-kv[1], kv[0])):
+            if len(s) >= 3:
+                if prefix_slots.get(s[:2], 0) >= 2:
+                    continue
+                prefix_slots[s[:2]] = prefix_slots.get(s[:2], 0) + 1
+            table.append(s)
+            if len(table) == fsst.MAX_SYMBOLS:
+                break
+    return table
+
+
+def frame(strings: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    offsets = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum([len(x) for x in strings], out=offsets[1:])
+    return offsets, np.frombuffer(b"".join(strings), np.uint8)
 
 
 def test_idlike_strings_compress_and_roundtrip():
@@ -130,7 +193,7 @@ def test_deserialized_table_decodes_without_match_tables_and_compresses_alike():
     assert end == len(table.serialize()) and back.symbols == table.symbols
     o, d = fsst.decompress(back, *want)
     assert binary_array(o, d).cast(pa.string()).to_pylist() == strings
-    assert back._by_len is None  # decoding reads the symbols only
+    assert back._rows is None  # decoding reads the symbols only
     got = fsst.compress(back, offsets, data)
     assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
@@ -162,10 +225,11 @@ def test_compress_string_matches_page_rows_on_hand_built_tables(symbols, strings
 
 
 def test_compress_string_matches_page_rows_on_the_general_match_path():
-    # three symbols of >= 3 bytes share the prefix "ab": not prefix-unique
-    table = fsst.SymbolTable([b"abc", b"abd", b"abcd", b"ab", b"b", b"\xff\xff\xff"])
+    # three symbols of >= 3 bytes share the prefix "ab" (no trained table
+    # has that): its row has five slots
+    table = fsst.SymbolTable([b"abc", b"abd", b"abcd", b"ab", b"b", b"\xff\xff\xff", b"a"])
     table._index()
-    assert table._long_by_prefix is None
+    assert sorted(table._sval[:, table._rows[ord("a") | ord("b") << 8]] >> 8) == [1, 2, 3, 3, 4]
     strings = [b"", b"a", b"abcdabdab", b"abcabcd\xffab", b"\xff\xff\xff\xff", b"zab\xc3\xa9"]
     assert [fsst.compress_string(table, x) for x in strings] == _rows(table, strings)
 
@@ -220,3 +284,85 @@ def test_rows_equal_matches_a_set_lookup(strings, literals, picks):
         got = fsst.rows_equal(c_off, c_dat, at, codes)
         rows = strings if at is None else [strings[i] for i in at]
         assert got.tolist() == [x in set(literals) for x in rows]
+
+
+# ------------------------------------------------- the trainer vs its oracle
+
+_ALPHABETS = [b"\x00\xff", b"ab\x00", b"abc/-_\xff", b"0123456789", bytes(range(256))]
+
+
+@st.composite
+def string_sets(draw) -> list[bytes]:
+    """Strings of 0-300 bytes over a drawn alphabet (0x00 and 0xFF among
+    its bytes), the edge strings among them, and sometimes a first string
+    longer than the 8 KiB sample, which is then the whole sample."""
+    byte = st.sampled_from(draw(st.sampled_from(_ALPHABETS)))
+    string = st.one_of(
+        st.lists(byte, max_size=300).map(bytes),
+        st.sampled_from([b"", b"\x00", b"\xff", b"a"]),
+    )
+    strings = draw(st.lists(string, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        unit = bytes(draw(st.lists(byte, min_size=1, max_size=24)))
+        size = draw(st.integers(fsst.SAMPLE_TARGET + 1, fsst.SAMPLE_TARGET + 1500))
+        strings.insert(0, (unit * (size // len(unit) + 1))[:size])
+    return strings
+
+
+@settings(max_examples=150, deadline=None)
+@given(string_sets())
+def test_train_matches_the_scalar_trainer(strings):
+    offsets, data = frame(strings)
+    want = scalar_train(offsets, data)
+    assert fsst.train(offsets, data).symbols == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsst, "_TALLY_TOKENS", 7)  # tallies of 7 tokens, merged
+        assert fsst.train(offsets, data).symbols == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(string_sets())
+def test_compress_matches_the_greedy_oracle_on_trained_tables(strings):
+    offsets, data = frame(strings)
+    table = fsst.train(offsets, data)
+    rows = _rows(table, strings)
+    assert [fsst.compress_string(table, x) for x in strings] == rows
+    assert [scalar_compress(table, x) for x in strings] == rows
+
+
+def test_train_edge_samples():
+    # no strings, only empty strings, a lone 1-byte string
+    for strings in ([], [b""], [b"", b""], [b"\xff"], [b"\x00"]):
+        offsets, data = frame(strings)
+        assert fsst.train(offsets, data).symbols == scalar_train(offsets, data)
+    offsets, data = frame([b"\xff"])
+    assert fsst.train(offsets, data).symbols == [b"\xff"]
+
+
+def test_one_long_string_costs_milliseconds():
+    # a parse loops per token only while many strings are open: one 100 KB
+    # string is followed by pointer doubling
+    s = np.random.default_rng(3).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
+    offsets, data = frame([s])
+    t0 = time.process_time()
+    table = fsst.train(offsets, data)
+    c_off, c_dat = fsst.compress(table, offsets, data)
+    spent = time.process_time() - t0
+    assert c_dat.tobytes() == fsst.compress_string(table, s) and c_off.tolist() == [0, len(c_dat)]
+    assert spent < 0.5, f"train + compress of one 100 KB string took {spent:.2f} s"
+
+
+@settings(max_examples=60, deadline=None)
+@given(string_sets(), st.integers(1, 40))
+def test_rounds_and_windowed_doubling_parse_alike(strings, window):
+    # every string parsed by rounds alone, and every string by pointer
+    # doubling in windows of a few bytes, give the default parse's bytes
+    offsets, data = frame(strings)
+    table = fsst.train(offsets, data)
+    want = fsst.compress(table, offsets, data)
+    for rounds, follow in ((1, fsst._FOLLOW_BYTES), (len(strings) + 1, window)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fsst, "_ROUND_STRINGS", rounds)
+            mp.setattr(fsst, "_FOLLOW_BYTES", follow)
+            got = fsst.compress(table, offsets, data)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

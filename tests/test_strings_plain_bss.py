@@ -82,6 +82,23 @@ class TestByteStreamSplit:
             [0x01, 0x05, 0x02, 0x06, 0x03, 0x07, 0x04, 0x08]
         )
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 20000])
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64,
+         np.float16, np.float32, np.float64] + [np.dtype((np.void, w)) for w in range(1, 17)],
+        ids=str,
+    )
+    def test_planes_are_the_transpose(self, dtype, n):
+        # the definition: plane i is byte i of every value, planes in order
+        dtype = np.dtype(dtype)
+        k = dtype.itemsize
+        raw = np.random.default_rng(n + k).integers(0, 256, (n, k), dtype=np.uint8)
+        vals = raw if dtype.kind == "V" else raw.reshape(-1).view(dtype)  # FLBA rows are (n, width)
+        planes = raw.T.tobytes()
+        assert bytestream_split.encode(vals) == planes
+        assert bytestream_split.decode(planes, n, dtype).tobytes() == raw.tobytes()
+
 
 class TestDeltaLength:
     def test_roundtrip(self):
