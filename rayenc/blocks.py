@@ -205,11 +205,7 @@ def _plan_candidate(
         if n and len(data):
             take = max(1, min(n, 512))
             stride = max(1, n // take)
-            idx = np.arange(0, n, stride)[:take]
-            lens = (offsets[idx + 1] - offsets[idx]).astype(np.int64)
-            s_off = np.zeros(len(idx) + 1, np.int64)
-            np.cumsum(lens, out=s_off[1:])
-            s_dat = data[plain._ranges(offsets[idx], lens)]
+            s_off, s_dat = plain._take_strings(offsets, data, np.arange(0, n, stride)[:take])
             c_off, _c = fsst.compress(table, s_off, s_dat)
             ratio = (c_off[-1] / max(1, s_off[-1])) if s_off[-1] else 1.0
         else:
@@ -756,11 +752,7 @@ def _take_values(ptype: str, values, idx: np.ndarray):
     if ptype == "BINARY":
         if run:
             return _binary_slice(values, a, b)
-        offsets, data = values
-        lens = offsets[idx + 1] - offsets[idx]
-        new_off = np.zeros(len(idx) + 1, np.int64)
-        np.cumsum(lens, out=new_off[1:])
-        return new_off, data[plain._ranges(offsets[idx], lens)]
+        return plain._take_strings(*values, idx)
     values = np.asarray(values)
     return values[a:b] if run else values[idx]
 

@@ -22,9 +22,9 @@ This implementation is batch-vectorized:
   the next-token links: the loop count grows with the log of the longest
   string, so one long string costs milliseconds, not a loop per token;
 - training parses its sample with that same parse in each iteration,
-  counts the gains of symbols and of adjacent token pairs with one sort of
-  packed (key, length) keys, and ranks them and applies the prefix rule
-  as array operations;
+  counts the gains of symbols and of adjacent token pairs by sorting
+  packed (key, length) values, and ranks them by (-gain, bytes) and
+  applies the prefix rule as array operations;
 - decode separates escape markers from literals with a run-parity argument
   (every maximal run of 255 bytes starts at a token boundary, so markers
   are the even offsets within the run), then gathers symbol bytes with one
@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import delta_bp
-from .plain import _ranges
+from .plain import _ranges, _take_strings
 from .varint import read_uvarint
 
 ESCAPE = 255
@@ -411,12 +411,10 @@ def train(offsets: np.ndarray, data: np.ndarray, seed: int = 0) -> SymbolTable:
     avg = max(1, len(data) // n)
     take = max(1, min(n, SAMPLE_TARGET // avg))
     idx = np.arange(0, n, max(1, n // take))
-    lens = offsets[idx + 1] - offsets[idx]
-    keep = int(np.searchsorted(np.cumsum(lens), SAMPLE_TARGET)) + 1
-    idx, lens = idx[:keep], lens[:keep]
-    s_off = np.zeros(len(idx) + 1, np.int64)
-    np.cumsum(lens, out=s_off[1:])
-    sample = data[_ranges(offsets[idx], lens)]
+    keep = int(np.searchsorted(np.cumsum(offsets[idx + 1] - offsets[idx]), SAMPLE_TARGET)) + 1
+    s_off, sample = _take_strings(offsets, data, idx[:keep])
+    if len(sample) == 0:  # the stride found only empty strings
+        return SymbolTable([])
     grams = _grams(sample)
     opens = np.zeros(len(sample) + 1, bool)  # where a sampled string starts
     opens[s_off[:-1]] = True
@@ -446,11 +444,9 @@ def _best_symbols(table: SymbolTable, grams: np.ndarray, s_off: np.ndarray, open
         lens = np.concatenate((n[:_TALLY_TOKENS], pl[pair]))
         keys = np.concatenate((g8[:_TALLY_TOKENS], g8[pair])) & _LEN_MASKS[lens]
         parts.append(_tally(keys.byteswap(), lens))
-    if len(parts) == 1:
-        keys, lens, gain = parts[0]
-    else:
-        keys, lens, gain = _tally(*(np.concatenate(x) for x in zip(*parts)))
-    rank = np.argsort(-gain, kind="stable")
+    keys, lens, gain = parts[0] if len(parts) == 1 else _tally(*map(np.concatenate, zip(*parts)))
+    # by gain, ties in bytes order: a zero-padded key, then its length
+    rank = np.lexsort((lens, keys, -gain))
     keys, lens = keys[rank], lens[rank]
     long = np.flatnonzero(lens >= 3)
     pfx = (keys[long] >> np.uint64(48)).astype(np.uint16)
@@ -463,32 +459,25 @@ def _best_symbols(table: SymbolTable, grams: np.ndarray, s_off: np.ndarray, open
 
 
 def _tally(keys: np.ndarray, lens: np.ndarray, gains: np.ndarray | None = None):
-    """The distinct symbols of big-endian ``keys`` and ``lens`` in bytes
-    order (the order of the keys, then of the lengths), each with its gain:
-    count * length, or the sum of ``gains`` when given. Below 8 bytes a
-    key's low byte is zero and holds the length, so one sort of packed keys
-    groups them; the 8-byte symbols are grouped apart and merged in after
-    every shorter symbol whose key is not above theirs."""
-    short = lens < MAX_SYMBOL_LEN
+    """The distinct symbols of big-endian ``keys`` and ``lens``, in no set
+    order, each with its gain: count * length, or the sum of ``gains`` when
+    given. Below 8 bytes a key's low byte is zero and holds the length, so
+    one sort of those values groups them; 8-byte keys (``8 % 8`` ORs in
+    nothing) are grouped apart."""
     low = np.uint64(0xFF)
-    packed, g_short = _group(keys[short] | lens[short], None if gains is None else gains[short])
-    full, g_full = _group(keys[~short], None if gains is None else gains[~short])
-    at = np.searchsorted(packed, (full & ~low) | np.uint64(MAX_SYMBOL_LEN - 1), "right")
-    is_full = np.zeros(len(packed) + len(full), bool)
-    is_full[at + np.arange(len(full))] = True
-    keys = np.empty(len(is_full), np.uint64)
-    lens = np.full(len(is_full), MAX_SYMBOL_LEN, np.uint64)
-    gain = np.empty(len(is_full), np.int64)
-    keys[is_full], gain[is_full] = full, g_full
-    keys[~is_full], lens[~is_full], gain[~is_full] = packed & ~low, packed & low, g_short
-    if gains is None:
-        gain *= lens.astype(np.int64)
-    return keys, lens, gain
+    (short, g_short), (full, g_full) = (
+        _group(keys[part] | lens[part] % np.uint64(MAX_SYMBOL_LEN), None if gains is None else gains[part])
+        for part in (lens < MAX_SYMBOL_LEN, lens == MAX_SYMBOL_LEN)
+    )
+    keys = np.concatenate((short & ~low, full))
+    lens = np.concatenate((short & low, np.full(len(full), MAX_SYMBOL_LEN, np.uint64)))
+    gain = np.concatenate((g_short, g_full))
+    return keys, lens, gain if gains is not None else gain * lens.astype(np.int64)
 
 
 def _group(values: np.ndarray, weights: np.ndarray | None):
-    """The distinct ``values``, ascending, with their counts (``weights``
-    None) or summed weights."""
+    """The distinct ``values`` with their counts (``weights`` None) or
+    summed weights."""
     if weights is None:
         return np.unique(values, return_counts=True)
     distinct, inverse = np.unique(values, return_inverse=True)

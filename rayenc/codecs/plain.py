@@ -145,3 +145,12 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     idx = np.arange(total, dtype=np.int64)
     shift = np.repeat(np.asarray(starts, np.int64) - (ends - lengths), lengths)
     return idx + shift
+
+
+def _take_strings(offsets: np.ndarray, data: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strings at positions ``idx``, framed on their own: (offsets
+    int64[len(idx)+1], data)."""
+    lens = offsets[idx + 1] - offsets[idx]
+    new_off = np.zeros(len(idx) + 1, np.int64)
+    np.cumsum(lens, out=new_off[1:])
+    return new_off, data[_ranges(offsets[idx], lens)]

@@ -203,10 +203,7 @@ def test_deserialized_table_decodes_without_match_tables_and_compresses_alike():
 
 def _rows(table, strings: list[bytes]) -> list[bytes]:
     """Each string's row of the page encoder ``fsst.compress``."""
-    offsets = np.zeros(len(strings) + 1, np.int64)
-    np.cumsum([len(x) for x in strings], out=offsets[1:])
-    data = np.frombuffer(b"".join(strings), np.uint8)
-    c_off, c_dat = fsst.compress(table, offsets, data)
+    c_off, c_dat = fsst.compress(table, *frame(strings))
     return [c_dat[c_off[i] : c_off[i + 1]].tobytes() for i in range(len(strings))]
 
 
@@ -238,9 +235,7 @@ def test_compress_string_matches_page_rows_on_trained_tables():
     rng = np.random.default_rng(5)
     strings = [f"src-{i % 5}/{i:07d}/é" for i in range(600)] + ["", "€", "x", "\x00\x7f"]
     strings = [x.encode() for x in strings] + [bytes(rng.integers(0, 256, 9).tolist()), b"\xff"]
-    offsets = np.zeros(len(strings) + 1, np.int64)
-    np.cumsum([len(x) for x in strings], out=offsets[1:])
-    table = fsst.train(offsets, np.frombuffer(b"".join(strings), np.uint8))
+    table = fsst.train(*frame(strings))
     assert len(table.symbols) > 100
     assert [fsst.compress_string(table, x) for x in strings] == _rows(table, strings)
 
@@ -258,9 +253,7 @@ def test_compress_string_edge_tables():
 def test_rows_equal_compares_only_strings_of_the_literal_length():
     strings = [b"ab", b"", b"abc", b"ab", b"\xff"]
     table = fsst.SymbolTable([b"ab", b"c"])
-    offsets = np.zeros(len(strings) + 1, np.int64)
-    np.cumsum([len(x) for x in strings], out=offsets[1:])
-    c_off, c_dat = fsst.compress(table, offsets, np.frombuffer(b"".join(strings), np.uint8))
+    c_off, c_dat = fsst.compress(table, *frame(strings))
     codes = [fsst.compress_string(table, x) for x in (b"ab", b"")]
     assert fsst.rows_equal(c_off, c_dat, None, codes).tolist() == [True, True, False, True, False]
     idx = np.array([2, 3, 4])
@@ -275,9 +268,7 @@ def test_rows_equal_matches_a_set_lookup(strings, literals, picks):
     # strings with zero bytes ("a" is code 0): the verdict is plain set
     # membership
     table = fsst.SymbolTable([b"a", b"ab", b"\xc3", b"b\xff"])
-    offsets = np.zeros(len(strings) + 1, np.int64)
-    np.cumsum([len(x) for x in strings], out=offsets[1:])
-    c_off, c_dat = fsst.compress(table, offsets, np.frombuffer(b"".join(strings), np.uint8))
+    c_off, c_dat = fsst.compress(table, *frame(strings))
     codes = [fsst.compress_string(table, x) for x in literals]
     idx = np.array(sorted(p for p in picks if p < len(strings)), np.int64)
     for at in (None, idx):
@@ -294,8 +285,9 @@ _ALPHABETS = [b"\x00\xff", b"ab\x00", b"abc/-_\xff", b"0123456789", bytes(range(
 @st.composite
 def string_sets(draw) -> list[bytes]:
     """Strings of 0-300 bytes over a drawn alphabet (0x00 and 0xFF among
-    its bytes), the edge strings among them, and sometimes a first string
-    longer than the 8 KiB sample, which is then the whole sample."""
+    its bytes), the edge strings among them, and sometimes a string longer
+    than the 8 KiB sample after 0-3 empty strings: the stride may sample
+    only the empty strings, or the long string as the whole sample."""
     byte = st.sampled_from(draw(st.sampled_from(_ALPHABETS)))
     string = st.one_of(
         st.lists(byte, max_size=300).map(bytes),
@@ -304,8 +296,8 @@ def string_sets(draw) -> list[bytes]:
     strings = draw(st.lists(string, min_size=1, max_size=40))
     if draw(st.booleans()):
         unit = bytes(draw(st.lists(byte, min_size=1, max_size=24)))
-        size = draw(st.integers(fsst.SAMPLE_TARGET + 1, fsst.SAMPLE_TARGET + 1500))
-        strings.insert(0, (unit * (size // len(unit) + 1))[:size])
+        size = draw(st.integers(fsst.SAMPLE_TARGET + 1, 3 * fsst.SAMPLE_TARGET))
+        strings[:0] = [b""] * draw(st.integers(0, 3)) + [(unit * (size // len(unit) + 1))[:size]]
     return strings
 
 
@@ -331,8 +323,9 @@ def test_compress_matches_the_greedy_oracle_on_trained_tables(strings):
 
 
 def test_train_edge_samples():
-    # no strings, only empty strings, a lone 1-byte string
-    for strings in ([], [b""], [b"", b""], [b"\xff"], [b"\x00"]):
+    # no strings, only empty strings, a lone 1-byte string, and a long
+    # string the stride skips (it samples only the first, empty string)
+    for strings in ([], [b""], [b"", b""], [b"\xff"], [b"\x00"], [b"", b"", b"x" * 20000]):
         offsets, data = frame(strings)
         assert fsst.train(offsets, data).symbols == scalar_train(offsets, data)
     offsets, data = frame([b"\xff"])
@@ -366,3 +359,19 @@ def test_rounds_and_windowed_doubling_parse_alike(strings, window):
             mp.setattr(fsst, "_FOLLOW_BYTES", follow)
             got = fsst.compress(table, offsets, data)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_a_chunk_whose_sample_holds_only_empty_strings_encodes():
+    # every other string is empty and the sample stride is even, so the
+    # trainer sees only empty strings: automatic selection and forced FSST
+    # must still write a chunk that reads back
+    from rayenc import blocks
+    from rayenc.selector import EncodeConfig
+
+    strings = [b"" if i % 2 == 0 else b"%06d" % i * 30 for i in range(1000)]
+    offsets, data = frame(strings)
+    assert fsst.train(offsets, data).symbols == scalar_train(offsets, data) == []
+    t = pa.table({"s": pa.array(strings, pa.binary())})
+    for cfg in (EncodeConfig(), EncodeConfig(column_encodings={"s": "FSST"})):
+        blob, man = blocks.encode_block(t, cfg)
+        assert blocks.decode_block(blob, man).equals(t)
