@@ -364,22 +364,32 @@ def _joined(sample: _Candidate, rest: _Candidate, at: list, n: int) -> _Candidat
 _AUX_ENCODING = {"dict": "PLAIN", "dicti": "DELTA_BINARY_PACKED"}
 
 
-def _decode_pages(entry: dict, aux_buf, page_bufs: list, compressed: bool = False) -> PhysicalColumn:
+def _decode_pages(entry: dict, aux_buf, page_bufs: list, compressed: bool = False, at=None) -> PhysicalColumn:
     """The values of a chunk's ``page_bufs`` (``entry["pages"]`` lists
-    their entries). An FSST chunk's pages are framed into one
-    ``_FsstPages``, which ``compressed`` hands back as is."""
+    their entries), or with ``at`` only those at the ascending positions
+    within them (``codecs.decode_pages``). An FSST chunk's pages are framed
+    into one ``_FsstPages``, which ``compressed`` hands back as is."""
     ptype, aux = entry["ptype"], entry["aux"]
     width = entry.get("flba_width", 0)
     if entry["encoding"] == "FSST":
         pages = _FsstPages(aux_buf, page_bufs, entry["pages"])
         return PhysicalColumn(entry["name"], ptype, pages if compressed else pages.strings(None))
-    dictionary = None
-    if aux is not None:
+    pages = [(buf, p["num_values"]) for buf, p in zip(page_bufs, entry["pages"])]
+    if aux is None:
+        values = codecs.decode_pages(entry["encoding"], ptype, pages, None, width, at)
+    elif at is None:
         dictionary = codecs.decode_pages(
             _AUX_ENCODING[aux["kind"]], ptype, [(aux_buf, aux["count"])], width=width
         )
-    pages = [(buf, p["num_values"]) for buf, p in zip(page_bufs, entry["pages"])]
-    values = codecs.decode_pages(entry["encoding"], ptype, pages, dictionary, width)
+        values = codecs.decode_pages(entry["encoding"], ptype, pages, dictionary, width)
+    else:  # the selected ids, then the dictionary values of those ids only
+        ids, inverse = np.unique(
+            codecs.decode_pages(entry["encoding"], ptype, pages, None, width, at), return_inverse=True
+        )
+        dictionary = codecs.decode_pages(
+            _AUX_ENCODING[aux["kind"]], ptype, [(aux_buf, aux["count"])], width=width, at=ids
+        )
+        values = codecs.lookup(dictionary, ptype, inverse)
     return PhysicalColumn(entry["name"], ptype, values)
 
 
@@ -808,19 +818,32 @@ _BINARY_TYPES = (pa.binary(), pa.large_binary())
 MAX_ENCODED_LITERALS = 32
 
 
+# a read that selects fewer than one value in this many of the pages that
+# hold them decodes only the selected values (``codecs.decode_pages(at=)``)
+SPARSE_READ = 8
+
+
 class _BlockReader:
     """The streams of one block, read at a selection of slots: each chunk
-    decodes only the pages that hold selected values, and a chunk that
-    several streams or both read phases need (aliases, predicate columns)
-    decodes each of its pages once. ``#lengths`` chunks decode whole: the
-    child positions of any list slot are a prefix sum over all of them. An
-    FSST chunk stays compressed (``_FsstPages``)."""
+    decodes only the pages that hold selected values, and a sparse read of
+    a chunk that no other read needs decodes only the selected values. A
+    chunk that several streams or both read phases need (aliases, the
+    ``shared`` fields the predicate reads) decodes each of its pages once.
+    A ``#lengths`` chunk decodes the prefix through its last selected slot:
+    a list slot's child positions are a prefix sum over the lengths before
+    it. An FSST chunk stays compressed (``_FsstPages``)."""
 
-    def __init__(self, blob, by_name: dict):
+    def __init__(self, blob, by_name: dict, shared=()):
         self.blob = blob
         self.by_name = by_name
         self._valid: dict = {}  # chunk -> (validity | None, value rank | None)
-        self._pages: dict = {}  # (chunk, dictionary?) -> (page mask | None, values)
+        # (chunk, dictionary?) -> (page mask | None, values, how many of
+        # the pages' values they are | None: all)
+        self._pages: dict = {}
+        shared = set(shared)
+        self._shared = {e["alias"] for e in by_name.values() if e.get("alias")} | {
+            self.target(name)["name"] for name in by_name if name.split("#")[0] in shared
+        }
 
     def target(self, name: str) -> dict:
         entry = self.by_name[name]
@@ -852,26 +875,50 @@ class _BlockReader:
         return rank[slots[picked]], ~picked
 
     def _chunk(self, entry: dict, idx, dictionary: bool = False):
-        """(the chunk's pages that hold positions ``idx`` (None: all) as
-        read so far, ``idx`` within them). The pages come decoded, as a
-        ``pa.DictionaryArray`` with ``dictionary``, or as ``_FsstPages`` for
-        an FSST chunk."""
+        """(values, ``idx`` within them | None: all of them) of a chunk at
+        ascending positions ``idx`` (None: all). A sparse read (below
+        ``SPARSE_READ``) of a chunk no other read needs, and a read of a
+        prefix of the pages it selects, decode only the values at ``idx``;
+        any other read decodes the pages that hold them, as a
+        ``pa.DictionaryArray`` with ``dictionary``, or as ``_FsstPages``
+        for an FSST chunk. Pages and prefixes are kept for the reads after
+        it."""
         key = (entry["name"], dictionary)
         got = self._pages.get(key)
-        if got is not None and got[0] is None:  # every page at hand
+
+        def held(idx):
+            return got[2] is None or idx is not None and idx[-1] < got[2]
+
+        if got is not None and got[0] is None and held(idx):  # every page at hand
             return got[1], idx
-        need = None
-        if idx is not None and len(entry["pages"]) > 1 and not entry["name"].endswith("#lengths"):
-            ends = np.cumsum([p["num_values"] for p in entry["pages"]])
+        need, pages = None, entry["pages"]
+        if idx is not None and len(pages) > 1:
+            ends = np.cumsum([p["num_values"] for p in pages])
             need, idx = P.select_pages(ends, idx, None if got is None else got[0])
-        if got is not None and need is not None and (need == got[0]).all():
+        if got is not None and need is not None and (need == got[0]).all() and held(idx):
             return got[1], idx
+        if need is not None:
+            pages = [p for p, keep in zip(pages, need) if keep]
+        prefix = idx is not None and int(idx[-1]) + 1 == len(idx)
+        if (
+            idx is not None and got is None and not dictionary and entry["encoding"] != "FSST"
+            and (
+                prefix
+                or entry["name"] not in self._shared
+                and len(idx) * SPARSE_READ < sum(p["num_values"] for p in pages)
+            )
+        ):
+            aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
+            out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs, at=idx).values
+            if prefix:  # the first values of the pages read: kept
+                self._pages[key] = (need, out, len(idx))
+            return out, None
         if dictionary:
             out = decode_chunk_dictionary(self.blob, entry, page_mask=need)
         else:
             aux_buf, page_bufs, pages = _read_chunk(self.blob, entry, None, need)
             out = _decode_pages({**entry, "pages": pages}, aux_buf, page_bufs, compressed=True).values
-        self._pages[key] = (need, out)
+        self._pages[key] = (need, out, None)
         return out, idx
 
     def values(self, entry: dict, idx, dictionary: bool = False):
@@ -940,13 +987,14 @@ class _BlockReader:
             idx, nulls = self.dense(entry, slots)
             if idx is not None and not len(idx):
                 lengths, child = np.empty(0, np.int32), idx
+            elif idx is None:
+                lengths, child = self.values(entry, None), None
             else:
-                lengths = self.values(entry, idx)
-                if idx is not None:
-                    offsets = np.cumsum(self.values(entry, None), dtype=np.int64)
-                    child = plain._ranges(offsets[idx] - lengths, lengths)
-                else:
-                    child = None
+                # the lengths through the last slot, whose prefix sum places
+                # each slot's children
+                prefix = self.values(entry, np.arange(int(idx[-1]) + 1))
+                lengths = prefix[idx]
+                child = plain._ranges(np.cumsum(prefix, dtype=np.int64)[idx] - lengths, lengths)
             out[key] = (lengths, nulls)
             if pa.types.is_map(t):
                 elem = pa.struct([t.key_field.with_name("key"), t.item_field.with_name("value")])
@@ -1039,7 +1087,7 @@ def decode_block(
         if c in names and c not in devnull
     ]
     by_name = {c["name"]: c for c in manifest["chunks"]}
-    reader = _BlockReader(blob, by_name)
+    reader = _BlockReader(blob, by_name, pred_cols)
 
     def read(field: pa.Field, rows) -> pa.Array:
         entry = by_name.get(field.name)

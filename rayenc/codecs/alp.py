@@ -146,7 +146,10 @@ def encode(vals: np.ndarray) -> bytes:
     return Plan(vals).emit()
 
 
-def decode(buf: bytes, count: int, dtype=np.float64) -> np.ndarray:
+def decode(buf: bytes, count: int, dtype=np.float64, at=None) -> np.ndarray:
+    """The page's ``count`` values; ``at`` (ascending positions) only
+    those: the integer stream is read at them and only their exceptions
+    are patched in."""
     mv = memoryview(buf)
     e = mv[0]
     is_f32 = bool(mv[1] & 1)
@@ -155,11 +158,11 @@ def decode(buf: bytes, count: int, dtype=np.float64) -> np.ndarray:
     n_exc, i = read_uvarint(mv, i)
     inner_len, i = read_uvarint(mv, i)
     if inner_len and inner_for:
-        ints = rle_for.decode(mv[i : i + inner_len], count, np.int64)
+        ints = rle_for.decode(mv[i : i + inner_len], count, np.int64, at)
     elif inner_len:
-        ints = delta_bp.decode(mv[i : i + inner_len], np.int64)
+        ints = delta_bp.decode(mv[i : i + inner_len], np.int64, at)
     else:
-        ints = np.zeros(count, np.int64)
+        ints = np.zeros(count if at is None else len(at), np.int64)
     i += inner_len
     out64 = ints.astype(np.float64) / _POW10[e]
     out = out64.astype(np.float32) if is_f32 else out64
@@ -168,7 +171,13 @@ def decode(buf: bytes, count: int, dtype=np.float64) -> np.ndarray:
         i += 4 * n_exc
         item_t = np.float32 if is_f32 else np.float64
         raw = np.frombuffer(mv, item_t, count=n_exc, offset=i)
-        out[pos.astype(np.int64)] = raw
+        pos = pos.astype(np.int64)
+        if at is not None:  # the exceptions at selected positions, in place
+            j = np.searchsorted(at, pos)
+            hit = j < len(at)
+            hit[hit] = at[j[hit]] == pos[hit]
+            pos, raw = j[hit], raw[hit]
+        out[pos] = raw
     if dtype is not None and out.dtype != dtype:
         out = out.astype(dtype)
     return out

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plain import PageSizeError
+
 
 class Plan:
     """One BYTE_STREAM_SPLIT page of ``(n,)`` numbers or ``(n, width)``
@@ -39,12 +41,17 @@ def encode(values: np.ndarray) -> bytes:
     return planes.tobytes()
 
 
-def decode(buf, n: int, dtype) -> np.ndarray:
+def decode(buf, n: int, dtype, at=None) -> np.ndarray:
     """``n`` values of ``dtype`` from their byte planes, joined one plane
-    at a time."""
+    at a time; ``at`` (ascending positions) gathers only those values'
+    bytes."""
     dtype = np.dtype(dtype)
     k = dtype.itemsize
+    if len(buf) < n * k:
+        raise PageSizeError(f"{len(buf)} bytes cannot hold {n} {k}-byte values")
     planes = np.frombuffer(buf, np.uint8, count=n * k).reshape(k, n)
+    if at is not None:
+        return np.ascontiguousarray(planes[:, at].T).reshape(-1).view(dtype)
     rows = np.empty((n, k), np.uint8)
     for i in range(k):
         rows[:, i] = planes[i]

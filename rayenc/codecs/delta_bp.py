@@ -202,14 +202,20 @@ def encode(
     return Plan(values, block, miniblocks).emit()
 
 
-def decode(buf, out_dtype=None) -> np.ndarray:
+def decode(buf, out_dtype=None, at=None) -> np.ndarray:
     """Decode a full DELTA_BINARY_PACKED page (count is in the header).
 
-    out_dtype: np.int32 (default) or np.int64.
+    out_dtype: np.int32 (default) or np.int64. ``at`` (ascending
+    positions) returns only those values: the blocks after the one that
+    holds the last position are not read.
     """
     block, i = read_uvarint(buf, 0)
     miniblocks, i = read_uvarint(buf, i)
     n, i = read_uvarint(buf, i)
+    if at is not None:
+        if len(at) and at[-1] >= n:
+            raise LengthCountError(f"position {int(at[-1])} is past the page's {n} values")
+        n = int(at[-1]) + 1 if len(at) else 0
     is64 = out_dtype == np.int64
     rzz = read_zigzag_varint64 if is64 else read_zigzag_varint32
     first, i = rzz(buf, i)
@@ -313,7 +319,7 @@ def decode(buf, out_dtype=None) -> np.ndarray:
     with np.errstate(over="ignore"):
         np.cumsum(deltas, dtype=sdt, out=out[1:])
         out[1:] += sdt(first)
-    return out
+    return out if at is None else out[at]
 
 
 def decoded_byte_end(buf) -> int:

@@ -56,11 +56,12 @@ def id_pages(plan: "rle_hybrid.Plan", lut=None) -> list[bytes]:
     return [head + p for p in plan.emit(lut)]
 
 
-def decode_ids(buf, n: int) -> np.ndarray:
+def decode_ids(buf, n: int, at=None) -> np.ndarray:
+    """A data page's ids; ``at`` (ascending positions) only those ids."""
     # a python int: a numpy-scalar width would make rle_hybrid's run walk
     # do numpy scalar arithmetic
     width = int(buf[0])
-    return rle_hybrid.decode(buf[1:], n, width)
+    return rle_hybrid.decode(buf[1:], n, width, at=at)
 
 
 def dict_page_binary(dictionary: pa.Array) -> bytes:

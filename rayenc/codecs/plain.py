@@ -51,8 +51,19 @@ def encode_fixed(values: np.ndarray, ptype: str) -> bytes:
     return np.ascontiguousarray(values, dtype=_FIXED[ptype]).tobytes()
 
 
+class PageSizeError(ValueError):
+    """A fixed-width page body too short for its value count."""
+
+
+def _fixed_view(buf, n: int, dtype) -> np.ndarray:
+    """The first ``n`` ``dtype`` values of ``buf``, not copied."""
+    if len(buf) < n * dtype.itemsize:
+        raise PageSizeError(f"{len(buf)} bytes cannot hold {n} {dtype.itemsize}-byte values")
+    return np.frombuffer(buf, dtype, count=n)
+
+
 def decode_fixed(buf, n: int, ptype: str) -> np.ndarray:
-    return np.frombuffer(buf, _FIXED[ptype], count=n)
+    return _fixed_view(buf, n, _FIXED[ptype])
 
 
 def encode_boolean(values: np.ndarray) -> bytes:
@@ -132,7 +143,7 @@ def encode_fixed_len(values: np.ndarray) -> bytes:
 
 
 def decode_fixed_len(buf, n: int, width: int) -> np.ndarray:
-    return np.frombuffer(buf, np.uint8, count=n * width).reshape(n, width)
+    return _fixed_view(buf, n * width, np.dtype(np.uint8)).reshape(n, width)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -69,9 +69,11 @@ def encode(values: np.ndarray) -> bytes | None:
     return plan.emit() if plan.applicable else None
 
 
-def decode(buf, n: int, out_dtype=np.int32) -> np.ndarray:
+def decode(buf, n: int, out_dtype=np.int32, at=None) -> np.ndarray:
+    """The page's ``n`` values; ``at`` (ascending positions) only those,
+    read from the hybrid stream at their positions."""
     mn, i = read_zigzag_varint64(buf, 0)
     width = int(buf[i])
-    shifted = rle_hybrid.decode(buf[i + 1 :], n, width, np.uint32)
+    shifted = rle_hybrid.decode(buf[i + 1 :], n, width, np.uint32, at=at)
     with np.errstate(over="ignore"):
         return (shifted.astype(np.int64) + mn).astype(out_dtype)

@@ -284,6 +284,33 @@ def _manifests(out_dir: str) -> list[str]:
     return sorted(n for n in os.listdir(out_dir) if n.endswith(".manifest.json"))
 
 
+# parsed manifests kept per process (``_read_manifest``); the cache starts
+# afresh when it holds this many
+MANIFEST_CACHE_SIZE = 256
+_MANIFEST_CACHE: dict = {}
+
+
+def _read_manifest(path: str) -> dict:
+    """The parsed manifest at ``path``, parsed once per process while the
+    file keeps its identity (inode, size, mtime): a DecodeWorker reads
+    every manifest at every read, and Ray reuses worker processes across
+    tasks. An ``os.replace``-rewritten partition has a new inode and is
+    parsed anew; a rewrite in place that keeps the size within one mtime
+    tick is not seen, as with ``parquet_read_enc._open_cached``. A manifest
+    that fails to parse is not kept. The dict is shared: callers must not
+    change it."""
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
+        manifest = _MANIFEST_CACHE.get(key)
+        if manifest is None:
+            manifest = json.loads(f.read())
+            if len(_MANIFEST_CACHE) >= MANIFEST_CACHE_SIZE:
+                _MANIFEST_CACHE.clear()
+            _MANIFEST_CACHE[key] = manifest
+    return manifest
+
+
 def _load_partition(out_dir: str, name: str) -> tuple[dict, bytes]:
     """The manifest ``name`` of a container and the blob it names."""
     with open(os.path.join(out_dir, name), "rb") as f:
@@ -382,8 +409,7 @@ class DecodeWorker:
         prune it, no row matches, or it is unreadable and tolerated."""
         self._seen += 1
         try:
-            with open(os.path.join(self.out_dir, name), "rb") as f:
-                manifest = json.loads(f.read())
+            manifest = _read_manifest(os.path.join(self.out_dir, name))
             if self._skip_by_stats(manifest):
                 return None
             with open(os.path.join(self.out_dir, manifest["blob"]), "rb") as f:

@@ -304,6 +304,35 @@ def test_fsst_page_checks_raise(body, n, table):
         codecs.decode_pages("FSST", "BINARY", [(body, n)], table)
 
 
+# the (physical type, encoding) pairs whose page decode gives values or a
+# ValueError on any bytes
+TOTAL_PAIRS = [("BINARY", "PLAIN"), ("BINARY", "FSST"), ("BOOLEAN", "PLAIN"), ("BOOLEAN", "RLE")] + [
+    (t, e)
+    for t in ("INT32", "INT64", "FLOAT", "DOUBLE", "FIXED_LEN_BYTE_ARRAY")
+    for e in ("PLAIN", "BYTE_STREAM_SPLIT")
+]
+
+
+@pytest.mark.parametrize("ptype, encoding", TOTAL_PAIRS, ids=[f"{t}-{e}" for t, e in TOTAL_PAIRS])
+@given(data=_garbage, n=st.integers(0, 200), draw=st.data())
+@settings(max_examples=100, deadline=1000)
+def test_positional_page_decode_total(ptype, encoding, data, n, draw):
+    # random bytes read at random positions (or whole): the values asked
+    # for, or a named ValueError subclass, never an IndexError
+    at = None
+    if draw.draw(st.booleans()):
+        at = np.array(sorted(draw.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=20))) if n else [],
+                      np.int64)
+    table = _FSST_TABLE if encoding == "FSST" else None
+    try:
+        out = codecs.decode_pages(encoding, ptype, [(data, n)], table, 3, at)
+    except ValueError as ex:
+        assert type(ex) is not ValueError, ex
+        return
+    got = len(out[0]) - 1 if ptype == "BINARY" else len(out)
+    assert got == (n if at is None else len(at))
+
+
 def test_rle_hybrid_frame_past_buffer_raises():
     framed = rle_hybrid.encode_framed(np.arange(64, dtype=np.uint32) % 4, 2)
     with pytest.raises(rle_hybrid.RleHybridError):

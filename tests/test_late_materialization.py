@@ -7,17 +7,20 @@ that hold the matching rows. Whatever the table and predicate, the answer
 must equal a full decode followed by ``predicate.filter_table``; small
 ``page_rows`` make empty and null lists straddle page boundaries."""
 
+import inspect
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import given, settings, strategies as st
 
 from rayenc import blocks, parquet_write, pipeline
 from rayenc import predicate as P
+from rayenc.codecs import alp, dictionary, rle_for
 from rayenc.parquet_read_enc import read_table_filtered
 from rayenc.selector import EncodeConfig
 
@@ -177,6 +180,67 @@ def test_lookup_decodes_only_the_pages_of_the_matching_row(tmp_path, decoded_pag
         (got,) = list(worker({"manifest": ["p.manifest.json"]}))
         assert got.equals(table.slice(row, 1))
         assert 1 <= len([b for b in decoded_pages if b in pages]) <= 2
+
+
+def test_lookup_hands_the_decoders_only_the_selected_positions(tmp_path, decoded_pages, monkeypatch):
+    # single-page RLE_FOR, ALP and RLE_DICTIONARY chunks: a lookup decodes
+    # the key chunk whole (phase 1) and hands the other chunks' decoders
+    # only the matching row's position; every page is decoded once
+    n = 6000
+    rng = np.random.default_rng(7)
+    table = pa.table({
+        "k": np.arange(n, dtype=np.int64),
+        "f": rng.integers(0, 5000, n),
+        "p": np.round(rng.random(n) * 1000, 2),
+        "s": [f"flag-{x}" for x in rng.integers(0, 3, n)],
+    })
+    forced = {"k": "DELTA_BINARY_PACKED", "f": "RLE_FOR", "p": "ALP", "s": "RLE_DICTIONARY"}
+    blob, manifest = blocks.encode_block(table, EncodeConfig(page_rows=n, column_encodings=forced))
+    assert {c["name"]: (c["encoding"], len(c["pages"])) for c in manifest["chunks"]} == {
+        c: (e, 1) for c, e in forced.items()
+    }
+    manifest["blob"] = "p.renc"
+    (tmp_path / "p.renc").write_bytes(blob)
+    (tmp_path / "p.manifest.json").write_text(json.dumps(manifest))
+    handed = []
+    for module, name in ((rle_for, "decode"), (alp, "decode"), (dictionary, "decode_ids")):
+        real = getattr(module, name)
+
+        def recording(*args, _real=real, _name=f"{module.__name__}.{name}", **kwargs):
+            at = inspect.signature(_real).bind(*args, **kwargs).arguments.get("at")
+            handed.append((_name, None if at is None else np.asarray(at).tolist()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    for row in (0, 2345, n - 1):
+        decoded_pages.clear()
+        handed.clear()
+        worker = pipeline.DecodeWorker(str(tmp_path), predicate=[("k", "==", row)])
+        (got,) = list(worker({"manifest": ["p.manifest.json"]}))
+        assert got.equals(table.slice(row, 1))
+        assert sorted(handed) == sorted([
+            ("rayenc.codecs.rle_for.decode", [row]),  # f
+            ("rayenc.codecs.alp.decode", [row]),
+            ("rayenc.codecs.rle_for.decode", [row]),  # p's integer stream
+            ("rayenc.codecs.dictionary.decode_ids", [row]),
+        ])
+        pages = [blob[p["offset"] : p["offset"] + p["length"]] for c in manifest["chunks"] for p in c["pages"]]
+        assert sorted(b for b in decoded_pages if b in pages) == sorted(pages)
+
+
+def test_a_kept_prefix_serves_only_the_positions_it_holds():
+    # a prefix read keeps the chunk's first values; a later read past
+    # them decodes the pages again, on one page or several
+    for page_rows in (1000, 100):
+        blob, manifest = blocks.encode_block(
+            pa.table({"k": np.arange(1000) * 3}), EncodeConfig(page_rows=page_rows)
+        )
+        reader = blocks._BlockReader(blob, {c["name"]: c for c in manifest["chunks"]}, ["k"])
+        entry = reader.target("k")
+        assert reader.values(entry, np.arange(150)).tolist() == list(range(0, 450, 3))
+        assert reader.values(entry, np.array([5, 149])).tolist() == [15, 447]
+        assert reader.values(entry, np.array([120, 199])).tolist() == [360, 597]
+        assert reader.values(entry, None).tolist() == list(range(0, 3000, 3))
 
 
 def test_predicate_matching_every_row_decodes_every_page(tmp_path, decoded_pages):

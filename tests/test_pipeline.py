@@ -475,6 +475,50 @@ def test_predicate_errors_are_not_bad_partitions(tmp_path):
             read_table_filtered(path, pred)
 
 
+def _write_part(d, name: str, table: pa.Table) -> None:
+    from rayenc import blocks
+
+    blob, manifest = blocks.encode_block(table)
+    manifest["blob"] = f"{name}.renc"
+    (d / f"{name}.renc").write_bytes(blob)
+    (d / f"{name}.manifest.json").write_text(json.dumps(manifest))
+
+
+def test_manifest_is_parsed_once_until_the_partition_is_replaced(tmp_path, monkeypatch):
+    parsed = []
+    real = json.loads
+    monkeypatch.setattr(pipeline.json, "loads", lambda b: parsed.append(1) or real(b))
+    _write_part(tmp_path, "p", pa.table({"k": [1, 2, 3]}))
+    worker = pipeline.DecodeWorker(str(tmp_path))
+    for _ in range(3):
+        assert pa.concat_tables(worker({"manifest": ["p.manifest.json"]}))["k"].to_pylist() == [1, 2, 3]
+    assert len(parsed) == 1
+    # a partition rewritten by os.replace (a new inode) reads its new rows
+    staged = tmp_path / "new"
+    staged.mkdir()
+    _write_part(staged, "p", pa.table({"k": [7, 8, 9, 10]}))
+    os.replace(staged / "p.renc", tmp_path / "p.renc")
+    os.replace(staged / "p.manifest.json", tmp_path / "p.manifest.json")
+    got = pa.concat_tables(pipeline.DecodeWorker(str(tmp_path))({"manifest": ["p.manifest.json"]}))
+    assert got["k"].to_pylist() == [7, 8, 9, 10] and len(parsed) == 2
+
+
+def test_corrupt_manifest_is_not_kept_and_counts_as_bad(tmp_path):
+    _write_part(tmp_path, "p", pa.table({"k": [1, 2, 3]}))
+    good = (tmp_path / "p.manifest.json").read_bytes()
+    (tmp_path / "p.manifest.json").write_bytes(good[:-5])
+    with pytest.raises(json.JSONDecodeError):
+        list(pipeline.DecodeWorker(str(tmp_path))({"manifest": ["p.manifest.json"]}))
+    worker = pipeline.DecodeWorker(str(tmp_path), bad_block_threshold=1.0)
+    assert list(worker({"manifest": ["p.manifest.json"]})) == [] and worker._bad == 1
+    # mended, it reads: the failed parse was not kept
+    staged = tmp_path / "mended.json"
+    staged.write_bytes(good)
+    os.replace(staged, tmp_path / "p.manifest.json")
+    got = pa.concat_tables(worker({"manifest": ["p.manifest.json"]}))
+    assert got["k"].to_pylist() == [1, 2, 3] and worker._bad == 1
+
+
 def test_decode_dataset_null_predicates(tmp_path):
     # IS NULL / IS NOT NULL pushdown: null_count stats veto partitions
     from rayenc import pipeline
